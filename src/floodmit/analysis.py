@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .ingest import InstanceSpec, ProblemInstance, instance_from_file
+from .ingest import (InstanceSpec, ProblemInstance, instance_from_file,
+                     upgrade_cost_cents)
 from .net import shortest_paths
 from .pipeline import PipelineResult, solve_pipeline
 from .solver import SOLVED, SolveOptions, SolveStatus
@@ -74,8 +75,13 @@ class SweepRow:
 def budget_sweep(instance: ProblemInstance, fractions: Sequence[float],
                  options: SolveOptions | None = None,
                  **pipeline_flags: bool) -> list[SweepRow]:
-    """Solve the instance at each budget fraction (deduplicated, ascending)."""
+    """Solve the instance at each budget fraction (deduplicated, ascending).
+
+    ``spent`` prices each plan as the solver does: one price per purchase
+    unit, so a coupled segment is paid once.
+    """
     net = instance.network
+    coupled = instance.spec.segment_coupling
     todo = sorted({float(f) for f in fractions})
     if any(f < 0 for f in todo):
         raise ValueError("budget fractions must be nonnegative")
@@ -85,7 +91,7 @@ def budget_sweep(instance: ProblemInstance, fractions: Sequence[float],
         result = solve_pipeline(_with_budget(instance, f), options=options,
                                 **pipeline_flags)
         sol = result.solution
-        spent = sum(net.arcs[a].mitigation_cost for a in sol.upgrades)
+        spent = upgrade_cost_cents(net, sol.upgrades, coupled) / 100
         rows.append(SweepRow(
             fraction=f, budget=f * instance.b_hat, status=sol.status,
             objective=sol.objective,

@@ -26,7 +26,7 @@ from typing import Any, Sequence
 from . import analysis
 from .ingest import (CAPACITY_POLICIES, WEIGHT_POLICIES, InstanceSpec,
                      ProblemInstance, SchemaError, instance_from_file,
-                     instance_json)
+                     instance_json, upgrade_cost_cents)
 from .net import NetworkError
 from .pipeline import solve_pipeline
 from .prune import harvest_triangle_vis, prune_all
@@ -67,8 +67,6 @@ def _pipeline_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--no-reduce", dest="use_reduce", action="store_false")
     sub.add_argument("--no-warmstart", dest="use_warmstart",
                      action="store_false")
-    sub.add_argument("--no-vis", dest="use_vis", action="store_false",
-                     help="skip valid inequalities")
     sub.add_argument("--time-limit", type=float, default=300.0,
                      metavar="SECONDS")
     sub.add_argument("--gap-tol", type=float, default=0.0)
@@ -99,7 +97,7 @@ def _load(args: argparse.Namespace) -> ProblemInstance:
 
 def _flags(args: argparse.Namespace) -> dict[str, bool]:
     return {name: getattr(args, name) for name in
-            ("use_prune", "use_reduce", "use_warmstart", "use_vis")}
+            ("use_prune", "use_reduce", "use_warmstart")}
 
 
 def _options(args: argparse.Namespace) -> SolveOptions:
@@ -172,10 +170,10 @@ def _print_plan(instance: ProblemInstance, sol) -> None:
     if sol.best_bound is not None:
         print(f"{'bound':<12} {sol.best_bound:.6f}")
     net = instance.network
-    spent = sum(net.arcs[a].mitigation_cost for a in sol.upgrades
-                if a in net.arcs)
     print(f"{'budget':<12} {_money(instance.budget)}")
     if sol.upgrades:
+        spent = upgrade_cost_cents(net, sol.upgrades,
+                                   instance.spec.segment_coupling) / 100
         print(f"{'spent':<12} {_money(spent)}")
         for aid in sol.upgrades:
             arc = net.arcs[aid]

@@ -283,14 +283,12 @@ def load_network(source: str | Path | Mapping[str, Any]) -> Network:
 # -- derivation steps -------------------------------------------------------
 
 
-def derive_costs(net: Network, unit_cost: float = DEFAULT_UNIT_COST,
-                 segment_coupling: bool = False) -> Network:
+def derive_costs(net: Network, unit_cost: float = DEFAULT_UNIT_COST) -> Network:
     """Price each vulnerable arc at ``unit_cost * length_miles * lanes``.
 
-    ``segment_coupling`` does not change stored per-arc costs; it marks that
-    the solver should charge a two-way segment once (see the solver module).
+    Costs are stored per arc; segment coupling is applied when plans are
+    priced (see ``purchase_units``).
     """
-    del segment_coupling  # behavioral effect lives in the solver's purchase units
     if unit_cost < 0:
         raise SchemaError("unit_cost must be nonnegative")
     new_arcs = []
@@ -408,7 +406,7 @@ def instance_from_file(source: str | Path | Mapping[str, Any],
     log: list[str] = []
     net = load_network(source)
     log.append(f"loaded {len(net.nodes)} nodes / {len(net.arcs)} directed arcs")
-    net = derive_costs(net, spec.unit_cost, spec.segment_coupling)
+    net = derive_costs(net, spec.unit_cost)
     log.append(f"priced {len(net.vulnerable_arcs())} vulnerable arcs "
                f"at {spec.unit_cost:g}/mile/lane")
     net = select_origins(net, spec.p, spec.weight_policy, spec.facilities)

@@ -225,86 +225,51 @@ def _admit_fn(net: Network, filt: ArcFilter | Admit) -> Admit:
 # -- shortest paths ---------------------------------------------------------
 
 
+def dijkstra(net: Network, sources: Iterable[str], admit: Admit | None = None,
+             reverse: bool = False) -> dict[str, float]:
+    """Settled travel times from the nearest of ``sources`` over admitted arcs.
+
+    The one shortest-path kernel.  Forward it gives times *from* the
+    sources; with ``reverse`` it walks arcs backward, giving times *to* the
+    nearest source.  ``admit`` (default: every arc) decides which arcs a
+    route may use.  Returns ``{node_id: minutes}`` in settling order;
+    unreachable nodes are absent.
+    """
+    heap: list[tuple[float, str]] = []
+    best: dict[str, float] = {}
+    for s in sorted(set(sources)):
+        if s not in net:
+            raise NetworkError(f"unknown node {s!r}")
+        best[s] = 0.0
+        heap.append((0.0, s))
+    heapq.heapify(heap)
+    incident = net._in if reverse else net._out
+    arcs = net.arcs
+    settled: dict[str, float] = {}
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled[u] = d
+        for aid in incident[u]:
+            arc = arcs[aid]
+            if admit is not None and not admit(arc):
+                continue
+            v = arc.tail if reverse else arc.head
+            nd = d + arc.travel_time
+            if nd < best.get(v, math.inf) - DIST_TOL:
+                best[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return settled
+
+
 def shortest_paths(net: Network, source: str,
                    filt: ArcFilter | Admit = ALL_ARCS) -> dict[str, float]:
     """Dijkstra travel times from ``source`` over admitted arcs.
 
     Returns ``{node_id: minutes}``; unreachable nodes are absent.
     """
-    if source not in net:
-        raise NetworkError(f"unknown node {source!r}")
-    admit = _admit_fn(net, filt)
-    dist: dict[str, float] = {source: 0.0}
-    done: set[str] = set()
-    heap: list[tuple[float, str]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for aid in net.out_arcs(u):
-            arc = net.arcs[aid]
-            if not admit(arc):
-                continue
-            nd = d + arc.travel_time
-            if nd < dist.get(arc.head, math.inf) - DIST_TOL:
-                dist[arc.head] = nd
-                heapq.heappush(heap, (nd, arc.head))
-    return dist
-
-
-def reverse_shortest_paths(net: Network, target: str,
-                           filt: ArcFilter | Admit = ALL_ARCS) -> dict[str, float]:
-    """Travel times from every node *to* ``target`` over admitted arcs."""
-    if target not in net:
-        raise NetworkError(f"unknown node {target!r}")
-    admit = _admit_fn(net, filt)
-    dist: dict[str, float] = {target: 0.0}
-    done: set[str] = set()
-    heap: list[tuple[float, str]] = [(0.0, target)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for aid in net.in_arcs(u):
-            arc = net.arcs[aid]
-            if not admit(arc):
-                continue
-            nd = d + arc.travel_time
-            if nd < dist.get(arc.tail, math.inf) - DIST_TOL:
-                dist[arc.tail] = nd
-                heapq.heappush(heap, (nd, arc.tail))
-    return dist
-
-
-def multi_target_distance(net: Network, targets: Iterable[str],
-                          filt: ArcFilter | Admit = ALL_ARCS) -> dict[str, float]:
-    """Travel time from every node to its nearest member of ``targets``."""
-    admit = _admit_fn(net, filt)
-    heap: list[tuple[float, str]] = []
-    dist: dict[str, float] = {}
-    for t in sorted(set(targets)):
-        if t not in net:
-            raise NetworkError(f"unknown node {t!r}")
-        dist[t] = 0.0
-        heap.append((0.0, t))
-    heapq.heapify(heap)
-    done: set[str] = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for aid in net.in_arcs(u):
-            arc = net.arcs[aid]
-            if not admit(arc):
-                continue
-            nd = d + arc.travel_time
-            if nd < dist.get(arc.tail, math.inf) - DIST_TOL:
-                dist[arc.tail] = nd
-                heapq.heappush(heap, (nd, arc.tail))
-    return dist
+    return dijkstra(net, (source,), _admit_fn(net, filt))
 
 
 def canonical_shortest_path(net: Network, source: str, target: str,
@@ -316,12 +281,12 @@ def canonical_shortest_path(net: Network, source: str, target: str,
     Among equally short paths, returns the lexicographically smallest arc-id
     sequence: walk forward from the source, always taking the smallest-id arc
     that stays on some shortest path.  Returns (minutes, arc ids) or None if
-    unreachable.  ``dist_to_target`` lets callers reuse one reverse Dijkstra
-    for many sources.
+    unreachable.  ``dist_to_target`` lets callers reuse one reverse search
+    (``dijkstra(..., reverse=True)`` from the target) for many sources.
     """
     admit = _admit_fn(net, filt)
     if dist_to_target is None:
-        dist_to_target = reverse_shortest_paths(net, target, admit)
+        dist_to_target = dijkstra(net, (target,), admit, reverse=True)
     if source not in dist_to_target:
         return None
     total = dist_to_target[source]
@@ -445,13 +410,3 @@ def components_without(net: Network, removed: str) -> list[Component]:
         comps.append(Component(frozenset(members), induced))
     comps.sort(key=lambda c: c.min_id())
     return comps
-
-
-def reachable_destinations(net: Network, origin: str,
-                           filt: ArcFilter | Admit = ALL_ARCS) -> set[str]:
-    """Destination ids an origin can reach over admitted arcs."""
-    node = net.node(origin)
-    if node.kind is not NodeKind.ORIGIN:
-        raise NetworkError(f"node {origin!r} is not an origin")
-    dist = shortest_paths(net, origin, filt)
-    return {d.id for d in net.destinations() if d.id in dist}

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .heuristic import GreedySolution, greedy_initial
 from .ingest import ProblemInstance, with_network
-from .prune import PrunedNetwork, expand_solution, harvest_triangle_vis, prune_all
-from .reductions import (Cuts, FixedUpgrades, VariableMask, compute_sp_tables,
+from .prune import PrunedNetwork, expand_solution, prune_all
+from .reductions import (FixedUpgrades, VariableMask, compute_sp_tables,
                          standard_reductions)
 from .solver import Solution, SolveOptions, solve_exact
 
@@ -24,8 +24,7 @@ class PipelineResult:
     raw_solution: Solution                 # on the solved (possibly pruned) one
     pruned: PrunedNetwork | None
     fixings: FixedUpgrades | None
-    mask: VariableMask | None
-    cuts: Cuts | None
+    mask: VariableMask | None              # reported; the solver needs no mask
     greedy: GreedySolution | None          # in pruned terms when pruning ran
 
 
@@ -33,8 +32,7 @@ def solve_pipeline(instance: ProblemInstance,
                    options: SolveOptions | None = None,
                    use_prune: bool = True,
                    use_reduce: bool = True,
-                   use_warmstart: bool = True,
-                   use_vis: bool = True) -> PipelineResult:
+                   use_warmstart: bool = True) -> PipelineResult:
     options = options or SolveOptions()
     work = instance
     pruned: PrunedNetwork | None = None
@@ -49,21 +47,13 @@ def solve_pipeline(instance: ProblemInstance,
         tables = compute_sp_tables(work)
         fixings, mask = standard_reductions(work, tables)
 
-    cuts: Cuts | None = None
-    if use_vis:
-        triples = (pruned.log.triangle_vis if pruned is not None
-                   else harvest_triangle_vis(work.network))
-        cuts = Cuts(triangle=tuple(triples),
-                    exit_origins=fixings.exit_vi_origins if fixings else ())
-
     greedy: GreedySolution | None = None
     if use_warmstart:
         greedy = greedy_initial(work, tables)
         if greedy.feasible:
             options = dataclasses.replace(options, warm_start=greedy)
 
-    raw = solve_exact(work, mask=mask, fixings=fixings, cuts=cuts,
-                      options=options)
+    raw = solve_exact(work, fixings=fixings, options=options)
     solution = expand_solution(raw, pruned.log) if pruned is not None else raw
     return PipelineResult(solution=solution, raw_solution=raw, pruned=pruned,
-                          fixings=fixings, mask=mask, cuts=cuts, greedy=greedy)
+                          fixings=fixings, mask=mask, greedy=greedy)

@@ -11,12 +11,13 @@ Eight techniques shrink an instance without changing its optimal objective:
 5. keep only the fastest of parallel non-vulnerable arcs
 6. drop self-loops
 7. contract non-vulnerable two-neighbor transshipment chains
-8. drop a clique arc dominated by a two-arc detour; when instead the direct
-   arc is strictly faster, record the triple as a route-choice cut
+8. drop a clique arc dominated by a two-arc detour
 
 `prune_all` runs them round-robin (6, 5, 2, 1, 3, 4, 7, 8) to a fixpoint and
 returns the pruned network plus a replayable log; `expand_solution` lifts a
 solution on the pruned network back to the original one.
+`harvest_triangle_vis` lists the clique triples where the direct arc is
+strictly faster, as route-choice cuts for the exported 0-1 model.
 """
 from __future__ import annotations
 
@@ -83,7 +84,6 @@ class PruneAction:
 class PruneLog:
     actions: list[PruneAction] = field(default_factory=list)
     objective_offset: float = 0.0
-    triangle_vis: list[tuple[str, str, str]] = field(default_factory=list)
 
     @property
     def merge_records(self) -> list[MergeRecord]:
@@ -97,7 +97,6 @@ class PruneLog:
     def to_dict(self) -> dict[str, Any]:
         return {
             "objective_offset": self.objective_offset,
-            "triangle_vis": [list(t) for t in self.triangle_vis],
             "actions": [
                 {
                     "technique": a.technique,
@@ -470,7 +469,7 @@ def harvest_triangle_vis(net: Network) -> list[tuple[str, str, str]]:
     """Clique triples where the direct arc is strictly faster than the detour.
 
     In any optimal routing, a single origin uses at most one of the three arcs
-    (arc i->j, arc i->h, arc j->h); the solver may add that as a cut.
+    (arc i->j, arc i->h, arc j->h); the 0-1 model may add that as a cut.
     """
     vis: set[tuple[str, str, str]] = set()
     for j in sorted(net.nodes):
@@ -512,50 +511,12 @@ def _run_technique(tech: int, work: _Work,
     return _TECHNIQUES[tech](work)
 
 
-def _single(net: Network, tech: int) -> tuple[Network, list[PruneAction]]:
+def apply_technique(net: Network, tech: int,
+                    ) -> tuple[Network, list[PruneAction]]:
+    """Run one technique (1-8, see TECHNIQUE_LABELS) once on ``net``."""
     work = _Work(net)
     actions = _run_technique(tech, work, {})
     return work.to_network(), actions
-
-
-def technique1(net: Network) -> tuple[Network, list[PruneAction]]:
-    """Drop articulation side components without origins or destinations."""
-    return _single(net, 1)
-
-
-def technique2(net: Network) -> tuple[Network, list[PruneAction]]:
-    """Drop transshipment nodes lacking inflow or outflow (cascades)."""
-    return _single(net, 2)
-
-
-def technique3(net: Network) -> tuple[Network, list[PruneAction]]:
-    """Fold pendant origins into their only neighbor, crediting the hop."""
-    return _single(net, 3)
-
-
-def technique4(net: Network) -> tuple[Network, list[PruneAction]]:
-    """Drop triangle middles whose through-paths never beat the direct arcs."""
-    return _single(net, 4)
-
-
-def technique5(net: Network) -> tuple[Network, list[PruneAction]]:
-    """Keep only the fastest arc of each parallel non-vulnerable bundle."""
-    return _single(net, 5)
-
-
-def technique6(net: Network) -> tuple[Network, list[PruneAction]]:
-    """Remove self-loops."""
-    return _single(net, 6)
-
-
-def technique7(net: Network) -> tuple[Network, list[PruneAction]]:
-    """Contract two-neighbor non-vulnerable transshipment middles."""
-    return _single(net, 7)
-
-
-def technique8(net: Network) -> tuple[Network, list[PruneAction]]:
-    """Remove clique arcs dominated by a two-arc detour."""
-    return _single(net, 8)
 
 
 def prune_all(net: Network) -> PrunedNetwork:
@@ -586,7 +547,6 @@ def prune_all(net: Network) -> PrunedNetwork:
         if not changed:
             break
     pruned = work.to_network()
-    log.triangle_vis = harvest_triangle_vis(pruned)
     stats = PruneStats(original=original, final=work.counts(),
                        by_technique=by_tech, rounds=rounds)
     return PrunedNetwork(network=pruned, log=log, stats=stats)

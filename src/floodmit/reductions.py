@@ -12,8 +12,11 @@ Three reductions, all derived from path structure:
 * ``component_mask`` — arcs inside an articulation-point side pocket that
   contains no facility are unusable for any origin outside the pocket.
 
-Masks and fixings feed both the model builder and the exact solver; applying
-them never changes the optimal objective (tested against brute force).
+Fixings feed the model builder, the brute-force oracle and the exact solver.
+Masks feed only the model builder and the oracle, and exit cuts only the
+model builder: the solver routes every origin on a shortest path, which
+never uses a masked arc.  Applying them never changes the optimal objective
+(tested against brute force).
 """
 from __future__ import annotations
 

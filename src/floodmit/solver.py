@@ -11,10 +11,14 @@ The solver enumerates upgrade decisions in a best-first branch-and-bound:
 * probe for incumbents by solving the same assignment over the arcs
   committed so far (depth-first with suffix lower bounds).
 
-`brute_force_oracle` independently enumerates every affordable upgrade set
-and every capacity-feasible assignment — slower, but nothing to get wrong —
-and is what the solver is tested against.  `build_model`/`export_lp` emit the
-equivalent 0-1 program for external solvers, and `gap_to_rnfmp` embeds a
+Every origin rides a shortest path, so a node's distances come from one
+reverse search per facility, and routes are read off those tables.  Masks
+and valid inequalities never reach the search: they only tighten the 0-1
+model.  `brute_force_oracle` independently enumerates every affordable
+upgrade set and every capacity-feasible assignment (masks optional) —
+slower, but nothing to get wrong — and is what the solver is tested
+against.  `build_model`/`export_lp` emit the equivalent 0-1 program, masks
+and cuts included, for external solvers, and `gap_to_rnfmp` embeds a
 generalized assignment problem as a zero-budget instance.
 """
 from __future__ import annotations
@@ -33,8 +37,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .ingest import (InstanceSpec, ProblemInstance, PurchaseUnit,
                      capacity_fits, cents, purchase_units, upgrade_cost_cents)
-from .net import (ALL_ARCS, DIST_TOL, Network, NodeKind, RoadArc, RoadNode,
-                  canonical_shortest_path, reverse_shortest_paths)
+from .net import (DIST_TOL, Network, NodeKind, RoadArc, RoadNode,
+                  canonical_shortest_path, dijkstra)
 from .reductions import Cuts, FixedUpgrades, VariableMask
 
 
@@ -63,8 +67,6 @@ class SolveOptions:
     time_limit_s: float = 300.0
     gap_tol: float = 0.0
     warm_start: Any = None               # anything Solution-shaped
-    use_triangle_cuts: bool = True
-    use_exit_cuts: bool = True
     collect_nodes: bool = False          # debug: keep (committed, banned, bound)
 
     def __post_init__(self) -> None:
@@ -121,41 +123,13 @@ def _blocked_by_origin(net: Network, mask: VariableMask | None,
     return {o.id: frozenset(mask.arcs_blocked_for(o.id)) for o in net.origins()}
 
 
-def _admit(blocked: frozenset[str], open_vulnerable: frozenset[str]):
+def _admit(open_vulnerable: frozenset[str],
+           blocked: frozenset[str] = frozenset()):
+    """Flood-free arcs plus the open vulnerable ones, minus ``blocked``."""
     def admit(arc: RoadArc) -> bool:
-        if arc.id in blocked:
-            return False
-        return not arc.vulnerable or arc.id in open_vulnerable
+        return (not arc.vulnerable or arc.id in open_vulnerable) \
+            and arc.id not in blocked
     return admit
-
-
-def _dists_to_dests(net: Network, source: str, admit, dest_ids: Sequence[str],
-                    nearest_only: bool = False) -> dict[str, float]:
-    """Dijkstra from ``source``, stopping once the needed destinations settle."""
-    remaining = set(dest_ids)
-    found: dict[str, float] = {}
-    dist = {source: 0.0}
-    done: set[str] = set()
-    heap = [(0.0, source)]
-    while heap and remaining:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if u in remaining:
-            found[u] = d
-            remaining.discard(u)
-            if nearest_only:
-                break
-        for aid in net.out_arcs(u):
-            arc = net.arcs[aid]
-            if not admit(arc):
-                continue
-            nd = d + arc.travel_time
-            if nd < dist.get(arc.head, math.inf) - DIST_TOL:
-                dist[arc.head] = nd
-                heapq.heappush(heap, (nd, arc.head))
-    return found
 
 
 # -- exact capacitated assignment ------------------------------------------
@@ -210,15 +184,47 @@ def _candidate_lists(net: Network, origins: Sequence[RoadNode],
                      blocked: Mapping[str, frozenset[str]],
                      open_vulnerable: frozenset[str],
                      ) -> dict[str, list[tuple[float, str]]] | None:
-    """Per-origin reachable (minutes, dest) lists; None if someone is cut off."""
+    """Per-origin reachable (minutes, dest) lists; None if someone is cut off.
+
+    One forward search per origin, because masks block arcs per origin.
+    """
     out: dict[str, list[tuple[float, str]]] = {}
     for o in origins:
-        dists = _dists_to_dests(net, o.id, _admit(blocked[o.id], open_vulnerable),
-                                dest_ids)
-        if not dists:
+        dists = dijkstra(net, (o.id,), _admit(open_vulnerable, blocked[o.id]))
+        reach = sorted((dists[t], t) for t in dest_ids if t in dists)
+        if not reach:
             return None
-        out[o.id] = sorted((d, did) for did, d in dists.items())
+        out[o.id] = reach
     return out
+
+
+def _facility_tables(net: Network, dest_ids: Sequence[str], admit,
+                     ) -> dict[str, dict[str, float]]:
+    """Travel times to each facility: one reverse search per facility."""
+    return {t: dijkstra(net, (t,), admit, reverse=True) for t in dest_ids}
+
+
+def _lists_from_tables(origins: Sequence[RoadNode], dest_ids: Sequence[str],
+                       tables: Mapping[str, Mapping[str, float]],
+                       ) -> dict[str, list[tuple[float, str]]] | None:
+    """Per-origin (minutes, dest) lists read off facility tables; None if
+    someone is cut off."""
+    out: dict[str, list[tuple[float, str]]] = {}
+    for o in origins:
+        reach = sorted((tables[t][o.id], t) for t in dest_ids
+                       if o.id in tables[t])
+        if not reach:
+            return None
+        out[o.id] = reach
+    return out
+
+
+def _route(net: Network, origin: str, dest: str, admit,
+           dist_to_target: dict[str, float] | None = None) -> tuple[str, ...]:
+    found = canonical_shortest_path(net, origin, dest, admit, dist_to_target)
+    if found is None:  # pragma: no cover - assignment implies reachability
+        raise ModelError(f"no route from {origin!r} to {dest!r}")
+    return found[1]
 
 
 def _used_vulnerable(net: Network, paths: Mapping[str, Sequence[str]],
@@ -226,19 +232,6 @@ def _used_vulnerable(net: Network, paths: Mapping[str, Sequence[str]],
     used = {aid for path in paths.values() for aid in path
             if net.arcs[aid].vulnerable}
     return tuple(sorted(used))
-
-
-def _paths_for(net: Network, assignment: Mapping[str, str],
-               blocked: Mapping[str, frozenset[str]],
-               open_vulnerable: frozenset[str]) -> dict[str, tuple[str, ...]]:
-    paths: dict[str, tuple[str, ...]] = {}
-    for k in sorted(assignment):
-        admit = _admit(blocked[k], open_vulnerable)
-        found = canonical_shortest_path(net, k, assignment[k], admit)
-        if found is None:  # pragma: no cover - assignment implies reachability
-            raise ModelError(f"no route from {k!r} to {assignment[k]!r}")
-        paths[k] = found[1]
-    return paths
 
 
 # -- brute-force oracle -------------------------------------------------------
@@ -326,7 +319,8 @@ def brute_force_oracle(instance: ProblemInstance,
         status = (SolveStatus.INFEASIBLE if saw_connected
                   else SolveStatus.BUDGET_DISCONNECTED)
         return Solution(status=status, stats={"subsets_evaluated": evaluated})
-    paths = _paths_for(net, best_assignment, blocked, best_open)
+    paths = {k: _route(net, k, dest, _admit(best_open, blocked[k]))
+             for k, dest in sorted(best_assignment.items())}
     return Solution(
         status=SolveStatus.OPTIMAL, objective=best[0], best_bound=best[0],
         gap=0.0, upgrades=_used_vulnerable(net, paths),
@@ -337,66 +331,7 @@ def brute_force_oracle(instance: ProblemInstance,
 # -- branch and bound ---------------------------------------------------------
 
 
-def _dijkstra_all(net: Network, source: str, admit) -> dict[str, float]:
-    """Final distance labels from ``source`` over the whole admitted component."""
-    dist = {source: 0.0}
-    final: dict[str, float] = {}
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in final:
-            continue
-        final[u] = d
-        for aid in net.out_arcs(u):
-            arc = net.arcs[aid]
-            if not admit(arc):
-                continue
-            nd = d + arc.travel_time
-            if nd < dist.get(arc.head, math.inf) - DIST_TOL:
-                dist[arc.head] = nd
-                heapq.heappush(heap, (nd, arc.head))
-    return final
-
-
-def _shortest_path_arcs(net: Network, dist: Mapping[str, float], origin: str,
-                        dest: str, admit) -> list[str]:
-    """Arc ids along one shortest origin->dest path, read off final labels.
-
-    Walks backward from ``dest``, picking the smallest admitted arc id whose
-    tail label is tight.  Zero-time cycles are cut by a step guard; a partial
-    list is acceptable because callers use it only to score branch choices.
-    """
-    arcs: list[str] = []
-    v = dest
-    steps = 0
-    while v != origin and steps <= len(net.arcs):
-        steps += 1
-        dv = dist.get(v)
-        if dv is None:
-            break
-        best: str | None = None
-        best_tail = ""
-        for aid in net.in_arcs(v):
-            arc = net.arcs[aid]
-            if not admit(arc):
-                continue
-            du = dist.get(arc.tail)
-            if du is None:
-                continue
-            if abs(du + arc.travel_time - dv) <= DIST_TOL and (
-                    best is None or aid < best):
-                best = aid
-                best_tail = arc.tail
-        if best is None:
-            break
-        arcs.append(best)
-        v = best_tail
-    return arcs
-
-
-def _affordable_connectivity(net: Network,
-                             blocked: Mapping[str, frozenset[str]],
-                             dest_ids: Sequence[str],
+def _affordable_connectivity(net: Network, dest_ids: Sequence[str],
                              units: Sequence[PurchaseUnit],
                              base_arcs: frozenset[str], base_cost: int,
                              budget_cents: int,
@@ -407,7 +342,8 @@ def _affordable_connectivity(net: Network,
     main search ends without an incumbent.  Include/exclude recursion over
     units, pruned by connectivity of the affordability-filtered relaxation
     (a superset of every completion, so a disconnected relaxation kills the
-    subtree).  Returns None if ``deadline`` passes first.
+    subtree).  Connectivity is one multi-source reverse search from all
+    facilities.  Returns None if ``deadline`` passes first.
     """
     origin_ids = [o.id for o in net.origins()]
     by_id = {u.id: u for u in units}
@@ -420,11 +356,8 @@ def _affordable_connectivity(net: Network,
         return frozenset(s)
 
     def connected(open_arcs: frozenset[str]) -> bool:
-        for k in origin_ids:
-            if not _dists_to_dests(net, k, _admit(blocked[k], open_arcs),
-                                   dest_ids, nearest_only=True):
-                return False
-        return True
+        reach = dijkstra(net, dest_ids, _admit(open_arcs), reverse=True)
+        return all(k in reach for k in origin_ids)
 
     def walk(committed: frozenset[str], banned: frozenset[str],
              cost: int) -> bool | None:
@@ -449,9 +382,7 @@ def _affordable_connectivity(net: Network,
 
 
 def solve_exact(instance: ProblemInstance,
-                mask: VariableMask | None = None,
                 fixings: FixedUpgrades | None = None,
-                cuts: Cuts | None = None,
                 options: SolveOptions | None = None) -> Solution:
     """Exact best-first branch-and-bound over purchase units.
 
@@ -464,13 +395,16 @@ def solve_exact(instance: ProblemInstance,
     relaxed optimum rides committed or flood-free arcs only is solved
     exactly and closed on the spot.
 
-    Cuts are accepted for interface parity with the 0-1 model; a path-based
-    search satisfies them implicitly, so toggling them cannot change the
-    optimum.  Determinism: nodes are numbered in creation order and the heap
-    is keyed (bound, number); incumbent ties prefer the lexicographically
-    smaller used-upgrade set.
+    Every origin rides a shortest path over the open arcs, so each node needs
+    only one reverse search per facility (over the relaxation's open arcs,
+    and for the probe over the committed ones).  Those tables give every
+    origin's candidate list, and both the branch-scoring routes and the
+    incumbent routes are read off them.  Per-origin masks and valid
+    inequalities only tighten the 0-1 model; a route-based search never
+    needs them.  Determinism: nodes are numbered in creation order and the
+    heap is keyed (bound, number); incumbent ties prefer the
+    lexicographically smaller used-upgrade set.
     """
-    del cuts  # enforced implicitly by shortest-path routing; kept in signature
     options = options or SolveOptions()
     start = time.perf_counter()
     net = instance.network
@@ -478,12 +412,6 @@ def solve_exact(instance: ProblemInstance,
     dest_ids = [d.id for d in net.destinations()]
     caps = {d: net.nodes[d].capacity for d in dest_ids}
     budget_cents = cents(instance.budget)
-    blocked = _blocked_by_origin(net, mask)
-    if fixings:
-        for (k, aid) in fixings.forced_x:
-            if mask is not None and mask.blocks(k, aid):
-                raise ModelError(
-                    f"inconsistent fixing: forced route ({k!r}, {aid!r}) is masked")
     forced_arcs = frozenset(fixings.forced_y) if fixings else frozenset()
     units = purchase_units(net, instance.spec.segment_coupling)
     committed_units = [u for u in units
@@ -524,8 +452,9 @@ def solve_exact(instance: ProblemInstance,
 
     def try_incumbent(committed_arcs: frozenset[str]) -> None:
         nonlocal incumbent, saw_assignment_attempt
-        cands = _candidate_lists(net, gap_items_order, dest_ids, blocked,
-                                 committed_arcs)
+        admit = _admit(committed_arcs)
+        tables = _facility_tables(net, dest_ids, admit)
+        cands = _lists_from_tables(gap_items_order, dest_ids, tables)
         if cands is None:
             return
         saw_assignment_attempt = True
@@ -537,7 +466,8 @@ def solve_exact(instance: ProblemInstance,
         obj, assignment = solved
         if incumbent is not None and obj > incumbent.objective + DIST_TOL:
             return
-        paths = _paths_for(net, assignment, blocked, committed_arcs)
+        paths = {k: _route(net, k, dest, admit, tables[dest])
+                 for k, dest in sorted(assignment.items())}
         upgrades = _used_vulnerable(net, paths)
         if incumbent is not None and abs(obj - incumbent.objective) <= DIST_TOL \
                 and upgrades >= incumbent.upgrades:
@@ -550,7 +480,7 @@ def solve_exact(instance: ProblemInstance,
     # warm start: accept anything Solution-shaped that validates cleanly
     if options.warm_start is not None:
         ws = options.warm_start
-        report = validate_solution(instance, ws, mask=mask)
+        report = validate_solution(instance, ws)
         if report.ok:
             incumbent = Solution(
                 status=SolveStatus.FEASIBLE, objective=report.objective,
@@ -579,15 +509,11 @@ def solve_exact(instance: ProblemInstance,
                   if uid not in committed and uid not in banned
                   and undecided[uid].cost_cents <= remaining]
         open_arcs = arcs_for(itertools.chain(committed, afford))
-        dist_maps: dict[str, dict[str, float]] = {}
-        lists: dict[str, list[tuple[float, str]]] = {}
-        for o in origin_order:
-            dmap = _dijkstra_all(net, o.id, _admit(blocked[o.id], open_arcs))
-            reach = sorted((dmap[t], t) for t in dest_ids if t in dmap)
-            if not reach:
-                return None  # some origin is cut off even in the relaxation
-            dist_maps[o.id] = dmap
-            lists[o.id] = reach
+        admit = _admit(open_arcs)
+        tables = _facility_tables(net, dest_ids, admit)
+        lists = _lists_from_tables(origin_order, dest_ids, tables)
+        if lists is None:
+            return None  # some origin is cut off even in the relaxation
         if probe:
             try_incumbent(arcs_for(committed))
         items = [(o.id, o.residents, o.weight, lists[o.id])
@@ -598,9 +524,8 @@ def solve_exact(instance: ProblemInstance,
         bound, relaxed_assign = solved
         score: dict[str, float] = {}
         for o in origin_order:
-            admit = _admit(blocked[o.id], open_arcs)
-            for aid in _shortest_path_arcs(net, dist_maps[o.id], o.id,
-                                           relaxed_assign[o.id], admit):
+            dest = relaxed_assign[o.id]
+            for aid in _route(net, o.id, dest, admit, tables[dest]):
                 uid = arc_unit.get(aid)
                 if uid is not None and uid not in committed:
                     score[uid] = score.get(uid, 0.0) + o.weight
@@ -673,7 +598,7 @@ def solve_exact(instance: ProblemInstance,
             # hide an affordable connecting set; decide it exactly so the
             # Infeasible / BudgetDisconnected split matches the oracle.
             can = _affordable_connectivity(
-                net, blocked, dest_ids, list(undecided.values()), base_arcs,
+                net, dest_ids, list(undecided.values()), base_arcs,
                 base_cost, budget_cents, start + options.time_limit_s)
             if can is None:
                 return finish(Solution(status=SolveStatus.TIME_LIMIT,

@@ -8,9 +8,10 @@ from floodmit.analysis import (EwttRow, budget_sweep, connectivity_critical,
                                grid_csv, lower_bound, scenario_grid,
                                segment_csv, segment_rollup, sweep_csv,
                                upgrade_frequency)
+from floodmit.cli import _print_plan
 from floodmit.ingest import InstanceSpec
 from floodmit.net import NodeKind, RoadArc, RoadNode
-from floodmit.solver import SolveStatus
+from floodmit.solver import SolveStatus, solve_exact
 from floodmit import synth
 
 from conftest import bridge_instance, build_instance, f1_instance
@@ -59,6 +60,19 @@ def test_budget_sweep_known_curve():
     assert [r.budget for r in rows] == pytest.approx([0.0, 4.0, 5.0, 9.0])
     assert rows[0].upgrades == () and rows[-1].upgrades == ("a4",)
     assert rows[-1].spent == pytest.approx(5.0)
+
+
+def test_spent_prices_coupled_segments_once(capsys):
+    # both directions of one coupled bridge cost max(6, 4) = 6, not 6 + 4
+    inst = bridge_instance(coupled=True)
+    row, = budget_sweep(inst, [0.6])
+    assert row.budget == pytest.approx(6.0)
+    assert set(row.upgrades) == {"e", "er"}
+    assert row.spent == 6.0
+    _print_plan(inst, solve_exact(inst))
+    out = capsys.readouterr().out
+    assert "budget       $6.00\n" in out
+    assert "spent        $6.00\n" in out
 
 
 def test_budget_sweep_dedupes_and_validates():

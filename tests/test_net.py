@@ -8,9 +8,7 @@ import pytest
 from floodmit.net import (ALL_ARCS, NON_VULNERABLE, ArcFilter, Network,
                           NetworkError, NodeKind, RoadArc, RoadNode,
                           articulation_points, canonical_shortest_path,
-                          components_without, multi_target_distance,
-                          reachable_destinations, reverse_shortest_paths,
-                          shortest_paths)
+                          components_without, dijkstra, shortest_paths)
 
 
 def grid3() -> Network:
@@ -84,11 +82,13 @@ def test_shortest_paths_respects_filters():
 
 def test_reverse_and_multi_target():
     net = grid3()
-    back = reverse_shortest_paths(net, "d", ALL_ARCS)
+    back = dijkstra(net, ["d"], reverse=True)
     assert back["o"] == 2.0 and back["b"] == 2.0 and back["d"] == 0.0
-    near = multi_target_distance(net, ["d", "b"], NON_VULNERABLE)
+    near = dijkstra(net, ["d", "b"], NON_VULNERABLE.admits, reverse=True)
     assert near["o"] == 2.0  # b is closer than d on the dry network
-    assert near["b"] == 0.0
+    assert near["b"] == 0.0 and "a" not in near
+    with pytest.raises(NetworkError):
+        dijkstra(net, ["zz"], reverse=True)
 
 
 def test_canonical_path_prefers_smaller_arc_ids():
@@ -136,14 +136,6 @@ def test_articulation_and_components():
     assert side_nodes == [("d",), ("o",)]
 
 
-def test_reachable_destinations():
-    net = grid3()
-    assert reachable_destinations(net, "o", NON_VULNERABLE) == {"d"}
-    assert reachable_destinations(net, "o", ALL_ARCS) == {"d"}
-    with pytest.raises(NetworkError):
-        reachable_destinations(net, "a", ALL_ARCS)
-
-
 # -- randomized properties -----------------------------------------------------
 
 def random_net(rng: random.Random) -> Network:
@@ -189,9 +181,15 @@ def test_multi_target_equals_min_of_reverse():
     for _ in range(80):
         net = random_net(rng)
         targets = [nid for nid in net.nodes if rng.random() < 0.4] or ["n0"]
-        combined = multi_target_distance(net, targets, ALL_ARCS)
-        singles = [reverse_shortest_paths(net, t, ALL_ARCS) for t in targets]
+        combined = dijkstra(net, targets, reverse=True)
+        singles = [dijkstra(net, [t], reverse=True) for t in targets]
         for nid in net.nodes:
             best = min((s[nid] for s in singles if nid in s), default=None)
             assert combined.get(nid) == best or (
                 best is not None and abs(combined[nid] - best) <= 1e-9)
+            # a reverse label from one target is the forward distance to it
+            fwd = shortest_paths(net, nid, ALL_ARCS)
+            for t, s in zip(targets, singles):
+                assert (t in fwd) == (nid in s)
+                if t in fwd:
+                    assert abs(fwd[t] - s[nid]) <= 1e-9

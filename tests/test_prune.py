@@ -7,11 +7,9 @@ import pytest
 
 from floodmit.ingest import InstanceSpec, ProblemInstance, with_network
 from floodmit.net import Network, NodeKind, RoadArc, RoadNode
-from floodmit.prune import (TECHNIQUE_ORDER, PruneLog, expand_path,
-                            expand_solution, harvest_triangle_vis, prune_all,
-                            replay_log, technique1, technique2, technique3,
-                            technique4, technique5, technique6, technique7,
-                            technique8)
+from floodmit.prune import (TECHNIQUE_ORDER, PruneLog, apply_technique,
+                            expand_path, expand_solution, harvest_triangle_vis,
+                            prune_all, replay_log)
 from floodmit.solver import SolveStatus, brute_force_oracle, solve_exact, validate_solution
 from floodmit import synth
 
@@ -33,7 +31,7 @@ def D(nid, cap):
 def test_t6_removes_self_loops():
     net = Network([O("o", 1), D("d", 5)],
                   [RoadArc("od", "o", "d", 1.0), RoadArc("loop", "o", "o", 2.0)])
-    out, actions = technique6(net)
+    out, actions = apply_technique(net, 6)
     assert sorted(out.arcs) == ["od"]
     assert actions[0].removed_arcs == ("loop",)
 
@@ -44,7 +42,7 @@ def test_t5_keeps_fastest_parallel():
                    RoadArc("p3", "o", "d", 2.0),
                    RoadArc("v1", "o", "d", 1.0, vulnerable=True, mitigation_cost=1.0),
                    RoadArc("v2", "o", "d", 1.0, vulnerable=True, mitigation_cost=1.0)])
-    out, _ = technique5(net)
+    out, _ = apply_technique(net, 5)
     # fastest wins, tie broken by id; vulnerable arcs are never bundled away
     assert sorted(out.arcs) == ["p2", "v1", "v2"]
 
@@ -53,7 +51,7 @@ def test_t2_cascades_dead_ends():
     net = Network([O("o", 1), D("d", 5), T("t1"), T("t2")],
                   [RoadArc("od", "o", "d", 1.0), RoadArc("ot", "o", "t1", 1.0),
                    RoadArc("tt", "t1", "t2", 1.0)])
-    out, actions = technique2(net)
+    out, actions = apply_technique(net, 2)
     assert sorted(out.nodes) == ["d", "o"]
     assert set(actions[0].removed_nodes) == {"t1", "t2"}
 
@@ -65,7 +63,7 @@ def test_t1_drops_empty_side_component():
         [RoadArc("od", "o", "d", 1.0), RoadArc("do", "d", "o", 1.0),
          RoadArc("ds", "d", "s1", 1.0), RoadArc("sd", "s1", "d", 1.0),
          RoadArc("ss", "s1", "s2", 1.0), RoadArc("ss2", "s2", "s1", 1.0)])
-    out, _ = technique1(net)
+    out, _ = apply_technique(net, 1)
     assert sorted(out.nodes) == ["d", "o"]
 
 
@@ -74,7 +72,7 @@ def test_t3_folds_pendant_origin():
         [O("p", 4), T("h"), D("d", 9)],
         [RoadArc("ph", "p", "h", 2.0), RoadArc("hp", "h", "p", 2.0),
          RoadArc("hd", "h", "d", 1.0)])
-    out, actions = technique3(net)
+    out, actions = apply_technique(net, 3)
     assert "p" not in out.nodes
     host = out.nodes["h"]
     assert host.kind is NodeKind.ORIGIN
@@ -88,13 +86,13 @@ def test_t3_skips_vulnerable_or_origin_hosts():
         [O("p", 4), T("h"), D("d", 9)],
         [RoadArc("ph", "p", "h", 2.0, vulnerable=True, mitigation_cost=1.0),
          RoadArc("hp", "h", "p", 2.0), RoadArc("hd", "h", "d", 1.0)])
-    out, actions = technique3(vuln)
+    out, actions = apply_technique(vuln, 3)
     assert "p" in out.nodes and not actions
     into_origin = Network(
         [O("p", 4), O("q", 2), D("d", 9)],
         [RoadArc("pq", "p", "q", 2.0), RoadArc("qp", "q", "p", 2.0),
          RoadArc("qd", "q", "d", 1.0)])
-    out2, actions2 = technique3(into_origin)
+    out2, actions2 = apply_technique(into_origin, 3)
     assert "p" in out2.nodes and not actions2
 
 
@@ -103,14 +101,14 @@ def test_t4_drops_bypassed_middle():
         [O("o", 1), T("m"), D("d", 9)],
         [RoadArc("om", "o", "m", 2.0), RoadArc("md", "m", "d", 2.0),
          RoadArc("od", "o", "d", 3.0)])
-    out, _ = technique4(net)
+    out, _ = apply_technique(net, 4)
     assert "m" not in out.nodes
     # but a middle that beats the direct arc must survive
     keep = Network(
         [O("o", 1), T("m"), D("d", 9)],
         [RoadArc("om", "o", "m", 1.0), RoadArc("md", "m", "d", 1.0),
          RoadArc("od", "o", "d", 3.0)])
-    out2, actions2 = technique4(keep)
+    out2, actions2 = apply_technique(keep, 4)
     assert "m" in out2.nodes and not actions2
 
 
@@ -118,7 +116,7 @@ def test_t7_contracts_chain_and_expand_path():
     net = Network(
         [O("o", 1), T("m"), D("d", 9)],
         [RoadArc("om", "o", "m", 2.0), RoadArc("md", "m", "d", 3.0)])
-    out, actions = technique7(net)
+    out, actions = apply_technique(net, 7)
     assert "m" not in out.nodes
     (new_id,) = [a for a in out.arcs if a not in net.arcs]
     assert out.arcs[new_id].travel_time == pytest.approx(5.0)
@@ -133,7 +131,7 @@ def test_t8_drops_dominated_direct_arc():
         [O("o", 1), T("z"), D("d", 9)],
         [RoadArc("oz", "o", "z", 1.0), RoadArc("zd", "z", "d", 1.0),
          RoadArc("od", "o", "d", 3.0)])
-    out, actions = technique8(net)
+    out, actions = apply_technique(net, 8)
     assert "od" not in out.arcs
     assert actions[0].removed_arcs == ("od",)
 
@@ -144,7 +142,7 @@ def test_harvest_triangle_vis_strictly_faster_direct():
         [RoadArc("oz", "o", "z", 2.0), RoadArc("zd", "z", "d", 2.0),
          RoadArc("od", "o", "d", 1.0)])
     assert harvest_triangle_vis(net) == [("oz", "od", "zd")]
-    out, actions = technique8(net)
+    out, actions = apply_technique(net, 8)
     assert "od" in out.arcs and not actions  # strictly-faster direct arc stays
 
 

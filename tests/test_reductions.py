@@ -6,7 +6,7 @@ import math
 import pytest
 
 from floodmit.net import NodeKind, RoadArc, RoadNode
-from floodmit.reductions import (REASON_COMPONENT, REASON_SP_BOUND, Cuts,
+from floodmit.reductions import (REASON_COMPONENT, REASON_SP_BOUND,
                                  FixedUpgrades, VariableMask, component_mask,
                                  compute_sp_tables, distance_dominated,
                                  forced_exits, merge_masks,
@@ -131,11 +131,13 @@ def test_reductions_never_move_the_optimum():
     for seed in range(60):
         inst = synth.random_instance(seed)
         fixed, mask = standard_reductions(inst)
-        cuts = Cuts(exit_origins=fixed.exit_vi_origins)
         plain = brute_force_oracle(inst)
-        reduced = solve_exact(inst, mask=mask, fixings=fixed, cuts=cuts)
-        assert plain.status == reduced.status, (seed, plain.status, reduced.status)
+        masked = brute_force_oracle(inst, mask=mask, fixings=fixed)
+        reduced = solve_exact(inst, fixings=fixed)
+        for other in (masked, reduced):
+            assert plain.status == other.status, (seed, plain.status, other.status)
+            if plain.status is SolveStatus.OPTIMAL:
+                assert abs(plain.objective - other.objective) <= 1e-9, seed
         if plain.status is SolveStatus.OPTIMAL:
-            assert abs(plain.objective - reduced.objective) <= 1e-9, seed
             agree += 1
     assert agree >= 15

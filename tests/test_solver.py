@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from floodmit.net import NodeKind, RoadArc, RoadNode
+from floodmit.net import (ArcFilter, NodeKind, RoadArc, RoadNode,
+                          canonical_shortest_path)
 from floodmit.reductions import Cuts, VariableMask, standard_reductions
 from floodmit.solver import (ModelError, OracleLimits, OracleScaleError,
                              SolveOptions, SolveStatus, Solution,
@@ -148,6 +149,24 @@ def test_solver_agrees_with_oracle_on_random_instances():
             assert abs(a.objective - b.objective) <= 1e-9, seed
             report = validate_solution(inst, b)
             assert report.ok, (seed, str(report))
+
+
+def test_paths_are_canonical_over_the_bought_arcs():
+    # every route the solver reports is the canonical shortest path over
+    # the flood-free arcs plus exactly the upgrades it reports
+    checked = 0
+    for coupled in (False, True):
+        for seed in range(150):
+            inst = synth.random_instance(seed, coupled=coupled)
+            sol = solve_exact(inst)
+            if sol.status is not SolveStatus.OPTIMAL:
+                continue
+            checked += 1
+            filt = ArcFilter.upgraded_set(sol.upgrades)
+            for k, dest in sol.assignment.items():
+                found = canonical_shortest_path(inst.network, k, dest, filt)
+                assert sol.paths[k] == found[1], (coupled, seed, k)
+    assert checked >= 100
 
 
 # -- validation ----------------------------------------------------------------

@@ -7,9 +7,11 @@
   nonincreasing in budget and the excess hits zero at full budget.
 * ``ewtt_ranking`` — criticality of individual roads: weighted extra minutes
   summed over every origin/facility pair when one road is closed (pairs a
-  closure disconnects are flagged and excluded from the sum).
+  closure disconnects are flagged and excluded from the sum).  Pair times
+  come from ``net.facility_times``, so ranking costs |arcs| × |facilities|
+  reverse searches.
 * ``connectivity_critical`` — roads whose closure strands some origin
-  entirely.
+  entirely: one multi-source reverse search from all facilities per road.
 * ``upgrade_frequency`` — how often each road is bought across a set of
   plans (e.g. a sweep), a robustness signal.
 * ``scenario_grid`` — cross products of derivation parameters, each group
@@ -29,7 +31,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .ingest import (InstanceSpec, ProblemInstance, instance_from_file,
                      upgrade_cost_cents)
-from .net import shortest_paths
+from .net import dijkstra, facility_times
+from .net import shortest_paths  # noqa: F401 - bench/tracer.py hooks it here
 from .pipeline import PipelineResult, solve_pipeline
 from .solver import SOLVED, SolveOptions, SolveStatus
 
@@ -42,14 +45,13 @@ def _with_budget(instance: ProblemInstance, fraction: float) -> ProblemInstance:
 
 def lower_bound(instance: ProblemInstance,
                 options: SolveOptions | None = None,
-                **pipeline_flags: bool) -> tuple[float | None, PipelineResult]:
+                ) -> tuple[float | None, PipelineResult]:
     """Optimum with the budget raised to the full repair bill.
 
     Returns (objective, full pipeline result); the objective is None when
     even the fully repaired network cannot host everyone.
     """
-    result = solve_pipeline(_with_budget(instance, 1.0), options=options,
-                            **pipeline_flags)
+    result = solve_pipeline(_with_budget(instance, 1.0), options=options)
     sol = result.solution
     return (sol.objective if sol.status in SOLVED else None), result
 
@@ -73,8 +75,7 @@ class SweepRow:
 
 
 def budget_sweep(instance: ProblemInstance, fractions: Sequence[float],
-                 options: SolveOptions | None = None,
-                 **pipeline_flags: bool) -> list[SweepRow]:
+                 options: SolveOptions | None = None) -> list[SweepRow]:
     """Solve the instance at each budget fraction (deduplicated, ascending).
 
     ``spent`` prices each plan as the solver does: one price per purchase
@@ -85,11 +86,10 @@ def budget_sweep(instance: ProblemInstance, fractions: Sequence[float],
     todo = sorted({float(f) for f in fractions})
     if any(f < 0 for f in todo):
         raise ValueError("budget fractions must be nonnegative")
-    floor, _ = lower_bound(instance, options=options, **pipeline_flags)
+    floor, _ = lower_bound(instance, options=options)
     rows: list[SweepRow] = []
     for f in todo:
-        result = solve_pipeline(_with_budget(instance, f), options=options,
-                                **pipeline_flags)
+        result = solve_pipeline(_with_budget(instance, f), options=options)
         sol = result.solution
         spent = upgrade_cost_cents(net, sol.upgrades, coupled) / 100
         rows.append(SweepRow(
@@ -113,41 +113,34 @@ class EwttRow:
     disconnects: bool
 
 
-def _pair_distances(net, origins, dest_ids, admit=None) -> dict[str, dict[str, float]]:
-    table: dict[str, dict[str, float]] = {}
-    for o in origins:
-        dist = shortest_paths(net, o.id) if admit is None else \
-            shortest_paths(net, o.id, admit)
-        table[o.id] = {d: dist[d] for d in dest_ids if d in dist}
-    return table
-
-
 def ewtt_ranking(instance: ProblemInstance,
                  arcs: Iterable[str] | None = None) -> list[EwttRow]:
     """Weighted extra minutes, per road closure, over all origin/facility
     pairs (fully repaired network as the baseline).
 
-    Ranks vulnerable roads by default.  O(|arcs| x |origins|) shortest-path
-    runs; fine for planning-sized networks.
+    Ranks vulnerable roads by default.  Times come from
+    ``net.facility_times``: |arcs| × |facilities| reverse searches, plus one
+    per facility for the baseline.
     """
     net = instance.network
     origins = net.origins()
-    dest_ids = [d.id for d in net.destinations()]
-    base = _pair_distances(net, origins, dest_ids)
+    base = facility_times(net)
     candidates = sorted(arcs) if arcs is not None else \
         [a.id for a in net.vulnerable_arcs()]
     rows: list[EwttRow] = []
     for aid in candidates:
         if aid not in net.arcs:
             raise KeyError(f"unknown arc {aid!r}")
-        removed = _pair_distances(net, origins, dest_ids,
-                                  lambda arc: arc.id != aid)
+        removed = facility_times(net, lambda arc: arc.id != aid)
         total = 0.0
         pairs = 0
         cut = 0
         for o in origins:
-            for d, before in base[o.id].items():
-                after = removed[o.id].get(d)
+            for d, times in base.items():
+                before = times.get(o.id)
+                if before is None:
+                    continue
+                after = removed[d].get(o.id)
                 if after is None:
                     cut += 1
                     continue
@@ -187,20 +180,22 @@ def segment_rollup(rows: Sequence[EwttRow]) -> list[SegmentEwtt]:
 
 def connectivity_critical(instance: ProblemInstance,
                           arcs: Iterable[str] | None = None) -> tuple[str, ...]:
-    """Roads whose closure leaves some origin with no facility at all."""
+    """Roads whose closure leaves some origin with no facility at all.
+
+    One multi-source reverse search from every facility per closed road.
+    """
     net = instance.network
-    origins = net.origins()
-    dest_ids = {d.id for d in net.destinations()}
+    origin_ids = [o.id for o in net.origins()]
+    dest_ids = [d.id for d in net.destinations()]
     candidates = sorted(arcs) if arcs is not None else list(net.arcs)
     critical: list[str] = []
     for aid in candidates:
         if aid not in net.arcs:
             raise KeyError(f"unknown arc {aid!r}")
-        for o in origins:
-            dist = shortest_paths(net, o.id, lambda arc: arc.id != aid)
-            if not (dist.keys() & dest_ids):
-                critical.append(aid)
-                break
+        reach = dijkstra(net, dest_ids, lambda arc: arc.id != aid,
+                         reverse=True)
+        if not all(k in reach for k in origin_ids):
+            critical.append(aid)
     return tuple(critical)
 
 
@@ -241,8 +236,7 @@ class GridRow:
 
 def scenario_grid(source: str | Path | Mapping[str, Any],
                   specs: Sequence[InstanceSpec],
-                  options: SolveOptions | None = None,
-                  **pipeline_flags: bool) -> list[GridRow]:
+                  options: SolveOptions | None = None) -> list[GridRow]:
     """Solve one network file under many derivation settings.
 
     The excess column compares each run to the full-budget floor of its own
@@ -256,8 +250,7 @@ def scenario_grid(source: str | Path | Mapping[str, Any],
         group = dataclasses.replace(spec, budget_fraction=1.0)
         if group not in floors:
             if spec.budget_fraction == 1.0:
-                result = solve_pipeline(instance, options=options,
-                                        **pipeline_flags)
+                result = solve_pipeline(instance, options=options)
                 sol = result.solution
                 floors[group] = (sol.objective if sol.status in SOLVED
                                  else None)
@@ -265,9 +258,8 @@ def scenario_grid(source: str | Path | Mapping[str, Any],
                                     excess_travel_time(sol.objective,
                                                        floors[group])))
                 continue
-            floors[group], _ = lower_bound(instance, options=options,
-                                           **pipeline_flags)
-        result = solve_pipeline(instance, options=options, **pipeline_flags)
+            floors[group], _ = lower_bound(instance, options=options)
+        result = solve_pipeline(instance, options=options)
         sol = result.solution
         rows.append(GridRow(spec, sol.status, sol.objective,
                             excess_travel_time(sol.objective, floors[group])))

@@ -63,10 +63,6 @@ def _out_dir_arg(sub: argparse.ArgumentParser) -> None:
 
 
 def _pipeline_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--no-prune", dest="use_prune", action="store_false")
-    sub.add_argument("--no-reduce", dest="use_reduce", action="store_false")
-    sub.add_argument("--no-warmstart", dest="use_warmstart",
-                     action="store_false")
     sub.add_argument("--time-limit", type=float, default=300.0,
                      metavar="SECONDS")
     sub.add_argument("--gap-tol", type=float, default=0.0)
@@ -93,11 +89,6 @@ def _spec_from_args(args: argparse.Namespace) -> InstanceSpec:
 
 def _load(args: argparse.Namespace) -> ProblemInstance:
     return instance_from_file(args.network, _spec_from_args(args))
-
-
-def _flags(args: argparse.Namespace) -> dict[str, bool]:
-    return {name: getattr(args, name) for name in
-            ("use_prune", "use_reduce", "use_warmstart")}
 
 
 def _options(args: argparse.Namespace) -> SolveOptions:
@@ -187,13 +178,12 @@ def _print_plan(instance: ProblemInstance, sol) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _load(args)
     t0 = time.perf_counter()
-    result = solve_pipeline(instance, options=_options(args), **_flags(args))
+    result = solve_pipeline(instance, options=_options(args))
     elapsed = time.perf_counter() - t0
     sol = result.solution
     args.out_dir.mkdir(parents=True, exist_ok=True)
     (args.out_dir / "solution.json").write_text(sol.to_json())
-    if result.pruned is not None:
-        (args.out_dir / "prunelog.json").write_text(result.pruned.log.to_json())
+    (args.out_dir / "prunelog.json").write_text(result.pruned.log.to_json())
     _print_plan(instance, sol)
     print(f"{'written':<12} {args.out_dir / 'solution.json'}")
     print(f"solved in {elapsed:.3f}s, "
@@ -217,7 +207,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     instance = _load(args)
     rows = analysis.budget_sweep(instance, _fractions(args.fractions),
-                                 options=_options(args), **_flags(args))
+                                 options=_options(args))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "sweep.csv"
     analysis.sweep_csv(rows, out)
@@ -258,7 +248,7 @@ def cmd_ewtt(args: argparse.Namespace) -> int:
 def cmd_frequency(args: argparse.Namespace) -> int:
     instance = _load(args)
     rows = analysis.budget_sweep(instance, _fractions(args.fractions),
-                                 options=_options(args), **_flags(args))
+                                 options=_options(args))
     plans = [r for r in rows if r.objective is not None]
     freq = analysis.upgrade_frequency(plans)
     args.out_dir.mkdir(parents=True, exist_ok=True)

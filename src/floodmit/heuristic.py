@@ -3,12 +3,14 @@ exact solver.
 
 Each origin carries two ranked facility lists: where it could go if every
 vulnerable road were repaired (``full``), and where it can go today on
-never-flooded roads only (``flooded``).  Origins choose in order of
-population, largest first.  An origin takes the nearest flooded-passable
-facility with room; failing that it falls back to its full list and buys the
-vulnerable roads along that route (each road paid for once).  The result may
-overshoot the budget or strand an origin — then it is only a diagnostic,
-never a warm start.
+never-flooded roads only (``flooded``).  Both lists, and the routes, are
+read off the per-facility tables of ``compute_sp_tables`` (one reverse
+search per facility and arc filter), so the heuristic runs no shortest-path
+search of its own.  Origins choose in order of population, largest first.
+An origin takes the nearest flooded-passable facility with room; failing
+that it falls back to its full list and buys the vulnerable roads along that
+route (each road paid for once).  The result may overshoot the budget or
+strand an origin — then it is only a diagnostic, never a warm start.
 """
 from __future__ import annotations
 
@@ -39,14 +41,12 @@ class DistanceVectors:
 def build_distance_vectors(instance: ProblemInstance, origin: str,
                            tables: SpTables | None = None) -> DistanceVectors:
     tables = tables or compute_sp_tables(instance)
-    net = instance.network
-    if origin not in tables.upgraded:
+    if origin not in tables.worst_served:
         raise KeyError(f"{origin!r} is not an origin")
-    dests = [d.id for d in net.destinations()]
-    full = tuple(sorted((tables.upgraded[origin].get(d, math.inf), d)
-                        for d in dests))
-    flooded = tuple(sorted((dist, d) for d in dests
-                           if (dist := tables.flooded[origin].get(d)) is not None))
+    full = tuple(sorted((times.get(origin, math.inf), d)
+                        for d, times in tables.upgraded.items()))
+    flooded = tuple(sorted((dist, d) for d, times in tables.flooded.items()
+                           if (dist := times.get(origin)) is not None))
     return DistanceVectors(origin=origin, full=full, flooded=flooded)
 
 
@@ -98,7 +98,9 @@ def greedy_initial(instance: ProblemInstance,
         for minutes, dest in vectors.flooded:
             if not capacity_fits(origin.residents, residual[dest]):
                 continue
-            found = canonical_shortest_path(net, origin.id, dest, NON_VULNERABLE)
+            found = canonical_shortest_path(
+                net, origin.id, dest, NON_VULNERABLE,
+                dist_to_target=tables.flooded[dest])
             if found is None:  # pragma: no cover - table said reachable
                 continue
             residual[dest] -= origin.residents
@@ -113,7 +115,9 @@ def greedy_initial(instance: ProblemInstance,
                     break  # sorted: everything after is unreachable too
                 if not capacity_fits(origin.residents, residual[dest]):
                     continue
-                found = canonical_shortest_path(net, origin.id, dest, ALL_ARCS)
+                found = canonical_shortest_path(
+                    net, origin.id, dest, ALL_ARCS,
+                    dist_to_target=tables.upgraded[dest])
                 if found is None:  # pragma: no cover
                     continue
                 residual[dest] -= origin.residents

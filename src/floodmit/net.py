@@ -272,30 +272,46 @@ def shortest_paths(net: Network, source: str,
     return dijkstra(net, (source,), _admit_fn(net, filt))
 
 
+def facility_times(net: Network, filt: ArcFilter | Admit = ALL_ARCS,
+                   ) -> dict[str, dict[str, float]]:
+    """Travel times to every facility: ``{facility_id: {node_id: minutes}}``.
+
+    One reverse search per facility, in id order, over admitted arcs; nodes
+    that cannot reach a facility are absent from its table.  Every stage
+    that needs origin-to-facility times reads them from this table.
+    """
+    admit = _admit_fn(net, filt)
+    return {d.id: dijkstra(net, (d.id,), admit, reverse=True)
+            for d in net.destinations()}
+
+
 def canonical_shortest_path(net: Network, source: str, target: str,
                             filt: ArcFilter | Admit = ALL_ARCS,
                             dist_to_target: dict[str, float] | None = None,
                             ) -> tuple[float, tuple[str, ...]] | None:
     """Deterministic shortest path from ``source`` to ``target``.
 
-    Among equally short paths, returns the lexicographically smallest arc-id
-    sequence: walk forward from the source, always taking the smallest-id arc
-    that stays on some shortest path.  Returns (minutes, arc ids) or None if
-    unreachable.  ``dist_to_target`` lets callers reuse one reverse search
-    (``dijkstra(..., reverse=True)`` from the target) for many sources.
+    A depth-first search from the source over tight arcs (arcs that stay on
+    some shortest path), smallest arc id first, that backs out of dead ends.
+    Dead ends arise only on zero-time cycles; without them this is the
+    greedy smallest-id walk and returns the lexicographically smallest
+    arc-id sequence among equally short paths.  Returns (minutes, arc ids)
+    or None if unreachable.  ``dist_to_target`` lets callers reuse one
+    reverse search (``facility_times`` or ``dijkstra(..., reverse=True)``
+    from the target) for many sources.
     """
     admit = _admit_fn(net, filt)
     if dist_to_target is None:
         dist_to_target = dijkstra(net, (target,), admit, reverse=True)
     if source not in dist_to_target:
         return None
-    total = dist_to_target[source]
     path: list[str] = []
-    u = source
+    stack = [(source, iter(net.out_arcs(source)))]
     visited = {source}
-    while u != target:
+    while stack[-1][0] != target:
+        u, exits = stack[-1]
         remaining = dist_to_target[u]
-        for aid in net.out_arcs(u):
+        for aid in exits:
             arc = net.arcs[aid]
             if not admit(arc):
                 continue
@@ -304,12 +320,16 @@ def canonical_shortest_path(net: Network, source: str, target: str,
                 continue
             if abs(arc.travel_time + dv - remaining) <= DIST_TOL:
                 path.append(aid)
-                u = arc.head
-                visited.add(u)
+                stack.append((arc.head, iter(net.out_arcs(arc.head))))
+                visited.add(arc.head)
                 break
-        else:  # pragma: no cover - defensive; unreachable for t >= 0
-            raise NetworkError(f"no tight arc out of {u!r} toward {target!r}")
-    return total, tuple(path)
+        else:  # every tight exit leads back into the search: back out
+            stack.pop()
+            if not path:  # pragma: no cover - the search tree reaches t
+                raise NetworkError(
+                    f"no tight path from {source!r} to {target!r}")
+            path.pop()
+    return dist_to_target[source], tuple(path)
 
 
 # -- connectivity structure -------------------------------------------------

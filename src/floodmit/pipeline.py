@@ -1,8 +1,11 @@
 """End-to-end solve: prune, reduce, warm-start, branch-and-bound, lift back.
 
-Every stage is optional and individually safe — disabling any combination of
-them changes speed, never the optimum (that equivalence is what the test
-suite hammers on).  The returned solution always speaks in terms of the
+Every stage always runs, in that order.  Pruning and the forced-exit
+fixings are exact (tested against the brute-force oracle); the route masks
+are computed and reported, but the solver needs none; the greedy plan is
+only a warm start, used when it is feasible.  The shortest-path tables are
+built once, by ``net.facility_times``, and shared by the reductions and the
+greedy heuristic.  The returned solution always speaks in terms of the
 original network: folded origins reappear, contracted arcs re-expand.
 """
 from __future__ import annotations
@@ -21,39 +24,24 @@ from .solver import Solution, SolveOptions, solve_exact
 @dataclass
 class PipelineResult:
     solution: Solution                     # on the original network
-    raw_solution: Solution                 # on the solved (possibly pruned) one
-    pruned: PrunedNetwork | None
-    fixings: FixedUpgrades | None
-    mask: VariableMask | None              # reported; the solver needs no mask
-    greedy: GreedySolution | None          # in pruned terms when pruning ran
+    raw_solution: Solution                 # on the pruned network
+    pruned: PrunedNetwork
+    fixings: FixedUpgrades
+    mask: VariableMask                     # reported; the solver needs no mask
+    greedy: GreedySolution                 # in pruned terms
 
 
 def solve_pipeline(instance: ProblemInstance,
-                   options: SolveOptions | None = None,
-                   use_prune: bool = True,
-                   use_reduce: bool = True,
-                   use_warmstart: bool = True) -> PipelineResult:
+                   options: SolveOptions | None = None) -> PipelineResult:
     options = options or SolveOptions()
-    work = instance
-    pruned: PrunedNetwork | None = None
-    if use_prune:
-        pruned = prune_all(instance.network)
-        work = with_network(instance, pruned.network, budget=instance.budget)
-
-    fixings: FixedUpgrades | None = None
-    mask: VariableMask | None = None
-    tables = None
-    if use_reduce:
-        tables = compute_sp_tables(work)
-        fixings, mask = standard_reductions(work, tables)
-
-    greedy: GreedySolution | None = None
-    if use_warmstart:
-        greedy = greedy_initial(work, tables)
-        if greedy.feasible:
-            options = dataclasses.replace(options, warm_start=greedy)
-
+    pruned = prune_all(instance.network)
+    work = with_network(instance, pruned.network, budget=instance.budget)
+    tables = compute_sp_tables(work)
+    fixings, mask = standard_reductions(work, tables)
+    greedy = greedy_initial(work, tables)
+    if greedy.feasible:
+        options = dataclasses.replace(options, warm_start=greedy)
     raw = solve_exact(work, fixings=fixings, options=options)
-    solution = expand_solution(raw, pruned.log) if pruned is not None else raw
-    return PipelineResult(solution=solution, raw_solution=raw, pruned=pruned,
-                          fixings=fixings, mask=mask, greedy=greedy)
+    return PipelineResult(solution=expand_solution(raw, pruned.log),
+                          raw_solution=raw, pruned=pruned, fixings=fixings,
+                          mask=mask, greedy=greedy)

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .ingest import ProblemInstance, cents
-from .net import (ALL_ARCS, DIST_TOL, NON_VULNERABLE, Network, NodeKind,
-                  articulation_points, components_without, shortest_paths)
+from .net import (ALL_ARCS, DIST_TOL, NON_VULNERABLE, NodeKind,
+                  articulation_points, components_without, facility_times,
+                  shortest_paths)
 
 REASON_SP_BOUND = "sp_bound"
 REASON_COMPONENT = "component"
@@ -34,11 +35,12 @@ REASON_COMPONENT = "component"
 
 @dataclass(frozen=True)
 class SpTables:
-    """Per-origin shortest-path tables.
+    """Per-facility travel-time tables, as built by ``net.facility_times``.
 
-    ``flooded`` uses only never-vulnerable arcs; ``upgraded`` assumes every
-    vulnerable arc is passable.  ``worst_served`` is the origin's worst-case
-    flooded trip over all destinations (infinite unless it reaches them all).
+    ``flooded[d][k]`` is the time from node k to facility d on never-vulnerable
+    arcs only; ``upgraded[d][k]`` assumes every vulnerable arc is passable.
+    ``worst_served`` is each origin's worst-case flooded trip over all
+    destinations (infinite unless it reaches them all).
     """
 
     flooded: Mapping[str, Mapping[str, float]]
@@ -48,16 +50,11 @@ class SpTables:
 
 def compute_sp_tables(instance: ProblemInstance) -> SpTables:
     net = instance.network
-    dests = [d.id for d in net.destinations()]
-    flooded: dict[str, dict[str, float]] = {}
-    upgraded: dict[str, dict[str, float]] = {}
-    worst: dict[str, float] = {}
-    for origin in net.origins():
-        k = origin.id
-        flooded[k] = shortest_paths(net, k, NON_VULNERABLE)
-        upgraded[k] = shortest_paths(net, k, ALL_ARCS)
-        worst[k] = max((flooded[k].get(d, math.inf) for d in dests),
+    flooded = facility_times(net, NON_VULNERABLE)
+    upgraded = facility_times(net, ALL_ARCS)
+    worst = {o.id: max((t.get(o.id, math.inf) for t in flooded.values()),
                        default=math.inf)
+             for o in net.origins()}
     return SpTables(flooded=flooded, upgraded=upgraded, worst_served=worst)
 
 
@@ -144,18 +141,17 @@ def distance_dominated(instance: ProblemInstance,
 
     Only applies to origins that reach *every* destination without upgrades;
     for those, an optimal route never grows past that guaranteed bound, so an
-    arc whose entry already exceeds it (strictly) is unusable.
+    arc whose entry already exceeds it (strictly) is unusable.  Only those
+    origins need a forward search, for the time to each arc's tail.
     """
     if tables is None:
         tables = compute_sp_tables(instance)
     net = instance.network
     eliminated: dict[tuple[str, str], str] = {}
-    for origin in net.origins():
-        k = origin.id
-        bound = tables.worst_served[k]
+    for k, bound in tables.worst_served.items():
         if not math.isfinite(bound):
             continue
-        reach = tables.upgraded[k]
+        reach = shortest_paths(net, k, ALL_ARCS)
         for aid in net.arcs:
             arc = net.arcs[aid]
             entry = reach.get(arc.tail, math.inf)

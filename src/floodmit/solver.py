@@ -38,7 +38,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from .ingest import (InstanceSpec, ProblemInstance, PurchaseUnit,
                      capacity_fits, cents, purchase_units, upgrade_cost_cents)
 from .net import (DIST_TOL, Network, NodeKind, RoadArc, RoadNode,
-                  canonical_shortest_path, dijkstra)
+                  canonical_shortest_path, dijkstra, facility_times)
 from .reductions import Cuts, FixedUpgrades, VariableMask
 
 
@@ -196,12 +196,6 @@ def _candidate_lists(net: Network, origins: Sequence[RoadNode],
             return None
         out[o.id] = reach
     return out
-
-
-def _facility_tables(net: Network, dest_ids: Sequence[str], admit,
-                     ) -> dict[str, dict[str, float]]:
-    """Travel times to each facility: one reverse search per facility."""
-    return {t: dijkstra(net, (t,), admit, reverse=True) for t in dest_ids}
 
 
 def _lists_from_tables(origins: Sequence[RoadNode], dest_ids: Sequence[str],
@@ -396,14 +390,14 @@ def solve_exact(instance: ProblemInstance,
     exactly and closed on the spot.
 
     Every origin rides a shortest path over the open arcs, so each node needs
-    only one reverse search per facility (over the relaxation's open arcs,
-    and for the probe over the committed ones).  Those tables give every
-    origin's candidate list, and both the branch-scoring routes and the
-    incumbent routes are read off them.  Per-origin masks and valid
-    inequalities only tighten the 0-1 model; a route-based search never
-    needs them.  Determinism: nodes are numbered in creation order and the
-    heap is keyed (bound, number); incumbent ties prefer the
-    lexicographically smaller used-upgrade set.
+    only one reverse search per facility (``net.facility_times`` over the
+    relaxation's open arcs, and for the probe over the committed ones).
+    Those tables give every origin's candidate list, and both the
+    branch-scoring routes and the incumbent routes are read off them.
+    Per-origin masks and valid inequalities only tighten the 0-1 model; a
+    route-based search never needs them.  Determinism: nodes are numbered
+    in creation order and the heap is keyed (bound, number); incumbent ties
+    prefer the lexicographically smaller used-upgrade set.
     """
     options = options or SolveOptions()
     start = time.perf_counter()
@@ -453,7 +447,7 @@ def solve_exact(instance: ProblemInstance,
     def try_incumbent(committed_arcs: frozenset[str]) -> None:
         nonlocal incumbent, saw_assignment_attempt
         admit = _admit(committed_arcs)
-        tables = _facility_tables(net, dest_ids, admit)
+        tables = facility_times(net, admit)
         cands = _lists_from_tables(gap_items_order, dest_ids, tables)
         if cands is None:
             return
@@ -510,7 +504,7 @@ def solve_exact(instance: ProblemInstance,
                   and undecided[uid].cost_cents <= remaining]
         open_arcs = arcs_for(itertools.chain(committed, afford))
         admit = _admit(open_arcs)
-        tables = _facility_tables(net, dest_ids, admit)
+        tables = facility_times(net, admit)
         lists = _lists_from_tables(origin_order, dest_ids, tables)
         if lists is None:
             return None  # some origin is cut off even in the relaxation

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+from floodmit import synth
 from floodmit.net import (ALL_ARCS, NON_VULNERABLE, ArcFilter, Network,
                           NetworkError, NodeKind, RoadArc, RoadNode,
                           articulation_points, canonical_shortest_path,
-                          components_without, dijkstra, shortest_paths)
+                          components_without, dijkstra, facility_times,
+                          shortest_paths)
 
 
 def grid3() -> Network:
@@ -120,6 +122,23 @@ def test_canonical_path_zero_time_arcs():
     cost, path = canonical_shortest_path(net, "s", "t")
     assert cost == 0.0
     assert path == ("f1", "f3")
+
+
+def test_facility_times_equal_forward_searches():
+    # the per-facility reverse tables hold exactly the forward times from
+    # every origin, on the flooded and on the fully repaired network
+    for seed in range(100):
+        net = synth.random_instance(seed).network
+        for filt in (NON_VULNERABLE, ALL_ARCS):
+            tables = facility_times(net, filt)
+            assert list(tables) == [d.id for d in net.destinations()]
+            for o in net.origins():
+                fwd = shortest_paths(net, o.id, filt)
+                for d in net.destinations():
+                    assert (o.id in tables[d.id]) == (d.id in fwd), seed
+                    if d.id in fwd:
+                        assert tables[d.id][o.id] == \
+                            pytest.approx(fwd[d.id], abs=1e-9), seed
 
 
 def test_articulation_and_components():

@@ -31,14 +31,15 @@ def D(nid, cap):
 
 def test_sp_tables_on_known_instance():
     tables = compute_sp_tables(f1_instance(9.0))
-    assert tables.upgraded["o1"] == pytest.approx({"o1": 0.0, "t1": 2.0,
-                                                   "d1": 5.0, "d2": 7.0})
-    assert tables.upgraded["o2"]["d1"] == pytest.approx(1.0)
-    assert tables.upgraded["o2"]["d2"] == pytest.approx(6.0)
+    assert tables.upgraded["d1"]["o1"] == pytest.approx(5.0)
+    assert tables.upgraded["d2"]["o1"] == pytest.approx(7.0)
+    assert tables.upgraded["d1"]["o2"] == pytest.approx(1.0)
+    assert tables.upgraded["d2"]["o2"] == pytest.approx(6.0)
     # without upgrades d1 is unreachable from both origins
-    assert "d1" not in tables.flooded["o1"]
-    assert tables.flooded["o1"]["d2"] == pytest.approx(7.0)
-    assert tables.flooded["o2"]["d2"] == pytest.approx(6.0)
+    assert "o1" not in tables.flooded["d1"]
+    assert "o2" not in tables.flooded["d1"]
+    assert tables.flooded["d2"]["o1"] == pytest.approx(7.0)
+    assert tables.flooded["d2"]["o2"] == pytest.approx(6.0)
     assert math.isinf(tables.worst_served["o1"])
     assert math.isinf(tables.worst_served["o2"])
 

@@ -169,6 +169,23 @@ def test_paths_are_canonical_over_the_bought_arcs():
     assert checked >= 100
 
 
+def test_zero_time_cycle_routes():
+    # a <-> b is a zero-time loop; walking greedily from a onto b (smaller
+    # arc id) strands the route, so the path search must back out of b
+    inst = build_instance(
+        [O("s", 1), RoadNode("a"), RoadNode("b"), D("t", 5)],
+        [RoadArc("e1", "s", "a", 1.0), RoadArc("e2", "a", "b", 0.0),
+         RoadArc("e3", "b", "a", 0.0), RoadArc("e4", "a", "t", 1.0)],
+        0.0, 0.0)
+    assert canonical_shortest_path(inst.network, "s", "t") == \
+        (2.0, ("e1", "e4"))
+    oracle = brute_force_oracle(inst)
+    sol = solve_exact(inst)
+    assert oracle.status is sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(oracle.objective, abs=1e-9)
+    assert sol.paths == {"s": ("e1", "e4")}
+
+
 # -- validation ----------------------------------------------------------------
 
 def test_validate_flags_each_violation_kind():

@@ -9,7 +9,13 @@ The solver enumerates upgrade decisions in a best-first branch-and-bound:
   distances — every undecided unit that still fits the remaining budget is
   treated as purchased — so the bound stays tight when capacities bind;
 * probe for incumbents by solving the same assignment over the arcs
-  committed so far (depth-first with suffix lower bounds).
+  committed so far.
+
+The capacitated assignment is a generalized assignment problem.  When every
+origin's nearest facility has room, that is its answer; otherwise an
+iterative depth-first search solves it exactly, pruned by two lower bounds:
+everyone at their nearest facility, and a Lagrangian bound whose capacity
+prices come from coordinate ascent (`_capacity_prices`).
 
 Every origin rides a shortest path, so a node's distances come from one
 reverse search per facility, and routes are read off those tables.  Masks
@@ -35,8 +41,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .ingest import (InstanceSpec, ProblemInstance, PurchaseUnit,
-                     capacity_fits, cents, purchase_units, upgrade_cost_cents)
+from .ingest import (CAPACITY_TOL, InstanceSpec, ProblemInstance,
+                     PurchaseUnit, capacity_fits, cents, purchase_units,
+                     upgrade_cost_cents)
 from .net import (DIST_TOL, Network, NodeKind, RoadArc, RoadNode,
                   canonical_shortest_path, dijkstra, facility_times)
 from .reductions import Cuts, FixedUpgrades, VariableMask
@@ -134,15 +141,96 @@ def _admit(open_vulnerable: frozenset[str],
 
 # -- exact capacitated assignment ------------------------------------------
 
+#: (origin, residents, weight, [(minutes, facility), ...] nearest first)
+_AssignmentItems = list[tuple[str, float, float, list[tuple[float, str]]]]
 
-def _assignment_exact(items: list[tuple[str, float, float, list[tuple[float, str]]]],
-                      capacities: Mapping[str, float],
+#: search nodes between two reads of the clock in `_assignment_exact`
+_CLOCK_EVERY = 1024
+#: coordinate-ascent sweeps `_capacity_prices` runs at most
+_MAX_SWEEPS = 100
+
+
+class _DeadlinePassed(Exception):
+    """The solve's deadline passed inside an assignment search."""
+
+
+def _capacity_prices(items: _AssignmentItems, capacities: Mapping[str, float],
+                     ) -> tuple[dict[str, float], float]:
+    """Prices on the capacity rows, and the Lagrangian value they prove.
+
+    For prices λ_d ≥ 0, L(λ) = Σ_i min_d (w_i·t_id + λ_d·h_i) − Σ_d λ_d·c_d
+    is at most the assignment optimum (Ross & Soland 1975).  Exact
+    coordinate ascent: with the other prices held, L is concave and
+    piecewise linear in λ_d, one break-point per origin (the price at which
+    d stops being its cheapest option), so one sort of the break-points
+    finds the best λ_d.  Sweeps over the facilities stop when no price
+    moves, or once L exceeds the costliest assignment (then none fits).
+    Returns ({facility: λ_d}, L(λ)).
+    """
+    options = [(h, [(w * minutes, dest) for minutes, dest in cands])
+               for _, h, w, cands in items]
+    worst = sum(opts[-1][0] for _, opts in options)
+    prices = dict.fromkeys(capacities, 0.0)
+    value = -math.inf
+    for _ in range(_MAX_SWEEPS):
+        moved = False
+        for d, cap in capacities.items():
+            if cap == math.inf:
+                continue  # never binds, so its price stays 0
+            breaks: list[tuple[float, float]] = []
+            load = 0.0
+            for h, opts in options:
+                if h <= 0:
+                    continue
+                own = other = math.inf
+                for cost, dest in opts:
+                    if dest == d:
+                        own = cost
+                    elif cost + prices[dest] * h < other:
+                        other = cost + prices[dest] * h
+                if own < other:  # d is its cheapest option at λ_d = 0
+                    breaks.append(((other - own) / h, h))
+                    load += h
+            price = 0.0
+            if load > cap:
+                breaks.sort()
+                for edge, h in breaks:
+                    if edge == math.inf:
+                        break  # the rest have nowhere else to go
+                    price = edge
+                    load -= h
+                    if load <= cap:
+                        break
+            if price != prices[d]:
+                prices[d] = price
+                moved = True
+        value = sum(min(cost + prices[dest] * h for cost, dest in opts)
+                    for h, opts in options)
+        value -= sum(p * capacities[d] for d, p in prices.items() if p > 0)
+        if not moved or value > worst:
+            break
+    return prices, value
+
+
+def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
+                      deadline: float = math.inf,
+                      stats: dict[str, Any] | None = None,
                       ) -> tuple[float, dict[str, str]] | None:
     """Min-cost assignment of origins to destinations under capacities.
 
-    ``items``: (origin, residents, weight, [(minutes, dest), ...] sorted).
-    Exact depth-first search with a capacity-relaxed suffix bound.  Returns
-    (weighted minutes, assignment) or None if capacities cannot host everyone.
+    Returns (weighted minutes, assignment) or None if capacities cannot host
+    everyone.  If every origin's nearest facility fits, that is the answer.
+    Otherwise a depth-first search assigns the items in order, each to its
+    facilities nearest first, and bounds every child before entering it by
+    the larger of two lower bounds on the rest: everyone at their nearest
+    facility, capacities ignored, and the Lagrangian bound of
+    `_capacity_prices` over the residual capacities.  A valid lower bound
+    only cuts leaves the search would reject anyway, so the answer is the
+    first strictly best leaf in search order whatever the prices.  The
+    search keeps its own stack, so any number of origins fits; it reads the
+    clock every ``_CLOCK_EVERY`` nodes and raises `_DeadlinePassed` once
+    ``deadline`` is past.  The nodes it enters are added to
+    ``stats["assignment_nodes"]``.
     """
     n = len(items)
     suffix = [0.0] * (n + 1)
@@ -151,29 +239,94 @@ def _assignment_exact(items: list[tuple[str, float, float, list[tuple[float, str
         if not cands:
             return None
         suffix[i] = suffix[i + 1] + w * cands[0][0]
-    residual = dict(capacities)
-    best_obj = math.inf
-    best_assign: dict[str, str] | None = None
-    chosen: list[str] = []
-
-    def dfs(i: int, partial: float) -> None:
-        nonlocal best_obj, best_assign
-        if partial + suffix[i] >= best_obj - 1e-12:
-            return
-        if i == n:
-            best_obj = partial
-            best_assign = {items[j][0]: chosen[j] for j in range(n)}
-            return
-        origin, h, w, cands = items[i]
-        for minutes, dest in cands:
+    nodes = 1
+    try:
+        residual = dict(capacities)
+        nearest = 0.0
+        for _, h, w, cands in items:
+            minutes, dest = cands[0]
             if not capacity_fits(h, residual[dest]):
-                continue
+                break
             residual[dest] -= h
-            chosen.append(dest)
-            dfs(i + 1, partial + w * minutes)
-            chosen.pop()
-            residual[dest] += h
-    dfs(0, 0.0)
+            nearest += w * minutes  # front to back, as the search sums it
+        else:
+            return nearest, {origin: cands[0][1]
+                             for origin, _, _, cands in items}
+
+        prices, _ = _capacity_prices(items, capacities)
+        dests = list(capacities)
+        index = {d: j for j, d in enumerate(dests)}
+        # per item and facility: (weighted minutes, facility index, weighted
+        # minutes plus the facility's price for the item's residents)
+        table = [[(w * minutes, index[dest], w * minutes + prices[dest] * h)
+                  for minutes, dest in cands] for _, h, w, cands in items]
+        priced_cap = sum(p * capacities[d] for d, p in prices.items() if p > 0)
+        lag = [0.0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            lag[i] = lag[i + 1] + min(row[2] for row in table[i])
+        worst = sum(row[-1][0] for row in table)
+        # rounding slack, far above float error and far below any real gap
+        slack = 1e-9 * (1.0 + worst + lag[0] + priced_cap)
+        shift = sum(p for p in prices.values() if p > 0) * CAPACITY_TOL + slack
+        lag = [v - shift for v in lag]
+        if lag[0] - priced_cap > worst:
+            return None  # the bound exceeds every assignment's cost
+
+        residual = [capacities[d] for d in dests]
+        best_obj = math.inf
+        best_assign: dict[str, str] | None = None
+        cutoff = math.inf
+        # the search stack: at each depth the item's candidate iterator, the
+        # facility taken, weighted minutes so far, and those plus prices
+        # paid minus Σ_d λ_d·c_d; the level's constants sit in ``level``
+        level = [(items[i][1], suffix[i + 1], lag[i + 1]) for i in range(n)]
+        its = [iter(row) for row in table]
+        chosen = [0] * n
+        partial = [0.0] * n
+        priced = [-priced_cap] * n
+        base, pbase = 0.0, -priced_cap
+        h, suf, lagn = level[0]
+        last = n - 1
+        i = 0
+        while i >= 0:
+            descended = False
+            for cost, d, pcost in its[i]:
+                if h > residual[d] + CAPACITY_TOL:
+                    continue  # capacity_fits, inlined
+                p = base + cost
+                if p + suf >= cutoff:
+                    break  # candidates are sorted: the rest do no better
+                q = pbase + pcost
+                if q + lagn >= cutoff:
+                    continue
+                nodes += 1
+                if not nodes % _CLOCK_EVERY and time.perf_counter() > deadline:
+                    raise _DeadlinePassed
+                chosen[i] = d
+                if i == last:
+                    best_obj = p
+                    best_assign = {items[j][0]: dests[chosen[j]]
+                                   for j in range(n)}
+                    cutoff = best_obj - 1e-12
+                    continue
+                residual[d] -= h
+                i += 1
+                its[i] = iter(table[i])
+                partial[i] = base = p
+                priced[i] = pbase = q
+                h, suf, lagn = level[i]
+                descended = True
+                break
+            if not descended:  # depth i is done: back up
+                i -= 1
+                if i >= 0:
+                    h, suf, lagn = level[i]
+                    residual[chosen[i]] += h
+                    base, pbase = partial[i], priced[i]
+    finally:
+        if stats is not None:
+            stats["assignment_nodes"] = (stats.get("assignment_nodes", 0)
+                                         + nodes)
     if best_assign is None:
         return None
     return best_obj, best_assign
@@ -398,9 +551,19 @@ def solve_exact(instance: ProblemInstance,
     route-based search never needs them.  Determinism: nodes are numbered
     in creation order and the heap is keyed (bound, number); incumbent ties
     prefer the lexicographically smaller used-upgrade set.
+
+    The clock is read against ``options.time_limit_s`` between nodes and
+    inside every assignment search; on expiry the result is `TimeLimit`
+    with the incumbent (if any) and the least bound of the subtrees left
+    open, the interrupted node's parent included.  Stats count B&B nodes
+    (``nodes_explored``), ``incumbent_updates`` and ``assignment_nodes``
+    (search nodes over every probe and bound solve); a warm start that
+    fails validation is dropped and its report kept in
+    ``warm_start_rejected``.
     """
     options = options or SolveOptions()
     start = time.perf_counter()
+    deadline = start + options.time_limit_s
     net = instance.network
     origins = net.origins()
     dest_ids = [d.id for d in net.destinations()]
@@ -412,7 +575,8 @@ def solve_exact(instance: ProblemInstance,
                        if any(a in forced_arcs for a in u.arc_ids)]
     base_cost = sum(u.cost_cents for u in committed_units)
     base_arcs = frozenset(a for u in committed_units for a in u.arc_ids)
-    stats: dict[str, Any] = {"nodes_explored": 0, "incumbent_updates": 0}
+    stats: dict[str, Any] = {"nodes_explored": 0, "incumbent_updates": 0,
+                             "assignment_nodes": 0}
     nodes_debug: list[dict[str, Any]] = []
     if options.collect_nodes:
         stats["nodes"] = nodes_debug
@@ -454,7 +618,7 @@ def solve_exact(instance: ProblemInstance,
         saw_assignment_attempt = True
         items = [(o.id, o.residents, o.weight, cands[o.id])
                  for o in gap_items_order]
-        solved = _assignment_exact(items, caps)
+        solved = _assignment_exact(items, caps, deadline, stats)
         if solved is None:
             return
         obj, assignment = solved
@@ -482,6 +646,8 @@ def solve_exact(instance: ProblemInstance,
                 assignment=dict(ws.assignment),
                 paths={k: tuple(v) for k, v in ws.paths.items()})
             stats["warm_start"] = True
+        else:
+            stats["warm_start_rejected"] = str(report)
 
     def beats_incumbent(bound: float) -> bool:
         if incumbent is None:
@@ -512,7 +678,7 @@ def solve_exact(instance: ProblemInstance,
             try_incumbent(arcs_for(committed))
         items = [(o.id, o.residents, o.weight, lists[o.id])
                  for o in gap_items_order]
-        solved = _assignment_exact(items, caps)
+        solved = _assignment_exact(items, caps, deadline, stats)
         if solved is None:
             return None  # capacities cannot host even the relaxation
         bound, relaxed_assign = solved
@@ -554,34 +720,43 @@ def solve_exact(instance: ProblemInstance,
         if options.collect_nodes:
             nodes_debug.append(entry)
 
-    push(frozenset(), frozenset(), base_cost, probe=True)
     timed_out = False
     proven_bound: float | None = None
-
-    while heap:
-        if time.perf_counter() - start > options.time_limit_s:
-            timed_out = True
-            break
-        bound, _, committed, banned, cost, branch = heapq.heappop(heap)
-        stats["nodes_explored"] += 1
-        if not beats_incumbent(bound):
-            proven_bound = bound  # best-first: every open node is >= this
-            break
-        unit = undecided[branch]
-        push(committed | {branch}, banned, cost + unit.cost_cents, probe=True)
-        push(committed, banned | {branch}, cost, probe=False)
+    expanding: float | None = None   # bound of the node being branched on
+    try:
+        push(frozenset(), frozenset(), base_cost, probe=True)
+        while heap:
+            if time.perf_counter() > deadline:
+                timed_out = True
+                break
+            bound, _, committed, banned, cost, branch = heapq.heappop(heap)
+            stats["nodes_explored"] += 1
+            if not beats_incumbent(bound):
+                proven_bound = bound  # best-first: every open node is >= this
+                break
+            expanding = bound
+            unit = undecided[branch]
+            push(committed | {branch}, banned, cost + unit.cost_cents,
+                 probe=True)
+            push(committed, banned | {branch}, cost, probe=False)
+            expanding = None
+    except _DeadlinePassed:
+        timed_out = True
 
     if timed_out:
         open_bounds = [h[0] for h in heap]
+        if expanding is not None:
+            open_bounds.append(expanding)  # its children were cut short
+        lb = min(open_bounds) if open_bounds else None
         if incumbent is None:
-            lb = min(open_bounds) if open_bounds else None
             return finish(Solution(status=SolveStatus.TIME_LIMIT,
                                    best_bound=lb, stats=dict(stats)))
-        lb = min(open_bounds + [incumbent.objective])
         sol = dataclasses.replace(incumbent)
         sol.status = SolveStatus.TIME_LIMIT
-        sol.best_bound = lb
-        sol.gap = (sol.objective - lb) / max(abs(sol.objective), 1e-12)
+        if lb is not None:
+            sol.best_bound = min(lb, sol.objective)
+            sol.gap = ((sol.objective - sol.best_bound)
+                       / max(abs(sol.objective), 1e-12))
         sol.stats = dict(stats)
         return finish(sol)
     if incumbent is None:
@@ -593,7 +768,7 @@ def solve_exact(instance: ProblemInstance,
             # Infeasible / BudgetDisconnected split matches the oracle.
             can = _affordable_connectivity(
                 net, dest_ids, list(undecided.values()), base_arcs,
-                base_cost, budget_cents, start + options.time_limit_s)
+                base_cost, budget_cents, deadline)
             if can is None:
                 return finish(Solution(status=SolveStatus.TIME_LIMIT,
                                        stats=dict(stats)))

@@ -2,18 +2,22 @@
 from __future__ import annotations
 
 import math
+import random
+import time
 
 import pytest
 
+from floodmit.ingest import InstanceSpec, capacity_fits, instance_from_file
 from floodmit.net import (ArcFilter, NodeKind, RoadArc, RoadNode,
                           canonical_shortest_path)
 from floodmit.reductions import Cuts, VariableMask, standard_reductions
 from floodmit.solver import (ModelError, OracleLimits, OracleScaleError,
                              SolveOptions, SolveStatus, Solution,
+                             _assignment_exact, _capacity_prices,
                              brute_force_oracle, build_model, export_lp,
                              gap_to_rnfmp, read_lp, solve_exact,
                              validate_solution)
-from floodmit import synth
+from floodmit import solver, synth
 
 from conftest import (bridge_instance, build_instance, f1_instance,
                       forced_exit_instance, overfull_instance,
@@ -97,6 +101,10 @@ def test_warm_start_equivalence():
                     upgrades=("a1",), assignment={"o1": "d1", "o2": "d1"})
     still = solve_exact(inst, options=SolveOptions(warm_start=junk))
     assert still.objective == pytest.approx(75.0)
+    # ... but the reason it was dropped is kept
+    report = validate_solution(inst, junk)
+    assert still.stats["warm_start_rejected"] == str(report)
+    assert "warm_start_rejected" not in warm.stats
 
 
 def test_collect_nodes_fates():
@@ -281,3 +289,148 @@ def test_gap_embedding_hand_instance():
     assert sol.objective == pytest.approx(10.0)
     tight = gap_to_rnfmp([2.0, 3.0], [4.0], [[4.0], [6.0]])
     assert solve_exact(tight).status is SolveStatus.INFEASIBLE
+
+
+# -- exact capacitated assignment ---------------------------------------------
+
+def _reference_assignment(items, capacities):
+    """Plain depth-first search with the capacity-free suffix bound."""
+    n = len(items)
+    suffix = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        _, _, w, cands = items[i]
+        if not cands:
+            return None
+        suffix[i] = suffix[i + 1] + w * cands[0][0]
+    residual = dict(capacities)
+    best_obj = math.inf
+    best_assign = None
+    chosen = []
+
+    def dfs(i, partial):
+        nonlocal best_obj, best_assign
+        if partial + suffix[i] >= best_obj - 1e-12:
+            return
+        if i == n:
+            best_obj = partial
+            best_assign = {items[j][0]: chosen[j] for j in range(n)}
+            return
+        origin, h, w, cands = items[i]
+        for minutes, dest in cands:
+            if not capacity_fits(h, residual[dest]):
+                continue
+            residual[dest] -= h
+            chosen.append(dest)
+            dfs(i + 1, partial + w * minutes)
+            chosen.pop()
+            residual[dest] += h
+    dfs(0, 0.0)
+    if best_assign is None:
+        return None
+    return best_obj, best_assign
+
+
+def _random_assignment(rng):
+    """1-10 origins, 1-4 facilities; tied, fractional and zero minutes and
+    residents; weight = residents or 1; slack, exact, short or random
+    capacities, sometimes an uncapacitated facility."""
+    dests = [f"d{j}" for j in range(rng.randint(1, 4))]
+    items = []
+    for i in range(rng.randint(1, 10)):
+        h = rng.choice([1.0, 2.0, 3.0, 7.0, 0.5, 1 / 3, 2 / 3, 0.0])
+        w = h if rng.random() < 0.5 else 1.0
+        reach = [d for d in dests if rng.random() < 0.8] or [rng.choice(dests)]
+        cands = sorted((rng.choice([1.0, 2.0, 0.1, 0.7, 1 / 3,
+                                    float(rng.randint(0, 5)),
+                                    rng.uniform(0.0, 10.0)]), d)
+                       for d in reach)
+        items.append((f"o{i}", h, w, cands))
+    items.sort(key=lambda it: (-it[1], it[0]))
+    total = sum(it[1] for it in items)
+    kind = rng.choice(["slack", "exact", "short", "random"])
+    if kind == "slack":
+        caps = {d: total for d in dests}
+    elif kind == "exact":
+        caps = dict.fromkeys(dests, 0.0)
+        for it in items:
+            caps[rng.choice(dests)] += it[1]
+    elif kind == "short":
+        caps = {d: total / len(dests) * rng.uniform(0.5, 0.99) for d in dests}
+    else:
+        caps = {d: rng.uniform(0.0, total) for d in dests}
+    if rng.random() < 0.1:
+        caps[dests[0]] = math.inf
+    return items, caps
+
+
+def test_assignment_matches_plain_search():
+    # capacity prices only cut leaves the plain search rejects, so the
+    # answer is identical to the last bit, assignment included
+    searched = infeasible = 0
+    for seed in range(3000):
+        items, caps = _random_assignment(random.Random(seed))
+        want = _reference_assignment(items, caps)
+        stats = {}
+        got = _assignment_exact(items, caps, stats=stats)
+        assert got == want, seed
+        searched += stats["assignment_nodes"] > 1
+        if want is None:
+            infeasible += 1
+            continue
+        _, value = _capacity_prices(items, caps)
+        assert value <= want[0] + 1e-9, seed
+    assert searched > 600 and infeasible > 600, (searched, infeasible)
+
+
+def test_assignment_search_is_iterative():
+    # 1,200 jobs overflow agent a0 by one: recursion one frame per job
+    # would pass Python's recursion limit
+    n = 1200
+    costs = [[float(i % 10), float(i % 10) + 2.0 - i / n] for i in range(n)]
+    sol = solve_exact(gap_to_rnfmp([1.0] * n, [n - 1.0, float(n)], costs))
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(sum(i % 10 for i in range(n))
+                                          + 2.0 - (n - 1) / n)
+    assert [k for k, d in sol.assignment.items() if d == "a1"] == ["j1199"]
+
+
+def test_time_limit_reaches_into_the_assignment_search():
+    # 40 jobs of size 2 cannot split 41 + 39: the root's one assignment
+    # search would enumerate ~C(40, 20) partial assignments
+    inst = gap_to_rnfmp([2.0] * 40, [41.0, 39.0], [[1.0, 1.0]] * 40)
+    t = time.perf_counter()
+    sol = solve_exact(inst, options=SolveOptions(time_limit_s=0.5))
+    assert time.perf_counter() - t < 2.0
+    assert sol.status is SolveStatus.TIME_LIMIT
+    assert sol.objective is None and sol.best_bound is None
+
+
+def test_interrupted_branching_keeps_the_parent_bound(monkeypatch):
+    # the deadline passes in the first child's probe: the root (bound 75)
+    # is then the only proof left for the subtree it was splitting
+    calls = []
+
+    def expire_on_third(items, caps, deadline, stats):
+        calls.append(len(items))
+        if len(calls) == 3:
+            raise solver._DeadlinePassed
+        return real(items, caps, deadline, stats)
+
+    real = solver._assignment_exact
+    monkeypatch.setattr(solver, "_assignment_exact", expire_on_third)
+    sol = solve_exact(f1_instance(9.0))
+    assert sol.status is SolveStatus.TIME_LIMIT
+    assert sol.objective == pytest.approx(100.0)   # the root's probe
+    assert sol.best_bound == pytest.approx(75.0)
+    assert sol.gap == pytest.approx(0.25)
+
+
+def test_assignment_nodes_repeat_exactly():
+    # a capacity-bound 10x10 town: several B&B nodes, each with a bound
+    # solve and most with a probe, add up to a count that never varies
+    town = synth.grid_network_file(10, 10, 0, n_facilities=3)
+    inst = instance_from_file(town, InstanceSpec(alpha=0.15))
+    first, second = (solve_exact(inst).stats for _ in range(2))
+    assert first["nodes_explored"] > 1
+    assert first["assignment_nodes"] == second["assignment_nodes"]
+    assert first["assignment_nodes"] > 2 * first["nodes_explored"]

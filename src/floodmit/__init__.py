@@ -13,9 +13,8 @@ from .ingest import (InstanceSpec, ProblemInstance, PurchaseUnit, SchemaError,
                      instance_from_file, instance_json, load_network,
                      purchase_units, select_origins, upgrade_cost_cents,
                      with_network)
-from .net import (ArcFilter, Network, NetworkError, NodeKind, RoadArc,
-                  RoadNode, articulation_points, canonical_shortest_path,
-                  shortest_paths)
+from .net import (Network, NetworkError, NodeKind, RoadArc, RoadNode,
+                  articulation_points, canonical_shortest_path, shortest_paths)
 from .pipeline import PipelineResult, solve_pipeline
 from .prune import PrunedNetwork, PruneLog, PruneStats, expand_solution, prune_all
 from .reductions import (Cuts, FixedUpgrades, SpTables, VariableMask,
@@ -29,7 +28,7 @@ from .solver import (MipModel, OracleLimits, OracleScaleError, Solution,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcFilter", "Cuts", "DistanceVectors", "FixedUpgrades", "GreedySolution",
+    "Cuts", "DistanceVectors", "FixedUpgrades", "GreedySolution",
     "InstanceSpec", "MipModel", "Network", "NetworkError", "NodeKind",
     "OracleLimits", "OracleScaleError", "PipelineResult", "ProblemInstance",
     "PruneLog", "PruneStats", "PrunedNetwork", "PurchaseUnit", "RoadArc",

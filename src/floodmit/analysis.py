@@ -131,7 +131,7 @@ def ewtt_ranking(instance: ProblemInstance,
     for aid in candidates:
         if aid not in net.arcs:
             raise KeyError(f"unknown arc {aid!r}")
-        removed = facility_times(net, lambda arc: arc.id != aid)
+        removed = facility_times(net, frozenset((aid,)))
         total = 0.0
         pairs = 0
         cut = 0
@@ -192,8 +192,7 @@ def connectivity_critical(instance: ProblemInstance,
     for aid in candidates:
         if aid not in net.arcs:
             raise KeyError(f"unknown arc {aid!r}")
-        reach = dijkstra(net, dest_ids, lambda arc: arc.id != aid,
-                         reverse=True)
+        reach = dijkstra(net, dest_ids, frozenset((aid,)), reverse=True)
         if not all(k in reach for k in origin_ids):
             critical.append(aid)
     return tuple(critical)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .ingest import ProblemInstance, capacity_fits, cents, upgrade_cost_cents
-from .net import (ALL_ARCS, NON_VULNERABLE, canonical_shortest_path)
+from .net import canonical_shortest_path
 from .reductions import SpTables, compute_sp_tables
 
 
@@ -99,7 +99,7 @@ def greedy_initial(instance: ProblemInstance,
             if not capacity_fits(origin.residents, residual[dest]):
                 continue
             found = canonical_shortest_path(
-                net, origin.id, dest, NON_VULNERABLE,
+                net, origin.id, dest, net.vulnerable_ids,
                 dist_to_target=tables.flooded[dest])
             if found is None:  # pragma: no cover - table said reachable
                 continue
@@ -116,8 +116,7 @@ def greedy_initial(instance: ProblemInstance,
                 if not capacity_fits(origin.residents, residual[dest]):
                     continue
                 found = canonical_shortest_path(
-                    net, origin.id, dest, ALL_ARCS,
-                    dist_to_target=tables.upgraded[dest])
+                    net, origin.id, dest, dist_to_target=tables.upgraded[dest])
                 if found is None:  # pragma: no cover
                     continue
                 residual[dest] -= origin.residents

@@ -4,6 +4,11 @@ Nodes are population centers (origins), healthcare facilities (destinations)
 or plain intersections (transshipment nodes).  Arcs carry travel times in
 minutes; flood-vulnerable arcs additionally carry a mitigation cost and are
 unusable unless upgraded.
+
+Every search takes the roads it may not use as one set of closed arc ids:
+``net.vulnerable_ids`` for the flooded network, the empty default for the
+fully repaired one, ``net.vulnerable_ids - bought`` for a plan, and
+``frozenset((aid,))`` for one road closed.
 """
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 #: absolute tolerance for travel-time / distance comparisons
 DIST_TOL = 1e-9
@@ -96,7 +101,7 @@ class RoadArc:
 class Network:
     """Immutable directed multigraph with deterministic (sorted-id) iteration."""
 
-    __slots__ = ("nodes", "arcs", "_out", "_in")
+    __slots__ = ("nodes", "arcs", "vulnerable_ids", "_out", "_in")
 
     def __init__(self, nodes: Iterable[RoadNode], arcs: Iterable[RoadArc]):
         self.nodes: dict[str, RoadNode] = {}
@@ -115,6 +120,8 @@ class Network:
             self.arcs[a.id] = a
             out[a.tail].append(a.id)
             inc[a.head].append(a.id)
+        self.vulnerable_ids = frozenset(a.id for a in self.arcs.values()
+                                        if a.vulnerable)
         self._out = {nid: tuple(ids) for nid, ids in out.items()}
         self._in = {nid: tuple(ids) for nid, ids in inc.items()}
 
@@ -163,77 +170,22 @@ class Network:
 
     def __repr__(self) -> str:
         return (f"Network({len(self.nodes)} nodes, {len(self.arcs)} arcs, "
-                f"{len(self.vulnerable_arcs())} vulnerable)")
-
-
-# -- arc admissibility ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ArcFilter:
-    """Which arcs a route may use.
-
-    ``non_vulnerable`` models the flooded network, ``all_arcs`` the fully
-    upgraded one, and ``upgraded_set`` a partially mitigated one (the given
-    vulnerable arcs are passable, the rest are washed out).
-    """
-
-    mode: str
-    upgraded: frozenset[str] = frozenset()
-
-    @classmethod
-    def non_vulnerable(cls) -> "ArcFilter":
-        return cls("non_vulnerable")
-
-    @classmethod
-    def all_arcs(cls) -> "ArcFilter":
-        return cls("all")
-
-    @classmethod
-    def upgraded_set(cls, arc_ids: Iterable[str]) -> "ArcFilter":
-        return cls("upgraded", frozenset(arc_ids))
-
-    def admits(self, arc: RoadArc) -> bool:
-        if not arc.vulnerable:
-            return True
-        if self.mode == "all":
-            return True
-        if self.mode == "upgraded":
-            return arc.id in self.upgraded
-        return False
-
-
-NON_VULNERABLE = ArcFilter.non_vulnerable()
-ALL_ARCS = ArcFilter.all_arcs()
-
-Admit = Callable[[RoadArc], bool]
-
-
-def _admit_fn(net: Network, filt: ArcFilter | Admit) -> Admit:
-    if callable(filt):
-        return filt
-    if filt.mode == "upgraded":
-        for aid in filt.upgraded:
-            arc = net.arcs.get(aid)
-            if arc is None:
-                raise NetworkError(f"filter names unknown arc {aid!r}")
-            if not arc.vulnerable:
-                raise NetworkError(f"filter upgrades non-vulnerable arc {aid!r}")
-    return filt.admits
+                f"{len(self.vulnerable_ids)} vulnerable)")
 
 
 # -- shortest paths ---------------------------------------------------------
 
 
-def dijkstra(net: Network, sources: Iterable[str], admit: Admit | None = None,
+def dijkstra(net: Network, sources: Iterable[str],
+             closed: frozenset[str] = frozenset(),
              reverse: bool = False) -> dict[str, float]:
-    """Settled travel times from the nearest of ``sources`` over admitted arcs.
+    """Settled travel times from the nearest of ``sources`` over open arcs.
 
     The one shortest-path kernel.  Forward it gives times *from* the
     sources; with ``reverse`` it walks arcs backward, giving times *to* the
-    nearest source.  ``admit`` (default: every arc) decides which arcs a
-    route may use.  Returns ``{node_id: minutes}`` in settling order;
-    unreachable nodes are absent.
+    nearest source.  Arcs whose ids are in ``closed`` (default: none) are
+    skipped.  Returns ``{node_id: minutes}`` in settling order; unreachable
+    nodes are absent.
     """
     heap: list[tuple[float, str]] = []
     best: dict[str, float] = {}
@@ -252,9 +204,9 @@ def dijkstra(net: Network, sources: Iterable[str], admit: Admit | None = None,
             continue
         settled[u] = d
         for aid in incident[u]:
-            arc = arcs[aid]
-            if admit is not None and not admit(arc):
+            if aid in closed:
                 continue
+            arc = arcs[aid]
             v = arc.tail if reverse else arc.head
             nd = d + arc.travel_time
             if nd < best.get(v, math.inf) - DIST_TOL:
@@ -264,32 +216,33 @@ def dijkstra(net: Network, sources: Iterable[str], admit: Admit | None = None,
 
 
 def shortest_paths(net: Network, source: str,
-                   filt: ArcFilter | Admit = ALL_ARCS) -> dict[str, float]:
-    """Dijkstra travel times from ``source`` over admitted arcs.
+                   closed: frozenset[str] = frozenset()) -> dict[str, float]:
+    """Dijkstra travel times from ``source`` over the arcs not in ``closed``.
 
     Returns ``{node_id: minutes}``; unreachable nodes are absent.
     """
-    return dijkstra(net, (source,), _admit_fn(net, filt))
+    return dijkstra(net, (source,), closed)
 
 
-def facility_times(net: Network, filt: ArcFilter | Admit = ALL_ARCS,
+def facility_times(net: Network, closed: frozenset[str] = frozenset(),
                    ) -> dict[str, dict[str, float]]:
     """Travel times to every facility: ``{facility_id: {node_id: minutes}}``.
 
-    One reverse search per facility, in id order, over admitted arcs; nodes
-    that cannot reach a facility are absent from its table.  Every stage
-    that needs origin-to-facility times reads them from this table.
+    One reverse search per facility, in id order, over the arcs not in
+    ``closed``; nodes that cannot reach a facility are absent from its
+    table.  Every stage that needs origin-to-facility times reads them from
+    this table.
     """
-    admit = _admit_fn(net, filt)
-    return {d.id: dijkstra(net, (d.id,), admit, reverse=True)
+    return {d.id: dijkstra(net, (d.id,), closed, reverse=True)
             for d in net.destinations()}
 
 
 def canonical_shortest_path(net: Network, source: str, target: str,
-                            filt: ArcFilter | Admit = ALL_ARCS,
+                            closed: frozenset[str] = frozenset(),
                             dist_to_target: dict[str, float] | None = None,
                             ) -> tuple[float, tuple[str, ...]] | None:
-    """Deterministic shortest path from ``source`` to ``target``.
+    """Deterministic shortest path from ``source`` to ``target`` over the
+    arcs not in ``closed``.
 
     A depth-first search from the source over tight arcs (arcs that stay on
     some shortest path), smallest arc id first, that backs out of dead ends.
@@ -297,12 +250,11 @@ def canonical_shortest_path(net: Network, source: str, target: str,
     greedy smallest-id walk and returns the lexicographically smallest
     arc-id sequence among equally short paths.  Returns (minutes, arc ids)
     or None if unreachable.  ``dist_to_target`` lets callers reuse one
-    reverse search (``facility_times`` or ``dijkstra(..., reverse=True)``
-    from the target) for many sources.
+    reverse search over the same closed set (``facility_times`` or
+    ``dijkstra(..., reverse=True)`` from the target) for many sources.
     """
-    admit = _admit_fn(net, filt)
     if dist_to_target is None:
-        dist_to_target = dijkstra(net, (target,), admit, reverse=True)
+        dist_to_target = dijkstra(net, (target,), closed, reverse=True)
     if source not in dist_to_target:
         return None
     path: list[str] = []
@@ -312,9 +264,9 @@ def canonical_shortest_path(net: Network, source: str, target: str,
         u, exits = stack[-1]
         remaining = dist_to_target[u]
         for aid in exits:
-            arc = net.arcs[aid]
-            if not admit(arc):
+            if aid in closed:
                 continue
+            arc = net.arcs[aid]
             dv = dist_to_target.get(arc.head)
             if dv is None or arc.head in visited:
                 continue

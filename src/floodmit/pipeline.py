@@ -2,10 +2,10 @@
 
 Every stage always runs, in that order.  Pruning and the forced-exit
 fixings are exact (tested against the brute-force oracle); the route masks
-are computed and reported, but the solver needs none; the greedy plan is
-only a warm start, used when it is feasible.  The shortest-path tables are
-built once, by ``net.facility_times``, and shared by the reductions and the
-greedy heuristic.  The returned solution always speaks in terms of the
+only tighten the 0-1 model, so the solve path does not build them.  The
+greedy plan is only a warm start, used when it is feasible.  The
+shortest-path tables are built once, by ``net.facility_times``, and feed
+the greedy heuristic.  The returned solution always speaks in terms of the
 original network: folded origins reappear, contracted arcs re-expand.
 """
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .heuristic import GreedySolution, greedy_initial
 from .ingest import ProblemInstance, with_network
 from .prune import PrunedNetwork, expand_solution, prune_all
-from .reductions import (FixedUpgrades, VariableMask, compute_sp_tables,
-                         standard_reductions)
+from .reductions import FixedUpgrades, compute_sp_tables, forced_exits
+from .reductions import standard_reductions  # noqa: F401 - bench/tracer.py hooks it here
 from .solver import Solution, SolveOptions, solve_exact
 
 
@@ -27,7 +27,6 @@ class PipelineResult:
     raw_solution: Solution                 # on the pruned network
     pruned: PrunedNetwork
     fixings: FixedUpgrades
-    mask: VariableMask                     # reported; the solver needs no mask
     greedy: GreedySolution                 # in pruned terms
 
 
@@ -37,11 +36,11 @@ def solve_pipeline(instance: ProblemInstance,
     pruned = prune_all(instance.network)
     work = with_network(instance, pruned.network, budget=instance.budget)
     tables = compute_sp_tables(work)
-    fixings, mask = standard_reductions(work, tables)
+    fixings = forced_exits(work)
     greedy = greedy_initial(work, tables)
     if greedy.feasible:
         options = dataclasses.replace(options, warm_start=greedy)
     raw = solve_exact(work, fixings=fixings, options=options)
     return PipelineResult(solution=expand_solution(raw, pruned.log),
                           raw_solution=raw, pruned=pruned, fixings=fixings,
-                          mask=mask, greedy=greedy)
+                          greedy=greedy)

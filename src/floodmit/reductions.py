@@ -12,11 +12,13 @@ Three reductions, all derived from path structure:
 * ``component_mask`` — arcs inside an articulation-point side pocket that
   contains no facility are unusable for any origin outside the pocket.
 
-Fixings feed the model builder, the brute-force oracle and the exact solver.
-Masks feed only the model builder and the oracle, and exit cuts only the
-model builder: the solver routes every origin on a shortest path, which
-never uses a masked arc.  Applying them never changes the optimal objective
-(tested against brute force).
+Fixings feed the model builder, the brute-force oracle and the exact solver;
+the solve pipeline runs ``forced_exits`` alone.  Masks feed only the model
+builder and the oracle (``standard_reductions`` builds fixings and masks
+together, for ``export-lp``), and exit cuts only the model builder: the
+solver routes every origin on a shortest path, which never uses a masked
+arc.  Applying them never changes the optimal objective (tested against
+brute force).
 """
 from __future__ import annotations
 
@@ -24,10 +26,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .ingest import ProblemInstance, cents
-from .net import (ALL_ARCS, DIST_TOL, NON_VULNERABLE, NodeKind,
-                  articulation_points, components_without, facility_times,
-                  shortest_paths)
+from .ingest import ProblemInstance
+from .net import (DIST_TOL, NodeKind, articulation_points, components_without,
+                  facility_times, shortest_paths)
 
 REASON_SP_BOUND = "sp_bound"
 REASON_COMPONENT = "component"
@@ -50,8 +51,8 @@ class SpTables:
 
 def compute_sp_tables(instance: ProblemInstance) -> SpTables:
     net = instance.network
-    flooded = facility_times(net, NON_VULNERABLE)
-    upgraded = facility_times(net, ALL_ARCS)
+    flooded = facility_times(net, net.vulnerable_ids)
+    upgraded = facility_times(net)
     worst = {o.id: max((t.get(o.id, math.inf) for t in flooded.values()),
                        default=math.inf)
              for o in net.origins()}
@@ -60,14 +61,15 @@ def compute_sp_tables(instance: ProblemInstance) -> SpTables:
 
 @dataclass(frozen=True)
 class FixedUpgrades:
-    """Output of the forced-exit reduction."""
+    """Output of the forced-exit reduction.
+
+    It carries no prices: the solver and the model builder charge the forced
+    arcs by purchase unit, as they charge every other purchase.
+    """
 
     forced_y: frozenset[str] = frozenset()
     forced_x: frozenset[tuple[str, str]] = frozenset()  # (origin, arc)
-    budget_delta: float = 0.0
-    offset_delta: float = 0.0
     exit_vi_origins: tuple[str, ...] = ()
-    infeasible: bool = False              # forced purchases alone exceed B
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,6 @@ def forced_exits(instance: ProblemInstance) -> FixedUpgrades:
     net = instance.network
     forced_y: set[str] = set()
     forced_x: set[tuple[str, str]] = set()
-    budget_delta = 0.0
-    offset_delta = 0.0
     exit_origins: list[str] = []
     for origin in net.origins():
         out_ids = net.out_arcs(origin.id)
@@ -124,15 +124,11 @@ def forced_exits(instance: ProblemInstance) -> FixedUpgrades:
             arc = arcs[0]
             forced_y.add(arc.id)
             forced_x.add((origin.id, arc.id))
-            budget_delta += arc.mitigation_cost
-            offset_delta += origin.weight * arc.travel_time
         else:
             exit_origins.append(origin.id)
-    infeasible = cents(budget_delta) > cents(instance.budget)
     return FixedUpgrades(
         forced_y=frozenset(forced_y), forced_x=frozenset(forced_x),
-        budget_delta=budget_delta, offset_delta=offset_delta,
-        exit_vi_origins=tuple(exit_origins), infeasible=infeasible)
+        exit_vi_origins=tuple(exit_origins))
 
 
 def distance_dominated(instance: ProblemInstance,
@@ -151,7 +147,7 @@ def distance_dominated(instance: ProblemInstance,
     for k, bound in tables.worst_served.items():
         if not math.isfinite(bound):
             continue
-        reach = shortest_paths(net, k, ALL_ARCS)
+        reach = shortest_paths(net, k)
         for aid in net.arcs:
             arc = net.arcs[aid]
             entry = reach.get(arc.tail, math.inf)

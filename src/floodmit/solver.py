@@ -18,14 +18,17 @@ everyone at their nearest facility, and a Lagrangian bound whose capacity
 prices come from coordinate ascent (`_capacity_prices`).
 
 Every origin rides a shortest path, so a node's distances come from one
-reverse search per facility, and routes are read off those tables.  Masks
-and valid inequalities never reach the search: they only tighten the 0-1
-model.  `brute_force_oracle` independently enumerates every affordable
-upgrade set and every capacity-feasible assignment (masks optional) —
-slower, but nothing to get wrong — and is what the solver is tested
-against.  `build_model`/`export_lp` emit the equivalent 0-1 program, masks
-and cuts included, for external solvers, and `gap_to_rnfmp` embeds a
-generalized assignment problem as a zero-budget instance.
+reverse search per facility, and routes are read off those tables.  Like
+every search, these take the roads a plan leaves shut as one set of closed
+arc ids: ``net.vulnerable_ids`` minus the arcs bought.  Masks and valid
+inequalities never reach the search: they only tighten the 0-1 model.
+`brute_force_oracle` independently enumerates every affordable upgrade set
+and every capacity-feasible assignment (masks optional, added to each
+origin's closed set) — slower, but nothing to get wrong — and is what the
+solver is tested against.  `build_model`/`export_lp` emit the equivalent
+0-1 program, masks and cuts included, for external solvers, and
+`gap_to_rnfmp` embeds a generalized assignment problem as a zero-budget
+instance.
 """
 from __future__ import annotations
 
@@ -130,15 +133,6 @@ def _blocked_by_origin(net: Network, mask: VariableMask | None,
     return {o.id: frozenset(mask.arcs_blocked_for(o.id)) for o in net.origins()}
 
 
-def _admit(open_vulnerable: frozenset[str],
-           blocked: frozenset[str] = frozenset()):
-    """Flood-free arcs plus the open vulnerable ones, minus ``blocked``."""
-    def admit(arc: RoadArc) -> bool:
-        return (not arc.vulnerable or arc.id in open_vulnerable) \
-            and arc.id not in blocked
-    return admit
-
-
 # -- exact capacitated assignment ------------------------------------------
 
 #: (origin, residents, weight, [(minutes, facility), ...] nearest first)
@@ -219,7 +213,8 @@ def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
     """Min-cost assignment of origins to destinations under capacities.
 
     Returns (weighted minutes, assignment) or None if capacities cannot host
-    everyone.  If every origin's nearest facility fits, that is the answer.
+    everyone.  If every origin's nearest facility fits, that is the answer;
+    if the residents outnumber every bed together, there is none.
     Otherwise a depth-first search assigns the items in order, each to its
     facilities nearest first, and bounds every child before entering it by
     the larger of two lower bounds on the rest: everyone at their nearest
@@ -252,6 +247,9 @@ def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
         else:
             return nearest, {origin: cands[0][1]
                              for origin, _, _, cands in items}
+        if sum(h for _, h, _, _ in items) > sum(
+                cap + CAPACITY_TOL for cap in capacities.values()):
+            return None  # not enough room in total
 
         prices, _ = _capacity_prices(items, capacities)
         dests = list(capacities)
@@ -335,7 +333,7 @@ def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
 def _candidate_lists(net: Network, origins: Sequence[RoadNode],
                      dest_ids: Sequence[str],
                      blocked: Mapping[str, frozenset[str]],
-                     open_vulnerable: frozenset[str],
+                     closed: frozenset[str],
                      ) -> dict[str, list[tuple[float, str]]] | None:
     """Per-origin reachable (minutes, dest) lists; None if someone is cut off.
 
@@ -343,7 +341,7 @@ def _candidate_lists(net: Network, origins: Sequence[RoadNode],
     """
     out: dict[str, list[tuple[float, str]]] = {}
     for o in origins:
-        dists = dijkstra(net, (o.id,), _admit(open_vulnerable, blocked[o.id]))
+        dists = dijkstra(net, (o.id,), closed | blocked[o.id])
         reach = sorted((dists[t], t) for t in dest_ids if t in dists)
         if not reach:
             return None
@@ -366,9 +364,9 @@ def _lists_from_tables(origins: Sequence[RoadNode], dest_ids: Sequence[str],
     return out
 
 
-def _route(net: Network, origin: str, dest: str, admit,
+def _route(net: Network, origin: str, dest: str, closed: frozenset[str],
            dist_to_target: dict[str, float] | None = None) -> tuple[str, ...]:
-    found = canonical_shortest_path(net, origin, dest, admit, dist_to_target)
+    found = canonical_shortest_path(net, origin, dest, closed, dist_to_target)
     if found is None:  # pragma: no cover - assignment implies reachability
         raise ModelError(f"no route from {origin!r} to {dest!r}")
     return found[1]
@@ -421,11 +419,11 @@ def brute_force_oracle(instance: ProblemInstance,
                     if any(a in forced_arcs for a in u.arc_ids)]
     free_units = [u for u in units if u not in forced_units]
     forced_cost = sum(u.cost_cents for u in forced_units)
-    forced_arc_ids = frozenset(a for u in forced_units for a in u.arc_ids)
+    shut = net.vulnerable_ids - {a for u in forced_units for a in u.arc_ids}
 
     best: tuple[float, tuple[str, ...], tuple[tuple[str, str], ...]] | None = None
     best_assignment: dict[str, str] | None = None
-    best_open: frozenset[str] | None = None
+    best_closed: frozenset[str] | None = None
     saw_connected = False
     evaluated = 0
 
@@ -436,12 +434,11 @@ def brute_force_oracle(instance: ProblemInstance,
             if cost > budget_cents:
                 continue
             evaluated += 1
-            open_arcs = frozenset(
-                a for i in combo for a in free_units[i].arc_ids) | forced_arc_ids
+            closed = shut - {a for i in combo for a in free_units[i].arc_ids}
             unit_key = tuple(sorted([free_units[i].id for i in combo]
                                     + [u.id for u in forced_units]))
             cands = _candidate_lists(net, origin_order, dest_ids, blocked,
-                                     open_arcs)
+                                     closed)
             if cands is None:
                 continue
             saw_connected = True
@@ -461,12 +458,12 @@ def brute_force_oracle(instance: ProblemInstance,
                             and key[1:] < best[1:])):
                     best = key
                     best_assignment = dict(assign_key)
-                    best_open = open_arcs
-    if best is None or best_assignment is None or best_open is None:
+                    best_closed = closed
+    if best is None or best_assignment is None or best_closed is None:
         status = (SolveStatus.INFEASIBLE if saw_connected
                   else SolveStatus.BUDGET_DISCONNECTED)
         return Solution(status=status, stats={"subsets_evaluated": evaluated})
-    paths = {k: _route(net, k, dest, _admit(best_open, blocked[k]))
+    paths = {k: _route(net, k, dest, best_closed | blocked[k])
              for k, dest in sorted(best_assignment.items())}
     return Solution(
         status=SolveStatus.OPTIMAL, objective=best[0], best_bound=best[0],
@@ -480,52 +477,53 @@ def brute_force_oracle(instance: ProblemInstance,
 
 def _affordable_connectivity(net: Network, dest_ids: Sequence[str],
                              units: Sequence[PurchaseUnit],
-                             base_arcs: frozenset[str], base_cost: int,
+                             closed: frozenset[str], base_cost: int,
                              budget_cents: int,
                              deadline: float) -> bool | None:
     """Decide whether any affordable purchase set reconnects every origin.
 
     Distinguishes capacity infeasibility from budget disconnection when the
-    main search ends without an incumbent.  Include/exclude recursion over
-    units, pruned by connectivity of the affordability-filtered relaxation
-    (a superset of every completion, so a disconnected relaxation kills the
-    subtree).  Connectivity is one multi-source reverse search from all
-    facilities.  Returns None if ``deadline`` passes first.
+    main search ends without an incumbent.  ``closed`` holds the arcs shut
+    before any of ``units`` is bought.  A depth-first include/exclude search
+    over units, include first, pruned by connectivity of the
+    affordability-filtered relaxation (a superset of every completion, so a
+    disconnected relaxation kills the subtree).  It keeps its own stack, so
+    any number of units fits.  Connectivity is one multi-source reverse
+    search from all facilities.  Returns None if ``deadline`` passes first.
     """
     origin_ids = [o.id for o in net.origins()]
     by_id = {u.id: u for u in units}
     order = sorted(by_id)
 
-    def arcs_for(uids: Iterable[str]) -> frozenset[str]:
-        s = set(base_arcs)
-        for uid in uids:
-            s.update(by_id[uid].arc_ids)
-        return frozenset(s)
-
-    def connected(open_arcs: frozenset[str]) -> bool:
-        reach = dijkstra(net, dest_ids, _admit(open_arcs), reverse=True)
+    def connected(uids: Iterable[str]) -> bool:
+        shut = closed - {a for uid in uids for a in by_id[uid].arc_ids}
+        reach = dijkstra(net, dest_ids, shut, reverse=True)
         return all(k in reach for k in origin_ids)
 
-    def walk(committed: frozenset[str], banned: frozenset[str],
-             cost: int) -> bool | None:
+    # (committed, banned, cost, unit banned on entry or None); an include
+    # child is pushed after its exclude sibling, so it is searched first
+    stack: list[tuple[frozenset[str], frozenset[str], int, str | None]] = [
+        (frozenset(), frozenset(), base_cost, None)]
+    while stack:
         if time.perf_counter() > deadline:
             return None
-        if connected(arcs_for(committed)):
-            return True
+        committed, banned, cost, ban = stack.pop()
+        if ban is None:
+            if connected(committed):
+                return True
+        else:  # same purchases as its parent, which did not connect
+            banned = banned | {ban}
         remaining = budget_cents - cost
         afford = [uid for uid in order
                   if uid not in committed and uid not in banned
                   and by_id[uid].cost_cents <= remaining]
-        if not afford or not connected(arcs_for(
-                itertools.chain(committed, afford))):
-            return False
+        if not afford or not connected(itertools.chain(committed, afford)):
+            continue
         uid = afford[0]
-        took = walk(committed | {uid}, banned, cost + by_id[uid].cost_cents)
-        if took is not False:
-            return took
-        return walk(committed, banned | {uid}, cost)
-
-    return walk(frozenset(), frozenset(), base_cost)
+        stack.append((committed, banned, cost, uid))
+        stack.append((committed | {uid}, banned,
+                      cost + by_id[uid].cost_cents, None))
+    return False
 
 
 def solve_exact(instance: ProblemInstance,
@@ -543,8 +541,9 @@ def solve_exact(instance: ProblemInstance,
     exactly and closed on the spot.
 
     Every origin rides a shortest path over the open arcs, so each node needs
-    only one reverse search per facility (``net.facility_times`` over the
-    relaxation's open arcs, and for the probe over the committed ones).
+    only one reverse search per facility (``net.facility_times`` with every
+    vulnerable arc closed that the relaxation does not treat as bought, and
+    for the probe every one not committed).
     Those tables give every origin's candidate list, and both the
     branch-scoring routes and the incumbent routes are read off them.
     Per-origin masks and valid inequalities only tighten the 0-1 model; a
@@ -574,7 +573,8 @@ def solve_exact(instance: ProblemInstance,
     committed_units = [u for u in units
                        if any(a in forced_arcs for a in u.arc_ids)]
     base_cost = sum(u.cost_cents for u in committed_units)
-    base_arcs = frozenset(a for u in committed_units for a in u.arc_ids)
+    # closed before any undecided unit is bought
+    shut = net.vulnerable_ids - {a for u in committed_units for a in u.arc_ids}
     stats: dict[str, Any] = {"nodes_explored": 0, "incumbent_updates": 0,
                              "assignment_nodes": 0}
     nodes_debug: list[dict[str, Any]] = []
@@ -602,16 +602,12 @@ def solve_exact(instance: ProblemInstance,
     incumbent: Solution | None = None
     saw_assignment_attempt = False
 
-    def arcs_for(uids: Iterable[str]) -> frozenset[str]:
-        s = set(base_arcs)
-        for uid in uids:
-            s.update(undecided[uid].arc_ids)
-        return frozenset(s)
+    def closed_for(uids: Iterable[str]) -> frozenset[str]:
+        return shut - {a for uid in uids for a in undecided[uid].arc_ids}
 
-    def try_incumbent(committed_arcs: frozenset[str]) -> None:
+    def try_incumbent(closed: frozenset[str]) -> None:
         nonlocal incumbent, saw_assignment_attempt
-        admit = _admit(committed_arcs)
-        tables = facility_times(net, admit)
+        tables = facility_times(net, closed)
         cands = _lists_from_tables(gap_items_order, dest_ids, tables)
         if cands is None:
             return
@@ -624,7 +620,7 @@ def solve_exact(instance: ProblemInstance,
         obj, assignment = solved
         if incumbent is not None and obj > incumbent.objective + DIST_TOL:
             return
-        paths = {k: _route(net, k, dest, admit, tables[dest])
+        paths = {k: _route(net, k, dest, closed, tables[dest])
                  for k, dest in sorted(assignment.items())}
         upgrades = _used_vulnerable(net, paths)
         if incumbent is not None and abs(obj - incumbent.objective) <= DIST_TOL \
@@ -668,14 +664,13 @@ def solve_exact(instance: ProblemInstance,
         afford = [uid for uid in unit_ids
                   if uid not in committed and uid not in banned
                   and undecided[uid].cost_cents <= remaining]
-        open_arcs = arcs_for(itertools.chain(committed, afford))
-        admit = _admit(open_arcs)
-        tables = facility_times(net, admit)
+        closed = closed_for(itertools.chain(committed, afford))
+        tables = facility_times(net, closed)
         lists = _lists_from_tables(origin_order, dest_ids, tables)
         if lists is None:
             return None  # some origin is cut off even in the relaxation
         if probe:
-            try_incumbent(arcs_for(committed))
+            try_incumbent(closed_for(committed))
         items = [(o.id, o.residents, o.weight, lists[o.id])
                  for o in gap_items_order]
         solved = _assignment_exact(items, caps, deadline, stats)
@@ -685,7 +680,7 @@ def solve_exact(instance: ProblemInstance,
         score: dict[str, float] = {}
         for o in origin_order:
             dest = relaxed_assign[o.id]
-            for aid in _route(net, o.id, dest, admit, tables[dest]):
+            for aid in _route(net, o.id, dest, closed, tables[dest]):
                 uid = arc_unit.get(aid)
                 if uid is not None and uid not in committed:
                     score[uid] = score.get(uid, 0.0) + o.weight
@@ -767,7 +762,7 @@ def solve_exact(instance: ProblemInstance,
             # hide an affordable connecting set; decide it exactly so the
             # Infeasible / BudgetDisconnected split matches the oracle.
             can = _affordable_connectivity(
-                net, dest_ids, list(undecided.values()), base_arcs,
+                net, dest_ids, list(undecided.values()), shut,
                 base_cost, budget_cents, deadline)
             if can is None:
                 return finish(Solution(status=SolveStatus.TIME_LIMIT,

@@ -119,8 +119,8 @@ def test_criterion_03_reduction_safety():
             if sum(u.cost_cents for u in chosen) > budget_c:
                 continue
             covered = {a for u in chosen for a in u.arc_ids}
-            admit = lambda arc: (not arc.vulnerable) or arc.id in covered
-            if any(not (shortest_paths(net, o.id, admit).keys() & dests)
+            closed = net.vulnerable_ids - covered
+            if any(not (shortest_paths(net, o.id, closed).keys() & dests)
                    for o in net.origins()):
                 continue  # not a feasible evacuation, rule does not apply
             vi_sets_checked += 1

@@ -6,8 +6,7 @@ import random
 import pytest
 
 from floodmit import synth
-from floodmit.net import (ALL_ARCS, NON_VULNERABLE, ArcFilter, Network,
-                          NetworkError, NodeKind, RoadArc, RoadNode,
+from floodmit.net import (Network, NetworkError, NodeKind, RoadArc, RoadNode,
                           articulation_points, canonical_shortest_path,
                           components_without, dijkstra, facility_times,
                           shortest_paths)
@@ -63,10 +62,6 @@ def test_network_rejects_duplicates_and_dangling():
 def test_filter_validation():
     net = grid3()
     with pytest.raises(NetworkError):
-        shortest_paths(net, "o", ArcFilter.upgraded_set({"nope"}))
-    with pytest.raises(NetworkError):
-        shortest_paths(net, "o", ArcFilter.upgraded_set({"ob"}))  # not vulnerable
-    with pytest.raises(NetworkError):
         shortest_paths(net, "zz")
 
 
@@ -74,11 +69,11 @@ def test_filter_validation():
 
 def test_shortest_paths_respects_filters():
     net = grid3()
-    full = shortest_paths(net, "o", ALL_ARCS)
+    full = shortest_paths(net, "o")
     assert full["d"] == 2.0 and full["a"] == 1.0
-    flooded = shortest_paths(net, "o", NON_VULNERABLE)
+    flooded = shortest_paths(net, "o", net.vulnerable_ids)
     assert flooded["d"] == 4.0 and "a" not in flooded
-    partial = shortest_paths(net, "o", ArcFilter.upgraded_set({"oa"}))
+    partial = shortest_paths(net, "o", net.vulnerable_ids - {"oa"})
     assert partial["a"] == 1.0 and partial["d"] == 4.0  # ad still washed out
 
 
@@ -86,7 +81,7 @@ def test_reverse_and_multi_target():
     net = grid3()
     back = dijkstra(net, ["d"], reverse=True)
     assert back["o"] == 2.0 and back["b"] == 2.0 and back["d"] == 0.0
-    near = dijkstra(net, ["d", "b"], NON_VULNERABLE.admits, reverse=True)
+    near = dijkstra(net, ["d", "b"], net.vulnerable_ids, reverse=True)
     assert near["o"] == 2.0  # b is closer than d on the dry network
     assert near["b"] == 0.0 and "a" not in near
     with pytest.raises(NetworkError):
@@ -129,11 +124,11 @@ def test_facility_times_equal_forward_searches():
     # every origin, on the flooded and on the fully repaired network
     for seed in range(100):
         net = synth.random_instance(seed).network
-        for filt in (NON_VULNERABLE, ALL_ARCS):
-            tables = facility_times(net, filt)
+        for closed in (net.vulnerable_ids, frozenset()):
+            tables = facility_times(net, closed)
             assert list(tables) == [d.id for d in net.destinations()]
             for o in net.origins():
-                fwd = shortest_paths(net, o.id, filt)
+                fwd = shortest_paths(net, o.id, closed)
                 for d in net.destinations():
                     assert (o.id in tables[d.id]) == (d.id in fwd), seed
                     if d.id in fwd:
@@ -177,7 +172,7 @@ def test_canonical_path_cost_matches_dijkstra():
     rng = random.Random(4821)
     for _ in range(150):
         net = random_net(rng)
-        dist = shortest_paths(net, "n0", ALL_ARCS)
+        dist = shortest_paths(net, "n0")
         target = sorted(net.nodes)[-1]
         found = canonical_shortest_path(net, "n0", target)
         if target not in dist:
@@ -207,7 +202,7 @@ def test_multi_target_equals_min_of_reverse():
             assert combined.get(nid) == best or (
                 best is not None and abs(combined[nid] - best) <= 1e-9)
             # a reverse label from one target is the forward distance to it
-            fwd = shortest_paths(net, nid, ALL_ARCS)
+            fwd = shortest_paths(net, nid)
             for t, s in zip(targets, singles):
                 assert (t in fwd) == (nid in s)
                 if t in fwd:

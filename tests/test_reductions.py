@@ -48,10 +48,7 @@ def test_forced_exits_single_exit_fixed():
     fixed = forced_exits(forced_exit_instance())
     assert fixed.forced_y == frozenset({"kv"})
     assert fixed.forced_x == frozenset({("k", "kv")})
-    assert fixed.budget_delta == pytest.approx(4.0)
-    assert fixed.offset_delta == pytest.approx(3.0)  # 3 residents x 1 minute
     assert fixed.exit_vi_origins == ()
-    assert not fixed.infeasible
 
 
 def test_forced_exits_flags_unaffordable_fix():
@@ -60,8 +57,11 @@ def test_forced_exits_flags_unaffordable_fix():
         [RoadArc("kd", "k", "d", 1.0, vulnerable=True, mitigation_cost=4.0)],
         3.0, 4.0)
     fixed = forced_exits(inst)
-    assert fixed.infeasible
+    assert fixed.forced_y == frozenset({"kd"})
     assert solve_exact(inst).status is SolveStatus.BUDGET_DISCONNECTED
+    # the forced purchase alone is over budget
+    assert solve_exact(inst, fixings=fixed).status is \
+        SolveStatus.BUDGET_DISCONNECTED
 
 
 def test_forced_exits_multi_exit_becomes_cut():
@@ -74,7 +74,6 @@ def test_forced_exits_multi_exit_becomes_cut():
     fixed = forced_exits(inst)
     assert fixed.forced_y == frozenset()
     assert fixed.exit_vi_origins == ("o",)
-    assert not fixed.infeasible
 
 
 def test_forced_exits_skips_mixed_exits():

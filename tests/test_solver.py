@@ -1,15 +1,16 @@
 """Exact solver, brute-force twin, 0-1 model, and the LP writer."""
 from __future__ import annotations
 
+import inspect
 import math
 import random
+import sys
 import time
 
 import pytest
 
 from floodmit.ingest import InstanceSpec, capacity_fits, instance_from_file
-from floodmit.net import (ArcFilter, NodeKind, RoadArc, RoadNode,
-                          canonical_shortest_path)
+from floodmit.net import NodeKind, RoadArc, RoadNode, canonical_shortest_path
 from floodmit.reductions import Cuts, VariableMask, standard_reductions
 from floodmit.solver import (ModelError, OracleLimits, OracleScaleError,
                              SolveOptions, SolveStatus, Solution,
@@ -170,9 +171,9 @@ def test_paths_are_canonical_over_the_bought_arcs():
             if sol.status is not SolveStatus.OPTIMAL:
                 continue
             checked += 1
-            filt = ArcFilter.upgraded_set(sol.upgrades)
+            closed = inst.network.vulnerable_ids - set(sol.upgrades)
             for k, dest in sol.assignment.items():
-                found = canonical_shortest_path(inst.network, k, dest, filt)
+                found = canonical_shortest_path(inst.network, k, dest, closed)
                 assert sol.paths[k] == found[1], (coupled, seed, k)
     assert checked >= 100
 
@@ -392,6 +393,48 @@ def test_assignment_search_is_iterative():
     assert sol.objective == pytest.approx(sum(i % 10 for i in range(n))
                                           + 2.0 - (n - 1) / n)
     assert [k for k, d in sol.assignment.items() if d == "a1"] == ["j1199"]
+
+
+def test_short_total_capacity_skips_the_price_ascent(monkeypatch):
+    # both jobs want a0 (1 bed); with 1.5 beds in all there is no answer,
+    # and no price ascent is needed to say so
+    ascents = []
+    real = solver._capacity_prices
+
+    def counted(items, capacities):
+        ascents.append(dict(capacities))
+        return real(items, capacities)
+
+    monkeypatch.setattr(solver, "_capacity_prices", counted)
+    items = [("j0", 1.0, 1.0, [(1.0, "a0"), (2.0, "a1")]),
+             ("j1", 1.0, 1.0, [(1.0, "a0"), (3.0, "a1")])]
+    assert solver._assignment_exact(items, {"a0": 1.0, "a1": 0.5}) is None
+    assert ascents == []
+    # with room for both the search runs, prices first
+    assert solver._assignment_exact(items, {"a0": 1.0, "a1": 1.0}) == \
+        (3.0, {"j0": "a1", "j1": "a0"})
+    assert solver._assignment_exact(items, {"a0": 1.0, "a1": math.inf}) == \
+        (3.0, {"j0": "a1", "j1": "a0"})
+    assert len(ascents) == 2
+
+
+def test_affordable_connectivity_search_is_iterative():
+    # 150 single-exit origins, every exit washed out at $1, budget $100:
+    # the include-first search commits 100 units before it can say no
+    # plan reconnects everyone.  Recursion one frame per decided unit
+    # would pass a recursion limit 60 frames above the caller.
+    n = 150
+    nodes = [O(f"o{i:03d}", 1) for i in range(n)] + [D("d", n - 1)]
+    arcs = [RoadArc(f"e{i:03d}", f"o{i:03d}", "d", 1.0, vulnerable=True,
+                    mitigation_cost=1.0) for i in range(n)]
+    inst = build_instance(nodes, arcs, 100.0, float(n))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        sol = solve_exact(inst)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sol.status is SolveStatus.BUDGET_DISCONNECTED
 
 
 def test_time_limit_reaches_into_the_assignment_search():

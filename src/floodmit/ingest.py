@@ -102,7 +102,7 @@ class ProblemInstance:
 
     network: Network
     budget: float
-    b_hat: float                         # cost of upgrading every vulnerable arc
+    b_hat: float                         # full repair bill
     spec: InstanceSpec
     provenance: Mapping[str, Any] = field(default_factory=dict)
 
@@ -125,12 +125,15 @@ def with_network(instance: ProblemInstance, network: Network,
         instance,
         network=network,
         budget=instance.budget if budget is None else budget,
-        b_hat=total_vulnerable_cost(network),
+        b_hat=total_vulnerable_cost(network, instance.spec.segment_coupling),
     )
 
 
-def total_vulnerable_cost(net: Network) -> float:
-    return sum(a.mitigation_cost for a in net.vulnerable_arcs())
+def total_vulnerable_cost(net: Network, segment_coupling: bool) -> float:
+    """The full repair bill: every vulnerable arc bought, priced as the
+    solver charges it (a coupled segment once), so a budget fraction of 1
+    buys exactly everything."""
+    return upgrade_cost_cents(net, net.vulnerable_ids, segment_coupling) / 100
 
 
 @dataclass(frozen=True)
@@ -384,7 +387,7 @@ def build_instance(net: Network, spec: InstanceSpec,
         raise SchemaError("degenerate instance: no origins")
     if not net.destinations():
         raise SchemaError("degenerate instance: no destinations")
-    b_hat = total_vulnerable_cost(net)
+    b_hat = total_vulnerable_cost(net, spec.segment_coupling)
     budget = spec.budget_fraction * b_hat
     cap_total = sum(d.capacity for d in net.destinations())
     demand = (1.0 + spec.alpha) * sum(o.residents for o in net.origins())

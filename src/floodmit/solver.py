@@ -8,12 +8,16 @@ The solver enumerates upgrade decisions in a best-first branch-and-bound:
 * bound a node by solving the capacitated assignment exactly under relaxed
   distances — every undecided unit that still fits the remaining budget is
   treated as purchased — so the bound stays tight when capacities bind;
-* probe for incumbents by solving the same assignment over the arcs
-  committed so far.
+* close a node by rounding when the undecided units its relaxed routes ride
+  fit the remaining budget together: buying them attains the bound;
+* probe a node that stays open for incumbents by solving the same
+  assignment over the arcs committed so far.
 
 The capacitated assignment is a generalized assignment problem.  When every
 origin's nearest facility has room, that is its answer; otherwise an
-iterative depth-first search solves it exactly, pruned by two lower bounds:
+iterative depth-first search solves it exactly.  It starts from the cost of
+a priced-regret assignment improved by shift and swap moves
+(`_regret_assignment`) as its cutoff, and is pruned by two lower bounds:
 everyone at their nearest facility, and a Lagrangian bound whose capacity
 prices come from coordinate ascent (`_capacity_prices`).
 
@@ -142,6 +146,8 @@ _AssignmentItems = list[tuple[str, float, float, list[tuple[float, str]]]]
 _CLOCK_EVERY = 1024
 #: coordinate-ascent sweeps `_capacity_prices` runs at most
 _MAX_SWEEPS = 100
+#: passes of shift and swap moves `_regret_assignment` makes at most
+_MOVE_PASSES = 20
 
 
 class _DeadlinePassed(Exception):
@@ -206,6 +212,85 @@ def _capacity_prices(items: _AssignmentItems, capacities: Mapping[str, float],
     return prices, value
 
 
+def _regret_assignment(items: _AssignmentItems,
+                       capacities: Mapping[str, float],
+                       prices: Mapping[str, float],
+                       ) -> tuple[float, dict[str, str]] | None:
+    """A capacity-feasible assignment by priced regret, improved by moves.
+
+    An item's priced cost at facility d is w·t_d + λ_d·h.  Items choose in
+    order of regret, the gap between their two cheapest priced options
+    (largest first, ties in item order), each taking its cheapest priced
+    facility that still has room (MTHG; Martello & Toth, *Knapsack
+    Problems*, 1990, ch. 7).  Then passes over the items in order apply
+    shift moves (the item to a nearer facility with room) and swap moves
+    (the item and one at a nearer facility trade places, if that lowers the
+    cost and both fit), until a pass moves nothing or ``_MOVE_PASSES`` have
+    run.  Returns (weighted minutes summed in item order, as the exact
+    search sums them, assignment), or None if some item finds no room.
+    """
+    n = len(items)
+    sizes = [h for _, h, _, _ in items]
+    # per item: weighted minutes by facility, nearest first
+    cost = [{dest: w * minutes for minutes, dest in cands}
+            for _, _, w, cands in items]
+    ranked: list[list[str]] = []   # per item: facilities, cheapest priced first
+    regret: list[float] = []
+    for h, row in zip(sizes, cost):
+        priced = sorted((c + prices[d] * h, k, d)
+                        for k, (d, c) in enumerate(row.items()))
+        ranked.append([d for _, _, d in priced])
+        regret.append(priced[1][0] - priced[0][0] if len(priced) > 1
+                      else math.inf)
+    room = dict(capacities)
+    at = [""] * n
+    for i in sorted(range(n), key=lambda i: -regret[i]):
+        dest = next((d for d in ranked[i] if capacity_fits(sizes[i], room[d])),
+                    None)
+        if dest is None:
+            return None
+        at[i] = dest
+        room[dest] -= sizes[i]
+
+    for _ in range(_MOVE_PASSES):
+        moved = False
+        for i in range(n):
+            a, h = at[i], sizes[i]
+            here = cost[i][a]
+            for b, c in cost[i].items():
+                if c >= here:
+                    break  # nearest first: no facility left is nearer
+                g = 0.0  # a shift, unless b is full: then a swap
+                if not capacity_fits(h, room[b]):
+                    j = next((j for j in range(n) if at[j] == b
+                              and a in cost[j]
+                              and here - c + cost[j][b] - cost[j][a] > 0
+                              and capacity_fits(h, room[b] + sizes[j])
+                              and capacity_fits(sizes[j], room[a] + h)), None)
+                    if j is None:
+                        continue
+                    g = sizes[j]
+                    at[j] = a
+                room[a] += h - g
+                room[b] -= h - g
+                at[i] = b
+                moved = True
+                break
+        if not moved:
+            break
+
+    # the search's own test, in its order: is this leaf feasible, and what
+    # does it cost?
+    left = dict(capacities)
+    value = 0.0
+    for i in range(n):
+        if not capacity_fits(sizes[i], left[at[i]]):
+            return None
+        left[at[i]] -= sizes[i]
+        value += cost[i][at[i]]
+    return value, {items[i][0]: at[i] for i in range(n)}
+
+
 def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
                       deadline: float = math.inf,
                       stats: dict[str, Any] | None = None,
@@ -215,17 +300,23 @@ def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
     Returns (weighted minutes, assignment) or None if capacities cannot host
     everyone.  If every origin's nearest facility fits, that is the answer;
     if the residents outnumber every bed together, there is none.
-    Otherwise a depth-first search assigns the items in order, each to its
-    facilities nearest first, and bounds every child before entering it by
-    the larger of two lower bounds on the rest: everyone at their nearest
-    facility, capacities ignored, and the Lagrangian bound of
-    `_capacity_prices` over the residual capacities.  A valid lower bound
-    only cuts leaves the search would reject anyway, so the answer is the
-    first strictly best leaf in search order whatever the prices.  The
-    search keeps its own stack, so any number of origins fits; it reads the
-    clock every ``_CLOCK_EVERY`` nodes and raises `_DeadlinePassed` once
-    ``deadline`` is past.  The nodes it enters are added to
-    ``stats["assignment_nodes"]``.
+    Otherwise `_capacity_prices` prices the capacity rows, and
+    `_regret_assignment` builds a feasible assignment whose cost, plus a
+    relative slack of 1e-7, starts the search as its cutoff.  A depth-first
+    search then assigns the items in order, each to its facilities nearest
+    first, and bounds every child before entering it by the larger of two
+    lower bounds on the rest: everyone at their nearest facility,
+    capacities ignored, and the Lagrangian bound over the residual
+    capacities.  A valid lower bound, or a cutoff above the optimum, only
+    cuts leaves the search would reject anyway, so the answer is the first
+    strictly best leaf in search order whatever the prices and the
+    heuristic (if no leaf beats the cutoff, as float rounding could only
+    cause at the edge of a capacity, the heuristic's own assignment is the
+    answer).  The search keeps its own stack, so any number of origins
+    fits; it reads the clock every ``_CLOCK_EVERY`` nodes and raises
+    `_DeadlinePassed` once ``deadline`` is past.  The nodes it enters are
+    added to ``stats["assignment_nodes"]``, its seconds to
+    ``stats["wall_time_assignment_s"]``.
     """
     n = len(items)
     suffix = [0.0] * (n + 1)
@@ -235,6 +326,7 @@ def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
             return None
         suffix[i] = suffix[i + 1] + w * cands[0][0]
     nodes = 1
+    started = time.perf_counter()
     try:
         residual = dict(capacities)
         nearest = 0.0
@@ -274,6 +366,10 @@ def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
         best_obj = math.inf
         best_assign: dict[str, str] | None = None
         cutoff = math.inf
+        upper = _regret_assignment(items, capacities, prices)
+        if upper is not None:
+            best_obj, best_assign = upper
+            cutoff = best_obj * (1.0 + 1e-7) + slack
         # the search stack: at each depth the item's candidate iterator, the
         # facility taken, weighted minutes so far, and those plus prices
         # paid minus Σ_d λ_d·c_d; the level's constants sit in ``level``
@@ -325,6 +421,9 @@ def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
         if stats is not None:
             stats["assignment_nodes"] = (stats.get("assignment_nodes", 0)
                                          + nodes)
+            stats["wall_time_assignment_s"] = (
+                stats.get("wall_time_assignment_s", 0.0)
+                + time.perf_counter() - started)
     if best_assign is None:
         return None
     return best_obj, best_assign
@@ -535,10 +634,13 @@ def solve_exact(instance: ProblemInstance,
     is the capacity-feasible assignment cost when every undecided unit that
     still fits the remaining budget is optimistically treated as purchased:
     distances are relaxed, capacities are not, so the bound stays tight on
-    capacity-bound instances.  Branching picks the undecided unit carrying
-    the most resident weight on the relaxed shortest paths; a node whose
-    relaxed optimum rides committed or flood-free arcs only is solved
-    exactly and closed on the spot.
+    capacity-bound instances.  A node whose relaxed routes ride undecided
+    units that fit the remaining budget together is closed by rounding:
+    buying them attains the bound, so that plan is offered as incumbent
+    (under the same objective test and tie rule as a probe's plan).  Every
+    other node runs the committed-only probe for incumbents and branches on
+    the undecided unit carrying the most resident weight on the relaxed
+    shortest paths.
 
     Every origin rides a shortest path over the open arcs, so each node needs
     only one reverse search per facility (``net.facility_times`` with every
@@ -555,9 +657,11 @@ def solve_exact(instance: ProblemInstance,
     inside every assignment search; on expiry the result is `TimeLimit`
     with the incumbent (if any) and the least bound of the subtrees left
     open, the interrupted node's parent included.  Stats count B&B nodes
-    (``nodes_explored``), ``incumbent_updates`` and ``assignment_nodes``
-    (search nodes over every probe and bound solve); a warm start that
-    fails validation is dropped and its report kept in
+    (``nodes_explored``), ``incumbent_updates``, ``rounding_closures`` and
+    ``assignment_nodes`` (search nodes over every probe and bound solve);
+    ``wall_time_assignment_s`` is the time spent in those searches (kept,
+    like ``wall_time_s``, out of the deterministic JSON).  A warm start
+    that fails validation is dropped and its report kept in
     ``warm_start_rejected``.
     """
     options = options or SolveOptions()
@@ -576,7 +680,8 @@ def solve_exact(instance: ProblemInstance,
     # closed before any undecided unit is bought
     shut = net.vulnerable_ids - {a for u in committed_units for a in u.arc_ids}
     stats: dict[str, Any] = {"nodes_explored": 0, "incumbent_updates": 0,
-                             "assignment_nodes": 0}
+                             "rounding_closures": 0, "assignment_nodes": 0,
+                             "wall_time_assignment_s": 0.0}
     nodes_debug: list[dict[str, Any]] = []
     if options.collect_nodes:
         stats["nodes"] = nodes_debug
@@ -605,8 +710,24 @@ def solve_exact(instance: ProblemInstance,
     def closed_for(uids: Iterable[str]) -> frozenset[str]:
         return shut - {a for uid in uids for a in undecided[uid].arc_ids}
 
+    def record(obj: float, assignment: dict[str, str],
+               paths: dict[str, tuple[str, ...]]) -> None:
+        """Keep a plan if it beats the incumbent, or ties it with a
+        lexicographically smaller upgrade set."""
+        nonlocal incumbent
+        upgrades = _used_vulnerable(net, paths)
+        if incumbent is not None and (
+                obj > incumbent.objective + DIST_TOL
+                or (abs(obj - incumbent.objective) <= DIST_TOL
+                    and upgrades >= incumbent.upgrades)):
+            return
+        incumbent = Solution(status=SolveStatus.FEASIBLE, objective=obj,
+                             upgrades=upgrades, assignment=assignment,
+                             paths=paths)
+        stats["incumbent_updates"] += 1
+
     def try_incumbent(closed: frozenset[str]) -> None:
-        nonlocal incumbent, saw_assignment_attempt
+        nonlocal saw_assignment_attempt
         tables = facility_times(net, closed)
         cands = _lists_from_tables(gap_items_order, dest_ids, tables)
         if cands is None:
@@ -619,17 +740,10 @@ def solve_exact(instance: ProblemInstance,
             return
         obj, assignment = solved
         if incumbent is not None and obj > incumbent.objective + DIST_TOL:
-            return
-        paths = {k: _route(net, k, dest, closed, tables[dest])
-                 for k, dest in sorted(assignment.items())}
-        upgrades = _used_vulnerable(net, paths)
-        if incumbent is not None and abs(obj - incumbent.objective) <= DIST_TOL \
-                and upgrades >= incumbent.upgrades:
-            return
-        incumbent = Solution(status=SolveStatus.FEASIBLE, objective=obj,
-                             upgrades=upgrades, assignment=assignment,
-                             paths=paths)
-        stats["incumbent_updates"] += 1
+            return  # worse: its routes need not be read off
+        record(obj, assignment,
+               {k: _route(net, k, dest, closed, tables[dest])
+                for k, dest in sorted(assignment.items())})
 
     # warm start: accept anything Solution-shaped that validates cleanly
     if options.warm_start is not None:
@@ -655,10 +769,12 @@ def solve_exact(instance: ProblemInstance,
                  cost: int, probe: bool) -> tuple[float, str | None] | None:
         """Bound one node; returns (bound, branch unit id) or None if dead.
 
-        A None branch id means the relaxed optimum needs no undecided unit,
-        so the committed-only probe already attains the bound and the node
-        is closed.  ``probe`` is False for exclude children, whose committed
-        set (and hence probe) is identical to the parent's.
+        A None branch id means the node is closed by rounding: the
+        undecided units its relaxed routes ride cost no more than the
+        remaining budget together, so buying them attains the bound.  That
+        plan is offered as incumbent, and no probe runs.  A node that stays
+        open runs the committed-only probe, unless ``probe`` is False: an
+        exclude child's committed set (and hence probe) is its parent's.
         """
         remaining = budget_cents - cost
         afford = [uid for uid in unit_ids
@@ -669,23 +785,27 @@ def solve_exact(instance: ProblemInstance,
         lists = _lists_from_tables(origin_order, dest_ids, tables)
         if lists is None:
             return None  # some origin is cut off even in the relaxation
-        if probe:
-            try_incumbent(closed_for(committed))
         items = [(o.id, o.residents, o.weight, lists[o.id])
                  for o in gap_items_order]
         solved = _assignment_exact(items, caps, deadline, stats)
         if solved is None:
             return None  # capacities cannot host even the relaxation
         bound, relaxed_assign = solved
+        paths = {o.id: _route(net, o.id, relaxed_assign[o.id], closed,
+                              tables[relaxed_assign[o.id]])
+                 for o in origin_order}
         score: dict[str, float] = {}
         for o in origin_order:
-            dest = relaxed_assign[o.id]
-            for aid in _route(net, o.id, dest, closed, tables[dest]):
+            for aid in paths[o.id]:
                 uid = arc_unit.get(aid)
                 if uid is not None and uid not in committed:
                     score[uid] = score.get(uid, 0.0) + o.weight
-        if not score:
+        if sum(undecided[uid].cost_cents for uid in score) <= remaining:
+            stats["rounding_closures"] += 1
+            record(bound, relaxed_assign, paths)
             return bound, None
+        if probe:
+            try_incumbent(closed_for(committed))
         return bound, min(score, key=lambda uid: (-score[uid], uid))
 
     counter = itertools.count()

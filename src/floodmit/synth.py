@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .ingest import InstanceSpec, ProblemInstance, instance_from_file
+from .ingest import (InstanceSpec, ProblemInstance, instance_from_file,
+                     total_vulnerable_cost)
 from .net import Network, NodeKind, RoadArc, RoadNode
 
 
@@ -347,7 +348,7 @@ def random_instance(seed: int, *, max_nodes: int = 10, max_vuln: int = 8,
                     segment_id=seg))
 
     net = Network(nodes, arcs)
-    b_hat = sum(a.mitigation_cost for a in net.vulnerable_arcs())
+    b_hat = total_vulnerable_cost(net, coupled)
     fraction = rng.choice([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
     spec = InstanceSpec(p=1.0, budget_fraction=fraction,
                         weight_policy="uniform" if uniform_w else "w_equals_h",

@@ -14,18 +14,20 @@ def build_instance(nodes, arcs, budget, b_hat, **spec_kw):
                            provenance={"source": "test", "log": []})
 
 
-def f1_instance(budget: float) -> ProblemInstance:
+def f1_instance(budget: float, d1_beds: float = 12.0) -> ProblemInstance:
     """Two origins, two capacity-limited shelters, one shared transfer node.
 
     o1 (10 residents) -> t1 -> {d1 via washed-out a2, d2 dry};
     o2 (5 residents)  -> {d1 via washed-out a4, d2 dry}.
-    d1 holds 12, so both origins never fit there together.
+    d1 holds 12, so both origins never fit there together.  With
+    ``d1_beds=15`` they do, so the relaxed plan rides both washed-out arcs
+    ($4 + $5) and any budget below $9 must branch.
     """
     nodes = [
         RoadNode("o1", NodeKind.ORIGIN, residents=10.0, weight=10.0),
         RoadNode("o2", NodeKind.ORIGIN, residents=5.0, weight=5.0),
         RoadNode("t1", NodeKind.TRANSSHIPMENT),
-        RoadNode("d1", NodeKind.DESTINATION, capacity=12.0),
+        RoadNode("d1", NodeKind.DESTINATION, capacity=d1_beds),
         RoadNode("d2", NodeKind.DESTINATION, capacity=20.0),
     ]
     arcs = [

@@ -9,7 +9,7 @@ from floodmit.analysis import (EwttRow, budget_sweep, connectivity_critical,
                                segment_csv, segment_rollup, sweep_csv,
                                upgrade_frequency)
 from floodmit.cli import _print_plan
-from floodmit.ingest import InstanceSpec
+from floodmit.ingest import InstanceSpec, with_network
 from floodmit.net import NodeKind, RoadArc, RoadNode
 from floodmit.solver import SolveStatus, solve_exact
 from floodmit import synth
@@ -73,6 +73,20 @@ def test_spent_prices_coupled_segments_once(capsys):
     out = capsys.readouterr().out
     assert "budget       $6.00\n" in out
     assert "spent        $6.00\n" in out
+
+
+def test_full_budget_buys_a_coupled_segment_exactly():
+    # the full repair bill prices the bridge once, at max(6, 4) = 6, so a
+    # fraction of 1 buys exactly everything; per arc the bill is 6 + 4
+    inst = bridge_instance(coupled=True)
+    full = with_network(inst, inst.network)
+    assert full.b_hat == 6.0
+    per_arc = bridge_instance(coupled=False)
+    assert with_network(per_arc, per_arc.network).b_hat == 10.0
+    row, = budget_sweep(full, [1.0])
+    assert row.status is SolveStatus.OPTIMAL
+    assert set(row.upgrades) == {"e", "er"}
+    assert row.budget == row.spent == 6.0
 
 
 def test_budget_sweep_dedupes_and_validates():

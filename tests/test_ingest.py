@@ -205,7 +205,7 @@ def test_purchase_units_per_arc():
     assert [(u.id, u.arc_ids, u.cost_cents) for u in units] == [
         ("a2", ("a2",), 400), ("a4", ("a4",), 500)]
     assert upgrade_cost_cents(inst.network, ["a2", "a4"], False) == 900
-    assert total_vulnerable_cost(inst.network) == pytest.approx(9.0)
+    assert total_vulnerable_cost(inst.network, False) == pytest.approx(9.0)
 
 
 def test_purchase_units_coupled_price_once():
@@ -218,8 +218,10 @@ def test_purchase_units_coupled_price_once():
     assert upgrade_cost_cents(inst.network, ["e"], True) == 600
     assert upgrade_cost_cents(inst.network, ["e", "er"], True) == 600
     assert upgrade_cost_cents(inst.network, ["e", "er"], False) == 1000
-    # b_hat stays the plain per-arc sum either way
-    assert inst.b_hat == pytest.approx(10.0)
+    # the full repair bill prices the segment once, as the solver does
+    assert with_network(inst, inst.network).b_hat == 6.0
+    spec = InstanceSpec(p=1.0, unit_cost=1000.0, segment_coupling=True)
+    assert instance_from_file(tiny_file(), spec).b_hat == 2000.0  # r1, r1__r
 
 
 def test_with_network_rebinds():

@@ -15,7 +15,7 @@ from floodmit.reductions import Cuts, VariableMask, standard_reductions
 from floodmit.solver import (ModelError, OracleLimits, OracleScaleError,
                              SolveOptions, SolveStatus, Solution,
                              _assignment_exact, _capacity_prices,
-                             brute_force_oracle, build_model, export_lp,
+                             _regret_assignment, brute_force_oracle, build_model, export_lp,
                              gap_to_rnfmp, read_lp, solve_exact,
                              validate_solution)
 from floodmit import solver, synth
@@ -65,22 +65,29 @@ def test_status_corners():
     assert full.status is SolveStatus.INFEASIBLE and full.exit_code() == 2
 
 
+def branching_instance():
+    """f1 with room for both origins at d1: the relaxed plan (bound 55)
+    needs a2 and a4 ($9), the $5 budget buys one, so the root branches."""
+    return f1_instance(5.0, d1_beds=15.0)
+
+
 def test_time_limit_reports_incumbent_and_bound():
-    sol = solve_exact(f1_instance(9.0), options=SolveOptions(time_limit_s=1e-9))
+    sol = solve_exact(branching_instance(),
+                      options=SolveOptions(time_limit_s=1e-9))
     assert sol.status is SolveStatus.TIME_LIMIT
     assert sol.exit_code() == 3
     # the no-purchase probe (objective 100) lands before the clock is checked
     assert sol.objective == pytest.approx(100.0)
-    assert sol.best_bound == pytest.approx(75.0)
-    assert sol.gap == pytest.approx(0.25)
+    assert sol.best_bound == pytest.approx(55.0)
+    assert sol.gap == pytest.approx(0.45)
 
 
 def test_gap_tolerance_reports_honest_bound():
-    sol = solve_exact(f1_instance(9.0), options=SolveOptions(gap_tol=0.5))
+    sol = solve_exact(branching_instance(), options=SolveOptions(gap_tol=0.5))
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(100.0)   # accepted early
-    assert sol.best_bound == pytest.approx(75.0)   # ... but only 75 was proven
-    assert sol.gap == pytest.approx(0.25)
+    assert sol.best_bound == pytest.approx(55.0)   # ... but only 55 was proven
+    assert sol.gap == pytest.approx(0.45)
     assert sol.gap <= 0.5
 
 
@@ -109,13 +116,14 @@ def test_warm_start_equivalence():
 
 
 def test_collect_nodes_fates():
-    sol = solve_exact(f1_instance(9.0), options=SolveOptions(collect_nodes=True))
+    sol = solve_exact(branching_instance(),
+                      options=SolveOptions(collect_nodes=True))
     nodes = sol.stats["nodes"]
     assert nodes and all(n["fate"] in {"dead", "closed", "cut", "open"}
                          for n in nodes)
     assert all("bound" in n for n in nodes if n["fate"] != "dead")
     assert sol.stats["nodes_explored"] >= 1
-    plain = solve_exact(f1_instance(9.0))
+    plain = solve_exact(branching_instance())
     assert "nodes" not in plain.stats
 
 
@@ -383,6 +391,47 @@ def test_assignment_matches_plain_search():
     assert searched > 600 and infeasible > 600, (searched, infeasible)
 
 
+def test_regret_assignment_is_a_feasible_upper_bound():
+    # on the GAPs above: the priced-regret assignment fits every capacity,
+    # costs what it says (summed in item order, as the search sums), and
+    # never beats the exact optimum
+    found = 0
+    for seed in range(3000):
+        items, caps = _random_assignment(random.Random(seed))
+        prices, _ = _capacity_prices(items, caps)
+        got = _regret_assignment(items, caps, prices)
+        if got is None:
+            continue
+        want = _reference_assignment(items, caps)
+        assert want is not None, seed
+        value, assignment = got
+        load = dict.fromkeys(caps, 0.0)
+        total = 0.0
+        for origin, h, w, cands in items:
+            dest = assignment[origin]
+            total += w * dict((d, t) for t, d in cands)[dest]
+            load[dest] += h
+        assert all(capacity_fits(load[d], caps[d]) for d in caps), seed
+        assert value == total, seed
+        assert value >= want[0] - 1e-9, seed
+        found += 1
+    assert found > 1000, found
+
+
+def test_assignment_search_starts_from_a_cutoff():
+    # nearest overflows a0 by one job, and the job cheapest to move (j0000)
+    # comes first in search order.  Searched from an infinite cutoff, each
+    # improving leaf re-descended the whole path: 1.44 M nodes.  The
+    # priced-regret assignment is optimal here, so one descent proves it.
+    n = 1200
+    costs = [[i % 10, i % 10 + 1 + i / n] for i in range(n)]
+    sol = solve_exact(gap_to_rnfmp([1.0] * n, [n - 1.0, float(n)], costs))
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == 5401.0
+    assert sol.assignment["j0000"] == "a1"
+    assert sol.stats["assignment_nodes"] <= 10_000
+
+
 def test_assignment_search_is_iterative():
     # 1,200 jobs overflow agent a0 by one: recursion one frame per job
     # would pass Python's recursion limit
@@ -449,8 +498,9 @@ def test_time_limit_reaches_into_the_assignment_search():
 
 
 def test_interrupted_branching_keeps_the_parent_bound(monkeypatch):
-    # the deadline passes in the first child's probe: the root (bound 75)
-    # is then the only proof left for the subtree it was splitting
+    # the root solves its bound, then probes; the deadline passes in the
+    # first child's bound solve: the root (bound 55) is then the only
+    # proof left for the subtree it was splitting
     calls = []
 
     def expire_on_third(items, caps, deadline, stats):
@@ -461,19 +511,60 @@ def test_interrupted_branching_keeps_the_parent_bound(monkeypatch):
 
     real = solver._assignment_exact
     monkeypatch.setattr(solver, "_assignment_exact", expire_on_third)
-    sol = solve_exact(f1_instance(9.0))
+    sol = solve_exact(branching_instance())
     assert sol.status is SolveStatus.TIME_LIMIT
     assert sol.objective == pytest.approx(100.0)   # the root's probe
-    assert sol.best_bound == pytest.approx(75.0)
-    assert sol.gap == pytest.approx(0.25)
+    assert sol.best_bound == pytest.approx(55.0)
+    assert sol.gap == pytest.approx(0.45)
 
 
 def test_assignment_nodes_repeat_exactly():
-    # a capacity-bound 10x10 town: several B&B nodes, each with a bound
-    # solve and most with a probe, add up to a count that never varies
+    # a capacity-bound 10x10 town on 12% of its repair bill: several B&B
+    # nodes, each with a bound solve and many with a probe, add up to a
+    # count that never varies
     town = synth.grid_network_file(10, 10, 0, n_facilities=3)
-    inst = instance_from_file(town, InstanceSpec(alpha=0.15))
+    inst = instance_from_file(town, InstanceSpec(alpha=0.15,
+                                                 budget_fraction=0.12))
     first, second = (solve_exact(inst).stats for _ in range(2))
     assert first["nodes_explored"] > 1
     assert first["assignment_nodes"] == second["assignment_nodes"]
     assert first["assignment_nodes"] > 2 * first["nodes_explored"]
+
+
+def test_capacity_bound_town_closes_at_the_root(monkeypatch):
+    # g10 at alpha 0.15: the units the relaxed routes ride fit the full
+    # budget, so the root's bound is attained; its one assignment search
+    # (capacities bind) is the only one, and no probe runs
+    calls = []
+    real = solver._assignment_exact
+
+    def counted(items, caps, deadline, stats):
+        calls.append(len(items))
+        return real(items, caps, deadline, stats)
+
+    monkeypatch.setattr(solver, "_assignment_exact", counted)
+    town = synth.grid_network_file(10, 10, 0, n_facilities=3)
+    inst = instance_from_file(town, InstanceSpec(alpha=0.15))
+    sol = solve_exact(inst)
+    assert sol.status is SolveStatus.OPTIMAL and sol.gap == 0.0
+    assert sol.stats["rounding_closures"] == 1
+    assert sol.stats["nodes_explored"] == 0
+    assert len(calls) == 1 and sol.stats["assignment_nodes"] > 1
+    assert validate_solution(inst, sol).ok
+    assert "wall_time_assignment_s" in sol.stats
+    assert "wall_time_assignment_s" not in sol.to_dict()["stats"]
+
+
+def test_rounding_closure_matches_the_oracle():
+    # an oracle-sized capacity-bound town (coupled: 4 origins, 3
+    # facilities, 13 purchase units) that also closes at the root
+    town = synth.grid_network_file(3, 4, 7, n_facilities=3)
+    inst = instance_from_file(town, InstanceSpec(alpha=0.15,
+                                                 segment_coupling=True))
+    sol = solve_exact(inst)
+    assert sol.stats["rounding_closures"] == 1
+    assert sol.stats["nodes_explored"] == 0
+    ref = brute_force_oracle(inst)
+    assert sol.status is ref.status is SolveStatus.OPTIMAL
+    assert abs(sol.objective - ref.objective) <= 1e-9
+    assert validate_solution(inst, sol).ok

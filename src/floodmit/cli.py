@@ -187,7 +187,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _print_plan(instance, sol)
     print(f"{'written':<12} {args.out_dir / 'solution.json'}")
     print(f"solved in {elapsed:.3f}s, "
-          f"{sol.stats.get('nodes_explored', 0)} nodes", file=sys.stderr)
+          f"{sol.stats.get('nodes_explored', 0)} nodes, "
+          f"{sol.stats.get('connection_cuts', 0)} connection cuts",
+          file=sys.stderr)
     return sol.exit_code()
 
 

@@ -10,6 +10,8 @@ The solver enumerates upgrade decisions in a best-first branch-and-bound:
   treated as purchased — so the bound stays tight when capacities bind;
 * close a node by rounding when the undecided units its relaxed routes ride
   fit the remaining budget together: buying them attains the bound;
+* kill a node whose remaining budget is below a dual-ascent bound on the
+  spend still needed to connect every origin (`_connection_bound`);
 * probe a node that stays open for incumbents by solving the same
   assignment over the arcs committed so far.
 
@@ -573,55 +575,181 @@ def brute_force_oracle(instance: ProblemInstance,
 
 # -- branch and bound ---------------------------------------------------------
 
+#: relative float slack of the connection-bound test, toward not pruning
+_BOUND_RTOL = 1e-9
+
+
+def _arc_prices(net: Network, units: Iterable[PurchaseUnit]) -> dict[str, float]:
+    """Cents per arc: a unit's price split over a spanning forest of its arcs.
+
+    A forest of paths toward the facilities leaves each node by one arc at
+    most and has no cycle, so it rides at most m(u) = (nodes touched −
+    components) arcs of unit u, and pays at most u's price.  m(u) is 1 for
+    one arc or a two-way pair, 2 for a segment laid over a 2-arc chain.
+    """
+    prices: dict[str, float] = {}
+    for u in units:
+        parent: dict[str, str] = {}
+
+        def find(x: str) -> str:
+            while x in parent:
+                x = parent[x]
+            return x
+
+        m = 0
+        for aid in u.arc_ids:
+            tail, head = find(net.arcs[aid].tail), find(net.arcs[aid].head)
+            if tail != head:
+                parent[tail] = head
+                m += 1
+        prices.update(dict.fromkeys(u.arc_ids, u.cost_cents / max(m, 1)))
+    return prices
+
+
+def _connection_bound(net: Network, dest_ids: Sequence[str],
+                      prices: Mapping[str, float], free: frozenset[str],
+                      closed: frozenset[str]) -> float:
+    """Cents that must be spent, outside ``free``, for every origin to reach
+    some facility; ``inf`` exactly when no purchase connects everyone.
+
+    Wong's dual ascent for the directed Steiner problem (Math. Programming
+    28, 1984), the origins as terminals and every facility as one root.
+    Arcs in ``closed`` are absent; an arc's reduced cost starts at its
+    ``prices`` entry (`_arc_prices`), or 0 on safe and ``free`` arcs.  Each
+    origin in id order grows the set it reaches over zero-cost arcs until
+    that set holds a node known to reach a facility.  While it does not,
+    the least reduced cost on the arcs leaving the set is added to the
+    bound and taken off each of them.  An arc stays in the cut from the
+    moment its tail joins the set until its head does, so the ascent only
+    records, per node, the bound raised so far when it joined, and settles
+    every reduced cost once the origin connects.
+    """
+    arcs = net.arcs
+    reduced = {aid: p for aid, p in prices.items()
+               if p > 0 and aid not in free and aid not in closed}
+    rooted = set(dest_ids)   # reach a facility over zero-cost open arcs
+
+    def root(nodes: Iterable[str]) -> None:
+        stack = list(nodes)
+        while stack:
+            for aid in net.in_arcs(stack.pop()):
+                tail = arcs[aid].tail
+                if (tail not in rooted and aid not in closed
+                        and not reduced.get(aid)):
+                    rooted.add(tail)
+                    stack.append(tail)
+
+    root(dest_ids)
+    bound = 0.0
+    for origin in net.origins():
+        if origin.id in rooted:
+            continue
+        joined = {origin.id: 0.0}   # node -> raise when it joined the set
+        via: dict[str, str] = {}    # node -> arc it joined by
+        leaving: list[tuple[float, str]] = []  # (cost + raise at entry, arc)
+        frontier = [origin.id]
+        raised = 0.0
+        hit = None
+        while hit is None:
+            while frontier and hit is None:
+                for aid in net.out_arcs(frontier.pop()):
+                    head = arcs[aid].head
+                    if head in joined or aid in closed:
+                        continue
+                    cost = reduced.get(aid, 0.0)
+                    if cost > 0:
+                        heapq.heappush(leaving, (cost + raised, aid))
+                        continue
+                    joined[head], via[head] = raised, aid
+                    if head in rooted:
+                        hit = head
+                        break
+                    frontier.append(head)
+            if hit is not None:
+                break
+            while leaving and arcs[leaving[0][1]].head in joined:
+                heapq.heappop(leaving)
+            if not leaving:
+                return math.inf
+            raised, aid = heapq.heappop(leaving)
+            head = arcs[aid].head
+            reduced[aid] = 0.0
+            joined[head], via[head] = raised, aid
+            if head in rooted:
+                hit = head
+            else:
+                frontier.append(head)
+        bound += raised
+        for node, entered in joined.items():
+            for aid in net.out_arcs(node):
+                cost = reduced.get(aid)
+                cut = joined.get(arcs[aid].head, raised) - entered
+                if cost and cut > 0:  # in the cut for that much of the raise
+                    rest = cost - cut
+                    reduced[aid] = rest if rest > _BOUND_RTOL * cost else 0.0
+        path = []   # back from the hit to the origin, now all rooted
+        node = hit
+        while node != origin.id:
+            node = arcs[via[node]].tail
+            path.append(node)
+        rooted.update(path)
+        root(path)
+    return bound
+
+
+def _exceeds(bound: float, remaining: int) -> bool:
+    """Does a connection bound prove the remaining budget short?"""
+    return bound - remaining > _BOUND_RTOL * max(1.0, remaining)
+
 
 def _affordable_connectivity(net: Network, dest_ids: Sequence[str],
                              units: Sequence[PurchaseUnit],
                              closed: frozenset[str], base_cost: int,
-                             budget_cents: int,
-                             deadline: float) -> bool | None:
+                             budget_cents: int, deadline: float,
+                             stats: dict[str, Any] | None = None,
+                             ) -> bool | None:
     """Decide whether any affordable purchase set reconnects every origin.
 
     Distinguishes capacity infeasibility from budget disconnection when the
     main search ends without an incumbent.  ``closed`` holds the arcs shut
     before any of ``units`` is bought.  A depth-first include/exclude search
-    over units, include first, pruned by connectivity of the
-    affordability-filtered relaxation (a superset of every completion, so a
-    disconnected relaxation kills the subtree).  It keeps its own stack, so
-    any number of units fits.  Connectivity is one multi-source reverse
-    search from all facilities.  Returns None if ``deadline`` passes first.
+    over units in id order, include first.  Its one test is
+    `_connection_bound` over the committed units (free) and the undecided
+    ones that still fit (priced), the rest closed: 0 means the committed
+    units connect everyone (with units that cost nothing), a bound above
+    the remaining budget kills the subtree and is counted in
+    ``stats["connection_cuts"]``.  It keeps its own stack, so any number of
+    units fits.  Returns None if ``deadline`` passes first.
     """
-    origin_ids = [o.id for o in net.origins()]
     by_id = {u.id: u for u in units}
     order = sorted(by_id)
-
-    def connected(uids: Iterable[str]) -> bool:
-        shut = closed - {a for uid in uids for a in by_id[uid].arc_ids}
-        reach = dijkstra(net, dest_ids, shut, reverse=True)
-        return all(k in reach for k in origin_ids)
-
-    # (committed, banned, cost, unit banned on entry or None); an include
-    # child is pushed after its exclude sibling, so it is searched first
-    stack: list[tuple[frozenset[str], frozenset[str], int, str | None]] = [
-        (frozenset(), frozenset(), base_cost, None)]
+    prices = _arc_prices(net, units)
+    # (committed, banned, cost); an include child is pushed after its
+    # exclude sibling, so it is searched first
+    stack: list[tuple[frozenset[str], frozenset[str], int]] = [
+        (frozenset(), frozenset(), base_cost)]
     while stack:
         if time.perf_counter() > deadline:
             return None
-        committed, banned, cost, ban = stack.pop()
-        if ban is None:
-            if connected(committed):
-                return True
-        else:  # same purchases as its parent, which did not connect
-            banned = banned | {ban}
+        committed, banned, cost = stack.pop()
         remaining = budget_cents - cost
         afford = [uid for uid in order
                   if uid not in committed and uid not in banned
                   and by_id[uid].cost_cents <= remaining]
-        if not afford or not connected(itertools.chain(committed, afford)):
+        bought = frozenset(a for uid in committed for a in by_id[uid].arc_ids)
+        bound = _connection_bound(
+            net, dest_ids, prices, bought,
+            closed - bought - {a for uid in afford for a in by_id[uid].arc_ids})
+        if bound == 0:
+            return True
+        if _exceeds(bound, remaining):
+            if stats is not None:
+                stats["connection_cuts"] = stats.get("connection_cuts", 0) + 1
             continue
         uid = afford[0]
-        stack.append((committed, banned, cost, uid))
+        stack.append((committed, banned | {uid}, cost))
         stack.append((committed | {uid}, banned,
-                      cost + by_id[uid].cost_cents, None))
+                      cost + by_id[uid].cost_cents))
     return False
 
 
@@ -630,7 +758,14 @@ def solve_exact(instance: ProblemInstance,
                 options: SolveOptions | None = None) -> Solution:
     """Exact best-first branch-and-bound over purchase units.
 
-    A node fixes some units in (committed) and some out (banned).  Its bound
+    A node fixes some units in (committed) and some out (banned).  When the
+    undecided units that each fit the remaining budget together cost more
+    than it, `_connection_bound` prices what every origin still needs to
+    reach a facility (committed units free, banned and unaffordable ones
+    closed); a price above the remaining budget kills the node before any
+    search, so at the root it is the whole proof of `BudgetDisconnected`.
+    Otherwise the bound can only be ``inf`` where the relaxation's own
+    tables show a stranded origin, and it is skipped.  The node's bound
     is the capacity-feasible assignment cost when every undecided unit that
     still fits the remaining budget is optimistically treated as purchased:
     distances are relaxed, capacities are not, so the bound stays tight on
@@ -657,8 +792,10 @@ def solve_exact(instance: ProblemInstance,
     inside every assignment search; on expiry the result is `TimeLimit`
     with the incumbent (if any) and the least bound of the subtrees left
     open, the interrupted node's parent included.  Stats count B&B nodes
-    (``nodes_explored``), ``incumbent_updates``, ``rounding_closures`` and
-    ``assignment_nodes`` (search nodes over every probe and bound solve);
+    (``nodes_explored``), ``incumbent_updates``, ``rounding_closures``,
+    ``connection_cuts`` (B&B and `_affordable_connectivity` nodes the
+    connection bound refuted) and ``assignment_nodes`` (search nodes over
+    every probe and bound solve);
     ``wall_time_assignment_s`` is the time spent in those searches (kept,
     like ``wall_time_s``, out of the deterministic JSON).  A warm start
     that fails validation is dropped and its report kept in
@@ -680,7 +817,8 @@ def solve_exact(instance: ProblemInstance,
     # closed before any undecided unit is bought
     shut = net.vulnerable_ids - {a for u in committed_units for a in u.arc_ids}
     stats: dict[str, Any] = {"nodes_explored": 0, "incumbent_updates": 0,
-                             "rounding_closures": 0, "assignment_nodes": 0,
+                             "rounding_closures": 0, "connection_cuts": 0,
+                             "assignment_nodes": 0,
                              "wall_time_assignment_s": 0.0}
     nodes_debug: list[dict[str, Any]] = []
     if options.collect_nodes:
@@ -701,6 +839,7 @@ def solve_exact(instance: ProblemInstance,
     undecided = {u.id: u for u in units if u not in committed_units}
     unit_ids = sorted(undecided)
     arc_unit = {a: uid for uid, u in undecided.items() for a in u.arc_ids}
+    prices = _arc_prices(net, undecided.values())
     gap_items_order = sorted(origins, key=lambda o: (-o.residents, o.id))
     origin_order = sorted(origins, key=lambda o: o.id)
 
@@ -781,6 +920,13 @@ def solve_exact(instance: ProblemInstance,
                   if uid not in committed and uid not in banned
                   and undecided[uid].cost_cents <= remaining]
         closed = closed_for(itertools.chain(committed, afford))
+        if sum(undecided[uid].cost_cents for uid in afford) > remaining:
+            bought = frozenset(a for uid in committed
+                               for a in undecided[uid].arc_ids)
+            if _exceeds(_connection_bound(net, dest_ids, prices, bought,
+                                          closed), remaining):
+                stats["connection_cuts"] += 1
+                return None  # no affordable completion connects everyone
         tables = facility_times(net, closed)
         lists = _lists_from_tables(origin_order, dest_ids, tables)
         if lists is None:
@@ -883,7 +1029,7 @@ def solve_exact(instance: ProblemInstance,
             # Infeasible / BudgetDisconnected split matches the oracle.
             can = _affordable_connectivity(
                 net, dest_ids, list(undecided.values()), shut,
-                base_cost, budget_cents, deadline)
+                base_cost, budget_cents, deadline, stats)
             if can is None:
                 return finish(Solution(status=SolveStatus.TIME_LIMIT,
                                        stats=dict(stats)))

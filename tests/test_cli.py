@@ -72,6 +72,24 @@ def test_solve_reports_model_infeasibility(demo, tmp_path, capsys):
     assert "Infeasible" in capsys.readouterr().out
 
 
+def test_solve_counts_connection_cuts(demo, tmp_path, capsys):
+    # 10% of the demo town's repair bill cannot reconnect everyone: the
+    # connection bound says so, and its count repeats run to run
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["solve", str(demo), "--alpha", "0.15",
+                     "--budget-fraction", "0.10",
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        stats = json.loads((out / "solution.json").read_bytes())["stats"]
+        assert f"{stats['connection_cuts']} connection cuts" in err
+        runs.append(stats)
+    assert runs[0] == runs[1]
+    assert runs[0]["connection_cuts"] >= 1
+    assert runs[0]["nodes_explored"] == 0
+
+
 def test_operational_errors_exit_1(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"

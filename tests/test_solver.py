@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import random
 import sys
@@ -10,7 +11,8 @@ import time
 import pytest
 
 from floodmit.ingest import InstanceSpec, capacity_fits, instance_from_file
-from floodmit.net import NodeKind, RoadArc, RoadNode, canonical_shortest_path
+from floodmit.net import (NodeKind, RoadArc, RoadNode, canonical_shortest_path,
+                          dijkstra)
 from floodmit.reductions import Cuts, VariableMask, standard_reductions
 from floodmit.solver import (ModelError, OracleLimits, OracleScaleError,
                              SolveOptions, SolveStatus, Solution,
@@ -484,6 +486,144 @@ def test_affordable_connectivity_search_is_iterative():
     finally:
         sys.setrecursionlimit(limit)
     assert sol.status is SolveStatus.BUDGET_DISCONNECTED
+
+
+def test_affordable_connectivity_walk_is_iterative():
+    # the same star on $150: each origin needs its own exit, so the
+    # connection bound equals what is left at every node, and the
+    # include-first walk commits all 150 units before the committed
+    # exits connect everyone
+    n = 150
+    nodes = [O(f"o{i:03d}", 1) for i in range(n)] + [D("d", n - 1)]
+    arcs = [RoadArc(f"e{i:03d}", f"o{i:03d}", "d", 1.0, vulnerable=True,
+                    mitigation_cost=1.0) for i in range(n)]
+    net = build_instance(nodes, arcs, 150.0, float(n)).network
+    units = solver.purchase_units(net, False)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        found = solver._affordable_connectivity(
+            net, ["d"], units, net.vulnerable_ids, 0, 15_000, math.inf)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found is True
+
+
+def test_budget_disconnection_is_proven_before_the_search():
+    # 1,200 single-exit origins, exits $1 each, $1,100 to spend: the
+    # connection bound ($1,200) refutes the root, and the walk's root test
+    # refutes it again; no B&B node is explored
+    n = 1200
+    nodes = [O(f"o{i:04d}", 1) for i in range(n)] + [D("d", n - 1)]
+    arcs = [RoadArc(f"e{i:04d}", f"o{i:04d}", "d", 1.0, vulnerable=True,
+                    mitigation_cost=1.0) for i in range(n)]
+    sol = solve_exact(build_instance(nodes, arcs, 1100.0, float(n)))
+    assert sol.status is SolveStatus.BUDGET_DISCONNECTED
+    assert sol.stats["nodes_explored"] == 0
+    assert sol.stats["connection_cuts"] >= 1
+
+
+def test_infeasibility_on_a_thin_budget_needs_few_nodes():
+    # g10 at 5% of its repair bill: no plan exists.  Without the connection
+    # bound the B&B explored 830 nodes before the walk answered Infeasible
+    town = synth.grid_network_file(10, 10, 0, n_facilities=3)
+    inst = instance_from_file(town, InstanceSpec(alpha=0.15,
+                                                 budget_fraction=0.05))
+    sol = solve_exact(inst)
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert sol.stats["nodes_explored"] <= 150
+    assert sol.stats["connection_cuts"] >= 1
+
+
+def _cheapest_connecting_spend(net, units, free, closed):
+    """Brute force: the least price of open units that connects everyone."""
+    dest_ids = [d.id for d in net.destinations()]
+    open_units = [u for u in units
+                  if not set(u.arc_ids) & (free | closed)]
+    best = math.inf
+    for r in range(len(open_units) + 1):
+        for combo in itertools.combinations(open_units, r):
+            price = sum(u.cost_cents for u in combo)
+            if price >= best:
+                continue
+            shut = net.vulnerable_ids - free - {
+                a for u in combo for a in u.arc_ids}
+            reach = dijkstra(net, dest_ids, shut, reverse=True)
+            if all(o.id in reach for o in net.origins()):
+                best = price
+    return best
+
+
+def test_connection_bound_is_a_valid_lower_bound():
+    # random towns, per-arc and coupled, with random units bought (free)
+    # and banned (closed): the bound never exceeds the cheapest connecting
+    # spend, and is inf exactly when no purchase connects
+    checked = unreachable = 0
+    for seed in range(300):
+        for coupled in (False, True):
+            inst = synth.random_instance(seed, coupled=coupled)
+            net = inst.network
+            units = solver.purchase_units(net, coupled)
+            rng = random.Random(2 * seed + coupled)
+            fate = [rng.choice("uuuufc") for _ in units]
+            free = frozenset(a for u, f in zip(units, fate) if f == "f"
+                             for a in u.arc_ids)
+            closed = frozenset(a for u, f in zip(units, fate) if f == "c"
+                               for a in u.arc_ids)
+            bound = solver._connection_bound(
+                net, [d.id for d in net.destinations()],
+                solver._arc_prices(net, units), free, closed)
+            want = _cheapest_connecting_spend(net, units, free, closed)
+            assert (bound == math.inf) == (want == math.inf), (seed, coupled)
+            assert bound <= want * (1 + 1e-9), (seed, coupled, bound, want)
+            checked += 1
+            unreachable += want == math.inf
+    assert checked == 600 and 0 < unreachable < checked
+
+
+def _chain_net(arcs):
+    nodes = [O("o", 1), RoadNode("t", NodeKind.TRANSSHIPMENT), D("d", 1)]
+    return build_instance(nodes, arcs, 0.0, 1.0,
+                          segment_coupling=True).network
+
+
+def test_connection_bound_splits_a_segment_over_its_chain():
+    # one $10 segment laid over o -> t -> d: a plan pays $10 once, so each
+    # arc is priced $5 and the bound is $10, not $20
+    chain = [RoadArc("a1", "o", "t", 1.0, vulnerable=True,
+                     mitigation_cost=10.0, segment_id="s"),
+             RoadArc("a2", "t", "d", 1.0, vulnerable=True,
+                     mitigation_cost=10.0, segment_id="s")]
+    net = _chain_net(chain)
+    units = solver.purchase_units(net, True)
+    prices = solver._arc_prices(net, units)
+    assert prices == {"a1": 500.0, "a2": 500.0}
+    assert solver._connection_bound(net, ["d"], prices, frozenset(),
+                                    frozenset()) == 1000.0
+    assert _cheapest_connecting_spend(net, units, frozenset(),
+                                      frozenset()) == 1000
+    # laid both ways, the chain still spans 3 nodes with 2 arcs
+    both = chain + [RoadArc("b1", "t", "o", 1.0, vulnerable=True,
+                            mitigation_cost=10.0, segment_id="s"),
+                    RoadArc("b2", "d", "t", 1.0, vulnerable=True,
+                            mitigation_cost=10.0, segment_id="s")]
+    net = _chain_net(both)
+    prices = solver._arc_prices(net, solver.purchase_units(net, True))
+    assert set(prices.values()) == {500.0}
+    assert solver._connection_bound(net, ["d"], prices, frozenset(),
+                                    frozenset()) == 1000.0
+    # a safe shortcut o -> d makes the segment unnecessary; closing a2
+    # leaves no way through
+    shortcut = _chain_net(chain + [RoadArc("c", "o", "d", 5.0)])
+    assert solver._connection_bound(shortcut, ["d"], prices, frozenset(),
+                                    frozenset()) == 0.0
+    assert solver._connection_bound(_chain_net(chain), ["d"], prices,
+                                    frozenset(), frozenset({"a2"})) \
+        == math.inf
+    # bought (free), the segment costs nothing more
+    assert solver._connection_bound(_chain_net(chain), ["d"], prices,
+                                    frozenset({"a1", "a2"}),
+                                    frozenset()) == 0.0
 
 
 def test_time_limit_reaches_into_the_assignment_search():

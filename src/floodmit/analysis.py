@@ -7,11 +7,12 @@
   nonincreasing in budget and the excess hits zero at full budget.
 * ``ewtt_ranking`` — criticality of individual roads: weighted extra minutes
   summed over every origin/facility pair when one road is closed (pairs a
-  closure disconnects are flagged and excluded from the sum).  Pair times
-  come from ``net.facility_times``, so ranking costs |arcs| × |facilities|
-  reverse searches.
+  closure disconnects are flagged and excluded from the sum).  Baseline
+  times come from ``net.facility_times``; a closure is searched again only
+  for the facilities whose origins' shortest paths it can touch.
 * ``connectivity_critical`` — roads whose closure strands some origin
-  entirely: one multi-source reverse search from all facilities per road.
+  entirely: one multi-source reverse search from all facilities, then one
+  more for each road on some origin's shortest way out.
 * ``upgrade_frequency`` — how often each road is bought across a set of
   plans (e.g. a sweep), a robustness signal.
 * ``scenario_grid`` — cross products of derivation parameters, each group
@@ -31,7 +32,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .ingest import (InstanceSpec, ProblemInstance, instance_from_file,
                      upgrade_cost_cents)
-from .net import dijkstra, facility_times
+from .net import DIST_TOL, Network, dijkstra, facility_times
 from .net import shortest_paths  # noqa: F401 - bench/tracer.py hooks it here
 from .pipeline import PipelineResult, solve_pipeline
 from .solver import SOLVED, SolveOptions, SolveStatus
@@ -113,25 +114,74 @@ class EwttRow:
     disconnects: bool
 
 
+def _closures_that_matter(net: Network, table: Mapping[str, float],
+                          origin_ids: Iterable[str]) -> frozenset[str]:
+    """The arcs whose closure can change an origin's time in ``table``.
+
+    ``table`` is a reverse search (times *to* its sources).  An arc is kept
+    when it is tight, ``travel_time + table[head] - table[tail] <=
+    2*DIST_TOL``, and its tail is reached from some origin along tight arcs;
+    one forward walk finds them all.  Closing any other arc leaves every
+    origin's time bit-identical, so its search can be skipped:
+
+    * a looser arc's offer never settles its tail, and never blocks the
+      offer that does in the kernel's ``< best - DIST_TOL`` test, as long
+      as no node is offered a staircase of times, each within DIST_TOL of
+      the last, that spans more than 2*DIST_TOL (nanominute steps);
+    * a tight arc that no origin reaches along tight arcs can move only
+      times that no origin's shortest path visits.
+    """
+    seen = {o for o in origin_ids if o in table}
+    stack = list(seen)
+    matter: set[str] = set()
+    while stack:
+        u = stack.pop()
+        at_u = table[u]
+        for aid in net.out_arcs(u):
+            arc = net.arcs[aid]
+            at_head = table.get(arc.head)
+            if at_head is None or \
+                    arc.travel_time + at_head - at_u > 2 * DIST_TOL:
+                continue
+            matter.add(aid)
+            if arc.head not in seen:
+                seen.add(arc.head)
+                stack.append(arc.head)
+    return frozenset(matter)
+
+
+def _candidates(net: Network, arcs: Iterable[str] | None,
+                default: Iterable[str]) -> list[str]:
+    """Distinct arc ids in id order; unknown ids raise ``KeyError``."""
+    candidates = sorted(set(arcs if arcs is not None else default))
+    for aid in candidates:
+        if aid not in net.arcs:
+            raise KeyError(f"unknown arc {aid!r}")
+    return candidates
+
+
 def ewtt_ranking(instance: ProblemInstance,
                  arcs: Iterable[str] | None = None) -> list[EwttRow]:
     """Weighted extra minutes, per road closure, over all origin/facility
     pairs (fully repaired network as the baseline).
 
-    Ranks vulnerable roads by default.  Times come from
-    ``net.facility_times``: |arcs| × |facilities| reverse searches, plus one
-    per facility for the baseline.
+    Ranks vulnerable roads by default; repeated ids in ``arcs`` count once.
+    Baseline times come from ``net.facility_times``.  A closure is searched
+    again, one reverse search, only for each facility whose table it can
+    change (``_closures_that_matter``); every other table is the baseline.
     """
     net = instance.network
     origins = net.origins()
+    origin_ids = [o.id for o in origins]
     base = facility_times(net)
-    candidates = sorted(arcs) if arcs is not None else \
-        [a.id for a in net.vulnerable_arcs()]
+    matter = {d: _closures_that_matter(net, times, origin_ids)
+              for d, times in base.items()}
     rows: list[EwttRow] = []
-    for aid in candidates:
-        if aid not in net.arcs:
-            raise KeyError(f"unknown arc {aid!r}")
-        removed = facility_times(net, frozenset((aid,)))
+    for aid in _candidates(net, arcs, net.vulnerable_ids):
+        closed = frozenset((aid,))
+        removed = {d: dijkstra(net, (d,), closed, reverse=True)
+                   if aid in matter[d] else times
+                   for d, times in base.items()}
         total = 0.0
         pairs = 0
         cut = 0
@@ -182,18 +232,25 @@ def connectivity_critical(instance: ProblemInstance,
                           arcs: Iterable[str] | None = None) -> tuple[str, ...]:
     """Roads whose closure leaves some origin with no facility at all.
 
-    One multi-source reverse search from every facility per closed road.
+    One multi-source reverse search from every facility.  If it already
+    strands an origin, every road is critical; otherwise only the roads on
+    some origin's shortest way out (``_closures_that_matter``) are searched
+    again with the road closed.  Repeated ids in ``arcs`` count once.
     """
     net = instance.network
     origin_ids = [o.id for o in net.origins()]
     dest_ids = [d.id for d in net.destinations()]
-    candidates = sorted(arcs) if arcs is not None else list(net.arcs)
+    candidates = _candidates(net, arcs, net.arcs)
+    reach = dijkstra(net, dest_ids, reverse=True)
+    if not all(k in reach for k in origin_ids):
+        return tuple(candidates)
+    matter = _closures_that_matter(net, reach, origin_ids)
     critical: list[str] = []
     for aid in candidates:
-        if aid not in net.arcs:
-            raise KeyError(f"unknown arc {aid!r}")
-        reach = dijkstra(net, dest_ids, frozenset((aid,)), reverse=True)
-        if not all(k in reach for k in origin_ids):
+        if aid not in matter:
+            continue
+        after = dijkstra(net, dest_ids, frozenset((aid,)), reverse=True)
+        if not all(k in after for k in origin_ids):
             critical.append(aid)
     return tuple(critical)
 

@@ -1,6 +1,9 @@
 """Planning-layer reports: sweeps, criticality rankings, scenario grids."""
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
 from floodmit.analysis import (EwttRow, budget_sweep, connectivity_critical,
@@ -9,10 +12,10 @@ from floodmit.analysis import (EwttRow, budget_sweep, connectivity_critical,
                                segment_csv, segment_rollup, sweep_csv,
                                upgrade_frequency)
 from floodmit.cli import _print_plan
-from floodmit.ingest import InstanceSpec, with_network
-from floodmit.net import NodeKind, RoadArc, RoadNode
+from floodmit.ingest import InstanceSpec, instance_from_file, with_network
+from floodmit.net import Network, NodeKind, RoadArc, RoadNode, dijkstra
 from floodmit.solver import SolveStatus, solve_exact
-from floodmit import synth
+from floodmit import analysis, net as net_module, synth
 
 from conftest import bridge_instance, build_instance, f1_instance
 
@@ -160,6 +163,135 @@ def test_connectivity_critical_bridge():
                                       frozenset((aid,))).keys() & dests)
                   for o in net.origins())
         assert cut == (aid in ("w1", "w3")), aid
+
+
+def test_repeated_arc_ids_count_once():
+    rows = ewtt_ranking(detour_instance(), arcs=["b", "v1", "v1", "b"])
+    assert [r.arc for r in rows] == ["v1", "b"]
+    assert connectivity_critical(bridge_instance(coupled=True),
+                                 arcs=["w3", "w1", "w3"]) == ("w1", "w3")
+
+
+def _plain_ranking_outputs(inst):
+    """ewtt CSV, segment CSV and critical roads, every closure searched."""
+    net = inst.network
+    origin_ids = [o.id for o in net.origins()]
+    dest_ids = [d.id for d in net.destinations()]
+
+    def reverse_times(closed):
+        return {d: dijkstra(net, (d,), closed, reverse=True) for d in dest_ids}
+
+    base = reverse_times(frozenset())
+    rows = []
+    for aid in sorted(net.vulnerable_ids):
+        removed = reverse_times(frozenset((aid,)))
+        total, pairs, cut = 0.0, 0, 0
+        for o in net.origins():
+            for d in dest_ids:
+                before = base[d].get(o.id)
+                if before is None:
+                    continue
+                after = removed[d].get(o.id)
+                if after is None:
+                    cut += 1
+                elif after - before > 0:
+                    total += o.weight * (after - before)
+                    pairs += 1
+        rows.append(EwttRow(aid, net.arcs[aid].segment, total, pairs, cut,
+                            cut > 0))
+    rows.sort(key=lambda r: (-r.ewtt, r.arc))
+    critical = tuple(
+        aid for aid in sorted(net.arcs)
+        if not set(origin_ids) <= dijkstra(net, dest_ids, frozenset((aid,)),
+                                           reverse=True).keys())
+    return (ewtt_csv(rows), segment_csv(segment_rollup(rows)), critical)
+
+
+def test_skipped_closures_match_a_plain_re_search():
+    # travel times snapped to a few values give zero-time arcs, ties and
+    # float near-ties (0.1 + 0.2 != 0.3): the cases where a wrong skip
+    # would show
+    nonzero = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        inst = synth.random_instance(seed, decorate=seed % 2 == 1,
+                                     coupled=seed % 3 == 0)
+        arcs = [dataclasses.replace(
+                    a, travel_time=rng.choice([0.0, 0.1, 0.2, 0.3, 1.0, 2.0]))
+                for a in inst.network.arcs.values()]
+        inst = dataclasses.replace(
+            inst, network=Network(inst.network.nodes.values(), arcs))
+        rows = ewtt_ranking(inst)
+        nonzero += any(r.ewtt > 0 for r in rows)
+        got = (ewtt_csv(rows), segment_csv(segment_rollup(rows)),
+               connectivity_critical(inst))
+        assert got == _plain_ranking_outputs(inst), seed
+    assert nonzero >= 50
+
+
+def test_closure_within_two_tolerances_is_searched():
+    # three parallel roads offer o the times 1 + 1.5e-9, 1 + 1e-9 and 1,
+    # in that order; the kernel keeps 1.  Without "a", the 1 + 1e-9 offer is
+    # taken and then blocks 1 (not below it by more than DIST_TOL), so
+    # closing "a" moves o's time although its slack is only 1.5e-9
+    nodes = [RoadNode("o", NodeKind.ORIGIN, residents=4.0, weight=4.0),
+             RoadNode("d", NodeKind.DESTINATION, capacity=9.0)]
+    arcs = [RoadArc(aid, "o", "d", tt, vulnerable=True, mitigation_cost=1.0)
+            for aid, tt in (("a", 1 + 1.5e-9), ("b", 1 + 1e-9), ("c", 1.0))]
+    inst = build_instance(nodes, arcs, 0.0, 3.0)
+    rows = ewtt_ranking(inst)
+    assert {r.arc: r.pairs for r in rows} == {"a": 1, "b": 0, "c": 1}
+    got = (ewtt_csv(rows), segment_csv(segment_rollup(rows)),
+           connectivity_critical(inst))
+    assert got == _plain_ranking_outputs(inst)
+
+
+@pytest.fixture
+def search_count(monkeypatch):
+    """Counts calls of the shortest-path kernel, wherever it is looked up."""
+    calls = []
+    real = net_module.dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(net_module, "dijkstra", counted)
+    monkeypatch.setattr(analysis, "dijkstra", counted)
+    return calls
+
+
+def test_closure_ranking_searches_only_closures_that_matter(search_count):
+    town = synth.grid_network_file(18, 18, 0, n_facilities=3)
+    inst = instance_from_file(town, InstanceSpec(alpha=0.15))
+    rows = ewtt_ranking(inst)
+    assert len(rows) == 141
+    assert len(search_count) <= 3 + 45
+    del search_count[:]
+    connectivity_critical(inst, [r.arc for r in rows])
+    assert len(search_count) <= 1 + 11
+
+
+def test_closure_off_every_tight_path_triggers_no_search(search_count):
+    # o reaches d over m; "b" is a slower parallel road, "xd" a tight road
+    # whose tail no origin reaches
+    nodes = [RoadNode("o", NodeKind.ORIGIN, residents=4.0, weight=4.0),
+             RoadNode("m", NodeKind.TRANSSHIPMENT),
+             RoadNode("x", NodeKind.TRANSSHIPMENT),
+             RoadNode("d", NodeKind.DESTINATION, capacity=9.0)]
+    arcs = [RoadArc("om", "o", "m", 1.0), RoadArc("md", "m", "d", 1.0),
+            RoadArc("b", "o", "d", 5.0), RoadArc("xd", "x", "d", 1.0)]
+    inst = build_instance(nodes, arcs, 0.0, 0.0)
+    rows = ewtt_ranking(inst, arcs=["b", "xd"])
+    assert [(r.arc, r.ewtt, r.disconnects) for r in rows] == \
+        [("b", 0.0, False), ("xd", 0.0, False)]
+    assert len(search_count) == 1           # the baseline table only
+    del search_count[:]
+    assert connectivity_critical(inst, ["b", "xd"]) == ()
+    assert len(search_count) == 1
+    del search_count[:]
+    assert connectivity_critical(inst, ["b", "om"]) == ()  # "b" stays open
+    assert len(search_count) == 2           # "om" is searched
 
 
 def test_upgrade_frequency_counts_and_shares():

@@ -13,6 +13,7 @@ import pytest
 from floodmit.ingest import InstanceSpec, capacity_fits, instance_from_file
 from floodmit.net import (NodeKind, RoadArc, RoadNode, canonical_shortest_path,
                           dijkstra)
+from floodmit.pipeline import solve_pipeline
 from floodmit.reductions import Cuts, VariableMask, standard_reductions
 from floodmit.solver import (ModelError, OracleLimits, OracleScaleError,
                              SolveOptions, SolveStatus, Solution,
@@ -635,6 +636,18 @@ def test_time_limit_reaches_into_the_assignment_search():
     assert time.perf_counter() - t < 2.0
     assert sol.status is SolveStatus.TIME_LIMIT
     assert sol.objective is None and sol.best_bound is None
+
+
+def test_time_limit_holds_on_the_large_town():
+    # at 5% of its repair bill the large town does not close in seconds;
+    # the root bound is already proven when the clock runs out
+    inst = instance_from_file(synth.large_network_file(7),
+                              InstanceSpec(alpha=0.15, budget_fraction=0.05))
+    t = time.perf_counter()
+    sol = solve_pipeline(inst, options=SolveOptions(time_limit_s=3.0)).solution
+    assert time.perf_counter() - t < 4.5
+    assert sol.status is SolveStatus.TIME_LIMIT
+    assert math.isfinite(sol.best_bound)
 
 
 def test_interrupted_branching_keeps_the_parent_bound(monkeypatch):

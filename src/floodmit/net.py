@@ -149,21 +149,8 @@ class Network:
     def destinations(self) -> list[RoadNode]:
         return [n for n in self.nodes.values() if n.kind is NodeKind.DESTINATION]
 
-    def transshipments(self) -> list[RoadNode]:
-        return [n for n in self.nodes.values() if n.kind is NodeKind.TRANSSHIPMENT]
-
     def vulnerable_arcs(self) -> list[RoadArc]:
         return [a for a in self.arcs.values() if a.vulnerable]
-
-    def undirected_neighbors(self, node_id: str) -> set[str]:
-        """Distinct neighbors over both arc directions, self excluded."""
-        nbrs: set[str] = set()
-        for aid in self.out_arcs(node_id):
-            nbrs.add(self.arcs[aid].head)
-        for aid in self.in_arcs(node_id):
-            nbrs.add(self.arcs[aid].tail)
-        nbrs.discard(node_id)
-        return nbrs
 
     def __contains__(self, node_id: str) -> bool:
         return node_id in self.nodes

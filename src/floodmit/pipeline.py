@@ -5,12 +5,16 @@ fixings are exact (tested against the brute-force oracle); the route masks
 only tighten the 0-1 model, so the solve path does not build them.  The
 greedy plan is only a warm start, used when it is feasible.  The
 shortest-path tables are built once, by ``net.facility_times``, and feed
-the greedy heuristic.  The returned solution always speaks in terms of the
-original network: folded origins reappear, contracted arcs re-expand.
+the greedy heuristic.  ``options.time_limit_s`` bounds the whole pipeline:
+the branch-and-bound gets only the time the earlier stages left, and with
+none left the result is `TimeLimit` without a search.  The returned
+solution always speaks in terms of the original network: folded origins
+reappear, contracted arcs re-expand.
 """
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass
 
 from .heuristic import GreedySolution, greedy_initial
@@ -18,7 +22,7 @@ from .ingest import ProblemInstance, with_network
 from .prune import PrunedNetwork, expand_solution, prune_all
 from .reductions import FixedUpgrades, compute_sp_tables, forced_exits
 from .reductions import standard_reductions  # noqa: F401 - bench/tracer.py hooks it here
-from .solver import Solution, SolveOptions, solve_exact
+from .solver import Solution, SolveOptions, SolveStatus, solve_exact
 
 
 @dataclass
@@ -33,6 +37,7 @@ class PipelineResult:
 def solve_pipeline(instance: ProblemInstance,
                    options: SolveOptions | None = None) -> PipelineResult:
     options = options or SolveOptions()
+    deadline = time.perf_counter() + options.time_limit_s
     pruned = prune_all(instance.network)
     work = with_network(instance, pruned.network, budget=instance.budget)
     tables = compute_sp_tables(work)
@@ -40,7 +45,12 @@ def solve_pipeline(instance: ProblemInstance,
     greedy = greedy_initial(work, tables)
     if greedy.feasible:
         options = dataclasses.replace(options, warm_start=greedy)
-    raw = solve_exact(work, fixings=fixings, options=options)
+    left = deadline - time.perf_counter()
+    if left > 0:
+        options = dataclasses.replace(options, time_limit_s=left)
+        raw = solve_exact(work, fixings=fixings, options=options)
+    else:
+        raw = Solution(status=SolveStatus.TIME_LIMIT)
     return PipelineResult(solution=expand_solution(raw, pruned.log),
                           raw_solution=raw, pruned=pruned, fixings=fixings,
                           greedy=greedy)

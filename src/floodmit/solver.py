@@ -12,8 +12,8 @@ The solver enumerates upgrade decisions in a best-first branch-and-bound:
   fit the remaining budget together: buying them attains the bound;
 * kill a node whose remaining budget is below a dual-ascent bound on the
   spend still needed to connect every origin (`_connection_bound`);
-* probe a node that stays open for incumbents by solving the same
-  assignment over the arcs committed so far.
+* probe once, when the root stays open, for an incumbent by solving the
+  same assignment over the roads open before any undecided unit is bought.
 
 The capacitated assignment is a generalized assignment problem.  When every
 origin's nearest facility has room, that is its answer; otherwise an
@@ -83,7 +83,6 @@ class SolveOptions:
     time_limit_s: float = 300.0
     gap_tol: float = 0.0
     warm_start: Any = None               # anything Solution-shaped
-    collect_nodes: bool = False          # debug: keep (committed, banned, bound)
 
     def __post_init__(self) -> None:
         if self.time_limit_s <= 0:
@@ -753,6 +752,10 @@ def _affordable_connectivity(net: Network, dest_ids: Sequence[str],
     return False
 
 
+#: a B&B node that stays open: (bound, committed, banned, cost, branch unit)
+_OpenNode = tuple[float, frozenset[str], frozenset[str], int, str]
+
+
 def solve_exact(instance: ProblemInstance,
                 fixings: FixedUpgrades | None = None,
                 options: SolveOptions | None = None) -> Solution:
@@ -772,10 +775,18 @@ def solve_exact(instance: ProblemInstance,
     capacity-bound instances.  A node whose relaxed routes ride undecided
     units that fit the remaining budget together is closed by rounding:
     buying them attains the bound, so that plan is offered as incumbent
-    (under the same objective test and tie rule as a probe's plan).  Every
-    other node runs the committed-only probe for incumbents and branches on
-    the undecided unit carrying the most resident weight on the relaxed
-    shortest paths.
+    (under the same objective test and tie rule as the probe's plan).  Every
+    other node branches on the undecided unit carrying the most resident
+    weight on the relaxed shortest paths.
+
+    If the root stays open, one committed-only probe, after its bound solve
+    and before its cut test, offers the assignment over the roads open
+    before any undecided unit is bought.  Every later incumbent comes from
+    rounding: best-first with valid bounds expands every node whose bound is
+    below the optimum whatever incumbent it holds, so the probe matters only
+    to what a time-limited or ``gap_tol`` run reports.  If the search ends
+    without an incumbent, `_affordable_connectivity` decides between
+    `Infeasible` and `BudgetDisconnected`.
 
     Every origin rides a shortest path over the open arcs, so each node needs
     only one reverse search per facility (``net.facility_times`` with every
@@ -795,7 +806,7 @@ def solve_exact(instance: ProblemInstance,
     (``nodes_explored``), ``incumbent_updates``, ``rounding_closures``,
     ``connection_cuts`` (B&B and `_affordable_connectivity` nodes the
     connection bound refuted) and ``assignment_nodes`` (search nodes over
-    every probe and bound solve);
+    the probe and every bound solve);
     ``wall_time_assignment_s`` is the time spent in those searches (kept,
     like ``wall_time_s``, out of the deterministic JSON).  A warm start
     that fails validation is dropped and its report kept in
@@ -820,15 +831,10 @@ def solve_exact(instance: ProblemInstance,
                              "rounding_closures": 0, "connection_cuts": 0,
                              "assignment_nodes": 0,
                              "wall_time_assignment_s": 0.0}
-    nodes_debug: list[dict[str, Any]] = []
-    if options.collect_nodes:
-        stats["nodes"] = nodes_debug
 
     def finish(sol: Solution) -> Solution:
         sol.stats.setdefault("nodes_explored", stats["nodes_explored"])
         sol.stats["wall_time_s"] = time.perf_counter() - start
-        if options.collect_nodes:
-            sol.stats["nodes"] = nodes_debug
         return sol
 
     if base_cost > budget_cents:
@@ -844,7 +850,6 @@ def solve_exact(instance: ProblemInstance,
     origin_order = sorted(origins, key=lambda o: o.id)
 
     incumbent: Solution | None = None
-    saw_assignment_attempt = False
 
     def closed_for(uids: Iterable[str]) -> frozenset[str]:
         return shut - {a for uid in uids for a in undecided[uid].arc_ids}
@@ -865,19 +870,26 @@ def solve_exact(instance: ProblemInstance,
                              paths=paths)
         stats["incumbent_updates"] += 1
 
-    def try_incumbent(closed: frozenset[str]) -> None:
-        nonlocal saw_assignment_attempt
+    def assign(closed: frozenset[str],
+               ) -> tuple[dict[str, dict[str, float]], float,
+                          dict[str, str]] | None:
+        """Facility tables and the exact capacitated assignment over the
+        arcs not in ``closed``; None if some origin is cut off or the
+        capacities cannot host everyone."""
         tables = facility_times(net, closed)
-        cands = _lists_from_tables(gap_items_order, dest_ids, tables)
-        if cands is None:
-            return
-        saw_assignment_attempt = True
-        items = [(o.id, o.residents, o.weight, cands[o.id])
+        lists = _lists_from_tables(origin_order, dest_ids, tables)
+        if lists is None:
+            return None
+        items = [(o.id, o.residents, o.weight, lists[o.id])
                  for o in gap_items_order]
         solved = _assignment_exact(items, caps, deadline, stats)
-        if solved is None:
+        return None if solved is None else (tables, *solved)
+
+    def try_incumbent(closed: frozenset[str]) -> None:
+        found = assign(closed)
+        if found is None:
             return
-        obj, assignment = solved
+        tables, obj, assignment = found
         if incumbent is not None and obj > incumbent.objective + DIST_TOL:
             return  # worse: its routes need not be read off
         record(obj, assignment,
@@ -905,15 +917,13 @@ def solve_exact(instance: ProblemInstance,
         return bound < incumbent.objective - max(DIST_TOL, gap_allow)
 
     def evaluate(committed: frozenset[str], banned: frozenset[str],
-                 cost: int, probe: bool) -> tuple[float, str | None] | None:
-        """Bound one node; returns (bound, branch unit id) or None if dead.
+                 cost: int) -> _OpenNode | None:
+        """Bound one node; None if it is dead or closed by rounding.
 
-        A None branch id means the node is closed by rounding: the
-        undecided units its relaxed routes ride cost no more than the
-        remaining budget together, so buying them attains the bound.  That
-        plan is offered as incumbent, and no probe runs.  A node that stays
-        open runs the committed-only probe, unless ``probe`` is False: an
-        exclude child's committed set (and hence probe) is its parent's.
+        Closed by rounding: the undecided units its relaxed routes ride
+        cost no more than the remaining budget together, so buying them
+        attains the bound, and that plan is offered as incumbent.  A node
+        that stays open carries the unit to branch on.
         """
         remaining = budget_cents - cost
         afford = [uid for uid in unit_ids
@@ -927,16 +937,10 @@ def solve_exact(instance: ProblemInstance,
                                           closed), remaining):
                 stats["connection_cuts"] += 1
                 return None  # no affordable completion connects everyone
-        tables = facility_times(net, closed)
-        lists = _lists_from_tables(origin_order, dest_ids, tables)
-        if lists is None:
-            return None  # some origin is cut off even in the relaxation
-        items = [(o.id, o.residents, o.weight, lists[o.id])
-                 for o in gap_items_order]
-        solved = _assignment_exact(items, caps, deadline, stats)
-        if solved is None:
-            return None  # capacities cannot host even the relaxation
-        bound, relaxed_assign = solved
+        found = assign(closed)
+        if found is None:
+            return None  # the relaxation strands an origin or overfills
+        tables, bound, relaxed_assign = found
         paths = {o.id: _route(net, o.id, relaxed_assign[o.id], closed,
                               tables[relaxed_assign[o.id]])
                  for o in origin_order}
@@ -949,43 +953,33 @@ def solve_exact(instance: ProblemInstance,
         if sum(undecided[uid].cost_cents for uid in score) <= remaining:
             stats["rounding_closures"] += 1
             record(bound, relaxed_assign, paths)
-            return bound, None
-        if probe:
-            try_incumbent(closed_for(committed))
-        return bound, min(score, key=lambda uid: (-score[uid], uid))
+            return None
+        return (bound, committed, banned, cost,
+                min(score, key=lambda uid: (-score[uid], uid)))
 
     counter = itertools.count()
     heap: list[tuple[float, int, frozenset[str], frozenset[str], int, str]] = []
     cut_floor: float | None = None   # weakest bound discarded under gap_tol
 
-    def push(committed: frozenset[str], banned: frozenset[str],
-             cost: int, probe: bool) -> None:
+    def push(node: _OpenNode | None) -> None:
+        """Queue an open node, unless the incumbent already cuts it."""
         nonlocal cut_floor
-        ev = evaluate(committed, banned, cost, probe)
-        entry: dict[str, Any] = {"committed": sorted(committed),
-                                 "banned": sorted(banned)}
-        if ev is None:
-            entry["fate"] = "dead"
+        if node is None:
+            return
+        bound = node[0]
+        if beats_incumbent(bound):
+            heapq.heappush(heap, (bound, next(counter), *node[1:]))
         else:
-            bound, branch = ev
-            entry["bound"] = bound
-            if branch is None:
-                entry["fate"] = "closed"
-            elif not beats_incumbent(bound):
-                entry["fate"] = "cut"
-                cut_floor = bound if cut_floor is None else min(cut_floor, bound)
-            else:
-                entry["fate"] = "open"
-                heapq.heappush(heap, (bound, next(counter), committed,
-                                      banned, cost, branch))
-        if options.collect_nodes:
-            nodes_debug.append(entry)
+            cut_floor = bound if cut_floor is None else min(cut_floor, bound)
 
     timed_out = False
     proven_bound: float | None = None
     expanding: float | None = None   # bound of the node being branched on
     try:
-        push(frozenset(), frozenset(), base_cost, probe=True)
+        root = evaluate(frozenset(), frozenset(), base_cost)
+        if root is not None:
+            try_incumbent(shut)  # the one committed-only probe
+        push(root)
         while heap:
             if time.perf_counter() > deadline:
                 timed_out = True
@@ -997,9 +991,9 @@ def solve_exact(instance: ProblemInstance,
                 break
             expanding = bound
             unit = undecided[branch]
-            push(committed | {branch}, banned, cost + unit.cost_cents,
-                 probe=True)
-            push(committed, banned | {branch}, cost, probe=False)
+            push(evaluate(committed | {branch}, banned,
+                          cost + unit.cost_cents))
+            push(evaluate(committed, banned | {branch}, cost))
             expanding = None
     except _DeadlinePassed:
         timed_out = True
@@ -1021,20 +1015,17 @@ def solve_exact(instance: ProblemInstance,
         sol.stats = dict(stats)
         return finish(sol)
     if incumbent is None:
-        if saw_assignment_attempt:
-            status = SolveStatus.INFEASIBLE
-        else:
-            # No probe ever saw full connectivity, but pruned subtrees might
-            # hide an affordable connecting set; decide it exactly so the
-            # Infeasible / BudgetDisconnected split matches the oracle.
-            can = _affordable_connectivity(
-                net, dest_ids, list(undecided.values()), shut,
-                base_cost, budget_cents, deadline, stats)
-            if can is None:
-                return finish(Solution(status=SolveStatus.TIME_LIMIT,
-                                       stats=dict(stats)))
-            status = (SolveStatus.INFEASIBLE if can
-                      else SolveStatus.BUDGET_DISCONNECTED)
+        # pruned subtrees might hide an affordable connecting set; decide
+        # it exactly so the Infeasible / BudgetDisconnected split matches
+        # the oracle
+        can = _affordable_connectivity(
+            net, dest_ids, list(undecided.values()), shut,
+            base_cost, budget_cents, deadline, stats)
+        if can is None:
+            return finish(Solution(status=SolveStatus.TIME_LIMIT,
+                                   stats=dict(stats)))
+        status = (SolveStatus.INFEASIBLE if can
+                  else SolveStatus.BUDGET_DISCONNECTED)
         return finish(Solution(status=status, stats=dict(stats)))
     sol = dataclasses.replace(incumbent)
     sol.status = SolveStatus.OPTIMAL

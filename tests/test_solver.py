@@ -21,7 +21,7 @@ from floodmit.solver import (ModelError, OracleLimits, OracleScaleError,
                              _regret_assignment, brute_force_oracle, build_model, export_lp,
                              gap_to_rnfmp, read_lp, solve_exact,
                              validate_solution)
-from floodmit import solver, synth
+from floodmit import pipeline, solver, synth
 
 from conftest import (bridge_instance, build_instance, f1_instance,
                       forced_exit_instance, overfull_instance,
@@ -116,18 +116,6 @@ def test_warm_start_equivalence():
     report = validate_solution(inst, junk)
     assert still.stats["warm_start_rejected"] == str(report)
     assert "warm_start_rejected" not in warm.stats
-
-
-def test_collect_nodes_fates():
-    sol = solve_exact(branching_instance(),
-                      options=SolveOptions(collect_nodes=True))
-    nodes = sol.stats["nodes"]
-    assert nodes and all(n["fate"] in {"dead", "closed", "cut", "open"}
-                         for n in nodes)
-    assert all("bound" in n for n in nodes if n["fate"] != "dead")
-    assert sol.stats["nodes_explored"] >= 1
-    plain = solve_exact(branching_instance())
-    assert "nodes" not in plain.stats
 
 
 def test_solution_serialization_is_stable():
@@ -650,9 +638,47 @@ def test_time_limit_holds_on_the_large_town():
     assert math.isfinite(sol.best_bound)
 
 
+def test_pipeline_deadline_covers_every_stage(monkeypatch):
+    # the clock starts when the pipeline does: a slow prune leaves less
+    # than nothing for the search, which then never starts
+    real = pipeline.prune_all
+
+    def slow_prune(net):
+        time.sleep(0.5)
+        return real(net)
+
+    monkeypatch.setattr(pipeline, "prune_all", slow_prune)
+    t = time.perf_counter()
+    sol = solve_pipeline(f1_instance(9.0),
+                         options=SolveOptions(time_limit_s=0.3)).solution
+    assert time.perf_counter() - t < 0.7
+    assert sol.status is SolveStatus.TIME_LIMIT and sol.exit_code() == 3
+
+
+def test_include_children_never_probe(monkeypatch):
+    # every evaluated node builds its tables once, and only the root
+    # probes: at most one root, two children per explored node and the
+    # probe
+    calls = []
+    real = solver.facility_times
+
+    def counted(net, closed=frozenset()):
+        calls.append(closed)
+        return real(net, closed)
+
+    monkeypatch.setattr(solver, "facility_times", counted)
+    town = synth.grid_network_file(10, 10, 0, n_facilities=3)
+    inst = instance_from_file(town, InstanceSpec(alpha=0.15,
+                                                 budget_fraction=0.12))
+    sol = solve_exact(inst)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.stats["nodes_explored"] > 1
+    assert len(calls) <= 2 * sol.stats["nodes_explored"] + 2
+
+
 def test_interrupted_branching_keeps_the_parent_bound(monkeypatch):
-    # the root solves its bound, then probes; the deadline passes in the
-    # first child's bound solve: the root (bound 55) is then the only
+    # the root solves its bound, then runs the search's one probe; the
+    # deadline passes in the first child's bound solve: the root (bound 55) is then the only
     # proof left for the subtree it was splitting
     calls = []
 
@@ -673,7 +699,7 @@ def test_interrupted_branching_keeps_the_parent_bound(monkeypatch):
 
 def test_assignment_nodes_repeat_exactly():
     # a capacity-bound 10x10 town on 12% of its repair bill: several B&B
-    # nodes, each with a bound solve and many with a probe, add up to a
+    # nodes, each with a bound solve, plus the root's probe, add up to a
     # count that never varies
     town = synth.grid_network_file(10, 10, 0, n_facilities=3)
     inst = instance_from_file(town, InstanceSpec(alpha=0.15,

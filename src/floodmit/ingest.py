@@ -243,7 +243,8 @@ def load_network(source: str | Path | Mapping[str, Any]) -> Network:
     for fid in facilities:
         _require(fid in node_ids, f"facility {fid!r}: unknown node")
 
-    node_map = {n.id: dataclasses.replace(n, meta={**n.meta, "facility": n.id in set(facilities)})
+    facility_ids = set(facilities)
+    node_map = {n.id: dataclasses.replace(n, meta={**n.meta, "facility": n.id in facility_ids})
                 for n in nodes}
 
     arcs: list[RoadArc] = []

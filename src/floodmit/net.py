@@ -274,24 +274,29 @@ def canonical_shortest_path(net: Network, source: str, target: str,
 # -- connectivity structure -------------------------------------------------
 
 
-def _undirected_adjacency(net: Network) -> dict[str, list[str]]:
+def _undirected_adjacency(net: Network) -> dict[str, set[str]]:
+    """Neighbour sets, loops dropped; ``net`` needs only ``nodes`` and ``arcs``."""
     adj: dict[str, set[str]] = {nid: set() for nid in net.nodes}
     for arc in net.arcs.values():
         if arc.tail != arc.head:
             adj[arc.tail].add(arc.head)
             adj[arc.head].add(arc.tail)
-    return {nid: sorted(nbrs) for nid, nbrs in adj.items()}
+    return adj
 
 
 def articulation_points(net: Network) -> set[str]:
-    """Cut nodes of the underlying undirected graph (iterative Tarjan)."""
-    adj = _undirected_adjacency(net)
+    """Cut nodes of the underlying undirected graph."""
+    return _cut_nodes(_undirected_adjacency(net))
+
+
+def _cut_nodes(adj: dict[str, set[str]]) -> set[str]:
+    """Cut nodes of an undirected adjacency (iterative Tarjan)."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     parent: dict[str, str | None] = {}
     aps: set[str] = set()
     counter = 0
-    for root in sorted(net.nodes):
+    for root in sorted(adj):
         if root in index:
             continue
         parent[root] = None

@@ -14,7 +14,9 @@ Eight techniques shrink an instance without changing its optimal objective:
 8. drop a clique arc dominated by a two-arc detour
 
 `prune_all` runs them round-robin (6, 5, 2, 1, 3, 4, 7, 8) to a fixpoint and
-returns the pruned network plus a replayable log; `expand_solution` lifts a
+returns the pruned network plus a replayable log; after the first round each
+technique (but 1) re-examines only what changed since its last run, with the
+same result as a sweep over the whole network.  `expand_solution` lifts a
 solution on the pruned network back to the original one.
 `harvest_triangle_vis` lists the clique triples where the direct arc is
 strictly faster, as route-choice cuts for the exported 0-1 model.
@@ -26,10 +28,10 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .net import (DIST_TOL, Network, NetworkError, NodeKind, RoadArc, RoadNode,
-                  articulation_points)
+                  _cut_nodes, _undirected_adjacency)
 
 TECHNIQUE_ORDER = (6, 5, 2, 1, 3, 4, 7, 8)
 
@@ -153,28 +155,48 @@ class PrunedNetwork:
 
 
 class _Work:
-    """Mutable node/arc dicts with incremental adjacency."""
+    """Mutable node/arc dicts with incremental adjacency and a touch log.
+
+    ``added`` lists every arc id ever added and ``touched`` every node whose
+    arcs or record changed, in the order it happened; both start out holding
+    the whole network.  Each technique reads them from its own cursor, so its
+    first run looks at everything and every later run only at what changed
+    since its last one.
+    """
 
     def __init__(self, net: Network):
         self.nodes: dict[str, RoadNode] = dict(net.nodes)
         self.arcs: dict[str, RoadArc] = dict(net.arcs)
-        self.out: dict[str, set[str]] = {nid: set() for nid in self.nodes}
-        self.inn: dict[str, set[str]] = {nid: set() for nid in self.nodes}
+        self.out = {nid: list(net.out_arcs(nid)) for nid in self.nodes}
+        self.inn = {nid: list(net.in_arcs(nid)) for nid in self.nodes}
+        # non-vulnerable, non-loop arc ids by (tail, head)
+        self.pair: dict[tuple[str, str], list[str]] = {}
         for a in self.arcs.values():
-            self.out[a.tail].add(a.id)
-            self.inn[a.head].add(a.id)
+            if not a.vulnerable and a.tail != a.head:
+                self.pair.setdefault((a.tail, a.head), []).append(a.id)
+        # contracted arc id -> the pre-pruning chain it stands for (t7)
+        self.chains: dict[str, tuple[str, ...]] = {}
+        self.added: list[str] = list(self.arcs)
+        self.touched: list[str] = list(self.nodes)
+        # t4's first sweep visits every node, so it needs no arcs to find them
+        self.arc_cursor: dict[int, int] = {4: len(self.added)}
+        self.node_cursor: dict[int, int] = {}
+        self.carried: dict[int, list[str]] = {}
 
     def to_network(self) -> Network:
         return Network(self.nodes.values(), self.arcs.values())
 
     def remove_arc(self, aid: str) -> None:
         a = self.arcs.pop(aid)
-        self.out[a.tail].discard(aid)
-        self.inn[a.head].discard(aid)
+        self.out[a.tail].remove(aid)
+        self.inn[a.head].remove(aid)
+        if not a.vulnerable and a.tail != a.head:
+            self.pair[(a.tail, a.head)].remove(aid)
+        self.touched += (a.tail, a.head)
 
     def remove_node(self, nid: str) -> list[str]:
         """Remove a node and all incident arcs; returns removed arc ids sorted."""
-        incident = sorted(self.out[nid] | self.inn[nid])
+        incident = sorted({*self.out[nid], *self.inn[nid]})
         for aid in incident:
             self.remove_arc(aid)
         del self.nodes[nid]
@@ -186,11 +208,16 @@ class _Work:
         if arc.id in self.arcs:
             raise NetworkError(f"arc id collision {arc.id!r}")
         self.arcs[arc.id] = arc
-        self.out[arc.tail].add(arc.id)
-        self.inn[arc.head].add(arc.id)
+        self.out[arc.tail].append(arc.id)
+        self.inn[arc.head].append(arc.id)
+        if not arc.vulnerable and arc.tail != arc.head:
+            self.pair.setdefault((arc.tail, arc.head), []).append(arc.id)
+        self.added.append(arc.id)
+        self.touched += (arc.tail, arc.head)
 
     def set_node(self, node: RoadNode) -> None:
         self.nodes[node.id] = node
+        self.touched.append(node.id)
 
     def neighbors(self, nid: str) -> set[str]:
         nbrs = {self.arcs[a].head for a in self.out[nid]}
@@ -198,13 +225,53 @@ class _Work:
         nbrs.discard(nid)
         return nbrs
 
-    def undirected_adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {nid: set() for nid in self.nodes}
-        for a in self.arcs.values():
-            if a.tail != a.head:
-                adj[a.tail].add(a.head)
-                adj[a.head].add(a.tail)
-        return adj
+    def fastest(self, tail: str, head: str) -> RoadArc | None:
+        """Quickest non-vulnerable arc tail->head ((t, id) order), if any."""
+        ids = self.pair.get((tail, head))
+        if not ids:
+            return None
+        return self.arcs[min((self.arcs[a].travel_time, a) for a in ids)[1]]
+
+    def new_arcs(self, tech: int) -> list[RoadArc]:
+        """Arcs added since ``tech`` last asked that still exist."""
+        start = self.arc_cursor.get(tech, 0)
+        self.arc_cursor[tech] = len(self.added)
+        return [self.arcs[a] for a in self.added[start:] if a in self.arcs]
+
+    def new_nodes(self, tech: int) -> set[str]:
+        """Nodes touched since ``tech`` last asked (or carried by its sweep)."""
+        nodes = set(self.carried.pop(tech, ()))
+        nodes.update(self.touched[self.node_cursor.get(tech, 0):])
+        self.node_cursor[tech] = len(self.touched)
+        return nodes
+
+    def sweep(self, tech: int, extra: Iterable[str] = ()) -> Iterator[str]:
+        """Yield, in id order, the live nodes ``tech`` must look at again.
+
+        These are the nodes touched since ``tech`` last looked at them, plus
+        ``extra``.  A node touched during the sweep is visited in it if it
+        sorts after the current node, as a sweep over every node would visit
+        it, and is otherwise carried to the next sweep.  Every node that a
+        sweep over all nodes would change is visited, in the same order.
+        """
+        queued = self.new_nodes(tech)
+        queued.update(extra)
+        heap = sorted(queued)
+        read = len(self.touched)
+        carried: list[str] = []
+        while heap:
+            nid = heapq.heappop(heap)
+            if nid in self.nodes:
+                yield nid
+            for t in self.touched[read:]:
+                if t <= nid:
+                    carried.append(t)
+                elif t not in queued:
+                    queued.add(t)
+                    heapq.heappush(heap, t)
+            read = len(self.touched)
+        self.node_cursor[tech] = read
+        self.carried[tech] = carried
 
     def counts(self) -> dict[str, int]:
         n_origins = sum(1 for n in self.nodes.values()
@@ -217,43 +284,33 @@ class _Work:
         }
 
 
-def _min_arc(work: _Work, ids: Iterable[str], tail: str, head: str,
-             ) -> RoadArc | None:
-    """Cheapest non-vulnerable arc tail->head among ids ((t, id) order)."""
-    best: RoadArc | None = None
-    for aid in sorted(ids):
-        a = work.arcs[aid]
-        if a.vulnerable or a.tail != tail or a.head != head:
-            continue
-        if best is None or (a.travel_time, a.id) < (best.travel_time, best.id):
-            best = a
-    return best
-
-
 # -- individual techniques ----------------------------------------------------
+#
+# A technique acts only where something changed since its last run.  Arcs are
+# never altered, only added (by t7) or removed, so a loop, parallel pair or
+# clique triple whose arcs all predate a technique's last run, and which
+# still exists, was already checked then and found wanting (t6, t5, t8).  The
+# node tests of t2, t3, t4 and t7 read only the node's own record and arcs,
+# which touch it, plus (t4) the direct arcs between its two neighbours; t1
+# stays global.
 
 
 def _t6_self_loops(work: _Work) -> list[PruneAction]:
-    loops = sorted(aid for aid, a in work.arcs.items() if a.tail == a.head)
+    loops = sorted(a.id for a in work.new_arcs(6) if a.tail == a.head)
     for aid in loops:
         work.remove_arc(aid)
     return [PruneAction(6, removed_arcs=tuple(loops))] if loops else []
 
 
 def _t5_parallel(work: _Work) -> list[PruneAction]:
-    groups: dict[tuple[str, str], list[RoadArc]] = {}
-    for a in work.arcs.values():
-        if not a.vulnerable and a.tail != a.head:
-            groups.setdefault((a.tail, a.head), []).append(a)
     removed: list[str] = []
-    for key in sorted(groups):
-        group = groups[key]
-        if len(group) < 2:
-            continue
-        group.sort(key=lambda a: (a.travel_time, a.id))
-        for a in group[1:]:
-            work.remove_arc(a.id)
-            removed.append(a.id)
+    for a in work.new_arcs(5):
+        ids = work.pair.get((a.tail, a.head), ())
+        if len(ids) > 1:
+            keep = work.fastest(a.tail, a.head)
+            for aid in [aid for aid in ids if aid != keep.id]:
+                work.remove_arc(aid)
+                removed.append(aid)
     return [PruneAction(5, removed_arcs=tuple(sorted(removed)))] if removed else []
 
 
@@ -262,8 +319,9 @@ def _t2_dead_transshipment(work: _Work) -> list[PruneAction]:
         return (work.nodes[nid].kind is NodeKind.TRANSSHIPMENT
                 and (not work.inn[nid] or not work.out[nid]))
 
-    heap = sorted(nid for nid in work.nodes if dead(nid))
-    heapq.heapify(heap)
+    # a node only dies by losing arcs, which touches it
+    heap = sorted(nid for nid in work.new_nodes(2)
+                  if nid in work.nodes and dead(nid))
     removed_nodes: list[str] = []
     removed_arcs: list[str] = []
     enqueued = set(heap)
@@ -284,11 +342,11 @@ def _t2_dead_transshipment(work: _Work) -> list[PruneAction]:
                         removed_arcs=tuple(sorted(removed_arcs)))]
 
 
-def _components_without(work: _Work, removed: str) -> list[set[str]]:
-    adj = work.undirected_adjacency()
+def _components_without(adj: dict[str, set[str]], removed: str,
+                        ) -> list[set[str]]:
     seen = {removed}
     comps: list[set[str]] = []
-    for start in sorted(work.nodes):
+    for start in adj:
         if start in seen:
             continue
         stack, members = [start], {start}
@@ -307,11 +365,11 @@ def _components_without(work: _Work, removed: str) -> list[set[str]]:
 
 def _t1_side_components(work: _Work) -> list[PruneAction]:
     actions: list[PruneAction] = []
-    aps = sorted(articulation_points(work.to_network()))
-    for ap in aps:
+    adj = _undirected_adjacency(work)
+    for ap in sorted(_cut_nodes(adj)):
         if ap not in work.nodes:
             continue
-        for comp in _components_without(work, ap):
+        for comp in _components_without(adj, ap):
             if any(work.nodes[n].kind is not NodeKind.TRANSSHIPMENT
                    for n in comp):
                 continue
@@ -321,19 +379,22 @@ def _t1_side_components(work: _Work) -> list[PruneAction]:
                 removed_arcs.extend(work.remove_node(nid))
             actions.append(PruneAction(1, removed_nodes=tuple(removed_nodes),
                                        removed_arcs=tuple(sorted(removed_arcs))))
+            adj = _undirected_adjacency(work)
     return actions
 
 
 def _t3_pendant_origins(work: _Work) -> list[PruneAction]:
+    # a host only ever turns from transshipment into origin, which can stop
+    # a fold but never start one, so touches of the origin itself suffice
     actions: list[PruneAction] = []
-    for oid in sorted(work.nodes):
-        node = work.nodes.get(oid)
-        if node is None or node.kind is not NodeKind.ORIGIN:
+    for oid in work.sweep(3):
+        node = work.nodes[oid]
+        if node.kind is not NodeKind.ORIGIN:
             continue
         if len(work.out[oid]) != 1 or len(work.inn[oid]) != 1:
             continue
-        exit_arc = work.arcs[next(iter(work.out[oid]))]
-        entry_arc = work.arcs[next(iter(work.inn[oid]))]
+        exit_arc = work.arcs[work.out[oid][0]]
+        entry_arc = work.arcs[work.inn[oid][0]]
         if exit_arc.vulnerable or entry_arc.vulnerable:
             continue
         host_id = exit_arc.head
@@ -360,12 +421,20 @@ def _t3_pendant_origins(work: _Work) -> list[PruneAction]:
 
 
 def _t4_bypassed_triangles(work: _Work) -> list[PruneAction]:
+    # a new arc between two nodes may bypass any node adjacent to both;
+    # a removed one only makes a bypass slower
+    around: dict[str, set[str]] = {}
+    bridged: set[str] = set()
+    for a in work.new_arcs(4):
+        for end in (a.tail, a.head):
+            if end not in around:
+                around[end] = work.neighbors(end)
+        bridged |= around[a.tail] & around[a.head]
     actions: list[PruneAction] = []
-    for nid in sorted(work.nodes):
-        node = work.nodes.get(nid)
-        if node is None or node.kind is not NodeKind.TRANSSHIPMENT:
+    for nid in work.sweep(4, bridged):
+        if work.nodes[nid].kind is not NodeKind.TRANSSHIPMENT:
             continue
-        incident = work.out[nid] | work.inn[nid]
+        incident = work.out[nid] + work.inn[nid]
         if any(work.arcs[a].vulnerable for a in incident):
             continue
         nbrs = work.neighbors(nid)
@@ -375,12 +444,12 @@ def _t4_bypassed_triangles(work: _Work) -> list[PruneAction]:
         through = 0
         ok = True
         for x, y in ((j, k), (k, j)):
-            arc_in = _min_arc(work, work.inn[nid], x, nid)
-            arc_out = _min_arc(work, work.out[nid], nid, y)
+            arc_in = work.fastest(x, nid)
+            arc_out = work.fastest(nid, y)
             if arc_in is None or arc_out is None:
                 continue
             through += 1
-            direct = _min_arc(work, work.out[x], x, y)
+            direct = work.fastest(x, y)
             if direct is None or (arc_in.travel_time + arc_out.travel_time
                                   < direct.travel_time - DIST_TOL):
                 ok = False
@@ -393,14 +462,12 @@ def _t4_bypassed_triangles(work: _Work) -> list[PruneAction]:
     return actions
 
 
-def _t7_contract(work: _Work, chain_map: dict[str, tuple[str, ...]],
-                 ) -> list[PruneAction]:
+def _t7_contract(work: _Work) -> list[PruneAction]:
     actions: list[PruneAction] = []
-    for nid in sorted(work.nodes):
-        node = work.nodes.get(nid)
-        if node is None or node.kind is not NodeKind.TRANSSHIPMENT:
+    for nid in work.sweep(7):
+        if work.nodes[nid].kind is not NodeKind.TRANSSHIPMENT:
             continue
-        incident = work.out[nid] | work.inn[nid]
+        incident = work.out[nid] + work.inn[nid]
         if not incident or any(work.arcs[a].vulnerable for a in incident):
             continue
         nbrs = work.neighbors(nid)
@@ -415,12 +482,12 @@ def _t7_contract(work: _Work, chain_map: dict[str, tuple[str, ...]],
         new_arcs: list[RoadArc] = []
         contractions: list[ContractionRecord] = []
         for x, y in ((i, k), (k, i)):
-            arc_in = _min_arc(work, work.inn[nid], x, nid)
-            arc_out = _min_arc(work, work.out[nid], nid, y)
+            arc_in = work.fastest(x, nid)
+            arc_out = work.fastest(nid, y)
             if arc_in is None or arc_out is None:
                 continue
-            chain = (chain_map.get(arc_in.id, (arc_in.id,))
-                     + chain_map.get(arc_out.id, (arc_out.id,)))
+            chain = (work.chains.get(arc_in.id, (arc_in.id,))
+                     + work.chains.get(arc_out.id, (arc_out.id,)))
             new_id = f"__c_{x}__{nid}__{y}"
             t = arc_in.travel_time + arc_out.travel_time
             new_arcs.append(RoadArc(new_id, x, y, t, meta={"contracted": True}))
@@ -428,9 +495,9 @@ def _t7_contract(work: _Work, chain_map: dict[str, tuple[str, ...]],
         if not new_arcs:
             continue
         removed = work.remove_node(nid)
-        for arc in new_arcs:
+        for arc, con in zip(new_arcs, contractions):
             work.add_arc(arc)
-            chain_map[arc.id] = contractions[new_arcs.index(arc)].chain
+            work.chains[arc.id] = con.chain
         actions.append(PruneAction(
             7, removed_nodes=(nid,), removed_arcs=tuple(sorted(removed)),
             added_arcs=tuple((a.id, a.tail, a.head, a.travel_time)
@@ -440,24 +507,31 @@ def _t7_contract(work: _Work, chain_map: dict[str, tuple[str, ...]],
 
 
 def _t8_clique_dominance(work: _Work) -> list[PruneAction]:
+    # the middle nodes j of every triple (i->j, j->h, i->h) with a new arc;
+    # the middles are visited in id order, but what one middle removes does
+    # not depend on the order of its arcs
+    new = [a for a in work.new_arcs(8)
+           if not a.vulnerable and a.tail != a.head]
+    centres = {a.head for a in new} | {a.tail for a in new}
+    for a in new:  # a as the direct arc i->h
+        for b in work.out[a.tail]:
+            j = work.arcs[b].head
+            if j not in centres and work.pair.get((j, a.head)):
+                centres.add(j)
     removed: list[str] = []
-    for j in sorted(work.nodes):
-        for in_id in sorted(work.inn[j]):
-            a1 = work.arcs.get(in_id)
-            if a1 is None or a1.vulnerable or a1.tail == j:
+    for j in sorted(centres):
+        outs = [a2 for a2 in map(work.arcs.__getitem__, work.out[j])
+                if not a2.vulnerable and a2.head != j]
+        for a1 in map(work.arcs.__getitem__, work.inn[j]):
+            if a1.vulnerable or a1.tail == j:
                 continue
             i = a1.tail
-            for out_id in sorted(work.out[j]):
-                a2 = work.arcs.get(out_id)
-                if a2 is None or a2.vulnerable or a2.head in (j, i):
+            for a2 in outs:
+                if a2.head == i:
                     continue
-                h = a2.head
                 detour = a1.travel_time + a2.travel_time
-                for did in sorted(work.out[i]):
-                    d = work.arcs.get(did)
-                    if (d is None or d.vulnerable or d.head != h
-                            or d.travel_time < detour - DIST_TOL):
-                        continue
+                for did in [d for d in work.pair.get((i, a2.head), ())
+                            if work.arcs[d].travel_time >= detour - DIST_TOL]:
                     work.remove_arc(did)
                     removed.append(did)
     if not removed:
@@ -500,31 +574,29 @@ _TECHNIQUES = {
     4: _t4_bypassed_triangles,
     5: _t5_parallel,
     6: _t6_self_loops,
+    7: _t7_contract,
     8: _t8_clique_dominance,
 }
-
-
-def _run_technique(tech: int, work: _Work,
-                   chain_map: dict[str, tuple[str, ...]]) -> list[PruneAction]:
-    if tech == 7:
-        return _t7_contract(work, chain_map)
-    return _TECHNIQUES[tech](work)
 
 
 def apply_technique(net: Network, tech: int,
                     ) -> tuple[Network, list[PruneAction]]:
     """Run one technique (1-8, see TECHNIQUE_LABELS) once on ``net``."""
     work = _Work(net)
-    actions = _run_technique(tech, work, {})
+    actions = _TECHNIQUES[tech](work)
     return work.to_network(), actions
 
 
 def prune_all(net: Network) -> PrunedNetwork:
-    """Round-robin all techniques to a fixpoint; returns net', log and stats."""
+    """Round-robin all techniques to a fixpoint; returns net', log and stats.
+
+    The first round looks at the whole network; each later run of a
+    technique looks only at what changed since its previous run, and finds
+    exactly what a run over the whole network would.
+    """
     work = _Work(net)
     log = PruneLog()
-    chain_map: dict[str, tuple[str, ...]] = {}
-    original = work.counts()
+    original = before = work.counts()
     by_tech = {t: {"variables": 0, "nodes": 0, "arcs": 0}
                for t in TECHNIQUE_ORDER}
     rounds = 0
@@ -532,14 +604,14 @@ def prune_all(net: Network) -> PrunedNetwork:
         rounds += 1
         changed = False
         for tech in TECHNIQUE_ORDER:
-            before = work.counts()
-            actions = _run_technique(tech, work, chain_map)
+            actions = _TECHNIQUES[tech](work)
             if not actions:
                 continue
             changed = True
             after = work.counts()
             for key in by_tech[tech]:
                 by_tech[tech][key] += before[key] - after[key]
+            before = after
             log.actions.extend(actions)
             for act in actions:
                 for m in act.merges:
@@ -547,7 +619,7 @@ def prune_all(net: Network) -> PrunedNetwork:
         if not changed:
             break
     pruned = work.to_network()
-    stats = PruneStats(original=original, final=work.counts(),
+    stats = PruneStats(original=original, final=before,
                        by_technique=by_tech, rounds=rounds)
     return PrunedNetwork(network=pruned, log=log, stats=stats)
 

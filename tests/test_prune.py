@@ -1,11 +1,13 @@
 """The eight exact reductions, their log, and solution lifting."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
 
-from floodmit.ingest import InstanceSpec, ProblemInstance, with_network
+from floodmit.ingest import (InstanceSpec, ProblemInstance, instance_from_file,
+                             with_network)
 from floodmit.net import Network, NodeKind, RoadArc, RoadNode
 from floodmit.prune import (TECHNIQUE_ORDER, PruneLog, apply_technique,
                             expand_path, expand_solution, harvest_triangle_vis,
@@ -213,3 +215,65 @@ def test_expand_solution_applies_offset_to_bound():
     assert lifted.best_bound == pytest.approx(sol.best_bound + 8.0)
     assert "p" in lifted.assignment and "h" not in lifted.assignment
     assert lifted.paths["p"][0] == "ph"
+
+
+# -- later rounds look only at what changed --------------------------------------
+
+@pytest.mark.parametrize("town, digest, rounds, final", [
+    (lambda: synth.demo_network_file(0),
+     "63aa5d2ec3c1680f6aee2ab4d0c99da6188bc62c48ae6752f64078a466a257a6", 3,
+     {"nodes": 35, "arcs": 110, "variables": 1695}),
+    (lambda: synth.grid_network_file(14, 14, 2, n_facilities=3),
+     "9af2d0a6623ef4cf9e5ea6438d88abb33ecdc1456f558a4e143ed08adfc36021", 6,
+     {"nodes": 183, "arcs": 669, "variables": 17512}),
+    (lambda: synth.grid_network_file(20, 20, 0, n_facilities=3),
+     "039ec0a84e44b3bddff46bd7191378e8a22e8a0fd535fcfd9ea7ccc5ab7f28cd", 4,
+     {"nodes": 392, "arcs": 1452, "variables": 69853}),
+], ids=["demo", "g14", "g20"])
+def test_prune_log_bytes_are_pinned(town, digest, rounds, final):
+    # recorded with full sweeps of every technique in every round
+    net = instance_from_file(town(), InstanceSpec(alpha=0.15)).network
+    pruned = prune_all(net)
+    assert hashlib.sha256(pruned.log.to_json().encode()).hexdigest() == digest
+    assert pruned.stats.rounds == rounds
+    assert pruned.stats.final == final
+
+
+def _contraction_town() -> Network:
+    """Round 1 contracts m1 (o..g) and m3 (m2..f); m2 only becomes a chain
+    node when m3 goes, after t7 has passed it, so it is contracted in round 2.
+
+    Round 1's o<->g arcs (10 min) are then beaten by o->f->g and g->f->o
+    (4 min) through round 2's o<->f arcs, and round 1's m2<->f arcs (2 min)
+    make the direct m2<->f roads (5 min) parallel ones.
+    """
+    two_way = [("o", "m1", 5.0), ("m1", "g", 5.0), ("o", "m2", 1.0),
+               ("m2", "f", 5.0), ("m2", "m3", 1.0), ("m3", "f", 1.0),
+               ("f", "g", 1.0)]
+    arcs = []
+    for u, v, t in two_way:
+        arcs += [RoadArc(u + v, u, v, t), RoadArc(v + u, v, u, t)]
+    return Network([O("o", 1), D("f", 5), D("g", 5), T("m1"), T("m2"), T("m3")],
+                   arcs)
+
+
+def test_t8_removes_in_round_2_an_arc_that_round_1_contracted():
+    pruned = prune_all(_contraction_town())
+    assert [(a.technique, a.removed_nodes) for a in pruned.log.actions] == [
+        (7, ("m1",)), (7, ("m3",)), (5, ()), (7, ("m2",)), (8, ())]
+    assert pruned.log.actions[3].added_arcs == (
+        ("__c_f__m2__o", "f", "o", 3.0), ("__c_o__m2__f", "o", "f", 3.0))
+    assert pruned.log.actions[4].removed_arcs == ("__c_g__m1__o",
+                                                  "__c_o__m1__g")
+    assert pruned.stats.rounds == 3
+    assert sorted(pruned.network.arcs) == ["__c_f__m2__o", "__c_o__m2__f",
+                                           "fg", "gf"]
+
+
+def test_t5_removes_in_round_2_a_parallel_that_round_1_contracted():
+    pruned = prune_all(_contraction_town())
+    t7, t5 = pruned.log.actions[1], pruned.log.actions[2]
+    assert [added[0] for added in t7.added_arcs] == ["__c_f__m3__m2",
+                                                     "__c_m2__m3__f"]
+    assert t5.technique == 5 and t5.removed_arcs == ("fm2", "m2f")
+    assert pruned.log.contraction_map["__c_o__m2__f"] == ("om2", "m2m3", "m3f")

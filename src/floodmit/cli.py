@@ -30,7 +30,7 @@ from .ingest import (CAPACITY_POLICIES, WEIGHT_POLICIES, InstanceSpec,
 from .net import NetworkError
 from .pipeline import solve_pipeline
 from .prune import harvest_triangle_vis, prune_all
-from .reductions import Cuts, compute_sp_tables, standard_reductions
+from .reductions import Cuts, standard_reductions
 from .solver import (ModelError, OracleLimits, OracleScaleError, SolveOptions,
                      brute_force_oracle, build_model, export_lp)
 
@@ -266,8 +266,7 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
     instance = _load(args)
     mask = fixings = cuts = None
     if args.use_reduce:
-        tables = compute_sp_tables(instance)
-        fixings, mask = standard_reductions(instance, tables)
+        fixings, mask = standard_reductions(instance)
     if args.use_vis:
         cuts = Cuts(triangle=tuple(harvest_triangle_vis(instance.network)),
                     exit_origins=fixings.exit_vi_origins if fixings else ())

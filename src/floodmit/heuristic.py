@@ -1,5 +1,8 @@
-"""Greedy construction heuristic: a fast feasible plan to warm-start the
-exact solver.
+"""Greedy construction heuristic: a library heuristic for
+``SolveOptions.warm_start``.
+
+The solve pipeline does not run it: the exact search finds the same plans
+without it, mostly by rounding at the root.
 
 Each origin carries two ranked facility lists: where it could go if every
 vulnerable road were repaired (``full``), and where it can go today on

@@ -274,7 +274,7 @@ def canonical_shortest_path(net: Network, source: str, target: str,
 # -- connectivity structure -------------------------------------------------
 
 
-def _undirected_adjacency(net: Network) -> dict[str, set[str]]:
+def undirected_adjacency(net: Network) -> dict[str, set[str]]:
     """Neighbour sets, loops dropped; ``net`` needs only ``nodes`` and ``arcs``."""
     adj: dict[str, set[str]] = {nid: set() for nid in net.nodes}
     for arc in net.arcs.values():
@@ -286,7 +286,7 @@ def _undirected_adjacency(net: Network) -> dict[str, set[str]]:
 
 def articulation_points(net: Network) -> set[str]:
     """Cut nodes of the underlying undirected graph."""
-    return _cut_nodes(_undirected_adjacency(net))
+    return _cut_nodes(undirected_adjacency(net))
 
 
 def _cut_nodes(adj: dict[str, set[str]]) -> set[str]:
@@ -332,45 +332,26 @@ def _cut_nodes(adj: dict[str, set[str]]) -> set[str]:
     return aps
 
 
-@dataclass(frozen=True)
-class Component:
-    """A connected piece of the network after removing one node.
-
-    ``arcs`` are the induced arcs: both endpoints inside the component.
-    """
-
-    nodes: frozenset[str]
-    arcs: frozenset[str]
-
-    def min_id(self) -> str:
-        return min(self.nodes)
-
-
-def components_without(net: Network, removed: str) -> list[Component]:
-    """Undirected connected components of the network minus one node.
+def components_without(adj: dict[str, set[str]], removed: str,
+                        ) -> list[set[str]]:
+    """Connected components of an undirected adjacency minus one node.
 
     Components come back sorted by their smallest node id.
     """
-    if removed not in net:
-        raise NetworkError(f"unknown node {removed!r}")
-    adj = _undirected_adjacency(net)
     seen = {removed}
-    comps: list[Component] = []
-    for start in sorted(net.nodes):
+    comps: list[set[str]] = []
+    for start in adj:
         if start in seen:
             continue
-        queue = [start]
+        stack, members = [start], {start}
         seen.add(start)
-        members = {start}
-        while queue:
-            u = queue.pop()
+        while stack:
+            u = stack.pop()
             for v in adj[u]:
                 if v not in seen:
                     seen.add(v)
                     members.add(v)
-                    queue.append(v)
-        induced = frozenset(a.id for a in net.arcs.values()
-                            if a.tail in members and a.head in members)
-        comps.append(Component(frozenset(members), induced))
-    comps.sort(key=lambda c: c.min_id())
+                    stack.append(v)
+        comps.append(members)
+    comps.sort(key=min)
     return comps

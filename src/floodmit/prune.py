@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from .net import (DIST_TOL, Network, NetworkError, NodeKind, RoadArc, RoadNode,
-                  _cut_nodes, _undirected_adjacency)
+                  _cut_nodes, components_without, undirected_adjacency)
 
 TECHNIQUE_ORDER = (6, 5, 2, 1, 3, 4, 7, 8)
 
@@ -342,34 +342,13 @@ def _t2_dead_transshipment(work: _Work) -> list[PruneAction]:
                         removed_arcs=tuple(sorted(removed_arcs)))]
 
 
-def _components_without(adj: dict[str, set[str]], removed: str,
-                        ) -> list[set[str]]:
-    seen = {removed}
-    comps: list[set[str]] = []
-    for start in adj:
-        if start in seen:
-            continue
-        stack, members = [start], {start}
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    members.add(v)
-                    stack.append(v)
-        comps.append(members)
-    comps.sort(key=min)
-    return comps
-
-
 def _t1_side_components(work: _Work) -> list[PruneAction]:
     actions: list[PruneAction] = []
-    adj = _undirected_adjacency(work)
+    adj = undirected_adjacency(work)
     for ap in sorted(_cut_nodes(adj)):
         if ap not in work.nodes:
             continue
-        for comp in _components_without(adj, ap):
+        for comp in components_without(adj, ap):
             if any(work.nodes[n].kind is not NodeKind.TRANSSHIPMENT
                    for n in comp):
                 continue
@@ -379,7 +358,7 @@ def _t1_side_components(work: _Work) -> list[PruneAction]:
                 removed_arcs.extend(work.remove_node(nid))
             actions.append(PruneAction(1, removed_nodes=tuple(removed_nodes),
                                        removed_arcs=tuple(sorted(removed_arcs))))
-            adj = _undirected_adjacency(work)
+            adj = undirected_adjacency(work)
     return actions
 
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .ingest import ProblemInstance
-from .net import (DIST_TOL, NodeKind, articulation_points, components_without,
-                  facility_times, shortest_paths)
+from .net import (DIST_TOL, NodeKind, _cut_nodes, components_without,
+                  facility_times, shortest_paths, undirected_adjacency)
 
 REASON_SP_BOUND = "sp_bound"
 REASON_COMPONENT = "component"
@@ -166,13 +166,15 @@ def component_mask(instance: ProblemInstance) -> VariableMask:
     net = instance.network
     origin_ids = [o.id for o in net.origins()]
     eliminated: dict[tuple[str, str], str] = {}
-    for v in sorted(articulation_points(net)):
-        for comp in components_without(net, v):
-            if any(net.nodes[n].kind is NodeKind.DESTINATION
-                   for n in comp.nodes):
+    adj = undirected_adjacency(net)
+    for v in sorted(_cut_nodes(adj)):
+        for comp in components_without(adj, v):
+            if any(net.nodes[n].kind is NodeKind.DESTINATION for n in comp):
                 continue
-            outside = [k for k in origin_ids if k not in comp.nodes]
-            for aid in sorted(comp.arcs):
+            outside = [k for k in origin_ids if k not in comp]
+            arcs = [a for n in comp for a in net.out_arcs(n)
+                    if net.arcs[a].head in comp]
+            for aid in sorted(arcs):
                 for k in outside:
                     eliminated.setdefault((k, aid), REASON_COMPONENT)
     return VariableMask(eliminated)

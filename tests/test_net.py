@@ -9,7 +9,7 @@ from floodmit import synth
 from floodmit.net import (Network, NetworkError, NodeKind, RoadArc, RoadNode,
                           articulation_points, canonical_shortest_path,
                           components_without, dijkstra, facility_times,
-                          shortest_paths)
+                          shortest_paths, undirected_adjacency)
 
 
 def grid3() -> Network:
@@ -145,9 +145,7 @@ def test_articulation_and_components():
             RoadArc("e3", "c", "d", 1.0), RoadArc("e4", "d", "c", 1.0)]
     net = Network(nodes, arcs)
     assert articulation_points(net) == {"c"}
-    sides = components_without(net, "c")
-    side_nodes = sorted(tuple(sorted(c.nodes)) for c in sides)
-    assert side_nodes == [("d",), ("o",)]
+    assert components_without(undirected_adjacency(net), "c") == [{"d"}, {"o"}]
 
 
 # -- randomized properties -----------------------------------------------------

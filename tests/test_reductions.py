@@ -1,10 +1,13 @@
 """Variable fixing/masking must never move the optimum."""
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import pytest
 
+from floodmit.ingest import InstanceSpec, instance_from_file
 from floodmit.net import NodeKind, RoadArc, RoadNode
 from floodmit.reductions import (REASON_COMPONENT, REASON_SP_BOUND,
                                  FixedUpgrades, VariableMask, component_mask,
@@ -141,3 +144,16 @@ def test_reductions_never_move_the_optimum():
         if plain.status is SolveStatus.OPTIMAL:
             agree += 1
     assert agree >= 15
+
+
+def test_component_mask_on_the_large_town_is_pinned():
+    # 17 articulation points, 1,458 masked pairs: a change to how side
+    # components are found must give the same mask, byte for byte
+    inst = instance_from_file(synth.large_network_file(7),
+                              InstanceSpec(alpha=0.15))
+    mask = component_mask(inst)
+    assert len(mask) == 1458
+    digest = hashlib.sha256(
+        json.dumps(sorted(mask.eliminated.items())).encode()).hexdigest()
+    assert digest == \
+        "f13af4dc179b38635f88f78ce8e4f34b202886cdfda7ab92acb63d469891c423"

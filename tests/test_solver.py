@@ -655,6 +655,36 @@ def test_pipeline_deadline_covers_every_stage(monkeypatch):
     assert sol.status is SolveStatus.TIME_LIMIT and sol.exit_code() == 3
 
 
+def test_pipeline_builds_no_warm_start(monkeypatch):
+    # the solve path runs neither the greedy heuristic nor its tables
+    def boom(*args, **kwargs):
+        raise AssertionError("off the solve path")
+
+    monkeypatch.setattr(pipeline, "greedy_initial", boom)
+    monkeypatch.setattr(pipeline, "compute_sp_tables", boom)
+    sol = solve_pipeline(f1_instance(9.0)).solution
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(75.0)
+    assert "warm_start" not in sol.stats
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_pipeline_matches_the_oracle(coupled):
+    # prune, forced exits, search and lift together give the oracle's
+    # answer, and the lifted plan validates on the original network
+    optimal = 0
+    for seed in range(200):
+        inst = synth.random_instance(seed, decorate=True, coupled=coupled)
+        want = brute_force_oracle(inst)
+        got = solve_pipeline(inst).solution
+        assert got.status is want.status, seed
+        if want.status is SolveStatus.OPTIMAL:
+            optimal += 1
+            assert abs(got.objective - want.objective) <= 1e-9, seed
+            assert validate_solution(inst, got).ok, seed
+    assert optimal >= 20
+
+
 def test_include_children_never_probe(monkeypatch):
     # every evaluated node builds its tables once, and only the root
     # probes: at most one root, two children per explored node and the

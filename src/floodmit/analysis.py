@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .ingest import (InstanceSpec, ProblemInstance, instance_from_file,
+from .ingest import (InstanceSpec, ProblemInstance, _derive, _parse,
                      upgrade_cost_cents)
 from .net import DIST_TOL, Network, dijkstra, facility_times
 from .net import shortest_paths  # noqa: F401 - bench/tracer.py hooks it here
@@ -295,14 +295,16 @@ def scenario_grid(source: str | Path | Mapping[str, Any],
                   options: SolveOptions | None = None) -> list[GridRow]:
     """Solve one network file under many derivation settings.
 
+    The file is read and checked once; each spec derives its own instance.
     The excess column compares each run to the full-budget floor of its own
     parameter group (same settings, budget fraction 1), so rows are
     comparable within a group even when groups disagree about who evacuates.
     """
+    records = _parse(source)
     floors: dict[InstanceSpec, float | None] = {}
     rows: list[GridRow] = []
     for spec in specs:
-        instance = instance_from_file(source, spec)
+        instance = _derive(records, spec)
         group = dataclasses.replace(spec, budget_fraction=1.0)
         if group not in floors:
             if spec.budget_fraction == 1.0:

@@ -11,21 +11,27 @@ A network file is JSON (schema_version 1):
                 "name": "5th St", "osmid": "123", "segment_id": "s1"}, ...],
      "facilities": ["n7", ...]}
 
-Loading keeps every node a transshipment node; the derivation steps then
-select origins (resident threshold), designate facilities as destinations,
-derive mitigation costs and capacities, and fix the budget as a fraction of
-the cost of upgrading everything.
+Ids, ``from``/``to``, ``segment_id`` and facility entries are strings; the
+flags are JSON booleans.  ``instance_from_file`` reads and checks the file
+once, applies the derivation rules (mitigation costs, origins by resident
+threshold, facilities as destinations, capacities) to the checked records,
+builds each node, arc and the Network once, and fixes the budget as a
+fraction of the cost of upgrading everything.  The public steps
+(``load_network`` ... ``assign_capacities``) apply the same rules one
+Network at a time.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+import sys
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, NamedTuple
 
-from .net import Network, NetworkError, NodeKind, RoadArc, RoadNode
+from .net import Network, NodeKind, RoadArc, RoadNode
 
 SCHEMA_VERSION = 1
 
@@ -175,24 +181,137 @@ def upgrade_cost_cents(net: Network, arc_ids: Iterable[str],
 # -- file loading -----------------------------------------------------------
 
 
+class _Records(NamedTuple):
+    """A checked network file.  ``arcs`` holds (id, tail, head, travel_time,
+    vulnerable, segment_id, meta) in file order, two-way roads expanded."""
+
+    source: str                          # provenance name: the path, or "<dict>"
+    nodes: dict[str, dict[str, Any]]     # id -> meta, in file order
+    arcs: list[tuple[str, str, str, float, bool, str, dict[str, Any]]]
+
+
 def _require(cond: bool, msg: str) -> None:
+    """For checks made once per file.  Record checks are written out, so that
+    each formats its message only when it fails and costs no call."""
     if not cond:
         raise SchemaError(msg)
 
 
-def _num(rec: Mapping[str, Any], key: str, what: str, default: float | None = None,
-         minimum: float | None = None, strict: bool = False) -> float:
+def _num(rec: Mapping[str, Any], key: str, kind: str, ident: str,
+         default: float | None = None, minimum: float | None = None,
+         strict: bool = False) -> float:
     raw = rec.get(key, default)
-    _require(raw is not None, f"{what}: missing {key!r}")
-    _require(isinstance(raw, (int, float)) and not isinstance(raw, bool)
-             and math.isfinite(float(raw)), f"{what}: bad {key!r} value {raw!r}")
+    if raw is None:
+        raise SchemaError(f"{kind} {ident!r}: missing {key!r}")
+    # an int compares exactly, so one beyond the float range fails here too
+    if (isinstance(raw, bool) or not isinstance(raw, (int, float))
+            or not abs(raw) <= sys.float_info.max):
+        raise SchemaError(f"{kind} {ident!r}: bad {key!r} value {raw!r}")
     val = float(raw)
-    if minimum is not None:
-        if strict:
-            _require(val > minimum, f"{what}: {key!r} must be > {minimum}")
-        else:
-            _require(val >= minimum, f"{what}: {key!r} must be >= {minimum}")
+    if minimum is not None and (val <= minimum if strict else val < minimum):
+        raise SchemaError(f"{kind} {ident!r}: {key!r} must be "
+                          f"{'>' if strict else '>='} {minimum}")
     return val
+
+
+def _flag(rec: Mapping[str, Any], key: str, aid: str) -> bool:
+    raw = rec.get(key, False)
+    if raw is not True and raw is not False:
+        raise SchemaError(f"arc {aid!r}: {key!r} must be true or false, not {raw!r}")
+    return raw
+
+
+def _parse(source: str | Path | Mapping[str, Any]) -> _Records:
+    """Read and check a network file (path or already-parsed dict) once;
+    ``load_network`` says what the records hold."""
+    if isinstance(source, (str, Path)):
+        path = Path(source)
+        if not path.is_file():
+            raise SchemaError(f"network file not found: {path}")
+        try:
+            data = json.loads(path.read_bytes())
+        except ValueError as exc:  # not JSON, or not Unicode text
+            raise SchemaError(f"network file {path}: invalid JSON ({exc})") from None
+        name = str(source)
+    else:
+        data, name = source, "<dict>"
+    _require(isinstance(data, Mapping), "network file: top level must be an object")
+    version = data.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise SchemaError(f"network file: unsupported schema_version {version!r}")
+    raw_nodes = data.get("nodes")
+    raw_arcs = data.get("arcs")
+    _require(isinstance(raw_nodes, list) and raw_nodes, "network file: no nodes")
+    _require(isinstance(raw_arcs, list), "network file: missing arcs list")
+    facilities = data.get("facilities", [])
+    _require(isinstance(facilities, list), "network file: facilities must be a list")
+
+    nodes: dict[str, dict[str, Any]] = {}
+    for rec in raw_nodes:
+        if not isinstance(rec, Mapping):
+            raise SchemaError(f"node record {rec!r}: not an object")
+        nid = rec.get("id")
+        if not isinstance(nid, str) or not nid:
+            raise SchemaError(f"node record {rec!r}: bad id")
+        if nid in nodes:
+            raise SchemaError(f"node {nid!r}: duplicate id")
+        meta: dict[str, Any] = {
+            "residents": _num(rec, "residents", "node", nid, default=0.0, minimum=0.0)}
+        if "facility_beds" in rec:
+            meta["facility_beds"] = _num(rec, "facility_beds", "node", nid, minimum=0.0)
+        for key in ("lon", "lat", "name"):
+            if key in rec:
+                meta[key] = rec[key]
+        nodes[nid] = meta
+
+    for fid in facilities:
+        if not isinstance(fid, str) or fid not in nodes:
+            raise SchemaError(f"facility {fid!r}: unknown node")
+    facility_ids = set(facilities)
+    for nid, meta in nodes.items():
+        meta["facility"] = nid in facility_ids
+
+    arcs = []
+    arc_ids: set[str] = set()
+    for rec in raw_arcs:
+        if not isinstance(rec, Mapping):
+            raise SchemaError(f"arc record {rec!r}: not an object")
+        aid = rec.get("id")
+        if not isinstance(aid, str) or not aid:
+            raise SchemaError(f"arc record {rec!r}: bad id")
+        if aid in arc_ids:
+            raise SchemaError(f"arc {aid!r}: duplicate id")
+        arc_ids.add(aid)
+        tail, head = rec.get("from"), rec.get("to")
+        if not isinstance(tail, str) or tail not in nodes:
+            raise SchemaError(f"arc {aid!r}: unknown tail {tail!r}")
+        if not isinstance(head, str) or head not in nodes:
+            raise SchemaError(f"arc {aid!r}: unknown head {head!r}")
+        length = _num(rec, "length_miles", "arc", aid, minimum=0.0, strict=True)
+        speed = _num(rec, "speed_mph", "arc", aid, minimum=0.0, strict=True)
+        lanes = _num(rec, "lanes", "arc", aid, default=1.0, minimum=1.0)
+        oneway = _flag(rec, "oneway", aid)
+        vulnerable = _flag(rec, "vulnerable", aid)
+        meta = {"length_miles": length, "speed_mph": speed, "lanes": lanes,
+                "oneway": oneway, "has_bridge": _flag(rec, "has_bridge", aid)}
+        segment = rec.get("segment_id")
+        if segment is not None and not isinstance(segment, str):
+            raise SchemaError(f"arc {aid!r}: bad 'segment_id' value {segment!r}")
+        segment = segment or aid
+        travel = 60.0 * length / speed
+        if not math.isfinite(travel):
+            raise SchemaError(f"arc {aid!r}: travel time overflows")
+        for key in ("name", "osmid"):
+            if key in rec:
+                meta[key] = rec[key]
+        arcs.append((aid, tail, head, travel, vulnerable, segment, meta))
+        if not oneway:
+            rid = aid + "__r"
+            if rid in arc_ids:
+                raise SchemaError(f"arc {rid!r}: duplicate id")
+            arc_ids.add(rid)
+            arcs.append((rid, head, tail, travel, vulnerable, segment, meta))
+    return _Records(name, nodes, arcs)
 
 
 def load_network(source: str | Path | Mapping[str, Any]) -> Network:
@@ -203,88 +322,70 @@ def load_network(source: str | Path | Mapping[str, Any]) -> Network:
     Two-way arcs expand into a forward arc (the file id) and a reverse arc
     (file id + ``"__r"``) sharing one segment id.
     """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if not path.exists():
-            raise SchemaError(f"network file not found: {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"network file {path}: invalid JSON ({exc})") from None
-    else:
-        data = source
-    _require(isinstance(data, Mapping), "network file: top level must be an object")
-    version = data.get("schema_version")
-    _require(version == SCHEMA_VERSION,
-             f"network file: unsupported schema_version {version!r}")
-    raw_nodes = data.get("nodes")
-    raw_arcs = data.get("arcs")
-    _require(isinstance(raw_nodes, list) and raw_nodes, "network file: no nodes")
-    _require(isinstance(raw_arcs, list), "network file: missing arcs list")
-    facilities = data.get("facilities", [])
-    _require(isinstance(facilities, list), "network file: facilities must be a list")
-
-    nodes: list[RoadNode] = []
-    node_ids: set[str] = set()
-    for rec in raw_nodes:
-        nid = rec.get("id")
-        _require(isinstance(nid, str) and nid, f"node record {rec!r}: bad id")
-        _require(nid not in node_ids, f"node {nid!r}: duplicate id")
-        node_ids.add(nid)
-        residents = _num(rec, "residents", f"node {nid!r}", default=0.0, minimum=0.0)
-        meta: dict[str, Any] = {"residents": residents}
-        if "facility_beds" in rec:
-            meta["facility_beds"] = _num(rec, "facility_beds", f"node {nid!r}", minimum=0.0)
-        for key in ("lon", "lat", "name"):
-            if key in rec:
-                meta[key] = rec[key]
-        nodes.append(RoadNode(id=nid, kind=NodeKind.TRANSSHIPMENT, meta=meta))
-
-    for fid in facilities:
-        _require(fid in node_ids, f"facility {fid!r}: unknown node")
-
-    facility_ids = set(facilities)
-    node_map = {n.id: dataclasses.replace(n, meta={**n.meta, "facility": n.id in facility_ids})
-                for n in nodes}
-
-    arcs: list[RoadArc] = []
-    arc_ids: set[str] = set()
-    for rec in raw_arcs:
-        aid = rec.get("id")
-        _require(isinstance(aid, str) and aid, f"arc record {rec!r}: bad id")
-        _require(aid not in arc_ids, f"arc {aid!r}: duplicate id")
-        arc_ids.add(aid)
-        tail, head = rec.get("from"), rec.get("to")
-        _require(tail in node_ids, f"arc {aid!r}: unknown tail {tail!r}")
-        _require(head in node_ids, f"arc {aid!r}: unknown head {head!r}")
-        length = _num(rec, "length_miles", f"arc {aid!r}", minimum=0.0, strict=True)
-        speed = _num(rec, "speed_mph", f"arc {aid!r}", minimum=0.0, strict=True)
-        lanes = _num(rec, "lanes", f"arc {aid!r}", default=1.0, minimum=1.0)
-        oneway = bool(rec.get("oneway", False))
-        vulnerable = bool(rec.get("vulnerable", False))
-        segment = rec.get("segment_id") or aid
-        travel = 60.0 * length / speed
-        meta = {"length_miles": length, "speed_mph": speed, "lanes": lanes,
-                "oneway": oneway, "has_bridge": bool(rec.get("has_bridge", False))}
-        for key in ("name", "osmid"):
-            if key in rec:
-                meta[key] = rec[key]
-        arcs.append(RoadArc(id=aid, tail=tail, head=head, travel_time=travel,
-                            vulnerable=vulnerable, segment_id=segment, meta=meta))
-        if not oneway:
-            rid = aid + "__r"
-            _require(rid not in arc_ids, f"arc {rid!r}: duplicate id")
-            arc_ids.add(rid)
-            arcs.append(RoadArc(id=rid, tail=head, head=tail, travel_time=travel,
-                                vulnerable=vulnerable, segment_id=segment, meta=meta))
-
-    try:
-        return Network(node_map.values(), arcs)
-    except NetworkError as exc:
-        raise SchemaError(str(exc)) from None
+    records = _parse(source)
+    return Network([RoadNode(nid, meta=meta) for nid, meta in records.nodes.items()],
+                   [RoadArc(aid, tail, head, travel, vulnerable, segment_id=segment,
+                            meta=meta)
+                    for aid, tail, head, travel, vulnerable, segment, meta in records.arcs])
 
 
 # -- derivation steps -------------------------------------------------------
+# One function per rule, read by the public steps and by _derive.
+
+
+def _arc_price(aid: str, meta: Mapping[str, Any], unit_cost: float) -> float:
+    length = meta.get("length_miles")
+    if length is None:
+        raise SchemaError(f"arc {aid!r}: vulnerable arc without length_miles")
+    return unit_cost * float(length) * float(meta.get("lanes", 1.0))
+
+
+def _chosen_facilities(facilities: Iterable[str] | None,
+                       node_ids: Iterable[str]) -> set[str] | None:
+    if facilities is None:
+        return None
+    chosen = set(facilities)
+    unknown = chosen.difference(node_ids)
+    if unknown:
+        raise SchemaError(f"facility subset names unknown nodes: {sorted(unknown)}")
+    return chosen
+
+
+def _node_role(nid: str, meta: Mapping[str, Any], residents: float,
+               chosen: set[str] | None, p: float,
+               weight_policy: str) -> tuple[NodeKind, float, float]:
+    """Kind, residents and weight of a node; ``residents`` is the fallback
+    when ``meta`` holds no count."""
+    residents = float(meta.get("residents", residents) or 0.0)
+    if nid in chosen if chosen is not None else meta.get("facility", False):
+        return NodeKind.DESTINATION, 0.0, 0.0
+    if residents > 0 and residents >= p:
+        weight = residents if weight_policy == "w_equals_h" else 1.0
+        return NodeKind.ORIGIN, residents, weight
+    return NodeKind.TRANSSHIPMENT, 0.0, 0.0
+
+
+def _capacity_shares(destinations: list[tuple[str, Mapping[str, Any]]],
+                     residents: Iterable[float], alpha: float,
+                     policy: str) -> dict[str, float]:
+    """Capacity of each ``(id, meta)`` destination, id-sorted; ``residents``
+    are the origins' counts, in id order."""
+    if not destinations:
+        raise SchemaError("no destinations to assign capacities to")
+    total = (1.0 + alpha) * sum(residents)
+    if policy == "identical":
+        share = total / len(destinations)
+        return {did: share for did, _ in destinations}
+    beds = {}
+    for did, meta in destinations:
+        b = meta.get("facility_beds")
+        if b is None:
+            raise SchemaError(f"destination {did!r}: bed_proportional needs facility_beds")
+        beds[did] = float(b)
+    bed_sum = sum(beds.values())
+    if bed_sum <= 0:
+        raise SchemaError("bed_proportional: total beds is zero")
+    return {did: total * b / bed_sum for did, b in beds.items()}
 
 
 def derive_costs(net: Network, unit_cost: float = DEFAULT_UNIT_COST) -> Network:
@@ -295,18 +396,9 @@ def derive_costs(net: Network, unit_cost: float = DEFAULT_UNIT_COST) -> Network:
     """
     if unit_cost < 0:
         raise SchemaError("unit_cost must be nonnegative")
-    new_arcs = []
-    for arc in net.arcs.values():
-        if not arc.vulnerable:
-            new_arcs.append(arc)
-            continue
-        length = arc.meta.get("length_miles")
-        lanes = arc.meta.get("lanes", 1.0)
-        if length is None:
-            raise SchemaError(f"arc {arc.id!r}: vulnerable arc without length_miles")
-        cost = unit_cost * float(length) * float(lanes)
-        new_arcs.append(dataclasses.replace(arc, mitigation_cost=cost))
-    return Network(net.nodes.values(), new_arcs)
+    return Network(net.nodes.values(), [
+        dataclasses.replace(a, mitigation_cost=_arc_price(a.id, a.meta, unit_cost))
+        if a.vulnerable else a for a in net.arcs.values()])
 
 
 def select_origins(net: Network, p: float, weight_policy: str = "w_equals_h",
@@ -321,31 +413,13 @@ def select_origins(net: Network, p: float, weight_policy: str = "w_equals_h",
         raise SchemaError("p must be nonnegative")
     if weight_policy not in WEIGHT_POLICIES:
         raise SchemaError(f"unknown weight policy {weight_policy!r}")
-    chosen: set[str] | None = None
-    if facilities is not None:
-        chosen = set(facilities)
-        unknown = chosen - set(net.nodes)
-        if unknown:
-            raise SchemaError(f"facility subset names unknown nodes: {sorted(unknown)}")
+    chosen = _chosen_facilities(facilities, net.nodes)
     new_nodes = []
     for node in net.nodes.values():
-        residents = float(node.meta.get("residents", node.residents) or 0.0)
-        is_facility = bool(node.meta.get("facility", False))
-        if chosen is not None:
-            is_facility = node.id in chosen
-        if is_facility:
-            new_nodes.append(dataclasses.replace(
-                node, kind=NodeKind.DESTINATION, residents=0.0, weight=0.0,
-                capacity=math.inf))
-        elif residents > 0 and residents >= p:
-            weight = residents if weight_policy == "w_equals_h" else 1.0
-            new_nodes.append(dataclasses.replace(
-                node, kind=NodeKind.ORIGIN, residents=residents, weight=weight,
-                capacity=math.inf))
-        else:
-            new_nodes.append(dataclasses.replace(
-                node, kind=NodeKind.TRANSSHIPMENT, residents=0.0, weight=0.0,
-                capacity=math.inf))
+        kind, residents, weight = _node_role(node.id, node.meta, node.residents,
+                                             chosen, p, weight_policy)
+        new_nodes.append(dataclasses.replace(
+            node, kind=kind, residents=residents, weight=weight, capacity=math.inf))
     return Network(new_nodes, net.arcs.values())
 
 
@@ -356,25 +430,8 @@ def assign_capacities(net: Network, alpha: float,
         raise SchemaError("alpha must be nonnegative")
     if policy not in CAPACITY_POLICIES:
         raise SchemaError(f"unknown capacity policy {policy!r}")
-    destinations = net.destinations()
-    if not destinations:
-        raise SchemaError("no destinations to assign capacities to")
-    total = (1.0 + alpha) * sum(n.residents for n in net.origins())
-    caps: dict[str, float] = {}
-    if policy == "identical":
-        share = total / len(destinations)
-        caps = {d.id: share for d in destinations}
-    else:
-        beds = {}
-        for d in destinations:
-            b = d.meta.get("facility_beds")
-            if b is None:
-                raise SchemaError(f"destination {d.id!r}: bed_proportional needs facility_beds")
-            beds[d.id] = float(b)
-        bed_sum = sum(beds.values())
-        if bed_sum <= 0:
-            raise SchemaError("bed_proportional: total beds is zero")
-        caps = {did: total * b / bed_sum for did, b in beds.items()}
+    caps = _capacity_shares([(d.id, d.meta) for d in net.destinations()],
+                            (n.residents for n in net.origins()), alpha, policy)
     new_nodes = [dataclasses.replace(n, capacity=caps[n.id]) if n.id in caps else n
                  for n in net.nodes.values()]
     return Network(new_nodes, net.arcs.values())
@@ -406,20 +463,38 @@ def build_instance(net: Network, spec: InstanceSpec,
 
 def instance_from_file(source: str | Path | Mapping[str, Any],
                        spec: InstanceSpec) -> ProblemInstance:
-    """Full derivation chain: load, price, classify, capacitate, budget."""
-    log: list[str] = []
-    net = load_network(source)
-    log.append(f"loaded {len(net.nodes)} nodes / {len(net.arcs)} directed arcs")
-    net = derive_costs(net, spec.unit_cost)
-    log.append(f"priced {len(net.vulnerable_arcs())} vulnerable arcs "
-               f"at {spec.unit_cost:g}/mile/lane")
-    net = select_origins(net, spec.p, spec.weight_policy, spec.facilities)
-    log.append(f"selected {len(net.origins())} origins (p={spec.p:g}), "
-               f"{len(net.destinations())} destinations")
-    net = assign_capacities(net, spec.alpha, spec.capacity_policy)
+    """Full derivation chain: load, price, classify, capacitate, budget.
+
+    Equal to the public steps chained, from one read of the file and one
+    build of each node, arc and Network."""
+    return _derive(_parse(source), spec)
+
+
+def _derive(records: _Records, spec: InstanceSpec) -> ProblemInstance:
+    """The instance that ``spec`` derives from checked file records."""
+    nodes, arcs = records.nodes, records.arcs
+    log = [f"loaded {len(nodes)} nodes / {len(arcs)} directed arcs",
+           f"priced {sum(a[4] for a in arcs)} vulnerable arcs "
+           f"at {spec.unit_cost:g}/mile/lane"]
+    chosen = _chosen_facilities(spec.facilities, nodes)
+    roles = {nid: _node_role(nid, nodes[nid], 0.0, chosen, spec.p, spec.weight_policy)
+             for nid in sorted(nodes)}
+    demand = [residents for kind, residents, _ in roles.values()
+              if kind is NodeKind.ORIGIN]
+    destinations = [(nid, nodes[nid]) for nid, (kind, _, _) in roles.items()
+                    if kind is NodeKind.DESTINATION]
+    log.append(f"selected {len(demand)} origins (p={spec.p:g}), "
+               f"{len(destinations)} destinations")
+    caps = _capacity_shares(destinations, demand, spec.alpha, spec.capacity_policy)
     log.append(f"assigned capacities ({spec.capacity_policy}, alpha={spec.alpha:g})")
-    name = source if isinstance(source, (str, Path)) else "<dict>"
-    return build_instance(net, spec, source=str(name), log=log)
+    net = Network(
+        [RoadNode(nid, kind, residents, caps.get(nid, math.inf), weight, nodes[nid])
+         for nid, (kind, residents, weight) in roles.items()],
+        [RoadArc(aid, tail, head, travel, vulnerable,
+                 _arc_price(aid, meta, spec.unit_cost) if vulnerable else 0.0,
+                 segment, meta)
+         for aid, tail, head, travel, vulnerable, segment, meta in arcs])
+    return build_instance(net, spec, source=records.source, log=log)
 
 
 # -- serialization ----------------------------------------------------------

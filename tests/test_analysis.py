@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -311,6 +312,31 @@ def test_scenario_grid_shares_group_floor():
     assert [r.status for r in rows] == [SolveStatus.OPTIMAL] * 3
     assert [r.objective for r in rows] == pytest.approx([64.0, 8.0, 64.0])
     assert [r.excess for r in rows] == pytest.approx([56.0, 0.0, 56.0])
+
+
+def test_scenario_grid_parses_its_file_once(tmp_path, monkeypatch):
+    from floodmit import ingest
+    path = tmp_path / "town.json"
+    path.write_text(json.dumps(grid_file()))
+    specs = [InstanceSpec(p=1.0, alpha=alpha, budget_fraction=fraction)
+             for alpha in (0.5, 2.0) for fraction in (1.0, 0.5)]
+    parses, sources = [], []
+    loads, solve = ingest.json.loads, analysis.solve_pipeline
+
+    def counting_loads(*args, **kwargs):
+        parses.append(1)
+        return loads(*args, **kwargs)
+
+    def recording_solve(instance, **kwargs):
+        sources.append(instance.provenance["source"])
+        return solve(instance, **kwargs)
+
+    monkeypatch.setattr(ingest.json, "loads", counting_loads)
+    monkeypatch.setattr(analysis, "solve_pipeline", recording_solve)
+    rows = scenario_grid(str(path), specs)
+    assert len(parses) == 1
+    assert sources == [str(path)] * len(specs)
+    assert rows == scenario_grid(grid_file(), specs)
 
 
 def test_csv_writers_exact_and_stable(tmp_path):

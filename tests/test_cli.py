@@ -102,6 +102,13 @@ def test_operational_errors_exit_1(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_malformed_record_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad-record.json"
+    bad.write_text(json.dumps({"schema_version": 1, "nodes": [5], "arcs": []}))
+    assert main(["solve", str(bad)]) == 1
+    assert "error: node record 5: not an object" in capsys.readouterr().err
+
+
 def test_oracle_command_on_paradox_family(paradox, tmp_path, capsys):
     low, high = synth.BUDGET_PARADOX_PAIR
     out = tmp_path / "oracle.json"

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from floodmit.ingest import (CAPACITY_TOL, DEFAULT_UNIT_COST, InstanceSpec,
                              total_vulnerable_cost, upgrade_cost_cents,
                              with_network)
 from floodmit.net import Network, NodeKind, RoadArc, RoadNode
+from floodmit import synth
 
 from conftest import bridge_instance, f1_instance
 
@@ -63,8 +65,52 @@ def test_load_expands_two_way_arcs():
     {"facilities": ["ghost"]},
 ])
 def test_load_rejects_bad_files(mangle):
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as loading:
         load_network(tiny_file(**mangle))
+    with pytest.raises(SchemaError) as deriving:
+        instance_from_file(tiny_file(**mangle), InstanceSpec())
+    assert str(deriving.value) == str(loading.value)
+
+
+def _arc(**over):
+    rec = {"id": "r9", "from": "n1", "to": "n3", "length_miles": 1.0,
+           "speed_mph": 30}
+    rec.update(over)
+    return rec
+
+
+@pytest.mark.parametrize("mangle, message", [
+    ({"nodes": [5]}, "node record 5: not an object"),
+    ({"arcs": ["r1"]}, "arc record 'r1': not an object"),
+    ({"arcs": [_arc(**{"from": ["n1"]})]}, "unknown tail ['n1']"),
+    ({"arcs": [_arc(to={"id": "n3"})]}, "unknown head {'id': 'n3'}"),
+    ({"facilities": [["n3"]]}, "facility ['n3']: unknown node"),
+    ({"arcs": [_arc(segment_id=7)]}, "bad 'segment_id' value 7"),
+    ({"arcs": [_arc(length_miles=1e308, speed_mph=1e-300)]}, "overflows"),
+    ({"arcs": [_arc(speed_mph=10 ** 400)]}, "bad 'speed_mph' value"),
+    ({"arcs": [_arc(oneway="false")]}, "'oneway' must be true or false"),
+    ({"arcs": [_arc(vulnerable=1)]}, "'vulnerable' must be true or false"),
+    ({"arcs": [_arc(has_bridge=None)]}, "'has_bridge' must be true or false"),
+], ids=["node-not-object", "arc-not-object", "unhashable-tail",
+        "unhashable-head", "unhashable-facility", "int-segment",
+        "travel-overflow", "int-beyond-float", "string-oneway", "int-vulnerable",
+        "null-has-bridge"])
+def test_load_rejects_malformed_records(mangle, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        load_network(tiny_file(**mangle))
+    spec = InstanceSpec(segment_coupling=True)
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        instance_from_file(tiny_file(**mangle), spec)
+
+
+def test_load_keeps_boolean_flags_and_string_segments():
+    data = tiny_file()
+    data["arcs"][0].update(oneway=True, has_bridge=True, segment_id="s1")
+    data["arcs"][1].update(segment_id=None)
+    net = load_network(data)
+    assert sorted(net.arcs) == ["r1", "r2"]
+    assert net.arcs["r1"].meta["has_bridge"] is True
+    assert net.arcs["r1"].segment == "s1" and net.arcs["r2"].segment == "r2"
 
 
 def test_load_rejects_reverse_id_collision():
@@ -78,9 +124,14 @@ def test_load_rejects_reverse_id_collision():
 def test_load_missing_file(tmp_path):
     with pytest.raises(SchemaError):
         load_network(tmp_path / "nope.json")
+    with pytest.raises(SchemaError, match="not found"):
+        load_network(tmp_path)  # a directory
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(SchemaError):
+        load_network(bad)
+    bad.write_bytes(b'{"schema_version": 1, "nodes": ["\xff"]}')
+    with pytest.raises(SchemaError, match="invalid JSON"):
         load_network(bad)
 
 
@@ -230,3 +281,66 @@ def test_with_network_rebinds():
     assert smaller.budget == 5.0
     assert smaller.b_hat == inst.b_hat
     assert smaller.spec == inst.spec
+
+
+# -- the one-pass build against the public chain ----------------------------------
+
+def _chain(source, spec):
+    """The public derivation steps, one Network each: the oracle for
+    ``instance_from_file``."""
+    log = []
+    net = load_network(source)
+    log.append(f"loaded {len(net.nodes)} nodes / {len(net.arcs)} directed arcs")
+    net = derive_costs(net, spec.unit_cost)
+    log.append(f"priced {len(net.vulnerable_arcs())} vulnerable arcs "
+               f"at {spec.unit_cost:g}/mile/lane")
+    net = select_origins(net, spec.p, spec.weight_policy, spec.facilities)
+    log.append(f"selected {len(net.origins())} origins (p={spec.p:g}), "
+               f"{len(net.destinations())} destinations")
+    net = assign_capacities(net, spec.alpha, spec.capacity_policy)
+    log.append(f"assigned capacities ({spec.capacity_policy}, alpha={spec.alpha:g})")
+    return build_instance(net, spec, source="<dict>", log=log)
+
+
+def _outcome(build, source, spec):
+    try:
+        inst = build(source, spec)
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+    net = inst.network
+    return (list(net.nodes.items()), list(net.arcs.items()), net._out, net._in,
+            net.vulnerable_ids, inst.budget, inst.b_hat, inst.spec,
+            dict(inst.provenance))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: synth.grid_network_file(5, 7, 3, oneway_fraction=0.3),
+    lambda: synth.grid_network_file(9, 9, 11, oneway_fraction=0.5, decorate=True),
+    lambda: synth.grid_network_file(12, 10, 4, oneway_fraction=0.2,
+                                    n_facilities=4, resident_density=0.6),
+    lambda: synth.demo_network_file(),
+    lambda: synth.demo_network_file(5),
+    lambda: synth.large_network_file(7),
+    synth.budget_paradox_network_file,
+], ids=["g5x7", "g9-decorated", "g12x10", "demo", "demo5", "large",
+        "paradox"])
+def test_instance_from_file_matches_the_public_chain(make):
+    data = make()
+    first_facility = data["facilities"][0]
+    plain = next(n["id"] for n in data["nodes"] if n["id"] != first_facility)
+    specs = [
+        InstanceSpec(),
+        InstanceSpec(p=5.0, alpha=0.15, budget_fraction=0.4),
+        InstanceSpec(p=20.0, alpha=3.0, capacity_policy="bed_proportional",
+                     weight_policy="uniform", segment_coupling=True),
+        InstanceSpec(p=1.0, alpha=0.5, unit_cost=1234.5, budget_fraction=0.05,
+                     capacity_policy="bed_proportional",
+                     facilities=(first_facility,)),
+        # a subset that names an ordinary node: it shelters, but has no beds
+        InstanceSpec(p=2.0, facilities=(first_facility, plain)),
+        InstanceSpec(p=2.0, capacity_policy="bed_proportional",
+                     facilities=(first_facility, plain)),
+        InstanceSpec(p=1e9),  # nobody qualifies as an origin
+    ]
+    for spec in specs:
+        assert _outcome(instance_from_file, data, spec) == _outcome(_chain, data, spec)

@@ -305,20 +305,12 @@ def scenario_grid(source: str | Path | Mapping[str, Any],
     rows: list[GridRow] = []
     for spec in specs:
         instance = _derive(records, spec)
+        sol = solve_pipeline(instance, options=options).solution
         group = dataclasses.replace(spec, budget_fraction=1.0)
         if group not in floors:
-            if spec.budget_fraction == 1.0:
-                result = solve_pipeline(instance, options=options)
-                sol = result.solution
-                floors[group] = (sol.objective if sol.status in SOLVED
-                                 else None)
-                rows.append(GridRow(spec, sol.status, sol.objective,
-                                    excess_travel_time(sol.objective,
-                                                       floors[group])))
-                continue
-            floors[group], _ = lower_bound(instance, options=options)
-        result = solve_pipeline(instance, options=options)
-        sol = result.solution
+            floors[group] = ((sol.objective if sol.status in SOLVED else None)
+                             if spec.budget_fraction == 1.0
+                             else lower_bound(instance, options=options)[0])
         rows.append(GridRow(spec, sol.status, sol.objective,
                             excess_travel_time(sol.objective, floors[group])))
     return rows

@@ -17,6 +17,7 @@ bytes; anything timing-related goes to stderr only.  Exit codes: 0 solved,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -34,8 +35,7 @@ from .reductions import Cuts, standard_reductions
 from .solver import (ModelError, OracleLimits, OracleScaleError, SolveOptions,
                      brute_force_oracle, build_model, export_lp)
 
-_SPEC_KEYS = ("p", "alpha", "capacity_policy", "weight_policy",
-              "budget_fraction", "unit_cost", "segment_coupling", "facilities")
+_SPEC_KEYS = tuple(f.name for f in dataclasses.fields(InstanceSpec))
 
 
 def _instance_args(sub: argparse.ArgumentParser) -> None:
@@ -71,20 +71,14 @@ def _pipeline_args(sub: argparse.ArgumentParser) -> None:
 def _spec_from_args(args: argparse.Namespace) -> InstanceSpec:
     settings: dict[str, Any] = {}
     if args.config:
-        raw = json.loads(Path(args.config).read_text())
-        if not isinstance(raw, dict):
+        settings = json.loads(Path(args.config).read_text())
+        if not isinstance(settings, dict):
             raise SchemaError("config file must hold a JSON object")
-        unknown = set(raw) - set(_SPEC_KEYS)
-        if unknown:
-            raise SchemaError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(raw)
     for key in _SPEC_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    if isinstance(settings.get("facilities"), list):
-        settings["facilities"] = tuple(settings["facilities"])
-    return InstanceSpec(**settings)
+    return InstanceSpec.from_dict(settings)
 
 
 def _load(args: argparse.Namespace) -> ProblemInstance:

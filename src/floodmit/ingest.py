@@ -72,6 +72,22 @@ class InstanceSpec:
     facilities: tuple[str, ...] | None = None  # None = every file facility
 
     def __post_init__(self) -> None:
+        # settings may come from a JSON file: check their types first
+        for key in ("p", "alpha", "budget_fraction", "unit_cost"):
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise SchemaError(f"{key} must be a finite number, "
+                                  f"not {value!r}")
+        if not isinstance(self.segment_coupling, bool):
+            raise SchemaError("segment_coupling must be true or false, "
+                              f"not {self.segment_coupling!r}")
+        if self.facilities is not None:
+            if (not isinstance(self.facilities, (list, tuple))
+                    or not all(isinstance(f, str) for f in self.facilities)):
+                raise SchemaError("facilities must be a list of node ids, "
+                                  f"not {self.facilities!r}")
+            object.__setattr__(self, "facilities", tuple(self.facilities))
         if self.p < 0:
             raise SchemaError("p must be nonnegative")
         if self.alpha < 0:
@@ -92,14 +108,10 @@ class InstanceSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "InstanceSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in dataclasses.fields(cls)}
         if extra:
             raise SchemaError(f"unknown spec keys: {sorted(extra)}")
-        kwargs = dict(d)
-        if kwargs.get("facilities") is not None:
-            kwargs["facilities"] = tuple(kwargs["facilities"])
-        return cls(**kwargs)
+        return cls(**d)
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,21 @@ class _Work:
             return None
         return self.arcs[min((self.arcs[a].travel_time, a) for a in ids)[1]]
 
+    def detours(self, j: str) -> Iterator[tuple[RoadArc, RoadArc]]:
+        """The non-vulnerable detours (i->j, j->h) through ``j``, i != h.
+
+        The arcs out of ``j`` are listed before the first is yielded, so the
+        caller may remove arcs between other nodes as it goes.
+        """
+        outs = [a2 for a2 in map(self.arcs.__getitem__, self.out[j])
+                if not a2.vulnerable and a2.head != j]
+        for a1 in map(self.arcs.__getitem__, self.inn[j]):
+            if a1.vulnerable or a1.tail == j:
+                continue
+            for a2 in outs:
+                if a2.head != a1.tail:
+                    yield a1, a2
+
     def new_arcs(self, tech: int) -> list[RoadArc]:
         """Arcs added since ``tech`` last asked that still exist."""
         start = self.arc_cursor.get(tech, 0)
@@ -499,20 +514,12 @@ def _t8_clique_dominance(work: _Work) -> list[PruneAction]:
                 centres.add(j)
     removed: list[str] = []
     for j in sorted(centres):
-        outs = [a2 for a2 in map(work.arcs.__getitem__, work.out[j])
-                if not a2.vulnerable and a2.head != j]
-        for a1 in map(work.arcs.__getitem__, work.inn[j]):
-            if a1.vulnerable or a1.tail == j:
-                continue
-            i = a1.tail
-            for a2 in outs:
-                if a2.head == i:
-                    continue
-                detour = a1.travel_time + a2.travel_time
-                for did in [d for d in work.pair.get((i, a2.head), ())
-                            if work.arcs[d].travel_time >= detour - DIST_TOL]:
-                    work.remove_arc(did)
-                    removed.append(did)
+        for a1, a2 in work.detours(j):
+            detour = a1.travel_time + a2.travel_time
+            for did in [d for d in work.pair.get((a1.tail, a2.head), ())
+                        if work.arcs[d].travel_time >= detour - DIST_TOL]:
+                work.remove_arc(did)
+                removed.append(did)
     if not removed:
         return []
     return [PruneAction(8, removed_arcs=tuple(sorted(removed)))]
@@ -524,25 +531,14 @@ def harvest_triangle_vis(net: Network) -> list[tuple[str, str, str]]:
     In any optimal routing, a single origin uses at most one of the three arcs
     (arc i->j, arc i->h, arc j->h); the 0-1 model may add that as a cut.
     """
+    work = _Work(net)
     vis: set[tuple[str, str, str]] = set()
-    for j in sorted(net.nodes):
-        for in_id in net.in_arcs(j):
-            a1 = net.arcs[in_id]
-            if a1.vulnerable or a1.tail == j:
-                continue
-            i = a1.tail
-            for out_id in net.out_arcs(j):
-                a2 = net.arcs[out_id]
-                if a2.vulnerable or a2.head in (j, i):
-                    continue
-                h = a2.head
-                detour = a1.travel_time + a2.travel_time
-                for did in net.out_arcs(i):
-                    d = net.arcs[did]
-                    if d.vulnerable or d.head != h:
-                        continue
-                    if d.travel_time < detour - DIST_TOL:
-                        vis.add((a1.id, d.id, a2.id))
+    for j in work.nodes:
+        for a1, a2 in work.detours(j):
+            detour = a1.travel_time + a2.travel_time
+            vis.update((a1.id, d, a2.id)
+                       for d in work.pair.get((a1.tail, a2.head), ())
+                       if work.arcs[d].travel_time < detour - DIST_TOL)
     return sorted(vis)
 
 

@@ -13,7 +13,10 @@ The solver enumerates upgrade decisions in a best-first branch-and-bound:
 * kill a node whose remaining budget is below a dual-ascent bound on the
   spend still needed to connect every origin (`_connection_bound`);
 * probe once, when the root stays open, for an incumbent by solving the
-  same assignment over the roads open before any undecided unit is bought.
+  same assignment over the roads open before any undecided unit is bought;
+* when no plan is found, tell `Infeasible` from `BudgetDisconnected` by a
+  depth-first walk over the units that opens its nodes as the search does
+  and tests each with the same connection bound.
 
 The capacitated assignment is a generalized assignment problem.  When every
 origin's nearest facility has room, that is its answer; otherwise an
@@ -32,7 +35,8 @@ inequalities never reach the search: they only tighten the 0-1 model.
 and every capacity-feasible assignment (masks optional, added to each
 origin's closed set) — slower, but nothing to get wrong — and is what the
 solver is tested against.  `build_model`/`export_lp` emit the equivalent
-0-1 program, masks and cuts included, for external solvers, and
+0-1 program, masks and cuts included, for external solvers (one rule turns
+a forced route into a constant in every row), and
 `gap_to_rnfmp` embeds a generalized assignment problem as a zero-budget
 instance.
 """
@@ -696,62 +700,6 @@ def _connection_bound(net: Network, dest_ids: Sequence[str],
     return bound
 
 
-def _exceeds(bound: float, remaining: int) -> bool:
-    """Does a connection bound prove the remaining budget short?"""
-    return bound - remaining > _BOUND_RTOL * max(1.0, remaining)
-
-
-def _affordable_connectivity(net: Network, dest_ids: Sequence[str],
-                             units: Sequence[PurchaseUnit],
-                             closed: frozenset[str], base_cost: int,
-                             budget_cents: int, deadline: float,
-                             stats: dict[str, Any] | None = None,
-                             ) -> bool | None:
-    """Decide whether any affordable purchase set reconnects every origin.
-
-    Distinguishes capacity infeasibility from budget disconnection when the
-    main search ends without an incumbent.  ``closed`` holds the arcs shut
-    before any of ``units`` is bought.  A depth-first include/exclude search
-    over units in id order, include first.  Its one test is
-    `_connection_bound` over the committed units (free) and the undecided
-    ones that still fit (priced), the rest closed: 0 means the committed
-    units connect everyone (with units that cost nothing), a bound above
-    the remaining budget kills the subtree and is counted in
-    ``stats["connection_cuts"]``.  It keeps its own stack, so any number of
-    units fits.  Returns None if ``deadline`` passes first.
-    """
-    by_id = {u.id: u for u in units}
-    order = sorted(by_id)
-    prices = _arc_prices(net, units)
-    # (committed, banned, cost); an include child is pushed after its
-    # exclude sibling, so it is searched first
-    stack: list[tuple[frozenset[str], frozenset[str], int]] = [
-        (frozenset(), frozenset(), base_cost)]
-    while stack:
-        if time.perf_counter() > deadline:
-            return None
-        committed, banned, cost = stack.pop()
-        remaining = budget_cents - cost
-        afford = [uid for uid in order
-                  if uid not in committed and uid not in banned
-                  and by_id[uid].cost_cents <= remaining]
-        bought = frozenset(a for uid in committed for a in by_id[uid].arc_ids)
-        bound = _connection_bound(
-            net, dest_ids, prices, bought,
-            closed - bought - {a for uid in afford for a in by_id[uid].arc_ids})
-        if bound == 0:
-            return True
-        if _exceeds(bound, remaining):
-            if stats is not None:
-                stats["connection_cuts"] = stats.get("connection_cuts", 0) + 1
-            continue
-        uid = afford[0]
-        stack.append((committed, banned | {uid}, cost))
-        stack.append((committed | {uid}, banned,
-                      cost + by_id[uid].cost_cents))
-    return False
-
-
 #: a B&B node that stays open: (bound, committed, banned, cost, branch unit)
 _OpenNode = tuple[float, frozenset[str], frozenset[str], int, str]
 
@@ -761,23 +709,25 @@ def solve_exact(instance: ProblemInstance,
                 options: SolveOptions | None = None) -> Solution:
     """Exact best-first branch-and-bound over purchase units.
 
-    A node fixes some units in (committed) and some out (banned).  When the
-    undecided units that each fit the remaining budget together cost more
-    than it, `_connection_bound` prices what every origin still needs to
-    reach a facility (committed units free, banned and unaffordable ones
-    closed); a price above the remaining budget kills the node before any
-    search, so at the root it is the whole proof of `BudgetDisconnected`.
-    Otherwise the bound can only be ``inf`` where the relaxation's own
-    tables show a stranded origin, and it is skipped.  The node's bound
-    is the capacity-feasible assignment cost when every undecided unit that
-    still fits the remaining budget is optimistically treated as purchased:
-    distances are relaxed, capacities are not, so the bound stays tight on
-    capacity-bound instances.  A node whose relaxed routes ride undecided
-    units that fit the remaining budget together is closed by rounding:
-    buying them attains the bound, so that plan is offered as incumbent
-    (under the same objective test and tie rule as the probe's plan).  Every
-    other node branches on the undecided unit carrying the most resident
-    weight on the relaxed shortest paths.
+    A node fixes some units in (committed) and some out (banned).  Opening
+    it (``open_node``) gives its remaining budget, the undecided units that
+    each fit that budget (in id order) and the arcs left shut when those and
+    the committed units are bought.  When the affordable units together cost
+    more than the remaining budget, `_connection_bound` prices what every
+    origin still needs to reach a facility (committed units free, banned and
+    unaffordable ones closed); a price above the remaining budget kills the
+    node before any search, so at the root it is the whole proof of
+    `BudgetDisconnected`.  Otherwise the bound can only be ``inf`` where the
+    relaxation's own tables show a stranded origin, and it is skipped.  The
+    node's bound is the capacity-feasible assignment cost when every
+    undecided unit that still fits the remaining budget is optimistically
+    treated as purchased: distances are relaxed, capacities are not, so the
+    bound stays tight on capacity-bound instances.  A node whose relaxed
+    routes ride undecided units that fit the remaining budget together is
+    closed by rounding: buying them attains the bound, so that plan is
+    offered as incumbent (under the same objective test and tie rule as the
+    probe's plan).  Every other node branches on the undecided unit
+    carrying the most resident weight on the relaxed shortest paths.
 
     If the root stays open, one committed-only probe, after its bound solve
     and before its cut test, offers the assignment over the roads open
@@ -785,8 +735,12 @@ def solve_exact(instance: ProblemInstance,
     rounding: best-first with valid bounds expands every node whose bound is
     below the optimum whatever incumbent it holds, so the probe matters only
     to what a time-limited or ``gap_tol`` run reports.  If the search ends
-    without an incumbent, `_affordable_connectivity` decides between
-    `Infeasible` and `BudgetDisconnected`.
+    without an incumbent, a depth-first walk over the undecided units in id
+    order, include first, decides between `Infeasible` and
+    `BudgetDisconnected`.  It opens its nodes as the B&B does, and its one
+    test is the same connection bound, always taken: 0 means the committed
+    units connect everyone, and a bound above the remaining budget kills
+    the subtree.  It keeps its own stack, so any number of units fits.
 
     Every origin rides a shortest path over the open arcs, so each node needs
     only one reverse search per facility (``net.facility_times`` with every
@@ -799,14 +753,16 @@ def solve_exact(instance: ProblemInstance,
     in creation order and the heap is keyed (bound, number); incumbent ties
     prefer the lexicographically smaller used-upgrade set.
 
-    The clock is read against ``options.time_limit_s`` between nodes and
-    inside every assignment search; on expiry the result is `TimeLimit`
-    with the incumbent (if any) and the least bound of the subtrees left
-    open, the interrupted node's parent included.  Stats count B&B nodes
+    The clock is read against ``options.time_limit_s`` between nodes of
+    both searches and inside every assignment search; on expiry the result
+    is `TimeLimit` with the incumbent (if any) and the least bound of the
+    subtrees left open, the interrupted node's parent included.  Every
+    result is built by ``finish``, whose bound is capped by the incumbent's
+    objective and sets the gap.  Stats count B&B nodes
     (``nodes_explored``), ``incumbent_updates``, ``rounding_closures``,
-    ``connection_cuts`` (B&B and `_affordable_connectivity` nodes the
-    connection bound refuted) and ``assignment_nodes`` (search nodes over
-    the probe and every bound solve);
+    ``connection_cuts`` (nodes of either search the connection bound
+    refuted) and ``assignment_nodes`` (search nodes over the probe and
+    every bound solve);
     ``wall_time_assignment_s`` is the time spent in those searches (kept,
     like ``wall_time_s``, out of the deterministic JSON).  A warm start
     that fails validation is dropped and its report kept in
@@ -831,16 +787,26 @@ def solve_exact(instance: ProblemInstance,
                              "rounding_closures": 0, "connection_cuts": 0,
                              "assignment_nodes": 0,
                              "wall_time_assignment_s": 0.0}
+    incumbent: Solution | None = None
 
-    def finish(sol: Solution) -> Solution:
-        sol.stats.setdefault("nodes_explored", stats["nodes_explored"])
+    def finish(status: SolveStatus, bound: float | None = None) -> Solution:
+        """The result: the incumbent (if any) under ``status``, its bound
+        capped by the objective, and the gap between the two."""
+        if incumbent is None:
+            sol = Solution(status=status, best_bound=bound)
+        else:
+            sol = dataclasses.replace(incumbent, status=status)
+            if bound is not None:
+                sol.best_bound = min(bound, sol.objective)
+                sol.gap = ((sol.objective - sol.best_bound)
+                           / max(abs(sol.objective), 1e-12))
+        sol.stats = dict(stats)
         sol.stats["wall_time_s"] = time.perf_counter() - start
         return sol
 
     if base_cost > budget_cents:
         # the forced exits alone blow the budget: no affordable set connects
-        return finish(Solution(status=SolveStatus.BUDGET_DISCONNECTED,
-                               stats=dict(stats)))
+        return finish(SolveStatus.BUDGET_DISCONNECTED)
 
     undecided = {u.id: u for u in units if u not in committed_units}
     unit_ids = sorted(undecided)
@@ -849,10 +815,30 @@ def solve_exact(instance: ProblemInstance,
     gap_items_order = sorted(origins, key=lambda o: (-o.residents, o.id))
     origin_order = sorted(origins, key=lambda o: o.id)
 
-    incumbent: Solution | None = None
+    def open_node(committed: frozenset[str], banned: frozenset[str],
+                  cost: int) -> tuple[int, list[str], frozenset[str]]:
+        """(remaining budget, the undecided units that each fit it in id
+        order, the arcs shut when those and the committed units are
+        bought)."""
+        remaining = budget_cents - cost
+        afford = [uid for uid in unit_ids
+                  if uid not in committed and uid not in banned
+                  and undecided[uid].cost_cents <= remaining]
+        return remaining, afford, shut - {
+            a for uid in itertools.chain(committed, afford)
+            for a in undecided[uid].arc_ids}
 
-    def closed_for(uids: Iterable[str]) -> frozenset[str]:
-        return shut - {a for uid in uids for a in undecided[uid].arc_ids}
+    def connection(committed: frozenset[str], remaining: int,
+                   closed: frozenset[str]) -> float | None:
+        """The node's connection bound, or None (a counted cut) when it
+        proves the remaining budget short."""
+        bought = frozenset(a for uid in committed
+                           for a in undecided[uid].arc_ids)
+        bound = _connection_bound(net, dest_ids, prices, bought, closed)
+        if bound - remaining > _BOUND_RTOL * max(1.0, remaining):
+            stats["connection_cuts"] += 1
+            return None
+        return bound
 
     def record(obj: float, assignment: dict[str, str],
                paths: dict[str, tuple[str, ...]]) -> None:
@@ -925,18 +911,10 @@ def solve_exact(instance: ProblemInstance,
         attains the bound, and that plan is offered as incumbent.  A node
         that stays open carries the unit to branch on.
         """
-        remaining = budget_cents - cost
-        afford = [uid for uid in unit_ids
-                  if uid not in committed and uid not in banned
-                  and undecided[uid].cost_cents <= remaining]
-        closed = closed_for(itertools.chain(committed, afford))
-        if sum(undecided[uid].cost_cents for uid in afford) > remaining:
-            bought = frozenset(a for uid in committed
-                               for a in undecided[uid].arc_ids)
-            if _exceeds(_connection_bound(net, dest_ids, prices, bought,
-                                          closed), remaining):
-                stats["connection_cuts"] += 1
-                return None  # no affordable completion connects everyone
+        remaining, afford, closed = open_node(committed, banned, cost)
+        if (sum(undecided[uid].cost_cents for uid in afford) > remaining
+                and connection(committed, remaining, closed) is None):
+            return None  # no affordable completion connects everyone
         found = assign(closed)
         if found is None:
             return None  # the relaxation strands an origin or overfills
@@ -957,6 +935,27 @@ def solve_exact(instance: ProblemInstance,
         return (bound, committed, banned, cost,
                 min(score, key=lambda uid: (-score[uid], uid)))
 
+    def connectable() -> bool:
+        """Does any affordable purchase set reconnect every origin?"""
+        # (committed, banned, cost); an include child is pushed after its
+        # exclude sibling, so it is searched first
+        stack: list[tuple[frozenset[str], frozenset[str], int]] = [
+            (frozenset(), frozenset(), base_cost)]
+        while stack:
+            if time.perf_counter() > deadline:
+                raise _DeadlinePassed
+            committed, banned, cost = stack.pop()
+            remaining, afford, closed = open_node(committed, banned, cost)
+            bound = connection(committed, remaining, closed)
+            if bound == 0:
+                return True
+            if bound is not None:
+                uid = afford[0]
+                stack.append((committed, banned | {uid}, cost))
+                stack.append((committed | {uid}, banned,
+                              cost + undecided[uid].cost_cents))
+        return False
+
     counter = itertools.count()
     heap: list[tuple[float, int, frozenset[str], frozenset[str], int, str]] = []
     cut_floor: float | None = None   # weakest bound discarded under gap_tol
@@ -972,7 +971,6 @@ def solve_exact(instance: ProblemInstance,
         else:
             cut_floor = bound if cut_floor is None else min(cut_floor, bound)
 
-    timed_out = False
     proven_bound: float | None = None
     expanding: float | None = None   # bound of the node being branched on
     try:
@@ -982,8 +980,7 @@ def solve_exact(instance: ProblemInstance,
         push(root)
         while heap:
             if time.perf_counter() > deadline:
-                timed_out = True
-                break
+                raise _DeadlinePassed
             bound, _, committed, banned, cost, branch = heapq.heappop(heap)
             stats["nodes_explored"] += 1
             if not beats_incumbent(bound):
@@ -995,51 +992,22 @@ def solve_exact(instance: ProblemInstance,
                           cost + unit.cost_cents))
             push(evaluate(committed, banned | {branch}, cost))
             expanding = None
+        if incumbent is None:
+            # pruned subtrees might hide an affordable connecting set; decide
+            # it exactly so the Infeasible / BudgetDisconnected split matches
+            # the oracle
+            return finish(SolveStatus.INFEASIBLE if connectable()
+                          else SolveStatus.BUDGET_DISCONNECTED)
     except _DeadlinePassed:
-        timed_out = True
-
-    if timed_out:
         open_bounds = [h[0] for h in heap]
         if expanding is not None:
             open_bounds.append(expanding)  # its children were cut short
-        lb = min(open_bounds) if open_bounds else None
-        if incumbent is None:
-            return finish(Solution(status=SolveStatus.TIME_LIMIT,
-                                   best_bound=lb, stats=dict(stats)))
-        sol = dataclasses.replace(incumbent)
-        sol.status = SolveStatus.TIME_LIMIT
-        if lb is not None:
-            sol.best_bound = min(lb, sol.objective)
-            sol.gap = ((sol.objective - sol.best_bound)
-                       / max(abs(sol.objective), 1e-12))
-        sol.stats = dict(stats)
-        return finish(sol)
-    if incumbent is None:
-        # pruned subtrees might hide an affordable connecting set; decide
-        # it exactly so the Infeasible / BudgetDisconnected split matches
-        # the oracle
-        can = _affordable_connectivity(
-            net, dest_ids, list(undecided.values()), shut,
-            base_cost, budget_cents, deadline, stats)
-        if can is None:
-            return finish(Solution(status=SolveStatus.TIME_LIMIT,
-                                   stats=dict(stats)))
-        status = (SolveStatus.INFEASIBLE if can
-                  else SolveStatus.BUDGET_DISCONNECTED)
-        return finish(Solution(status=status, stats=dict(stats)))
-    sol = dataclasses.replace(incumbent)
-    sol.status = SolveStatus.OPTIMAL
+        return finish(SolveStatus.TIME_LIMIT, min(open_bounds, default=None))
     floors = [b for b in (proven_bound, cut_floor) if b is not None]
-    if floors and options.gap_tol > 0:
-        # subtrees were discarded on tolerance, so only this much is proven
-        sol.best_bound = min(min(floors), sol.objective)
-        sol.gap = max(0.0, (sol.objective - sol.best_bound)
-                      / max(abs(sol.objective), 1e-12))
-    else:
-        sol.best_bound = sol.objective
-        sol.gap = 0.0
-    sol.stats = dict(stats)
-    return finish(sol)
+    # subtrees discarded on tolerance leave only the least of them proven
+    return finish(SolveStatus.OPTIMAL,
+                  min(floors) if floors and options.gap_tol > 0
+                  else incumbent.objective)
 
 
 # -- validation ---------------------------------------------------------------
@@ -1242,19 +1210,28 @@ def build_model(instance: ProblemInstance,
         seen_y[base] = n
         y_var[u.id] = base if n == 1 else f"{base}__{n}"
 
-    weights = {o.id: o.weight for o in origins}
-    residents = {o.id: o.residents for o in origins}
+    def split(entries: Iterable[tuple[float, str, str]],
+              ) -> tuple[tuple[tuple[float, str], ...], float]:
+        """A row's terms coef·x[k, arc] for (coef, k, arc) in ``entries``,
+        and the constant that forced routes among them add (masked ones
+        add nothing)."""
+        terms: list[tuple[float, str]] = []
+        fixed = 0.0
+        for coef, k, aid in entries:
+            if (k, aid) in forced_x:
+                fixed += coef
+            elif (k, aid) in x_var:
+                terms.append((coef, x_var[(k, aid)]))
+        return tuple(terms), fixed
 
-    objective: list[tuple[float, str]] = []
-    constant = 0.0
-    for o in origins:
-        for aid in arc_ids:
-            t = net.arcs[aid].travel_time
-            if (o.id, aid) in forced_x:
-                constant += weights[o.id] * t
-            elif (o.id, aid) in x_var:
-                objective.append((weights[o.id] * t, x_var[(o.id, aid)]))
+    def flow(k: str, node: str, scale: float = 1.0,
+             ) -> list[tuple[float, str, str]]:
+        """(in - out) entries for commodity k at node, times ``scale``."""
+        return ([(scale, k, aid) for aid in net.in_arcs(node)]
+                + [(-scale, k, aid) for aid in net.out_arcs(node)])
 
+    objective, constant = split((o.weight * net.arcs[aid].travel_time, o.id,
+                                 aid) for o in origins for aid in arc_ids)
     constraints: list[Constraint] = []
 
     def add_row(name: str, terms: tuple[tuple[float, str], ...], sense: str,
@@ -1269,36 +1246,18 @@ def build_model(instance: ProblemInstance,
             raise ModelError(
                 f"fixings make row {name!r} unsatisfiable: 0 {sense} {rhs:g}")
 
-    def flow_terms(k: str, node: str) -> tuple[list[tuple[float, str]], float]:
-        """(in - out) terms for commodity k at node; returns (terms, fixed part)."""
-        terms: list[tuple[float, str]] = []
-        fixed = 0.0
-        for aid in net.in_arcs(node):
-            if (k, aid) in forced_x:
-                fixed += 1.0
-            elif (k, aid) in x_var:
-                terms.append((1.0, x_var[(k, aid)]))
-        for aid in net.out_arcs(node):
-            if (k, aid) in forced_x:
-                fixed -= 1.0
-            elif (k, aid) in x_var:
-                terms.append((-1.0, x_var[(k, aid)]))
-        return terms, fixed
-
     for o in origins:
         k = o.id
-        terms, fixed = flow_terms(k, k)
-        add_row(f"flow2_{_clean(k)}", tuple(terms), "=", -1.0 - fixed)
+        terms, fixed = split(flow(k, k))
+        add_row(f"flow2_{_clean(k)}", terms, "=", -1.0 - fixed)
         for j in sorted(dests):
-            terms, fixed = flow_terms(k, j)
-            add_row(f"flow3_{_clean(k)}_{_clean(j)}", tuple(terms), ">=",
-                    0.0 - fixed)
+            terms, fixed = split(flow(k, j))
+            add_row(f"flow3_{_clean(k)}_{_clean(j)}", terms, ">=", 0.0 - fixed)
         for j in sorted(net.nodes):
             if j in dests or j == k:
                 continue
-            terms, fixed = flow_terms(k, j)
-            add_row(f"flow4_{_clean(k)}_{_clean(j)}", tuple(terms), "=",
-                    0.0 - fixed)
+            terms, fixed = split(flow(k, j))
+            add_row(f"flow4_{_clean(k)}_{_clean(j)}", terms, "=", 0.0 - fixed)
 
     knap_terms = tuple((u.cost_cents / 100.0, y_var[u.id])
                        for u in units if u.id in y_var)
@@ -1323,33 +1282,14 @@ def build_model(instance: ProblemInstance,
             continue  # a forced unit always has its forced route using it
         name = (f"use7_s_{_clean(u.id)}" if instance.spec.segment_coupling
                 else f"use7_{arc_name[u.arc_ids[0]]}")
-        terms: list[tuple[float, str]] = [(1.0, y_var[u.id])]
-        fixed = 0.0
-        for aid in u.arc_ids:
-            for o in origins:
-                if (o.id, aid) in forced_x:
-                    fixed += 1.0
-                elif (o.id, aid) in x_var:
-                    terms.append((-1.0, x_var[(o.id, aid)]))
-        add_row(name, tuple(terms), "<=", 0.0 + fixed)
+        terms, fixed = split((-1.0, o.id, aid)
+                             for aid in u.arc_ids for o in origins)
+        add_row(name, ((1.0, y_var[u.id]),) + terms, "<=", 0.0 - fixed)
 
     for j in sorted(dests):
-        terms = []
-        fixed = 0.0
-        for o in origins:
-            k = o.id
-            h = residents[k]
-            for aid in net.in_arcs(j):
-                if (k, aid) in forced_x:
-                    fixed += h
-                elif (k, aid) in x_var:
-                    terms.append((h, x_var[(k, aid)]))
-            for aid in net.out_arcs(j):
-                if (k, aid) in forced_x:
-                    fixed -= h
-                elif (k, aid) in x_var:
-                    terms.append((-h, x_var[(k, aid)]))
-        add_row(f"cap8_{_clean(j)}", tuple(terms), "<=",
+        terms, fixed = split(entry for o in origins
+                             for entry in flow(o.id, j, o.residents))
+        add_row(f"cap8_{_clean(j)}", terms, "<=",
                 net.nodes[j].capacity - fixed)
 
     if cuts is not None:

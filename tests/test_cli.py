@@ -1,6 +1,7 @@
 """End-to-end command-line runs against generated network files."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -109,6 +110,48 @@ def test_malformed_record_exits_1(tmp_path, capsys):
     assert "error: node record 5: not an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, config", [
+    ("facilities", '{"facilities": [["n02x02"]]}'),
+    ("facilities", '{"facilities": [1, "zz"]}'),
+    ("facilities", '{"facilities": "n02x02"}'),
+    ("alpha", '{"alpha": "0.2"}'),
+    ("alpha", '{"alpha": true}'),
+    ("p", '{"p": NaN}'),
+    ("unit_cost", '{"unit_cost": Infinity}'),
+    ("budget_fraction", '{"budget_fraction": null}'),
+    ("segment_coupling", '{"segment_coupling": "false"}'),
+    ("weight policy", '{"weight_policy": ["uniform"]}'),
+], ids=["nested-facility", "number-facility", "facility-string",
+        "string-alpha", "bool-alpha", "nan-p", "infinite-cost", "null-budget",
+        "string-coupling", "list-policy"])
+def test_bad_config_value_exits_1(demo, tmp_path, capsys, key, config):
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    assert main(["ingest", str(demo), "--config", str(path),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_with_flag_override(demo, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"alpha": 3.0, "budget_fraction": 0.5,
+                                "facilities": ["n02x02"]}))
+    out = tmp_path / "out"
+    assert main(["ingest", str(demo), "--config", str(path),
+                 "--alpha", "0.15", "--out-dir", str(out)]) == 0
+    spec = json.loads((out / "instance.json").read_bytes())["spec"]
+    assert spec["alpha"] == 0.15          # the flag wins
+    assert spec["budget_fraction"] == 0.5
+    assert spec["facilities"] == ["n02x02"]
+    assert main(["ingest", str(demo), "--config", str(path),
+                 "--facility", "n04x02", "--out-dir", str(out)]) == 0
+    spec = json.loads((out / "instance.json").read_bytes())["spec"]
+    assert spec["alpha"] == 3.0
+    assert spec["facilities"] == ["n04x02"]
+
+
 def test_oracle_command_on_paradox_family(paradox, tmp_path, capsys):
     low, high = synth.BUDGET_PARADOX_PAIR
     out = tmp_path / "oracle.json"
@@ -157,6 +200,16 @@ def test_ewtt_command_with_segments(demo, tmp_path, capsys):
     assert (out / "ewtt.csv").read_bytes() == first
 
 
+#: sha256 of the demo town's model.lp at alpha 0.15, by extra flags
+LP_SHA256 = {
+    (): "75b4dfd49ec47c9b58748f05d1e4f7d863f7b991af80c53bb524e3ee8d62b8ce",
+    ("--no-reduce", "--no-vis"):
+        "965e768199286b348a21bd7a4f075af5186b8717371757cab973604d1c6c7498",
+    ("--segment-coupling",):
+        "c45d69cb5a556dd0206fc482fb2827274f84a18bc236938dff18bdc965469f14",
+}
+
+
 def test_export_lp_stable(demo, tmp_path, capsys):
     out = tmp_path / "lp"
     argv = ["export-lp", str(demo), "--alpha", "0.15", "--out-dir", str(out)]
@@ -166,6 +219,10 @@ def test_export_lp_stable(demo, tmp_path, capsys):
     assert main(argv) == 0
     assert (out / "model.lp").read_bytes() == first
     assert first.startswith(b"\\ floodmit")
+    for flags, digest in LP_SHA256.items():
+        assert main(argv + list(flags)) == 0
+        assert hashlib.sha256((out / "model.lp").read_bytes()).hexdigest() \
+            == digest, flags
 
 
 def test_prune_command_table(demo, tmp_path, capsys):

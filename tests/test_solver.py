@@ -477,25 +477,34 @@ def test_affordable_connectivity_search_is_iterative():
     assert sol.status is SolveStatus.BUDGET_DISCONNECTED
 
 
-def test_affordable_connectivity_walk_is_iterative():
-    # the same star on $150: each origin needs its own exit, so the
-    # connection bound equals what is left at every node, and the
-    # include-first walk commits all 150 units before the committed
-    # exits connect everyone
+def test_affordable_connectivity_walk_is_iterative(monkeypatch):
+    # the same star on $150 with the facility one bed short: the root's
+    # assignment fails, so no plan is found and the walk decides.  Each
+    # origin needs its own exit, so the connection bound equals what is
+    # left at every node, and the include-first walk commits all 150 units
+    # before the committed exits connect everyone
     n = 150
     nodes = [O(f"o{i:03d}", 1) for i in range(n)] + [D("d", n - 1)]
     arcs = [RoadArc(f"e{i:03d}", f"o{i:03d}", "d", 1.0, vulnerable=True,
                     mitigation_cost=1.0) for i in range(n)]
-    net = build_instance(nodes, arcs, 150.0, float(n)).network
-    units = solver.purchase_units(net, False)
+    inst = build_instance(nodes, arcs, 150.0, float(n))
+    free_sizes = []
+    real = solver._connection_bound
+
+    def counted(net, dest_ids, prices, free, closed):
+        free_sizes.append(len(free))
+        return real(net, dest_ids, prices, free, closed)
+
+    monkeypatch.setattr(solver, "_connection_bound", counted)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
     try:
-        found = solver._affordable_connectivity(
-            net, ["d"], units, net.vulnerable_ids, 0, 15_000, math.inf)
+        sol = solve_exact(inst)
     finally:
         sys.setrecursionlimit(limit)
-    assert found is True
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert free_sizes == list(range(n + 1))
+    assert sol.stats["connection_cuts"] == 0
 
 
 def test_budget_disconnection_is_proven_before_the_search():

@@ -8,11 +8,12 @@
 * ``ewtt_ranking`` — criticality of individual roads: weighted extra minutes
   summed over every origin/facility pair when one road is closed (pairs a
   closure disconnects are flagged and excluded from the sum).  Baseline
-  times come from ``net.facility_times``; a closure is searched again only
-  for the facilities whose origins' shortest paths it can touch.
+  times come from ``net.facility_times``; a closure repairs
+  (``net.close_arcs``) only the tables of the facilities whose origins'
+  shortest paths it can touch, and no closure runs a full search.
 * ``connectivity_critical`` — roads whose closure strands some origin
   entirely: one multi-source reverse search from all facilities, then one
-  more for each road on some origin's shortest way out.
+  repair of that table for each road on some origin's shortest way out.
 * ``upgrade_frequency`` — how often each road is bought across a set of
   plans (e.g. a sweep), a robustness signal.
 * ``scenario_grid`` — cross products of derivation parameters, each group
@@ -32,7 +33,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .ingest import (InstanceSpec, ProblemInstance, _derive, _parse,
                      upgrade_cost_cents)
-from .net import DIST_TOL, Network, dijkstra, facility_times
+from .net import DIST_TOL, Network, close_arcs, dijkstra, facility_times
 from .net import shortest_paths  # noqa: F401 - bench/tracer.py hooks it here
 from .pipeline import PipelineResult, solve_pipeline
 from .solver import SOLVED, SolveOptions, SolveStatus
@@ -122,7 +123,7 @@ def _closures_that_matter(net: Network, table: Mapping[str, float],
     when it is tight, ``travel_time + table[head] - table[tail] <=
     2*DIST_TOL``, and its tail is reached from some origin along tight arcs;
     one forward walk finds them all.  Closing any other arc leaves every
-    origin's time bit-identical, so its search can be skipped:
+    origin's time bit-identical, so its repair can be skipped:
 
     * a looser arc's offer never settles its tail, and never blocks the
       offer that does in the kernel's ``< best - DIST_TOL`` test, as long
@@ -166,9 +167,11 @@ def ewtt_ranking(instance: ProblemInstance,
     pairs (fully repaired network as the baseline).
 
     Ranks vulnerable roads by default; repeated ids in ``arcs`` count once.
-    Baseline times come from ``net.facility_times``.  A closure is searched
-    again, one reverse search, only for each facility whose table it can
-    change (``_closures_that_matter``); every other table is the baseline.
+    Baseline times come from ``net.facility_times``, the only full
+    searches.  A closure repairs (``net.close_arcs``) each facility's table
+    it can change (``_closures_that_matter``); every other table is the
+    baseline.  Only the origins whose times moved are summed, in origin
+    order: every other pair adds 0, so the sum keeps its bytes.
     """
     net = instance.network
     origins = net.origins()
@@ -178,22 +181,24 @@ def ewtt_ranking(instance: ProblemInstance,
               for d, times in base.items()}
     rows: list[EwttRow] = []
     for aid in _candidates(net, arcs, net.vulnerable_ids):
-        closed = frozenset((aid,))
-        removed = {d: dijkstra(net, (d,), closed, reverse=True)
-                   if aid in matter[d] else times
-                   for d, times in base.items()}
+        moved = {d: close_arcs(net, times, (d,), (aid,))
+                 if aid in matter[d] else {}
+                 for d, times in base.items()}
+        touched = set().union(*moved.values())
         total = 0.0
         pairs = 0
         cut = 0
         for o in origins:
+            if o.id not in touched:
+                continue  # every time stands: no detour and no cut
             for d, times in base.items():
-                before = times.get(o.id)
-                if before is None:
+                if o.id not in moved[d]:
                     continue
-                after = removed[d].get(o.id)
+                after = moved[d][o.id]
                 if after is None:
                     cut += 1
                     continue
+                before = times[o.id]
                 delta = after - before
                 if delta > 0:
                     total += o.weight * delta
@@ -234,8 +239,9 @@ def connectivity_critical(instance: ProblemInstance,
 
     One multi-source reverse search from every facility.  If it already
     strands an origin, every road is critical; otherwise only the roads on
-    some origin's shortest way out (``_closures_that_matter``) are searched
-    again with the road closed.  Repeated ids in ``arcs`` count once.
+    some origin's shortest way out (``_closures_that_matter``) are closed
+    in that table (``net.close_arcs``), and a road is critical when some
+    origin's repaired label is None.  Repeated ids in ``arcs`` count once.
     """
     net = instance.network
     origin_ids = [o.id for o in net.origins()]
@@ -249,8 +255,8 @@ def connectivity_critical(instance: ProblemInstance,
     for aid in candidates:
         if aid not in matter:
             continue
-        after = dijkstra(net, dest_ids, frozenset((aid,)), reverse=True)
-        if not all(k in after for k in origin_ids):
+        moved = close_arcs(net, reach, dest_ids, (aid,))
+        if any(moved[k] is None for k in origin_ids if k in moved):
             critical.append(aid)
     return tuple(critical)
 

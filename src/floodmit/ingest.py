@@ -111,7 +111,11 @@ class InstanceSpec:
         extra = set(d) - {f.name for f in dataclasses.fields(cls)}
         if extra:
             raise SchemaError(f"unknown spec keys: {sorted(extra)}")
-        return cls(**d)
+        spec = cls(**d)
+        # a JSON 1 is the flag's 1.0: the same settings, the same bytes
+        return dataclasses.replace(spec, **{
+            key: float(getattr(spec, key))
+            for key in ("p", "alpha", "budget_fraction", "unit_cost")})
 
 
 @dataclass(frozen=True)

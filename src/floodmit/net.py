@@ -8,7 +8,8 @@ unusable unless upgraded.
 Every search takes the roads it may not use as one set of closed arc ids:
 ``net.vulnerable_ids`` for the flooded network, the empty default for the
 fully repaired one, ``net.vulnerable_ids - bought`` for a plan, and
-``frozenset((aid,))`` for one road closed.
+``frozenset((aid,))`` for one road closed.  ``close_arcs`` closes more
+roads in a finished reverse table by repairing it, not searching it again.
 """
 from __future__ import annotations
 
@@ -165,7 +166,8 @@ class Network:
 
 def dijkstra(net: Network, sources: Iterable[str],
              closed: frozenset[str] = frozenset(),
-             reverse: bool = False) -> dict[str, float]:
+             reverse: bool = False,
+             labels: Mapping[str, float] | None = None) -> dict[str, float]:
     """Settled travel times from the nearest of ``sources`` over open arcs.
 
     The one shortest-path kernel.  Forward it gives times *from* the
@@ -173,14 +175,25 @@ def dijkstra(net: Network, sources: Iterable[str],
     nearest source.  Arcs whose ids are in ``closed`` (default: none) are
     skipped.  Returns ``{node_id: minutes}`` in settling order; unreachable
     nodes are absent.
+
+    The seeded form, with ``labels``, resumes a finished search instead of
+    starting one (``close_arcs`` uses it).  Each source starts at its
+    label rather than at 0, and every labelled node keeps its label unless
+    it is offered one smaller by more than ``DIST_TOL``; only unlabelled
+    nodes are free to be relabelled.  The result then holds the sources
+    and the nodes the search settled from them.
     """
     heap: list[tuple[float, str]] = []
-    best: dict[str, float] = {}
-    for s in sorted(set(sources)):
-        if s not in net:
-            raise NetworkError(f"unknown node {s!r}")
-        best[s] = 0.0
-        heap.append((0.0, s))
+    if labels is None:
+        best: dict[str, float] = {}
+        for s in sorted(set(sources)):
+            if s not in net:
+                raise NetworkError(f"unknown node {s!r}")
+            best[s] = 0.0
+            heap.append((0.0, s))
+    else:
+        best = dict(labels)
+        heap = [(best[s], s) for s in sources]
     heapq.heapify(heap)
     incident = net._in if reverse else net._out
     arcs = net.arcs
@@ -222,6 +235,71 @@ def facility_times(net: Network, closed: frozenset[str] = frozenset(),
     """
     return {d.id: dijkstra(net, (d.id,), closed, reverse=True)
             for d in net.destinations()}
+
+
+def close_arcs(net: Network, table: Mapping[str, float],
+               sources: Iterable[str], arcs: Iterable[str],
+               ) -> dict[str, float | None]:
+    """The labels of a reverse table that change when ``arcs`` close.
+
+    ``table`` is ``dijkstra(net, sources, reverse=True)``.  Returns
+    ``{node_id: minutes}`` for just the nodes whose time moves, with None
+    for a node that no longer reaches a source; applied to ``table`` it
+    equals ``dijkstra(net, sources, frozenset(arcs), reverse=True)`` to the
+    last bit.  This is a dynamic shortest-path repair (Ramalingam & Reps,
+    J. Algorithms 21, 1996):
+
+    * only the affected nodes can move: the tail of each closed arc that is
+      tight in ``table`` (``travel_time + table[head] - table[tail] <=
+      2*DIST_TOL``, the slack ``_closures_that_matter`` explains) and every
+      node that reaches one of those tails along tight arcs.  Sources stay
+      at 0 and are never affected.  The set is wider than the subtree under
+      the closed arcs, because a closed arc off the tree can still have
+      blocked a later offer within DIST_TOL;
+    * the kernel then relabels them, seeded with the unchanged label of
+      every other node that has an open arc into the set, under the same
+      ``< best - DIST_TOL`` rule and ``(time, id)`` heap order as a fresh
+      search.
+    """
+    arcs_by_id, incoming, outgoing = net.arcs, net._in, net._out
+    shut = frozenset(arcs)
+    affected: set[str] = set()
+    for aid in shut:
+        arc = arcs_by_id[aid]
+        at_tail = table.get(arc.tail)
+        at_head = table.get(arc.head)
+        if at_tail is not None and at_head is not None and \
+                arc.travel_time + at_head - at_tail <= 2 * DIST_TOL:
+            affected.add(arc.tail)
+    stack = list(affected)
+    while stack:
+        v = stack.pop()
+        at_v = table[v]
+        for aid in incoming[v]:
+            arc = arcs_by_id[aid]
+            u = arc.tail
+            if u in affected:
+                continue
+            at_u = table.get(u)
+            if at_u is not None and \
+                    arc.travel_time + at_v - at_u <= 2 * DIST_TOL:
+                affected.add(u)
+                stack.append(u)
+    affected.difference_update(sources)
+    if not affected:
+        return {}
+    seeds: set[str] = set()
+    for v in affected:
+        for aid in outgoing[v]:
+            u = arcs_by_id[aid].head
+            if u not in affected and u in table and aid not in shut:
+                seeds.add(u)
+    labels = dict(table)
+    for v in affected:
+        del labels[v]
+    settled = dijkstra(net, seeds, shut, reverse=True, labels=labels)
+    return {v: settled.get(v) for v in affected
+            if settled.get(v) != table[v]}
 
 
 def canonical_shortest_path(net: Network, source: str, target: str,

@@ -740,7 +740,9 @@ def solve_exact(instance: ProblemInstance,
     `BudgetDisconnected`.  It opens its nodes as the B&B does, and its one
     test is the same connection bound, always taken: 0 means the committed
     units connect everyone, and a bound above the remaining budget kills
-    the subtree.  It keeps its own stack, so any number of units fits.
+    the subtree.  It keeps its own stack, so any number of units fits.  A
+    root that the connection bound already refuted is `BudgetDisconnected`
+    without the walk, whose first test would refute it again.
 
     Every origin rides a shortest path over the open arcs, so each node needs
     only one reverse search per facility (``net.facility_times`` with every
@@ -975,6 +977,8 @@ def solve_exact(instance: ProblemInstance,
     expanding: float | None = None   # bound of the node being branched on
     try:
         root = evaluate(frozenset(), frozenset(), base_cost)
+        # the only node cut so far is the root: refuted, it needs no walk
+        root_refuted = stats["connection_cuts"] > 0
         if root is not None:
             try_incumbent(shut)  # the one committed-only probe
         push(root)
@@ -996,7 +1000,8 @@ def solve_exact(instance: ProblemInstance,
             # pruned subtrees might hide an affordable connecting set; decide
             # it exactly so the Infeasible / BudgetDisconnected split matches
             # the oracle
-            return finish(SolveStatus.INFEASIBLE if connectable()
+            return finish(SolveStatus.INFEASIBLE
+                          if not root_refuted and connectable()
                           else SolveStatus.BUDGET_DISCONNECTED)
     except _DeadlinePassed:
         open_bounds = [h[0] for h in heap]

@@ -249,12 +249,14 @@ def test_closure_within_two_tolerances_is_searched():
 
 @pytest.fixture
 def search_count(monkeypatch):
-    """Counts calls of the shortest-path kernel, wherever it is looked up."""
+    """Counts calls of the shortest-path kernel, wherever it is looked up:
+    "full" for a search from scratch, "repair" for ``close_arcs``'s
+    seeded one."""
     calls = []
     real = net_module.dijkstra
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append("full" if kwargs.get("labels") is None else "repair")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(net_module, "dijkstra", counted)
@@ -268,9 +270,11 @@ def test_closure_ranking_searches_only_closures_that_matter(search_count):
     rows = ewtt_ranking(inst)
     assert len(rows) == 141
     assert len(search_count) <= 3 + 45
+    assert search_count.count("full") == 3     # one baseline per facility
     del search_count[:]
     connectivity_critical(inst, [r.arc for r in rows])
     assert len(search_count) <= 1 + 11
+    assert search_count.count("full") == 1     # the multi-source baseline
 
 
 def test_closure_off_every_tight_path_triggers_no_search(search_count):
@@ -292,7 +296,7 @@ def test_closure_off_every_tight_path_triggers_no_search(search_count):
     assert len(search_count) == 1
     del search_count[:]
     assert connectivity_critical(inst, ["b", "om"]) == ()  # "b" stays open
-    assert len(search_count) == 2           # "om" is searched
+    assert search_count == ["full", "repair"]  # "om" is repaired
 
 
 def test_upgrade_frequency_counts_and_shares():

@@ -152,6 +152,20 @@ def test_config_file_with_flag_override(demo, tmp_path):
     assert spec["facilities"] == ["n04x02"]
 
 
+def test_config_ints_write_the_same_bytes_as_flags(demo, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"alpha": 1, "p": 1, "budget_fraction": 1,
+                                "unit_cost": 2}))
+    assert main(["ingest", str(demo), "--config", str(path),
+                 "--out-dir", str(tmp_path / "config")]) == 0
+    assert main(["ingest", str(demo), "--alpha", "1", "--p", "1",
+                 "--budget-fraction", "1", "--unit-cost", "2",
+                 "--out-dir", str(tmp_path / "flags")]) == 0
+    written = (tmp_path / "config" / "instance.json").read_bytes()
+    assert written == (tmp_path / "flags" / "instance.json").read_bytes()
+    assert b'"alpha": 1.0' in written
+
+
 def test_oracle_command_on_paradox_family(paradox, tmp_path, capsys):
     low, high = synth.BUDGET_PARADOX_PAIR
     out = tmp_path / "oracle.json"

@@ -3,8 +3,9 @@
 * ``lower_bound`` / ``excess_travel_time`` — the full-budget optimum is the
   best any plan can do; the gap between a budget-limited optimum and that
   floor is the travel time the missing dollars cost.
-* ``budget_sweep`` — re-solve across budget fractions; objectives are
-  nonincreasing in budget and the excess hits zero at full budget.
+* ``budget_sweep`` — re-solve across budget fractions, pruning once;
+  objectives are nonincreasing in budget and the excess hits zero at full
+  budget.
 * ``ewtt_ranking`` — criticality of individual roads: weighted extra minutes
   summed over every origin/facility pair when one road is closed (pairs a
   closure disconnects are flagged and excluded from the sum).  Baseline
@@ -36,6 +37,7 @@ from .ingest import (InstanceSpec, ProblemInstance, _derive, _parse,
 from .net import DIST_TOL, Network, close_arcs, dijkstra, facility_times
 from .net import shortest_paths  # noqa: F401 - bench/tracer.py hooks it here
 from .pipeline import PipelineResult, solve_pipeline
+from .prune import PrunedNetwork
 from .solver import SOLVED, SolveOptions, SolveStatus
 
 
@@ -47,13 +49,16 @@ def _with_budget(instance: ProblemInstance, fraction: float) -> ProblemInstance:
 
 def lower_bound(instance: ProblemInstance,
                 options: SolveOptions | None = None,
+                pruned: PrunedNetwork | None = None,
                 ) -> tuple[float | None, PipelineResult]:
     """Optimum with the budget raised to the full repair bill.
 
     Returns (objective, full pipeline result); the objective is None when
-    even the fully repaired network cannot host everyone.
+    even the fully repaired network cannot host everyone.  ``pruned`` is
+    passed on to `solve_pipeline`.
     """
-    result = solve_pipeline(_with_budget(instance, 1.0), options=options)
+    result = solve_pipeline(_with_budget(instance, 1.0), options=options,
+                            pruned=pruned)
     sol = result.solution
     return (sol.objective if sol.status in SOLVED else None), result
 
@@ -80,18 +85,23 @@ def budget_sweep(instance: ProblemInstance, fractions: Sequence[float],
                  options: SolveOptions | None = None) -> list[SweepRow]:
     """Solve the instance at each budget fraction (deduplicated, ascending).
 
-    ``spent`` prices each plan as the solver does: one price per purchase
-    unit, so a coupled segment is paid once.
+    Every fraction is checked before the first solve: a negative one is a
+    ``ValueError``, and one the spec rejects (not finite, or above 1) a
+    ``SchemaError``.  The network is pruned once, by the full-budget floor's
+    solve and inside its time limit; every fraction's solve reuses that
+    pruning.  ``spent`` prices each plan as the solver does: one price per
+    purchase unit, so a coupled segment is paid once.
     """
     net = instance.network
     coupled = instance.spec.segment_coupling
     todo = sorted({float(f) for f in fractions})
     if any(f < 0 for f in todo):
         raise ValueError("budget fractions must be nonnegative")
-    floor, _ = lower_bound(instance, options=options)
+    budgeted = [_with_budget(instance, f) for f in todo]
+    floor, full = lower_bound(instance, options=options)
     rows: list[SweepRow] = []
-    for f in todo:
-        result = solve_pipeline(_with_budget(instance, f), options=options)
+    for f, at_f in zip(todo, budgeted):
+        result = solve_pipeline(at_f, options=options, pruned=full.pruned)
         sol = result.solution
         spent = upgrade_cost_cents(net, sol.upgrades, coupled) / 100
         rows.append(SweepRow(
@@ -305,18 +315,21 @@ def scenario_grid(source: str | Path | Mapping[str, Any],
     The excess column compares each run to the full-budget floor of its own
     parameter group (same settings, budget fraction 1), so rows are
     comparable within a group even when groups disagree about who evacuates.
+    A floor solved apart reuses its spec's pruning.
     """
     records = _parse(source)
     floors: dict[InstanceSpec, float | None] = {}
     rows: list[GridRow] = []
     for spec in specs:
         instance = _derive(records, spec)
-        sol = solve_pipeline(instance, options=options).solution
+        result = solve_pipeline(instance, options=options)
+        sol = result.solution
         group = dataclasses.replace(spec, budget_fraction=1.0)
         if group not in floors:
             floors[group] = ((sol.objective if sol.status in SOLVED else None)
                              if spec.budget_fraction == 1.0
-                             else lower_bound(instance, options=options)[0])
+                             else lower_bound(instance, options=options,
+                                              pruned=result.pruned)[0])
         rows.append(GridRow(spec, sol.status, sol.objective,
                             excess_travel_time(sol.objective, floors[group])))
     return rows

@@ -182,7 +182,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"{'written':<12} {args.out_dir / 'solution.json'}")
     print(f"solved in {elapsed:.3f}s, "
           f"{sol.stats.get('nodes_explored', 0)} nodes, "
-          f"{sol.stats.get('connection_cuts', 0)} connection cuts",
+          f"{sol.stats.get('connection_cuts', 0)} connection cuts, "
+          f"{sol.stats.get('relaxations_inherited', 0)} relaxations inherited",
           file=sys.stderr)
     return sol.exit_code()
 

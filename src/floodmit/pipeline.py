@@ -9,9 +9,12 @@ finds a plan of its own would differ, and it reports its bound alone
 (``SolveOptions.warm_start`` stays for library callers).
 ``options.time_limit_s`` bounds the whole pipeline: the branch-and-bound
 gets only the time the earlier stages left, and with none left the result
-is `TimeLimit` without a search.  The returned solution always speaks in
-terms of the original network: folded origins reappear, contracted arcs
-re-expand.
+is `TimeLimit` without a search.  Pruning depends on the network alone, not
+on the budget, so a caller that solves one network at several budgets
+prunes it once and passes that pruning (``pruned=``) to every later call;
+its time was then paid inside the first call's limit.  The returned
+solution always speaks in terms of the original network: folded origins
+reappear, contracted arcs re-expand.
 """
 from __future__ import annotations
 
@@ -36,10 +39,17 @@ class PipelineResult:
 
 
 def solve_pipeline(instance: ProblemInstance,
-                   options: SolveOptions | None = None) -> PipelineResult:
+                   options: SolveOptions | None = None,
+                   pruned: PrunedNetwork | None = None) -> PipelineResult:
+    """Solve ``instance`` end to end.  ``pruned``, if given, must be the
+    pruning of ``instance.network`` itself (``ValueError`` otherwise), and
+    the prune stage is skipped."""
     options = options or SolveOptions()
     deadline = time.perf_counter() + options.time_limit_s
-    pruned = prune_all(instance.network)
+    if pruned is None:
+        pruned = prune_all(instance.network)
+    elif pruned.source is not instance.network:
+        raise ValueError("pruned= is the pruning of a different network")
     work = with_network(instance, pruned.network, budget=instance.budget)
     fixings = forced_exits(work)
     left = deadline - time.perf_counter()

@@ -149,6 +149,7 @@ class PrunedNetwork:
     network: Network
     log: PruneLog
     stats: PruneStats
+    source: Network            # the network that was pruned
 
 
 # -- mutable working graph ----------------------------------------------------
@@ -596,7 +597,7 @@ def prune_all(net: Network) -> PrunedNetwork:
     pruned = work.to_network()
     stats = PruneStats(original=original, final=before,
                        by_technique=by_tech, rounds=rounds)
-    return PrunedNetwork(network=pruned, log=log, stats=stats)
+    return PrunedNetwork(network=pruned, log=log, stats=stats, source=net)
 
 
 def replay_log(net: Network, log: PruneLog) -> Network:

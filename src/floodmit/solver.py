@@ -27,18 +27,19 @@ everyone at their nearest facility, and a Lagrangian bound whose capacity
 prices come from coordinate ascent (`_capacity_prices`).
 
 Every origin rides a shortest path, so a node's distances come from one
-reverse search per facility, and routes are read off those tables.  Like
-every search, these take the roads a plan leaves shut as one set of closed
-arc ids: ``net.vulnerable_ids`` minus the arcs bought.  Masks and valid
-inequalities never reach the search: they only tighten the 0-1 model.
-`brute_force_oracle` independently enumerates every affordable upgrade set
-and every capacity-feasible assignment (masks optional, added to each
-origin's closed set) — slower, but nothing to get wrong — and is what the
-solver is tested against.  `build_model`/`export_lp` emit the equivalent
-0-1 program, masks and cuts included, for external solvers (one rule turns
-a forced route into a constant in every row), and
-`gap_to_rnfmp` embeds a generalized assignment problem as a zero-budget
-instance.
+reverse search per facility, and routes are read off those tables; an
+include child that shuts no arc its parent left open reuses the parent's
+relaxation instead.  Like every search, these take the roads a plan leaves
+shut as one set of closed arc ids: ``net.vulnerable_ids`` minus the arcs
+bought.  Masks and valid inequalities never reach the search: they only
+tighten the 0-1 model.  `brute_force_oracle` independently enumerates every
+affordable upgrade set and every capacity-feasible assignment (masks
+optional, added to each origin's closed set) — slower, but nothing to get
+wrong — and is what the solver is tested against.
+`build_model`/`export_lp` emit the equivalent 0-1 program, masks and cuts
+included, for external solvers (one rule turns a forced route into a
+constant in every row), and `gap_to_rnfmp` embeds a generalized assignment
+problem as a zero-budget instance.
 """
 from __future__ import annotations
 
@@ -700,8 +701,10 @@ def _connection_bound(net: Network, dest_ids: Sequence[str],
     return bound
 
 
-#: a B&B node that stays open: (bound, committed, banned, cost, branch unit)
-_OpenNode = tuple[float, frozenset[str], frozenset[str], int, str]
+#: a B&B node that stays open: (bound, committed, banned, cost, score), where
+#: score maps each undecided unit on its relaxed routes to the resident
+#: weight riding it
+_OpenNode = tuple[float, frozenset[str], frozenset[str], int, dict[str, float]]
 
 
 def solve_exact(instance: ProblemInstance,
@@ -727,7 +730,11 @@ def solve_exact(instance: ProblemInstance,
     closed by rounding: buying them attains the bound, so that plan is
     offered as incumbent (under the same objective test and tie rule as the
     probe's plan).  Every other node branches on the undecided unit
-    carrying the most resident weight on the relaxed shortest paths.
+    carrying the most resident weight on the relaxed shortest paths (its
+    ``score``, kept on the heap with it).  An include child that shuts the
+    same arcs as its parent has the parent's relaxation, bit for bit, so
+    after its own connection test it takes the parent's bound and score
+    (less the branch unit) without a search (``relaxations_inherited``).
 
     If the root stays open, one committed-only probe, after its bound solve
     and before its cut test, offers the assignment over the roads open
@@ -744,10 +751,11 @@ def solve_exact(instance: ProblemInstance,
     root that the connection bound already refuted is `BudgetDisconnected`
     without the walk, whose first test would refute it again.
 
-    Every origin rides a shortest path over the open arcs, so each node needs
-    only one reverse search per facility (``net.facility_times`` with every
-    vulnerable arc closed that the relaxation does not treat as bought, and
-    for the probe every one not committed).
+    Every origin rides a shortest path over the open arcs, so a node that
+    searches needs only one reverse search per facility
+    (``net.facility_times`` with every vulnerable arc closed that the
+    relaxation does not treat as bought, and for the probe every one not
+    committed); a node that inherits its parent's relaxation needs none.
     Those tables give every origin's candidate list, and both the
     branch-scoring routes and the incumbent routes are read off them.
     Per-origin masks and valid inequalities only tighten the 0-1 model; a
@@ -763,8 +771,9 @@ def solve_exact(instance: ProblemInstance,
     objective and sets the gap.  Stats count B&B nodes
     (``nodes_explored``), ``incumbent_updates``, ``rounding_closures``,
     ``connection_cuts`` (nodes of either search the connection bound
-    refuted) and ``assignment_nodes`` (search nodes over the probe and
-    every bound solve);
+    refuted), ``relaxations_inherited`` (include children that took their
+    parent's relaxation) and ``assignment_nodes`` (search nodes over the
+    probe and every bound solve);
     ``wall_time_assignment_s`` is the time spent in those searches (kept,
     like ``wall_time_s``, out of the deterministic JSON).  A warm start
     that fails validation is dropped and its report kept in
@@ -787,6 +796,7 @@ def solve_exact(instance: ProblemInstance,
     shut = net.vulnerable_ids - {a for u in committed_units for a in u.arc_ids}
     stats: dict[str, Any] = {"nodes_explored": 0, "incumbent_updates": 0,
                              "rounding_closures": 0, "connection_cuts": 0,
+                             "relaxations_inherited": 0,
                              "assignment_nodes": 0,
                              "wall_time_assignment_s": 0.0}
     incumbent: Solution | None = None
@@ -905,18 +915,30 @@ def solve_exact(instance: ProblemInstance,
         return bound < incumbent.objective - max(DIST_TOL, gap_allow)
 
     def evaluate(committed: frozenset[str], banned: frozenset[str],
-                 cost: int) -> _OpenNode | None:
+                 cost: int,
+                 parent: tuple[frozenset[str], float, dict[str, float]]
+                 | None = None) -> _OpenNode | None:
         """Bound one node; None if it is dead or closed by rounding.
 
         Closed by rounding: the undecided units its relaxed routes ride
         cost no more than the remaining budget together, so buying them
         attains the bound, and that plan is offered as incumbent.  A node
-        that stays open carries the unit to branch on.
+        that stays open carries its score.
+
+        ``parent`` is an include child's parent: its shut arcs, its bound
+        and its score less the branch unit.  A child that shuts the same
+        arcs has the same tables, assignment and routes, so it takes that
+        bound and score.  It cannot close by rounding: the parent's score
+        cost more than the parent's remaining budget, and the branch unit
+        lowers both sides by its own cost.
         """
         remaining, afford, closed = open_node(committed, banned, cost)
         if (sum(undecided[uid].cost_cents for uid in afford) > remaining
                 and connection(committed, remaining, closed) is None):
             return None  # no affordable completion connects everyone
+        if parent is not None and parent[0] == closed:
+            stats["relaxations_inherited"] += 1
+            return parent[1], committed, banned, cost, parent[2]
         found = assign(closed)
         if found is None:
             return None  # the relaxation strands an origin or overfills
@@ -934,8 +956,7 @@ def solve_exact(instance: ProblemInstance,
             stats["rounding_closures"] += 1
             record(bound, relaxed_assign, paths)
             return None
-        return (bound, committed, banned, cost,
-                min(score, key=lambda uid: (-score[uid], uid)))
+        return bound, committed, banned, cost, score
 
     def connectable() -> bool:
         """Does any affordable purchase set reconnect every origin?"""
@@ -959,7 +980,8 @@ def solve_exact(instance: ProblemInstance,
         return False
 
     counter = itertools.count()
-    heap: list[tuple[float, int, frozenset[str], frozenset[str], int, str]] = []
+    heap: list[tuple[float, int, frozenset[str], frozenset[str], int,
+                     dict[str, float]]] = []
     cut_floor: float | None = None   # weakest bound discarded under gap_tol
 
     def push(node: _OpenNode | None) -> None:
@@ -985,15 +1007,18 @@ def solve_exact(instance: ProblemInstance,
         while heap:
             if time.perf_counter() > deadline:
                 raise _DeadlinePassed
-            bound, _, committed, banned, cost, branch = heapq.heappop(heap)
+            bound, _, committed, banned, cost, score = heapq.heappop(heap)
             stats["nodes_explored"] += 1
             if not beats_incumbent(bound):
                 proven_bound = bound  # best-first: every open node is >= this
                 break
             expanding = bound
-            unit = undecided[branch]
+            branch = min(score, key=lambda uid: (-score[uid], uid))
+            closed = open_node(committed, banned, cost)[2]
+            rest = {uid: w for uid, w in score.items() if uid != branch}
             push(evaluate(committed | {branch}, banned,
-                          cost + unit.cost_cents))
+                          cost + undecided[branch].cost_cents,
+                          (closed, bound, rest)))
             push(evaluate(committed, banned | {branch}, cost))
             expanding = None
         if incumbent is None:

@@ -3,20 +3,23 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 
 import pytest
 
-from floodmit.analysis import (EwttRow, budget_sweep, connectivity_critical,
-                               ewtt_csv, ewtt_ranking, frequency_csv,
-                               grid_csv, lower_bound, scenario_grid,
-                               segment_csv, segment_rollup, sweep_csv,
-                               upgrade_frequency)
+from floodmit.analysis import (EwttRow, SweepRow, budget_sweep,
+                               connectivity_critical, ewtt_csv, ewtt_ranking,
+                               frequency_csv, grid_csv, lower_bound,
+                               scenario_grid, segment_csv, segment_rollup,
+                               sweep_csv, upgrade_frequency)
 from floodmit.cli import _print_plan
-from floodmit.ingest import InstanceSpec, instance_from_file, with_network
+from floodmit.ingest import (InstanceSpec, SchemaError, instance_from_file,
+                             upgrade_cost_cents, with_network)
 from floodmit.net import Network, NodeKind, RoadArc, RoadNode, dijkstra
 from floodmit.solver import SolveStatus, solve_exact
-from floodmit import analysis, net as net_module, synth
+from floodmit import analysis, net as net_module, pipeline, synth
+from floodmit.pipeline import solve_pipeline
 
 from conftest import bridge_instance, build_instance, f1_instance
 
@@ -93,11 +96,84 @@ def test_full_budget_buys_a_coupled_segment_exactly():
     assert row.budget == row.spent == 6.0
 
 
-def test_budget_sweep_dedupes_and_validates():
+def test_budget_sweep_dedupes_and_validates(monkeypatch):
     rows = budget_sweep(f1_instance(9.0), [1.0, 0.0, 1.0])
     assert [r.fraction for r in rows] == [0.0, 1.0]
+    # every fraction is checked before the first solve
+    solves = []
+    solve = analysis.solve_pipeline
+
+    def counted(instance, **kwargs):
+        solves.append(instance.spec.budget_fraction)
+        return solve(instance, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_pipeline", counted)
     with pytest.raises(ValueError):
-        budget_sweep(f1_instance(9.0), [-0.1])
+        budget_sweep(f1_instance(9.0), [0.5, 1.0, -0.1])
+    for bad in (math.nan, math.inf, 1.5):
+        with pytest.raises(SchemaError):
+            budget_sweep(f1_instance(9.0), [0.0, 0.5, bad])
+    assert solves == []
+
+
+@pytest.fixture
+def prunes(monkeypatch):
+    """The network of every ``prune_all`` call the pipeline makes."""
+    seen = []
+    real = pipeline.prune_all
+
+    def counted(net):
+        seen.append(net)
+        return real(net)
+
+    monkeypatch.setattr(pipeline, "prune_all", counted)
+    return seen
+
+
+def test_budget_sweep_prunes_once(prunes):
+    # prune sees the network alone: the floor's solve prunes it, and every
+    # fraction's solve reuses that pruning
+    inst = f1_instance(9.0)
+    rows = budget_sweep(inst, [0.0, 4 / 9, 5 / 9, 1.0])
+    assert len(rows) == 4
+    assert prunes == [inst.network]
+
+
+def _fresh_sweep_csv(inst, fractions):
+    """The sweep CSV from one fresh pipeline solve per fraction."""
+    floor, _ = lower_bound(inst)
+    rows = []
+    for f in sorted(set(fractions)):
+        sol = solve_pipeline(analysis._with_budget(inst, f)).solution
+        rows.append(SweepRow(
+            fraction=f, budget=f * inst.b_hat, status=sol.status,
+            objective=sol.objective,
+            excess=analysis.excess_travel_time(sol.objective, floor),
+            spent=upgrade_cost_cents(inst.network, sol.upgrades,
+                                     inst.spec.segment_coupling) / 100,
+            upgrades=sol.upgrades))
+    return sweep_csv(rows)
+
+
+def test_budget_sweep_bytes_match_fresh_solves():
+    # reusing the floor's pruning changes no byte of the sweep, whether
+    # capacities bind or not and whether segments are coupled or not
+    fractions = (0.0, 0.15, 1.0)
+    towns = [synth.demo_network_file(0)] + [
+        synth.grid_network_file(n, n, 0, n_facilities=3)
+        for n in (8, 9, 10, 11, 12)]
+    statuses = set()
+    for town in towns:
+        for alpha in (0.15, 3.0):
+            for coupled in (False, True):
+                inst = instance_from_file(town, InstanceSpec(
+                    alpha=alpha, segment_coupling=coupled))
+                rows = budget_sweep(inst, fractions)
+                statuses.update(r.status for r in rows)
+                assert sweep_csv(rows) == _fresh_sweep_csv(inst, fractions), \
+                    (town["nodes"][0]["id"], alpha, coupled)
+    assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
+                        SolveStatus.BUDGET_DISCONNECTED}
 
 
 def test_sweep_monotone_on_random_instances():
@@ -316,6 +392,16 @@ def test_scenario_grid_shares_group_floor():
     assert [r.status for r in rows] == [SolveStatus.OPTIMAL] * 3
     assert [r.objective for r in rows] == pytest.approx([64.0, 8.0, 64.0])
     assert [r.excess for r in rows] == pytest.approx([56.0, 0.0, 56.0])
+
+
+def test_scenario_grid_prunes_each_spec_once(prunes):
+    # a spec below full budget has its group's floor solved apart, on the
+    # spec's own pruning
+    specs = [InstanceSpec(p=1.0, alpha=alpha, budget_fraction=0.5)
+             for alpha in (0.5, 2.0)]
+    rows = scenario_grid(grid_file(), specs)
+    assert [r.excess for r in rows] == pytest.approx([56.0, 56.0])
+    assert len(prunes) == len(specs)
 
 
 def test_scenario_grid_parses_its_file_once(tmp_path, monkeypatch):

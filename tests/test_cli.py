@@ -84,7 +84,9 @@ def test_solve_counts_connection_cuts(demo, tmp_path, capsys):
                      "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         stats = json.loads((out / "solution.json").read_bytes())["stats"]
-        assert f"{stats['connection_cuts']} connection cuts" in err
+        assert (f"{stats['connection_cuts']} connection cuts, "
+                f"{stats['relaxations_inherited']} relaxations inherited"
+                in err)
         runs.append(stats)
     assert runs[0] == runs[1]
     assert runs[0]["connection_cuts"] >= 1

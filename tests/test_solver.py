@@ -1,18 +1,20 @@
 """Exact solver, brute-force twin, 0-1 model, and the LP writer."""
 from __future__ import annotations
 
+import heapq
 import inspect
 import itertools
 import math
 import random
 import sys
 import time
+import types
 
 import pytest
 
 from floodmit.ingest import InstanceSpec, capacity_fits, instance_from_file
-from floodmit.net import (NodeKind, RoadArc, RoadNode, canonical_shortest_path,
-                          dijkstra)
+from floodmit.net import (DIST_TOL, NodeKind, RoadArc, RoadNode,
+                          canonical_shortest_path, dijkstra)
 from floodmit.pipeline import solve_pipeline
 from floodmit.reductions import Cuts, VariableMask, standard_reductions
 from floodmit.solver import (ModelError, OracleLimits, OracleScaleError,
@@ -664,6 +666,23 @@ def test_pipeline_deadline_covers_every_stage(monkeypatch):
     assert sol.status is SolveStatus.TIME_LIMIT and sol.exit_code() == 3
 
 
+def test_pipeline_reuses_a_pruning_of_the_same_network(monkeypatch):
+    # a pruning of the instance's own network skips the prune stage and
+    # gives the same answer; a pruning of another network is refused
+    inst = f1_instance(9.0)
+    first = solve_pipeline(inst)
+
+    def boom(net):
+        raise AssertionError("pruned twice")
+
+    monkeypatch.setattr(pipeline, "prune_all", boom)
+    again = solve_pipeline(inst, pruned=first.pruned)
+    assert again.pruned is first.pruned
+    assert again.solution.to_json() == first.solution.to_json()
+    with pytest.raises(ValueError, match="different network"):
+        solve_pipeline(f1_instance(9.0), pruned=first.pruned)
+
+
 def test_pipeline_builds_no_warm_start(monkeypatch):
     # the solve path runs neither the greedy heuristic nor its tables
     def boom(*args, **kwargs):
@@ -695,24 +714,43 @@ def test_pipeline_matches_the_oracle(coupled):
 
 
 def test_include_children_never_probe(monkeypatch):
-    # every evaluated node builds its tables once, and only the root
-    # probes: at most one root, two children per explored node and the
-    # probe
-    calls = []
-    real = solver.facility_times
+    # the root and both children of every branched node are evaluated; a
+    # child the connection bound cuts, or an include child that shuts its
+    # parent's arcs and takes its relaxation, builds no tables, and every
+    # other one builds them once; only the root probes
+    calls, popped = [], []
+    real_times, real_pop = solver.facility_times, heapq.heappop
 
     def counted(net, closed=frozenset()):
         calls.append(closed)
-        return real(net, closed)
+        return real_times(net, closed)
+
+    def recorded_pop(heap):
+        entry = real_pop(heap)
+        if isinstance(entry[-1], dict):  # a B&B node: its score rides last
+            popped.append(entry[0])
+        return entry
 
     monkeypatch.setattr(solver, "facility_times", counted)
+    monkeypatch.setattr(solver, "heapq", types.SimpleNamespace(
+        heappush=heapq.heappush, heappop=recorded_pop))
     town = synth.grid_network_file(10, 10, 0, n_facilities=3)
     inst = instance_from_file(town, InstanceSpec(alpha=0.15,
                                                  budget_fraction=0.12))
     sol = solve_exact(inst)
+    stats = sol.stats
     assert sol.status is SolveStatus.OPTIMAL
-    assert sol.stats["nodes_explored"] > 1
-    assert len(calls) <= 2 * sol.stats["nodes_explored"] + 2
+    # the search a fresh relaxation at every node takes, node for node
+    assert (stats["nodes_explored"], stats["incumbent_updates"],
+            stats["rounding_closures"], stats["connection_cuts"]) \
+        == (34, 3, 10, 0)
+    assert stats["relaxations_inherited"] > 0
+    assert len(popped) == stats["nodes_explored"]
+    # the last node popped ends the search when the incumbent cuts it
+    branched = len(popped) - (popped[-1] >= sol.objective - DIST_TOL)
+    searched = (1 + 2 * branched - stats["connection_cuts"]
+                - stats["relaxations_inherited"])
+    assert len(calls) == searched + 1
 
 
 def test_interrupted_branching_keeps_the_parent_bound(monkeypatch):

@@ -15,8 +15,11 @@ Eight techniques shrink an instance without changing its optimal objective:
 
 `prune_all` runs them round-robin (6, 5, 2, 1, 3, 4, 7, 8) to a fixpoint and
 returns the pruned network plus a replayable log; after the first round each
-technique (but 1) re-examines only what changed since its last run, with the
-same result as a sweep over the whole network.  `expand_solution` lifts a
+technique re-examines only what changed since its last run, with the same
+result as a sweep over the whole network.  For technique 1 that rests on which
+techniques can leave a side component with no origin or destination: 2 can do
+so anywhere, 8 only at the middle node of the detour that justified a
+removal, and the others never.  `expand_solution` lifts a
 solution on the pruned network back to the original one.
 `harvest_triangle_vis` lists the clique triples where the direct arc is
 strictly faster, as route-choice cuts for the exported 0-1 model.
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from .net import (DIST_TOL, Network, NetworkError, NodeKind, RoadArc, RoadNode,
-                  _cut_nodes, components_without, undirected_adjacency)
+                  _cut_nodes, undirected_adjacency)
 
 TECHNIQUE_ORDER = (6, 5, 2, 1, 3, 4, 7, 8)
 
@@ -162,12 +165,16 @@ class _Work:
     arcs or record changed, in the order it happened; both start out holding
     the whole network.  Each technique reads them from its own cursor, so its
     first run looks at everything and every later run only at what changed
-    since its last one.
+    since its last one.  Technique 1 instead reads ``t1_full`` (a run over
+    the whole network is owed) and ``middles`` (where t8 removed an arc).
     """
 
     def __init__(self, net: Network):
         self.nodes: dict[str, RoadNode] = dict(net.nodes)
         self.arcs: dict[str, RoadArc] = dict(net.arcs)
+        self.n_origins = sum(1 for n in self.nodes.values()
+                             if n.kind is NodeKind.ORIGIN)
+        self.n_vuln = sum(1 for a in self.arcs.values() if a.vulnerable)
         self.out = {nid: list(net.out_arcs(nid)) for nid in self.nodes}
         self.inn = {nid: list(net.in_arcs(nid)) for nid in self.nodes}
         # non-vulnerable, non-loop arc ids by (tail, head)
@@ -183,6 +190,8 @@ class _Work:
         self.arc_cursor: dict[int, int] = {4: len(self.added)}
         self.node_cursor: dict[int, int] = {}
         self.carried: dict[int, list[str]] = {}
+        self.t1_full = True
+        self.middles: set[str] = set()
 
     def to_network(self) -> Network:
         return Network(self.nodes.values(), self.arcs.values())
@@ -191,7 +200,9 @@ class _Work:
         a = self.arcs.pop(aid)
         self.out[a.tail].remove(aid)
         self.inn[a.head].remove(aid)
-        if not a.vulnerable and a.tail != a.head:
+        if a.vulnerable:
+            self.n_vuln -= 1
+        elif a.tail != a.head:
             self.pair[(a.tail, a.head)].remove(aid)
         self.touched += (a.tail, a.head)
 
@@ -200,7 +211,8 @@ class _Work:
         incident = sorted({*self.out[nid], *self.inn[nid]})
         for aid in incident:
             self.remove_arc(aid)
-        del self.nodes[nid]
+        if self.nodes.pop(nid).kind is NodeKind.ORIGIN:
+            self.n_origins -= 1
         del self.out[nid]
         del self.inn[nid]
         return incident
@@ -211,12 +223,17 @@ class _Work:
         self.arcs[arc.id] = arc
         self.out[arc.tail].append(arc.id)
         self.inn[arc.head].append(arc.id)
-        if not arc.vulnerable and arc.tail != arc.head:
+        if arc.vulnerable:
+            self.n_vuln += 1
+        elif arc.tail != arc.head:
             self.pair.setdefault((arc.tail, arc.head), []).append(arc.id)
         self.added.append(arc.id)
         self.touched += (arc.tail, arc.head)
 
     def set_node(self, node: RoadNode) -> None:
+        old = self.nodes[node.id]
+        self.n_origins += ((node.kind is NodeKind.ORIGIN)
+                           - (old.kind is NodeKind.ORIGIN))
         self.nodes[node.id] = node
         self.touched.append(node.id)
 
@@ -290,13 +307,10 @@ class _Work:
         self.carried[tech] = carried
 
     def counts(self) -> dict[str, int]:
-        n_origins = sum(1 for n in self.nodes.values()
-                        if n.kind is NodeKind.ORIGIN)
-        n_vuln = sum(1 for a in self.arcs.values() if a.vulnerable)
         return {
             "nodes": len(self.nodes),
             "arcs": len(self.arcs),
-            "variables": n_origins * len(self.arcs) + n_vuln,
+            "variables": self.n_origins * len(self.arcs) + self.n_vuln,
         }
 
 
@@ -307,8 +321,17 @@ class _Work:
 # clique triple whose arcs all predate a technique's last run, and which
 # still exists, was already checked then and found wanting (t6, t5, t8).  The
 # node tests of t2, t3, t4 and t7 read only the node's own record and arcs,
-# which touch it, plus (t4) the direct arcs between its two neighbours; t1
-# stays global.
+# which touch it, plus (t4) the direct arcs between its two neighbours.
+#
+# t1 looks for a cut node with a side component holding no origin or
+# destination (a bare side).  Only t2 can leave one anywhere.  A t8 removal
+# of i->h keeps the detour i-j-h, so only its middle j can become a new cut
+# node.  t3-t7 and t1 never leave one: they remove pendants, nodes whose two
+# neighbours are adjacent, parallel arcs and loops, or bare sides, or they
+# contract i-n-k into i-k.  So t1 runs over the whole network at the start
+# and after a t2 removal, and otherwise only at the middles.  A run over the
+# whole network also drops every bare component detached from its cut node,
+# so t1 stays on whole-network runs while one is left.
 
 
 def _t6_self_loops(work: _Work) -> list[PruneAction]:
@@ -354,28 +377,98 @@ def _t2_dead_transshipment(work: _Work) -> list[PruneAction]:
                 enqueued.add(nbr)
     if not removed_nodes:
         return []
+    work.t1_full = True
     return [PruneAction(2, removed_nodes=tuple(removed_nodes),
                         removed_arcs=tuple(sorted(removed_arcs)))]
 
 
 def _t1_side_components(work: _Work) -> list[PruneAction]:
-    actions: list[PruneAction] = []
+    if work.t1_full:
+        actions = _t1_whole(work)
+    else:
+        actions = []
+        for j in sorted(work.middles):
+            if j in work.nodes:  # an earlier middle's side may have held it
+                actions += [_drop_side(work, s) for s in _bare_sides(work, j)]
+    work.middles.clear()
+    return actions
+
+
+def _t1_whole(work: _Work) -> list[PruneAction]:
+    # Minus a cut node, the graph splits into the node's sides and every
+    # other component.  The first cut node drops each bare one of either
+    # kind; if it lay in a bare component, it is left alone as one, which
+    # the next cut node drops.
     adj = undirected_adjacency(work)
+    bare = _bare_components(work, adj)
+    actions: list[PruneAction] = []
     for ap in sorted(_cut_nodes(adj)):
         if ap not in work.nodes:
             continue
-        for comp in components_without(adj, ap):
-            if any(work.nodes[n].kind is not NodeKind.TRANSSHIPMENT
-                   for n in comp):
-                continue
-            removed_arcs: list[str] = []
-            removed_nodes = sorted(comp)
-            for nid in removed_nodes:
-                removed_arcs.extend(work.remove_node(nid))
-            actions.append(PruneAction(1, removed_nodes=tuple(removed_nodes),
-                                       removed_arcs=tuple(sorted(removed_arcs))))
-            adj = undirected_adjacency(work)
+        comps = _bare_sides(work, ap) + [c for c in bare if ap not in c]
+        bare = [{ap}] if any(ap in c for c in bare) else []
+        actions += [_drop_side(work, c) for c in sorted(comps, key=min)]
+    work.t1_full = bool(bare)
     return actions
+
+
+def _bare_components(work: _Work, adj: dict[str, set[str]],
+                     ) -> list[set[str]]:
+    """The components of ``adj`` with no origin or destination."""
+    seen: set[str] = set()
+
+    def flood(starts: list[str]) -> set[str]:
+        comp = set(starts)
+        seen.update(starts)
+        while starts:
+            for v in adj[starts.pop()] - seen:
+                seen.add(v)
+                comp.add(v)
+                starts.append(v)
+        return comp
+
+    flood([n for n in adj if work.nodes[n].kind is not NodeKind.TRANSSHIPMENT])
+    return [flood([n]) for n in adj if n not in seen]
+
+
+def _bare_sides(work: _Work, j: str) -> list[set[str]]:
+    """The sides of ``j`` with no origin or destination, if ``j`` is a cut node.
+
+    A search from each neighbour of ``j`` stops at the first origin,
+    destination or node seen by an earlier stopped search; one that runs
+    out of nodes has found a bare side.
+    """
+    nbrs = work.neighbors(j)
+    reached: set[str] = set()  # the nodes of stopped searches
+    sides: list[set[str]] = []
+    for u in sorted(nbrs):
+        if u in reached or any(u in s for s in sides):
+            continue
+        comp, stack = {j, u}, [u]
+        while stack:
+            x = stack.pop()
+            if x in reached or (work.nodes[x].kind
+                                is not NodeKind.TRANSSHIPMENT):
+                reached |= comp
+                break
+            for v in work.neighbors(x) - comp:
+                comp.add(v)
+                stack.append(v)
+        else:
+            comp.remove(j)
+            sides.append(comp)
+    if not sides or nbrs <= sides[0]:  # j cuts nothing off
+        return []
+    return sorted(sides, key=min)
+
+
+def _drop_side(work: _Work, comp: set[str]) -> PruneAction:
+    removed_arcs: list[str] = []
+    removed_nodes = sorted(comp)
+    for nid in removed_nodes:
+        removed_arcs.extend(work.remove_node(nid))
+    return PruneAction(1, removed_nodes=tuple(removed_nodes),
+                       removed_arcs=tuple(sorted(removed_arcs)))
 
 
 def _t3_pendant_origins(work: _Work) -> list[PruneAction]:
@@ -520,6 +613,7 @@ def _t8_clique_dominance(work: _Work) -> list[PruneAction]:
             for did in [d for d in work.pair.get((a1.tail, a2.head), ())
                         if work.arcs[d].travel_time >= detour - DIST_TOL]:
                 work.remove_arc(did)
+                work.middles.add(j)
                 removed.append(did)
     if not removed:
         return []

@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 
 import pytest
 
 from floodmit.ingest import (InstanceSpec, ProblemInstance, instance_from_file,
                              with_network)
 from floodmit.net import Network, NodeKind, RoadArc, RoadNode
+from floodmit import prune
 from floodmit.prune import (TECHNIQUE_ORDER, PruneLog, apply_technique,
                             expand_path, expand_solution, harvest_triangle_vis,
                             prune_all, replay_log)
@@ -277,3 +279,140 @@ def test_t5_removes_in_round_2_a_parallel_that_round_1_contracted():
                                                      "__c_m2__m3__f"]
     assert t5.technique == 5 and t5.removed_arcs == ("fm2", "m2f")
     assert pruned.log.contraction_map["__c_o__m2__f"] == ("om2", "m2m3", "m3f")
+
+
+# -- technique 1 after round 1 looks only at t8's detour middles ----------------
+
+def _record_t1(monkeypatch, force_whole: bool = False,
+               ) -> list[tuple[bool, bool, int]]:
+    """Wrap t1 in ``prune_all``; each run appends (a later run of this
+    prune?, over the whole network?, number of actions)."""
+    runs: list[tuple[bool, bool, int]] = []
+    last = None
+    t1 = prune._TECHNIQUES[1]
+
+    def wrapped(work):
+        nonlocal last
+        if force_whole:
+            work.t1_full = True
+        later, whole, last = work is last, work.t1_full, work
+        actions = t1(work)
+        runs.append((later, whole, len(actions)))
+        return actions
+
+    monkeypatch.setitem(prune._TECHNIQUES, 1, wrapped)
+    return runs
+
+
+def _hanger_town(cycle: bool) -> Network:
+    """Round 1's t8 drops s->d for the detour s->o->d, which leaves s hanging
+    off o; the vulnerable o->s keeps t4 and t7 off s.  ``cycle`` adds a
+    vulnerable x<->y 2-cycle joined to nothing."""
+    nodes = [O("o", 1), D("d", 5), T("s")]
+    arcs = [RoadArc("od", "o", "d", 1.0), RoadArc("so", "s", "o", 1.0),
+            RoadArc("os", "o", "s", 1.0, vulnerable=True, mitigation_cost=1.0),
+            RoadArc("sd", "s", "d", 3.0)]
+    if cycle:
+        nodes += [T("x"), T("y")]
+        arcs += [RoadArc(u + v, u, v, 1.0, vulnerable=True, mitigation_cost=1.0)
+                 for u, v in (("x", "y"), ("y", "x"))]
+    return Network(nodes, arcs)
+
+
+def test_t1_drops_in_round_2_a_node_that_t8_left_hanging(monkeypatch):
+    runs = _record_t1(monkeypatch)
+    pruned = prune_all(_hanger_town(cycle=False))
+    assert [(a.technique, a.removed_nodes, a.removed_arcs)
+            for a in pruned.log.actions] == [
+        (8, (), ("sd",)), (1, ("s",), ("os", "so"))]
+    assert runs == [(False, True, 0), (True, False, 1), (True, False, 0)]
+    assert pruned.stats.rounds == 3
+    assert sorted(pruned.network.arcs) == ["od"]
+
+
+def test_t1_drops_a_detached_bare_cycle_at_the_first_cut_node(monkeypatch):
+    # round 1 finds no cut node, so the 2-cycle stays and t1 stays on
+    # whole-network runs; round 2 splits the graph at o and drops both
+    runs = _record_t1(monkeypatch)
+    pruned = prune_all(_hanger_town(cycle=True))
+    assert [(a.technique, a.removed_nodes, a.removed_arcs)
+            for a in pruned.log.actions] == [
+        (8, (), ("sd",)), (1, ("s",), ("os", "so")),
+        (1, ("x", "y"), ("xy", "yx"))]
+    assert runs == [(False, True, 0), (True, True, 2), (True, False, 0)]
+    assert sorted(pruned.network.nodes) == ["d", "o"]
+
+
+def test_t1_cut_node_inside_a_bare_component_is_dropped_by_the_next():
+    # cut node b splits a-b-c, which has no origin or destination, and is
+    # left alone; cut node d then drops b together with its own side s
+    vuln = [RoadArc(u + v, u, v, 1.0, vulnerable=True, mitigation_cost=1.0)
+            for x, y in (("o", "d"), ("d", "s"), ("a", "b"), ("b", "c"))
+            for u, v in ((x, y), (y, x))]
+    pruned = prune_all(Network([O("o", 1), D("d", 5), T("s"), T("a"), T("b"),
+                                T("c")], vuln))
+    assert [(a.technique, a.removed_nodes, a.removed_arcs)
+            for a in pruned.log.actions] == [
+        (1, ("a",), ("ab", "ba")), (1, ("c",), ("bc", "cb")), (1, ("b",), ()),
+        (1, ("s",), ("ds", "sd"))]
+    assert pruned.stats.rounds == 2
+
+
+def _sparse_town(seed: int, cycles: bool) -> Network:
+    """A random tree on 6-22 nodes with 2-3 origins/destinations, one-way and
+    vulnerable arcs and extra chords; ``cycles`` adds 1-2 detached cycles of
+    transshipment nodes."""
+    rng = random.Random(seed)
+    ids = [f"n{i:02d}" for i in range(rng.randint(6, 22))]
+    terminals = rng.sample(ids, rng.randint(2, 3))
+    nodes = [O(n, 3) if n == terminals[0]
+             else (rng.choice([O(n, 2), D(n, 9)]) if n in terminals else T(n))
+             for n in ids]
+    arcs: list[RoadArc] = []
+
+    def add(u, v):
+        vulnerable = rng.random() < 0.2
+        arcs.append(RoadArc(f"a{len(arcs):03d}", u, v, float(rng.randint(1, 6)),
+                            vulnerable=vulnerable,
+                            mitigation_cost=1.0 if vulnerable else 0.0))
+
+    for i in range(1, len(ids)):
+        u, v = ids[rng.randrange(i)], ids[i]
+        r = rng.random()
+        if r < 0.6:
+            add(u, v)
+            add(v, u)
+        else:
+            add(*((u, v) if r < 0.8 else (v, u)))
+    for _ in range(rng.randint(0, len(ids) // 2)):
+        u, v = rng.sample(ids, 2)
+        add(u, v)
+        if rng.random() < 0.5:
+            add(v, u)
+    for c in range(rng.randint(1, 2) if cycles else 0):
+        ring = [f"z{c}{i}" for i in range(rng.randint(1, 4))]
+        nodes += [T(n) for n in ring]
+        for u, v in zip(ring, ring[1:] + ring[:1]):
+            add(u, v)
+            if rng.random() < 0.5:
+                add(v, u)
+    return Network(nodes, arcs)
+
+
+def test_t1_at_middles_matches_whole_network_runs(monkeypatch):
+    towns = [net for seed in range(300) for net in (
+        synth.random_instance(seed, decorate=True).network,
+        _sparse_town(seed, cycles=False), _sparse_town(seed, cycles=True))]
+    runs = _record_t1(monkeypatch)
+    got = [prune_all(net) for net in towns]
+    _record_t1(monkeypatch, force_whole=True)
+    for net, a in zip(towns, got):
+        b = prune_all(net)
+        assert a.log.to_json() == b.log.to_json()
+        assert (a.stats.rounds, a.stats.final, a.stats.by_technique) == (
+            b.stats.rounds, b.stats.final, b.stats.by_technique)
+    # both kinds of later run removed something: the one at t8's middles,
+    # and the one over the whole network after a t2 removal or while a bare
+    # cycle is left
+    assert any(later and not whole and n for later, whole, n in runs)
+    assert any(later and whole and n for later, whole, n in runs)

@@ -71,7 +71,12 @@ def _pipeline_args(sub: argparse.ArgumentParser) -> None:
 def _spec_from_args(args: argparse.Namespace) -> InstanceSpec:
     settings: dict[str, Any] = {}
     if args.config:
-        settings = json.loads(Path(args.config).read_text())
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"cannot read config file {args.config!r}: "
+                              f"{exc}") from exc
+        settings = json.loads(text)
         if not isinstance(settings, dict):
             raise SchemaError("config file must hold a JSON object")
     for key in _SPEC_KEYS:

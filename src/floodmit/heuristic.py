@@ -17,10 +17,8 @@ strand an origin — then it is only a diagnostic, never a warm start.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from .ingest import ProblemInstance, capacity_fits, cents, upgrade_cost_cents
 from .net import canonical_shortest_path
@@ -62,24 +60,6 @@ class GreedySolution:
     assignment: dict[str, str]
     paths: dict[str, tuple[str, ...]]
     unassigned: tuple[str, ...] = ()
-    residual: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "status": "Feasible" if self.feasible else "Infeasible",
-            "heuristic": True,
-            "objective": self.objective,
-            "bound": None,
-            "gap": None,
-            "upgrades": list(self.upgrades),
-            "assignment": dict(sorted(self.assignment.items())),
-            "paths": {k: list(v) for k, v in sorted(self.paths.items())},
-            "stats": {"spent": self.spent,
-                      "unassigned": list(self.unassigned)},
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def greedy_initial(instance: ProblemInstance,
@@ -97,40 +77,25 @@ def greedy_initial(instance: ProblemInstance,
 
     for origin in order:
         vectors = build_distance_vectors(instance, origin.id, tables)
-        placed = False
-        for minutes, dest in vectors.flooded:
-            if not capacity_fits(origin.residents, residual[dest]):
-                continue
-            found = canonical_shortest_path(
-                net, origin.id, dest, net.vulnerable_ids,
-                dist_to_target=tables.flooded[dest])
-            if found is None:  # pragma: no cover - table said reachable
-                continue
-            residual[dest] -= origin.residents
-            assignment[origin.id] = dest
-            paths[origin.id] = found[1]
-            objective += origin.weight * found[0]
-            placed = True
-            break
-        if not placed:
-            for minutes, dest in vectors.full:
-                if not math.isfinite(minutes):
-                    break  # sorted: everything after is unreachable too
-                if not capacity_fits(origin.residents, residual[dest]):
-                    continue
-                found = canonical_shortest_path(
-                    net, origin.id, dest, dist_to_target=tables.upgraded[dest])
-                if found is None:  # pragma: no cover
-                    continue
-                residual[dest] -= origin.residents
-                assignment[origin.id] = dest
-                paths[origin.id] = found[1]
-                objective += origin.weight * found[0]
-                bought.update(a for a in found[1] if net.arcs[a].vulnerable)
-                placed = True
+        # flood-free roads first, then all roads, buying the vulnerable ones
+        for ranked, closed, times in (
+                (vectors.flooded, net.vulnerable_ids, tables.flooded),
+                (vectors.full, frozenset(), tables.upgraded)):
+            dest = next((d for minutes, d in ranked if math.isfinite(minutes)
+                         and capacity_fits(origin.residents, residual[d])),
+                        None)
+            if dest is not None:
                 break
-        if not placed:
+        else:
             unassigned.append(origin.id)
+            continue
+        minutes, path = canonical_shortest_path(
+            net, origin.id, dest, closed, dist_to_target=times[dest])
+        residual[dest] -= origin.residents
+        assignment[origin.id] = dest
+        paths[origin.id] = path
+        objective += origin.weight * minutes
+        bought.update(a for a in path if net.arcs[a].vulnerable)
 
     spent_cents = upgrade_cost_cents(net, bought,
                                      instance.spec.segment_coupling)
@@ -138,4 +103,4 @@ def greedy_initial(instance: ProblemInstance,
     return GreedySolution(
         feasible=feasible, objective=objective, spent=spent_cents / 100.0,
         upgrades=tuple(sorted(bought)), assignment=assignment, paths=paths,
-        unassigned=tuple(unassigned), residual=residual)
+        unassigned=tuple(unassigned))

@@ -10,6 +10,8 @@ Every search takes the roads it may not use as one set of closed arc ids:
 fully repaired one, ``net.vulnerable_ids - bought`` for a plan, and
 ``frozenset((aid,))`` for one road closed.  ``close_arcs`` closes more
 roads in a finished reverse table by repairing it, not searching it again.
+``bare_sides`` and ``bare_components`` are the one side-component finder,
+for prune's technique 1 and the component mask.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 #: absolute tolerance for travel-time / distance comparisons
 DIST_TOL = 1e-9
@@ -127,12 +129,6 @@ class Network:
         self._in = {nid: tuple(ids) for nid, ids in inc.items()}
 
     # -- deterministic accessors -------------------------------------------
-
-    def node(self, node_id: str) -> RoadNode:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise NetworkError(f"unknown node {node_id!r}") from None
 
     def out_arcs(self, node_id: str) -> tuple[str, ...]:
         if node_id not in self._out:
@@ -364,10 +360,10 @@ def undirected_adjacency(net: Network) -> dict[str, set[str]]:
 
 def articulation_points(net: Network) -> set[str]:
     """Cut nodes of the underlying undirected graph."""
-    return _cut_nodes(undirected_adjacency(net))
+    return cut_nodes(undirected_adjacency(net))
 
 
-def _cut_nodes(adj: dict[str, set[str]]) -> set[str]:
+def cut_nodes(adj: dict[str, set[str]]) -> set[str]:
     """Cut nodes of an undirected adjacency (iterative Tarjan)."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -410,26 +406,56 @@ def _cut_nodes(adj: dict[str, set[str]]) -> set[str]:
     return aps
 
 
-def components_without(adj: dict[str, set[str]], removed: str,
-                        ) -> list[set[str]]:
-    """Connected components of an undirected adjacency minus one node.
+def bare_components(adj: dict[str, set[str]],
+                    bare: Callable[[str], bool]) -> list[set[str]]:
+    """The components of ``adj`` whose every node is ``bare``.
 
-    Components come back sorted by their smallest node id.
+    They come back in the order of their first node in ``adj``.
     """
-    seen = {removed}
-    comps: list[set[str]] = []
-    for start in adj:
-        if start in seen:
+    seen: set[str] = set()
+
+    def flood(starts: list[str]) -> set[str]:
+        comp = set(starts)
+        seen.update(starts)
+        while starts:
+            for v in adj[starts.pop()] - seen:
+                seen.add(v)
+                comp.add(v)
+                starts.append(v)
+        return comp
+
+    flood([n for n in adj if not bare(n)])
+    return [flood([n]) for n in adj if n not in seen]
+
+
+def bare_sides(neighbors: Callable[[str], set[str]], j: str,
+               bare: Callable[[str], bool]) -> list[set[str]]:
+    """The sides of ``j`` whose every node is ``bare``, if ``j`` is a cut node.
+
+    A side is a component of the graph minus ``j`` that holds a neighbour
+    of ``j``; sides come back sorted by their smallest node id.  A search
+    from each neighbour stops at the first node that is not bare or was
+    seen by an earlier stopped search; one that runs out of nodes has found
+    a bare side.
+    """
+    nbrs = neighbors(j)
+    reached: set[str] = set()  # the nodes of stopped searches
+    sides: list[set[str]] = []
+    for u in sorted(nbrs):
+        if u in reached or any(u in s for s in sides):
             continue
-        stack, members = [start], {start}
-        seen.add(start)
+        comp, stack = {j, u}, [u]
         while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    members.add(v)
-                    stack.append(v)
-        comps.append(members)
-    comps.sort(key=min)
-    return comps
+            x = stack.pop()
+            if x in reached or not bare(x):
+                reached |= comp
+                break
+            for v in neighbors(x) - comp:
+                comp.add(v)
+                stack.append(v)
+        else:
+            comp.remove(j)
+            sides.append(comp)
+    if not sides or nbrs <= sides[0]:  # j cuts nothing off
+        return []
+    return sorted(sides, key=min)

@@ -16,8 +16,9 @@ Eight techniques shrink an instance without changing its optimal objective:
 `prune_all` runs them round-robin (6, 5, 2, 1, 3, 4, 7, 8) to a fixpoint and
 returns the pruned network plus a replayable log; after the first round each
 technique re-examines only what changed since its last run, with the same
-result as a sweep over the whole network.  For technique 1 that rests on which
-techniques can leave a side component with no origin or destination: 2 can do
+result as a sweep over the whole network.  Technique 1 finds side components
+with `net.bare_sides`, a bare node being neither origin nor destination; its
+runs after the first rest on which techniques can leave a bare side: 2 can do
 so anywhere, 8 only at the middle node of the detour that justified a
 removal, and the others never.  `expand_solution` lifts a
 solution on the pruned network back to the original one.
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from .net import (DIST_TOL, Network, NetworkError, NodeKind, RoadArc, RoadNode,
-                  _cut_nodes, undirected_adjacency)
+                  bare_components, bare_sides, cut_nodes, undirected_adjacency)
 
 TECHNIQUE_ORDER = (6, 5, 2, 1, 3, 4, 7, 8)
 
@@ -129,9 +130,6 @@ class PruneStats:
     final: dict[str, int]
     by_technique: dict[int, dict[str, int]]
     rounds: int
-
-    def total(self, key: str) -> int:
-        return sum(d[key] for d in self.by_technique.values())
 
     def rows(self) -> list[dict[str, Any]]:
         rows = []
@@ -236,6 +234,10 @@ class _Work:
                            - (old.kind is NodeKind.ORIGIN))
         self.nodes[node.id] = node
         self.touched.append(node.id)
+
+    def bare(self, nid: str) -> bool:
+        """Whether t1 may drop ``nid``: it is neither origin nor destination."""
+        return self.nodes[nid].kind is NodeKind.TRANSSHIPMENT
 
     def neighbors(self, nid: str) -> set[str]:
         nbrs = {self.arcs[a].head for a in self.out[nid]}
@@ -389,7 +391,8 @@ def _t1_side_components(work: _Work) -> list[PruneAction]:
         actions = []
         for j in sorted(work.middles):
             if j in work.nodes:  # an earlier middle's side may have held it
-                actions += [_drop_side(work, s) for s in _bare_sides(work, j)]
+                actions += [_drop_side(work, s) for s in
+                            bare_sides(work.neighbors, j, work.bare)]
     work.middles.clear()
     return actions
 
@@ -400,66 +403,17 @@ def _t1_whole(work: _Work) -> list[PruneAction]:
     # kind; if it lay in a bare component, it is left alone as one, which
     # the next cut node drops.
     adj = undirected_adjacency(work)
-    bare = _bare_components(work, adj)
+    bare = bare_components(adj, work.bare)
     actions: list[PruneAction] = []
-    for ap in sorted(_cut_nodes(adj)):
+    for ap in sorted(cut_nodes(adj)):
         if ap not in work.nodes:
             continue
-        comps = _bare_sides(work, ap) + [c for c in bare if ap not in c]
+        comps = (bare_sides(work.neighbors, ap, work.bare)
+                 + [c for c in bare if ap not in c])
         bare = [{ap}] if any(ap in c for c in bare) else []
         actions += [_drop_side(work, c) for c in sorted(comps, key=min)]
     work.t1_full = bool(bare)
     return actions
-
-
-def _bare_components(work: _Work, adj: dict[str, set[str]],
-                     ) -> list[set[str]]:
-    """The components of ``adj`` with no origin or destination."""
-    seen: set[str] = set()
-
-    def flood(starts: list[str]) -> set[str]:
-        comp = set(starts)
-        seen.update(starts)
-        while starts:
-            for v in adj[starts.pop()] - seen:
-                seen.add(v)
-                comp.add(v)
-                starts.append(v)
-        return comp
-
-    flood([n for n in adj if work.nodes[n].kind is not NodeKind.TRANSSHIPMENT])
-    return [flood([n]) for n in adj if n not in seen]
-
-
-def _bare_sides(work: _Work, j: str) -> list[set[str]]:
-    """The sides of ``j`` with no origin or destination, if ``j`` is a cut node.
-
-    A search from each neighbour of ``j`` stops at the first origin,
-    destination or node seen by an earlier stopped search; one that runs
-    out of nodes has found a bare side.
-    """
-    nbrs = work.neighbors(j)
-    reached: set[str] = set()  # the nodes of stopped searches
-    sides: list[set[str]] = []
-    for u in sorted(nbrs):
-        if u in reached or any(u in s for s in sides):
-            continue
-        comp, stack = {j, u}, [u]
-        while stack:
-            x = stack.pop()
-            if x in reached or (work.nodes[x].kind
-                                is not NodeKind.TRANSSHIPMENT):
-                reached |= comp
-                break
-            for v in work.neighbors(x) - comp:
-                comp.add(v)
-                stack.append(v)
-        else:
-            comp.remove(j)
-            sides.append(comp)
-    if not sides or nbrs <= sides[0]:  # j cuts nothing off
-        return []
-    return sorted(sides, key=min)
 
 
 def _drop_side(work: _Work, comp: set[str]) -> PruneAction:

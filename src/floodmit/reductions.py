@@ -10,7 +10,10 @@ Three reductions, all derived from path structure:
   facility on never-flooded roads, any arc lying beyond its worst-case
   non-flooded trip can never appear on one of its optimal routes.
 * ``component_mask`` — arcs inside an articulation-point side pocket that
-  contains no facility are unusable for any origin outside the pocket.
+  contains no facility are unusable for any origin outside the pocket.  The
+  pockets come from ``net.bare_sides`` and ``net.bare_components``, the
+  side-component finder that pruning's technique 1 also uses, with "is not
+  a destination" as the bare-node test.
 
 Fixings feed the model builder, the brute-force oracle and the exact solver;
 the solve pipeline runs ``forced_exits`` alone.  Masks feed only the model
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .ingest import ProblemInstance
-from .net import (DIST_TOL, NodeKind, _cut_nodes, components_without,
+from .net import (DIST_TOL, NodeKind, bare_components, bare_sides, cut_nodes,
                   facility_times, shortest_paths, undirected_adjacency)
 
 REASON_SP_BOUND = "sp_bound"
@@ -162,15 +165,23 @@ def component_mask(instance: ProblemInstance) -> VariableMask:
     For an articulation point v and a component of the network minus v that
     holds no destination, a route starting outside the pocket would have to
     re-cross v to leave it — never optimal, so those route variables go.
+    Minus v, those components are v's bare sides and every destination-free
+    component of the whole network that does not hold v.
     """
     net = instance.network
+
+    def bare(n: str) -> bool:
+        return net.nodes[n].kind is not NodeKind.DESTINATION
+
     origin_ids = [o.id for o in net.origins()]
     eliminated: dict[tuple[str, str], str] = {}
     adj = undirected_adjacency(net)
-    for v in sorted(_cut_nodes(adj)):
-        for comp in components_without(adj, v):
-            if any(net.nodes[n].kind is NodeKind.DESTINATION for n in comp):
-                continue
+    cuts = cut_nodes(adj)
+    detached = bare_components(adj, bare)
+    for v in sorted(cuts):
+        comps = (bare_sides(adj.__getitem__, v, bare)
+                 + [c for c in detached if v not in c])
+        for comp in sorted(comps, key=min):
             outside = [k for k in origin_ids if k not in comp]
             arcs = [a for n in comp for a in net.out_arcs(n)
                     if net.arcs[a].head in comp]

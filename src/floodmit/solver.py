@@ -90,9 +90,9 @@ class SolveOptions:
     warm_start: Any = None               # anything Solution-shaped
 
     def __post_init__(self) -> None:
-        if self.time_limit_s <= 0:
+        if not self.time_limit_s > 0:  # NaN is no deadline either
             raise ModelError("time_limit_s must be positive")
-        if self.gap_tol < 0:
+        if not self.gap_tol >= 0:
             raise ModelError("gap_tol must be nonnegative")
 
 
@@ -1061,8 +1061,7 @@ class ValidationReport:
         return "; ".join(f"[{v.tag}] {v.message}" for v in self.violations)
 
 
-def validate_solution(instance: ProblemInstance, solution,
-                      mask: VariableMask | None = None) -> ValidationReport:
+def validate_solution(instance: ProblemInstance, solution) -> ValidationReport:
     """Check a Solution-shaped object against the instance's constraints.
 
     Tags mirror the model rows: budget knapsack (5), origin dispatch (2),
@@ -1129,11 +1128,6 @@ def validate_solution(instance: ProblemInstance, solution,
             continue
         recomputed += origin.weight * minutes
         load[dest] = load.get(dest, 0.0) + origin.residents
-        if mask is not None:
-            for aid in path:
-                if mask.blocks(k, aid):
-                    violations.append(Violation(
-                        "mask", f"route of {k!r} uses masked arc {aid!r}"))
     for dest, v in sorted(load.items()):
         cap = net.nodes[dest].capacity
         if not capacity_fits(v, cap):

@@ -136,6 +136,30 @@ def test_bad_config_value_exits_1(demo, tmp_path, capsys, key, config):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b'{"alpha": 0.2, "x": "\xff"}'),
+], ids=["directory", "not-utf8"])
+def test_unreadable_config_exits_1(demo, tmp_path, capsys, make):
+    path = tmp_path / "config.json"
+    make(path)
+    assert main(["ingest", str(demo), "--config", str(path),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--time-limit", "--gap-tol"])
+def test_nan_solve_option_exits_1(demo, tmp_path, capsys, flag):
+    assert main(["solve", str(demo), "--alpha", "0.15", flag, "nan",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_with_flag_override(demo, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"alpha": 3.0, "budget_fraction": 0.5,

@@ -9,8 +9,8 @@ import pytest
 
 from floodmit import synth
 from floodmit.net import (Network, NetworkError, NodeKind, RoadArc, RoadNode,
-                          articulation_points, canonical_shortest_path,
-                          close_arcs, components_without, dijkstra,
+                          articulation_points, bare_components, bare_sides,
+                          canonical_shortest_path, close_arcs, dijkstra,
                           facility_times, shortest_paths,
                           undirected_adjacency)
 
@@ -148,7 +148,19 @@ def test_articulation_and_components():
             RoadArc("e3", "c", "d", 1.0), RoadArc("e4", "d", "c", 1.0)]
     net = Network(nodes, arcs)
     assert articulation_points(net) == {"c"}
-    assert components_without(undirected_adjacency(net), "c") == [{"d"}, {"o"}]
+    adj = undirected_adjacency(net)
+
+    def not_origin(n):
+        return net.nodes[n].kind is not NodeKind.ORIGIN
+
+    def anything(n):
+        return True
+
+    assert bare_sides(adj.__getitem__, "c", anything) == [{"d"}, {"o"}]
+    assert bare_sides(adj.__getitem__, "c", not_origin) == [{"d"}]
+    assert bare_sides(adj.__getitem__, "o", anything) == []  # o cuts nothing
+    assert bare_components(adj, anything) == [{"c", "d", "o"}]
+    assert bare_components(adj, not_origin) == []
 
 
 # -- closing arcs in a reverse table ------------------------------------------

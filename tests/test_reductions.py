@@ -8,7 +8,8 @@ import math
 import pytest
 
 from floodmit.ingest import InstanceSpec, instance_from_file
-from floodmit.net import NodeKind, RoadArc, RoadNode
+from floodmit.net import (NodeKind, RoadArc, RoadNode, articulation_points,
+                          undirected_adjacency)
 from floodmit.reductions import (REASON_COMPONENT, REASON_SP_BOUND,
                                  FixedUpgrades, VariableMask, component_mask,
                                  compute_sp_tables, distance_dominated,
@@ -113,6 +114,92 @@ def test_component_mask_blocks_dead_pockets():
     mask = component_mask(inst)
     assert mask.eliminated == {("o", "pp"): REASON_COMPONENT,
                                ("o", "pp2"): REASON_COMPONENT}
+
+
+def _two_way(tail, head):
+    return [RoadArc(tail + head, tail, head, 1.0),
+            RoadArc(head + tail, head, tail, 1.0)]
+
+
+def test_component_mask_blocks_a_detached_pocket():
+    # x1-x2 hangs off nothing; c is the network's one cut node
+    inst = build_instance(
+        [O("o", 2), T("c"), D("d", 5), T("x1"), T("x2")],
+        _two_way("o", "c") + _two_way("c", "d") + _two_way("x1", "x2"),
+        0.0, 0.0, budget_fraction=0.0)
+    assert component_mask(inst).eliminated == {
+        ("o", "x1x2"): REASON_COMPONENT, ("o", "x2x1"): REASON_COMPONENT}
+
+
+def test_component_mask_splits_a_pocket_at_its_own_cut_node():
+    # the detached pocket {a, b, x, q} is cut at x: the triangle a-b-x is
+    # beyond x for q, and the whole pocket is beyond reach for o
+    inst = build_instance(
+        [O("o", 2), T("c"), D("d", 5), T("a"), T("b"), T("x"), O("q", 1)],
+        _two_way("o", "c") + _two_way("c", "d") + _two_way("a", "b")
+        + _two_way("a", "x") + _two_way("b", "x") + _two_way("x", "q"),
+        0.0, 0.0, budget_fraction=0.0)
+    assert articulation_points(inst.network) == {"c", "x"}
+    eliminated = component_mask(inst).eliminated
+    pocket = {"ab", "ba", "ax", "xa", "bx", "xb", "xq", "qx"}
+    assert {aid for k, aid in eliminated if k == "o"} == pocket
+    assert {aid for k, aid in eliminated if k == "q"} == {"ab", "ba"}
+    assert set(eliminated.values()) == {REASON_COMPONENT}
+
+
+def test_component_mask_spares_the_origin_inside_a_pocket():
+    # c cuts off {p, o2}, which holds no facility: only o1 loses p-o2
+    inst = build_instance(
+        [O("o1", 2), T("c"), D("d", 5), T("p"), O("o2", 1)],
+        _two_way("o1", "c") + _two_way("c", "d") + _two_way("c", "p")
+        + _two_way("p", "o2"),
+        0.0, 0.0, budget_fraction=0.0)
+    assert component_mask(inst).eliminated == {
+        ("o1", "po2"): REASON_COMPONENT, ("o1", "o2p"): REASON_COMPONENT}
+
+
+def _split_mask(inst):
+    """The component mask as first written: split the whole network at each
+    cut node and mask every destination-free component."""
+    net = inst.network
+    adj = undirected_adjacency(net)
+    origin_ids = [o.id for o in net.origins()]
+    eliminated = {}
+    for v in sorted(articulation_points(net)):
+        seen, comps = {v}, []
+        for start in adj:
+            if start in seen:
+                continue
+            stack, members = [start], {start}
+            seen.add(start)
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        members.add(w)
+                        stack.append(w)
+            comps.append(members)
+        for comp in sorted(comps, key=min):
+            if any(net.nodes[n].kind is NodeKind.DESTINATION for n in comp):
+                continue
+            outside = [k for k in origin_ids if k not in comp]
+            arcs = [a for n in comp for a in net.out_arcs(n)
+                    if net.arcs[a].head in comp]
+            for aid in sorted(arcs):
+                for k in outside:
+                    eliminated.setdefault((k, aid), REASON_COMPONENT)
+    return eliminated
+
+
+def test_component_mask_matches_the_whole_network_split():
+    masked = 0
+    for seed in range(1200):
+        inst = synth.random_instance(seed, decorate=seed % 2 == 1)
+        got = component_mask(inst).eliminated
+        # same pairs in the same order
+        assert list(got.items()) == list(_split_mask(inst).items()), seed
+        masked += bool(got)
+    assert masked >= 300
 
 
 def test_merge_masks_first_reason_wins():

@@ -242,8 +242,10 @@ def _parse(source: str | Path | Mapping[str, Any]) -> _Records:
     ``load_network`` says what the records hold."""
     if isinstance(source, (str, Path)):
         path = Path(source)
-        if not path.is_file():
+        if not path.exists():
             raise SchemaError(f"network file not found: {path}")
+        if not path.is_file():
+            raise SchemaError(f"network file is not a regular file: {path}")
         try:
             data = json.loads(path.read_bytes())
         except ValueError as exc:  # not JSON, or not Unicode text

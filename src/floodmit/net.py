@@ -19,7 +19,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
 
 #: absolute tolerance for travel-time / distance comparisons
 DIST_TOL = 1e-9
@@ -363,7 +363,7 @@ def articulation_points(net: Network) -> set[str]:
     return cut_nodes(undirected_adjacency(net))
 
 
-def cut_nodes(adj: dict[str, set[str]]) -> set[str]:
+def cut_nodes(adj: Mapping[str, AbstractSet[str]]) -> set[str]:
     """Cut nodes of an undirected adjacency (iterative Tarjan)."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -406,7 +406,7 @@ def cut_nodes(adj: dict[str, set[str]]) -> set[str]:
     return aps
 
 
-def bare_components(adj: dict[str, set[str]],
+def bare_components(adj: Mapping[str, AbstractSet[str]],
                     bare: Callable[[str], bool]) -> list[set[str]]:
     """The components of ``adj`` whose every node is ``bare``.
 
@@ -428,7 +428,7 @@ def bare_components(adj: dict[str, set[str]],
     return [flood([n]) for n in adj if n not in seen]
 
 
-def bare_sides(neighbors: Callable[[str], set[str]], j: str,
+def bare_sides(neighbors: Callable[[str], AbstractSet[str]], j: str,
                bare: Callable[[str], bool]) -> list[set[str]]:
     """The sides of ``j`` whose every node is ``bare``, if ``j`` is a cut node.
 

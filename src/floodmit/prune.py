@@ -16,14 +16,21 @@ Eight techniques shrink an instance without changing its optimal objective:
 `prune_all` runs them round-robin (6, 5, 2, 1, 3, 4, 7, 8) to a fixpoint and
 returns the pruned network plus a replayable log; after the first round each
 technique re-examines only what changed since its last run, with the same
-result as a sweep over the whole network.  Technique 1 finds side components
-with `net.bare_sides`, a bare node being neither origin nor destination; its
-runs after the first rest on which techniques can leave a bare side: 2 can do
-so anywhere, 8 only at the middle node of the detour that justified a
-removal, and the others never.  `expand_solution` lifts a
-solution on the pruned network back to the original one.
+result as a sweep over the whole network.  The working graph keeps two live
+indexes, the non-vulnerable arcs by tail and head and the undirected
+neighbour counts, so the first round answers each question with a lookup or
+a set operation: t8 intersects the heads of j with the heads of each i
+before it, and t4 and t7 reject a node on its number of neighbours.
+
+Technique 1 finds side components with `net.bare_sides`, a bare node being
+neither origin nor destination; its runs after the first rest on which
+techniques can leave a bare side: 2 can do so anywhere, 8 only at the middle
+node of the detour that justified a removal, and the others never.
+`expand_solution` lifts a solution on the pruned network back to the
+original one.
 `harvest_triangle_vis` lists the clique triples where the direct arc is
-strictly faster, as route-choice cuts for the exported 0-1 model.
+strictly faster, as route-choice cuts for the exported 0-1 model; it finds
+them with t8's triangle finder.
 """
 from __future__ import annotations
 
@@ -32,10 +39,10 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, KeysView
 
 from .net import (DIST_TOL, Network, NetworkError, NodeKind, RoadArc, RoadNode,
-                  bare_components, bare_sides, cut_nodes, undirected_adjacency)
+                  bare_components, bare_sides, cut_nodes)
 
 TECHNIQUE_ORDER = (6, 5, 2, 1, 3, 4, 7, 8)
 
@@ -157,7 +164,15 @@ class PrunedNetwork:
 
 
 class _Work:
-    """Mutable node/arc dicts with incremental adjacency and a touch log.
+    """Mutable node/arc dicts with two live indexes and a touch log.
+
+    ``pair`` maps tail -> head -> the non-vulnerable arc ids between them,
+    loops left out; ``adj`` maps each node to its undirected neighbours,
+    each with the number of arcs either way, loops left out.  Every node
+    has a row in both, and no entry is ever empty.  t4, t5, t7 and t8 take
+    the quickest arc between two nodes from ``pair``, and t8 finds its
+    triangles there; t1 and t2 read neighbours from ``adj``, and t4 and t7
+    reject a node on its number of neighbours there first.
 
     ``added`` lists every arc id ever added and ``touched`` every node whose
     arcs or record changed, in the order it happened; both start out holding
@@ -172,14 +187,24 @@ class _Work:
         self.arcs: dict[str, RoadArc] = dict(net.arcs)
         self.n_origins = sum(1 for n in self.nodes.values()
                              if n.kind is NodeKind.ORIGIN)
-        self.n_vuln = sum(1 for a in self.arcs.values() if a.vulnerable)
-        self.out = {nid: list(net.out_arcs(nid)) for nid in self.nodes}
-        self.inn = {nid: list(net.in_arcs(nid)) for nid in self.nodes}
-        # non-vulnerable, non-loop arc ids by (tail, head)
-        self.pair: dict[tuple[str, str], list[str]] = {}
-        for a in self.arcs.values():
-            if not a.vulnerable and a.tail != a.head:
-                self.pair.setdefault((a.tail, a.head), []).append(a.id)
+        self.n_vuln = len(net.vulnerable_ids)
+        self.out = {nid: list(ids) for nid, ids in net._out.items()}
+        self.inn = {nid: list(ids) for nid, ids in net._in.items()}
+        pair: dict[str, dict[str, list[str]]] = {n: {} for n in self.nodes}
+        adj: dict[str, dict[str, int]] = {n: {} for n in self.nodes}
+        for a in self.arcs.values():  # adj[x][y] == adj[y][x] throughout
+            tail, head = a.tail, a.head
+            if tail == head:
+                continue
+            row = adj[tail]
+            if head in row:
+                row[head] += 1
+                adj[head][tail] += 1
+            else:
+                row[head] = adj[head][tail] = 1
+            if not a.vulnerable:
+                pair[tail].setdefault(head, []).append(a.id)
+        self.pair, self.adj = pair, adj
         # contracted arc id -> the pre-pruning chain it stands for (t7)
         self.chains: dict[str, tuple[str, ...]] = {}
         self.added: list[str] = list(self.arcs)
@@ -196,13 +221,24 @@ class _Work:
 
     def remove_arc(self, aid: str) -> None:
         a = self.arcs.pop(aid)
-        self.out[a.tail].remove(aid)
-        self.inn[a.head].remove(aid)
+        tail, head = a.tail, a.head
+        self.out[tail].remove(aid)
+        self.inn[head].remove(aid)
         if a.vulnerable:
             self.n_vuln -= 1
-        elif a.tail != a.head:
-            self.pair[(a.tail, a.head)].remove(aid)
-        self.touched += (a.tail, a.head)
+        if tail != head:
+            row = self.adj[tail]
+            if row[head] == 1:
+                del row[head], self.adj[head][tail]
+            else:
+                row[head] -= 1
+                self.adj[head][tail] -= 1
+            if not a.vulnerable:
+                row = self.pair[tail]
+                row[head].remove(aid)
+                if not row[head]:
+                    del row[head]
+        self.touched += (tail, head)
 
     def remove_node(self, nid: str) -> list[str]:
         """Remove a node and all incident arcs; returns removed arc ids sorted."""
@@ -211,22 +247,29 @@ class _Work:
             self.remove_arc(aid)
         if self.nodes.pop(nid).kind is NodeKind.ORIGIN:
             self.n_origins -= 1
-        del self.out[nid]
-        del self.inn[nid]
+        del self.out[nid], self.inn[nid], self.pair[nid], self.adj[nid]
         return incident
 
     def add_arc(self, arc: RoadArc) -> None:
         if arc.id in self.arcs:
             raise NetworkError(f"arc id collision {arc.id!r}")
+        tail, head = arc.tail, arc.head
         self.arcs[arc.id] = arc
-        self.out[arc.tail].append(arc.id)
-        self.inn[arc.head].append(arc.id)
+        self.out[tail].append(arc.id)
+        self.inn[head].append(arc.id)
         if arc.vulnerable:
             self.n_vuln += 1
-        elif arc.tail != arc.head:
-            self.pair.setdefault((arc.tail, arc.head), []).append(arc.id)
+        if tail != head:
+            row = self.adj[tail]
+            if head in row:
+                row[head] += 1
+                self.adj[head][tail] += 1
+            else:
+                row[head] = self.adj[head][tail] = 1
+            if not arc.vulnerable:
+                self.pair[tail].setdefault(head, []).append(arc.id)
         self.added.append(arc.id)
-        self.touched += (arc.tail, arc.head)
+        self.touched += (tail, head)
 
     def set_node(self, node: RoadNode) -> None:
         old = self.nodes[node.id]
@@ -239,33 +282,31 @@ class _Work:
         """Whether t1 may drop ``nid``: it is neither origin nor destination."""
         return self.nodes[nid].kind is NodeKind.TRANSSHIPMENT
 
-    def neighbors(self, nid: str) -> set[str]:
-        nbrs = {self.arcs[a].head for a in self.out[nid]}
-        nbrs |= {self.arcs[a].tail for a in self.inn[nid]}
-        nbrs.discard(nid)
-        return nbrs
+    def neighbors(self, nid: str) -> KeysView[str]:
+        """A live view of ``nid``'s undirected neighbours, loops left out."""
+        return self.adj[nid].keys()
 
     def fastest(self, tail: str, head: str) -> RoadArc | None:
         """Quickest non-vulnerable arc tail->head ((t, id) order), if any."""
-        ids = self.pair.get((tail, head))
+        ids = self.pair[tail].get(head)
         if not ids:
             return None
         return self.arcs[min((self.arcs[a].travel_time, a) for a in ids)[1]]
 
-    def detours(self, j: str) -> Iterator[tuple[RoadArc, RoadArc]]:
-        """The non-vulnerable detours (i->j, j->h) through ``j``, i != h.
+    def triangles(self, j: str) -> Iterator[tuple[str, str]]:
+        """The pairs (i, h) with non-vulnerable arcs i->j, j->h and i->h.
 
-        The arcs out of ``j`` are listed before the first is yielded, so the
-        caller may remove arcs between other nodes as it goes.
+        The heads for each ``i`` are listed before the first is yielded, so
+        the caller may remove arcs i->h as it goes.
         """
-        outs = [a2 for a2 in map(self.arcs.__getitem__, self.out[j])
-                if not a2.vulnerable and a2.head != j]
-        for a1 in map(self.arcs.__getitem__, self.inn[j]):
-            if a1.vulnerable or a1.tail == j:
-                continue
-            for a2 in outs:
-                if a2.head != a1.tail:
-                    yield a1, a2
+        outs = self.pair[j].keys()
+        if not outs:
+            return
+        for i in self.adj[j]:
+            across = self.pair[i]
+            if j in across and not outs.isdisjoint(across):
+                for h in outs & across.keys():
+                    yield i, h
 
     def new_arcs(self, tech: int) -> list[RoadArc]:
         """Arcs added since ``tech`` last asked that still exist."""
@@ -298,13 +339,14 @@ class _Work:
             nid = heapq.heappop(heap)
             if nid in self.nodes:
                 yield nid
-            for t in self.touched[read:]:
-                if t <= nid:
-                    carried.append(t)
-                elif t not in queued:
-                    queued.add(t)
-                    heapq.heappush(heap, t)
-            read = len(self.touched)
+            if len(self.touched) > read:
+                for t in self.touched[read:]:
+                    if t <= nid:
+                        carried.append(t)
+                    elif t not in queued:
+                        queued.add(t)
+                        heapq.heappush(heap, t)
+                read = len(self.touched)
         self.node_cursor[tech] = read
         self.carried[tech] = carried
 
@@ -346,7 +388,7 @@ def _t6_self_loops(work: _Work) -> list[PruneAction]:
 def _t5_parallel(work: _Work) -> list[PruneAction]:
     removed: list[str] = []
     for a in work.new_arcs(5):
-        ids = work.pair.get((a.tail, a.head), ())
+        ids = work.pair[a.tail].get(a.head, ())
         if len(ids) > 1:
             keep = work.fastest(a.tail, a.head)
             for aid in [aid for aid in ids if aid != keep.id]:
@@ -370,10 +412,10 @@ def _t2_dead_transshipment(work: _Work) -> list[PruneAction]:
         nid = heapq.heappop(heap)
         if nid not in work.nodes or not dead(nid):
             continue
-        nbrs = work.neighbors(nid)
+        nbrs = sorted(work.neighbors(nid))
         removed_arcs.extend(work.remove_node(nid))
         removed_nodes.append(nid)
-        for nbr in sorted(nbrs):
+        for nbr in nbrs:
             if nbr in work.nodes and nbr not in enqueued and dead(nbr):
                 heapq.heappush(heap, nbr)
                 enqueued.add(nbr)
@@ -402,7 +444,7 @@ def _t1_whole(work: _Work) -> list[PruneAction]:
     # other component.  The first cut node drops each bare one of either
     # kind; if it lay in a bare component, it is left alone as one, which
     # the next cut node drops.
-    adj = undirected_adjacency(work)
+    adj = {nid: row.keys() for nid, row in work.adj.items()}
     bare = bare_components(adj, work.bare)
     actions: list[PruneAction] = []
     for ap in sorted(cut_nodes(adj)):
@@ -474,15 +516,13 @@ def _t4_bypassed_triangles(work: _Work) -> list[PruneAction]:
         bridged |= around[a.tail] & around[a.head]
     actions: list[PruneAction] = []
     for nid in work.sweep(4, bridged):
+        if len(work.adj[nid]) != 2:
+            continue
         if work.nodes[nid].kind is not NodeKind.TRANSSHIPMENT:
             continue
-        incident = work.out[nid] + work.inn[nid]
-        if any(work.arcs[a].vulnerable for a in incident):
+        if any(work.arcs[a].vulnerable for a in work.out[nid] + work.inn[nid]):
             continue
-        nbrs = work.neighbors(nid)
-        if len(nbrs) != 2:
-            continue
-        j, k = sorted(nbrs)
+        j, k = sorted(work.neighbors(nid))
         through = 0
         ok = True
         for x, y in ((j, k), (k, j)):
@@ -507,20 +547,19 @@ def _t4_bypassed_triangles(work: _Work) -> list[PruneAction]:
 def _t7_contract(work: _Work) -> list[PruneAction]:
     actions: list[PruneAction] = []
     for nid in work.sweep(7):
+        n_nbrs = len(work.adj[nid])
+        if n_nbrs not in (1, 2):
+            continue
         if work.nodes[nid].kind is not NodeKind.TRANSSHIPMENT:
             continue
-        incident = work.out[nid] + work.inn[nid]
-        if not incident or any(work.arcs[a].vulnerable for a in incident):
+        if any(work.arcs[a].vulnerable for a in work.out[nid] + work.inn[nid]):
             continue
-        nbrs = work.neighbors(nid)
-        if len(nbrs) == 1:  # cul-de-sac middle: i = k, nothing to bridge
+        if n_nbrs == 1:  # cul-de-sac middle: i = k, nothing to bridge
             removed = work.remove_node(nid)
             actions.append(PruneAction(7, removed_nodes=(nid,),
                                        removed_arcs=tuple(sorted(removed))))
             continue
-        if len(nbrs) != 2:
-            continue
-        i, k = sorted(nbrs)
+        i, k = sorted(work.neighbors(nid))
         new_arcs: list[RoadArc] = []
         contractions: list[ContractionRecord] = []
         for x, y in ((i, k), (k, i)):
@@ -555,16 +594,21 @@ def _t8_clique_dominance(work: _Work) -> list[PruneAction]:
     new = [a for a in work.new_arcs(8)
            if not a.vulnerable and a.tail != a.head]
     centres = {a.head for a in new} | {a.tail for a in new}
-    for a in new:  # a as the direct arc i->h
-        for b in work.out[a.tail]:
-            j = work.arcs[b].head
-            if j not in centres and work.pair.get((j, a.head)):
-                centres.add(j)
+    # a middle of a new direct arc has an arc out, so when every arc is new,
+    # as in a first run, it is already the tail of a new arc
+    if any(row and j not in centres for j, row in work.pair.items()):
+        for a in new:  # a as the direct arc i->h
+            for j in work.pair[a.tail]:
+                if j not in centres and a.head in work.pair[j]:
+                    centres.add(j)
+    # float addition is monotone, so the quickest detour i->j->h is the sum
+    # of the quickest hops, and it dominates every direct arc no quicker
     removed: list[str] = []
     for j in sorted(centres):
-        for a1, a2 in work.detours(j):
-            detour = a1.travel_time + a2.travel_time
-            for did in [d for d in work.pair.get((a1.tail, a2.head), ())
+        for i, h in work.triangles(j):
+            detour = (work.fastest(i, j).travel_time
+                      + work.fastest(j, h).travel_time)
+            for did in [d for d in work.pair[i][h]
                         if work.arcs[d].travel_time >= detour - DIST_TOL]:
                 work.remove_arc(did)
                 work.middles.add(j)
@@ -581,13 +625,15 @@ def harvest_triangle_vis(net: Network) -> list[tuple[str, str, str]]:
     (arc i->j, arc i->h, arc j->h); the 0-1 model may add that as a cut.
     """
     work = _Work(net)
+    arcs, pair = work.arcs, work.pair
     vis: set[tuple[str, str, str]] = set()
     for j in work.nodes:
-        for a1, a2 in work.detours(j):
-            detour = a1.travel_time + a2.travel_time
-            vis.update((a1.id, d, a2.id)
-                       for d in work.pair.get((a1.tail, a2.head), ())
-                       if work.arcs[d].travel_time < detour - DIST_TOL)
+        for i, h in work.triangles(j):
+            for a1 in pair[i][j]:
+                for a2 in pair[j][h]:
+                    detour = arcs[a1].travel_time + arcs[a2].travel_time
+                    vis.update((a1, d, a2) for d in pair[i][h]
+                               if arcs[d].travel_time < detour - DIST_TOL)
     return sorted(vis)
 
 

@@ -105,6 +105,12 @@ def test_operational_errors_exit_1(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_network_path_that_is_a_directory_exits_1(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: network file is not a regular file: {tmp_path}\n"
+
+
 def test_malformed_record_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad-record.json"
     bad.write_text(json.dumps({"schema_version": 1, "nodes": [5], "arcs": []}))

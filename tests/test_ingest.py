@@ -122,9 +122,9 @@ def test_load_rejects_reverse_id_collision():
 
 
 def test_load_missing_file(tmp_path):
-    with pytest.raises(SchemaError):
-        load_network(tmp_path / "nope.json")
     with pytest.raises(SchemaError, match="not found"):
+        load_network(tmp_path / "nope.json")
+    with pytest.raises(SchemaError, match="not a regular file"):
         load_network(tmp_path)  # a directory
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

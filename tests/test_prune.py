@@ -228,10 +228,13 @@ def test_expand_solution_applies_offset_to_bound():
     (lambda: synth.grid_network_file(14, 14, 2, n_facilities=3),
      "9af2d0a6623ef4cf9e5ea6438d88abb33ecdc1456f558a4e143ed08adfc36021", 6,
      {"nodes": 183, "arcs": 669, "variables": 17512}),
+    (lambda: synth.grid_network_file(18, 18, 0, n_facilities=3),
+     "e24c7c7e8bd7e0b2ccb2861acd5aaa3452e8e17a2a250fa99ac2983733608666", 2,
+     {"nodes": 322, "arcs": 1188, "variables": 51225}),
     (lambda: synth.grid_network_file(20, 20, 0, n_facilities=3),
      "039ec0a84e44b3bddff46bd7191378e8a22e8a0fd535fcfd9ea7ccc5ab7f28cd", 4,
      {"nodes": 392, "arcs": 1452, "variables": 69853}),
-], ids=["demo", "g14", "g20"])
+], ids=["demo", "g14", "g18", "g20"])
 def test_prune_log_bytes_are_pinned(town, digest, rounds, final):
     # recorded with full sweeps of every technique in every round
     net = instance_from_file(town(), InstanceSpec(alpha=0.15)).network
@@ -416,3 +419,47 @@ def test_t1_at_middles_matches_whole_network_runs(monkeypatch):
     # cycle is left
     assert any(later and not whole and n for later, whole, n in runs)
     assert any(later and whole and n for later, whole, n in runs)
+
+
+# -- the live indexes stay equal to the arcs -----------------------------------
+
+def _indexes_from_arcs(work) -> tuple[dict, dict]:
+    adj = {nid: {} for nid in work.nodes}
+    pair = {nid: {} for nid in work.nodes}
+    for a in work.arcs.values():
+        if a.tail == a.head:
+            continue
+        for x, y in ((a.tail, a.head), (a.head, a.tail)):
+            adj[x][y] = adj[x].get(y, 0) + 1
+        if not a.vulnerable:
+            pair[a.tail].setdefault(a.head, []).append(a.id)
+    return adj, {n: {h: sorted(ids) for h, ids in row.items()}
+                 for n, row in pair.items()}
+
+
+def test_live_indexes_match_the_arcs_after_every_technique(monkeypatch):
+    checked = {t: 0 for t in TECHNIQUE_ORDER}
+
+    def checking(tech, run):
+        def wrapped(work):
+            actions = run(work)
+            # equal to indexes rebuilt from the arcs: a row for each live
+            # node, and no zero count or empty arc list left behind
+            adj, pair = _indexes_from_arcs(work)
+            assert work.adj == adj
+            assert {n: {h: sorted(ids) for h, ids in row.items()}
+                    for n, row in work.pair.items()} == pair
+            checked[tech] += bool(actions)
+            return actions
+        return wrapped
+
+    for tech, run in list(prune._TECHNIQUES.items()):
+        monkeypatch.setitem(prune._TECHNIQUES, tech, checking(tech, run))
+    for seed in range(200):
+        for net in (synth.random_instance(seed).network,
+                    synth.random_instance(seed, decorate=True).network,
+                    _sparse_town(seed, cycles=False),
+                    _sparse_town(seed, cycles=True)):
+            prune_all(net)
+    # every technique changed the indexes somewhere
+    assert all(checked.values()), checked

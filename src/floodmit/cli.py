@@ -185,11 +185,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     (args.out_dir / "prunelog.json").write_text(result.pruned.log.to_json())
     _print_plan(instance, sol)
     print(f"{'written':<12} {args.out_dir / 'solution.json'}")
-    print(f"solved in {elapsed:.3f}s, "
-          f"{sol.stats.get('nodes_explored', 0)} nodes, "
-          f"{sol.stats.get('connection_cuts', 0)} connection cuts, "
-          f"{sol.stats.get('relaxations_inherited', 0)} relaxations inherited",
-          file=sys.stderr)
+    counts = ", ".join(f"{sol.stats.get(key, 0)} {label}" for key, label in (
+        ("nodes_explored", "nodes"), ("connection_cuts", "connection cuts"),
+        ("relaxations_inherited", "relaxations inherited"),
+        ("tables_repaired", "tables repaired"),
+        ("routes_reused", "routes reused"),
+        ("assignments_reused", "assignments reused")))
+    print(f"solved in {elapsed:.3f}s, {counts}", file=sys.stderr)
     return sol.exit_code()
 
 

@@ -9,7 +9,11 @@ Every search takes the roads it may not use as one set of closed arc ids:
 ``net.vulnerable_ids`` for the flooded network, the empty default for the
 fully repaired one, ``net.vulnerable_ids - bought`` for a plan, and
 ``frozenset((aid,))`` for one road closed.  ``close_arcs`` closes more
-roads in a finished reverse table by repairing it, not searching it again.
+roads in a finished reverse table by repairing it, not searching it again,
+whether the table was built with nothing closed (closure ranking) or with
+a closed set of its own (a branch-and-bound child's tables from its
+parent's).  ``canonical_walk`` is the route walk, and says whether it
+backed out of a dead end.
 ``bare_sides`` and ``bare_components`` are the one side-component finder,
 for prune's technique 1 and the component mask.
 """
@@ -235,30 +239,36 @@ def facility_times(net: Network, closed: frozenset[str] = frozenset(),
 
 def close_arcs(net: Network, table: Mapping[str, float],
                sources: Iterable[str], arcs: Iterable[str],
+               closed: frozenset[str] = frozenset(),
                ) -> dict[str, float | None]:
-    """The labels of a reverse table that change when ``arcs`` close.
+    """The labels of a reverse table that change when ``arcs`` close too.
 
-    ``table`` is ``dijkstra(net, sources, reverse=True)``.  Returns
-    ``{node_id: minutes}`` for just the nodes whose time moves, with None
-    for a node that no longer reaches a source; applied to ``table`` it
-    equals ``dijkstra(net, sources, frozenset(arcs), reverse=True)`` to the
-    last bit.  This is a dynamic shortest-path repair (Ramalingam & Reps,
+    ``table`` is ``dijkstra(net, sources, closed, reverse=True)``: by
+    default nothing is closed yet.  Returns ``{node_id: minutes}`` for just
+    the nodes whose time moves, with None for a node that no longer
+    reaches a source; applied to ``table`` it equals ``dijkstra(net,
+    sources, closed | frozenset(arcs), reverse=True)`` to the last bit.
+    This is a dynamic shortest-path repair (Ramalingam & Reps,
     J. Algorithms 21, 1996):
 
-    * only the affected nodes can move: the tail of each closed arc that is
-      tight in ``table`` (``travel_time + table[head] - table[tail] <=
-      2*DIST_TOL``, the slack ``_closures_that_matter`` explains) and every
-      node that reaches one of those tails along tight arcs.  Sources stay
-      at 0 and are never affected.  The set is wider than the subtree under
-      the closed arcs, because a closed arc off the tree can still have
-      blocked a later offer within DIST_TOL;
+    * only the affected nodes can move: the tail of each newly closed arc
+      that is tight in ``table`` (``travel_time + table[head] -
+      table[tail] <= 2*DIST_TOL``, the slack ``_closures_that_matter``
+      explains) and every node that reaches one of those tails along tight
+      open arcs.  Sources stay at 0 and are never affected.  The set is
+      wider than the subtree under the closed arcs, because a closed arc
+      off the tree can still have blocked a later offer within DIST_TOL;
+      an arc in ``closed`` blocked nothing, so the walk skips it;
     * the kernel then relabels them, seeded with the unchanged label of
-      every other node that has an open arc into the set, under the same
-      ``< best - DIST_TOL`` rule and ``(time, id)`` heap order as a fresh
-      search.
+      every other node that has an arc into the set open after the
+      closure, under the same ``< best - DIST_TOL`` rule and ``(time,
+      id)`` heap order as a fresh search.
+
+    A label can fall, by less than DIST_TOL: a closed arc may have carried
+    the offer that kept a slightly smaller one out.
     """
     arcs_by_id, incoming, outgoing = net.arcs, net._in, net._out
-    shut = frozenset(arcs)
+    shut = frozenset(arcs) - closed
     affected: set[str] = set()
     for aid in shut:
         arc = arcs_by_id[aid]
@@ -278,12 +288,14 @@ def close_arcs(net: Network, table: Mapping[str, float],
                 continue
             at_u = table.get(u)
             if at_u is not None and \
-                    arc.travel_time + at_v - at_u <= 2 * DIST_TOL:
+                    arc.travel_time + at_v - at_u <= 2 * DIST_TOL and \
+                    aid not in closed:
                 affected.add(u)
                 stack.append(u)
     affected.difference_update(sources)
     if not affected:
         return {}
+    shut |= closed
     seeds: set[str] = set()
     for v in affected:
         for aid in outgoing[v]:
@@ -316,11 +328,22 @@ def canonical_shortest_path(net: Network, source: str, target: str,
     """
     if dist_to_target is None:
         dist_to_target = dijkstra(net, (target,), closed, reverse=True)
+    found = canonical_walk(net, source, target, closed, dist_to_target)
+    return None if found is None else (dist_to_target[source], found[0])
+
+
+def canonical_walk(net: Network, source: str, target: str,
+                   closed: frozenset[str], dist_to_target: Mapping[str, float],
+                   ) -> tuple[tuple[str, ...], bool] | None:
+    """The walk ``canonical_shortest_path`` makes: (arc ids, whether it
+    backed out of a dead end), or None if ``source`` cannot reach
+    ``target``."""
     if source not in dist_to_target:
         return None
     path: list[str] = []
     stack = [(source, iter(net.out_arcs(source)))]
     visited = {source}
+    backed = False
     while stack[-1][0] != target:
         u, exits = stack[-1]
         remaining = dist_to_target[u]
@@ -342,7 +365,8 @@ def canonical_shortest_path(net: Network, source: str, target: str,
                 raise NetworkError(
                     f"no tight path from {source!r} to {target!r}")
             path.pop()
-    return dist_to_target[source], tuple(path)
+            backed = True
+    return tuple(path), backed
 
 
 # -- connectivity structure -------------------------------------------------

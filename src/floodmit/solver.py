@@ -26,12 +26,15 @@ a priced-regret assignment improved by shift and swap moves
 everyone at their nearest facility, and a Lagrangian bound whose capacity
 prices come from coordinate ascent (`_capacity_prices`).
 
-Every origin rides a shortest path, so a node's distances come from one
-reverse search per facility, and routes are read off those tables; an
-include child that shuts no arc its parent left open reuses the parent's
-relaxation instead.  Like every search, these take the roads a plan leaves
-shut as one set of closed arc ids: ``net.vulnerable_ids`` minus the arcs
-bought.  Masks and valid inequalities never reach the search: they only
+Every origin rides a shortest path, so the root's distances come from one
+reverse search per facility, and routes are read off those tables.  A
+child shuts every arc its parent does, so it starts from its parent's
+solve: it repairs the parent's tables over the arcs it newly shuts, keeps
+the routes that stay canonical, and starts its assignment search from the
+parent's assignment; an include child that shuts no more arcs reuses the
+parent's relaxation whole.  Like every search, these take the roads a plan
+leaves shut as one set of closed arc ids: ``net.vulnerable_ids`` minus the
+arcs bought.  Masks and valid inequalities never reach the search: they only
 tighten the 0-1 model.  `brute_force_oracle` independently enumerates every
 affordable upgrade set and every capacity-feasible assignment (masks
 optional, added to each origin's closed set) — slower, but nothing to get
@@ -50,16 +53,18 @@ import json
 import math
 import re
 import time
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import AbstractSet, Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .ingest import (CAPACITY_TOL, InstanceSpec, ProblemInstance,
                      PurchaseUnit, capacity_fits, cents, purchase_units,
                      upgrade_cost_cents)
 from .net import (DIST_TOL, Network, NodeKind, RoadArc, RoadNode,
-                  canonical_shortest_path, dijkstra, facility_times)
+                  canonical_shortest_path, canonical_walk, close_arcs,
+                  dijkstra, facility_times)
 from .reductions import Cuts, FixedUpgrades, VariableMask
 
 
@@ -297,9 +302,28 @@ def _regret_assignment(items: _AssignmentItems,
     return value, {items[i][0]: at[i] for i in range(n)}
 
 
+def _repriced(items: _AssignmentItems, capacities: Mapping[str, float],
+              assignment: Mapping[str, str],
+              ) -> tuple[float, dict[str, str]] | None:
+    """``assignment`` priced on ``items``: (weighted minutes summed in item
+    order, as the exact search sums them, the assignment), or None if it
+    sends an item to a facility off its list or overfills one."""
+    left = dict(capacities)
+    value = 0.0
+    for origin, h, w, cands in items:
+        dest = assignment.get(origin)
+        minutes = next((m for m, d in cands if d == dest), None)
+        if minutes is None or not capacity_fits(h, left[dest]):
+            return None
+        left[dest] -= h
+        value += w * minutes
+    return value, {origin: assignment[origin] for origin, _, _, _ in items}
+
+
 def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
                       deadline: float = math.inf,
                       stats: dict[str, Any] | None = None,
+                      hint: Mapping[str, str] | None = None,
                       ) -> tuple[float, dict[str, str]] | None:
     """Min-cost assignment of origins to destinations under capacities.
 
@@ -308,20 +332,23 @@ def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
     if the residents outnumber every bed together, there is none.
     Otherwise `_capacity_prices` prices the capacity rows, and
     `_regret_assignment` builds a feasible assignment whose cost, plus a
-    relative slack of 1e-7, starts the search as its cutoff.  A depth-first
-    search then assigns the items in order, each to its facilities nearest
-    first, and bounds every child before entering it by the larger of two
-    lower bounds on the rest: everyone at their nearest facility,
-    capacities ignored, and the Lagrangian bound over the residual
-    capacities.  A valid lower bound, or a cutoff above the optimum, only
-    cuts leaves the search would reject anyway, so the answer is the first
-    strictly best leaf in search order whatever the prices and the
-    heuristic (if no leaf beats the cutoff, as float rounding could only
-    cause at the edge of a capacity, the heuristic's own assignment is the
-    answer).  The search keeps its own stack, so any number of origins
-    fits; it reads the clock every ``_CLOCK_EVERY`` nodes and raises
-    `_DeadlinePassed` once ``deadline`` is past.  The nodes it enters are
-    added to ``stats["assignment_nodes"]``, its seconds to
+    relative slack of 1e-7, starts the search as its cutoff; ``hint``, an
+    assignment such as a B&B parent's, re-priced on ``items``
+    (`_repriced`), gives a second one, and the lower of the two is taken
+    when it is feasible.  A depth-first search then assigns the items in
+    order, each to its facilities nearest first, and bounds every child
+    before entering it by the larger of two lower bounds on the rest:
+    everyone at their nearest facility, capacities ignored, and the
+    Lagrangian bound over the residual capacities.  A valid lower bound, or
+    a cutoff above the optimum, only cuts leaves the search would reject
+    anyway, so the answer is the first strictly best leaf in search order
+    whatever the prices, the heuristic and the hint (if no leaf beats the
+    cutoff, as float rounding could only cause at the edge of a capacity,
+    the cutoff's own assignment is the answer).  The search keeps its own
+    stack, so any number of origins fits; it reads the clock every
+    ``_CLOCK_EVERY`` nodes and raises `_DeadlinePassed` once ``deadline``
+    is past.  The nodes it enters are added to
+    ``stats["assignment_nodes"]``, its seconds to
     ``stats["wall_time_assignment_s"]``.
     """
     n = len(items)
@@ -373,6 +400,10 @@ def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
         best_assign: dict[str, str] | None = None
         cutoff = math.inf
         upper = _regret_assignment(items, capacities, prices)
+        if hint is not None:
+            hinted = _repriced(items, capacities, hint)
+            if hinted is not None and (upper is None or hinted[0] < upper[0]):
+                upper = hinted
         if upper is not None:
             best_obj, best_assign = upper
             cutoff = best_obj * (1.0 + 1e-7) + slack
@@ -475,6 +506,56 @@ def _route(net: Network, origin: str, dest: str, closed: frozenset[str],
     if found is None:  # pragma: no cover - assignment implies reachability
         raise ModelError(f"no route from {origin!r} to {dest!r}")
     return found[1]
+
+
+def _node_routes(net: Network, origins: Sequence[RoadNode], node: _NodeSolve,
+                 tables: Mapping[str, Mapping[str, float]],
+                 parent: _NodeSolve | None = None,
+                 fell: AbstractSet[str] = frozenset(),
+                 stats: dict[str, Any] | None = None,
+                 ) -> tuple[dict[str, tuple[str, ...]], frozenset[str]]:
+    """Each origin's canonical route to its facility in ``node.assignment``
+    over the arcs not in ``node.closed``, read off ``tables`` (the node's),
+    and the origins whose walk backed out of a dead end.
+
+    A child (``parent`` given, ``node.delta`` its tables' change from the
+    parent's) keeps its parent's route for an origin that keeps its facility
+    when no arc on the route newly closed, no node on it (the origin
+    included) moved in that facility's table, no label in that table fell
+    (``fell`` names those facilities) and the parent's walk never backed
+    out.  Closing arcs raises labels, or lowers them by less than DIST_TOL
+    (``net.close_arcs``), so at an unmoved node the same exit is still the
+    first tight one and every exit before it still is not.  Every other
+    origin is walked again.  Reused routes are added to
+    ``stats["routes_reused"]``.
+    """
+    new = node.closed - parent.closed if parent is not None else frozenset()
+    arcs = net.arcs
+    paths: dict[str, tuple[str, ...]] = {}
+    backed: set[str] = set()
+    reused = 0
+    for o in origins:
+        k = o.id
+        dest = node.assignment[k]
+        if (parent is not None and parent.assignment[k] == dest
+                and dest not in fell and k not in parent.backed):
+            route = parent.paths[k]
+            moved = node.delta.moved.get(dest, {})
+            if k not in moved and all(aid not in new
+                                      and arcs[aid].head not in moved
+                                      for aid in route):
+                paths[k] = route
+                reused += 1
+                continue
+        found = canonical_walk(net, k, dest, node.closed, tables[dest])
+        if found is None:  # pragma: no cover - assignment implies reachability
+            raise ModelError(f"no route from {k!r} to {dest!r}")
+        paths[k] = found[0]
+        if found[1]:
+            backed.add(k)
+    if stats is not None:
+        stats["routes_reused"] = stats.get("routes_reused", 0) + reused
+    return paths, frozenset(backed)
 
 
 def _used_vulnerable(net: Network, paths: Mapping[str, Sequence[str]],
@@ -610,9 +691,27 @@ def _arc_prices(net: Network, units: Iterable[PurchaseUnit]) -> dict[str, float]
     return prices
 
 
-def _connection_bound(net: Network, dest_ids: Sequence[str],
-                      prices: Mapping[str, float], free: frozenset[str],
-                      closed: frozenset[str]) -> float:
+def _rooted(net: Network, dest_ids: Sequence[str],
+            prices: Mapping[str, float]) -> frozenset[str]:
+    """The nodes that reach a facility over arcs without a price.
+
+    In a solve those are the arcs outside the shut set, which no node
+    closes, so one flood serves every `_connection_bound` call."""
+    arcs = net.arcs
+    rooted = set(dest_ids)
+    stack = list(dest_ids)
+    while stack:
+        for aid in net.in_arcs(stack.pop()):
+            tail = arcs[aid].tail
+            if tail not in rooted and aid not in prices:
+                rooted.add(tail)
+                stack.append(tail)
+    return frozenset(rooted)
+
+
+def _connection_bound(net: Network, prices: Mapping[str, float],
+                      free: frozenset[str], closed: frozenset[str],
+                      rooted: AbstractSet[str]) -> float:
     """Cents that must be spent, outside ``free``, for every origin to reach
     some facility; ``inf`` exactly when no purchase connects everyone.
 
@@ -627,11 +726,22 @@ def _connection_bound(net: Network, dest_ids: Sequence[str],
     moment its tail joins the set until its head does, so the ascent only
     records, per node, the bound raised so far when it joined, and settles
     every reduced cost once the origin connects.
+
+    The ascent starts from the nodes that reach a facility over zero-cost
+    open arcs: ``rooted``, `_rooted`'s flood over the unpriced arcs (valid
+    while ``closed`` holds none of them), extended over the priced arcs
+    open at no cost here (``free`` ones, and those priced at 0).
     """
     arcs = net.arcs
-    reduced = {aid: p for aid, p in prices.items()
-               if p > 0 and aid not in free and aid not in closed}
-    rooted = set(dest_ids)   # reach a facility over zero-cost open arcs
+    reduced: dict[str, float] = {}
+    zero: list[str] = []    # priced arcs open at no cost
+    for aid, p in prices.items():
+        if aid in closed:
+            continue
+        if p > 0 and aid not in free:
+            reduced[aid] = p
+        else:
+            zero.append(aid)
 
     def root(nodes: Iterable[str]) -> None:
         stack = list(nodes)
@@ -643,7 +753,14 @@ def _connection_bound(net: Network, dest_ids: Sequence[str],
                     rooted.add(tail)
                     stack.append(tail)
 
-    root(dest_ids)
+    rooted = set(rooted)
+    start = []
+    for aid in zero:
+        tail = arcs[aid].tail
+        if arcs[aid].head in rooted and tail not in rooted:
+            rooted.add(tail)
+            start.append(tail)
+    root(start)
     bound = 0.0
     for origin in net.origins():
         if origin.id in rooted:
@@ -701,10 +818,65 @@ def _connection_bound(net: Network, dest_ids: Sequence[str],
     return bound
 
 
-#: a B&B node that stays open: (bound, committed, banned, cost, score), where
-#: score maps each undecided unit on its relaxed routes to the resident
-#: weight riding it
-_OpenNode = tuple[float, frozenset[str], frozenset[str], int, dict[str, float]]
+class _Delta(NamedTuple):
+    """A searched node's facility tables, as the labels that differ from
+    its parent's: ``net.close_arcs`` per facility, None for a node cut off,
+    a facility where nothing moved left out.  The root, which has no
+    parent, holds its full tables."""
+
+    parent: _Delta | None
+    moved: dict[str, dict[str, float | None]]
+
+    def tables(self) -> dict[str, dict[str, float]]:
+        """The full tables: the root's, with every delta on the way down
+        applied."""
+        chain = []
+        delta: _Delta | None = self
+        while delta is not None:
+            chain.append(delta.moved)
+            delta = delta.parent
+        tables = {d: dict(t) for d, t in chain.pop().items()}
+        for moved in reversed(chain):
+            for d, labels in moved.items():
+                table = tables[d]
+                for v, t in labels.items():
+                    if t is None:
+                        del table[v]
+                    else:
+                        table[v] = t
+        return tables
+
+
+class _NodeSolve:
+    """What a searched B&B node's bound solve leaves for its children: its
+    tables as a `_Delta`, its shut arcs, its relaxed assignment and routes,
+    and the origins whose route walk backed out of a dead end.  Only the
+    delta outlives the node's expansion."""
+
+    __slots__ = ("delta", "closed", "assignment", "paths", "backed")
+
+    def __init__(self, delta: _Delta, closed: frozenset[str]) -> None:
+        self.delta = delta
+        self.closed = closed
+        self.assignment: dict[str, str] = {}
+        self.paths: dict[str, tuple[str, ...]] = {}
+        self.backed: frozenset[str] = frozenset()
+
+
+class _Parent(NamedTuple):
+    """The node being expanded, as its children see it."""
+
+    node: _NodeSolve
+    tables: dict[str, dict[str, float]]
+    bound: float
+    score: dict[str, float]    # less the branch unit
+
+
+#: a B&B node that stays open: (bound, committed, banned, cost, solve,
+#: score), where score maps each undecided unit on its relaxed routes to the
+#: resident weight riding it
+_OpenNode = tuple[float, frozenset[str], frozenset[str], int, _NodeSolve,
+                  dict[str, float]]
 
 
 def solve_exact(instance: ProblemInstance,
@@ -751,13 +923,26 @@ def solve_exact(instance: ProblemInstance,
     root that the connection bound already refuted is `BudgetDisconnected`
     without the walk, whose first test would refute it again.
 
-    Every origin rides a shortest path over the open arcs, so a node that
-    searches needs only one reverse search per facility
-    (``net.facility_times`` with every vulnerable arc closed that the
-    relaxation does not treat as bought, and for the probe every one not
-    committed); a node that inherits its parent's relaxation needs none.
-    Those tables give every origin's candidate list, and both the
-    branch-scoring routes and the incumbent routes are read off them.
+    Every origin rides a shortest path over the open arcs, so a node's
+    distances are one table per facility over the arcs not shut: every
+    vulnerable arc the relaxation does not treat as bought, and for the
+    probe every one not committed.  The root and the probe build them by
+    reverse search (``net.facility_times``).  A child shuts every arc its
+    parent does, so it repairs its parent's tables over the arcs it newly
+    shuts (``net.close_arcs``, ``tables_repaired``), and a node that
+    inherits its parent's relaxation needs none.  An open node keeps only
+    what its repair moved, linked to its parent's record (`_Delta`); full
+    tables are rebuilt from that chain for the node being expanded.  Those
+    tables give every origin's candidate list, and both the branch-scoring
+    routes and the incumbent routes are read off them; a child keeps each
+    parent route that stays canonical (`_node_routes`,
+    ``routes_reused``).  The exact assignment searches of one solve are
+    kept, keyed by each origin's time to each facility, and a repeated one
+    is not run again (``assignments_reused``); a search the deadline
+    stops keeps nothing.  A child's search starts from the better of the
+    priced-regret assignment and its parent's, re-priced on its own lists.
+    The connection bound's arc prices, and its flood over the arcs no node
+    closes (`_rooted`), are built by its first call.
     Per-origin masks and valid inequalities only tighten the 0-1 model; a
     route-based search never needs them.  Determinism: nodes are numbered
     in creation order and the heap is keyed (bound, number); incumbent ties
@@ -772,7 +957,9 @@ def solve_exact(instance: ProblemInstance,
     (``nodes_explored``), ``incumbent_updates``, ``rounding_closures``,
     ``connection_cuts`` (nodes of either search the connection bound
     refuted), ``relaxations_inherited`` (include children that took their
-    parent's relaxation) and ``assignment_nodes`` (search nodes over the
+    parent's relaxation), ``tables_repaired`` (children whose tables were
+    repaired from their parent's), ``routes_reused``,
+    ``assignments_reused`` and ``assignment_nodes`` (search nodes over the
     probe and every bound solve);
     ``wall_time_assignment_s`` is the time spent in those searches (kept,
     like ``wall_time_s``, out of the deterministic JSON).  A warm start
@@ -797,6 +984,8 @@ def solve_exact(instance: ProblemInstance,
     stats: dict[str, Any] = {"nodes_explored": 0, "incumbent_updates": 0,
                              "rounding_closures": 0, "connection_cuts": 0,
                              "relaxations_inherited": 0,
+                             "tables_repaired": 0, "routes_reused": 0,
+                             "assignments_reused": 0,
                              "assignment_nodes": 0,
                              "wall_time_assignment_s": 0.0}
     incumbent: Solution | None = None
@@ -823,7 +1012,10 @@ def solve_exact(instance: ProblemInstance,
     undecided = {u.id: u for u in units if u not in committed_units}
     unit_ids = sorted(undecided)
     arc_unit = {a: uid for uid, u in undecided.items() for a in u.arc_ids}
-    prices = _arc_prices(net, undecided.values())
+    # the connection bound's arc prices and once-per-solve flood, built by
+    # its first call
+    prices: dict[str, float] | None = None
+    rooted: frozenset[str] = frozenset()
     gap_items_order = sorted(origins, key=lambda o: (-o.residents, o.id))
     origin_order = sorted(origins, key=lambda o: o.id)
 
@@ -844,9 +1036,13 @@ def solve_exact(instance: ProblemInstance,
                    closed: frozenset[str]) -> float | None:
         """The node's connection bound, or None (a counted cut) when it
         proves the remaining budget short."""
+        nonlocal prices, rooted
+        if prices is None:
+            prices = _arc_prices(net, undecided.values())
+            rooted = _rooted(net, dest_ids, prices)
         bought = frozenset(a for uid in committed
                            for a in undecided[uid].arc_ids)
-        bound = _connection_bound(net, dest_ids, prices, bought, closed)
+        bound = _connection_bound(net, prices, bought, closed, rooted)
         if bound - remaining > _BOUND_RTOL * max(1.0, remaining):
             stats["connection_cuts"] += 1
             return None
@@ -868,26 +1064,36 @@ def solve_exact(instance: ProblemInstance,
                              paths=paths)
         stats["incumbent_updates"] += 1
 
-    def assign(closed: frozenset[str],
-               ) -> tuple[dict[str, dict[str, float]], float,
-                          dict[str, str]] | None:
-        """Facility tables and the exact capacitated assignment over the
-        arcs not in ``closed``; None if some origin is cut off or the
-        capacities cannot host everyone."""
-        tables = facility_times(net, closed)
+    # every finished assignment search of the solve, keyed by each origin's
+    # time to each facility (inf if it cannot reach it) packed in item order
+    solved: dict[bytes, tuple[float, dict[str, str]] | None] = {}
+
+    def assign(tables: Mapping[str, Mapping[str, float]],
+               hint: Mapping[str, str] | None = None,
+               ) -> tuple[float, dict[str, str]] | None:
+        """The exact capacitated assignment over facility tables; None if
+        some origin is cut off or the capacities cannot host everyone.  A
+        search repeated within the solve is not run again."""
         lists = _lists_from_tables(origin_order, dest_ids, tables)
         if lists is None:
             return None
+        key = array("d", [tables[d].get(o.id, math.inf)
+                          for o in gap_items_order
+                          for d in dest_ids]).tobytes()
+        if key in solved:
+            stats["assignments_reused"] += 1
+            return solved[key]
         items = [(o.id, o.residents, o.weight, lists[o.id])
                  for o in gap_items_order]
-        solved = _assignment_exact(items, caps, deadline, stats)
-        return None if solved is None else (tables, *solved)
+        solved[key] = _assignment_exact(items, caps, deadline, stats, hint)
+        return solved[key]
 
     def try_incumbent(closed: frozenset[str]) -> None:
-        found = assign(closed)
+        tables = facility_times(net, closed)
+        found = assign(tables)
         if found is None:
             return
-        tables, obj, assignment = found
+        obj, assignment = found
         if incumbent is not None and obj > incumbent.objective + DIST_TOL:
             return  # worse: its routes need not be read off
         record(obj, assignment,
@@ -914,49 +1120,87 @@ def solve_exact(instance: ProblemInstance,
         gap_allow = options.gap_tol * max(abs(incumbent.objective), 1e-12)
         return bound < incumbent.objective - max(DIST_TOL, gap_allow)
 
+    def repair(parent: _Parent, node: _NodeSolve,
+               ) -> tuple[dict[str, dict[str, float]], set[str]]:
+        """A child's facility tables, repaired from its parent's over the
+        arcs it newly shuts (recorded in ``node.delta``), and the
+        facilities where a label fell."""
+        new = node.closed - parent.node.closed
+        tables: dict[str, dict[str, float]] = {}
+        fell: set[str] = set()
+        for d in dest_ids:
+            old = parent.tables[d]
+            moved = close_arcs(net, old, (d,), new, parent.node.closed)
+            if not moved:
+                tables[d] = old
+                continue
+            node.delta.moved[d] = moved
+            table = tables[d] = dict(old)
+            for v, t in moved.items():
+                if t is None:
+                    del table[v]
+                else:
+                    if t < old[v]:
+                        fell.add(d)
+                    table[v] = t
+        stats["tables_repaired"] += 1
+        return tables, fell
+
     def evaluate(committed: frozenset[str], banned: frozenset[str],
-                 cost: int,
-                 parent: tuple[frozenset[str], float, dict[str, float]]
-                 | None = None) -> _OpenNode | None:
+                 cost: int, parent: _Parent | None = None,
+                 ) -> _OpenNode | None:
         """Bound one node; None if it is dead or closed by rounding.
 
         Closed by rounding: the undecided units its relaxed routes ride
         cost no more than the remaining budget together, so buying them
         attains the bound, and that plan is offered as incumbent.  A node
-        that stays open carries its score.
+        that stays open carries its solve and its score.
 
-        ``parent`` is an include child's parent: its shut arcs, its bound
-        and its score less the branch unit.  A child that shuts the same
-        arcs has the same tables, assignment and routes, so it takes that
-        bound and score.  It cannot close by rounding: the parent's score
-        cost more than the parent's remaining budget, and the branch unit
-        lowers both sides by its own cost.
+        A child (``parent`` given) shuts every arc its parent does.  One
+        that shuts no more, which only an include child can (a ban shuts
+        the branch unit, which the parent's routes ride), has the same
+        tables, assignment and routes, so it takes the parent's bound and
+        score.  It cannot close by rounding: the parent's score cost more
+        than the parent's remaining budget, and the branch unit lowers both
+        sides by its own cost.  Any other child repairs the parent's
+        tables, starts its assignment search from the parent's assignment
+        as a cutoff and keeps the parent's routes that stay canonical
+        (`_node_routes`).
         """
         remaining, afford, closed = open_node(committed, banned, cost)
         if (sum(undecided[uid].cost_cents for uid in afford) > remaining
                 and connection(committed, remaining, closed) is None):
             return None  # no affordable completion connects everyone
-        if parent is not None and parent[0] == closed:
+        if parent is None:
+            tables = facility_times(net, closed)
+            node = _NodeSolve(_Delta(None, tables), closed)
+            found = assign(tables)
+            fell: set[str] = set()
+        elif parent.node.closed == closed:
             stats["relaxations_inherited"] += 1
-            return parent[1], committed, banned, cost, parent[2]
-        found = assign(closed)
+            return parent.bound, committed, banned, cost, parent.node, \
+                parent.score
+        else:
+            node = _NodeSolve(_Delta(parent.node.delta, {}), closed)
+            tables, fell = repair(parent, node)
+            found = assign(tables, parent.node.assignment)
         if found is None:
             return None  # the relaxation strands an origin or overfills
-        tables, bound, relaxed_assign = found
-        paths = {o.id: _route(net, o.id, relaxed_assign[o.id], closed,
-                              tables[relaxed_assign[o.id]])
-                 for o in origin_order}
+        bound, node.assignment = found
+        node.paths, node.backed = _node_routes(
+            net, origin_order, node, tables,
+            None if parent is None else parent.node, fell, stats)
         score: dict[str, float] = {}
         for o in origin_order:
-            for aid in paths[o.id]:
+            for aid in node.paths[o.id]:
                 uid = arc_unit.get(aid)
                 if uid is not None and uid not in committed:
                     score[uid] = score.get(uid, 0.0) + o.weight
         if sum(undecided[uid].cost_cents for uid in score) <= remaining:
             stats["rounding_closures"] += 1
-            record(bound, relaxed_assign, paths)
+            record(bound, node.assignment, node.paths)
             return None
-        return bound, committed, banned, cost, score
+        return bound, committed, banned, cost, node, score
 
     def connectable() -> bool:
         """Does any affordable purchase set reconnect every origin?"""
@@ -981,7 +1225,7 @@ def solve_exact(instance: ProblemInstance,
 
     counter = itertools.count()
     heap: list[tuple[float, int, frozenset[str], frozenset[str], int,
-                     dict[str, float]]] = []
+                     _NodeSolve, dict[str, float]]] = []
     cut_floor: float | None = None   # weakest bound discarded under gap_tol
 
     def push(node: _OpenNode | None) -> None:
@@ -1007,19 +1251,20 @@ def solve_exact(instance: ProblemInstance,
         while heap:
             if time.perf_counter() > deadline:
                 raise _DeadlinePassed
-            bound, _, committed, banned, cost, score = heapq.heappop(heap)
+            bound, _, committed, banned, cost, node, score = \
+                heapq.heappop(heap)
             stats["nodes_explored"] += 1
             if not beats_incumbent(bound):
                 proven_bound = bound  # best-first: every open node is >= this
                 break
             expanding = bound
             branch = min(score, key=lambda uid: (-score[uid], uid))
-            closed = open_node(committed, banned, cost)[2]
-            rest = {uid: w for uid, w in score.items() if uid != branch}
+            parent = _Parent(node, node.delta.tables(), bound,
+                             {uid: w for uid, w in score.items()
+                              if uid != branch})
             push(evaluate(committed | {branch}, banned,
-                          cost + undecided[branch].cost_cents,
-                          (closed, bound, rest)))
-            push(evaluate(committed, banned | {branch}, cost))
+                          cost + undecided[branch].cost_cents, parent))
+            push(evaluate(committed, banned | {branch}, cost, parent))
             expanding = None
         if incumbent is None:
             # pruned subtrees might hide an affordable connecting set; decide

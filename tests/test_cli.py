@@ -85,7 +85,10 @@ def test_solve_counts_connection_cuts(demo, tmp_path, capsys):
         err = capsys.readouterr().err
         stats = json.loads((out / "solution.json").read_bytes())["stats"]
         assert (f"{stats['connection_cuts']} connection cuts, "
-                f"{stats['relaxations_inherited']} relaxations inherited"
+                f"{stats['relaxations_inherited']} relaxations inherited, "
+                f"{stats['tables_repaired']} tables repaired, "
+                f"{stats['routes_reused']} routes reused, "
+                f"{stats['assignments_reused']} assignments reused"
                 in err)
         runs.append(stats)
     assert runs[0] == runs[1]

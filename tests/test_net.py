@@ -180,25 +180,32 @@ def _snapped_network(seed: int) -> Network:
 def test_closing_arcs_equals_a_fresh_search_bit_for_bit():
     # along zero-time arcs a source can reach a closed arc's tail; were it
     # relabelled like any other node, the multi-source table would come out
-    # wrong (seed 12 closing a17, among others)
-    closures = 0
+    # wrong (seed 12 closing a17, among others).  A table already built
+    # with some arcs closed is repaired the same way, given that set
+    closures = reclosures = 0
     for seed in range(300):
         net = _snapped_network(seed)
         rng = random.Random(seed)
         ids = sorted(net.arcs)
         arc_sets = [frozenset((aid,)) for aid in ids] + [
             frozenset(rng.sample(ids, min(3, len(ids)))) for _ in range(30)]
+        already = frozenset(rng.sample(ids, min(4, len(ids))))
         dest_ids = [d.id for d in net.destinations()]
         for sources in [(d,) for d in dest_ids] + [tuple(dest_ids)]:
-            table = dijkstra(net, sources, reverse=True)
-            for arcs in arc_sets:
-                moved = close_arcs(net, table, sources, arcs)
-                assert all(table.get(v) != t for v, t in moved.items())
-                after = {**table, **moved}
-                assert {v: t for v, t in after.items() if t is not None} \
-                    == dijkstra(net, sources, arcs, reverse=True), (seed, arcs)
-                closures += 1
-    assert closures == 38822
+            for closed in (frozenset(), already):
+                table = dijkstra(net, sources, closed, reverse=True)
+                for arcs in arc_sets:
+                    moved = close_arcs(net, table, sources, arcs, closed)
+                    assert all(table.get(v) != t for v, t in moved.items())
+                    after = {**table, **moved}
+                    assert {v: t for v, t in after.items() if t is not None} \
+                        == dijkstra(net, sources, closed | arcs,
+                                    reverse=True), (seed, closed, arcs)
+                    if closed:
+                        reclosures += 1
+                    else:
+                        closures += 1
+    assert closures == reclosures == 38822
 
 
 def test_closing_arcs_follows_the_kernels_tolerance():

@@ -1,6 +1,7 @@
 """Exact solver, brute-force twin, 0-1 model, and the LP writer."""
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import inspect
 import itertools
@@ -13,7 +14,7 @@ import types
 import pytest
 
 from floodmit.ingest import InstanceSpec, capacity_fits, instance_from_file
-from floodmit.net import (DIST_TOL, NodeKind, RoadArc, RoadNode,
+from floodmit.net import (DIST_TOL, Network, NodeKind, RoadArc, RoadNode,
                           canonical_shortest_path, dijkstra)
 from floodmit.pipeline import solve_pipeline
 from floodmit.reductions import Cuts, VariableMask, standard_reductions
@@ -411,6 +412,34 @@ def test_regret_assignment_is_a_feasible_upper_bound():
     assert found > 1000, found
 
 
+def test_a_parent_cutoff_leaves_the_answer_unchanged():
+    # a B&B child starts its search from its parent's assignment, re-priced
+    # on the child's lists: the optimum, a perturbed one, or one that
+    # overfills a facility or names one off an item's list (no cutoff).
+    # The answer is the same to the last bit, assignment included
+    feasible = infeasible = 0
+    for seed in range(3000):
+        rng = random.Random(seed)
+        items, caps = _random_assignment(rng)
+        want = _assignment_exact(items, caps)
+        dests = sorted(caps)
+        hints = [{o: rng.choice(dests) for o, _, _, _ in items}]
+        if want is not None:
+            hints.append(want[1])
+            nudged = dict(want[1])
+            nudged[items[-1][0]] = rng.choice(dests)
+            hints.append(nudged)
+        for hint in hints:
+            stats = {}
+            assert _assignment_exact(items, caps, stats=stats,
+                                     hint=hint) == want, seed
+            if solver._repriced(items, caps, hint) is None:
+                infeasible += 1
+            else:
+                feasible += 1
+    assert feasible > 2000 and infeasible > 2000, (feasible, infeasible)
+
+
 def test_assignment_search_starts_from_a_cutoff():
     # nearest overflows a0 by one job, and the job cheapest to move (j0000)
     # comes first in search order.  Searched from an infinite cutoff, each
@@ -493,9 +522,9 @@ def test_affordable_connectivity_walk_is_iterative(monkeypatch):
     free_sizes = []
     real = solver._connection_bound
 
-    def counted(net, dest_ids, prices, free, closed):
+    def counted(net, prices, free, closed, rooted):
         free_sizes.append(len(free))
-        return real(net, dest_ids, prices, free, closed)
+        return real(net, prices, free, closed, rooted)
 
     monkeypatch.setattr(solver, "_connection_bound", counted)
     limit = sys.getrecursionlimit()
@@ -570,9 +599,11 @@ def test_connection_bound_is_a_valid_lower_bound():
                              for a in u.arc_ids)
             closed = frozenset(a for u, f in zip(units, fate) if f == "c"
                                for a in u.arc_ids)
+            prices = solver._arc_prices(net, units)
             bound = solver._connection_bound(
-                net, [d.id for d in net.destinations()],
-                solver._arc_prices(net, units), free, closed)
+                net, prices, free, closed,
+                solver._rooted(net, [d.id for d in net.destinations()],
+                               prices))
             want = _cheapest_connecting_spend(net, units, free, closed)
             assert (bound == math.inf) == (want == math.inf), (seed, coupled)
             assert bound <= want * (1 + 1e-9), (seed, coupled, bound, want)
@@ -587,6 +618,12 @@ def _chain_net(arcs):
                           segment_coupling=True).network
 
 
+def _chain_bound(net, prices, free, closed):
+    """The connection bound toward d, started as a solve starts it."""
+    return solver._connection_bound(net, prices, free, closed,
+                                    solver._rooted(net, ["d"], prices))
+
+
 def test_connection_bound_splits_a_segment_over_its_chain():
     # one $10 segment laid over o -> t -> d: a plan pays $10 once, so each
     # arc is priced $5 and the bound is $10, not $20
@@ -598,8 +635,7 @@ def test_connection_bound_splits_a_segment_over_its_chain():
     units = solver.purchase_units(net, True)
     prices = solver._arc_prices(net, units)
     assert prices == {"a1": 500.0, "a2": 500.0}
-    assert solver._connection_bound(net, ["d"], prices, frozenset(),
-                                    frozenset()) == 1000.0
+    assert _chain_bound(net, prices, frozenset(), frozenset()) == 1000.0
     assert _cheapest_connecting_spend(net, units, frozenset(),
                                       frozenset()) == 1000
     # laid both ways, the chain still spans 3 nodes with 2 arcs
@@ -610,20 +646,16 @@ def test_connection_bound_splits_a_segment_over_its_chain():
     net = _chain_net(both)
     prices = solver._arc_prices(net, solver.purchase_units(net, True))
     assert set(prices.values()) == {500.0}
-    assert solver._connection_bound(net, ["d"], prices, frozenset(),
-                                    frozenset()) == 1000.0
+    assert _chain_bound(net, prices, frozenset(), frozenset()) == 1000.0
     # a safe shortcut o -> d makes the segment unnecessary; closing a2
     # leaves no way through
     shortcut = _chain_net(chain + [RoadArc("c", "o", "d", 5.0)])
-    assert solver._connection_bound(shortcut, ["d"], prices, frozenset(),
-                                    frozenset()) == 0.0
-    assert solver._connection_bound(_chain_net(chain), ["d"], prices,
-                                    frozenset(), frozenset({"a2"})) \
-        == math.inf
+    assert _chain_bound(shortcut, prices, frozenset(), frozenset()) == 0.0
+    assert _chain_bound(_chain_net(chain), prices, frozenset(),
+                        frozenset({"a2"})) == math.inf
     # bought (free), the segment costs nothing more
-    assert solver._connection_bound(_chain_net(chain), ["d"], prices,
-                                    frozenset({"a1", "a2"}),
-                                    frozenset()) == 0.0
+    assert _chain_bound(_chain_net(chain), prices, frozenset({"a1", "a2"}),
+                        frozenset()) == 0.0
 
 
 def test_time_limit_reaches_into_the_assignment_search():
@@ -717,13 +749,20 @@ def test_include_children_never_probe(monkeypatch):
     # the root and both children of every branched node are evaluated; a
     # child the connection bound cuts, or an include child that shuts its
     # parent's arcs and takes its relaxation, builds no tables, and every
-    # other one builds them once; only the root probes
-    calls, popped = [], []
-    real_times, real_pop = solver.facility_times, heapq.heappop
+    # other one builds them once: the root from scratch, a child by
+    # repairing its parent's, one close_arcs call per facility; only the
+    # root probes, from scratch
+    calls, repairs, popped = [], [], []
+    real_times, real_close, real_pop = (solver.facility_times,
+                                        solver.close_arcs, heapq.heappop)
 
     def counted(net, closed=frozenset()):
         calls.append(closed)
         return real_times(net, closed)
+
+    def counted_repair(net, table, sources, arcs, closed):
+        repairs.append(closed)
+        return real_close(net, table, sources, arcs, closed)
 
     def recorded_pop(heap):
         entry = real_pop(heap)
@@ -732,6 +771,7 @@ def test_include_children_never_probe(monkeypatch):
         return entry
 
     monkeypatch.setattr(solver, "facility_times", counted)
+    monkeypatch.setattr(solver, "close_arcs", counted_repair)
     monkeypatch.setattr(solver, "heapq", types.SimpleNamespace(
         heappush=heapq.heappush, heappop=recorded_pop))
     town = synth.grid_network_file(10, 10, 0, n_facilities=3)
@@ -750,7 +790,159 @@ def test_include_children_never_probe(monkeypatch):
     branched = len(popped) - (popped[-1] >= sol.objective - DIST_TOL)
     searched = (1 + 2 * branched - stats["connection_cuts"]
                 - stats["relaxations_inherited"])
-    assert len(calls) == searched + 1
+    assert len(calls) == 2    # the root and the probe
+    assert stats["tables_repaired"] == searched - 1
+    assert len(repairs) == 3 * (searched - 1)   # three facilities
+    assert len(calls) + stats["tables_repaired"] == searched + 1
+
+
+def _checked_routes(monkeypatch):
+    """Wraps `_node_routes` to compare every route it gives, reused or
+    walked, with a fresh canonical walk over the node's shut arcs; returns
+    the per-call log of (fell, backed, is a child)."""
+    log = []
+    real = solver._node_routes
+
+    def checked(net, origins, node, tables, parent, fell, stats):
+        paths, backed = real(net, origins, node, tables, parent, fell, stats)
+        for o in origins:
+            dest = node.assignment[o.id]
+            fresh = canonical_shortest_path(net, o.id, dest, node.closed)
+            assert paths[o.id] == fresh[1], (o.id, dest)
+        log.append((set(fell), backed, parent is not None))
+        return paths, backed
+
+    monkeypatch.setattr(solver, "_node_routes", checked)
+    return log
+
+
+def _snapped(inst, seed):
+    """The instance with its times snapped to a few values: zero-time
+    cycles, ties and float near-ties (0.1 + 0.2 != 0.3)."""
+    rng = random.Random(seed)
+    net = inst.network
+    arcs = [dataclasses.replace(
+                a, travel_time=rng.choice([0.0, 0.1, 0.2, 0.3, 1.0, 2.0]))
+            for a in net.arcs.values()]
+    return dataclasses.replace(inst, network=Network(net.nodes.values(), arcs))
+
+
+def test_reused_routes_equal_fresh_walks(monkeypatch):
+    # at every searched node of the random towns, plain and coupled, on
+    # their own times and snapped ones, at their budget and at a half and a
+    # quarter of it, each route kept from the parent is the canonical walk
+    # over the node's arcs
+    log = _checked_routes(monkeypatch)
+    reused = 0
+    for coupled in (False, True):
+        for seed in range(300):
+            inst = synth.random_instance(seed, max_nodes=30, max_vuln=20,
+                                         max_origins=8, coupled=coupled)
+            for town in (inst, _snapped(inst, seed)):
+                for share in (1.0, 0.5, 0.25):
+                    sol = solve_exact(dataclasses.replace(
+                        town, budget=town.budget * share))
+                    reused += sol.stats["routes_reused"]
+    children = sum(child for _, _, child in log)
+    assert children > 800 and reused > 3000, (children, reused)
+    assert any(backed for _, backed, _ in log)
+
+
+def _branching_town(nodes, arcs):
+    """``nodes`` and ``arcs`` plus the facility d and origins s2 and s3,
+    each with a slow dry road to d and a $5 washed-out one (s2's, ``va``,
+    is in ``arcs``).  On a $5 budget the root branches on ``va``, the
+    heavier, and its include child shuts every other washed-out road."""
+    nodes = [O("s2", 10), O("s3", 1), D("d", 99)] + nodes
+    arcs = arcs + [
+        RoadArc("v3", "s3", "d", 1.0, vulnerable=True, mitigation_cost=5.0),
+        RoadArc("w2", "s2", "d", 3.0), RoadArc("w3", "s3", "d", 3.0)]
+    return build_instance(nodes, arcs, 5.0, 10.0)
+
+
+def test_a_route_that_backed_out_is_walked_again(monkeypatch):
+    # s rides s -> w -> a -> d.  At a its walk first enters x over the
+    # zero-time a -> x, finds x's tight exits lead back into the walk (x ->
+    # a, x -> w) and backs out.  The include child shuts x -> a, and x
+    # rises by 0.5e-9 to its offer over w: a -> x stays tight, and x -> y,
+    # 1.2e-9 off tight before, is now 0.7e-9 off, so the walk goes on
+    # through x and y, though no node on the parent's route moved
+    log = _checked_routes(monkeypatch)
+    inst = _branching_town(
+        [O("s", 1), RoadNode("a"), RoadNode("w"), RoadNode("x"),
+         RoadNode("y")],
+        [RoadArc("sw", "s", "w", 1.0), RoadArc("wa", "w", "a", 0.5e-9),
+         RoadArc("e4", "a", "d", 1.0), RoadArc("e2", "a", "x", 0.0),
+         RoadArc("e3", "x", "a", 0.0, vulnerable=True, mitigation_cost=5.0),
+         RoadArc("xw", "x", "w", 0.0), RoadArc("xy", "x", "y", 0.0),
+         RoadArc("yd", "y", "d", 1.0 + 1.2e-9),
+         RoadArc("va", "s2", "d", 1.0, vulnerable=True,
+                 mitigation_cost=5.0)])
+    sol = solve_exact(inst)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert [(child, backed) for _, backed, child in log] == [
+        (False, {"s"}), (True, set()), (True, {"s"})]
+    assert sol.upgrades == ("va",)
+    assert sol.paths["s"] == ("sw", "wa", "e2", "xy", "yd")
+    assert sol.stats["routes_reused"] == 2   # s2's and s3's, once each
+
+
+def test_a_label_that_falls_makes_a_new_exit_tight(monkeypatch):
+    # v reaches d by va (1 + 1.2e-9) and by vb (1 + 0.7e-9), and the kernel
+    # keeps va's offer, which came first.  u -> v is then 1.2e-9 off tight,
+    # so s rides u -> w -> d.  Banning va lowers v by 0.5e-9, and u -> v,
+    # the smaller id, turns tight: s's route changes though no node on it
+    # moved
+    log = _checked_routes(monkeypatch)
+    inst = _branching_town(
+        [O("s", 1), RoadNode("u"), RoadNode("v"), RoadNode("w")],
+        [RoadArc("su", "s", "u", 1.0), RoadArc("x1", "u", "v", 1.0),
+         RoadArc("x2", "u", "w", 1.0), RoadArc("wd", "w", "d", 1.0),
+         RoadArc("s2v", "s2", "v", 0.0),
+         RoadArc("va", "v", "d", 1.0 + 1.2e-9, vulnerable=True,
+                 mitigation_cost=5.0),
+         RoadArc("vb", "v", "d", 1.0 + 0.7e-9)])
+    sol = solve_exact(inst)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert [fell for fell, _, _ in log] == [set(), set(), {"d"}]
+    assert sol.paths["s"] == ("su", "x1", "vb")
+
+
+def _rising_fork(at):
+    """Three exits from ``at`` toward d: ``at``0 by y (1.2e-9 off tight),
+    ``at``1 by w (0.5e-9 off tight) and the washed-out ``at``2 by x, which
+    sets ``at``'s label.  Shut ``at``2, and the label rises by 0.5e-9, so
+    ``at``0 turns tight."""
+    y, w, x = (f"{c}{at}" for c in "ywx")
+    nodes = [RoadNode(y), RoadNode(w), RoadNode(x)]
+    arcs = [RoadArc(f"{at}0", at, y, 1.0), RoadArc(f"{at}1", at, w, 1.0),
+            RoadArc(f"{at}2", at, x, 1.0, vulnerable=True,
+                    mitigation_cost=5.0),
+            RoadArc(f"{y}d", y, "d", 1.0 + 1.2e-9),
+            RoadArc(f"{w}d", w, "d", 1.0 + 0.5e-9),
+            RoadArc(f"{x}d", x, "d", 1.0)]
+    return nodes, arcs
+
+
+def test_a_label_that_rises_on_a_route_makes_it_walked_again(monkeypatch):
+    # the include child shuts sa2 and v2, which no route rides.  Origin
+    # sa then rises by 0.5e-9 and leaves by sa0; so does v, which sb
+    # reaches by sb0, while sb keeps its label by its slower sb9
+    log = _checked_routes(monkeypatch)
+    fork_a, arcs_a = _rising_fork("sa")
+    fork_v, arcs_v = _rising_fork("v")
+    inst = _branching_town(
+        [O("sa", 1), O("sb", 1), RoadNode("v")] + fork_a + fork_v,
+        arcs_a + arcs_v + [
+            RoadArc("sb0", "sb", "v", 1.0), RoadArc("sb9", "sb", "d", 3.0),
+            RoadArc("va", "s2", "d", 1.0, vulnerable=True,
+                    mitigation_cost=5.0)])
+    sol = solve_exact(inst)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert len(log) == 3 and not any(fell for fell, _, _ in log)
+    assert sol.upgrades == ("va",)
+    assert sol.paths["sa"] == ("sa0", "ysad")
+    assert sol.paths["sb"] == ("sb0", "v0", "yvd")
 
 
 def test_interrupted_branching_keeps_the_parent_bound(monkeypatch):
@@ -759,11 +951,11 @@ def test_interrupted_branching_keeps_the_parent_bound(monkeypatch):
     # proof left for the subtree it was splitting
     calls = []
 
-    def expire_on_third(items, caps, deadline, stats):
+    def expire_on_third(items, caps, deadline, stats, hint):
         calls.append(len(items))
         if len(calls) == 3:
             raise solver._DeadlinePassed
-        return real(items, caps, deadline, stats)
+        return real(items, caps, deadline, stats, hint)
 
     real = solver._assignment_exact
     monkeypatch.setattr(solver, "_assignment_exact", expire_on_third)
@@ -785,6 +977,9 @@ def test_assignment_nodes_repeat_exactly():
     assert first["nodes_explored"] > 1
     assert first["assignment_nodes"] == second["assignment_nodes"]
     assert first["assignment_nodes"] > 2 * first["nodes_explored"]
+    # so do the counts of what children took from their parents
+    for key in ("tables_repaired", "routes_reused", "assignments_reused"):
+        assert first[key] == second[key] > 0, key
 
 
 def test_capacity_bound_town_closes_at_the_root(monkeypatch):
@@ -794,9 +989,9 @@ def test_capacity_bound_town_closes_at_the_root(monkeypatch):
     calls = []
     real = solver._assignment_exact
 
-    def counted(items, caps, deadline, stats):
+    def counted(items, caps, deadline, stats, hint):
         calls.append(len(items))
-        return real(items, caps, deadline, stats)
+        return real(items, caps, deadline, stats, hint)
 
     monkeypatch.setattr(solver, "_assignment_exact", counted)
     town = synth.grid_network_file(10, 10, 0, n_facilities=3)

@@ -9,10 +9,8 @@ from .analysis import (budget_sweep, connectivity_critical, ewtt_ranking,
                        segment_rollup, upgrade_frequency)
 from .heuristic import DistanceVectors, GreedySolution, build_distance_vectors, greedy_initial
 from .ingest import (InstanceSpec, ProblemInstance, PurchaseUnit, SchemaError,
-                     assign_capacities, build_instance, derive_costs,
-                     instance_from_file, instance_json, load_network,
-                     purchase_units, select_origins, upgrade_cost_cents,
-                     with_network)
+                     build_instance, instance_from_file, instance_json,
+                     purchase_units, upgrade_cost_cents, with_network)
 from .net import (Network, NetworkError, NodeKind, RoadArc, RoadNode,
                   articulation_points, canonical_shortest_path, shortest_paths)
 from .pipeline import PipelineResult, solve_pipeline
@@ -32,18 +30,15 @@ __all__ = [
     "InstanceSpec", "MipModel", "Network", "NetworkError", "NodeKind",
     "OracleLimits", "OracleScaleError", "PipelineResult", "ProblemInstance",
     "PruneLog", "PruneStats", "PrunedNetwork", "PurchaseUnit", "RoadArc",
-    "RoadNode",
-    "SchemaError", "Solution", "SolveOptions", "SolveStatus", "SpTables",
-    "ValidationReport", "VariableMask", "articulation_points",
-    "assign_capacities", "brute_force_oracle", "budget_sweep", "build_instance",
-    "build_model", "build_distance_vectors", "canonical_shortest_path",
-    "component_mask", "compute_sp_tables", "connectivity_critical",
-    "derive_costs", "distance_dominated", "ewtt_ranking",
-    "excess_travel_time", "expand_solution", "export_lp", "forced_exits",
-    "gap_to_rnfmp", "greedy_initial", "instance_from_file", "instance_json",
-    "load_network", "lower_bound", "prune_all", "purchase_units", "read_lp",
-    "scenario_grid", "segment_rollup", "select_origins", "shortest_paths",
-    "solve_exact", "solve_pipeline", "standard_reductions",
-    "upgrade_cost_cents", "upgrade_frequency", "validate_solution",
-    "with_network",
+    "RoadNode", "SchemaError", "Solution", "SolveOptions", "SolveStatus",
+    "SpTables", "ValidationReport", "VariableMask", "articulation_points",
+    "brute_force_oracle", "budget_sweep", "build_instance", "build_model",
+    "build_distance_vectors", "canonical_shortest_path", "component_mask",
+    "compute_sp_tables", "connectivity_critical", "distance_dominated",
+    "ewtt_ranking", "excess_travel_time", "expand_solution", "export_lp",
+    "forced_exits", "gap_to_rnfmp", "greedy_initial", "instance_from_file",
+    "instance_json", "lower_bound", "prune_all", "purchase_units", "read_lp",
+    "scenario_grid", "segment_rollup", "shortest_paths", "solve_exact",
+    "solve_pipeline", "standard_reductions", "upgrade_cost_cents",
+    "upgrade_frequency", "validate_solution", "with_network",
 ]

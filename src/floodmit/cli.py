@@ -104,6 +104,12 @@ def _fractions(text: str) -> list[float]:
     return values
 
 
+def _row_count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected 0 or more rows, not {text!r}")
+    return int(text)
+
+
 def _money(amount: float) -> str:
     return f"${amount:,.2f}"
 
@@ -331,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     _out_dir_arg(sub)
     sub.add_argument("--segments", action="store_true",
                      help="also roll closures up to two-way segments")
-    sub.add_argument("--top", type=int, default=10,
+    sub.add_argument("--top", type=_row_count, default=10,
                      help="rows to print (default 10)")
     sub.set_defaults(func=cmd_ewtt)
 

@@ -8,7 +8,7 @@ Each origin carries two ranked facility lists: where it could go if every
 vulnerable road were repaired (``full``), and where it can go today on
 never-flooded roads only (``flooded``).  Both lists, and the routes, are
 read off the per-facility tables of ``compute_sp_tables`` (one reverse
-search per facility and arc filter), so the heuristic runs no shortest-path
+search per facility per closed set), so the heuristic runs no shortest-path
 search of its own.  Origins choose in order of population, largest first.
 An origin takes the nearest flooded-passable facility with room; failing
 that it falls back to its full list and buys the vulnerable roads along that

@@ -12,13 +12,13 @@ A network file is JSON (schema_version 1):
      "facilities": ["n7", ...]}
 
 Ids, ``from``/``to``, ``segment_id`` and facility entries are strings; the
-flags are JSON booleans.  ``instance_from_file`` reads and checks the file
-once, applies the derivation rules (mitigation costs, origins by resident
-threshold, facilities as destinations, capacities) to the checked records,
-builds each node, arc and the Network once, and fixes the budget as a
-fraction of the cost of upgrading everything.  The public steps
-(``load_network`` ... ``assign_capacities``) apply the same rules one
-Network at a time.
+flags are JSON booleans.  ``instance_from_file`` is the one derivation
+path: it reads and checks the file once, applies the derivation rules
+(mitigation costs, origins by resident threshold, facilities as
+destinations, capacities) to the checked records, builds each node, arc
+and the Network once, and fixes the budget as a fraction of the cost of
+upgrading everything.  ``build_instance`` does that last step for a
+hand-built Network.
 """
 from __future__ import annotations
 
@@ -238,8 +238,13 @@ def _flag(rec: Mapping[str, Any], key: str, aid: str) -> bool:
 
 
 def _parse(source: str | Path | Mapping[str, Any]) -> _Records:
-    """Read and check a network file (path or already-parsed dict) once;
-    ``load_network`` says what the records hold."""
+    """Read and check a schema-version-1 network file (path or already-parsed
+    dict) once.
+
+    Node records keep resident counts, facility flags and bed counts in
+    their meta.  Two-way arcs expand into a forward arc (the file id) and a
+    reverse arc (file id + ``"__r"``) sharing one segment id.
+    """
     if isinstance(source, (str, Path)):
         path = Path(source)
         if not path.exists():
@@ -332,50 +337,16 @@ def _parse(source: str | Path | Mapping[str, Any]) -> _Records:
     return _Records(name, nodes, arcs)
 
 
-def load_network(source: str | Path | Mapping[str, Any]) -> Network:
-    """Load a schema-version-1 network file (path or already-parsed dict).
-
-    Every node comes back as a transshipment node; resident counts, facility
-    flags and bed counts are kept in node ``meta`` for the derivation steps.
-    Two-way arcs expand into a forward arc (the file id) and a reverse arc
-    (file id + ``"__r"``) sharing one segment id.
-    """
-    records = _parse(source)
-    return Network([RoadNode(nid, meta=meta) for nid, meta in records.nodes.items()],
-                   [RoadArc(aid, tail, head, travel, vulnerable, segment_id=segment,
-                            meta=meta)
-                    for aid, tail, head, travel, vulnerable, segment, meta in records.arcs])
+# -- derivation ---------------------------------------------------------------
 
 
-# -- derivation steps -------------------------------------------------------
-# One function per rule, read by the public steps and by _derive.
-
-
-def _arc_price(aid: str, meta: Mapping[str, Any], unit_cost: float) -> float:
-    length = meta.get("length_miles")
-    if length is None:
-        raise SchemaError(f"arc {aid!r}: vulnerable arc without length_miles")
-    return unit_cost * float(length) * float(meta.get("lanes", 1.0))
-
-
-def _chosen_facilities(facilities: Iterable[str] | None,
-                       node_ids: Iterable[str]) -> set[str] | None:
-    if facilities is None:
-        return None
-    chosen = set(facilities)
-    unknown = chosen.difference(node_ids)
-    if unknown:
-        raise SchemaError(f"facility subset names unknown nodes: {sorted(unknown)}")
-    return chosen
-
-
-def _node_role(nid: str, meta: Mapping[str, Any], residents: float,
-               chosen: set[str] | None, p: float,
-               weight_policy: str) -> tuple[NodeKind, float, float]:
-    """Kind, residents and weight of a node; ``residents`` is the fallback
-    when ``meta`` holds no count."""
-    residents = float(meta.get("residents", residents) or 0.0)
-    if nid in chosen if chosen is not None else meta.get("facility", False):
+def _node_role(nid: str, meta: Mapping[str, Any], chosen: set[str] | None,
+               p: float, weight_policy: str) -> tuple[NodeKind, float, float]:
+    """Kind, residents and weight of a node: facilities (only the ``chosen``
+    ones, when given) become destinations, nodes with at least ``p``
+    residents become origins, the rest stay transshipment."""
+    residents = meta["residents"]
+    if nid in chosen if chosen is not None else meta["facility"]:
         return NodeKind.DESTINATION, 0.0, 0.0
     if residents > 0 and residents >= p:
         weight = residents if weight_policy == "w_equals_h" else 1.0
@@ -386,8 +357,9 @@ def _node_role(nid: str, meta: Mapping[str, Any], residents: float,
 def _capacity_shares(destinations: list[tuple[str, Mapping[str, Any]]],
                      residents: Iterable[float], alpha: float,
                      policy: str) -> dict[str, float]:
-    """Capacity of each ``(id, meta)`` destination, id-sorted; ``residents``
-    are the origins' counts, in id order."""
+    """Capacity of each ``(id, meta)`` destination, id-sorted: shares of
+    (1+alpha) * total residents; ``residents`` are the origins' counts, in
+    id order."""
     if not destinations:
         raise SchemaError("no destinations to assign capacities to")
     total = (1.0 + alpha) * sum(residents)
@@ -406,55 +378,6 @@ def _capacity_shares(destinations: list[tuple[str, Mapping[str, Any]]],
     return {did: total * b / bed_sum for did, b in beds.items()}
 
 
-def derive_costs(net: Network, unit_cost: float = DEFAULT_UNIT_COST) -> Network:
-    """Price each vulnerable arc at ``unit_cost * length_miles * lanes``.
-
-    Costs are stored per arc; segment coupling is applied when plans are
-    priced (see ``purchase_units``).
-    """
-    if unit_cost < 0:
-        raise SchemaError("unit_cost must be nonnegative")
-    return Network(net.nodes.values(), [
-        dataclasses.replace(a, mitigation_cost=_arc_price(a.id, a.meta, unit_cost))
-        if a.vulnerable else a for a in net.arcs.values()])
-
-
-def select_origins(net: Network, p: float, weight_policy: str = "w_equals_h",
-                   facilities: Iterable[str] | None = None) -> Network:
-    """Classify nodes: facilities become destinations, resident-bearing nodes
-    with at least ``p`` residents become origins, the rest stay transshipment.
-
-    ``facilities`` restricts which file facilities count (others fall back to
-    ordinary nodes); None keeps them all.
-    """
-    if p < 0:
-        raise SchemaError("p must be nonnegative")
-    if weight_policy not in WEIGHT_POLICIES:
-        raise SchemaError(f"unknown weight policy {weight_policy!r}")
-    chosen = _chosen_facilities(facilities, net.nodes)
-    new_nodes = []
-    for node in net.nodes.values():
-        kind, residents, weight = _node_role(node.id, node.meta, node.residents,
-                                             chosen, p, weight_policy)
-        new_nodes.append(dataclasses.replace(
-            node, kind=kind, residents=residents, weight=weight, capacity=math.inf))
-    return Network(new_nodes, net.arcs.values())
-
-
-def assign_capacities(net: Network, alpha: float,
-                      policy: str = "identical") -> Network:
-    """Set destination capacities to share (1+alpha) * total residents."""
-    if alpha < 0:
-        raise SchemaError("alpha must be nonnegative")
-    if policy not in CAPACITY_POLICIES:
-        raise SchemaError(f"unknown capacity policy {policy!r}")
-    caps = _capacity_shares([(d.id, d.meta) for d in net.destinations()],
-                            (n.residents for n in net.origins()), alpha, policy)
-    new_nodes = [dataclasses.replace(n, capacity=caps[n.id]) if n.id in caps else n
-                 for n in net.nodes.values()]
-    return Network(new_nodes, net.arcs.values())
-
-
 def build_instance(net: Network, spec: InstanceSpec,
                    source: str = "<memory>",
                    log: Iterable[str] = ()) -> ProblemInstance:
@@ -467,7 +390,8 @@ def build_instance(net: Network, spec: InstanceSpec,
     budget = spec.budget_fraction * b_hat
     cap_total = sum(d.capacity for d in net.destinations())
     demand = (1.0 + spec.alpha) * sum(o.residents for o in net.origins())
-    if math.isfinite(cap_total) and cap_total < demand - 1e-6:
+    # a float sum of shares may round below demand: allow for it relatively
+    if math.isfinite(cap_total) and cap_total < demand * (1.0 - 1e-9):
         raise SchemaError("capacities sum below (1+alpha) * residents")
     provenance = {
         "source": str(source),
@@ -481,21 +405,28 @@ def build_instance(net: Network, spec: InstanceSpec,
 
 def instance_from_file(source: str | Path | Mapping[str, Any],
                        spec: InstanceSpec) -> ProblemInstance:
-    """Full derivation chain: load, price, classify, capacitate, budget.
-
-    Equal to the public steps chained, from one read of the file and one
-    build of each node, arc and Network."""
+    """Full derivation chain: load, price, classify, capacitate, budget,
+    from one read of the file and one build of each node, arc and Network."""
     return _derive(_parse(source), spec)
 
 
 def _derive(records: _Records, spec: InstanceSpec) -> ProblemInstance:
-    """The instance that ``spec`` derives from checked file records."""
+    """The instance that ``spec`` derives from checked file records.
+
+    A vulnerable arc costs ``unit_cost * length_miles * lanes``, stored per
+    arc; segment coupling is applied when plans are priced (see
+    ``purchase_units``)."""
     nodes, arcs = records.nodes, records.arcs
     log = [f"loaded {len(nodes)} nodes / {len(arcs)} directed arcs",
            f"priced {sum(a[4] for a in arcs)} vulnerable arcs "
            f"at {spec.unit_cost:g}/mile/lane"]
-    chosen = _chosen_facilities(spec.facilities, nodes)
-    roles = {nid: _node_role(nid, nodes[nid], 0.0, chosen, spec.p, spec.weight_policy)
+    chosen = None
+    if spec.facilities is not None:
+        chosen = set(spec.facilities)
+        unknown = chosen.difference(nodes)
+        if unknown:
+            raise SchemaError(f"facility subset names unknown nodes: {sorted(unknown)}")
+    roles = {nid: _node_role(nid, nodes[nid], chosen, spec.p, spec.weight_policy)
              for nid in sorted(nodes)}
     demand = [residents for kind, residents, _ in roles.values()
               if kind is NodeKind.ORIGIN]
@@ -509,7 +440,8 @@ def _derive(records: _Records, spec: InstanceSpec) -> ProblemInstance:
         [RoadNode(nid, kind, residents, caps.get(nid, math.inf), weight, nodes[nid])
          for nid, (kind, residents, weight) in roles.items()],
         [RoadArc(aid, tail, head, travel, vulnerable,
-                 _arc_price(aid, meta, spec.unit_cost) if vulnerable else 0.0,
+                 spec.unit_cost * meta["length_miles"] * meta["lanes"]
+                 if vulnerable else 0.0,
                  segment, meta)
          for aid, tail, head, travel, vulnerable, segment, meta in arcs])
     return build_instance(net, spec, source=records.source, log=log)

@@ -396,9 +396,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--decorate", action="store_true")
     args = parser.parse_args(argv)
     if args.kind == "grid":
-        data = grid_network_file(args.rows, args.cols, args.seed,
-                                 n_facilities=args.facilities,
-                                 decorate=args.decorate)
+        try:
+            data = grid_network_file(args.rows, args.cols, args.seed,
+                                     n_facilities=args.facilities,
+                                     decorate=args.decorate)
+        except ValueError as exc:
+            parser.error(str(exc))
     elif args.kind == "demo":
         data = demo_network_file(args.seed)
     elif args.kind == "large":

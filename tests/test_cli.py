@@ -32,6 +32,39 @@ def test_synth_writer_is_deterministic(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--rows", "1"], "grid needs at least 2x2 nodes"),
+    (["--facilities", "0"], "bad facility count"),
+], ids=["rows-1", "facilities-0"])
+def test_synth_bad_grid_flags_are_usage_errors(tmp_path, capsys, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        synth.main(["grid", str(tmp_path / "out.json"), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: floodmit.synth") and message in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_ingest_accepts_large_populations(tmp_path, capsys):
+    # 3e10 residents shared by 7 facilities: the float sum of the shares
+    # rounds below (1+alpha) * residents by far more than a millionth
+    facilities = [f"f{i}" for i in range(7)]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({
+        "schema_version": 1,
+        "nodes": [{"id": "o", "residents": 3e10}]
+                 + [{"id": f} for f in facilities],
+        "arcs": [{"id": f"a{f}", "from": "o", "to": f, "length_miles": 1.0,
+                  "speed_mph": 30} for f in facilities],
+        "facilities": facilities}))
+    assert main(["ingest", str(big), "--alpha", "0.15",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    payload = json.loads((tmp_path / "out" / "instance.json").read_bytes())
+    caps = [n["capacity"] for n in payload["nodes"] if n["kind"] == "destination"]
+    assert sum(caps) == pytest.approx(1.15 * 3e10)
+
+
 def test_ingest_reports_and_writes(demo, tmp_path, capsys):
     out = tmp_path / "work"
     code = main(["ingest", str(demo), "--alpha", "0.15",
@@ -247,6 +280,16 @@ def test_ewtt_command_with_segments(demo, tmp_path, capsys):
     assert main(["ewtt", str(demo), "--alpha", "0.15", "--segments",
                  "--out-dir", str(out)]) == 0
     assert (out / "ewtt.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("top", ["-3", "x"])
+def test_ewtt_top_must_be_a_count(demo, tmp_path, capsys, top):
+    with pytest.raises(SystemExit) as exc:
+        main(["ewtt", str(demo), "--top", top, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --top: expected 0 or more rows, not {top!r}" in err
+    assert not (tmp_path / "ewtt.csv").exists()
 
 
 #: sha256 of the demo town's model.lp at alpha 0.15, by extra flags

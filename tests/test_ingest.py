@@ -1,20 +1,18 @@
 """File loading, cost/capacity/origin derivation, money, purchase units."""
 from __future__ import annotations
 
+import hashlib
 import json
-import math
 import re
 
 import pytest
 
-from floodmit.ingest import (CAPACITY_TOL, DEFAULT_UNIT_COST, InstanceSpec,
-                             SchemaError, assign_capacities, build_instance,
-                             capacity_fits, cents, derive_costs,
-                             instance_from_file, instance_json, load_network,
-                             purchase_units, select_origins,
+from floodmit.ingest import (CAPACITY_TOL, InstanceSpec, SchemaError,
+                             capacity_fits, cents, instance_from_file,
+                             instance_json, purchase_units,
                              total_vulnerable_cost, upgrade_cost_cents,
                              with_network)
-from floodmit.net import Network, NodeKind, RoadArc, RoadNode
+from floodmit.net import NodeKind
 from floodmit import synth
 
 from conftest import bridge_instance, f1_instance
@@ -43,7 +41,7 @@ def tiny_file(**over):
 # -- loading -------------------------------------------------------------------
 
 def test_load_expands_two_way_arcs():
-    net = load_network(tiny_file())
+    net = instance_from_file(tiny_file(), InstanceSpec()).network
     assert sorted(net.arcs) == ["r1", "r1__r", "r2"]
     fwd, rev = net.arcs["r1"], net.arcs["r1__r"]
     assert (fwd.tail, fwd.head) == ("n1", "n2")
@@ -65,11 +63,8 @@ def test_load_expands_two_way_arcs():
     {"facilities": ["ghost"]},
 ])
 def test_load_rejects_bad_files(mangle):
-    with pytest.raises(SchemaError) as loading:
-        load_network(tiny_file(**mangle))
-    with pytest.raises(SchemaError) as deriving:
+    with pytest.raises(SchemaError):
         instance_from_file(tiny_file(**mangle), InstanceSpec())
-    assert str(deriving.value) == str(loading.value)
 
 
 def _arc(**over):
@@ -91,13 +86,13 @@ def _arc(**over):
     ({"arcs": [_arc(oneway="false")]}, "'oneway' must be true or false"),
     ({"arcs": [_arc(vulnerable=1)]}, "'vulnerable' must be true or false"),
     ({"arcs": [_arc(has_bridge=None)]}, "'has_bridge' must be true or false"),
+    ({"arcs": [{k: v for k, v in _arc(vulnerable=True).items()
+                if k != "length_miles"}]}, "arc 'r9': missing 'length_miles'"),
 ], ids=["node-not-object", "arc-not-object", "unhashable-tail",
         "unhashable-head", "unhashable-facility", "int-segment",
         "travel-overflow", "int-beyond-float", "string-oneway", "int-vulnerable",
-        "null-has-bridge"])
+        "null-has-bridge", "missing-length"])
 def test_load_rejects_malformed_records(mangle, message):
-    with pytest.raises(SchemaError, match=re.escape(message)):
-        load_network(tiny_file(**mangle))
     spec = InstanceSpec(segment_coupling=True)
     with pytest.raises(SchemaError, match=re.escape(message)):
         instance_from_file(tiny_file(**mangle), spec)
@@ -107,7 +102,7 @@ def test_load_keeps_boolean_flags_and_string_segments():
     data = tiny_file()
     data["arcs"][0].update(oneway=True, has_bridge=True, segment_id="s1")
     data["arcs"][1].update(segment_id=None)
-    net = load_network(data)
+    net = instance_from_file(data, InstanceSpec()).network
     assert sorted(net.arcs) == ["r1", "r2"]
     assert net.arcs["r1"].meta["has_bridge"] is True
     assert net.arcs["r1"].segment == "s1" and net.arcs["r2"].segment == "r2"
@@ -118,85 +113,80 @@ def test_load_rejects_reverse_id_collision():
     data["arcs"].append({"id": "r1__r", "from": "n2", "to": "n1",
                          "length_miles": 1.0, "speed_mph": 30, "oneway": True})
     with pytest.raises(SchemaError):
-        load_network(data)
+        instance_from_file(data, InstanceSpec())
 
 
 def test_load_missing_file(tmp_path):
+    spec = InstanceSpec()
     with pytest.raises(SchemaError, match="not found"):
-        load_network(tmp_path / "nope.json")
+        instance_from_file(tmp_path / "nope.json", spec)
     with pytest.raises(SchemaError, match="not a regular file"):
-        load_network(tmp_path)  # a directory
+        instance_from_file(tmp_path, spec)  # a directory
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(SchemaError):
-        load_network(bad)
+        instance_from_file(bad, spec)
     bad.write_bytes(b'{"schema_version": 1, "nodes": ["\xff"]}')
     with pytest.raises(SchemaError, match="invalid JSON"):
-        load_network(bad)
+        instance_from_file(bad, spec)
 
 
 # -- derivation ----------------------------------------------------------------
 
-def test_derive_costs_formula():
-    net = load_network(tiny_file())
-    priced = derive_costs(net, unit_cost=32000.0)
-    assert priced.arcs["r1"].mitigation_cost == pytest.approx(64000.0)  # 1mi x 2 lanes
-    assert priced.arcs["r2"].mitigation_cost == 0.0
+def test_derive_prices_vulnerable_arcs():
+    net = instance_from_file(tiny_file(), InstanceSpec(unit_cost=32000.0)).network
+    assert net.arcs["r1"].mitigation_cost == pytest.approx(64000.0)  # 1mi x 2 lanes
+    assert net.arcs["r2"].mitigation_cost == 0.0
     # the worked reference value: 0.423 miles, 3 lanes, $32k/lane-mile
-    one = Network(
-        [RoadNode("a", NodeKind.TRANSSHIPMENT), RoadNode("b", NodeKind.TRANSSHIPMENT)],
-        [RoadArc("v", "a", "b", 1.0, vulnerable=True,
-                 meta={"length_miles": 0.423, "lanes": 3.0})])
-    assert derive_costs(one, 32000.0).arcs["v"].mitigation_cost == pytest.approx(40608.0)
+    one = {"schema_version": 1,
+           "nodes": [{"id": "a", "residents": 1}, {"id": "b"}],
+           "arcs": [{"id": "v", "from": "a", "to": "b", "length_miles": 0.423,
+                     "speed_mph": 30, "lanes": 3, "oneway": True,
+                     "vulnerable": True}],
+           "facilities": ["b"]}
+    inst = instance_from_file(one, InstanceSpec(unit_cost=32000.0))
+    assert inst.network.arcs["v"].mitigation_cost == pytest.approx(40608.0)
 
 
-def test_derive_costs_requires_length():
-    net = Network(
-        [RoadNode("a", NodeKind.TRANSSHIPMENT), RoadNode("b", NodeKind.TRANSSHIPMENT)],
-        [RoadArc("v", "a", "b", 1.0, vulnerable=True)])
-    with pytest.raises(SchemaError):
-        derive_costs(net)
-
-
-def test_select_origins_threshold_and_weights():
-    net = load_network(tiny_file())
-    chosen = select_origins(net, p=5.0)
+def test_derive_origins_threshold_and_weights():
+    chosen = instance_from_file(tiny_file(), InstanceSpec(p=5.0)).network
     assert chosen.nodes["n1"].kind is NodeKind.ORIGIN
     assert chosen.nodes["n1"].weight == 8.0
     assert chosen.nodes["n2"].kind is NodeKind.TRANSSHIPMENT
     assert chosen.nodes["n3"].kind is NodeKind.DESTINATION
     assert chosen.nodes["n3"].residents == 0.0  # facility residents are dropped
-    uniform = select_origins(net, p=5.0, weight_policy="uniform")
-    assert uniform.nodes["n1"].weight == 1.0
-    nobody = select_origins(net, p=100.0)
-    assert all(n.kind is not NodeKind.ORIGIN for n in nobody.nodes.values())
+    uniform = instance_from_file(tiny_file(),
+                                 InstanceSpec(p=5.0, weight_policy="uniform"))
+    assert uniform.network.nodes["n1"].weight == 1.0
+    with pytest.raises(SchemaError, match="no origins"):
+        instance_from_file(tiny_file(), InstanceSpec(p=100.0))
 
 
-def test_select_origins_facility_subset():
-    net = load_network(tiny_file())
-    swapped = select_origins(net, p=1.0, facilities=["n2"])
+def test_derive_facility_subset():
+    swapped = instance_from_file(tiny_file(),
+                                 InstanceSpec(p=1.0, facilities=("n2",))).network
     assert swapped.nodes["n2"].kind is NodeKind.DESTINATION
     assert swapped.nodes["n3"].kind is NodeKind.ORIGIN  # falls back to residents
-    with pytest.raises(SchemaError):
-        select_origins(net, p=1.0, facilities=["ghost"])
+    with pytest.raises(SchemaError, match=re.escape("unknown nodes: ['ghost']")):
+        instance_from_file(tiny_file(), InstanceSpec(p=1.0, facilities=("ghost",)))
 
 
-def test_assign_capacities_policies():
-    net = select_origins(load_network(tiny_file()), p=1.0)
-    ident = assign_capacities(net, alpha=0.25, policy="identical")
+def test_derive_capacity_policies():
+    ident = instance_from_file(tiny_file(), InstanceSpec(
+        p=1.0, alpha=0.25, capacity_policy="identical")).network
     assert ident.nodes["n3"].capacity == pytest.approx(1.25 * 8.0)
-    beds = assign_capacities(net, alpha=0.0, policy="bed_proportional")
+    beds = instance_from_file(tiny_file(), InstanceSpec(
+        p=1.0, alpha=0.0, capacity_policy="bed_proportional")).network
     assert beds.nodes["n3"].capacity == pytest.approx(8.0)  # all beds in one place
     with pytest.raises(SchemaError):
-        assign_capacities(net, alpha=-0.1, policy="identical")
+        InstanceSpec(p=1.0, alpha=-0.1, capacity_policy="identical")
 
 
-def test_assign_capacities_needs_beds():
+def test_derive_capacity_needs_beds():
     data = tiny_file()
     del data["nodes"][2]["facility_beds"]
-    net = select_origins(load_network(data), p=1.0)
-    with pytest.raises(SchemaError):
-        assign_capacities(net, alpha=0.0, policy="bed_proportional")
+    with pytest.raises(SchemaError, match="needs facility_beds"):
+        instance_from_file(data, InstanceSpec(p=1.0, capacity_policy="bed_proportional"))
 
 
 # -- instance assembly -----------------------------------------------------------
@@ -283,49 +273,104 @@ def test_with_network_rebinds():
     assert smaller.spec == inst.spec
 
 
-# -- the one-pass build against the public chain ----------------------------------
+# -- derived bytes, pinned --------------------------------------------------------
 
-def _chain(source, spec):
-    """The public derivation steps, one Network each: the oracle for
-    ``instance_from_file``."""
-    log = []
-    net = load_network(source)
-    log.append(f"loaded {len(net.nodes)} nodes / {len(net.arcs)} directed arcs")
-    net = derive_costs(net, spec.unit_cost)
-    log.append(f"priced {len(net.vulnerable_arcs())} vulnerable arcs "
-               f"at {spec.unit_cost:g}/mile/lane")
-    net = select_origins(net, spec.p, spec.weight_policy, spec.facilities)
-    log.append(f"selected {len(net.origins())} origins (p={spec.p:g}), "
-               f"{len(net.destinations())} destinations")
-    net = assign_capacities(net, spec.alpha, spec.capacity_policy)
-    log.append(f"assigned capacities ({spec.capacity_policy}, alpha={spec.alpha:g})")
-    return build_instance(net, spec, source="<dict>", log=log)
+#: sha256 of ``instance_json`` for each file and spec below, or the
+#: SchemaError text.  Recorded when the stepwise public chain (load, price,
+#: classify, capacitate) still existed beside ``instance_from_file`` and
+#: derived the same instances, so these are the chain's answers too.
+DERIVED = {
+    "g5x7": [
+        "30a33a77ad7b9581e542ab20299cba9ee7c1f2d7956d013ed1a7590ef6f313aa",
+        "90694a3c5741bd9a7710d3f22536d90beb2add0ac6300a53fe3e3ddf73df9fbf",
+        "878aa39061d2a552e6f062c448deb7c778be924df2ac38b8a2b9a72342bc22e3",
+        "7b349e537bc44e407cbe45e688965888d688d275301c8bc1028972afc0ddc89b",
+        "69aad7869d4b931d545e8dd5d9d1956c54aeabf459da3ecc8683f6ee4edb1c79",
+        "SchemaError: destination 'n00x00': bed_proportional needs facility_beds",
+        "SchemaError: degenerate instance: no origins",
+    ],
+    "g9-decorated": [
+        "ef948cec7369b618877958d1e34d6853e53898c72ecb836e1d7fa0252ca7a4ae",
+        "9164ead9a887c288f94551eff5049b906e202ee743da9e7b9b60217d1abca4e9",
+        "4b27a6261f45c47416ad587b5995ad3716c5871ab5281d7015cf50a3adf28f5c",
+        "ece8558ab73391b74075c6e19851574ec1d134c69ffdd7b02d4f6df11ff5b114",
+        "111a7bbaa8ed1bcbc82715472fa62d2222866ad3ed331b0e8712dbe81b2e0cac",
+        "SchemaError: destination 'n00x00': bed_proportional needs facility_beds",
+        "SchemaError: degenerate instance: no origins",
+    ],
+    "g12x10": [
+        "8440d9038f9806b4db19b449c1a2f7ee29e03bb87aa331789e350378ab87dfd5",
+        "720b10bed8b3db87d0a96e41478f40bedec507d3e85cdd3e8283b776d8b45ac9",
+        "c6368d6d60abda7cbb4701534c70ad4797a69b658ccea2f84b149cf498f26955",
+        "a4ff58795d40cd62bf5fd2b178407004f0777a2eeec8c6c70b9aeefd1d33e972",
+        "36dba2f84e3dc782cca5c404934b21675e3db2135d6ac56e5e6440e8502dc102",
+        "SchemaError: destination 'n00x00': bed_proportional needs facility_beds",
+        "SchemaError: degenerate instance: no origins",
+    ],
+    "demo": [
+        "b108968c8ae93e2086cbc88f484e90c2b48ba076a5401e91adcc5f7e50ca3bd8",
+        "055127480bbbee41e9a9ad5c97ead61ea24312917a816033742e80395a669370",
+        "0860d823e45491be764c00a17b50a9544e20cac17a4beae0037960cc85a72c2c",
+        "b3bc2f909bf7f1d8fa31b3720c49cff0493791e6f2ec14a294353b576b7d7a6b",
+        "97da6af9fe638c51270032e4d09fc729ee8398277f667b450dffc4bd075ded2b",
+        "SchemaError: destination 'n00x00': bed_proportional needs facility_beds",
+        "SchemaError: degenerate instance: no origins",
+    ],
+    "demo5": [
+        "5c58e841142249177f1fceeda1c22d3a28a4ba79d3731aba2af8d6d0c1042a7a",
+        "1bd027e0f6497482003fccd5481073372fe3a682a1e76f3f9bd7de10462f6a41",
+        "9a216202b2b3e71c28736cb28705b74760a6c319bf0a902212b503d8a96bfe96",
+        "516bf544b21b6eeabe1d99123bede52b16581e8748e365c441532a38596ed065",
+        "fe54d235b0a3d055c1fd5000fd5d29a4e28850db11d632fada7ef68cd0e867f8",
+        "SchemaError: destination 'n00x01': bed_proportional needs facility_beds",
+        "SchemaError: degenerate instance: no origins",
+    ],
+    "large": [
+        "730563190cb09e69ead9a5c72769161d69eb65ddf53757918f5dccee2ab53eee",
+        "e93a877dd1c8bc70bce85bcddc2be0ff648f646f8a466320015ed4634b22581f",
+        "6009697816a2cf522949fa47cab58b97dbc43a71c01cea91200c30eb9e9fce21",
+        "a07bb39f9a8f13dcb8f3e2afc7dcff2c17539fa4a725f51f38d129ed762b03b4",
+        "2ea9c419c6811d1f195e505a353789eb3142cfeeb0ec19c2023754981779c7ff",
+        "SchemaError: destination 'n00x00': bed_proportional needs facility_beds",
+        "SchemaError: degenerate instance: no origins",
+    ],
+    "paradox": [
+        "7f2122bff102591c8b69231c4a07aee9ccb575faeca118bf97513611402e2460",
+        "20f98e6cceb0306e8d8bfac390b203643dba1d55c4ccfe7b75abb48ed5757fc1",
+        "SchemaError: degenerate instance: no origins",
+        "9d61011a930122eb3a8a2c50293c59cfdd10a9916763a44c4213eac7fb2c8c73",
+        "SchemaError: degenerate instance: no origins",
+        "SchemaError: destination 'o': bed_proportional needs facility_beds",
+        "SchemaError: degenerate instance: no origins",
+    ],
+}
 
 
-def _outcome(build, source, spec):
+def _outcome(source, spec):
     try:
-        inst = build(source, spec)
+        inst = instance_from_file(source, spec)
     except SchemaError as exc:
         return f"SchemaError: {exc}"
-    net = inst.network
-    return (list(net.nodes.items()), list(net.arcs.items()), net._out, net._in,
-            net.vulnerable_ids, inst.budget, inst.b_hat, inst.spec,
-            dict(inst.provenance))
+    return hashlib.sha256(instance_json(inst).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("make", [
-    lambda: synth.grid_network_file(5, 7, 3, oneway_fraction=0.3),
-    lambda: synth.grid_network_file(9, 9, 11, oneway_fraction=0.5, decorate=True),
-    lambda: synth.grid_network_file(12, 10, 4, oneway_fraction=0.2,
-                                    n_facilities=4, resident_density=0.6),
-    lambda: synth.demo_network_file(),
-    lambda: synth.demo_network_file(5),
-    lambda: synth.large_network_file(7),
-    synth.budget_paradox_network_file,
-], ids=["g5x7", "g9-decorated", "g12x10", "demo", "demo5", "large",
-        "paradox"])
-def test_instance_from_file_matches_the_public_chain(make):
-    data = make()
+#: the network files of ``DERIVED``, by name
+MAKERS = {
+    "g5x7": lambda: synth.grid_network_file(5, 7, 3, oneway_fraction=0.3),
+    "g9-decorated": lambda: synth.grid_network_file(9, 9, 11, oneway_fraction=0.5,
+                                                    decorate=True),
+    "g12x10": lambda: synth.grid_network_file(12, 10, 4, oneway_fraction=0.2,
+                                              n_facilities=4, resident_density=0.6),
+    "demo": lambda: synth.demo_network_file(),
+    "demo5": lambda: synth.demo_network_file(5),
+    "large": lambda: synth.large_network_file(7),
+    "paradox": synth.budget_paradox_network_file,
+}
+
+
+@pytest.mark.parametrize("name", list(MAKERS))
+def test_instance_from_file_matches_the_public_chain(name):
+    data = MAKERS[name]()
     first_facility = data["facilities"][0]
     plain = next(n["id"] for n in data["nodes"] if n["id"] != first_facility)
     specs = [
@@ -342,5 +387,4 @@ def test_instance_from_file_matches_the_public_chain(make):
                      facilities=(first_facility, plain)),
         InstanceSpec(p=1e9),  # nobody qualifies as an origin
     ]
-    for spec in specs:
-        assert _outcome(instance_from_file, data, spec) == _outcome(_chain, data, spec)
+    assert [_outcome(data, spec) for spec in specs] == DERIVED[name]

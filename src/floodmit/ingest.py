@@ -450,8 +450,7 @@ def _derive(records: _Records, spec: InstanceSpec) -> ProblemInstance:
 # -- serialization ----------------------------------------------------------
 
 
-def instance_to_dict(instance: ProblemInstance,
-                     include_provenance: bool = True) -> dict[str, Any]:
+def instance_to_dict(instance: ProblemInstance) -> dict[str, Any]:
     net = instance.network
     nodes = []
     for n in net.nodes.values():  # already id-sorted
@@ -467,19 +466,17 @@ def instance_to_dict(instance: ProblemInstance,
             "travel_time": a.travel_time, "vulnerable": a.vulnerable,
             "mitigation_cost": a.mitigation_cost, "segment_id": a.segment,
         })
-    out: dict[str, Any] = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "nodes": nodes,
         "arcs": arcs,
         "budget": instance.budget,
         "b_hat": instance.b_hat,
         "spec": instance.spec.to_dict(),
+        "provenance": dict(instance.provenance),
     }
-    if include_provenance:
-        out["provenance"] = dict(instance.provenance)
-    return out
 
 
-def instance_json(instance: ProblemInstance, include_provenance: bool = True) -> str:
-    return json.dumps(instance_to_dict(instance, include_provenance),
-                      sort_keys=True, indent=2) + "\n"
+def instance_json(instance: ProblemInstance) -> str:
+    return json.dumps(instance_to_dict(instance), sort_keys=True,
+                      indent=2) + "\n"

@@ -12,8 +12,9 @@ The solver enumerates upgrade decisions in a best-first branch-and-bound:
   fit the remaining budget together: buying them attains the bound;
 * kill a node whose remaining budget is below a dual-ascent bound on the
   spend still needed to connect every origin (`_connection_bound`);
-* probe once, when the root stays open, for an incumbent by solving the
-  same assignment over the roads open before any undecided unit is bought;
+* probe once, when the root stays open, with the node that bans every
+  undecided unit: its routes ride none, so it closes by rounding whenever
+  its assignment exists;
 * when no plan is found, tell `Infeasible` from `BudgetDisconnected` by a
   depth-first walk over the units that opens its nodes as the search does
   and tests each with the same connection bound.
@@ -46,6 +47,7 @@ problem as a zero-budget instance.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import heapq
 import itertools
@@ -500,17 +502,17 @@ def _lists_from_tables(origins: Sequence[RoadNode], dest_ids: Sequence[str],
     return out
 
 
-def _route(net: Network, origin: str, dest: str, closed: frozenset[str],
-           dist_to_target: dict[str, float] | None = None) -> tuple[str, ...]:
-    found = canonical_shortest_path(net, origin, dest, closed, dist_to_target)
+def _route(net: Network, origin: str, dest: str,
+           closed: frozenset[str]) -> tuple[str, ...]:
+    found = canonical_shortest_path(net, origin, dest, closed)
     if found is None:  # pragma: no cover - assignment implies reachability
         raise ModelError(f"no route from {origin!r} to {dest!r}")
     return found[1]
 
 
-def _node_routes(net: Network, origins: Sequence[RoadNode], node: _NodeSolve,
+def _node_routes(net: Network, origins: Sequence[RoadNode], node: _Node,
                  tables: Mapping[str, Mapping[str, float]],
-                 parent: _NodeSolve | None = None,
+                 parent: _Node | None = None,
                  fell: AbstractSet[str] = frozenset(),
                  stats: dict[str, Any] | None = None,
                  ) -> tuple[dict[str, tuple[str, ...]], frozenset[str]]:
@@ -821,8 +823,8 @@ def _connection_bound(net: Network, prices: Mapping[str, float],
 class _Delta(NamedTuple):
     """A searched node's facility tables, as the labels that differ from
     its parent's: ``net.close_arcs`` per facility, None for a node cut off,
-    a facility where nothing moved left out.  The root, which has no
-    parent, holds its full tables."""
+    a facility where nothing moved left out.  A node with no parent, the
+    root or the probe, holds its full tables."""
 
     parent: _Delta | None
     moved: dict[str, dict[str, float | None]]
@@ -847,36 +849,29 @@ class _Delta(NamedTuple):
         return tables
 
 
-class _NodeSolve:
-    """What a searched B&B node's bound solve leaves for its children: its
-    tables as a `_Delta`, its shut arcs, its relaxed assignment and routes,
-    and the origins whose route walk backed out of a dead end.  Only the
-    delta outlives the node's expansion."""
+class _Node:
+    """A B&B node: the units it fixes in (committed) and out (banned),
+    their cost, its bound, and its bound solve: its tables as a `_Delta`,
+    its shut arcs, its relaxed assignment and routes, the origins whose
+    route walk backed out of a dead end, and its score, which maps each
+    undecided unit on those routes to the resident weight riding it.  Only
+    the delta outlives the node's expansion."""
 
-    __slots__ = ("delta", "closed", "assignment", "paths", "backed")
+    __slots__ = ("committed", "banned", "cost", "bound", "delta", "closed",
+                 "assignment", "paths", "backed", "score")
 
-    def __init__(self, delta: _Delta, closed: frozenset[str]) -> None:
+    def __init__(self, committed: frozenset[str], banned: frozenset[str],
+                 cost: int, delta: _Delta, closed: frozenset[str]) -> None:
+        self.committed = committed
+        self.banned = banned
+        self.cost = cost
+        self.bound = math.inf
         self.delta = delta
         self.closed = closed
         self.assignment: dict[str, str] = {}
         self.paths: dict[str, tuple[str, ...]] = {}
         self.backed: frozenset[str] = frozenset()
-
-
-class _Parent(NamedTuple):
-    """The node being expanded, as its children see it."""
-
-    node: _NodeSolve
-    tables: dict[str, dict[str, float]]
-    bound: float
-    score: dict[str, float]    # less the branch unit
-
-
-#: a B&B node that stays open: (bound, committed, banned, cost, solve,
-#: score), where score maps each undecided unit on its relaxed routes to the
-#: resident weight riding it
-_OpenNode = tuple[float, frozenset[str], frozenset[str], int, _NodeSolve,
-                  dict[str, float]]
+        self.score: dict[str, float] = {}
 
 
 def solve_exact(instance: ProblemInstance,
@@ -900,20 +895,24 @@ def solve_exact(instance: ProblemInstance,
     bound stays tight on capacity-bound instances.  A node whose relaxed
     routes ride undecided units that fit the remaining budget together is
     closed by rounding: buying them attains the bound, so that plan is
-    offered as incumbent (under the same objective test and tie rule as the
-    probe's plan).  Every other node branches on the undecided unit
-    carrying the most resident weight on the relaxed shortest paths (its
-    ``score``, kept on the heap with it).  An include child that shuts the
-    same arcs as its parent has the parent's relaxation, bit for bit, so
-    after its own connection test it takes the parent's bound and score
-    (less the branch unit) without a search (``relaxations_inherited``).
+    offered as incumbent.  Every plan, a validated warm start's included,
+    passes one test (``record``): it is kept if its objective is lower, or
+    ties with a lexicographically smaller used-upgrade set.  Every other
+    node branches on the undecided unit carrying the most resident weight
+    on the relaxed shortest paths (its ``score``).  An include child that
+    shuts the same arcs as its parent has the parent's relaxation, bit for
+    bit, so after its own connection test it shares the parent's solve and
+    bound, its score less the branch unit, without a search
+    (``relaxations_inherited``).
 
-    If the root stays open, one committed-only probe, after its bound solve
-    and before its cut test, offers the assignment over the roads open
-    before any undecided unit is bought.  Every later incumbent comes from
-    rounding: best-first with valid bounds expands every node whose bound is
-    below the optimum whatever incumbent it holds, so the probe matters only
-    to what a time-limited or ``gap_tol`` run reports.  If the search ends
+    If the root stays open, the probe follows its bound solve, before its
+    cut test: the node that bans every undecided unit.  Its routes ride
+    none, so it closes by rounding whenever its assignment exists, and
+    offers the plan over the roads open before any undecided unit is
+    bought.  Every later incumbent comes from rounding: best-first with
+    valid bounds expands every node whose bound is below the optimum
+    whatever incumbent it holds, so the probe matters only to what a
+    time-limited or ``gap_tol`` run reports.  If the search ends
     without an incumbent, a depth-first walk over the undecided units in id
     order, include first, decides between `Infeasible` and
     `BudgetDisconnected`.  It opens its nodes as the B&B does, and its one
@@ -925,28 +924,29 @@ def solve_exact(instance: ProblemInstance,
 
     Every origin rides a shortest path over the open arcs, so a node's
     distances are one table per facility over the arcs not shut: every
-    vulnerable arc the relaxation does not treat as bought, and for the
-    probe every one not committed.  The root and the probe build them by
-    reverse search (``net.facility_times``).  A child shuts every arc its
-    parent does, so it repairs its parent's tables over the arcs it newly
-    shuts (``net.close_arcs``, ``tables_repaired``), and a node that
-    inherits its parent's relaxation needs none.  An open node keeps only
-    what its repair moved, linked to its parent's record (`_Delta`); full
-    tables are rebuilt from that chain for the node being expanded.  Those
-    tables give every origin's candidate list, and both the branch-scoring
-    routes and the incumbent routes are read off them; a child keeps each
-    parent route that stays canonical (`_node_routes`,
-    ``routes_reused``).  The exact assignment searches of one solve are
-    kept, keyed by each origin's time to each facility, and a repeated one
-    is not run again (``assignments_reused``); a search the deadline
-    stops keeps nothing.  A child's search starts from the better of the
-    priced-regret assignment and its parent's, re-priced on its own lists.
+    vulnerable arc the relaxation does not treat as bought.  The root and
+    the probe, which have no parent, build them by reverse search
+    (``net.facility_times``).  A child shuts every arc its parent does, so
+    it repairs its parent's tables over the arcs it newly shuts
+    (``net.close_arcs``, ``tables_repaired``), and a node that inherits its
+    parent's relaxation needs none.  An open node keeps only what its
+    repair moved, linked to its parent's record (`_Delta`); full tables are
+    rebuilt from that chain for the node being expanded and handed to both
+    its children.  Those tables give every origin's candidate list, and the
+    routes that score a node, and that a rounding closure offers, are read
+    off them; a child keeps each parent route that stays canonical
+    (`_node_routes`, ``routes_reused``).  The exact assignment searches of
+    one solve are kept, keyed by each origin's time to each facility, and a
+    repeated one is not run again (``assignments_reused``); a search the
+    deadline stops keeps nothing.  A child's search starts from the better
+    of the priced-regret assignment and its parent's, re-priced on its own
+    lists.
     The connection bound's arc prices, and its flood over the arcs no node
     closes (`_rooted`), are built by its first call.
     Per-origin masks and valid inequalities only tighten the 0-1 model; a
-    route-based search never needs them.  Determinism: nodes are numbered
-    in creation order and the heap is keyed (bound, number); incumbent ties
-    prefer the lexicographically smaller used-upgrade set.
+    route-based search never needs them.  Determinism: each node is one
+    `_Node` record, numbered in creation order, and the heap holds (bound,
+    number, node).
 
     The clock is read against ``options.time_limit_s`` between nodes of
     both searches and inside every assignment search; on expiry the result
@@ -954,17 +954,18 @@ def solve_exact(instance: ProblemInstance,
     subtrees left open, the interrupted node's parent included.  Every
     result is built by ``finish``, whose bound is capped by the incumbent's
     objective and sets the gap.  Stats count B&B nodes
-    (``nodes_explored``), ``incumbent_updates``, ``rounding_closures``,
-    ``connection_cuts`` (nodes of either search the connection bound
+    (``nodes_explored``), ``incumbent_updates`` (an accepted warm start
+    included), ``rounding_closures`` (the probe included, when it finds a
+    plan), ``connection_cuts`` (nodes of either search the connection bound
     refuted), ``relaxations_inherited`` (include children that took their
     parent's relaxation), ``tables_repaired`` (children whose tables were
     repaired from their parent's), ``routes_reused``,
-    ``assignments_reused`` and ``assignment_nodes`` (search nodes over the
-    probe and every bound solve);
-    ``wall_time_assignment_s`` is the time spent in those searches (kept,
-    like ``wall_time_s``, out of the deterministic JSON).  A warm start
-    that fails validation is dropped and its report kept in
-    ``warm_start_rejected``.
+    ``assignments_reused`` and ``assignment_nodes`` (search nodes over
+    every bound solve, the probe's included); ``wall_time_assignment_s``
+    is the time spent in those searches (kept, like ``wall_time_s``, out of
+    the deterministic JSON).  A warm start that validates is marked
+    ``warm_start``; one that fails validation is dropped and its report
+    kept in ``warm_start_rejected``.
     """
     options = options or SolveOptions()
     start = time.perf_counter()
@@ -1088,28 +1089,13 @@ def solve_exact(instance: ProblemInstance,
         solved[key] = _assignment_exact(items, caps, deadline, stats, hint)
         return solved[key]
 
-    def try_incumbent(closed: frozenset[str]) -> None:
-        tables = facility_times(net, closed)
-        found = assign(tables)
-        if found is None:
-            return
-        obj, assignment = found
-        if incumbent is not None and obj > incumbent.objective + DIST_TOL:
-            return  # worse: its routes need not be read off
-        record(obj, assignment,
-               {k: _route(net, k, dest, closed, tables[dest])
-                for k, dest in sorted(assignment.items())})
-
     # warm start: accept anything Solution-shaped that validates cleanly
     if options.warm_start is not None:
         ws = options.warm_start
         report = validate_solution(instance, ws)
         if report.ok:
-            incumbent = Solution(
-                status=SolveStatus.FEASIBLE, objective=report.objective,
-                upgrades=tuple(sorted(ws.upgrades)),
-                assignment=dict(ws.assignment),
-                paths={k: tuple(v) for k, v in ws.paths.items()})
+            record(report.objective, dict(ws.assignment),
+                   {k: tuple(v) for k, v in ws.paths.items()})
             stats["warm_start"] = True
         else:
             stats["warm_start_rejected"] = str(report)
@@ -1120,17 +1106,17 @@ def solve_exact(instance: ProblemInstance,
         gap_allow = options.gap_tol * max(abs(incumbent.objective), 1e-12)
         return bound < incumbent.objective - max(DIST_TOL, gap_allow)
 
-    def repair(parent: _Parent, node: _NodeSolve,
-               ) -> tuple[dict[str, dict[str, float]], set[str]]:
+    def repair(parent: _Node, parent_tables: dict[str, dict[str, float]],
+               node: _Node) -> tuple[dict[str, dict[str, float]], set[str]]:
         """A child's facility tables, repaired from its parent's over the
         arcs it newly shuts (recorded in ``node.delta``), and the
         facilities where a label fell."""
-        new = node.closed - parent.node.closed
+        new = node.closed - parent.closed
         tables: dict[str, dict[str, float]] = {}
         fell: set[str] = set()
         for d in dest_ids:
-            old = parent.tables[d]
-            moved = close_arcs(net, old, (d,), new, parent.node.closed)
+            old = parent_tables[d]
+            moved = close_arcs(net, old, (d,), new, parent.closed)
             if not moved:
                 tables[d] = old
                 continue
@@ -1147,25 +1133,25 @@ def solve_exact(instance: ProblemInstance,
         return tables, fell
 
     def evaluate(committed: frozenset[str], banned: frozenset[str],
-                 cost: int, parent: _Parent | None = None,
-                 ) -> _OpenNode | None:
+                 cost: int, parent: _Node | None = None,
+                 parent_tables: dict[str, dict[str, float]] | None = None,
+                 ) -> _Node | None:
         """Bound one node; None if it is dead or closed by rounding.
 
         Closed by rounding: the undecided units its relaxed routes ride
         cost no more than the remaining budget together, so buying them
-        attains the bound, and that plan is offered as incumbent.  A node
-        that stays open carries its solve and its score.
+        attains the bound, and that plan is offered as incumbent.
 
-        A child (``parent`` given) shuts every arc its parent does.  One
-        that shuts no more, which only an include child can (a ban shuts
-        the branch unit, which the parent's routes ride), has the same
-        tables, assignment and routes, so it takes the parent's bound and
-        score.  It cannot close by rounding: the parent's score cost more
-        than the parent's remaining budget, and the branch unit lowers both
-        sides by its own cost.  Any other child repairs the parent's
-        tables, starts its assignment search from the parent's assignment
-        as a cutoff and keeps the parent's routes that stay canonical
-        (`_node_routes`).
+        A child (``parent`` given, with its full tables) shuts every arc its
+        parent does.  One that shuts no more, which only an include child
+        can (a ban shuts the branch unit, which the parent's routes ride),
+        has the same tables, assignment and routes, so it shares the
+        parent's solve and bound, its score less the units it commits.  It
+        cannot close by rounding: the parent's score cost more than the
+        parent's remaining budget, and the branch unit lowers both sides by
+        its own cost.  Any other child repairs the parent's tables, starts
+        its assignment search from the parent's assignment as a cutoff and
+        keeps the parent's routes that stay canonical (`_node_routes`).
         """
         remaining, afford, closed = open_node(committed, banned, cost)
         if (sum(undecided[uid].cost_cents for uid in afford) > remaining
@@ -1173,34 +1159,36 @@ def solve_exact(instance: ProblemInstance,
             return None  # no affordable completion connects everyone
         if parent is None:
             tables = facility_times(net, closed)
-            node = _NodeSolve(_Delta(None, tables), closed)
+            node = _Node(committed, banned, cost, _Delta(None, tables), closed)
             found = assign(tables)
             fell: set[str] = set()
-        elif parent.node.closed == closed:
+        elif parent.closed == closed:
             stats["relaxations_inherited"] += 1
-            return parent.bound, committed, banned, cost, parent.node, \
-                parent.score
+            node = copy.copy(parent)
+            node.committed, node.cost = committed, cost
+            node.score = {uid: w for uid, w in parent.score.items()
+                          if uid not in committed}
+            return node
         else:
-            node = _NodeSolve(_Delta(parent.node.delta, {}), closed)
-            tables, fell = repair(parent, node)
-            found = assign(tables, parent.node.assignment)
+            node = _Node(committed, banned, cost, _Delta(parent.delta, {}),
+                         closed)
+            tables, fell = repair(parent, parent_tables, node)
+            found = assign(tables, parent.assignment)
         if found is None:
             return None  # the relaxation strands an origin or overfills
-        bound, node.assignment = found
+        node.bound, node.assignment = found
         node.paths, node.backed = _node_routes(
-            net, origin_order, node, tables,
-            None if parent is None else parent.node, fell, stats)
-        score: dict[str, float] = {}
+            net, origin_order, node, tables, parent, fell, stats)
         for o in origin_order:
             for aid in node.paths[o.id]:
                 uid = arc_unit.get(aid)
                 if uid is not None and uid not in committed:
-                    score[uid] = score.get(uid, 0.0) + o.weight
-        if sum(undecided[uid].cost_cents for uid in score) <= remaining:
+                    node.score[uid] = node.score.get(uid, 0.0) + o.weight
+        if sum(undecided[uid].cost_cents for uid in node.score) <= remaining:
             stats["rounding_closures"] += 1
-            record(bound, node.assignment, node.paths)
+            record(node.bound, node.assignment, node.paths)
             return None
-        return bound, committed, banned, cost, node, score
+        return node
 
     def connectable() -> bool:
         """Does any affordable purchase set reconnect every origin?"""
@@ -1224,47 +1212,45 @@ def solve_exact(instance: ProblemInstance,
         return False
 
     counter = itertools.count()
-    heap: list[tuple[float, int, frozenset[str], frozenset[str], int,
-                     _NodeSolve, dict[str, float]]] = []
-    cut_floor: float | None = None   # weakest bound discarded under gap_tol
+    heap: list[tuple[float, int, _Node]] = []
+    cut_floor = math.inf   # least bound the incumbent cut
 
-    def push(node: _OpenNode | None) -> None:
+    def push(node: _Node | None) -> None:
         """Queue an open node, unless the incumbent already cuts it."""
         nonlocal cut_floor
         if node is None:
             return
-        bound = node[0]
-        if beats_incumbent(bound):
-            heapq.heappush(heap, (bound, next(counter), *node[1:]))
+        if beats_incumbent(node.bound):
+            heapq.heappush(heap, (node.bound, next(counter), node))
         else:
-            cut_floor = bound if cut_floor is None else min(cut_floor, bound)
+            cut_floor = min(cut_floor, node.bound)
 
-    proven_bound: float | None = None
     expanding: float | None = None   # bound of the node being branched on
     try:
         root = evaluate(frozenset(), frozenset(), base_cost)
         # the only node cut so far is the root: refuted, it needs no walk
         root_refuted = stats["connection_cuts"] > 0
         if root is not None:
-            try_incumbent(shut)  # the one committed-only probe
+            # the probe: the node that bans every undecided unit rides none,
+            # so it closes by rounding whenever its assignment exists
+            evaluate(frozenset(), frozenset(unit_ids), base_cost)
         push(root)
         while heap:
             if time.perf_counter() > deadline:
                 raise _DeadlinePassed
-            bound, _, committed, banned, cost, node, score = \
-                heapq.heappop(heap)
+            bound, _, node = heapq.heappop(heap)
             stats["nodes_explored"] += 1
             if not beats_incumbent(bound):
-                proven_bound = bound  # best-first: every open node is >= this
+                cut_floor = min(cut_floor, bound)  # every open node is >= this
                 break
             expanding = bound
-            branch = min(score, key=lambda uid: (-score[uid], uid))
-            parent = _Parent(node, node.delta.tables(), bound,
-                             {uid: w for uid, w in score.items()
-                              if uid != branch})
-            push(evaluate(committed | {branch}, banned,
-                          cost + undecided[branch].cost_cents, parent))
-            push(evaluate(committed, banned | {branch}, cost, parent))
+            branch = min(node.score, key=lambda uid: (-node.score[uid], uid))
+            tables = node.delta.tables()
+            push(evaluate(node.committed | {branch}, node.banned,
+                          node.cost + undecided[branch].cost_cents, node,
+                          tables))
+            push(evaluate(node.committed, node.banned | {branch}, node.cost,
+                          node, tables))
             expanding = None
         if incumbent is None:
             # pruned subtrees might hide an affordable connecting set; decide
@@ -1274,14 +1260,12 @@ def solve_exact(instance: ProblemInstance,
                           if not root_refuted and connectable()
                           else SolveStatus.BUDGET_DISCONNECTED)
     except _DeadlinePassed:
-        open_bounds = [h[0] for h in heap]
+        open_bounds = [entry[0] for entry in heap]
         if expanding is not None:
             open_bounds.append(expanding)  # its children were cut short
         return finish(SolveStatus.TIME_LIMIT, min(open_bounds, default=None))
-    floors = [b for b in (proven_bound, cut_floor) if b is not None]
     # subtrees discarded on tolerance leave only the least of them proven
-    return finish(SolveStatus.OPTIMAL,
-                  min(floors) if floors and options.gap_tol > 0
+    return finish(SolveStatus.OPTIMAL, cut_floor if options.gap_tol > 0
                   else incumbent.objective)
 
 

@@ -161,10 +161,28 @@ def test_prune_all_reports_and_replays():
     rows = stats.rows()
     assert len(rows) == 8
     assert stats.original["variables"] >= stats.final["variables"]
-    replayed = replay_log(inst.network, pruned.log)
-    assert sorted(replayed.nodes) == sorted(pruned.network.nodes)
-    assert sorted(replayed.arcs) == sorted(pruned.network.arcs)
+    _assert_replays(inst.network, pruned)
     assert pruned.log.to_json() == pruned.log.to_json()
+
+
+def _assert_replays(net, pruned):
+    """Replaying the log on ``net`` gives the pruned network, record for
+    record and in order."""
+    replayed = replay_log(net, pruned.log)
+    assert list(replayed.nodes.values()) == list(pruned.network.nodes.values())
+    assert list(replayed.arcs.values()) == list(pruned.network.arcs.values())
+
+
+def test_replay_log_rebuilds_contractions_and_merges():
+    # the demo town's log contracts 14 chains into new arcs and folds 3
+    # origins into their hosts
+    inst = instance_from_file(synth.demo_network_file(),
+                              InstanceSpec(alpha=0.15))
+    pruned = prune_all(inst.network)
+    actions = pruned.log.actions
+    assert sum(len(act.contractions) for act in actions) == 14
+    assert sum(len(act.merges) for act in actions) == 3
+    _assert_replays(inst.network, pruned)
 
 
 def test_prune_preserves_optimum_with_offset():

@@ -13,11 +13,14 @@ import types
 
 import pytest
 
-from floodmit.ingest import InstanceSpec, capacity_fits, instance_from_file
+from floodmit.ingest import (InstanceSpec, capacity_fits, instance_from_file,
+                            purchase_units)
 from floodmit.net import (DIST_TOL, Network, NodeKind, RoadArc, RoadNode,
                           canonical_shortest_path, dijkstra)
 from floodmit.pipeline import solve_pipeline
-from floodmit.reductions import Cuts, VariableMask, standard_reductions
+from floodmit.prune import harvest_triangle_vis
+from floodmit.reductions import (Cuts, VariableMask, forced_exits,
+                                 standard_reductions)
 from floodmit.solver import (ModelError, OracleLimits, OracleScaleError,
                              SolveOptions, SolveStatus, Solution,
                              _assignment_exact, _capacity_prices,
@@ -220,6 +223,37 @@ def test_validate_flags_each_violation_kind():
     assert not report.ok  # a2 is washed out and nothing was bought
 
 
+#: o1 -> d2 by a1, a3 and o2 -> d1 by the bought a4: f1_instance(9)'s optimum
+_F1_PLAN = dict(upgrades=("a4",), assignment={"o1": "d2", "o2": "d1"},
+                paths={"o1": ("a1", "a3"), "o2": ("a4",)}, objective=75.0)
+
+
+@pytest.mark.parametrize("change, tags, words", [
+    (dict(upgrades=("a4", "zz")), ["upgrade", "use(7)"], "unknown arc 'zz'"),
+    (dict(assignment={"o1": "t1", "o2": "d1"}), ["flow(3)"],
+     "non-facility 't1'"),
+    (dict(paths={"o1": ("a1", "a5"), "o2": ("a4",)}), ["flow(4)"],
+     "breaks at 'a5'"),
+    (dict(assignment={"o1": "d1", "o2": "d1"}), ["flow(3)"],
+     "ends at 'd2', not 'd1'"),
+    (dict(upgrades=("a2", "a4"), assignment={"o1": "d1", "o2": "d1"},
+          paths={"o1": ("a1", "a2"), "o2": ("a4",)}, objective=55.0),
+     ["capacity(8)"], "load 15 > capacity 12"),
+    (dict(objective=74.0), ["objective"], "declared 74.0 != recomputed 75.0"),
+], ids=["unknown-upgrade", "non-facility", "broken-route", "wrong-end",
+        "capacity", "objective"])
+def test_validate_tags_each_violation(change, tags, words):
+    # each case changes f1_instance(9)'s optimum in one way
+    inst = f1_instance(9.0)
+    assert validate_solution(inst, Solution(SolveStatus.OPTIMAL,
+                                            **_F1_PLAN)).ok
+    report = validate_solution(inst, Solution(SolveStatus.OPTIMAL,
+                                              **{**_F1_PLAN, **change}))
+    assert not report.ok and report.objective is None
+    assert [v.tag for v in report.violations] == tags
+    assert words in report.violations[0].message
+
+
 def test_validate_recomputes_objective():
     sol = solve_exact(f1_instance(5.0))
     report = validate_solution(f1_instance(5.0), sol)
@@ -252,6 +286,58 @@ def test_build_model_rejects_unsatisfiable_dispatch():
     everything = VariableMask({("o1", a): "test" for a in inst.network.arcs})
     with pytest.raises(ModelError):
         build_model(inst, mask=everything)
+
+
+def test_build_model_rejects_a_masked_forced_route():
+    inst = forced_exit_instance()
+    with pytest.raises(ModelError, match="forced route"):
+        build_model(inst, mask=VariableMask({("k", "kv"): "test"}),
+                    fixings=forced_exits(inst))
+
+
+def test_the_model_accepts_the_oracle_plan():
+    # on random towns with an optimum, the oracle's routes (x) and bought
+    # units (y) satisfy every row of the model built with the standard
+    # reductions and both cut families, and price at the oracle's objective;
+    # a forced single exit turns its route and unit into constants
+    checked = forced = 0
+    for seed in range(300):
+        inst = synth.random_instance(seed, decorate=seed % 2 == 0,
+                                     coupled=seed % 3 == 0)
+        fixed, mask = standard_reductions(inst)
+        oracle = brute_force_oracle(inst, mask=mask, fixings=fixed)
+        if oracle.status is not SolveStatus.OPTIMAL:
+            continue
+        net = inst.network
+        model = build_model(inst, mask=mask, fixings=fixed, cuts=Cuts(
+            triangle=tuple(harvest_triangle_vis(net)),
+            exit_origins=fixed.exit_vi_origins))
+        bought = {u.id for u in purchase_units(net, inst.spec.segment_coupling)
+                  if set(u.arc_ids) & set(oracle.upgrades)}
+        value = dict.fromkeys(model.binaries, 0)
+        for k, path in oracle.paths.items():
+            for aid in path:
+                if (k, aid) in model.x_var:
+                    value[model.x_var[k, aid]] = 1
+                else:
+                    assert (k, aid) in fixed.forced_x, (seed, k, aid)
+        for uid in bought:
+            if uid in model.y_var:
+                value[model.y_var[uid]] = 1
+        for row in model.constraints:
+            lhs = sum(coef * value[var] for coef, var in row.terms)
+            slack = 1e-6 * max(1.0, abs(row.rhs))
+            holds = {"<=": lhs <= row.rhs + slack,
+                     ">=": lhs >= row.rhs - slack,
+                     "=": abs(lhs - row.rhs) <= slack}[row.sense]
+            assert holds, (seed, row.name, lhs, row.sense, row.rhs)
+        objective = model.objective_constant + sum(
+            coef * value[var] for coef, var in model.objective)
+        assert objective == pytest.approx(oracle.objective, rel=1e-9,
+                                          abs=1e-9), seed
+        checked += 1
+        forced += bool(fixed.forced_x)
+    assert checked >= 90 and forced >= 20, (checked, forced)
 
 
 def test_lp_round_trip():
@@ -766,7 +852,7 @@ def test_include_children_never_probe(monkeypatch):
 
     def recorded_pop(heap):
         entry = real_pop(heap)
-        if isinstance(entry[-1], dict):  # a B&B node: its score rides last
+        if isinstance(entry[-1], solver._Node):  # a B&B node
             popped.append(entry[0])
         return entry
 
@@ -880,8 +966,9 @@ def test_a_route_that_backed_out_is_walked_again(monkeypatch):
                  mitigation_cost=5.0)])
     sol = solve_exact(inst)
     assert sol.status is SolveStatus.OPTIMAL
+    # the root, the probe and the root's two children
     assert [(child, backed) for _, backed, child in log] == [
-        (False, {"s"}), (True, set()), (True, {"s"})]
+        (False, {"s"}), (False, set()), (True, set()), (True, {"s"})]
     assert sol.upgrades == ("va",)
     assert sol.paths["s"] == ("sw", "wa", "e2", "xy", "yd")
     assert sol.stats["routes_reused"] == 2   # s2's and s3's, once each
@@ -904,7 +991,7 @@ def test_a_label_that_falls_makes_a_new_exit_tight(monkeypatch):
          RoadArc("vb", "v", "d", 1.0 + 0.7e-9)])
     sol = solve_exact(inst)
     assert sol.status is SolveStatus.OPTIMAL
-    assert [fell for fell, _, _ in log] == [set(), set(), {"d"}]
+    assert [fell for fell, _, _ in log] == [set(), set(), set(), {"d"}]
     assert sol.paths["s"] == ("su", "x1", "vb")
 
 
@@ -939,7 +1026,7 @@ def test_a_label_that_rises_on_a_route_makes_it_walked_again(monkeypatch):
                     mitigation_cost=5.0)])
     sol = solve_exact(inst)
     assert sol.status is SolveStatus.OPTIMAL
-    assert len(log) == 3 and not any(fell for fell, _, _ in log)
+    assert len(log) == 4 and not any(fell for fell, _, _ in log)
     assert sol.upgrades == ("va",)
     assert sol.paths["sa"] == ("sa0", "ysad")
     assert sol.paths["sb"] == ("sb0", "v0", "yvd")

@@ -7,7 +7,7 @@ set of repairs that minimizes total population-weighted travel time — exactly.
 from .analysis import (budget_sweep, connectivity_critical, ewtt_ranking,
                        excess_travel_time, lower_bound, scenario_grid,
                        segment_rollup, upgrade_frequency)
-from .heuristic import DistanceVectors, GreedySolution, build_distance_vectors, greedy_initial
+from .heuristic import GreedySolution, greedy_initial
 from .ingest import (InstanceSpec, ProblemInstance, PurchaseUnit, SchemaError,
                      build_instance, instance_from_file, instance_json,
                      purchase_units, upgrade_cost_cents, with_network)
@@ -21,24 +21,24 @@ from .reductions import (Cuts, FixedUpgrades, SpTables, VariableMask,
 from .solver import (MipModel, OracleLimits, OracleScaleError, Solution,
                      SolveOptions, SolveStatus, ValidationReport,
                      brute_force_oracle, build_model, export_lp, gap_to_rnfmp,
-                     read_lp, solve_exact, validate_solution)
+                     solve_exact, validate_solution)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cuts", "DistanceVectors", "FixedUpgrades", "GreedySolution",
-    "InstanceSpec", "MipModel", "Network", "NetworkError", "NodeKind",
-    "OracleLimits", "OracleScaleError", "PipelineResult", "ProblemInstance",
-    "PruneLog", "PruneStats", "PrunedNetwork", "PurchaseUnit", "RoadArc",
-    "RoadNode", "SchemaError", "Solution", "SolveOptions", "SolveStatus",
-    "SpTables", "ValidationReport", "VariableMask", "articulation_points",
-    "brute_force_oracle", "budget_sweep", "build_instance", "build_model",
-    "build_distance_vectors", "canonical_shortest_path", "component_mask",
-    "compute_sp_tables", "connectivity_critical", "distance_dominated",
-    "ewtt_ranking", "excess_travel_time", "expand_solution", "export_lp",
-    "forced_exits", "gap_to_rnfmp", "greedy_initial", "instance_from_file",
-    "instance_json", "lower_bound", "prune_all", "purchase_units", "read_lp",
-    "scenario_grid", "segment_rollup", "shortest_paths", "solve_exact",
-    "solve_pipeline", "standard_reductions", "upgrade_cost_cents",
-    "upgrade_frequency", "validate_solution", "with_network",
+    "Cuts", "FixedUpgrades", "GreedySolution", "InstanceSpec", "MipModel",
+    "Network", "NetworkError", "NodeKind", "OracleLimits", "OracleScaleError",
+    "PipelineResult", "ProblemInstance", "PruneLog", "PruneStats",
+    "PrunedNetwork", "PurchaseUnit", "RoadArc", "RoadNode", "SchemaError",
+    "Solution", "SolveOptions", "SolveStatus", "SpTables", "ValidationReport",
+    "VariableMask", "articulation_points", "brute_force_oracle",
+    "budget_sweep", "build_instance", "build_model", "canonical_shortest_path",
+    "component_mask", "compute_sp_tables", "connectivity_critical",
+    "distance_dominated", "ewtt_ranking", "excess_travel_time",
+    "expand_solution", "export_lp", "forced_exits", "gap_to_rnfmp",
+    "greedy_initial", "instance_from_file", "instance_json", "lower_bound",
+    "prune_all", "purchase_units", "scenario_grid", "segment_rollup",
+    "shortest_paths", "solve_exact", "solve_pipeline", "standard_reductions",
+    "upgrade_cost_cents", "upgrade_frequency", "validate_solution",
+    "with_network",
 ]

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .ingest import (InstanceSpec, ProblemInstance, _derive, _parse,
-                     upgrade_cost_cents)
+from .ingest import (InstanceSpec, ProblemInstance, SchemaError, _derive,
+                     _parse, upgrade_cost_cents)
 from .net import DIST_TOL, Network, close_arcs, dijkstra, facility_times
 from .net import shortest_paths  # noqa: F401 - bench/tracer.py hooks it here
 from .pipeline import PipelineResult, solve_pipeline
@@ -85,18 +85,19 @@ def budget_sweep(instance: ProblemInstance, fractions: Sequence[float],
                  options: SolveOptions | None = None) -> list[SweepRow]:
     """Solve the instance at each budget fraction (deduplicated, ascending).
 
-    Every fraction is checked before the first solve: a negative one is a
-    ``ValueError``, and one the spec rejects (not finite, or above 1) a
-    ``SchemaError``.  The network is pruned once, by the full-budget floor's
-    solve and inside its time limit; every fraction's solve reuses that
-    pruning.  ``spent`` prices each plan as the solver does: one price per
-    purchase unit, so a coupled segment is paid once.
+    Every fraction is checked before the first solve: a negative one, and
+    one the spec rejects (not finite, or above 1), is a ``SchemaError``
+    (a ``ValueError``), which the CLI reports as an ``error:`` line.  The
+    network is pruned once, by the full-budget floor's solve and inside its
+    time limit; every fraction's solve reuses that pruning.  ``spent``
+    prices each plan as the solver does: one price per purchase unit, so a
+    coupled segment is paid once.
     """
     net = instance.network
     coupled = instance.spec.segment_coupling
     todo = sorted({float(f) for f in fractions})
     if any(f < 0 for f in todo):
-        raise ValueError("budget fractions must be nonnegative")
+        raise SchemaError("budget fractions must be nonnegative")
     budgeted = [_with_budget(instance, f) for f in todo]
     floor, full = lower_bound(instance, options=options)
     rows: list[SweepRow] = []

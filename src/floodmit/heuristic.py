@@ -4,51 +4,25 @@
 The solve pipeline does not run it: the exact search finds the same plans
 without it, mostly by rounding at the root.
 
-Each origin carries two ranked facility lists: where it could go if every
-vulnerable road were repaired (``full``), and where it can go today on
-never-flooded roads only (``flooded``).  Both lists, and the routes, are
-read off the per-facility tables of ``compute_sp_tables`` (one reverse
-search per facility per closed set), so the heuristic runs no shortest-path
-search of its own.  Origins choose in order of population, largest first.
-An origin takes the nearest flooded-passable facility with room; failing
-that it falls back to its full list and buys the vulnerable roads along that
-route (each road paid for once).  The result may overshoot the budget or
-strand an origin — then it is only a diagnostic, never a warm start.
+Each origin ranks the facilities it reaches, by (minutes, facility id),
+twice: today, on never-flooded roads only, and with every vulnerable road
+repaired.  Both rankings are sorted inline from the per-facility tables of
+``compute_sp_tables`` (one reverse search per facility per closed set),
+and the routes are read off the same tables, so the heuristic runs no
+shortest-path search of its own.  Origins choose in order of population,
+largest first.  An origin takes the nearest flooded-passable facility with
+room; failing that it falls back to the repaired ranking and buys the
+vulnerable roads along that route (each road paid for once).  The result
+may overshoot the budget or strand an origin — then it is only a
+diagnostic, never a warm start.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .ingest import ProblemInstance, capacity_fits, cents, upgrade_cost_cents
 from .net import canonical_shortest_path
-from .reductions import SpTables, compute_sp_tables
-
-
-@dataclass(frozen=True)
-class DistanceVectors:
-    """Ranked (minutes, facility) preferences for one origin.
-
-    ``full`` covers every facility, assuming all vulnerable roads are fixed;
-    unreachable ones appear with infinite minutes.  ``flooded`` keeps only
-    facilities reachable without any repair.  Both sort by (minutes, id).
-    """
-
-    origin: str
-    full: tuple[tuple[float, str], ...]
-    flooded: tuple[tuple[float, str], ...]
-
-
-def build_distance_vectors(instance: ProblemInstance, origin: str,
-                           tables: SpTables | None = None) -> DistanceVectors:
-    tables = tables or compute_sp_tables(instance)
-    if origin not in tables.worst_served:
-        raise KeyError(f"{origin!r} is not an origin")
-    full = tuple(sorted((times.get(origin, math.inf), d)
-                        for d, times in tables.upgraded.items()))
-    flooded = tuple(sorted((dist, d) for d, times in tables.flooded.items()
-                           if (dist := times.get(origin)) is not None))
-    return DistanceVectors(origin=origin, full=full, flooded=flooded)
+from .reductions import compute_sp_tables
 
 
 @dataclass
@@ -62,10 +36,9 @@ class GreedySolution:
     unassigned: tuple[str, ...] = ()
 
 
-def greedy_initial(instance: ProblemInstance,
-                   tables: SpTables | None = None) -> GreedySolution:
+def greedy_initial(instance: ProblemInstance) -> GreedySolution:
     """Populous-first greedy assignment with on-demand road purchases."""
-    tables = tables or compute_sp_tables(instance)
+    tables = compute_sp_tables(instance)
     net = instance.network
     residual = {d.id: d.capacity for d in net.destinations()}
     order = sorted(net.origins(), key=lambda o: (-o.residents, o.id))
@@ -76,13 +49,13 @@ def greedy_initial(instance: ProblemInstance,
     objective = 0.0
 
     for origin in order:
-        vectors = build_distance_vectors(instance, origin.id, tables)
         # flood-free roads first, then all roads, buying the vulnerable ones
-        for ranked, closed, times in (
-                (vectors.flooded, net.vulnerable_ids, tables.flooded),
-                (vectors.full, frozenset(), tables.upgraded)):
-            dest = next((d for minutes, d in ranked if math.isfinite(minutes)
-                         and capacity_fits(origin.residents, residual[d])),
+        for closed, times in ((net.vulnerable_ids, tables.flooded),
+                              (frozenset(), tables.upgraded)):
+            ranked = sorted((t[origin.id], d) for d, t in times.items()
+                            if origin.id in t)
+            dest = next((d for _, d in ranked
+                         if capacity_fits(origin.residents, residual[d])),
                         None)
             if dest is not None:
                 break

@@ -134,20 +134,18 @@ def forced_exits(instance: ProblemInstance) -> FixedUpgrades:
         exit_vi_origins=tuple(exit_origins))
 
 
-def distance_dominated(instance: ProblemInstance,
-                       tables: SpTables | None = None) -> VariableMask:
+def distance_dominated(instance: ProblemInstance) -> VariableMask:
     """Mask (origin, arc) pairs beyond the origin's worst flooded trip.
 
-    Only applies to origins that reach *every* destination without upgrades;
-    for those, an optimal route never grows past that guaranteed bound, so an
-    arc whose entry already exceeds it (strictly) is unusable.  Only those
-    origins need a forward search, for the time to each arc's tail.
+    Only applies to origins that reach *every* destination without upgrades
+    (``worst_served`` of its own `compute_sp_tables` is finite); for those,
+    an optimal route never grows past that guaranteed bound, so an arc whose
+    entry already exceeds it (strictly) is unusable.  Only those origins
+    need a forward search, for the time to each arc's tail.
     """
-    if tables is None:
-        tables = compute_sp_tables(instance)
     net = instance.network
     eliminated: dict[tuple[str, str], str] = {}
-    for k, bound in tables.worst_served.items():
+    for k, bound in compute_sp_tables(instance).worst_served.items():
         if not math.isfinite(bound):
             continue
         reach = shortest_paths(net, k)
@@ -192,10 +190,10 @@ def component_mask(instance: ProblemInstance) -> VariableMask:
 
 
 def standard_reductions(instance: ProblemInstance,
-                        tables: SpTables | None = None,
                         ) -> tuple[FixedUpgrades, VariableMask]:
-    """The full reduction bundle: forced exits + both masks, merged."""
+    """The full reduction bundle: forced exits + both masks, merged.  Each
+    reduction derives what it needs from ``instance`` itself."""
     fixed = forced_exits(instance)
-    mask = merge_masks(distance_dominated(instance, tables),
+    mask = merge_masks(distance_dominated(instance),
                        component_mask(instance))
     return fixed, mask

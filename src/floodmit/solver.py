@@ -121,9 +121,10 @@ class Solution:
             return 3
         return 2
 
-    def to_dict(self, include_timing: bool = False) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-ready data; the ``wall_time*`` stats stay in ``stats``."""
         stats = {k: v for k, v in self.stats.items()
-                 if include_timing or not k.startswith("wall_time")}
+                 if not k.startswith("wall_time")}
         return {
             "status": self.status.value,
             "objective": self.objective,
@@ -135,9 +136,8 @@ class Solution:
             "stats": stats,
         }
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True,
-                          indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 # -- shared routing helpers -----------------------------------------------
@@ -239,8 +239,8 @@ def _regret_assignment(items: _AssignmentItems,
     shift moves (the item to a nearer facility with room) and swap moves
     (the item and one at a nearer facility trade places, if that lowers the
     cost and both fit), until a pass moves nothing or ``_MOVE_PASSES`` have
-    run.  Returns (weighted minutes summed in item order, as the exact
-    search sums them, assignment), or None if some item finds no room.
+    run.  Returns the result as `_repriced` prices it, the exact search's
+    own test of a leaf, or None if some item finds no room.
     """
     n = len(items)
     sizes = [h for _, h, _, _ in items]
@@ -292,16 +292,8 @@ def _regret_assignment(items: _AssignmentItems,
         if not moved:
             break
 
-    # the search's own test, in its order: is this leaf feasible, and what
-    # does it cost?
-    left = dict(capacities)
-    value = 0.0
-    for i in range(n):
-        if not capacity_fits(sizes[i], left[at[i]]):
-            return None
-        left[at[i]] -= sizes[i]
-        value += cost[i][at[i]]
-    return value, {items[i][0]: at[i] for i in range(n)}
+    return _repriced(items, capacities,
+                     {items[i][0]: at[i] for i in range(n)})
 
 
 def _repriced(items: _AssignmentItems, capacities: Mapping[str, float],
@@ -567,6 +559,20 @@ def _used_vulnerable(net: Network, paths: Mapping[str, Sequence[str]],
     return tuple(sorted(used))
 
 
+def _forced(net: Network, units: Sequence[PurchaseUnit],
+            fixings: FixedUpgrades | None,
+            ) -> tuple[list[PurchaseUnit], list[PurchaseUnit], int,
+                       frozenset[str]]:
+    """(the units holding an arc of ``fixings.forced_y``, the other units,
+    in ``units`` order, the forced units' cost in cents, the arcs shut
+    before any other unit is bought)."""
+    arcs = frozenset(fixings.forced_y) if fixings else frozenset()
+    forced = [u for u in units if not arcs.isdisjoint(u.arc_ids)]
+    rest = [u for u in units if arcs.isdisjoint(u.arc_ids)]
+    return (forced, rest, sum(u.cost_cents for u in forced),
+            net.vulnerable_ids - {a for u in forced for a in u.arc_ids})
+
+
 # -- brute-force oracle -------------------------------------------------------
 
 
@@ -602,12 +608,7 @@ def brute_force_oracle(instance: ProblemInstance,
 
     blocked = _blocked_by_origin(net, mask)
     budget_cents = cents(instance.budget)
-    forced_arcs = frozenset(fixings.forced_y) if fixings else frozenset()
-    forced_units = [u for u in units
-                    if any(a in forced_arcs for a in u.arc_ids)]
-    free_units = [u for u in units if u not in forced_units]
-    forced_cost = sum(u.cost_cents for u in forced_units)
-    shut = net.vulnerable_ids - {a for u in forced_units for a in u.arc_ids}
+    forced_units, free_units, forced_cost, shut = _forced(net, units, fixings)
 
     best: tuple[float, tuple[str, ...], tuple[tuple[str, str], ...]] | None = None
     best_assignment: dict[str, str] | None = None
@@ -693,25 +694,37 @@ def _arc_prices(net: Network, units: Iterable[PurchaseUnit]) -> dict[str, float]
     return prices
 
 
-def _rooted(net: Network, dest_ids: Sequence[str],
-            prices: Mapping[str, float]) -> frozenset[str]:
-    """The nodes that reach a facility over arcs without a price.
-
-    In a solve those are the arcs outside the shut set, which no node
-    closes, so one flood serves every `_connection_bound` call."""
+def _flood_back(net: Network, reached: set[str], starts: Iterable[str],
+                closed: AbstractSet[str], reduced: Mapping[str, float],
+                ) -> None:
+    """Add to ``reached`` every node that reaches one of ``starts`` backward
+    over open zero-cost arcs: arcs outside ``closed`` whose ``reduced``
+    cost is 0 or absent."""
     arcs = net.arcs
-    rooted = set(dest_ids)
-    stack = list(dest_ids)
+    stack = list(starts)
     while stack:
         for aid in net.in_arcs(stack.pop()):
             tail = arcs[aid].tail
-            if tail not in rooted and aid not in prices:
-                rooted.add(tail)
+            if (tail not in reached and aid not in closed
+                    and not reduced.get(aid)):
+                reached.add(tail)
                 stack.append(tail)
+
+
+def _rooted(net: Network, dest_ids: Sequence[str],
+            prices: Mapping[str, float]) -> frozenset[str]:
+    """The nodes that reach a facility over arcs without a price: the
+    `_flood_back` from the facilities with every priced arc closed.
+
+    In a solve those are the arcs outside the shut set, which no node
+    closes, so one flood serves every `_connection_bound` call."""
+    rooted = set(dest_ids)
+    _flood_back(net, rooted, dest_ids, prices.keys(), {})
     return frozenset(rooted)
 
 
-def _connection_bound(net: Network, prices: Mapping[str, float],
+def _connection_bound(net: Network, origin_ids: Sequence[str],
+                      prices: Mapping[str, float],
                       free: frozenset[str], closed: frozenset[str],
                       rooted: AbstractSet[str]) -> float:
     """Cents that must be spent, outside ``free``, for every origin to reach
@@ -721,18 +734,20 @@ def _connection_bound(net: Network, prices: Mapping[str, float],
     28, 1984), the origins as terminals and every facility as one root.
     Arcs in ``closed`` are absent; an arc's reduced cost starts at its
     ``prices`` entry (`_arc_prices`), or 0 on safe and ``free`` arcs.  Each
-    origin in id order grows the set it reaches over zero-cost arcs until
-    that set holds a node known to reach a facility.  While it does not,
-    the least reduced cost on the arcs leaving the set is added to the
-    bound and taken off each of them.  An arc stays in the cut from the
-    moment its tail joins the set until its head does, so the ascent only
-    records, per node, the bound raised so far when it joined, and settles
-    every reduced cost once the origin connects.
+    origin in ``origin_ids`` (the network's origins, in id order) grows the
+    set it reaches over zero-cost arcs until that set holds a node known to
+    reach a facility.  While it does not, the least reduced cost on the
+    arcs leaving the set is added to the bound and taken off each of them.
+    An arc stays in the cut from the moment its tail joins the set until
+    its head does, so the ascent only records, per node, the bound raised
+    so far when it joined, and settles every reduced cost once the origin
+    connects.
 
     The ascent starts from the nodes that reach a facility over zero-cost
     open arcs: ``rooted``, `_rooted`'s flood over the unpriced arcs (valid
-    while ``closed`` holds none of them), extended over the priced arcs
-    open at no cost here (``free`` ones, and those priced at 0).
+    while ``closed`` holds none of them), extended by `_flood_back` over the
+    priced arcs open at no cost here (``free`` ones, and those priced at
+    0).  Each connected origin's path joins that set the same way.
     """
     arcs = net.arcs
     reduced: dict[str, float] = {}
@@ -745,16 +760,6 @@ def _connection_bound(net: Network, prices: Mapping[str, float],
         else:
             zero.append(aid)
 
-    def root(nodes: Iterable[str]) -> None:
-        stack = list(nodes)
-        while stack:
-            for aid in net.in_arcs(stack.pop()):
-                tail = arcs[aid].tail
-                if (tail not in rooted and aid not in closed
-                        and not reduced.get(aid)):
-                    rooted.add(tail)
-                    stack.append(tail)
-
     rooted = set(rooted)
     start = []
     for aid in zero:
@@ -762,15 +767,15 @@ def _connection_bound(net: Network, prices: Mapping[str, float],
         if arcs[aid].head in rooted and tail not in rooted:
             rooted.add(tail)
             start.append(tail)
-    root(start)
+    _flood_back(net, rooted, start, closed, reduced)
     bound = 0.0
-    for origin in net.origins():
-        if origin.id in rooted:
+    for origin in origin_ids:
+        if origin in rooted:
             continue
-        joined = {origin.id: 0.0}   # node -> raise when it joined the set
+        joined = {origin: 0.0}      # node -> raise when it joined the set
         via: dict[str, str] = {}    # node -> arc it joined by
         leaving: list[tuple[float, str]] = []  # (cost + raise at entry, arc)
-        frontier = [origin.id]
+        frontier = [origin]
         raised = 0.0
         hit = None
         while hit is None:
@@ -812,11 +817,11 @@ def _connection_bound(net: Network, prices: Mapping[str, float],
                     reduced[aid] = rest if rest > _BOUND_RTOL * cost else 0.0
         path = []   # back from the hit to the origin, now all rooted
         node = hit
-        while node != origin.id:
+        while node != origin:
             node = arcs[via[node]].tail
             path.append(node)
         rooted.update(path)
-        root(path)
+        _flood_back(net, rooted, path, closed, reduced)
     return bound
 
 
@@ -942,7 +947,8 @@ def solve_exact(instance: ProblemInstance,
     of the priced-regret assignment and its parent's, re-priced on its own
     lists.
     The connection bound's arc prices, and its flood over the arcs no node
-    closes (`_rooted`), are built by its first call.
+    closes (`_rooted`), are built by its first call; every call walks the
+    origin ids of ``origin_order``.
     Per-origin masks and valid inequalities only tighten the 0-1 model; a
     route-based search never needs them.  Determinism: each node is one
     `_Node` record, numbered in creation order, and the heap holds (bound,
@@ -975,13 +981,10 @@ def solve_exact(instance: ProblemInstance,
     dest_ids = [d.id for d in net.destinations()]
     caps = {d: net.nodes[d].capacity for d in dest_ids}
     budget_cents = cents(instance.budget)
-    forced_arcs = frozenset(fixings.forced_y) if fixings else frozenset()
-    units = purchase_units(net, instance.spec.segment_coupling)
-    committed_units = [u for u in units
-                       if any(a in forced_arcs for a in u.arc_ids)]
-    base_cost = sum(u.cost_cents for u in committed_units)
-    # closed before any undecided unit is bought
-    shut = net.vulnerable_ids - {a for u in committed_units for a in u.arc_ids}
+    # the forced units are committed at every node; ``shut`` is closed
+    # before any undecided unit is bought
+    _, undecided_units, base_cost, shut = _forced(
+        net, purchase_units(net, instance.spec.segment_coupling), fixings)
     stats: dict[str, Any] = {"nodes_explored": 0, "incumbent_updates": 0,
                              "rounding_closures": 0, "connection_cuts": 0,
                              "relaxations_inherited": 0,
@@ -1010,7 +1013,7 @@ def solve_exact(instance: ProblemInstance,
         # the forced exits alone blow the budget: no affordable set connects
         return finish(SolveStatus.BUDGET_DISCONNECTED)
 
-    undecided = {u.id: u for u in units if u not in committed_units}
+    undecided = {u.id: u for u in undecided_units}
     unit_ids = sorted(undecided)
     arc_unit = {a: uid for uid, u in undecided.items() for a in u.arc_ids}
     # the connection bound's arc prices and once-per-solve flood, built by
@@ -1019,6 +1022,7 @@ def solve_exact(instance: ProblemInstance,
     rooted: frozenset[str] = frozenset()
     gap_items_order = sorted(origins, key=lambda o: (-o.residents, o.id))
     origin_order = sorted(origins, key=lambda o: o.id)
+    origin_ids = [o.id for o in origin_order]
 
     def open_node(committed: frozenset[str], banned: frozenset[str],
                   cost: int) -> tuple[int, list[str], frozenset[str]]:
@@ -1043,7 +1047,8 @@ def solve_exact(instance: ProblemInstance,
             rooted = _rooted(net, dest_ids, prices)
         bought = frozenset(a for uid in committed
                            for a in undecided[uid].arc_ids)
-        bound = _connection_bound(net, prices, bought, closed, rooted)
+        bound = _connection_bound(net, origin_ids, prices, bought, closed,
+                                  rooted)
         if bound - remaining > _BOUND_RTOL * max(1.0, remaining):
             stats["connection_cuts"] += 1
             return None
@@ -1424,7 +1429,8 @@ def build_model(instance: ProblemInstance,
     fixings = fixings or FixedUpgrades()
     units = purchase_units(net, instance.spec.segment_coupling)
     unit_of_arc = {aid: u for u in units for aid in u.arc_ids}
-    forced_units = {unit_of_arc[a].id for a in fixings.forced_y}
+    forced, _, forced_cost, _ = _forced(net, units, fixings)
+    forced_units = {u.id for u in forced}
     forced_x = set(fixings.forced_x)
     for (k, aid) in forced_x:
         if mask.blocks(k, aid):
@@ -1514,8 +1520,7 @@ def build_model(instance: ProblemInstance,
 
     knap_terms = tuple((u.cost_cents / 100.0, y_var[u.id])
                        for u in units if u.id in y_var)
-    knap_rhs = instance.budget - sum(u.cost_cents for u in units
-                                     if u.id in forced_units) / 100.0
+    knap_rhs = instance.budget - forced_cost / 100.0
     add_row("knap5", knap_terms, "<=", knap_rhs)
 
     for o in origins:
@@ -1617,84 +1622,6 @@ def export_lp(model: MipModel, path: str | Path | None = None) -> str:
     if path is not None:
         Path(path).write_text(text)
     return text
-
-
-def read_lp(source: str | Path) -> dict[str, Any]:
-    """Parse an LP file written by `export_lp` (round-trip checking)."""
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif "\n" not in source and Path(source).exists():
-        text = Path(source).read_text()
-    else:
-        text = str(source)
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("\\")]
-    section = None
-    objective: list[tuple[float, str]] = []
-    constant = 0.0
-    constraints: list[dict[str, Any]] = []
-    binaries: list[str] = []
-
-    def parse_terms(expr: str) -> tuple[list[tuple[float, str]], float]:
-        # token stream over export_lp's strictly space-separated syntax
-        terms: list[tuple[float, str]] = []
-        const = 0.0
-        sign = 1.0
-        coef: float | None = None
-        tokens = expr.split()
-        for i, tok in enumerate(tokens):
-            if tok == "+":
-                sign, coef = 1.0, None
-                continue
-            if tok == "-":
-                sign, coef = -1.0, None
-                continue
-            if tok[0] in "+-" and len(tok) > 1:
-                sign = -1.0 if tok[0] == "-" else 1.0
-                tok = tok[1:]
-            if tok[0].isdigit() or tok[0] == ".":
-                value = float(tok)
-                if i + 1 < len(tokens) and (tokens[i + 1][0].isalpha()
-                                            or tokens[i + 1][0] == "_"):
-                    coef = value          # coefficient of the next variable
-                else:
-                    const += sign * value
-                    sign, coef = 1.0, None
-                continue
-            terms.append((sign * (coef if coef is not None else 1.0), tok))
-            sign, coef = 1.0, None
-        return terms, const
-
-    for ln in lines:
-        low = ln.lower()
-        if low in ("minimize", "maximize"):
-            section = "obj"
-            continue
-        if low == "subject to":
-            section = "cons"
-            continue
-        if low == "binary":
-            section = "bin"
-            continue
-        if low == "end":
-            break
-        if section == "obj":
-            expr = ln.split(":", 1)[1] if ":" in ln else ln
-            terms, const = parse_terms(expr)
-            objective.extend(terms)
-            constant += const
-        elif section == "cons":
-            name, rest = ln.split(":", 1)
-            m = re.search(r"(<=|>=|=)\s*([-+0-9.eE]+)\s*$", rest)
-            if not m:
-                raise ModelError(f"unparseable constraint line: {ln!r}")
-            terms, _ = parse_terms(rest[:m.start()])
-            constraints.append({"name": name.strip(), "terms": terms,
-                                "sense": m.group(1), "rhs": float(m.group(2))})
-        elif section == "bin":
-            binaries.append(ln)
-    return {"objective": objective, "objective_constant": constant,
-            "constraints": constraints, "binaries": binaries}
 
 
 # -- generalized assignment embedding ---------------------------------------

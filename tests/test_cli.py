@@ -202,6 +202,16 @@ def test_nan_solve_option_exits_1(demo, tmp_path, capsys, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "frequency"])
+def test_negative_fraction_exits_1(demo, tmp_path, capsys, command):
+    assert main([command, str(demo), "--fractions=-0.1,0.5",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: budget fractions must be nonnegative\n"
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_with_flag_override(demo, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"alpha": 3.0, "budget_fraction": 0.5,

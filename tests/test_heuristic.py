@@ -3,27 +3,12 @@ from __future__ import annotations
 
 import pytest
 
-from floodmit.heuristic import build_distance_vectors, greedy_initial
+from floodmit.heuristic import greedy_initial
 from floodmit.solver import (SolveOptions, SolveStatus, brute_force_oracle,
                              solve_exact, validate_solution)
 from floodmit import synth
 
 from conftest import bridge_instance, f1_instance, overfull_instance, stranded_instance
-
-
-def test_distance_vectors_known_values():
-    inst = f1_instance(9.0)
-    v1 = build_distance_vectors(inst, "o1")
-    assert v1.full == ((5.0, "d1"), (7.0, "d2"))
-    assert v1.flooded == ((7.0, "d2"),)
-    v2 = build_distance_vectors(inst, "o2")
-    assert v2.full == ((1.0, "d1"), (6.0, "d2"))
-    assert v2.flooded == ((6.0, "d2"),)
-
-
-def test_distance_vectors_rejects_non_origin():
-    with pytest.raises(KeyError):
-        build_distance_vectors(f1_instance(9.0), "t1")
 
 
 def test_greedy_prefers_free_routes():

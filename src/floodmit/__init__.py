@@ -12,7 +12,7 @@ from .ingest import (InstanceSpec, ProblemInstance, PurchaseUnit, SchemaError,
                      build_instance, instance_from_file, instance_json,
                      purchase_units, upgrade_cost_cents, with_network)
 from .net import (Network, NetworkError, NodeKind, RoadArc, RoadNode,
-                  articulation_points, canonical_shortest_path, shortest_paths)
+                  shortest_paths)
 from .pipeline import PipelineResult, solve_pipeline
 from .prune import PrunedNetwork, PruneLog, PruneStats, expand_solution, prune_all
 from .reductions import (Cuts, FixedUpgrades, SpTables, VariableMask,
@@ -31,14 +31,13 @@ __all__ = [
     "PipelineResult", "ProblemInstance", "PruneLog", "PruneStats",
     "PrunedNetwork", "PurchaseUnit", "RoadArc", "RoadNode", "SchemaError",
     "Solution", "SolveOptions", "SolveStatus", "SpTables", "ValidationReport",
-    "VariableMask", "articulation_points", "brute_force_oracle",
-    "budget_sweep", "build_instance", "build_model", "canonical_shortest_path",
-    "component_mask", "compute_sp_tables", "connectivity_critical",
-    "distance_dominated", "ewtt_ranking", "excess_travel_time",
-    "expand_solution", "export_lp", "forced_exits", "gap_to_rnfmp",
-    "greedy_initial", "instance_from_file", "instance_json", "lower_bound",
-    "prune_all", "purchase_units", "scenario_grid", "segment_rollup",
-    "shortest_paths", "solve_exact", "solve_pipeline", "standard_reductions",
-    "upgrade_cost_cents", "upgrade_frequency", "validate_solution",
-    "with_network",
+    "VariableMask", "brute_force_oracle", "budget_sweep", "build_instance",
+    "build_model", "component_mask", "compute_sp_tables",
+    "connectivity_critical", "distance_dominated", "ewtt_ranking",
+    "excess_travel_time", "expand_solution", "export_lp", "forced_exits",
+    "gap_to_rnfmp", "greedy_initial", "instance_from_file", "instance_json",
+    "lower_bound", "prune_all", "purchase_units", "scenario_grid",
+    "segment_rollup", "shortest_paths", "solve_exact", "solve_pipeline",
+    "standard_reductions", "upgrade_cost_cents", "upgrade_frequency",
+    "validate_solution", "with_network",
 ]

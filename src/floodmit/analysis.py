@@ -11,7 +11,8 @@
   closure disconnects are flagged and excluded from the sum).  Baseline
   times come from ``net.facility_times``; a closure repairs
   (``net.close_arcs``) only the tables of the facilities whose origins'
-  shortest paths it can touch, and no closure runs a full search.
+  shortest paths it can touch (``net._closures_that_matter``), and no
+  closure runs a full search.
 * ``connectivity_critical`` — roads whose closure strands some origin
   entirely: one multi-source reverse search from all facilities, then one
   repair of that table for each road on some origin's shortest way out.
@@ -34,7 +35,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .ingest import (InstanceSpec, ProblemInstance, SchemaError, _derive,
                      _parse, upgrade_cost_cents)
-from .net import DIST_TOL, Network, close_arcs, dijkstra, facility_times
+from .net import (Network, _closures_that_matter, close_arcs, dijkstra,
+                  facility_times)
 from .net import shortest_paths  # noqa: F401 - bench/tracer.py hooks it here
 from .pipeline import PipelineResult, solve_pipeline
 from .prune import PrunedNetwork
@@ -126,42 +128,6 @@ class EwttRow:
     disconnects: bool
 
 
-def _closures_that_matter(net: Network, table: Mapping[str, float],
-                          origin_ids: Iterable[str]) -> frozenset[str]:
-    """The arcs whose closure can change an origin's time in ``table``.
-
-    ``table`` is a reverse search (times *to* its sources).  An arc is kept
-    when it is tight, ``travel_time + table[head] - table[tail] <=
-    2*DIST_TOL``, and its tail is reached from some origin along tight arcs;
-    one forward walk finds them all.  Closing any other arc leaves every
-    origin's time bit-identical, so its repair can be skipped:
-
-    * a looser arc's offer never settles its tail, and never blocks the
-      offer that does in the kernel's ``< best - DIST_TOL`` test, as long
-      as no node is offered a staircase of times, each within DIST_TOL of
-      the last, that spans more than 2*DIST_TOL (nanominute steps);
-    * a tight arc that no origin reaches along tight arcs can move only
-      times that no origin's shortest path visits.
-    """
-    seen = {o for o in origin_ids if o in table}
-    stack = list(seen)
-    matter: set[str] = set()
-    while stack:
-        u = stack.pop()
-        at_u = table[u]
-        for aid in net.out_arcs(u):
-            arc = net.arcs[aid]
-            at_head = table.get(arc.head)
-            if at_head is None or \
-                    arc.travel_time + at_head - at_u > 2 * DIST_TOL:
-                continue
-            matter.add(aid)
-            if arc.head not in seen:
-                seen.add(arc.head)
-                stack.append(arc.head)
-    return frozenset(matter)
-
-
 def _candidates(net: Network, arcs: Iterable[str] | None,
                 default: Iterable[str]) -> list[str]:
     """Distinct arc ids in id order; unknown ids raise ``KeyError``."""
@@ -180,7 +146,7 @@ def ewtt_ranking(instance: ProblemInstance,
     Ranks vulnerable roads by default; repeated ids in ``arcs`` count once.
     Baseline times come from ``net.facility_times``, the only full
     searches.  A closure repairs (``net.close_arcs``) each facility's table
-    it can change (``_closures_that_matter``); every other table is the
+    it can change (``net._closures_that_matter``); every other table is the
     baseline.  Only the origins whose times moved are summed, in origin
     order: every other pair adds 0, so the sum keeps its bytes.
     """
@@ -250,7 +216,7 @@ def connectivity_critical(instance: ProblemInstance,
 
     One multi-source reverse search from every facility.  If it already
     strands an origin, every road is critical; otherwise only the roads on
-    some origin's shortest way out (``_closures_that_matter``) are closed
+    some origin's shortest way out (``net._closures_that_matter``) are closed
     in that table (``net.close_arcs``), and a road is critical when some
     origin's repaired label is None.  Repeated ids in ``arcs`` count once.
     """

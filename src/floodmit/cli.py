@@ -27,7 +27,7 @@ from typing import Any, Sequence
 from . import analysis
 from .ingest import (CAPACITY_POLICIES, WEIGHT_POLICIES, InstanceSpec,
                      ProblemInstance, SchemaError, instance_from_file,
-                     instance_json, upgrade_cost_cents)
+                     instance_json, units_bought)
 from .net import NetworkError
 from .pipeline import solve_pipeline
 from .prune import harvest_triangle_vis, prune_all
@@ -126,7 +126,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     total_h = sum(o.residents for o in net.origins())
     facts = [
         ("nodes", len(net.nodes)), ("arcs", len(net.arcs)),
-        ("vulnerable", len(net.vulnerable_arcs())),
+        ("vulnerable", len(net.vulnerable_ids)),
         ("origins", len(net.origins())),
         ("facilities", len(net.destinations())),
         ("residents", f"{total_h:g}"),
@@ -168,13 +168,18 @@ def _print_plan(instance: ProblemInstance, sol) -> None:
     net = instance.network
     print(f"{'budget':<12} {_money(instance.budget)}")
     if sol.upgrades:
-        spent = upgrade_cost_cents(net, sol.upgrades,
-                                   instance.spec.segment_coupling) / 100
+        units = units_bought(net, sol.upgrades,
+                             instance.spec.segment_coupling)
+        spent = sum(u.cost_cents for u in units) / 100
         print(f"{'spent':<12} {_money(spent)}")
-        for aid in sol.upgrades:
-            arc = net.arcs[aid]
-            print(f"{'upgrade':<12} {aid}  {arc.tail} -> {arc.head}  "
-                  f"{_money(arc.mitigation_cost)}")
+        for unit in units:  # one line per purchase, at the price charged
+            bought = [a for a in unit.arc_ids if a in sol.upgrades]
+            name = unit.id if bought == [unit.id] else \
+                f"{unit.id} ({', '.join(bought)})"
+            legs = ", ".join(f"{net.arcs[a].tail} -> {net.arcs[a].head}"
+                             for a in bought)
+            print(f"{'upgrade':<12} {name}  {legs}  "
+                  f"{_money(unit.cost_cents / 100)}")
     for k in sorted(sol.assignment):
         print(f"{'route':<12} {k} -> {sol.assignment[k]}  "
               f"via {', '.join(sol.paths[k]) or '-'}")

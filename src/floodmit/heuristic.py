@@ -4,11 +4,11 @@
 The solve pipeline does not run it: the exact search finds the same plans
 without it, mostly by rounding at the root.
 
-Each origin ranks the facilities it reaches, by (minutes, facility id),
+Each origin ranks the facilities it reaches (``net.facility_ranking``)
 twice: today, on never-flooded roads only, and with every vulnerable road
-repaired.  Both rankings are sorted inline from the per-facility tables of
-``compute_sp_tables`` (one reverse search per facility per closed set),
-and the routes are read off the same tables, so the heuristic runs no
+repaired.  Both rankings, and the routes (``net.canonical_walk``), are
+read off the per-facility tables of ``compute_sp_tables`` (one reverse
+search per facility per closed set), so the heuristic runs no
 shortest-path search of its own.  Origins choose in order of population,
 largest first.  An origin takes the nearest flooded-passable facility with
 room; failing that it falls back to the repaired ranking and buys the
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ingest import ProblemInstance, capacity_fits, cents, upgrade_cost_cents
-from .net import canonical_shortest_path
+from .net import canonical_walk, facility_ranking
 from .reductions import compute_sp_tables
 
 
@@ -52,18 +52,16 @@ def greedy_initial(instance: ProblemInstance) -> GreedySolution:
         # flood-free roads first, then all roads, buying the vulnerable ones
         for closed, times in ((net.vulnerable_ids, tables.flooded),
                               (frozenset(), tables.upgraded)):
-            ranked = sorted((t[origin.id], d) for d, t in times.items()
-                            if origin.id in t)
-            dest = next((d for _, d in ranked
-                         if capacity_fits(origin.residents, residual[d])),
-                        None)
-            if dest is not None:
+            nearest = next((pair for pair in facility_ranking(times, origin.id)
+                            if capacity_fits(origin.residents,
+                                             residual[pair[1]])), None)
+            if nearest is not None:
                 break
         else:
             unassigned.append(origin.id)
             continue
-        minutes, path = canonical_shortest_path(
-            net, origin.id, dest, closed, dist_to_target=times[dest])
+        minutes, dest = nearest
+        path = canonical_walk(net, origin.id, dest, closed, times[dest])[0]
         residual[dest] -= origin.residents
         assignment[origin.id] = dest
         paths[origin.id] = path

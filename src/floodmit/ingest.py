@@ -131,24 +131,21 @@ class ProblemInstance:
     def summary(self) -> str:
         net = self.network
         return (f"{len(net.nodes)} nodes, {len(net.arcs)} arcs, "
-                f"{len(net.vulnerable_arcs())} vulnerable, "
+                f"{len(net.vulnerable_ids)} vulnerable, "
                 f"{len(net.origins())} origins, {len(net.destinations())} destinations, "
                 f"B_hat={self.b_hat:g}, budget={self.budget:g}")
 
 
-def with_network(instance: ProblemInstance, network: Network,
-                 budget: float | None = None) -> ProblemInstance:
+def with_network(instance: ProblemInstance,
+                 network: Network) -> ProblemInstance:
     """Same instance over a different (e.g. pruned) network.
 
     ``b_hat`` is recomputed from the new network's vulnerable arcs; the
-    absolute budget carries over unless overridden.
+    absolute budget carries over.
     """
     return dataclasses.replace(
-        instance,
-        network=network,
-        budget=instance.budget if budget is None else budget,
-        b_hat=total_vulnerable_cost(network, instance.spec.segment_coupling),
-    )
+        instance, network=network,
+        b_hat=total_vulnerable_cost(network, instance.spec.segment_coupling))
 
 
 def total_vulnerable_cost(net: Network, segment_coupling: bool) -> float:
@@ -173,7 +170,7 @@ def purchase_units(net: Network, segment_coupling: bool) -> list[PurchaseUnit]:
     Per-arc pricing by default; with ``segment_coupling`` every vulnerable
     arc of a segment is bought together at the worst member's price.
     """
-    vuln = net.vulnerable_arcs()  # id-sorted
+    vuln = [a for a in net.arcs.values() if a.vulnerable]  # id-sorted
     if not segment_coupling:
         return [PurchaseUnit(a.id, (a.id,), cents(a.mitigation_cost))
                 for a in vuln]
@@ -185,13 +182,20 @@ def purchase_units(net: Network, segment_coupling: bool) -> list[PurchaseUnit]:
             for seg in sorted(groups)]
 
 
+def units_bought(net: Network, arc_ids: Iterable[str],
+                 segment_coupling: bool) -> list[PurchaseUnit]:
+    """The purchase units an upgrade set pays for, in id order: every unit
+    that holds one of ``arc_ids``."""
+    wanted = set(arc_ids)
+    return [u for u in purchase_units(net, segment_coupling)
+            if not wanted.isdisjoint(u.arc_ids)]
+
+
 def upgrade_cost_cents(net: Network, arc_ids: Iterable[str],
                        segment_coupling: bool) -> int:
     """Price of an upgrade set under the instance's purchase rule."""
-    wanted = set(arc_ids)
-    touched = [u for u in purchase_units(net, segment_coupling)
-               if wanted & set(u.arc_ids)]
-    return sum(u.cost_cents for u in touched)
+    return sum(u.cost_cents
+               for u in units_bought(net, arc_ids, segment_coupling))
 
 
 # -- file loading -----------------------------------------------------------

@@ -8,14 +8,19 @@ unusable unless upgraded.
 Every search takes the roads it may not use as one set of closed arc ids:
 ``net.vulnerable_ids`` for the flooded network, the empty default for the
 fully repaired one, ``net.vulnerable_ids - bought`` for a plan, and
-``frozenset((aid,))`` for one road closed.  ``close_arcs`` closes more
-roads in a finished reverse table by repairing it, not searching it again,
-whether the table was built with nothing closed (closure ranking) or with
-a closed set of its own (a branch-and-bound child's tables from its
-parent's).  ``canonical_walk`` is the route walk, and says whether it
-backed out of a dead end.
-``bare_sides`` and ``bare_components`` are the one side-component finder,
-for prune's technique 1 and the component mask.
+``frozenset((aid,))`` for one road closed.  Every origin-to-facility fact
+is read off reverse tables (``facility_times``): ``facility_ranking`` is
+an origin's nearest-first list of facilities, and ``canonical_walk`` is
+the one route walk, which says whether it backed out of a dead end.
+``close_arcs`` closes more roads in a finished reverse table by repairing
+it, not searching it again, whether the table was built with nothing
+closed (closure ranking) or with a closed set of its own (a
+branch-and-bound child's tables from its parent's); the tight-arc rule it
+rests on also tells which closures need no repair
+(``_closures_that_matter``).  ``cut_nodes`` of ``undirected_adjacency`` are
+the network's articulation points, and ``bare_sides`` and
+``bare_components`` are the one side-component finder, for prune's
+technique 1 and the component mask.
 """
 from __future__ import annotations
 
@@ -150,9 +155,6 @@ class Network:
     def destinations(self) -> list[RoadNode]:
         return [n for n in self.nodes.values() if n.kind is NodeKind.DESTINATION]
 
-    def vulnerable_arcs(self) -> list[RoadArc]:
-        return [a for a in self.arcs.values() if a.vulnerable]
-
     def __contains__(self, node_id: str) -> bool:
         return node_id in self.nodes
 
@@ -237,6 +239,51 @@ def facility_times(net: Network, closed: frozenset[str] = frozenset(),
             for d in net.destinations()}
 
 
+def facility_ranking(tables: Mapping[str, Mapping[str, float]],
+                     origin: str) -> list[tuple[float, str]]:
+    """The facilities ``origin`` reaches in ``tables`` (``facility_times``'
+    shape), as (minutes, facility) pairs, nearest first and ties by id;
+    empty if it reaches none."""
+    return sorted((t[origin], d) for d, t in tables.items() if origin in t)
+
+
+def _closures_that_matter(net: Network, table: Mapping[str, float],
+                          origin_ids: Iterable[str]) -> frozenset[str]:
+    """The arcs whose closure can change an origin's time in ``table``.
+
+    ``table`` is a reverse search (times *to* its sources).  An arc is kept
+    when it is tight, ``travel_time + table[head] - table[tail] <=
+    2*DIST_TOL``, and its tail is reached from some origin along tight arcs;
+    one forward walk finds them all.  Closing any other arc leaves every
+    origin's time bit-identical, so its ``close_arcs`` repair can be
+    skipped:
+
+    * a looser arc's offer never settles its tail, and never blocks the
+      offer that does in the kernel's ``< best - DIST_TOL`` test, as long
+      as no node is offered a staircase of times, each within DIST_TOL of
+      the last, that spans more than 2*DIST_TOL (nanominute steps);
+    * a tight arc that no origin reaches along tight arcs can move only
+      times that no origin's shortest path visits.
+    """
+    seen = {o for o in origin_ids if o in table}
+    stack = list(seen)
+    matter: set[str] = set()
+    while stack:
+        u = stack.pop()
+        at_u = table[u]
+        for aid in net.out_arcs(u):
+            arc = net.arcs[aid]
+            at_head = table.get(arc.head)
+            if at_head is None or \
+                    arc.travel_time + at_head - at_u > 2 * DIST_TOL:
+                continue
+            matter.add(aid)
+            if arc.head not in seen:
+                seen.add(arc.head)
+                stack.append(arc.head)
+    return frozenset(matter)
+
+
 def close_arcs(net: Network, table: Mapping[str, float],
                sources: Iterable[str], arcs: Iterable[str],
                closed: frozenset[str] = frozenset(),
@@ -310,34 +357,23 @@ def close_arcs(net: Network, table: Mapping[str, float],
             if settled.get(v) != table[v]}
 
 
-def canonical_shortest_path(net: Network, source: str, target: str,
-                            closed: frozenset[str] = frozenset(),
-                            dist_to_target: dict[str, float] | None = None,
-                            ) -> tuple[float, tuple[str, ...]] | None:
-    """Deterministic shortest path from ``source`` to ``target`` over the
-    arcs not in ``closed``.
-
-    A depth-first search from the source over tight arcs (arcs that stay on
-    some shortest path), smallest arc id first, that backs out of dead ends.
-    Dead ends arise only on zero-time cycles; without them this is the
-    greedy smallest-id walk and returns the lexicographically smallest
-    arc-id sequence among equally short paths.  Returns (minutes, arc ids)
-    or None if unreachable.  ``dist_to_target`` lets callers reuse one
-    reverse search over the same closed set (``facility_times`` or
-    ``dijkstra(..., reverse=True)`` from the target) for many sources.
-    """
-    if dist_to_target is None:
-        dist_to_target = dijkstra(net, (target,), closed, reverse=True)
-    found = canonical_walk(net, source, target, closed, dist_to_target)
-    return None if found is None else (dist_to_target[source], found[0])
-
-
 def canonical_walk(net: Network, source: str, target: str,
                    closed: frozenset[str], dist_to_target: Mapping[str, float],
                    ) -> tuple[tuple[str, ...], bool] | None:
-    """The walk ``canonical_shortest_path`` makes: (arc ids, whether it
-    backed out of a dead end), or None if ``source`` cannot reach
-    ``target``."""
+    """The deterministic shortest route from ``source`` to ``target`` over
+    the arcs not in ``closed``: (arc ids, whether it backed out of a dead
+    end), or None if ``source`` cannot reach ``target``.
+
+    ``dist_to_target`` is the reverse search from the target over the same
+    closed set (``dijkstra(net, (target,), closed, reverse=True)``, or its
+    entry in ``facility_times``), so one search serves every source; the
+    route's minutes are ``dist_to_target[source]``.  The walk is a
+    depth-first search from the source over tight arcs (arcs that stay on
+    some shortest path), smallest arc id first, that backs out of dead
+    ends.  Dead ends arise only on zero-time cycles; without them this is
+    the greedy smallest-id walk and returns the lexicographically smallest
+    arc-id sequence among equally short paths.
+    """
     if source not in dist_to_target:
         return None
     path: list[str] = []
@@ -382,13 +418,9 @@ def undirected_adjacency(net: Network) -> dict[str, set[str]]:
     return adj
 
 
-def articulation_points(net: Network) -> set[str]:
-    """Cut nodes of the underlying undirected graph."""
-    return cut_nodes(undirected_adjacency(net))
-
-
 def cut_nodes(adj: Mapping[str, AbstractSet[str]]) -> set[str]:
-    """Cut nodes of an undirected adjacency (iterative Tarjan)."""
+    """Cut nodes of an undirected adjacency (iterative Tarjan); of
+    ``undirected_adjacency(net)``, the network's articulation points."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     parent: dict[str, str | None] = {}

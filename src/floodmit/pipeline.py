@@ -50,7 +50,7 @@ def solve_pipeline(instance: ProblemInstance,
         pruned = prune_all(instance.network)
     elif pruned.source is not instance.network:
         raise ValueError("pruned= is the pruning of a different network")
-    work = with_network(instance, pruned.network, budget=instance.budget)
+    work = with_network(instance, pruned.network)
     fixings = forced_exits(work)
     left = deadline - time.perf_counter()
     if left > 0:

@@ -107,26 +107,9 @@ class PruneLog:
         return {c.new_arc_id: c.chain
                 for act in self.actions for c in act.contractions}
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "objective_offset": self.objective_offset,
-            "actions": [
-                {
-                    "technique": a.technique,
-                    "removed_nodes": list(a.removed_nodes),
-                    "removed_arcs": list(a.removed_arcs),
-                    "added_arcs": [list(x) for x in a.added_arcs],
-                    "merges": [dataclasses.asdict(m) for m in a.merges],
-                    "contractions": [
-                        {**dataclasses.asdict(c), "chain": list(c.chain)}
-                        for c in a.contractions],
-                }
-                for a in self.actions
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(dataclasses.asdict(self), sort_keys=True,
+                          indent=2) + "\n"
 
 
 @dataclass

@@ -28,18 +28,21 @@ everyone at their nearest facility, and a Lagrangian bound whose capacity
 prices come from coordinate ascent (`_capacity_prices`).
 
 Every origin rides a shortest path, so the root's distances come from one
-reverse search per facility, and routes are read off those tables.  A
-child shuts every arc its parent does, so it starts from its parent's
-solve: it repairs the parent's tables over the arcs it newly shuts, keeps
-the routes that stay canonical, and starts its assignment search from the
-parent's assignment; an include child that shuts no more arcs reuses the
-parent's relaxation whole.  Like every search, these take the roads a plan
-leaves shut as one set of closed arc ids: ``net.vulnerable_ids`` minus the
-arcs bought.  Masks and valid inequalities never reach the search: they only
-tighten the 0-1 model.  `brute_force_oracle` independently enumerates every
-affordable upgrade set and every capacity-feasible assignment (masks
-optional, added to each origin's closed set) — slower, but nothing to get
-wrong — and is what the solver is tested against.
+reverse search per facility, and each origin's facility ranking
+(`net.facility_ranking`) and route (`net.canonical_walk`, the one route
+walk) are read off those tables.  A child shuts every arc its parent does,
+so it starts from its parent's solve: it repairs the parent's tables over
+the arcs it newly shuts, keeps the routes that stay canonical, and starts
+its assignment search from the parent's assignment; an include child that
+shuts no more arcs reuses the parent's relaxation whole.  Like every
+search, these take the roads a plan leaves shut as one set of closed arc
+ids: ``net.vulnerable_ids`` minus the arcs bought.  Masks and valid
+inequalities never reach the search: they only tighten the 0-1 model.
+`brute_force_oracle` independently enumerates every affordable upgrade set
+and every capacity-feasible assignment (masks optional, added to each
+origin's closed set), walking each route of its plan over one reverse
+search — slower, but nothing to get wrong — and is what the solver is
+tested against.
 `build_model`/`export_lp` emit the equivalent 0-1 program, masks and cuts
 included, for external solvers (one rule turns a forced route into a
 constant in every row), and `gap_to_rnfmp` embeds a generalized assignment
@@ -65,8 +68,8 @@ from .ingest import (CAPACITY_TOL, InstanceSpec, ProblemInstance,
                      PurchaseUnit, capacity_fits, cents, purchase_units,
                      upgrade_cost_cents)
 from .net import (DIST_TOL, Network, NodeKind, RoadArc, RoadNode,
-                  canonical_shortest_path, canonical_walk, close_arcs,
-                  dijkstra, facility_times)
+                  canonical_walk, close_arcs, dijkstra, facility_ranking,
+                  facility_times)
 from .reductions import Cuts, FixedUpgrades, VariableMask
 
 
@@ -479,29 +482,6 @@ def _candidate_lists(net: Network, origins: Sequence[RoadNode],
     return out
 
 
-def _lists_from_tables(origins: Sequence[RoadNode], dest_ids: Sequence[str],
-                       tables: Mapping[str, Mapping[str, float]],
-                       ) -> dict[str, list[tuple[float, str]]] | None:
-    """Per-origin (minutes, dest) lists read off facility tables; None if
-    someone is cut off."""
-    out: dict[str, list[tuple[float, str]]] = {}
-    for o in origins:
-        reach = sorted((tables[t][o.id], t) for t in dest_ids
-                       if o.id in tables[t])
-        if not reach:
-            return None
-        out[o.id] = reach
-    return out
-
-
-def _route(net: Network, origin: str, dest: str,
-           closed: frozenset[str]) -> tuple[str, ...]:
-    found = canonical_shortest_path(net, origin, dest, closed)
-    if found is None:  # pragma: no cover - assignment implies reachability
-        raise ModelError(f"no route from {origin!r} to {dest!r}")
-    return found[1]
-
-
 def _node_routes(net: Network, origins: Sequence[RoadNode], node: _Node,
                  tables: Mapping[str, Mapping[str, float]],
                  parent: _Node | None = None,
@@ -652,8 +632,12 @@ def brute_force_oracle(instance: ProblemInstance,
         status = (SolveStatus.INFEASIBLE if saw_connected
                   else SolveStatus.BUDGET_DISCONNECTED)
         return Solution(status=status, stats={"subsets_evaluated": evaluated})
-    paths = {k: _route(net, k, dest, best_closed | blocked[k])
-             for k, dest in sorted(best_assignment.items())}
+    paths: dict[str, tuple[str, ...]] = {}
+    for k, dest in sorted(best_assignment.items()):
+        closed = best_closed | blocked[k]
+        paths[k] = canonical_walk(
+            net, k, dest, closed,
+            dijkstra(net, (dest,), closed, reverse=True))[0]
     return Solution(
         status=SolveStatus.OPTIMAL, objective=best[0], best_bound=best[0],
         gap=0.0, upgrades=_used_vulnerable(net, paths),
@@ -1080,9 +1064,11 @@ def solve_exact(instance: ProblemInstance,
         """The exact capacitated assignment over facility tables; None if
         some origin is cut off or the capacities cannot host everyone.  A
         search repeated within the solve is not run again."""
-        lists = _lists_from_tables(origin_order, dest_ids, tables)
-        if lists is None:
-            return None
+        lists: dict[str, list[tuple[float, str]]] = {}
+        for o in origin_order:
+            lists[o.id] = facility_ranking(tables, o.id)
+            if not lists[o.id]:
+                return None
         key = array("d", [tables[d].get(o.id, math.inf)
                           for o in gap_items_order
                           for d in dest_ids]).tobytes()

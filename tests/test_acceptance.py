@@ -64,7 +64,7 @@ def test_criterion_02_pruning_exactness():
     for seed in range(200):
         inst = synth.random_instance(seed, decorate=True)
         pruned = prune_all(inst.network)
-        small = with_network(inst, pruned.network, budget=inst.budget)
+        small = with_network(inst, pruned.network)
         a = brute_force_oracle(inst)
         b = brute_force_oracle(small)
         if a.status != b.status:
@@ -354,7 +354,7 @@ def test_criterion_11_large_network_accounting():
     assert len(rows) == 8
     for row in rows:
         assert {"label", "nodes", "arcs", "variables"} <= set(row)
-    small = with_network(inst, pruned.network, budget=inst.budget)
+    small = with_network(inst, pruned.network)
     _, mask = standard_reductions(small)
     pruned_away = stats.original["variables"] - stats.final["variables"]
     total_removed = pruned_away + len(mask)

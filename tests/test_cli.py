@@ -6,8 +6,11 @@ import json
 
 import pytest
 
-from floodmit.cli import main
+from floodmit.cli import _print_plan, main
+from floodmit.solver import brute_force_oracle, solve_exact
 from floodmit import synth
+
+from conftest import bridge_instance
 
 
 @pytest.fixture()
@@ -261,6 +264,25 @@ def test_oracle_command_on_paradox_family(paradox, tmp_path, capsys):
     assert len(small["upgrades"]) > len(big["upgrades"])
     assert small["objective"] == pytest.approx(60.0)
     assert big["objective"] == pytest.approx(30.0)
+
+
+def _cents(line):
+    return round(float(line.rsplit("$", 1)[1].replace(",", "")) * 100)
+
+
+def test_coupled_plan_prices_add_up_to_spent(capsys):
+    # both directions of the bridge ride in the plan, bought as one
+    # segment: one upgrade line at the segment's price, as `solve` and
+    # `oracle` print it, and the prices sum to what was spent
+    inst = bridge_instance(coupled=True)
+    for sol in (solve_exact(inst), brute_force_oracle(inst)):
+        _print_plan(inst, sol)
+        lines = capsys.readouterr().out.splitlines()
+        upgrades = [line for line in lines if line.startswith("upgrade")]
+        (spent,) = [line for line in lines if line.startswith("spent")]
+        assert upgrades == [
+            "upgrade      bridge (e, er)  m -> de, de -> m  $6.00"]
+        assert sum(map(_cents, upgrades)) == _cents(spent) == 600
 
 
 def test_sweep_and_frequency_commands(demo, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """File loading, cost/capacity/origin derivation, money, purchase units."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -12,7 +13,7 @@ from floodmit.ingest import (CAPACITY_TOL, InstanceSpec, SchemaError,
                              instance_json, purchase_units,
                              total_vulnerable_cost, upgrade_cost_cents,
                              with_network)
-from floodmit.net import NodeKind
+from floodmit.net import Network, NodeKind
 from floodmit import synth
 
 from conftest import bridge_instance, f1_instance
@@ -266,10 +267,13 @@ def test_purchase_units_coupled_price_once():
 
 
 def test_with_network_rebinds():
-    inst = f1_instance(4.0)
-    smaller = with_network(inst, inst.network, budget=5.0)
+    # the budget carries over; b_hat is the new network's repair bill
+    inst = dataclasses.replace(f1_instance(4.0), budget=5.0)
+    net = inst.network
+    smaller = with_network(inst, Network(
+        net.nodes.values(), [a for a in net.arcs.values() if a.id != "a2"]))
     assert smaller.budget == 5.0
-    assert smaller.b_hat == inst.b_hat
+    assert smaller.b_hat == 5.0 and inst.b_hat == 9.0
     assert smaller.spec == inst.spec
 
 

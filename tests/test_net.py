@@ -9,8 +9,8 @@ import pytest
 
 from floodmit import synth
 from floodmit.net import (Network, NetworkError, NodeKind, RoadArc, RoadNode,
-                          articulation_points, bare_components, bare_sides,
-                          canonical_shortest_path, close_arcs, dijkstra,
+                          bare_components, bare_sides, canonical_walk,
+                          close_arcs, cut_nodes, dijkstra, facility_ranking,
                           facility_times, shortest_paths,
                           undirected_adjacency)
 
@@ -101,13 +101,16 @@ def test_canonical_path_prefers_smaller_arc_ids():
     arcs = [RoadArc("e1", "s", "m1", 1.0), RoadArc("e2", "m1", "t", 1.0),
             RoadArc("e3", "s", "m2", 1.0), RoadArc("e4", "m2", "t", 1.0)]
     net = Network(nodes, arcs)
-    found = canonical_shortest_path(net, "s", "t")
-    assert found == (2.0, ("e1", "e2"))
+    to_t = dijkstra(net, ("t",), reverse=True)
+    assert to_t["s"] == 2.0
+    assert canonical_walk(net, "s", "t", frozenset(), to_t) == \
+        (("e1", "e2"), False)
 
 
 def test_canonical_path_unreachable_is_none():
     net = grid3()
-    assert canonical_shortest_path(net, "d", "o") is None
+    to_o = dijkstra(net, ("o",), reverse=True)
+    assert canonical_walk(net, "d", "o", frozenset(), to_o) is None
 
 
 def test_canonical_path_zero_time_arcs():
@@ -117,9 +120,10 @@ def test_canonical_path_zero_time_arcs():
     arcs = [RoadArc("f1", "s", "x", 0.0), RoadArc("f2", "x", "s", 0.0),
             RoadArc("f3", "x", "t", 0.0)]
     net = Network(nodes, arcs)
-    cost, path = canonical_shortest_path(net, "s", "t")
-    assert cost == 0.0
-    assert path == ("f1", "f3")
+    to_t = dijkstra(net, ("t",), reverse=True)
+    assert to_t["s"] == 0.0
+    assert canonical_walk(net, "s", "t", frozenset(), to_t) == \
+        (("f1", "f3"), False)
 
 
 def test_facility_times_equal_forward_searches():
@@ -139,6 +143,16 @@ def test_facility_times_equal_forward_searches():
                             pytest.approx(fwd[d.id], abs=1e-9), seed
 
 
+def test_facility_ranking_is_nearest_first():
+    # ties go to the smaller facility id; a facility the origin cannot
+    # reach is left out, and an origin that reaches none gets []
+    tables = {"d2": {"o": 3.0, "p": 1.0}, "d1": {"o": 3.0}, "d0": {"o": 5.0}}
+    assert facility_ranking(tables, "o") == [(3.0, "d1"), (3.0, "d2"),
+                                             (5.0, "d0")]
+    assert facility_ranking(tables, "p") == [(1.0, "d2")]
+    assert facility_ranking(tables, "q") == []
+
+
 def test_articulation_and_components():
     # o - c - d chain: c is the cut vertex
     nodes = [RoadNode("o", NodeKind.ORIGIN, residents=1.0, weight=1.0),
@@ -147,8 +161,8 @@ def test_articulation_and_components():
     arcs = [RoadArc("e1", "o", "c", 1.0), RoadArc("e2", "c", "o", 1.0),
             RoadArc("e3", "c", "d", 1.0), RoadArc("e4", "d", "c", 1.0)]
     net = Network(nodes, arcs)
-    assert articulation_points(net) == {"c"}
     adj = undirected_adjacency(net)
+    assert cut_nodes(adj) == {"c"}
 
     def not_origin(n):
         return net.nodes[n].kind is not NodeKind.ORIGIN
@@ -263,11 +277,12 @@ def test_canonical_path_cost_matches_dijkstra():
         net = random_net(rng)
         dist = shortest_paths(net, "n0")
         target = sorted(net.nodes)[-1]
-        found = canonical_shortest_path(net, "n0", target)
+        to_target = dijkstra(net, (target,), reverse=True)
+        found = canonical_walk(net, "n0", target, frozenset(), to_target)
         if target not in dist:
             assert found is None
             continue
-        cost, path = found
+        cost, path = to_target["n0"], found[0]
         assert abs(cost - dist[target]) <= 1e-9
         # the arc sequence really is a connected n0 -> target walk of that cost
         at, total = "n0", 0.0

@@ -190,7 +190,7 @@ def test_prune_preserves_optimum_with_offset():
     for seed in range(80):
         inst = synth.random_instance(seed, decorate=True)
         pruned = prune_all(inst.network)
-        small = with_network(inst, pruned.network, budget=inst.budget)
+        small = with_network(inst, pruned.network)
         a = brute_force_oracle(inst)
         b = brute_force_oracle(small)
         assert a.status == b.status, (seed, a.status, b.status)

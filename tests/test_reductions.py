@@ -8,7 +8,7 @@ import math
 import pytest
 
 from floodmit.ingest import InstanceSpec, instance_from_file
-from floodmit.net import (NodeKind, RoadArc, RoadNode, articulation_points,
+from floodmit.net import (NodeKind, RoadArc, RoadNode, cut_nodes,
                           undirected_adjacency)
 from floodmit.reductions import (REASON_COMPONENT, REASON_SP_BOUND,
                                  FixedUpgrades, VariableMask, component_mask,
@@ -139,7 +139,7 @@ def test_component_mask_splits_a_pocket_at_its_own_cut_node():
         _two_way("o", "c") + _two_way("c", "d") + _two_way("a", "b")
         + _two_way("a", "x") + _two_way("b", "x") + _two_way("x", "q"),
         0.0, 0.0, budget_fraction=0.0)
-    assert articulation_points(inst.network) == {"c", "x"}
+    assert cut_nodes(undirected_adjacency(inst.network)) == {"c", "x"}
     eliminated = component_mask(inst).eliminated
     pocket = {"ab", "ba", "ax", "xa", "bx", "xb", "xq", "qx"}
     assert {aid for k, aid in eliminated if k == "o"} == pocket
@@ -165,7 +165,7 @@ def _split_mask(inst):
     adj = undirected_adjacency(net)
     origin_ids = [o.id for o in net.origins()]
     eliminated = {}
-    for v in sorted(articulation_points(net)):
+    for v in sorted(cut_nodes(adj)):
         seen, comps = {v}, []
         for start in adj:
             if start in seen:

@@ -16,7 +16,7 @@ import pytest
 from floodmit.ingest import (InstanceSpec, capacity_fits, instance_from_file,
                             purchase_units)
 from floodmit.net import (DIST_TOL, Network, NodeKind, RoadArc, RoadNode,
-                          canonical_shortest_path, dijkstra)
+                          canonical_walk, dijkstra)
 from floodmit.pipeline import solve_pipeline
 from floodmit.prune import harvest_triangle_vis
 from floodmit.reductions import (Cuts, VariableMask, forced_exits,
@@ -179,8 +179,10 @@ def test_paths_are_canonical_over_the_bought_arcs():
             checked += 1
             closed = inst.network.vulnerable_ids - set(sol.upgrades)
             for k, dest in sol.assignment.items():
-                found = canonical_shortest_path(inst.network, k, dest, closed)
-                assert sol.paths[k] == found[1], (coupled, seed, k)
+                found = canonical_walk(
+                    inst.network, k, dest, closed,
+                    dijkstra(inst.network, (dest,), closed, reverse=True))
+                assert sol.paths[k] == found[0], (coupled, seed, k)
     assert checked >= 100
 
 
@@ -192,8 +194,10 @@ def test_zero_time_cycle_routes():
         [RoadArc("e1", "s", "a", 1.0), RoadArc("e2", "a", "b", 0.0),
          RoadArc("e3", "b", "a", 0.0), RoadArc("e4", "a", "t", 1.0)],
         0.0, 0.0)
-    assert canonical_shortest_path(inst.network, "s", "t") == \
-        (2.0, ("e1", "e4"))
+    to_t = dijkstra(inst.network, ("t",), reverse=True)
+    assert to_t["s"] == 2.0
+    assert canonical_walk(inst.network, "s", "t", frozenset(), to_t) == \
+        (("e1", "e4"), True)
     oracle = brute_force_oracle(inst)
     sol = solve_exact(inst)
     assert oracle.status is sol.status is SolveStatus.OPTIMAL
@@ -638,6 +642,36 @@ def test_affordable_connectivity_walk_is_iterative(monkeypatch):
     assert sol.stats["connection_cuts"] == 0
 
 
+def test_deadline_stops_the_connectivity_walk(monkeypatch):
+    # a three-origin star with the facility one bed short: the root's
+    # assignment fails with every unit affordable, so the search ends with
+    # no plan and no cut, and the walk decides.  The clock passes the
+    # deadline once the walk has opened its first node, so the walk stops
+    # before its second: no plan and no bound
+    nodes = [O(f"o{i}", 1) for i in range(3)] + [D("d", 2)]
+    arcs = [RoadArc(f"e{i}", f"o{i}", "d", 1.0, vulnerable=True,
+                    mitigation_cost=1.0) for i in range(3)]
+    inst = build_instance(nodes, arcs, 3.0, 3.0)
+    clock = [0.0]
+    monkeypatch.setattr(solver, "time",
+                        types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    bounds = []
+    real = solver._connection_bound
+
+    def late(*args):
+        bounds.append(real(*args))
+        clock[0] = 1e9
+        return bounds[-1]
+
+    monkeypatch.setattr(solver, "_connection_bound", late)
+    sol = solve_exact(inst)
+    assert bounds == [300.0]   # the walk's root, which needs all three exits
+    assert sol.stats["nodes_explored"] == 0
+    assert sol.status is SolveStatus.TIME_LIMIT
+    assert sol.objective is None and sol.best_bound is None
+    assert not sol.upgrades and not sol.assignment
+
+
 def test_budget_disconnection_is_proven_before_the_search():
     # 1,200 single-exit origins, exits $1 each, $1,100 to spend: the
     # connection bound ($1,200) refutes the root, once, and that is the
@@ -756,6 +790,28 @@ def test_connection_bound_splits_a_segment_over_its_chain():
     # bought (free), the segment costs nothing more
     assert _chain_bound(_chain_net(chain), prices, frozenset({"a1", "a2"}),
                         frozenset()) == 0.0
+
+
+def test_connection_bound_rides_a_zero_cost_arc_into_the_rooted_set():
+    # o1 leaves by v1 (o1 -> d1) or, through m, by v2 (m -> d2), both $5.
+    # The tie pops v1 first, and o1's settlement takes v2's cost to 0, but
+    # only o1 joins the rooted set.  o2 reaches m for free and then d2 over
+    # v2 at no cost: its ascent ends on that zero-cost arc and adds
+    # nothing.  Buying v2 alone connects both origins, so the bound is $5
+    net = build_instance(
+        [O("o1", 1), O("o2", 1), RoadNode("m"), D("d1", 2), D("d2", 2)],
+        [RoadArc("o1m", "o1", "m", 1.0), RoadArc("o2m", "o2", "m", 1.0),
+         RoadArc("v1", "o1", "d1", 1.0, vulnerable=True, mitigation_cost=5.0),
+         RoadArc("v2", "m", "d2", 1.0, vulnerable=True, mitigation_cost=5.0)],
+        0.0, 10.0).network
+    units = solver.purchase_units(net, False)
+    prices = solver._arc_prices(net, units)
+    bound = solver._connection_bound(
+        net, ["o1", "o2"], prices, frozenset(), frozenset(),
+        solver._rooted(net, ["d1", "d2"], prices))
+    want = _cheapest_connecting_spend(net, units, frozenset(), frozenset())
+    assert want == 500
+    assert bound == 500.0
 
 
 def test_time_limit_reaches_into_the_assignment_search():
@@ -907,8 +963,10 @@ def _checked_routes(monkeypatch):
         paths, backed = real(net, origins, node, tables, parent, fell, stats)
         for o in origins:
             dest = node.assignment[o.id]
-            fresh = canonical_shortest_path(net, o.id, dest, node.closed)
-            assert paths[o.id] == fresh[1], (o.id, dest)
+            fresh = canonical_walk(
+                net, o.id, dest, node.closed,
+                dijkstra(net, (dest,), node.closed, reverse=True))
+            assert paths[o.id] == fresh[0], (o.id, dest)
         log.append((set(fell), backed, parent is not None))
         return paths, backed
 

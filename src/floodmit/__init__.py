@@ -15,9 +15,9 @@ from .net import (Network, NetworkError, NodeKind, RoadArc, RoadNode,
                   shortest_paths)
 from .pipeline import PipelineResult, solve_pipeline
 from .prune import PrunedNetwork, PruneLog, PruneStats, expand_solution, prune_all
-from .reductions import (Cuts, FixedUpgrades, SpTables, VariableMask,
-                         component_mask, compute_sp_tables, distance_dominated,
-                         forced_exits, standard_reductions)
+from .reductions import (Cuts, FixedUpgrades, SpTables, component_mask,
+                         compute_sp_tables, distance_dominated, forced_exits,
+                         standard_reductions)
 from .solver import (MipModel, OracleLimits, OracleScaleError, Solution,
                      SolveOptions, SolveStatus, ValidationReport,
                      brute_force_oracle, build_model, export_lp, gap_to_rnfmp,
@@ -31,8 +31,8 @@ __all__ = [
     "PipelineResult", "ProblemInstance", "PruneLog", "PruneStats",
     "PrunedNetwork", "PurchaseUnit", "RoadArc", "RoadNode", "SchemaError",
     "Solution", "SolveOptions", "SolveStatus", "SpTables", "ValidationReport",
-    "VariableMask", "brute_force_oracle", "budget_sweep", "build_instance",
-    "build_model", "component_mask", "compute_sp_tables",
+    "brute_force_oracle", "budget_sweep", "build_instance", "build_model",
+    "component_mask", "compute_sp_tables",
     "connectivity_critical", "distance_dominated", "ewtt_ranking",
     "excess_travel_time", "expand_solution", "export_lp", "forced_exits",
     "gap_to_rnfmp", "greedy_initial", "instance_from_file", "instance_json",

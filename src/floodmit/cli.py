@@ -32,7 +32,7 @@ from .net import NetworkError
 from .pipeline import solve_pipeline
 from .prune import harvest_triangle_vis, prune_all
 from .reductions import Cuts, standard_reductions
-from .solver import (ModelError, OracleLimits, OracleScaleError, SolveOptions,
+from .solver import (ModelError, OracleScaleError, SolveOptions,
                      brute_force_oracle, build_model, export_lp)
 
 _SPEC_KEYS = tuple(f.name for f in dataclasses.fields(InstanceSpec))
@@ -208,10 +208,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load(args)
-    limits = OracleLimits(max_vulnerable=args.max_vulnerable,
-                          max_origins=args.max_origins,
-                          max_destinations=args.max_destinations)
-    sol = brute_force_oracle(instance, limits)
+    sol = brute_force_oracle(instance)
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(sol.to_json())
@@ -324,9 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("oracle", help="brute-force solve a tiny instance")
     _instance_args(sub)
     sub.add_argument("--out", type=Path, help="write the solution JSON here")
-    sub.add_argument("--max-vulnerable", type=int, default=20)
-    sub.add_argument("--max-origins", type=int, default=8)
-    sub.add_argument("--max-destinations", type=int, default=4)
     sub.set_defaults(func=cmd_oracle)
 
     sub = subs.add_parser("sweep", help="objective across budget fractions")

@@ -205,7 +205,7 @@ class _Records(NamedTuple):
     """A checked network file.  ``arcs`` holds (id, tail, head, travel_time,
     vulnerable, segment_id, meta) in file order, two-way roads expanded."""
 
-    source: str                          # provenance name: the path, or "<dict>"
+    source: str                          # provenance: the file's name, or "<dict>"
     nodes: dict[str, dict[str, Any]]     # id -> meta, in file order
     arcs: list[tuple[str, str, str, float, bool, str, dict[str, Any]]]
 
@@ -259,7 +259,7 @@ def _parse(source: str | Path | Mapping[str, Any]) -> _Records:
             data = json.loads(path.read_bytes())
         except ValueError as exc:  # not JSON, or not Unicode text
             raise SchemaError(f"network file {path}: invalid JSON ({exc})") from None
-        name = str(source)
+        name = path.name  # not the directory: same file, same bytes
     else:
         data, name = source, "<dict>"
     _require(isinstance(data, Mapping), "network file: top level must be an object")

@@ -15,6 +15,10 @@ Three reductions, all derived from path structure:
   side-component finder that pruning's technique 1 also uses, with "is not
   a destination" as the bare-node test.
 
+A mask maps an origin id to the frozenset of arc ids its routes may not
+use, and leaves out an origin when nothing is blocked for it: one more
+closed set per origin, in the form every search in ``net`` takes.
+
 Fixings feed the model builder, the brute-force oracle and the exact solver;
 the solve pipeline runs ``forced_exits`` alone.  Masks feed only the model
 builder and the oracle (``standard_reductions`` builds fixings and masks
@@ -26,15 +30,12 @@ brute force).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .ingest import ProblemInstance
 from .net import (DIST_TOL, NodeKind, bare_components, bare_sides, cut_nodes,
                   facility_times, shortest_paths, undirected_adjacency)
-
-REASON_SP_BOUND = "sp_bound"
-REASON_COMPONENT = "component"
 
 
 @dataclass(frozen=True)
@@ -43,23 +44,16 @@ class SpTables:
 
     ``flooded[d][k]`` is the time from node k to facility d on never-vulnerable
     arcs only; ``upgraded[d][k]`` assumes every vulnerable arc is passable.
-    ``worst_served`` is each origin's worst-case flooded trip over all
-    destinations (infinite unless it reaches them all).
     """
 
     flooded: Mapping[str, Mapping[str, float]]
     upgraded: Mapping[str, Mapping[str, float]]
-    worst_served: Mapping[str, float]
 
 
 def compute_sp_tables(instance: ProblemInstance) -> SpTables:
     net = instance.network
-    flooded = facility_times(net, net.vulnerable_ids)
-    upgraded = facility_times(net)
-    worst = {o.id: max((t.get(o.id, math.inf) for t in flooded.values()),
-                       default=math.inf)
-             for o in net.origins()}
-    return SpTables(flooded=flooded, upgraded=upgraded, worst_served=worst)
+    return SpTables(flooded=facility_times(net, net.vulnerable_ids),
+                    upgraded=facility_times(net))
 
 
 @dataclass(frozen=True)
@@ -73,33 +67,6 @@ class FixedUpgrades:
     forced_y: frozenset[str] = frozenset()
     forced_x: frozenset[tuple[str, str]] = frozenset()  # (origin, arc)
     exit_vi_origins: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class VariableMask:
-    """Route variables proven useless: (origin id, arc id) -> reason."""
-
-    eliminated: Mapping[tuple[str, str], str] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.eliminated)
-
-    def blocks(self, origin: str, arc: str) -> bool:
-        return (origin, arc) in self.eliminated
-
-    def arcs_blocked_for(self, origin: str) -> set[str]:
-        return {a for (k, a) in self.eliminated if k == origin}
-
-
-def merge_masks(*masks: VariableMask | None) -> VariableMask:
-    """Union of masks; the first reason recorded for a pair wins."""
-    merged: dict[tuple[str, str], str] = {}
-    for m in masks:
-        if m is None:
-            continue
-        for key, reason in m.eliminated.items():
-            merged.setdefault(key, reason)
-    return VariableMask(merged)
 
 
 @dataclass(frozen=True)
@@ -134,30 +101,35 @@ def forced_exits(instance: ProblemInstance) -> FixedUpgrades:
         exit_vi_origins=tuple(exit_origins))
 
 
-def distance_dominated(instance: ProblemInstance) -> VariableMask:
-    """Mask (origin, arc) pairs beyond the origin's worst flooded trip.
+def distance_dominated(instance: ProblemInstance,
+                       ) -> dict[str, frozenset[str]]:
+    """Mask the arcs beyond each origin's worst flooded trip.
 
     Only applies to origins that reach *every* destination without upgrades
-    (``worst_served`` of its own `compute_sp_tables` is finite); for those,
+    (on never-vulnerable arcs, one reverse search per facility); for those,
     an optimal route never grows past that guaranteed bound, so an arc whose
     entry already exceeds it (strictly) is unusable.  Only those origins
     need a forward search, for the time to each arc's tail.
     """
     net = instance.network
-    eliminated: dict[tuple[str, str], str] = {}
-    for k, bound in compute_sp_tables(instance).worst_served.items():
+    flooded = facility_times(net, net.vulnerable_ids).values()
+    mask: dict[str, frozenset[str]] = {}
+    for o in net.origins():
+        bound = max((t.get(o.id, math.inf) for t in flooded),
+                    default=math.inf)
         if not math.isfinite(bound):
             continue
-        reach = shortest_paths(net, k)
-        for aid in net.arcs:
-            arc = net.arcs[aid]
-            entry = reach.get(arc.tail, math.inf)
-            if entry + arc.travel_time > bound + DIST_TOL:
-                eliminated[(k, aid)] = REASON_SP_BOUND
-    return VariableMask(eliminated)
+        reach = shortest_paths(net, o.id)
+        blocked = frozenset(
+            aid for aid, arc in net.arcs.items()
+            if reach.get(arc.tail, math.inf) + arc.travel_time
+            > bound + DIST_TOL)
+        if blocked:
+            mask[o.id] = blocked
+    return mask
 
 
-def component_mask(instance: ProblemInstance) -> VariableMask:
+def component_mask(instance: ProblemInstance) -> dict[str, frozenset[str]]:
     """Mask side-pocket arcs for origins outside the pocket.
 
     For an articulation point v and a component of the network minus v that
@@ -172,28 +144,25 @@ def component_mask(instance: ProblemInstance) -> VariableMask:
         return net.nodes[n].kind is not NodeKind.DESTINATION
 
     origin_ids = [o.id for o in net.origins()]
-    eliminated: dict[tuple[str, str], str] = {}
+    blocked: dict[str, set[str]] = {}
     adj = undirected_adjacency(net)
-    cuts = cut_nodes(adj)
     detached = bare_components(adj, bare)
-    for v in sorted(cuts):
-        comps = (bare_sides(adj.__getitem__, v, bare)
-                 + [c for c in detached if v not in c])
-        for comp in sorted(comps, key=min):
-            outside = [k for k in origin_ids if k not in comp]
+    for v in cut_nodes(adj):
+        for comp in (bare_sides(adj.__getitem__, v, bare)
+                     + [c for c in detached if v not in c]):
             arcs = [a for n in comp for a in net.out_arcs(n)
                     if net.arcs[a].head in comp]
-            for aid in sorted(arcs):
-                for k in outside:
-                    eliminated.setdefault((k, aid), REASON_COMPONENT)
-    return VariableMask(eliminated)
+            for k in origin_ids:
+                if k not in comp:
+                    blocked.setdefault(k, set()).update(arcs)
+    return {k: frozenset(arcs) for k, arcs in blocked.items() if arcs}
 
 
 def standard_reductions(instance: ProblemInstance,
-                        ) -> tuple[FixedUpgrades, VariableMask]:
-    """The full reduction bundle: forced exits + both masks, merged.  Each
-    reduction derives what it needs from ``instance`` itself."""
-    fixed = forced_exits(instance)
-    mask = merge_masks(distance_dominated(instance),
-                       component_mask(instance))
-    return fixed, mask
+                        ) -> tuple[FixedUpgrades, dict[str, frozenset[str]]]:
+    """The full reduction bundle: forced exits + both masks, united per
+    origin.  Each reduction derives what it needs from ``instance``."""
+    mask = distance_dominated(instance)
+    for k, arcs in component_mask(instance).items():
+        mask[k] = mask.get(k, frozenset()) | arcs
+    return forced_exits(instance), mask

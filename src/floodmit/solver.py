@@ -39,10 +39,10 @@ search, these take the roads a plan leaves shut as one set of closed arc
 ids: ``net.vulnerable_ids`` minus the arcs bought.  Masks and valid
 inequalities never reach the search: they only tighten the 0-1 model.
 `brute_force_oracle` independently enumerates every affordable upgrade set
-and every capacity-feasible assignment (masks optional, added to each
-origin's closed set), walking each route of its plan over one reverse
-search — slower, but nothing to get wrong — and is what the solver is
-tested against.
+and every capacity-feasible assignment (a mask optional: origin id ->
+arc ids, added to that origin's closed set), walking each route of its
+plan over one reverse search — slower, but nothing to get wrong — and is
+what the solver is tested against.
 `build_model`/`export_lp` emit the equivalent 0-1 program, masks and cuts
 included, for external solvers (one rule turns a forced route into a
 constant in every row), and `gap_to_rnfmp` embeds a generalized assignment
@@ -70,7 +70,7 @@ from .ingest import (CAPACITY_TOL, InstanceSpec, ProblemInstance,
 from .net import (DIST_TOL, Network, NodeKind, RoadArc, RoadNode,
                   canonical_walk, close_arcs, dijkstra, facility_ranking,
                   facility_times)
-from .reductions import Cuts, FixedUpgrades, VariableMask
+from .reductions import Cuts, FixedUpgrades
 
 
 class SolveStatus(str, Enum):
@@ -141,16 +141,6 @@ class Solution:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-# -- shared routing helpers -----------------------------------------------
-
-
-def _blocked_by_origin(net: Network, mask: VariableMask | None,
-                       ) -> dict[str, frozenset[str]]:
-    if mask is None or not len(mask):
-        return {o.id: frozenset() for o in net.origins()}
-    return {o.id: frozenset(mask.arcs_blocked_for(o.id)) for o in net.origins()}
 
 
 # -- exact capacitated assignment ------------------------------------------
@@ -465,16 +455,17 @@ def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
 
 def _candidate_lists(net: Network, origins: Sequence[RoadNode],
                      dest_ids: Sequence[str],
-                     blocked: Mapping[str, frozenset[str]],
+                     mask: Mapping[str, frozenset[str]],
                      closed: frozenset[str],
                      ) -> dict[str, list[tuple[float, str]]] | None:
     """Per-origin reachable (minutes, dest) lists; None if someone is cut off.
 
-    One forward search per origin, because masks block arcs per origin.
+    One forward search per origin, because a mask adds to each origin's
+    closed set.
     """
     out: dict[str, list[tuple[float, str]]] = {}
     for o in origins:
-        dists = dijkstra(net, (o.id,), closed | blocked[o.id])
+        dists = dijkstra(net, (o.id,), closed | mask.get(o.id, frozenset()))
         reach = sorted((dists[t], t) for t in dest_ids if t in dists)
         if not reach:
             return None
@@ -565,11 +556,13 @@ class OracleLimits:
 
 def brute_force_oracle(instance: ProblemInstance,
                        limits: OracleLimits | None = None,
-                       mask: VariableMask | None = None,
+                       mask: Mapping[str, frozenset[str]] | None = None,
                        fixings: FixedUpgrades | None = None) -> Solution:
     """Exhaustive reference solve: every affordable upgrade set, every
-    capacity-feasible assignment.  Exact and deterministic, exponential."""
+    capacity-feasible assignment.  Exact and deterministic, exponential.
+    ``mask`` (origin id -> arc ids) adds to each origin's closed set."""
     limits = limits or OracleLimits()
+    mask = mask or {}
     net = instance.network
     origins = net.origins()
     dests = net.destinations()
@@ -586,7 +579,6 @@ def brute_force_oracle(instance: ProblemInstance,
         raise OracleScaleError(
             f"oracle scale: {len(dests)} destinations > {limits.max_destinations}")
 
-    blocked = _blocked_by_origin(net, mask)
     budget_cents = cents(instance.budget)
     forced_units, free_units, forced_cost, shut = _forced(net, units, fixings)
 
@@ -606,7 +598,7 @@ def brute_force_oracle(instance: ProblemInstance,
             closed = shut - {a for i in combo for a in free_units[i].arc_ids}
             unit_key = tuple(sorted([free_units[i].id for i in combo]
                                     + [u.id for u in forced_units]))
-            cands = _candidate_lists(net, origin_order, dest_ids, blocked,
+            cands = _candidate_lists(net, origin_order, dest_ids, mask,
                                      closed)
             if cands is None:
                 continue
@@ -634,7 +626,7 @@ def brute_force_oracle(instance: ProblemInstance,
         return Solution(status=status, stats={"subsets_evaluated": evaluated})
     paths: dict[str, tuple[str, ...]] = {}
     for k, dest in sorted(best_assignment.items()):
-        closed = best_closed | blocked[k]
+        closed = best_closed | mask.get(k, frozenset())
         paths[k] = canonical_walk(
             net, k, dest, closed,
             dijkstra(net, (dest,), closed, reverse=True))[0]
@@ -1401,17 +1393,18 @@ def _clean(s: str) -> str:
 
 
 def build_model(instance: ProblemInstance,
-                mask: VariableMask | None = None,
+                mask: Mapping[str, frozenset[str]] | None = None,
                 fixings: FixedUpgrades | None = None,
                 cuts: Cuts | None = None) -> MipModel:
     """Materialize the 0-1 program (route vars per origin/arc, buy vars per
     purchase unit, dispatch/arrival/conservation rows, budget knapsack,
     ride-needs-upgrade links, no-idle-upgrade rows, capacities, plus optional
-    cuts).  Forced variables are substituted out into constants."""
+    cuts).  Forced variables are substituted out into constants, and no
+    route variable is made for an arc in ``mask`` (origin id -> arc ids)."""
     net = instance.network
     origins = net.origins()
     dests = {d.id for d in net.destinations()}
-    mask = mask or VariableMask({})
+    mask = mask or {}
     fixings = fixings or FixedUpgrades()
     units = purchase_units(net, instance.spec.segment_coupling)
     unit_of_arc = {aid: u for u in units for aid in u.arc_ids}
@@ -1419,7 +1412,7 @@ def build_model(instance: ProblemInstance,
     forced_units = {u.id for u in forced}
     forced_x = set(fixings.forced_x)
     for (k, aid) in forced_x:
-        if mask.blocks(k, aid):
+        if aid in mask.get(k, ()):
             raise ModelError(
                 f"inconsistent fixing: forced route ({k!r}, {aid!r}) is masked")
 
@@ -1437,7 +1430,7 @@ def build_model(instance: ProblemInstance,
 
     for o in origins:
         for aid in arc_ids:
-            if mask.blocks(o.id, aid) or (o.id, aid) in forced_x:
+            if aid in mask.get(o.id, ()) or (o.id, aid) in forced_x:
                 continue
             x_var[(o.id, aid)] = f"x_{_clean(o.id)}_{arc_name[aid]}"
 

@@ -425,7 +425,7 @@ def test_scenario_grid_parses_its_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(analysis, "solve_pipeline", recording_solve)
     rows = scenario_grid(str(path), specs)
     assert len(parses) == 1
-    assert sources == [str(path)] * len(specs)
+    assert sources == [path.name] * len(specs)
     assert rows == scenario_grid(grid_file(), specs)
 
 

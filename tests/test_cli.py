@@ -83,6 +83,20 @@ def test_ingest_reports_and_writes(demo, tmp_path, capsys):
     assert payload["spec"]["alpha"] == 0.15
 
 
+def test_ingest_bytes_do_not_depend_on_the_directory(demo, tmp_path):
+    # one file in two directories: the instance records its name only
+    written = []
+    for where in ("a", "b"):
+        town = tmp_path / where / "town.json"
+        town.parent.mkdir()
+        town.write_bytes(demo.read_bytes())
+        out = tmp_path / where / "out"
+        assert main(["ingest", str(town), "--out-dir", str(out)]) == 0
+        written.append((out / "instance.json").read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["provenance"]["source"] == "town.json"
+
+
 def test_solve_writes_stable_artifacts(demo, tmp_path, capsys):
     out = tmp_path / "run"
     argv = ["solve", str(demo), "--alpha", "0.15", "--out-dir", str(out)]
@@ -168,9 +182,11 @@ def test_malformed_record_exits_1(tmp_path, capsys):
     ("budget_fraction", '{"budget_fraction": null}'),
     ("segment_coupling", '{"segment_coupling": "false"}'),
     ("weight policy", '{"weight_policy": ["uniform"]}'),
+    ("must hold a JSON object", '[{"alpha": 0.2}]'),
+    ("unknown spec keys: ['gamma']", '{"gamma": 1}'),
 ], ids=["nested-facility", "number-facility", "facility-string",
         "string-alpha", "bool-alpha", "nan-p", "infinite-cost", "null-budget",
-        "string-coupling", "list-policy"])
+        "string-coupling", "list-policy", "array", "unknown-key"])
 def test_bad_config_value_exits_1(demo, tmp_path, capsys, key, config):
     path = tmp_path / "config.json"
     path.write_text(config)
@@ -212,6 +228,16 @@ def test_negative_fraction_exits_1(demo, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err == "error: budget fractions must be nonnegative\n"
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fractions, message", [
+    ("x", "bad fraction list 'x'"), (",", "empty fraction list"),
+], ids=["not-a-number", "empty"])
+def test_bad_fraction_list_exits_1(demo, tmp_path, capsys, fractions, message):
+    assert main(["sweep", str(demo), "--fractions", fractions,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -310,8 +336,26 @@ def test_ewtt_command_with_segments(demo, tmp_path, capsys):
     assert (out / "ewtt.csv").exists() and (out / "segments.csv").exists()
     first = (out / "ewtt.csv").read_bytes()
     assert main(["ewtt", str(demo), "--alpha", "0.15", "--segments",
-                 "--out-dir", str(out)]) == 0
+                 "--top", "2", "--out-dir", str(out)]) == 0
     assert (out / "ewtt.csv").read_bytes() == first
+    # the header, two ranked rows, then the written line
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[-1].startswith("written:")
+
+
+def test_ewtt_names_a_connectivity_critical_road(tmp_path, capsys):
+    # the only road into the facility floods: closing it cuts o off
+    town = tmp_path / "cut.json"
+    town.write_text(json.dumps({
+        "schema_version": 1,
+        "nodes": [{"id": "o", "residents": 10}, {"id": "t"}, {"id": "f"}],
+        "arcs": [{"id": "ot", "from": "o", "to": "t", "length_miles": 1.0,
+                  "speed_mph": 30},
+                 {"id": "tf", "from": "t", "to": "f", "length_miles": 1.0,
+                  "speed_mph": 30, "vulnerable": True}],
+        "facilities": ["f"]}))
+    assert main(["ewtt", str(town), "--out-dir", str(tmp_path / "out")]) == 0
+    assert "connectivity-critical: tf\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("top", ["-3", "x"])

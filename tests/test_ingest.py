@@ -110,11 +110,14 @@ def test_load_keeps_boolean_flags_and_string_segments():
 
 
 def test_load_rejects_reverse_id_collision():
-    data = tiny_file()
-    data["arcs"].append({"id": "r1__r", "from": "n2", "to": "n1",
-                         "length_miles": 1.0, "speed_mph": 30, "oneway": True})
-    with pytest.raises(SchemaError):
-        instance_from_file(data, InstanceSpec())
+    # an explicit r1__r collides with two-way r1's reverse, in either order
+    twin = {"id": "r1__r", "from": "n2", "to": "n1", "length_miles": 1.0,
+            "speed_mph": 30, "oneway": True}
+    for where in (0, 2):
+        data = tiny_file()
+        data["arcs"].insert(where, twin)
+        with pytest.raises(SchemaError, match="arc 'r1__r': duplicate id"):
+            instance_from_file(data, InstanceSpec())
 
 
 def test_load_missing_file(tmp_path):
@@ -187,6 +190,9 @@ def test_derive_capacity_needs_beds():
     data = tiny_file()
     del data["nodes"][2]["facility_beds"]
     with pytest.raises(SchemaError, match="needs facility_beds"):
+        instance_from_file(data, InstanceSpec(p=1.0, capacity_policy="bed_proportional"))
+    data["nodes"][2]["facility_beds"] = 0
+    with pytest.raises(SchemaError, match="total beds is zero"):
         instance_from_file(data, InstanceSpec(p=1.0, capacity_policy="bed_proportional"))
 
 

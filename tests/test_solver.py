@@ -19,8 +19,7 @@ from floodmit.net import (DIST_TOL, Network, NodeKind, RoadArc, RoadNode,
                           canonical_walk, dijkstra)
 from floodmit.pipeline import solve_pipeline
 from floodmit.prune import harvest_triangle_vis
-from floodmit.reductions import (Cuts, VariableMask, forced_exits,
-                                 standard_reductions)
+from floodmit.reductions import Cuts, forced_exits, standard_reductions
 from floodmit.solver import (ModelError, OracleLimits, OracleScaleError,
                              SolveOptions, SolveStatus, Solution,
                              _assignment_exact, _capacity_prices,
@@ -279,7 +278,7 @@ def test_build_model_applies_mask_and_cuts():
     inst = f1_instance(9.0)
     fixed, mask = standard_reductions(inst)
     base = build_model(inst)
-    masked = build_model(inst, mask=VariableMask({("o1", "a5"): "test"}))
+    masked = build_model(inst, mask={"o1": frozenset({"a5"})})
     assert masked.counts()["x"] == base.counts()["x"] - 1
     cut = build_model(inst, cuts=Cuts(triangle=(("a2", "a3", "a4"),)))
     # one row per origin able to use at least two of the triangle's arcs
@@ -288,7 +287,7 @@ def test_build_model_applies_mask_and_cuts():
 
 def test_build_model_rejects_unsatisfiable_dispatch():
     inst = f1_instance(9.0)
-    everything = VariableMask({("o1", a): "test" for a in inst.network.arcs})
+    everything = {"o1": frozenset(inst.network.arcs)}
     with pytest.raises(ModelError):
         build_model(inst, mask=everything)
 
@@ -296,7 +295,7 @@ def test_build_model_rejects_unsatisfiable_dispatch():
 def test_build_model_rejects_a_masked_forced_route():
     inst = forced_exit_instance()
     with pytest.raises(ModelError, match="forced route"):
-        build_model(inst, mask=VariableMask({("k", "kv"): "test"}),
+        build_model(inst, mask={"k": frozenset({"kv"})},
                     fixings=forced_exits(inst))
 
 

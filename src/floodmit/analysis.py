@@ -9,10 +9,10 @@
 * ``ewtt_ranking`` — criticality of individual roads: weighted extra minutes
   summed over every origin/facility pair when one road is closed (pairs a
   closure disconnects are flagged and excluded from the sum).  Baseline
-  times come from ``net.facility_times``; a closure repairs
-  (``net.close_arcs``) only the tables of the facilities whose origins'
-  shortest paths it can touch (``net._closures_that_matter``), and no
-  closure runs a full search.
+  times come from ``facility_times`` on the network's index; a closure
+  repairs (``close_arcs``) only the tables of the facilities whose origins'
+  shortest paths it can touch (``closures_that_matter``), and no closure
+  runs a full search.
 * ``connectivity_critical`` — roads whose closure strands some origin
   entirely: one multi-source reverse search from all facilities, then one
   repair of that table for each road on some origin's shortest way out.
@@ -35,8 +35,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .ingest import (InstanceSpec, ProblemInstance, SchemaError, _derive,
                      _parse, upgrade_cost_cents)
-from .net import (Network, _closures_that_matter, close_arcs, dijkstra,
-                  facility_times)
+from .net import Network
 from .net import shortest_paths  # noqa: F401 - bench/tracer.py hooks it here
 from .pipeline import PipelineResult, solve_pipeline
 from .prune import PrunedNetwork
@@ -144,41 +143,41 @@ def ewtt_ranking(instance: ProblemInstance,
     pairs (fully repaired network as the baseline).
 
     Ranks vulnerable roads by default; repeated ids in ``arcs`` count once.
-    Baseline times come from ``net.facility_times``, the only full
-    searches.  A closure repairs (``net.close_arcs``) each facility's table
-    it can change (``net._closures_that_matter``); every other table is the
+    Baseline times come from the index's ``facility_times``, the only full
+    searches.  A closure repairs (``close_arcs``) each facility's table it
+    can change (``closures_that_matter``); every other table is the
     baseline.  Only the origins whose times moved are summed, in origin
-    order: every other pair adds 0, so the sum keeps its bytes.
+    order: every other pair adds 0, so the sum keeps its bytes.  The work
+    runs on node and arc numbers; ids come back only in the rows.
     """
     net = instance.network
-    origins = net.origins()
-    origin_ids = [o.id for o in origins]
-    base = facility_times(net)
-    matter = {d: _closures_that_matter(net, times, origin_ids)
+    g = net.index()
+    weights = [o.weight for o in net.origins()]
+    base = g.facility_times()
+    matter = {d: g.closures_that_matter(times, g.origins)
               for d, times in base.items()}
     rows: list[EwttRow] = []
     for aid in _candidates(net, arcs, net.vulnerable_ids):
-        moved = {d: close_arcs(net, times, (d,), (aid,))
-                 if aid in matter[d] else {}
+        a = g.arc_no[aid]
+        moved = {d: g.close_arcs(times, (d,), (a,)) if a in matter[d] else {}
                  for d, times in base.items()}
         touched = set().union(*moved.values())
         total = 0.0
         pairs = 0
         cut = 0
-        for o in origins:
-            if o.id not in touched:
+        for k, weight in zip(g.origins, weights):
+            if k not in touched:
                 continue  # every time stands: no detour and no cut
             for d, times in base.items():
-                if o.id not in moved[d]:
-                    continue
-                after = moved[d][o.id]
+                after = moved[d].get(k)
                 if after is None:
+                    continue
+                if after == math.inf:
                     cut += 1
                     continue
-                before = times[o.id]
-                delta = after - before
+                delta = after - times[k]
                 if delta > 0:
-                    total += o.weight * delta
+                    total += weight * delta
                     pairs += 1
         rows.append(EwttRow(arc=aid, segment=net.arcs[aid].segment,
                             ewtt=total, pairs=pairs, disconnected_pairs=cut,
@@ -214,26 +213,27 @@ def connectivity_critical(instance: ProblemInstance,
                           arcs: Iterable[str] | None = None) -> tuple[str, ...]:
     """Roads whose closure leaves some origin with no facility at all.
 
-    One multi-source reverse search from every facility.  If it already
-    strands an origin, every road is critical; otherwise only the roads on
-    some origin's shortest way out (``net._closures_that_matter``) are closed
-    in that table (``net.close_arcs``), and a road is critical when some
-    origin's repaired label is None.  Repeated ids in ``arcs`` count once.
+    One multi-source reverse search from every facility, on the network's
+    index.  If it already strands an origin, every road is critical;
+    otherwise only the roads on some origin's shortest way out
+    (``closures_that_matter``) are closed in that table (``close_arcs``),
+    and a road is critical when some origin's repaired label is ``inf``.
+    Repeated ids in ``arcs`` count once.
     """
     net = instance.network
-    origin_ids = [o.id for o in net.origins()]
-    dest_ids = [d.id for d in net.destinations()]
+    g = net.index()
     candidates = _candidates(net, arcs, net.arcs)
-    reach = dijkstra(net, dest_ids, reverse=True)
-    if not all(k in reach for k in origin_ids):
+    reach = g.dijkstra(g.dests, reverse=True)[0]
+    if any(reach[k] == math.inf for k in g.origins):
         return tuple(candidates)
-    matter = _closures_that_matter(net, reach, origin_ids)
+    matter = g.closures_that_matter(reach, g.origins)
     critical: list[str] = []
     for aid in candidates:
-        if aid not in matter:
+        a = g.arc_no[aid]
+        if a not in matter:
             continue
-        moved = close_arcs(net, reach, dest_ids, (aid,))
-        if any(moved[k] is None for k in origin_ids if k in moved):
+        moved = g.close_arcs(reach, g.dests, (a,))
+        if any(moved.get(k) == math.inf for k in g.origins):
             critical.append(aid)
     return tuple(critical)
 

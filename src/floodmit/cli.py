@@ -76,7 +76,11 @@ def _spec_from_args(args: argparse.Namespace) -> InstanceSpec:
         except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(f"cannot read config file {args.config!r}: "
                               f"{exc}") from exc
-        settings = json.loads(text)
+        try:
+            settings = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"cannot read config file {args.config!r}: "
+                              f"invalid JSON ({exc})") from exc
         if not isinstance(settings, dict):
             raise SchemaError("config file must hold a JSON object")
     for key in _SPEC_KEYS:

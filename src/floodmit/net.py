@@ -5,7 +5,7 @@ or plain intersections (transshipment nodes).  Arcs carry travel times in
 minutes; flood-vulnerable arcs additionally carry a mitigation cost and are
 unusable unless upgraded.
 
-Every search takes the roads it may not use as one set of closed arc ids:
+Every search takes the roads it may not use as one set of closed arcs:
 ``net.vulnerable_ids`` for the flooded network, the empty default for the
 fully repaired one, ``net.vulnerable_ids - bought`` for a plan, and
 ``frozenset((aid,))`` for one road closed.  Every origin-to-facility fact
@@ -17,10 +17,24 @@ it, not searching it again, whether the table was built with nothing
 closed (closure ranking) or with a closed set of its own (a
 branch-and-bound child's tables from its parent's); the tight-arc rule it
 rests on also tells which closures need no repair
-(``_closures_that_matter``).  ``cut_nodes`` of ``undirected_adjacency`` are
+(``closures_that_matter``).  ``cut_nodes`` of ``undirected_adjacency`` are
 the network's articulation points, and ``bare_sides`` and
 ``bare_components`` are the one side-component finder, for prune's
 technique 1 and the component mask.
+
+The searches run on numbers, not ids: ``net.index()`` is a `GraphIndex`,
+built by the first search of a network and kept with it (the network is
+immutable), that numbers nodes and arcs in sorted-id order.  Each node
+lists its out- and in-arcs as ``(arc number, other end, minutes)``
+records in arc-id order, so the kernel's ``(time, node number)`` heap
+breaks every tie as a ``(time, node id)`` heap would.  On the index a
+table is a list indexed by node number, ``inf`` where a node is
+unreached, and a closed set holds arc numbers.  The hot callers (closure
+ranking, the branch-and-bound's node solve) keep numbers end to end and
+translate to ids only in what they return; the id-keyed ``dijkstra``,
+``shortest_paths``, ``facility_times``, ``close_arcs`` and
+``canonical_walk`` are adapters over the index's methods, for everyone
+else.
 """
 from __future__ import annotations
 
@@ -28,10 +42,17 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import (AbstractSet, Callable, Collection, Iterable, Iterator,
+                    Mapping, Sequence)
 
 #: absolute tolerance for travel-time / distance comparisons
 DIST_TOL = 1e-9
+
+_INF = math.inf
+_BY_ID = attrgetter("id")
+_TAIL, _HEAD = attrgetter("tail"), attrgetter("head")
+_MINUTES, _KIND = attrgetter("travel_time"), attrgetter("kind")
 
 
 class NetworkError(ValueError):
@@ -113,29 +134,39 @@ class RoadArc:
 class Network:
     """Immutable directed multigraph with deterministic (sorted-id) iteration."""
 
-    __slots__ = ("nodes", "arcs", "vulnerable_ids", "_out", "_in")
+    __slots__ = ("nodes", "arcs", "vulnerable_ids", "_out", "_in", "_index")
 
     def __init__(self, nodes: Iterable[RoadNode], arcs: Iterable[RoadArc]):
-        self.nodes: dict[str, RoadNode] = {}
-        for n in sorted(nodes, key=lambda n: n.id):
-            if n.id in self.nodes:
-                raise NetworkError(f"duplicate node id {n.id!r}")
-            self.nodes[n.id] = n
-        self.arcs: dict[str, RoadArc] = {}
+        node_list = sorted(nodes, key=_BY_ID)
+        self.nodes: dict[str, RoadNode] = {n.id: n for n in node_list}
+        if len(self.nodes) != len(node_list):
+            repeat = next(b.id for a, b in zip(node_list, node_list[1:])
+                          if a.id == b.id)
+            raise NetworkError(f"duplicate node id {repeat!r}")
+        arc_list = sorted(arcs, key=_BY_ID)
+        self.arcs: dict[str, RoadArc] = {a.id: a for a in arc_list}
+        if len(self.arcs) != len(arc_list):
+            # report a repeat unless an arc before it has a bad endpoint,
+            # which the loop below reports
+            prev = None
+            for a in arc_list:
+                if a.id == prev:
+                    raise NetworkError(f"duplicate arc id {a.id!r}")
+                if a.tail not in self.nodes or a.head not in self.nodes:
+                    break
+                prev = a.id
         out: dict[str, list[str]] = {nid: [] for nid in self.nodes}
         inc: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        for a in sorted(arcs, key=lambda a: a.id):
-            if a.id in self.arcs:
-                raise NetworkError(f"duplicate arc id {a.id!r}")
-            if a.tail not in self.nodes or a.head not in self.nodes:
+        for a in arc_list:
+            tails, heads = out.get(a.tail), inc.get(a.head)
+            if tails is None or heads is None:
                 raise NetworkError(f"arc {a.id!r}: unknown endpoint")
-            self.arcs[a.id] = a
-            out[a.tail].append(a.id)
-            inc[a.head].append(a.id)
-        self.vulnerable_ids = frozenset(a.id for a in self.arcs.values()
-                                        if a.vulnerable)
+            tails.append(a.id)
+            heads.append(a.id)
+        self.vulnerable_ids = frozenset(a.id for a in arc_list if a.vulnerable)
         self._out = {nid: tuple(ids) for nid, ids in out.items()}
         self._in = {nid: tuple(ids) for nid, ids in inc.items()}
+        self._index: GraphIndex | None = None
 
     # -- deterministic accessors -------------------------------------------
 
@@ -155,6 +186,13 @@ class Network:
     def destinations(self) -> list[RoadNode]:
         return [n for n in self.nodes.values() if n.kind is NodeKind.DESTINATION]
 
+    def index(self) -> GraphIndex:
+        """The network's numbering for the search kernels, built on the
+        first call."""
+        if self._index is None:
+            self._index = GraphIndex(self)
+        return self._index
+
     def __contains__(self, node_id: str) -> bool:
         return node_id in self.nodes
 
@@ -165,60 +203,305 @@ class Network:
 
 # -- shortest paths ---------------------------------------------------------
 
+#: one arc as a node lists it: (arc number, the arc's other end, minutes)
+ArcRecord = tuple[int, int, float]
+
+
+class GraphIndex:
+    """A network numbered for the search kernels; ``net.index()`` builds it.
+
+    Node and arc numbers follow sorted-id order: ``node_ids[i]`` is node
+    ``i`` and ``node_no`` maps back, likewise ``arc_ids`` and ``arc_no``.
+    Per arc number, ``tail``, ``head`` and ``minutes``; per node number,
+    ``out`` and ``inc`` list its out- and in-arcs as `ArcRecord` tuples
+    in arc-id order.  ``origins`` and ``dests`` are the origins' and
+    facilities' numbers, in id order.  Tables are lists indexed by node
+    number, ``inf`` where a node is unreached; closed sets hold arc numbers.
+    """
+
+    __slots__ = ("node_ids", "node_no", "arc_ids", "arc_no", "tail", "head",
+                 "minutes", "out", "inc", "origins", "dests")
+
+    def __init__(self, net: Network) -> None:
+        self.node_ids = node_ids = tuple(net.nodes)
+        self.node_no = node_no = dict(zip(node_ids, range(len(node_ids))))
+        self.arc_ids = tuple(net.arcs)
+        numbers = range(len(self.arc_ids))
+        self.arc_no = dict(zip(self.arc_ids, numbers))
+        arcs = net.arcs.values()
+        self.tail = list(map(node_no.__getitem__, map(_TAIL, arcs)))
+        self.head = list(map(node_no.__getitem__, map(_HEAD, arcs)))
+        self.minutes = list(map(_MINUTES, arcs))
+        self.out = _grouped(self.tail, zip(numbers, self.head, self.minutes),
+                            len(node_ids))
+        self.inc = _grouped(self.head, zip(numbers, self.tail, self.minutes),
+                            len(node_ids))
+        kinds = list(map(_KIND, net.nodes.values()))
+        origin, dest = NodeKind.ORIGIN, NodeKind.DESTINATION
+        self.origins = tuple([i for i, kind in enumerate(kinds)
+                              if kind is origin])
+        self.dests = tuple([i for i, kind in enumerate(kinds) if kind is dest])
+
+    # -- ids at the boundary -----------------------------------------------
+
+    def nodes_of(self, node_ids: Iterable[str]) -> list[int]:
+        """Node numbers; an unknown id is a `NetworkError`."""
+        try:
+            return [self.node_no[nid] for nid in node_ids]
+        except KeyError as exc:
+            raise NetworkError(f"unknown node {exc.args[0]!r}") from None
+
+    def arcs_of(self, arc_ids: Iterable[str]) -> frozenset[int]:
+        """Arc numbers; an id the network lacks is dropped, as no search
+        could use that arc."""
+        arc_no = self.arc_no
+        return frozenset([arc_no[aid] for aid in arc_ids if aid in arc_no])
+
+    def table_of(self, table: Mapping[str, float]) -> list[float]:
+        """An id-keyed table as a numbered one."""
+        out = [_INF] * len(self.node_ids)
+        node_no = self.node_no
+        for nid, t in table.items():
+            out[node_no[nid]] = t
+        return out
+
+    # -- the kernels --------------------------------------------------------
+
+    def dijkstra(self, sources: Iterable[int],
+                 closed: AbstractSet[int] = frozenset(),
+                 reverse: bool = False,
+                 labels: list[float] | None = None,
+                 ) -> tuple[list[float], list[int]]:
+        """Travel times from the nearest of ``sources`` over open arcs,
+        and the nodes in the order they settled.
+
+        The one shortest-path loop.  Forward it gives times *from* the
+        sources; with ``reverse`` it walks arcs backward, giving times *to*
+        the nearest source.  Arcs in ``closed`` are skipped.  The heap
+        holds ``(time, node number)`` pairs, so ties break by node id.
+
+        The seeded form, with ``labels``, resumes a finished search instead
+        of starting one (``close_arcs`` uses it); ``labels`` is updated in
+        place and returned.  Each source starts at its label rather than
+        at 0, and every labelled node keeps its label unless it is offered
+        one smaller by more than ``DIST_TOL``; only unlabelled (``inf``)
+        nodes are free to be relabelled.  The settling order then holds the
+        sources and the nodes the search settled from them.
+        """
+        starts = set(sources)
+        if labels is None:
+            best = [_INF] * len(self.node_ids)
+            for s in starts:
+                best[s] = 0.0
+        else:
+            best = labels
+        heap = [(best[s], s) for s in starts]
+        heapq.heapify(heap)
+        adjacent = self.inc if reverse else self.out
+        push, pop = heapq.heappush, heapq.heappop
+        order: list[int] = []
+        while heap:
+            d, u = pop(heap)
+            if d > best[u]:
+                continue  # a stale entry: u settled at its smaller label
+            order.append(u)
+            for a, v, t in adjacent[u]:
+                if a in closed:
+                    continue
+                nd = d + t
+                if nd < best[v] - DIST_TOL:
+                    best[v] = nd
+                    push(heap, (nd, v))
+        return best, order
+
+    def facility_times(self, closed: AbstractSet[int] = frozenset(),
+                       ) -> dict[int, list[float]]:
+        """One reverse table per facility, in id order, over the arcs not
+        in ``closed``."""
+        return {d: self.dijkstra((d,), closed, reverse=True)[0]
+                for d in self.dests}
+
+    @staticmethod
+    def facility_ranking(tables: Mapping[int, Sequence[float]],
+                         origin: int) -> list[tuple[float, int]]:
+        """The facilities ``origin`` reaches in ``tables``, as (minutes,
+        facility) pairs, nearest first and ties by id; empty if none."""
+        return sorted((t[origin], d) for d, t in tables.items()
+                      if t[origin] < _INF)
+
+    def closures_that_matter(self, table: Sequence[float],
+                             origins: Iterable[int]) -> frozenset[int]:
+        """The arcs whose closure can change an origin's time in ``table``.
+
+        ``table`` is a reverse search (times *to* its sources).  An arc is
+        kept when it is tight, ``minutes + table[head] - table[tail] <=
+        2*DIST_TOL``, and its tail is reached from some origin along tight
+        arcs; one forward walk finds them all.  Closing any other arc leaves
+        every origin's time bit-identical, so its ``close_arcs`` repair can
+        be skipped:
+
+        * a looser arc's offer never settles its tail, and never blocks the
+          offer that does in the kernel's ``< best - DIST_TOL`` test, as
+          long as no node is offered a staircase of times, each within
+          DIST_TOL of the last, that spans more than 2*DIST_TOL (nanominute
+          steps);
+        * a tight arc that no origin reaches along tight arcs can move only
+          times that no origin's shortest path visits.
+        """
+        seen = {o for o in origins if table[o] < _INF}
+        stack = list(seen)
+        out = self.out
+        matter: set[int] = set()
+        while stack:
+            u = stack.pop()
+            at_u = table[u]
+            for a, v, t in out[u]:
+                if t + table[v] - at_u > 2 * DIST_TOL:
+                    continue  # loose, or v unreached
+                matter.add(a)
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return frozenset(matter)
+
+    def close_arcs(self, table: Sequence[float], sources: Iterable[int],
+                   arcs: Iterable[int], closed: AbstractSet[int] = frozenset(),
+                   ) -> dict[int, float]:
+        """The labels of a reverse table that change when ``arcs`` close too.
+
+        ``table`` is ``self.dijkstra(sources, closed, reverse=True)[0]``: by
+        default nothing is closed yet.  Returns ``{node: minutes}`` for just
+        the nodes whose time moves, ``inf`` for a node that no longer
+        reaches a source; applied to ``table`` it equals ``dijkstra(sources,
+        closed | arcs, reverse=True)`` to the last bit.  This is a dynamic
+        shortest-path repair (Ramalingam & Reps, J. Algorithms 21, 1996):
+
+        * only the affected nodes can move: the tail of each newly closed
+          arc that is tight in ``table`` (``minutes + table[head] -
+          table[tail] <= 2*DIST_TOL``, the slack ``closures_that_matter``
+          explains) and every node that reaches one of those tails along
+          tight open arcs.  Sources stay at 0 and are never affected.  The
+          set is wider than the subtree under the closed arcs, because a
+          closed arc off the tree can still have blocked a later offer
+          within DIST_TOL; an arc in ``closed`` blocked nothing, so the walk
+          skips it;
+        * the kernel then relabels them, seeded with the unchanged label of
+          every other node that has an arc into the set open after the
+          closure, under the same ``< best - DIST_TOL`` rule and heap order
+          as a fresh search.
+
+        A label can fall, by less than DIST_TOL: a closed arc may have
+        carried the offer that kept a slightly smaller one out.
+        """
+        tail, head, minutes = self.tail, self.head, self.minutes
+        shut = frozenset(arcs) - closed
+        affected: set[int] = set()
+        for a in shut:
+            at_tail = table[tail[a]]
+            if at_tail < _INF and \
+                    minutes[a] + table[head[a]] - at_tail <= 2 * DIST_TOL:
+                affected.add(tail[a])
+        stack = list(affected)
+        inc = self.inc
+        while stack:
+            v = stack.pop()
+            at_v = table[v]
+            for a, u, t in inc[v]:
+                if u in affected:
+                    continue
+                at_u = table[u]
+                if at_u < _INF and t + at_v - at_u <= 2 * DIST_TOL and \
+                        a not in closed:
+                    affected.add(u)
+                    stack.append(u)
+        affected.difference_update(sources)
+        if not affected:
+            return {}
+        shut |= closed
+        out = self.out
+        seeds = {u for v in affected for a, u, _ in out[v]
+                 if u not in affected and table[u] < _INF and a not in shut}
+        labels = list(table)
+        for v in affected:
+            labels[v] = _INF
+        labels = self.dijkstra(seeds, shut, reverse=True, labels=labels)[0]
+        return {v: labels[v] for v in affected if labels[v] != table[v]}
+
+    def canonical_walk(self, source: int, target: int,
+                       closed: AbstractSet[int],
+                       dist_to_target: Sequence[float],
+                       ) -> tuple[tuple[int, ...], bool] | None:
+        """The deterministic shortest route from ``source`` to ``target``
+        over the arcs not in ``closed``: (arc numbers, whether it backed out
+        of a dead end), or None if ``source`` cannot reach ``target``.
+
+        ``dist_to_target`` is the reverse table from the target over the
+        same closed set (``dijkstra((target,), closed, reverse=True)[0]``,
+        or its entry in ``facility_times``), so one search serves every
+        source; the route's minutes are ``dist_to_target[source]``.  The
+        walk is a depth-first search from the source over tight arcs (arcs
+        that stay on some shortest path), smallest arc id first, that backs
+        out of dead ends.  Dead ends arise only on zero-time cycles; without
+        them this is the greedy smallest-id walk and returns the
+        lexicographically smallest arc-id sequence among equally short
+        paths.
+        """
+        if dist_to_target[source] == _INF:
+            return None
+        out = self.out
+        path: list[int] = []
+        stack = [(source, iter(out[source]))]
+        visited = {source}
+        backed = False
+        while stack[-1][0] != target:
+            u, exits = stack[-1]
+            remaining = dist_to_target[u]
+            for a, v, t in exits:
+                if a in closed or v in visited:
+                    continue
+                if abs(t + dist_to_target[v] - remaining) <= DIST_TOL:
+                    path.append(a)
+                    stack.append((v, iter(out[v])))
+                    visited.add(v)
+                    break
+            else:  # every tight exit leads back into the search: back out
+                stack.pop()
+                if not path:  # pragma: no cover - the search tree reaches t
+                    raise NetworkError(
+                        f"no tight path from {self.node_ids[source]!r} to "
+                        f"{self.node_ids[target]!r}")
+                path.pop()
+                backed = True
+        return tuple(path), backed
+
+
+def _grouped(keys: Iterable[int], records: Iterable[ArcRecord],
+             n: int) -> tuple[tuple[ArcRecord, ...], ...]:
+    """``records`` grouped by their ``keys`` (numbers below ``n``), each
+    group in record order."""
+    groups: list[list[ArcRecord]] = [[] for _ in range(n)]
+    for k, record in zip(keys, records):
+        groups[k].append(record)
+    return tuple(map(tuple, groups))
+
+
+# -- id-keyed adapters ------------------------------------------------------
+
 
 def dijkstra(net: Network, sources: Iterable[str],
-             closed: frozenset[str] = frozenset(),
-             reverse: bool = False,
-             labels: Mapping[str, float] | None = None) -> dict[str, float]:
-    """Settled travel times from the nearest of ``sources`` over open arcs.
-
-    The one shortest-path kernel.  Forward it gives times *from* the
-    sources; with ``reverse`` it walks arcs backward, giving times *to* the
-    nearest source.  Arcs whose ids are in ``closed`` (default: none) are
-    skipped.  Returns ``{node_id: minutes}`` in settling order; unreachable
-    nodes are absent.
-
-    The seeded form, with ``labels``, resumes a finished search instead of
-    starting one (``close_arcs`` uses it).  Each source starts at its
-    label rather than at 0, and every labelled node keeps its label unless
-    it is offered one smaller by more than ``DIST_TOL``; only unlabelled
-    nodes are free to be relabelled.  The result then holds the sources
-    and the nodes the search settled from them.
-    """
-    heap: list[tuple[float, str]] = []
-    if labels is None:
-        best: dict[str, float] = {}
-        for s in sorted(set(sources)):
-            if s not in net:
-                raise NetworkError(f"unknown node {s!r}")
-            best[s] = 0.0
-            heap.append((0.0, s))
-    else:
-        best = dict(labels)
-        heap = [(best[s], s) for s in sources]
-    heapq.heapify(heap)
-    incident = net._in if reverse else net._out
-    arcs = net.arcs
-    settled: dict[str, float] = {}
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled[u] = d
-        for aid in incident[u]:
-            if aid in closed:
-                continue
-            arc = arcs[aid]
-            v = arc.tail if reverse else arc.head
-            nd = d + arc.travel_time
-            if nd < best.get(v, math.inf) - DIST_TOL:
-                best[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return settled
+             closed: Collection[str] = frozenset(),
+             reverse: bool = False) -> dict[str, float]:
+    """Settled travel times from the nearest of ``sources`` over the arcs
+    whose ids are not in ``closed``: ``{node_id: minutes}`` in settling
+    order, unreachable nodes absent (``GraphIndex.dijkstra``)."""
+    g = net.index()
+    best, order = g.dijkstra(g.nodes_of(sources), g.arcs_of(closed), reverse)
+    ids = g.node_ids
+    return {ids[u]: best[u] for u in order}
 
 
 def shortest_paths(net: Network, source: str,
-                   closed: frozenset[str] = frozenset()) -> dict[str, float]:
+                   closed: Collection[str] = frozenset()) -> dict[str, float]:
     """Dijkstra travel times from ``source`` over the arcs not in ``closed``.
 
     Returns ``{node_id: minutes}``; unreachable nodes are absent.
@@ -226,14 +509,13 @@ def shortest_paths(net: Network, source: str,
     return dijkstra(net, (source,), closed)
 
 
-def facility_times(net: Network, closed: frozenset[str] = frozenset(),
+def facility_times(net: Network, closed: Collection[str] = frozenset(),
                    ) -> dict[str, dict[str, float]]:
     """Travel times to every facility: ``{facility_id: {node_id: minutes}}``.
 
     One reverse search per facility, in id order, over the arcs not in
     ``closed``; nodes that cannot reach a facility are absent from its
-    table.  Every stage that needs origin-to-facility times reads them from
-    this table.
+    table.
     """
     return {d.id: dijkstra(net, (d.id,), closed, reverse=True)
             for d in net.destinations()}
@@ -247,162 +529,38 @@ def facility_ranking(tables: Mapping[str, Mapping[str, float]],
     return sorted((t[origin], d) for d, t in tables.items() if origin in t)
 
 
-def _closures_that_matter(net: Network, table: Mapping[str, float],
-                          origin_ids: Iterable[str]) -> frozenset[str]:
-    """The arcs whose closure can change an origin's time in ``table``.
-
-    ``table`` is a reverse search (times *to* its sources).  An arc is kept
-    when it is tight, ``travel_time + table[head] - table[tail] <=
-    2*DIST_TOL``, and its tail is reached from some origin along tight arcs;
-    one forward walk finds them all.  Closing any other arc leaves every
-    origin's time bit-identical, so its ``close_arcs`` repair can be
-    skipped:
-
-    * a looser arc's offer never settles its tail, and never blocks the
-      offer that does in the kernel's ``< best - DIST_TOL`` test, as long
-      as no node is offered a staircase of times, each within DIST_TOL of
-      the last, that spans more than 2*DIST_TOL (nanominute steps);
-    * a tight arc that no origin reaches along tight arcs can move only
-      times that no origin's shortest path visits.
-    """
-    seen = {o for o in origin_ids if o in table}
-    stack = list(seen)
-    matter: set[str] = set()
-    while stack:
-        u = stack.pop()
-        at_u = table[u]
-        for aid in net.out_arcs(u):
-            arc = net.arcs[aid]
-            at_head = table.get(arc.head)
-            if at_head is None or \
-                    arc.travel_time + at_head - at_u > 2 * DIST_TOL:
-                continue
-            matter.add(aid)
-            if arc.head not in seen:
-                seen.add(arc.head)
-                stack.append(arc.head)
-    return frozenset(matter)
-
-
 def close_arcs(net: Network, table: Mapping[str, float],
                sources: Iterable[str], arcs: Iterable[str],
-               closed: frozenset[str] = frozenset(),
+               closed: Collection[str] = frozenset(),
                ) -> dict[str, float | None]:
-    """The labels of a reverse table that change when ``arcs`` close too.
-
-    ``table`` is ``dijkstra(net, sources, closed, reverse=True)``: by
-    default nothing is closed yet.  Returns ``{node_id: minutes}`` for just
-    the nodes whose time moves, with None for a node that no longer
-    reaches a source; applied to ``table`` it equals ``dijkstra(net,
-    sources, closed | frozenset(arcs), reverse=True)`` to the last bit.
-    This is a dynamic shortest-path repair (Ramalingam & Reps,
-    J. Algorithms 21, 1996):
-
-    * only the affected nodes can move: the tail of each newly closed arc
-      that is tight in ``table`` (``travel_time + table[head] -
-      table[tail] <= 2*DIST_TOL``, the slack ``_closures_that_matter``
-      explains) and every node that reaches one of those tails along tight
-      open arcs.  Sources stay at 0 and are never affected.  The set is
-      wider than the subtree under the closed arcs, because a closed arc
-      off the tree can still have blocked a later offer within DIST_TOL;
-      an arc in ``closed`` blocked nothing, so the walk skips it;
-    * the kernel then relabels them, seeded with the unchanged label of
-      every other node that has an arc into the set open after the
-      closure, under the same ``< best - DIST_TOL`` rule and ``(time,
-      id)`` heap order as a fresh search.
-
-    A label can fall, by less than DIST_TOL: a closed arc may have carried
-    the offer that kept a slightly smaller one out.
-    """
-    arcs_by_id, incoming, outgoing = net.arcs, net._in, net._out
-    shut = frozenset(arcs) - closed
-    affected: set[str] = set()
-    for aid in shut:
-        arc = arcs_by_id[aid]
-        at_tail = table.get(arc.tail)
-        at_head = table.get(arc.head)
-        if at_tail is not None and at_head is not None and \
-                arc.travel_time + at_head - at_tail <= 2 * DIST_TOL:
-            affected.add(arc.tail)
-    stack = list(affected)
-    while stack:
-        v = stack.pop()
-        at_v = table[v]
-        for aid in incoming[v]:
-            arc = arcs_by_id[aid]
-            u = arc.tail
-            if u in affected:
-                continue
-            at_u = table.get(u)
-            if at_u is not None and \
-                    arc.travel_time + at_v - at_u <= 2 * DIST_TOL and \
-                    aid not in closed:
-                affected.add(u)
-                stack.append(u)
-    affected.difference_update(sources)
-    if not affected:
-        return {}
-    shut |= closed
-    seeds: set[str] = set()
-    for v in affected:
-        for aid in outgoing[v]:
-            u = arcs_by_id[aid].head
-            if u not in affected and u in table and aid not in shut:
-                seeds.add(u)
-    labels = dict(table)
-    for v in affected:
-        del labels[v]
-    settled = dijkstra(net, seeds, shut, reverse=True, labels=labels)
-    return {v: settled.get(v) for v in affected
-            if settled.get(v) != table[v]}
+    """The labels of a reverse table (``dijkstra(net, sources, closed,
+    reverse=True)``) that change when ``arcs`` close too: ``{node_id:
+    minutes}``, None for a node that no longer reaches a source
+    (``GraphIndex.close_arcs``)."""
+    g = net.index()
+    moved = g.close_arcs(g.table_of(table), g.nodes_of(sources),
+                         g.arcs_of(arcs), g.arcs_of(closed))
+    ids = g.node_ids
+    return {ids[v]: (t if t < _INF else None) for v, t in moved.items()}
 
 
 def canonical_walk(net: Network, source: str, target: str,
-                   closed: frozenset[str], dist_to_target: Mapping[str, float],
+                   closed: Collection[str],
+                   dist_to_target: Mapping[str, float],
                    ) -> tuple[tuple[str, ...], bool] | None:
     """The deterministic shortest route from ``source`` to ``target`` over
-    the arcs not in ``closed``: (arc ids, whether it backed out of a dead
-    end), or None if ``source`` cannot reach ``target``.
-
-    ``dist_to_target`` is the reverse search from the target over the same
-    closed set (``dijkstra(net, (target,), closed, reverse=True)``, or its
-    entry in ``facility_times``), so one search serves every source; the
-    route's minutes are ``dist_to_target[source]``.  The walk is a
-    depth-first search from the source over tight arcs (arcs that stay on
-    some shortest path), smallest arc id first, that backs out of dead
-    ends.  Dead ends arise only on zero-time cycles; without them this is
-    the greedy smallest-id walk and returns the lexicographically smallest
-    arc-id sequence among equally short paths.
+    the arcs not in ``closed``, read off the reverse table
+    ``dist_to_target``: (arc ids, whether it backed out of a dead end), or
+    None if ``source`` cannot reach ``target`` (``GraphIndex.canonical_walk``).
     """
     if source not in dist_to_target:
         return None
-    path: list[str] = []
-    stack = [(source, iter(net.out_arcs(source)))]
-    visited = {source}
-    backed = False
-    while stack[-1][0] != target:
-        u, exits = stack[-1]
-        remaining = dist_to_target[u]
-        for aid in exits:
-            if aid in closed:
-                continue
-            arc = net.arcs[aid]
-            dv = dist_to_target.get(arc.head)
-            if dv is None or arc.head in visited:
-                continue
-            if abs(arc.travel_time + dv - remaining) <= DIST_TOL:
-                path.append(aid)
-                stack.append((arc.head, iter(net.out_arcs(arc.head))))
-                visited.add(arc.head)
-                break
-        else:  # every tight exit leads back into the search: back out
-            stack.pop()
-            if not path:  # pragma: no cover - the search tree reaches t
-                raise NetworkError(
-                    f"no tight path from {source!r} to {target!r}")
-            path.pop()
-            backed = True
-    return tuple(path), backed
+    g = net.index()
+    path, backed = g.canonical_walk(g.node_no[source], g.node_no[target],
+                                    g.arcs_of(closed),
+                                    g.table_of(dist_to_target))
+    ids = g.arc_ids
+    return tuple(ids[a] for a in path), backed
 
 
 # -- connectivity structure -------------------------------------------------

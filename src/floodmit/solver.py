@@ -67,9 +67,8 @@ from typing import AbstractSet, Any, Iterable, Mapping, NamedTuple, Sequence
 from .ingest import (CAPACITY_TOL, InstanceSpec, ProblemInstance,
                      PurchaseUnit, capacity_fits, cents, purchase_units,
                      upgrade_cost_cents)
-from .net import (DIST_TOL, Network, NodeKind, RoadArc, RoadNode,
-                  canonical_walk, close_arcs, dijkstra, facility_ranking,
-                  facility_times)
+from .net import (DIST_TOL, GraphIndex, Network, NodeKind, RoadArc,
+                  RoadNode, canonical_walk, dijkstra)
 from .reductions import Cuts, FixedUpgrades
 
 
@@ -473,15 +472,16 @@ def _candidate_lists(net: Network, origins: Sequence[RoadNode],
     return out
 
 
-def _node_routes(net: Network, origins: Sequence[RoadNode], node: _Node,
-                 tables: Mapping[str, Mapping[str, float]],
+def _node_routes(g: GraphIndex, origins: Sequence[int], node: _Node,
+                 tables: Mapping[int, Sequence[float]],
                  parent: _Node | None = None,
-                 fell: AbstractSet[str] = frozenset(),
+                 fell: AbstractSet[int] = frozenset(),
                  stats: dict[str, Any] | None = None,
-                 ) -> tuple[dict[str, tuple[str, ...]], frozenset[str]]:
+                 ) -> tuple[tuple[tuple[int, ...], ...], frozenset[int]]:
     """Each origin's canonical route to its facility in ``node.assignment``
     over the arcs not in ``node.closed``, read off ``tables`` (the node's),
-    and the origins whose walk backed out of a dead end.
+    in ``origins`` order, and the origins whose walk backed out of a dead
+    end; all in numbers on ``g``.
 
     A child (``parent`` given, ``node.delta`` its tables' change from the
     parent's) keeps its parent's route for an origin that keeps its facility
@@ -489,38 +489,37 @@ def _node_routes(net: Network, origins: Sequence[RoadNode], node: _Node,
     included) moved in that facility's table, no label in that table fell
     (``fell`` names those facilities) and the parent's walk never backed
     out.  Closing arcs raises labels, or lowers them by less than DIST_TOL
-    (``net.close_arcs``), so at an unmoved node the same exit is still the
-    first tight one and every exit before it still is not.  Every other
-    origin is walked again.  Reused routes are added to
+    (``GraphIndex.close_arcs``), so at an unmoved node the same exit is
+    still the first tight one and every exit before it still is not.  Every
+    other origin is walked again.  Reused routes are added to
     ``stats["routes_reused"]``.
     """
     new = node.closed - parent.closed if parent is not None else frozenset()
-    arcs = net.arcs
-    paths: dict[str, tuple[str, ...]] = {}
-    backed: set[str] = set()
+    head = g.head
+    paths: list[tuple[int, ...]] = []
+    backed: set[int] = set()
     reused = 0
-    for o in origins:
-        k = o.id
+    for i, k in enumerate(origins):
         dest = node.assignment[k]
         if (parent is not None and parent.assignment[k] == dest
                 and dest not in fell and k not in parent.backed):
-            route = parent.paths[k]
+            route = parent.paths[i]
             moved = node.delta.moved.get(dest, {})
-            if k not in moved and all(aid not in new
-                                      and arcs[aid].head not in moved
-                                      for aid in route):
-                paths[k] = route
+            if k not in moved and all(a not in new and head[a] not in moved
+                                      for a in route):
+                paths.append(route)
                 reused += 1
                 continue
-        found = canonical_walk(net, k, dest, node.closed, tables[dest])
+        found = g.canonical_walk(k, dest, node.closed, tables[dest])
         if found is None:  # pragma: no cover - assignment implies reachability
-            raise ModelError(f"no route from {k!r} to {dest!r}")
-        paths[k] = found[0]
+            raise ModelError(f"no route from {g.node_ids[k]!r} to "
+                             f"{g.node_ids[dest]!r}")
+        paths.append(found[0])
         if found[1]:
             backed.add(k)
     if stats is not None:
         stats["routes_reused"] = stats.get("routes_reused", 0) + reused
-    return paths, frozenset(backed)
+    return tuple(paths), frozenset(backed)
 
 
 def _used_vulnerable(net: Network, paths: Mapping[str, Sequence[str]],
@@ -670,54 +669,53 @@ def _arc_prices(net: Network, units: Iterable[PurchaseUnit]) -> dict[str, float]
     return prices
 
 
-def _flood_back(net: Network, reached: set[str], starts: Iterable[str],
-                closed: AbstractSet[str], reduced: Mapping[str, float],
+def _flood_back(g: GraphIndex, reached: set[int], starts: Iterable[int],
+                closed: AbstractSet[int], reduced: Mapping[int, float],
                 ) -> None:
     """Add to ``reached`` every node that reaches one of ``starts`` backward
     over open zero-cost arcs: arcs outside ``closed`` whose ``reduced``
-    cost is 0 or absent."""
-    arcs = net.arcs
+    cost is 0 or absent.  Nodes and arcs are numbers on ``g``."""
+    inc = g.inc
     stack = list(starts)
     while stack:
-        for aid in net.in_arcs(stack.pop()):
-            tail = arcs[aid].tail
-            if (tail not in reached and aid not in closed
-                    and not reduced.get(aid)):
+        for a, tail, _ in inc[stack.pop()]:
+            if (tail not in reached and a not in closed
+                    and not reduced.get(a)):
                 reached.add(tail)
                 stack.append(tail)
 
 
-def _rooted(net: Network, dest_ids: Sequence[str],
-            prices: Mapping[str, float]) -> frozenset[str]:
+def _rooted(g: GraphIndex, dests: Sequence[int],
+            prices: Mapping[int, float]) -> frozenset[int]:
     """The nodes that reach a facility over arcs without a price: the
     `_flood_back` from the facilities with every priced arc closed.
 
     In a solve those are the arcs outside the shut set, which no node
     closes, so one flood serves every `_connection_bound` call."""
-    rooted = set(dest_ids)
-    _flood_back(net, rooted, dest_ids, prices.keys(), {})
+    rooted = set(dests)
+    _flood_back(g, rooted, dests, prices.keys(), {})
     return frozenset(rooted)
 
 
-def _connection_bound(net: Network, origin_ids: Sequence[str],
-                      prices: Mapping[str, float],
-                      free: frozenset[str], closed: frozenset[str],
-                      rooted: AbstractSet[str]) -> float:
+def _connection_bound(g: GraphIndex, origins: Sequence[int],
+                      prices: Mapping[int, float],
+                      free: AbstractSet[int], closed: AbstractSet[int],
+                      rooted: AbstractSet[int]) -> float:
     """Cents that must be spent, outside ``free``, for every origin to reach
     some facility; ``inf`` exactly when no purchase connects everyone.
 
     Wong's dual ascent for the directed Steiner problem (Math. Programming
     28, 1984), the origins as terminals and every facility as one root.
-    Arcs in ``closed`` are absent; an arc's reduced cost starts at its
-    ``prices`` entry (`_arc_prices`), or 0 on safe and ``free`` arcs.  Each
-    origin in ``origin_ids`` (the network's origins, in id order) grows the
-    set it reaches over zero-cost arcs until that set holds a node known to
-    reach a facility.  While it does not, the least reduced cost on the
-    arcs leaving the set is added to the bound and taken off each of them.
-    An arc stays in the cut from the moment its tail joins the set until
-    its head does, so the ascent only records, per node, the bound raised
-    so far when it joined, and settles every reduced cost once the origin
-    connects.
+    Nodes and arcs are numbers on ``g``.  Arcs in ``closed`` are absent; an
+    arc's reduced cost starts at its ``prices`` entry (`_arc_prices`), or 0
+    on safe and ``free`` arcs.  Each origin in ``origins`` (the network's
+    origins, in id order) grows the set it reaches over zero-cost arcs until
+    that set holds a node known to reach a facility.  While it does not,
+    the least reduced cost on the arcs leaving the set is added to the
+    bound and taken off each of them.  An arc stays in the cut from the
+    moment its tail joins the set until its head does, so the ascent only
+    records, per node, the bound raised so far when it joined, and settles
+    every reduced cost once the origin connects.
 
     The ascent starts from the nodes that reach a facility over zero-cost
     open arcs: ``rooted``, `_rooted`'s flood over the unpriced arcs (valid
@@ -725,92 +723,90 @@ def _connection_bound(net: Network, origin_ids: Sequence[str],
     priced arcs open at no cost here (``free`` ones, and those priced at
     0).  Each connected origin's path joins that set the same way.
     """
-    arcs = net.arcs
-    reduced: dict[str, float] = {}
-    zero: list[str] = []    # priced arcs open at no cost
-    for aid, p in prices.items():
-        if aid in closed:
+    tail, head, out = g.tail, g.head, g.out
+    reduced: dict[int, float] = {}
+    zero: list[int] = []    # priced arcs open at no cost
+    for a, p in prices.items():
+        if a in closed:
             continue
-        if p > 0 and aid not in free:
-            reduced[aid] = p
+        if p > 0 and a not in free:
+            reduced[a] = p
         else:
-            zero.append(aid)
+            zero.append(a)
 
     rooted = set(rooted)
     start = []
-    for aid in zero:
-        tail = arcs[aid].tail
-        if arcs[aid].head in rooted and tail not in rooted:
-            rooted.add(tail)
-            start.append(tail)
-    _flood_back(net, rooted, start, closed, reduced)
+    for a in zero:
+        if head[a] in rooted and tail[a] not in rooted:
+            rooted.add(tail[a])
+            start.append(tail[a])
+    _flood_back(g, rooted, start, closed, reduced)
     bound = 0.0
-    for origin in origin_ids:
+    for origin in origins:
         if origin in rooted:
             continue
         joined = {origin: 0.0}      # node -> raise when it joined the set
-        via: dict[str, str] = {}    # node -> arc it joined by
-        leaving: list[tuple[float, str]] = []  # (cost + raise at entry, arc)
+        via: dict[int, int] = {}    # node -> arc it joined by
+        leaving: list[tuple[float, int]] = []  # (cost + raise at entry, arc)
         frontier = [origin]
         raised = 0.0
         hit = None
         while hit is None:
             while frontier and hit is None:
-                for aid in net.out_arcs(frontier.pop()):
-                    head = arcs[aid].head
-                    if head in joined or aid in closed:
+                for a, v, _ in out[frontier.pop()]:
+                    if v in joined or a in closed:
                         continue
-                    cost = reduced.get(aid, 0.0)
+                    cost = reduced.get(a, 0.0)
                     if cost > 0:
-                        heapq.heappush(leaving, (cost + raised, aid))
+                        heapq.heappush(leaving, (cost + raised, a))
                         continue
-                    joined[head], via[head] = raised, aid
-                    if head in rooted:
-                        hit = head
+                    joined[v], via[v] = raised, a
+                    if v in rooted:
+                        hit = v
                         break
-                    frontier.append(head)
+                    frontier.append(v)
             if hit is not None:
                 break
-            while leaving and arcs[leaving[0][1]].head in joined:
+            while leaving and head[leaving[0][1]] in joined:
                 heapq.heappop(leaving)
             if not leaving:
                 return math.inf
-            raised, aid = heapq.heappop(leaving)
-            head = arcs[aid].head
-            reduced[aid] = 0.0
-            joined[head], via[head] = raised, aid
-            if head in rooted:
-                hit = head
+            raised, a = heapq.heappop(leaving)
+            v = head[a]
+            reduced[a] = 0.0
+            joined[v], via[v] = raised, a
+            if v in rooted:
+                hit = v
             else:
-                frontier.append(head)
+                frontier.append(v)
         bound += raised
         for node, entered in joined.items():
-            for aid in net.out_arcs(node):
-                cost = reduced.get(aid)
-                cut = joined.get(arcs[aid].head, raised) - entered
+            for a, v, _ in out[node]:
+                cost = reduced.get(a)
+                cut = joined.get(v, raised) - entered
                 if cost and cut > 0:  # in the cut for that much of the raise
                     rest = cost - cut
-                    reduced[aid] = rest if rest > _BOUND_RTOL * cost else 0.0
+                    reduced[a] = rest if rest > _BOUND_RTOL * cost else 0.0
         path = []   # back from the hit to the origin, now all rooted
         node = hit
         while node != origin:
-            node = arcs[via[node]].tail
+            node = tail[via[node]]
             path.append(node)
         rooted.update(path)
-        _flood_back(net, rooted, path, closed, reduced)
+        _flood_back(g, rooted, path, closed, reduced)
     return bound
 
 
 class _Delta(NamedTuple):
     """A searched node's facility tables, as the labels that differ from
-    its parent's: ``net.close_arcs`` per facility, None for a node cut off,
-    a facility where nothing moved left out.  A node with no parent, the
-    root or the probe, holds its full tables."""
+    its parent's: ``GraphIndex.close_arcs`` per facility, ``inf`` for a node
+    cut off, a facility where nothing moved left out.  A node with no
+    parent, the root or the probe, holds its full tables."""
 
     parent: _Delta | None
-    moved: dict[str, dict[str, float | None]]
+    moved: dict[int, dict[int, float] | list[float]]
 
-    def tables(self) -> dict[str, dict[str, float]]:
+    def tables(self) -> dict[int, list[float]]:
         """The full tables: the root's, with every delta on the way down
         applied."""
         chain = []
@@ -818,40 +814,38 @@ class _Delta(NamedTuple):
         while delta is not None:
             chain.append(delta.moved)
             delta = delta.parent
-        tables = {d: dict(t) for d, t in chain.pop().items()}
+        tables = {d: list(t) for d, t in chain.pop().items()}
         for moved in reversed(chain):
             for d, labels in moved.items():
                 table = tables[d]
                 for v, t in labels.items():
-                    if t is None:
-                        del table[v]
-                    else:
-                        table[v] = t
+                    table[v] = t
         return tables
 
 
 class _Node:
     """A B&B node: the units it fixes in (committed) and out (banned),
     their cost, its bound, and its bound solve: its tables as a `_Delta`,
-    its shut arcs, its relaxed assignment and routes, the origins whose
-    route walk backed out of a dead end, and its score, which maps each
-    undecided unit on those routes to the resident weight riding it.  Only
-    the delta outlives the node's expansion."""
+    its shut arcs, its relaxed assignment and routes (in origin order), the
+    origins whose route walk backed out of a dead end, and its score, which
+    maps each undecided unit on those routes to the resident weight riding
+    it.  Only the delta outlives the node's expansion.  Its solve is kept
+    in node and arc numbers of the network's `GraphIndex`."""
 
     __slots__ = ("committed", "banned", "cost", "bound", "delta", "closed",
                  "assignment", "paths", "backed", "score")
 
     def __init__(self, committed: frozenset[str], banned: frozenset[str],
-                 cost: int, delta: _Delta, closed: frozenset[str]) -> None:
+                 cost: int, delta: _Delta, closed: frozenset[int]) -> None:
         self.committed = committed
         self.banned = banned
         self.cost = cost
         self.bound = math.inf
         self.delta = delta
         self.closed = closed
-        self.assignment: dict[str, str] = {}
-        self.paths: dict[str, tuple[str, ...]] = {}
-        self.backed: frozenset[str] = frozenset()
+        self.assignment: dict[int, int] = {}
+        self.paths: tuple[tuple[int, ...], ...] = ()
+        self.backed: frozenset[int] = frozenset()
         self.score: dict[str, float] = {}
 
 
@@ -905,18 +899,21 @@ def solve_exact(instance: ProblemInstance,
 
     Every origin rides a shortest path over the open arcs, so a node's
     distances are one table per facility over the arcs not shut: every
-    vulnerable arc the relaxation does not treat as bought.  The root and
-    the probe, which have no parent, build them by reverse search
-    (``net.facility_times``).  A child shuts every arc its parent does, so
-    it repairs its parent's tables over the arcs it newly shuts
-    (``net.close_arcs``, ``tables_repaired``), and a node that inherits its
-    parent's relaxation needs none.  An open node keeps only what its
-    repair moved, linked to its parent's record (`_Delta`); full tables are
-    rebuilt from that chain for the node being expanded and handed to both
-    its children.  Those tables give every origin's candidate list, and the
-    routes that score a node, and that a rounding closure offers, are read
-    off them; a child keeps each parent route that stays canonical
-    (`_node_routes`, ``routes_reused``).  The exact assignment searches of
+    vulnerable arc the relaxation does not treat as bought.  The node solve
+    runs on the network's index (``net.index()``): tables, shut sets,
+    assignments and routes hold node and arc numbers, and a plan is put
+    back into ids only when it is offered as incumbent.  The root and the
+    probe, which have no parent, build their tables by reverse search
+    (``GraphIndex.facility_times``).  A child shuts every arc its parent
+    does, so it repairs its parent's tables over the arcs it newly shuts
+    (``GraphIndex.close_arcs``, ``tables_repaired``), and a node that
+    inherits its parent's relaxation needs none.  An open node keeps only
+    what its repair moved, linked to its parent's record (`_Delta`); full
+    tables are rebuilt from that chain for the node being expanded and
+    handed to both its children.  Those tables give every origin's
+    candidate list, and the routes that score a node, and that a rounding
+    closure offers, are read off them; a child keeps each parent route that
+    stays canonical (`_node_routes`, ``routes_reused``).  The exact assignment searches of
     one solve are kept, keyed by each origin's time to each facility, and a
     repeated one is not run again (``assignments_reused``); a search the
     deadline stops keeps nothing.  A child's search starts from the better
@@ -924,7 +921,7 @@ def solve_exact(instance: ProblemInstance,
     lists.
     The connection bound's arc prices, and its flood over the arcs no node
     closes (`_rooted`), are built by its first call; every call walks the
-    origin ids of ``origin_order``.
+    origins in id order.
     Per-origin masks and valid inequalities only tighten the 0-1 model; a
     route-based search never needs them.  Determinism: each node is one
     `_Node` record, numbered in creation order, and the heap holds (bound,
@@ -953,14 +950,16 @@ def solve_exact(instance: ProblemInstance,
     start = time.perf_counter()
     deadline = start + options.time_limit_s
     net = instance.network
+    g = net.index()
     origins = net.origins()
-    dest_ids = [d.id for d in net.destinations()]
-    caps = {d: net.nodes[d].capacity for d in dest_ids}
+    dests = g.dests
+    caps = {d: net.nodes[g.node_ids[d]].capacity for d in dests}
     budget_cents = cents(instance.budget)
     # the forced units are committed at every node; ``shut`` is closed
     # before any undecided unit is bought
-    _, undecided_units, base_cost, shut = _forced(
+    _, undecided_units, base_cost, shut_ids = _forced(
         net, purchase_units(net, instance.spec.segment_coupling), fixings)
+    shut = g.arcs_of(shut_ids)
     stats: dict[str, Any] = {"nodes_explored": 0, "incumbent_updates": 0,
                              "rounding_closures": 0, "connection_cuts": 0,
                              "relaxations_inherited": 0,
@@ -991,17 +990,21 @@ def solve_exact(instance: ProblemInstance,
 
     undecided = {u.id: u for u in undecided_units}
     unit_ids = sorted(undecided)
-    arc_unit = {a: uid for uid, u in undecided.items() for a in u.arc_ids}
+    unit_arcs = {uid: g.arcs_of(u.arc_ids) for uid, u in undecided.items()}
+    arc_unit = {a: uid for uid, arcs in unit_arcs.items() for a in arcs}
     # the connection bound's arc prices and once-per-solve flood, built by
     # its first call
-    prices: dict[str, float] | None = None
-    rooted: frozenset[str] = frozenset()
-    gap_items_order = sorted(origins, key=lambda o: (-o.residents, o.id))
-    origin_order = sorted(origins, key=lambda o: o.id)
-    origin_ids = [o.id for o in origin_order]
+    prices: dict[int, float] | None = None
+    rooted: frozenset[int] = frozenset()
+    # origins (as numbers) in id order, and in the assignment's item order
+    origin_nos = g.origins
+    weights = [o.weight for o in origins]
+    gap_items = [(g.node_no[o.id], o.residents, o.weight) for o in
+                 sorted(origins, key=lambda o: (-o.residents, o.id))]
+    node_ids, arc_ids = g.node_ids, g.arc_ids
 
     def open_node(committed: frozenset[str], banned: frozenset[str],
-                  cost: int) -> tuple[int, list[str], frozenset[str]]:
+                  cost: int) -> tuple[int, list[str], frozenset[int]]:
         """(remaining budget, the undecided units that each fit it in id
         order, the arcs shut when those and the committed units are
         bought)."""
@@ -1011,19 +1014,19 @@ def solve_exact(instance: ProblemInstance,
                   and undecided[uid].cost_cents <= remaining]
         return remaining, afford, shut - {
             a for uid in itertools.chain(committed, afford)
-            for a in undecided[uid].arc_ids}
+            for a in unit_arcs[uid]}
 
     def connection(committed: frozenset[str], remaining: int,
-                   closed: frozenset[str]) -> float | None:
+                   closed: frozenset[int]) -> float | None:
         """The node's connection bound, or None (a counted cut) when it
         proves the remaining budget short."""
         nonlocal prices, rooted
         if prices is None:
-            prices = _arc_prices(net, undecided.values())
-            rooted = _rooted(net, dest_ids, prices)
-        bought = frozenset(a for uid in committed
-                           for a in undecided[uid].arc_ids)
-        bound = _connection_bound(net, origin_ids, prices, bought, closed,
+            prices = {g.arc_no[aid]: p for aid, p in
+                      _arc_prices(net, undecided.values()).items()}
+            rooted = _rooted(g, dests, prices)
+        bought = frozenset(a for uid in committed for a in unit_arcs[uid])
+        bound = _connection_bound(g, origin_nos, prices, bought, closed,
                                   rooted)
         if bound - remaining > _BOUND_RTOL * max(1.0, remaining):
             stats["connection_cuts"] += 1
@@ -1048,27 +1051,25 @@ def solve_exact(instance: ProblemInstance,
 
     # every finished assignment search of the solve, keyed by each origin's
     # time to each facility (inf if it cannot reach it) packed in item order
-    solved: dict[bytes, tuple[float, dict[str, str]] | None] = {}
+    solved: dict[bytes, tuple[float, dict[int, int]] | None] = {}
 
-    def assign(tables: Mapping[str, Mapping[str, float]],
-               hint: Mapping[str, str] | None = None,
-               ) -> tuple[float, dict[str, str]] | None:
+    def assign(tables: Mapping[int, Sequence[float]],
+               hint: Mapping[int, int] | None = None,
+               ) -> tuple[float, dict[int, int]] | None:
         """The exact capacitated assignment over facility tables; None if
         some origin is cut off or the capacities cannot host everyone.  A
         search repeated within the solve is not run again."""
-        lists: dict[str, list[tuple[float, str]]] = {}
-        for o in origin_order:
-            lists[o.id] = facility_ranking(tables, o.id)
-            if not lists[o.id]:
+        lists: dict[int, list[tuple[float, int]]] = {}
+        for k in origin_nos:
+            lists[k] = g.facility_ranking(tables, k)
+            if not lists[k]:
                 return None
-        key = array("d", [tables[d].get(o.id, math.inf)
-                          for o in gap_items_order
-                          for d in dest_ids]).tobytes()
+        key = array("d", [tables[d][k] for k, _, _ in gap_items
+                          for d in dests]).tobytes()
         if key in solved:
             stats["assignments_reused"] += 1
             return solved[key]
-        items = [(o.id, o.residents, o.weight, lists[o.id])
-                 for o in gap_items_order]
+        items = [(k, h, w, lists[k]) for k, h, w in gap_items]
         solved[key] = _assignment_exact(items, caps, deadline, stats, hint)
         return solved[key]
 
@@ -1089,35 +1090,32 @@ def solve_exact(instance: ProblemInstance,
         gap_allow = options.gap_tol * max(abs(incumbent.objective), 1e-12)
         return bound < incumbent.objective - max(DIST_TOL, gap_allow)
 
-    def repair(parent: _Node, parent_tables: dict[str, dict[str, float]],
-               node: _Node) -> tuple[dict[str, dict[str, float]], set[str]]:
+    def repair(parent: _Node, parent_tables: dict[int, list[float]],
+               node: _Node) -> tuple[dict[int, list[float]], set[int]]:
         """A child's facility tables, repaired from its parent's over the
         arcs it newly shuts (recorded in ``node.delta``), and the
         facilities where a label fell."""
         new = node.closed - parent.closed
-        tables: dict[str, dict[str, float]] = {}
-        fell: set[str] = set()
-        for d in dest_ids:
+        tables: dict[int, list[float]] = {}
+        fell: set[int] = set()
+        for d in dests:
             old = parent_tables[d]
-            moved = close_arcs(net, old, (d,), new, parent.closed)
+            moved = g.close_arcs(old, (d,), new, parent.closed)
             if not moved:
                 tables[d] = old
                 continue
             node.delta.moved[d] = moved
-            table = tables[d] = dict(old)
+            table = tables[d] = list(old)
             for v, t in moved.items():
-                if t is None:
-                    del table[v]
-                else:
-                    if t < old[v]:
-                        fell.add(d)
-                    table[v] = t
+                if t < old[v]:
+                    fell.add(d)
+                table[v] = t
         stats["tables_repaired"] += 1
         return tables, fell
 
     def evaluate(committed: frozenset[str], banned: frozenset[str],
                  cost: int, parent: _Node | None = None,
-                 parent_tables: dict[str, dict[str, float]] | None = None,
+                 parent_tables: dict[int, list[float]] | None = None,
                  ) -> _Node | None:
         """Bound one node; None if it is dead or closed by rounding.
 
@@ -1141,10 +1139,10 @@ def solve_exact(instance: ProblemInstance,
                 and connection(committed, remaining, closed) is None):
             return None  # no affordable completion connects everyone
         if parent is None:
-            tables = facility_times(net, closed)
+            tables = g.facility_times(closed)
             node = _Node(committed, banned, cost, _Delta(None, tables), closed)
             found = assign(tables)
-            fell: set[str] = set()
+            fell: set[int] = set()
         elif parent.closed == closed:
             stats["relaxations_inherited"] += 1
             node = copy.copy(parent)
@@ -1161,15 +1159,19 @@ def solve_exact(instance: ProblemInstance,
             return None  # the relaxation strands an origin or overfills
         node.bound, node.assignment = found
         node.paths, node.backed = _node_routes(
-            net, origin_order, node, tables, parent, fell, stats)
-        for o in origin_order:
-            for aid in node.paths[o.id]:
-                uid = arc_unit.get(aid)
+            g, origin_nos, node, tables, parent, fell, stats)
+        for w, path in zip(weights, node.paths):
+            for a in path:
+                uid = arc_unit.get(a)
                 if uid is not None and uid not in committed:
-                    node.score[uid] = node.score.get(uid, 0.0) + o.weight
+                    node.score[uid] = node.score.get(uid, 0.0) + w
         if sum(undecided[uid].cost_cents for uid in node.score) <= remaining:
             stats["rounding_closures"] += 1
-            record(node.bound, node.assignment, node.paths)
+            record(node.bound,
+                   {node_ids[k]: node_ids[d]
+                    for k, d in node.assignment.items()},
+                   {node_ids[k]: tuple(map(arc_ids.__getitem__, path))
+                    for k, path in zip(origin_nos, node.paths)})
             return None
         return node
 

@@ -325,18 +325,18 @@ def test_closure_within_two_tolerances_is_searched():
 
 @pytest.fixture
 def search_count(monkeypatch):
-    """Counts calls of the shortest-path kernel, wherever it is looked up:
-    "full" for a search from scratch, "repair" for ``close_arcs``'s
-    seeded one."""
+    """Counts runs of the one shortest-path loop, ``GraphIndex.dijkstra``,
+    which every caller reaches through the class: "full" for a search from
+    scratch, "repair" for ``close_arcs``'s seeded one."""
     calls = []
-    real = net_module.dijkstra
+    real = net_module.GraphIndex.dijkstra
 
-    def counted(*args, **kwargs):
-        calls.append("full" if kwargs.get("labels") is None else "repair")
-        return real(*args, **kwargs)
+    def counted(self, sources, closed=frozenset(), reverse=False,
+                labels=None):
+        calls.append("full" if labels is None else "repair")
+        return real(self, sources, closed, reverse, labels)
 
-    monkeypatch.setattr(net_module, "dijkstra", counted)
-    monkeypatch.setattr(analysis, "dijkstra", counted)
+    monkeypatch.setattr(net_module.GraphIndex, "dijkstra", counted)
     return calls
 
 

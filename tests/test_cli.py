@@ -212,6 +212,18 @@ def test_unreadable_config_exits_1(demo, tmp_path, capsys, make):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_that_is_not_json_exits_1_and_is_named(demo, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{alpha: 1}")
+    assert main(["ingest", str(demo), "--config", str(path),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {str(path)!r}: "
+                          "invalid JSON (Expecting property name")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag", ["--time-limit", "--gap-tol"])
 def test_nan_solve_option_exits_1(demo, tmp_path, capsys, flag):
     assert main(["solve", str(demo), "--alpha", "0.15", flag, "nan",

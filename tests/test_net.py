@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
+import math
 import random
 
 import pytest
 
 from floodmit import synth
-from floodmit.net import (Network, NetworkError, NodeKind, RoadArc, RoadNode,
+from floodmit.net import (DIST_TOL, Network, NetworkError, NodeKind, RoadArc,
+                          RoadNode,
                           bare_components, bare_sides, canonical_walk,
                           close_arcs, cut_nodes, dijkstra, facility_ranking,
                           facility_times, shortest_paths,
@@ -78,6 +81,7 @@ def test_shortest_paths_respects_filters():
     assert flooded["d"] == 4.0 and "a" not in flooded
     partial = shortest_paths(net, "o", net.vulnerable_ids - {"oa"})
     assert partial["a"] == 1.0 and partial["d"] == 4.0  # ad still washed out
+    assert shortest_paths(net, "o", {"zz"}) == full  # no arc "zz" to close
 
 
 def test_reverse_and_multi_target():
@@ -179,12 +183,13 @@ def test_articulation_and_components():
 
 # -- closing arcs in a reverse table ------------------------------------------
 
-def _snapped_network(seed: int) -> Network:
-    """A random town with its times snapped to a few values: zero-time
-    arcs, ties and float near-ties (0.1 + 0.2 != 0.3)."""
+def _snapped_network(seed: int, **sizes) -> Network:
+    """A random town (``sizes`` as `synth.random_instance` takes them) with
+    its times snapped to a few values: zero-time arcs, ties and float
+    near-ties (0.1 + 0.2 != 0.3)."""
     rng = random.Random(seed)
     net = synth.random_instance(seed, decorate=seed % 2 == 1,
-                                coupled=seed % 3 == 0).network
+                                coupled=seed % 3 == 0, **sizes).network
     arcs = [dataclasses.replace(
                 a, travel_time=rng.choice([0.0, 0.1, 0.2, 0.3, 1.0, 2.0]))
             for a in net.arcs.values()]
@@ -251,6 +256,107 @@ def test_closing_arcs_returns_only_what_moves():
     assert close_arcs(net, table, ["d"], ["bd"]) == {"b": None}
     assert close_arcs(net, table, ["d"], ["oa"]) == {"o": 4.0}
     assert close_arcs(net, table, ["d"], ["ad"]) == {"a": None, "o": 4.0}
+
+
+# -- the indexed kernel against a plain reference ---------------------------
+
+def _plain_dijkstra(net, sources, closed=frozenset(), reverse=False,
+                    labels=None):
+    """A plain Dijkstra on ids, for reference: a ``(time, id)`` heap over
+    ``net.arcs``, the kernel's ``< best - DIST_TOL`` rule, and the seeded
+    form's ``labels``.  Returns the settled times in settling order."""
+    best = dict(labels) if labels is not None else dict.fromkeys(sources, 0.0)
+    heap = [(best[s], s) for s in set(sources)]
+    heapq.heapify(heap)
+    settled = {}
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled[u] = d
+        for aid in net.in_arcs(u) if reverse else net.out_arcs(u):
+            if aid in closed:
+                continue
+            arc = net.arcs[aid]
+            v = arc.tail if reverse else arc.head
+            if d + arc.travel_time < best.get(v, math.inf) - DIST_TOL:
+                best[v] = d + arc.travel_time
+                heapq.heappush(heap, (best[v], v))
+    return settled
+
+
+def test_index_numbers_nodes_and_arcs_in_id_order():
+    for seed in range(50):
+        net = _snapped_network(seed, max_nodes=30, max_vuln=20,
+                               max_origins=8)
+        g = net.index()
+        assert net.index() is g   # built once, kept with the network
+        assert list(g.node_ids) == sorted(net.nodes)
+        assert list(g.arc_ids) == sorted(net.arcs)
+        assert all(g.node_no[n] == i for i, n in enumerate(g.node_ids))
+        assert all(g.arc_no[a] == i for i, a in enumerate(g.arc_ids))
+        assert [g.node_ids[k] for k in g.origins] == \
+            [o.id for o in net.origins()]
+        assert [g.node_ids[d] for d in g.dests] == \
+            [d.id for d in net.destinations()]
+        for u, nid in enumerate(g.node_ids):
+            for records, arc_ids, end in ((g.out[u], net.out_arcs(nid), "head"),
+                                          (g.inc[u], net.in_arcs(nid), "tail")):
+                # every arc of the node once, in id order, with its other end
+                assert [g.arc_ids[a] for a, _, _ in records] == \
+                    sorted(arc_ids)
+                for a, v, t in records:
+                    arc = net.arcs[g.arc_ids[a]]
+                    assert g.node_ids[v] == getattr(arc, end)
+                    assert t == arc.travel_time == g.minutes[a]
+
+
+def test_indexed_kernel_settles_as_the_plain_reference():
+    # forward, reverse, multi-source and seeded searches over random closed
+    # sets: the same labels to the bit, settled in the same order, and every
+    # node the search never settled left at its starting label
+    runs = seeded = 0
+    for seed in range(150):
+        net = _snapped_network(seed, max_nodes=30, max_vuln=20,
+                               max_origins=8)
+        g = net.index()
+        rng = random.Random(seed)
+        nodes, arc_ids = sorted(net.nodes), sorted(net.arcs)
+        dest_ids = [d.id for d in net.destinations()]
+        for _ in range(4):
+            closed = frozenset(rng.sample(arc_ids,
+                                          rng.randint(0, len(arc_ids) // 3)))
+            searches = [([rng.choice(nodes)], False), (dest_ids, True),
+                        (rng.sample(nodes, min(3, len(nodes))), True),
+                        ([rng.choice(dest_ids)], True)]
+            for sources, reverse in searches:
+                want = _plain_dijkstra(net, sources, closed, reverse)
+                best, order = g.dijkstra(g.nodes_of(sources),
+                                         g.arcs_of(closed), reverse)
+                assert [(g.node_ids[u], best[u]) for u in order] == \
+                    list(want.items()), (seed, sources, reverse)
+                assert sum(t < math.inf for t in best) == len(order)
+                runs += 1
+                # seeded: unlabel some nodes and resume from labelled ones
+                table = dict(want)
+                for v in rng.sample(sorted(table), len(table) // 2):
+                    del table[v]
+                if not table:
+                    continue
+                seeds = rng.sample(sorted(table), rng.randint(1, len(table)))
+                want = _plain_dijkstra(net, seeds, closed, reverse, table)
+                labels = g.table_of(table)
+                start = list(labels)
+                best, order = g.dijkstra(g.nodes_of(seeds), g.arcs_of(closed),
+                                         reverse, labels)
+                assert best is labels
+                assert [(g.node_ids[u], best[u]) for u in order] == \
+                    list(want.items()), (seed, seeds, reverse)
+                settled = set(order)
+                assert all(best[u] == start[u] for u in range(len(best))
+                           if u not in settled)
+                seeded += 1
+    assert runs == 2400 and seeded > 1500, (runs, seeded)
 
 
 # -- randomized properties -----------------------------------------------------

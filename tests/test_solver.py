@@ -15,8 +15,8 @@ import pytest
 
 from floodmit.ingest import (InstanceSpec, capacity_fits, instance_from_file,
                             purchase_units)
-from floodmit.net import (DIST_TOL, Network, NodeKind, RoadArc, RoadNode,
-                          canonical_walk, dijkstra)
+from floodmit.net import (DIST_TOL, GraphIndex, Network, NodeKind, RoadArc,
+                          RoadNode, canonical_walk, dijkstra)
 from floodmit.pipeline import solve_pipeline
 from floodmit.prune import harvest_triangle_vis
 from floodmit.reductions import Cuts, forced_exits, standard_reductions
@@ -716,6 +716,18 @@ def _cheapest_connecting_spend(net, units, free, closed):
     return best
 
 
+def _bound(net, origin_ids, prices, free, closed, dest_ids):
+    """`_connection_bound` started as a solve starts it, given ids: the
+    origins, the arc prices (`_arc_prices`, whose arcs the network lacks
+    dropped), the free and closed arcs and the facilities of `_rooted`
+    are put into the network's numbering."""
+    g = net.index()
+    priced = {g.arc_no[a]: p for a, p in prices.items() if a in g.arc_no}
+    return solver._connection_bound(
+        g, g.nodes_of(origin_ids), priced, g.arcs_of(free), g.arcs_of(closed),
+        solver._rooted(g, g.nodes_of(dest_ids), priced))
+
+
 def test_connection_bound_is_a_valid_lower_bound():
     # random towns, per-arc and coupled, with random units bought (free)
     # and banned (closed): the bound never exceeds the cheapest connecting
@@ -733,10 +745,8 @@ def test_connection_bound_is_a_valid_lower_bound():
             closed = frozenset(a for u, f in zip(units, fate) if f == "c"
                                for a in u.arc_ids)
             prices = solver._arc_prices(net, units)
-            bound = solver._connection_bound(
-                net, [o.id for o in net.origins()], prices, free, closed,
-                solver._rooted(net, [d.id for d in net.destinations()],
-                               prices))
+            bound = _bound(net, [o.id for o in net.origins()], prices, free,
+                           closed, [d.id for d in net.destinations()])
             want = _cheapest_connecting_spend(net, units, free, closed)
             assert (bound == math.inf) == (want == math.inf), (seed, coupled)
             assert bound <= want * (1 + 1e-9), (seed, coupled, bound, want)
@@ -753,8 +763,7 @@ def _chain_net(arcs):
 
 def _chain_bound(net, prices, free, closed):
     """The connection bound toward d, started as a solve starts it."""
-    return solver._connection_bound(net, ["o"], prices, free, closed,
-                                    solver._rooted(net, ["d"], prices))
+    return _bound(net, ["o"], prices, free, closed, ["d"])
 
 
 def test_connection_bound_splits_a_segment_over_its_chain():
@@ -805,9 +814,8 @@ def test_connection_bound_rides_a_zero_cost_arc_into_the_rooted_set():
         0.0, 10.0).network
     units = solver.purchase_units(net, False)
     prices = solver._arc_prices(net, units)
-    bound = solver._connection_bound(
-        net, ["o1", "o2"], prices, frozenset(), frozenset(),
-        solver._rooted(net, ["d1", "d2"], prices))
+    bound = _bound(net, ["o1", "o2"], prices, frozenset(), frozenset(),
+                   ["d1", "d2"])
     want = _cheapest_connecting_spend(net, units, frozenset(), frozenset())
     assert want == 500
     assert bound == 500.0
@@ -906,18 +914,18 @@ def test_include_children_never_probe(monkeypatch):
     # parent's arcs and takes its relaxation, builds no tables, and every
     # other one builds them once: the root from scratch, a child by
     # repairing its parent's, one close_arcs call per facility; only the
-    # root probes, from scratch
+    # root probes, from scratch.  The node solve calls both on the index
     calls, repairs, popped = [], [], []
-    real_times, real_close, real_pop = (solver.facility_times,
-                                        solver.close_arcs, heapq.heappop)
+    real_times, real_close, real_pop = (GraphIndex.facility_times,
+                                        GraphIndex.close_arcs, heapq.heappop)
 
-    def counted(net, closed=frozenset()):
+    def counted(g, closed=frozenset()):
         calls.append(closed)
-        return real_times(net, closed)
+        return real_times(g, closed)
 
-    def counted_repair(net, table, sources, arcs, closed):
+    def counted_repair(g, table, sources, arcs, closed=frozenset()):
         repairs.append(closed)
-        return real_close(net, table, sources, arcs, closed)
+        return real_close(g, table, sources, arcs, closed)
 
     def recorded_pop(heap):
         entry = real_pop(heap)
@@ -925,8 +933,8 @@ def test_include_children_never_probe(monkeypatch):
             popped.append(entry[0])
         return entry
 
-    monkeypatch.setattr(solver, "facility_times", counted)
-    monkeypatch.setattr(solver, "close_arcs", counted_repair)
+    monkeypatch.setattr(GraphIndex, "facility_times", counted)
+    monkeypatch.setattr(GraphIndex, "close_arcs", counted_repair)
     monkeypatch.setattr(solver, "heapq", types.SimpleNamespace(
         heappush=heapq.heappush, heappop=recorded_pop))
     town = synth.grid_network_file(10, 10, 0, n_facilities=3)
@@ -954,19 +962,21 @@ def test_include_children_never_probe(monkeypatch):
 def _checked_routes(monkeypatch):
     """Wraps `_node_routes` to compare every route it gives, reused or
     walked, with a fresh canonical walk over the node's shut arcs; returns
-    the per-call log of (fell, backed, is a child)."""
+    the per-call log of (fell, backed, is a child), in ids."""
     log = []
     real = solver._node_routes
 
-    def checked(net, origins, node, tables, parent, fell, stats):
-        paths, backed = real(net, origins, node, tables, parent, fell, stats)
-        for o in origins:
-            dest = node.assignment[o.id]
-            fresh = canonical_walk(
-                net, o.id, dest, node.closed,
-                dijkstra(net, (dest,), node.closed, reverse=True))
-            assert paths[o.id] == fresh[0], (o.id, dest)
-        log.append((set(fell), backed, parent is not None))
+    def checked(g, origins, node, tables, parent, fell, stats):
+        paths, backed = real(g, origins, node, tables, parent, fell, stats)
+        ids = g.node_ids
+        for k, path in zip(origins, paths, strict=True):
+            dest = node.assignment[k]
+            fresh = g.canonical_walk(
+                k, dest, node.closed,
+                g.dijkstra((dest,), node.closed, reverse=True)[0])
+            assert path == fresh[0], (ids[k], ids[dest])
+        log.append(({ids[d] for d in fell}, {ids[k] for k in backed},
+                    parent is not None))
         return paths, backed
 
     monkeypatch.setattr(solver, "_node_routes", checked)

@@ -5,12 +5,22 @@ or plain intersections (transshipment nodes).  Arcs carry travel times in
 minutes; flood-vulnerable arcs additionally carry a mitigation cost and are
 unusable unless upgraded.
 
-Every search takes the roads it may not use as one set of closed arcs:
-``net.vulnerable_ids`` for the flooded network, the empty default for the
-fully repaired one, ``net.vulnerable_ids - bought`` for a plan, and
-``frozenset((aid,))`` for one road closed.  Every origin-to-facility fact
-is read off reverse tables (``facility_times``): ``facility_ranking`` is
-an origin's nearest-first list of facilities, and ``canonical_walk`` is
+Every search runs on numbers, not ids: ``net.index()`` is a `GraphIndex`,
+built by the first search of a network and kept with it (the network is
+immutable), that numbers nodes and arcs in sorted-id order.  Each node
+lists its out- and in-arcs as ``(arc number, other end, minutes)``
+records in arc-id order, so the kernel's ``(time, node number)`` heap
+breaks every tie as a ``(time, node id)`` heap would.  A table is a list
+indexed by node number, ``inf`` where a node is unreached.  Every caller
+works in numbers and turns them back into ids only in what it returns;
+``shortest_paths`` is the one id-keyed search.
+
+Every search takes the roads it may not use as one set of closed arc
+numbers: the vulnerable arcs for the flooded network, the empty default
+for the fully repaired one, the vulnerable arcs not bought for a plan, and
+one arc for one road closed.  Every origin-to-facility fact is read off
+the reverse tables of ``GraphIndex.facility_times``: ``facility_ranking``
+is an origin's nearest-first list of facilities, and ``canonical_walk`` is
 the one route walk, which says whether it backed out of a dead end.
 ``close_arcs`` closes more roads in a finished reverse table by repairing
 it, not searching it again, whether the table was built with nothing
@@ -21,20 +31,6 @@ rests on also tells which closures need no repair
 the network's articulation points, and ``bare_sides`` and
 ``bare_components`` are the one side-component finder, for prune's
 technique 1 and the component mask.
-
-The searches run on numbers, not ids: ``net.index()`` is a `GraphIndex`,
-built by the first search of a network and kept with it (the network is
-immutable), that numbers nodes and arcs in sorted-id order.  Each node
-lists its out- and in-arcs as ``(arc number, other end, minutes)``
-records in arc-id order, so the kernel's ``(time, node number)`` heap
-breaks every tie as a ``(time, node id)`` heap would.  On the index a
-table is a list indexed by node number, ``inf`` where a node is
-unreached, and a closed set holds arc numbers.  The hot callers (closure
-ranking, the branch-and-bound's node solve) keep numbers end to end and
-translate to ids only in what they return; the id-keyed ``dijkstra``,
-``shortest_paths``, ``facility_times``, ``close_arcs`` and
-``canonical_walk`` are adapters over the index's methods, for everyone
-else.
 """
 from __future__ import annotations
 
@@ -257,14 +253,6 @@ class GraphIndex:
         arc_no = self.arc_no
         return frozenset([arc_no[aid] for aid in arc_ids if aid in arc_no])
 
-    def table_of(self, table: Mapping[str, float]) -> list[float]:
-        """An id-keyed table as a numbered one."""
-        out = [_INF] * len(self.node_ids)
-        node_no = self.node_no
-        for nid, t in table.items():
-            out[node_no[nid]] = t
-        return out
-
     # -- the kernels --------------------------------------------------------
 
     def dijkstra(self, sources: Iterable[int],
@@ -485,82 +473,16 @@ def _grouped(keys: Iterable[int], records: Iterable[ArcRecord],
     return tuple(map(tuple, groups))
 
 
-# -- id-keyed adapters ------------------------------------------------------
-
-
-def dijkstra(net: Network, sources: Iterable[str],
-             closed: Collection[str] = frozenset(),
-             reverse: bool = False) -> dict[str, float]:
-    """Settled travel times from the nearest of ``sources`` over the arcs
-    whose ids are not in ``closed``: ``{node_id: minutes}`` in settling
-    order, unreachable nodes absent (``GraphIndex.dijkstra``)."""
-    g = net.index()
-    best, order = g.dijkstra(g.nodes_of(sources), g.arcs_of(closed), reverse)
-    ids = g.node_ids
-    return {ids[u]: best[u] for u in order}
-
-
 def shortest_paths(net: Network, source: str,
                    closed: Collection[str] = frozenset()) -> dict[str, float]:
-    """Dijkstra travel times from ``source`` over the arcs not in ``closed``.
-
-    Returns ``{node_id: minutes}``; unreachable nodes are absent.
-    """
-    return dijkstra(net, (source,), closed)
-
-
-def facility_times(net: Network, closed: Collection[str] = frozenset(),
-                   ) -> dict[str, dict[str, float]]:
-    """Travel times to every facility: ``{facility_id: {node_id: minutes}}``.
-
-    One reverse search per facility, in id order, over the arcs not in
-    ``closed``; nodes that cannot reach a facility are absent from its
-    table.
-    """
-    return {d.id: dijkstra(net, (d.id,), closed, reverse=True)
-            for d in net.destinations()}
-
-
-def facility_ranking(tables: Mapping[str, Mapping[str, float]],
-                     origin: str) -> list[tuple[float, str]]:
-    """The facilities ``origin`` reaches in ``tables`` (``facility_times``'
-    shape), as (minutes, facility) pairs, nearest first and ties by id;
-    empty if it reaches none."""
-    return sorted((t[origin], d) for d, t in tables.items() if origin in t)
-
-
-def close_arcs(net: Network, table: Mapping[str, float],
-               sources: Iterable[str], arcs: Iterable[str],
-               closed: Collection[str] = frozenset(),
-               ) -> dict[str, float | None]:
-    """The labels of a reverse table (``dijkstra(net, sources, closed,
-    reverse=True)``) that change when ``arcs`` close too: ``{node_id:
-    minutes}``, None for a node that no longer reaches a source
-    (``GraphIndex.close_arcs``)."""
+    """Travel times from ``source`` over the arcs whose ids are not in
+    ``closed``: ``{node_id: minutes}`` in settling order, unreachable nodes
+    absent.  The one id-keyed search (``GraphIndex.dijkstra``); an unknown
+    ``source`` is a `NetworkError`."""
     g = net.index()
-    moved = g.close_arcs(g.table_of(table), g.nodes_of(sources),
-                         g.arcs_of(arcs), g.arcs_of(closed))
+    best, order = g.dijkstra(g.nodes_of((source,)), g.arcs_of(closed))
     ids = g.node_ids
-    return {ids[v]: (t if t < _INF else None) for v, t in moved.items()}
-
-
-def canonical_walk(net: Network, source: str, target: str,
-                   closed: Collection[str],
-                   dist_to_target: Mapping[str, float],
-                   ) -> tuple[tuple[str, ...], bool] | None:
-    """The deterministic shortest route from ``source`` to ``target`` over
-    the arcs not in ``closed``, read off the reverse table
-    ``dist_to_target``: (arc ids, whether it backed out of a dead end), or
-    None if ``source`` cannot reach ``target`` (``GraphIndex.canonical_walk``).
-    """
-    if source not in dist_to_target:
-        return None
-    g = net.index()
-    path, backed = g.canonical_walk(g.node_no[source], g.node_no[target],
-                                    g.arcs_of(closed),
-                                    g.table_of(dist_to_target))
-    ids = g.arc_ids
-    return tuple(ids[a] for a in path), backed
+    return {ids[u]: best[u] for u in order}
 
 
 # -- connectivity structure -------------------------------------------------

@@ -17,7 +17,8 @@ Three reductions, all derived from path structure:
 
 A mask maps an origin id to the frozenset of arc ids its routes may not
 use, and leaves out an origin when nothing is blocked for it: one more
-closed set per origin, in the form every search in ``net`` takes.
+closed set per origin, in ids because masks are outputs (a search takes
+it as arc numbers, ``GraphIndex.arcs_of``).
 
 Fixings feed the model builder, the brute-force oracle and the exact solver;
 the solve pipeline runs ``forced_exits`` alone.  Masks feed only the model
@@ -31,29 +32,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .ingest import ProblemInstance
 from .net import (DIST_TOL, NodeKind, bare_components, bare_sides, cut_nodes,
-                  facility_times, shortest_paths, undirected_adjacency)
+                  undirected_adjacency)
 
 
 @dataclass(frozen=True)
 class SpTables:
-    """Per-facility travel-time tables, as built by ``net.facility_times``.
+    """Per-facility reverse tables on the network's index, as built by
+    ``GraphIndex.facility_times``: ``{facility number: list by node
+    number}``, ``inf`` where a node cannot reach the facility.
 
     ``flooded[d][k]`` is the time from node k to facility d on never-vulnerable
     arcs only; ``upgraded[d][k]`` assumes every vulnerable arc is passable.
     """
 
-    flooded: Mapping[str, Mapping[str, float]]
-    upgraded: Mapping[str, Mapping[str, float]]
+    flooded: Mapping[int, Sequence[float]]
+    upgraded: Mapping[int, Sequence[float]]
 
 
 def compute_sp_tables(instance: ProblemInstance) -> SpTables:
     net = instance.network
-    return SpTables(flooded=facility_times(net, net.vulnerable_ids),
-                    upgraded=facility_times(net))
+    g = net.index()
+    return SpTables(flooded=g.facility_times(g.arcs_of(net.vulnerable_ids)),
+                    upgraded=g.facility_times())
 
 
 @dataclass(frozen=True)
@@ -112,20 +116,19 @@ def distance_dominated(instance: ProblemInstance,
     need a forward search, for the time to each arc's tail.
     """
     net = instance.network
-    flooded = facility_times(net, net.vulnerable_ids).values()
+    g = net.index()
+    flooded = g.facility_times(g.arcs_of(net.vulnerable_ids)).values()
+    arcs = list(zip(g.arc_ids, g.tail, g.minutes))
     mask: dict[str, frozenset[str]] = {}
-    for o in net.origins():
-        bound = max((t.get(o.id, math.inf) for t in flooded),
-                    default=math.inf)
+    for k in g.origins:
+        bound = max((t[k] for t in flooded), default=math.inf)
         if not math.isfinite(bound):
             continue
-        reach = shortest_paths(net, o.id)
-        blocked = frozenset(
-            aid for aid, arc in net.arcs.items()
-            if reach.get(arc.tail, math.inf) + arc.travel_time
-            > bound + DIST_TOL)
+        reach = g.dijkstra((k,))[0]
+        blocked = frozenset(aid for aid, tail, minutes in arcs
+                            if reach[tail] + minutes > bound + DIST_TOL)
         if blocked:
-            mask[o.id] = blocked
+            mask[g.node_ids[k]] = blocked
     return mask
 
 

@@ -29,20 +29,22 @@ prices come from coordinate ascent (`_capacity_prices`).
 
 Every origin rides a shortest path, so the root's distances come from one
 reverse search per facility, and each origin's facility ranking
-(`net.facility_ranking`) and route (`net.canonical_walk`, the one route
-walk) are read off those tables.  A child shuts every arc its parent does,
-so it starts from its parent's solve: it repairs the parent's tables over
-the arcs it newly shuts, keeps the routes that stay canonical, and starts
-its assignment search from the parent's assignment; an include child that
-shuts no more arcs reuses the parent's relaxation whole.  Like every
-search, these take the roads a plan leaves shut as one set of closed arc
-ids: ``net.vulnerable_ids`` minus the arcs bought.  Masks and valid
-inequalities never reach the search: they only tighten the 0-1 model.
+(`GraphIndex.facility_ranking`) and route (`GraphIndex.canonical_walk`,
+the one route walk) are read off those tables.  A child shuts every arc
+its parent does, so it starts from its parent's solve: it repairs the
+parent's tables over the arcs it newly shuts, keeps the routes that stay
+canonical, and starts its assignment search from the parent's
+assignment; an include child that shuts no more arcs reuses the parent's
+relaxation whole.  Like every search, these take the roads a plan leaves
+shut as one set of closed arc numbers on the network's index: the
+vulnerable arcs minus the arcs bought.  Masks and valid inequalities
+never reach the search: they only tighten the 0-1 model.
 `brute_force_oracle` independently enumerates every affordable upgrade set
 and every capacity-feasible assignment (a mask optional: origin id ->
 arc ids, added to that origin's closed set), walking each route of its
 plan over one reverse search — slower, but nothing to get wrong — and is
-what the solver is tested against.
+what the solver is tested against.  Both work in node and arc numbers and
+give ids only in what they return.
 `build_model`/`export_lp` emit the equivalent 0-1 program, masks and cuts
 included, for external solvers (one rule turns a forced route into a
 constant in every row), and `gap_to_rnfmp` embeds a generalized assignment
@@ -68,7 +70,7 @@ from .ingest import (CAPACITY_TOL, InstanceSpec, ProblemInstance,
                      PurchaseUnit, capacity_fits, cents, purchase_units,
                      upgrade_cost_cents)
 from .net import (DIST_TOL, GraphIndex, Network, NodeKind, RoadArc,
-                  RoadNode, canonical_walk, dijkstra)
+                  RoadNode)
 from .reductions import Cuts, FixedUpgrades
 
 
@@ -452,23 +454,22 @@ def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
     return best_obj, best_assign
 
 
-def _candidate_lists(net: Network, origins: Sequence[RoadNode],
-                     dest_ids: Sequence[str],
-                     mask: Mapping[str, frozenset[str]],
-                     closed: frozenset[str],
-                     ) -> dict[str, list[tuple[float, str]]] | None:
-    """Per-origin reachable (minutes, dest) lists; None if someone is cut off.
+def _candidate_lists(g: GraphIndex, closed: AbstractSet[int],
+                     masks: Sequence[AbstractSet[int]],
+                     ) -> list[list[tuple[float, int]]] | None:
+    """Per-origin reachable (minutes, facility) lists, nearest first, in
+    ``g.origins`` order; None if someone is cut off.
 
-    One forward search per origin, because a mask adds to each origin's
-    closed set.
+    One forward search per origin, because a mask (``masks[i]`` for origin
+    ``g.origins[i]``) adds to each origin's closed set.
     """
-    out: dict[str, list[tuple[float, str]]] = {}
-    for o in origins:
-        dists = dijkstra(net, (o.id,), closed | mask.get(o.id, frozenset()))
-        reach = sorted((dists[t], t) for t in dest_ids if t in dists)
+    out: list[list[tuple[float, int]]] = []
+    for k, mask in zip(g.origins, masks):
+        dists = g.dijkstra((k,), closed | mask)[0]
+        reach = sorted((dists[d], d) for d in g.dests if dists[d] < math.inf)
         if not reach:
             return None
-        out[o.id] = reach
+        out.append(reach)
     return out
 
 
@@ -559,14 +560,14 @@ def brute_force_oracle(instance: ProblemInstance,
                        fixings: FixedUpgrades | None = None) -> Solution:
     """Exhaustive reference solve: every affordable upgrade set, every
     capacity-feasible assignment.  Exact and deterministic, exponential.
-    ``mask`` (origin id -> arc ids) adds to each origin's closed set."""
+    ``mask`` (origin id -> arc ids) adds to each origin's closed set.  It
+    enumerates in node and arc numbers, which follow sorted-id order, so
+    ties break by id; ids appear only in the returned `Solution`."""
     limits = limits or OracleLimits()
     mask = mask or {}
     net = instance.network
     origins = net.origins()
     dests = net.destinations()
-    dest_ids = [d.id for d in dests]
-    caps = {d.id: d.capacity for d in dests}
     units = purchase_units(net, instance.spec.segment_coupling)
     if len(units) > limits.max_vulnerable:
         raise OracleScaleError(
@@ -579,60 +580,61 @@ def brute_force_oracle(instance: ProblemInstance,
             f"oracle scale: {len(dests)} destinations > {limits.max_destinations}")
 
     budget_cents = cents(instance.budget)
-    forced_units, free_units, forced_cost, shut = _forced(net, units, fixings)
+    forced_units, free_units, forced_cost, shut_ids = _forced(net, units,
+                                                              fixings)
+    g = net.index()
+    shut = g.arcs_of(shut_ids)
+    unit_arcs = [g.arcs_of(u.arc_ids) for u in free_units]
+    masks = [g.arcs_of(mask.get(o.id, ())) for o in origins]
+    caps = dict(zip(g.dests, (d.capacity for d in dests)))
 
-    best: tuple[float, tuple[str, ...], tuple[tuple[str, str], ...]] | None = None
-    best_assignment: dict[str, str] | None = None
-    best_closed: frozenset[str] | None = None
+    best: tuple[float, tuple[str, ...], tuple[int, ...]] | None = None
+    best_closed: frozenset[int] | None = None
     saw_connected = False
     evaluated = 0
 
-    origin_order = list(origins)  # id order
     for r in range(len(free_units) + 1):
         for combo in itertools.combinations(range(len(free_units)), r):
             cost = forced_cost + sum(free_units[i].cost_cents for i in combo)
             if cost > budget_cents:
                 continue
             evaluated += 1
-            closed = shut - {a for i in combo for a in free_units[i].arc_ids}
+            closed = shut - {a for i in combo for a in unit_arcs[i]}
             unit_key = tuple(sorted([free_units[i].id for i in combo]
                                     + [u.id for u in forced_units]))
-            cands = _candidate_lists(net, origin_order, dest_ids, mask,
-                                     closed)
+            cands = _candidate_lists(g, closed, masks)
             if cands is None:
                 continue
             saw_connected = True
-            per_origin = [cands[o.id] for o in origin_order]
-            for picks in itertools.product(*per_origin):
-                load: dict[str, float] = {}
-                for o, (_, did) in zip(origin_order, picks):
-                    load[did] = load.get(did, 0.0) + o.residents
+            for picks in itertools.product(*cands):
+                load: dict[int, float] = {}
+                for o, (_, d) in zip(origins, picks):
+                    load[d] = load.get(d, 0.0) + o.residents
                 if any(not capacity_fits(v, caps[d]) for d, v in load.items()):
                     continue
-                obj = sum(o.weight * d for o, (d, _) in zip(origin_order, picks))
-                assign_key = tuple((o.id, did) for o, (_, did)
-                                   in zip(origin_order, picks))
-                key = (obj, unit_key, assign_key)
+                obj = sum(o.weight * t for o, (t, _) in zip(origins, picks))
+                key = (obj, unit_key, tuple(d for _, d in picks))
                 if (best is None or obj < best[0] - DIST_TOL
                         or (abs(obj - best[0]) <= DIST_TOL
                             and key[1:] < best[1:])):
                     best = key
-                    best_assignment = dict(assign_key)
                     best_closed = closed
-    if best is None or best_assignment is None or best_closed is None:
+    if best is None or best_closed is None:
         status = (SolveStatus.INFEASIBLE if saw_connected
                   else SolveStatus.BUDGET_DISCONNECTED)
         return Solution(status=status, stats={"subsets_evaluated": evaluated})
+    assignment: dict[str, str] = {}
     paths: dict[str, tuple[str, ...]] = {}
-    for k, dest in sorted(best_assignment.items()):
-        closed = best_closed | mask.get(k, frozenset())
-        paths[k] = canonical_walk(
-            net, k, dest, closed,
-            dijkstra(net, (dest,), closed, reverse=True))[0]
+    for o, k, dest, extra in zip(origins, g.origins, best[2], masks):
+        closed = best_closed | extra
+        walk = g.canonical_walk(
+            k, dest, closed, g.dijkstra((dest,), closed, reverse=True)[0])[0]
+        assignment[o.id] = g.node_ids[dest]
+        paths[o.id] = tuple(g.arc_ids[a] for a in walk)
     return Solution(
         status=SolveStatus.OPTIMAL, objective=best[0], best_bound=best[0],
         gap=0.0, upgrades=_used_vulnerable(net, paths),
-        assignment=best_assignment, paths=paths,
+        assignment=assignment, paths=paths,
         stats={"subsets_evaluated": evaluated})
 
 

@@ -1,8 +1,53 @@
-"""Shared fixtures: small hand-checkable instances used across the suite."""
+"""Shared fixtures: small hand-checkable instances used across the suite,
+and a plain Dijkstra on ids to judge the search kernel by."""
 from __future__ import annotations
 
+import heapq
+import math
+
 from floodmit.ingest import InstanceSpec, ProblemInstance
-from floodmit.net import Network, NodeKind, RoadArc, RoadNode
+from floodmit.net import DIST_TOL, Network, NodeKind, RoadArc, RoadNode
+
+
+def plain_dijkstra(net, sources, closed=frozenset(), reverse=False,
+                   labels=None):
+    """A plain Dijkstra on ids, for reference: a ``(time, id)`` heap over
+    ``net.arcs``, the kernel's ``< best - DIST_TOL`` rule, and the seeded
+    form's ``labels``.  Returns the settled times in settling order,
+    unreached nodes absent.  It shares no code with ``GraphIndex``."""
+    best = dict(labels) if labels is not None else dict.fromkeys(sources, 0.0)
+    heap = [(best[s], s) for s in set(sources)]
+    heapq.heapify(heap)
+    settled = {}
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled[u] = d
+        for aid in net.in_arcs(u) if reverse else net.out_arcs(u):
+            if aid in closed:
+                continue
+            arc = net.arcs[aid]
+            v = arc.tail if reverse else arc.head
+            if d + arc.travel_time < best.get(v, math.inf) - DIST_TOL:
+                best[v] = d + arc.travel_time
+                heapq.heappush(heap, (best[v], v))
+    return settled
+
+
+def canonical_route(net, source, target, closed=frozenset()):
+    """``GraphIndex.canonical_walk`` from ``source`` to ``target`` over the
+    arcs not in ``closed``, read off a fresh reverse search from the
+    target, with ids in and out: (arc ids, whether it backed out of a dead
+    end), or None if ``source`` cannot reach ``target``."""
+    g = net.index()
+    s, t = g.nodes_of((source, target))
+    shut = g.arcs_of(closed)
+    found = g.canonical_walk(s, t, shut,
+                             g.dijkstra((t,), shut, reverse=True)[0])
+    if found is None:
+        return None
+    return tuple(g.arc_ids[a] for a in found[0]), found[1]
 
 
 def build_instance(nodes, arcs, budget, b_hat, **spec_kw):

@@ -16,12 +16,13 @@ from floodmit.analysis import (EwttRow, SweepRow, budget_sweep,
 from floodmit.cli import _print_plan
 from floodmit.ingest import (InstanceSpec, SchemaError, instance_from_file,
                              upgrade_cost_cents, with_network)
-from floodmit.net import Network, NodeKind, RoadArc, RoadNode, dijkstra
+from floodmit.net import Network, NodeKind, RoadArc, RoadNode
 from floodmit.solver import SolveStatus, solve_exact
 from floodmit import analysis, net as net_module, pipeline, synth
 from floodmit.pipeline import solve_pipeline
 
-from conftest import bridge_instance, build_instance, f1_instance
+from conftest import (bridge_instance, build_instance, f1_instance,
+                      plain_dijkstra)
 
 
 def grid_file():
@@ -250,13 +251,15 @@ def test_repeated_arc_ids_count_once():
 
 
 def _plain_ranking_outputs(inst):
-    """ewtt CSV, segment CSV and critical roads, every closure searched."""
+    """ewtt CSV, segment CSV and critical roads, every closure searched by
+    the plain reference Dijkstra, which shares no code with the kernel."""
     net = inst.network
     origin_ids = [o.id for o in net.origins()]
     dest_ids = [d.id for d in net.destinations()]
 
     def reverse_times(closed):
-        return {d: dijkstra(net, (d,), closed, reverse=True) for d in dest_ids}
+        return {d: plain_dijkstra(net, (d,), closed, reverse=True)
+                for d in dest_ids}
 
     base = reverse_times(frozenset())
     rows = []
@@ -279,8 +282,8 @@ def _plain_ranking_outputs(inst):
     rows.sort(key=lambda r: (-r.ewtt, r.arc))
     critical = tuple(
         aid for aid in sorted(net.arcs)
-        if not set(origin_ids) <= dijkstra(net, dest_ids, frozenset((aid,)),
-                                           reverse=True).keys())
+        if not set(origin_ids) <= plain_dijkstra(
+            net, dest_ids, frozenset((aid,)), reverse=True).keys())
     return (ewtt_csv(rows), segment_csv(segment_rollup(rows)), critical)
 
 

@@ -164,6 +164,18 @@ def test_network_path_that_is_a_directory_exits_1(tmp_path, capsys):
     assert err == f"error: network file is not a regular file: {tmp_path}\n"
 
 
+def test_solve_out_dir_that_is_a_file_exits_1(demo, capsys):
+    assert main(["solve", str(demo), "--out-dir", str(demo)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_oracle_out_that_is_a_directory_exits_1(paradox, tmp_path, capsys):
+    assert main(["oracle", str(paradox), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_malformed_record_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad-record.json"
     bad.write_text(json.dumps({"schema_version": 1, "nodes": [5], "arcs": []}))

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import itertools
 import math
 import random
@@ -10,12 +9,11 @@ import random
 import pytest
 
 from floodmit import synth
-from floodmit.net import (DIST_TOL, Network, NetworkError, NodeKind, RoadArc,
-                          RoadNode,
-                          bare_components, bare_sides, canonical_walk,
-                          close_arcs, cut_nodes, dijkstra, facility_ranking,
-                          facility_times, shortest_paths,
-                          undirected_adjacency)
+from floodmit.net import (GraphIndex, Network, NetworkError, NodeKind,
+                          RoadArc, RoadNode, bare_components, bare_sides,
+                          cut_nodes, shortest_paths, undirected_adjacency)
+
+from conftest import canonical_route, plain_dijkstra
 
 
 def grid3() -> Network:
@@ -86,13 +84,15 @@ def test_shortest_paths_respects_filters():
 
 def test_reverse_and_multi_target():
     net = grid3()
-    back = dijkstra(net, ["d"], reverse=True)
-    assert back["o"] == 2.0 and back["b"] == 2.0 and back["d"] == 0.0
-    near = dijkstra(net, ["d", "b"], net.vulnerable_ids, reverse=True)
-    assert near["o"] == 2.0  # b is closer than d on the dry network
-    assert near["b"] == 0.0 and "a" not in near
+    g = net.index()
+    a, b, d, o = g.nodes_of("abdo")
+    back = g.dijkstra((d,), reverse=True)[0]
+    assert back[o] == 2.0 and back[b] == 2.0 and back[d] == 0.0
+    near = g.dijkstra((d, b), g.arcs_of(net.vulnerable_ids), reverse=True)[0]
+    assert near[o] == 2.0  # b is closer than d on the dry network
+    assert near[b] == 0.0 and near[a] == math.inf
     with pytest.raises(NetworkError):
-        dijkstra(net, ["zz"], reverse=True)
+        g.nodes_of(["zz"])
 
 
 def test_canonical_path_prefers_smaller_arc_ids():
@@ -105,16 +105,13 @@ def test_canonical_path_prefers_smaller_arc_ids():
     arcs = [RoadArc("e1", "s", "m1", 1.0), RoadArc("e2", "m1", "t", 1.0),
             RoadArc("e3", "s", "m2", 1.0), RoadArc("e4", "m2", "t", 1.0)]
     net = Network(nodes, arcs)
-    to_t = dijkstra(net, ("t",), reverse=True)
-    assert to_t["s"] == 2.0
-    assert canonical_walk(net, "s", "t", frozenset(), to_t) == \
-        (("e1", "e2"), False)
+    g = net.index()
+    assert g.dijkstra(g.nodes_of("t"), reverse=True)[0][g.node_no["s"]] == 2.0
+    assert canonical_route(net, "s", "t") == (("e1", "e2"), False)
 
 
 def test_canonical_path_unreachable_is_none():
-    net = grid3()
-    to_o = dijkstra(net, ("o",), reverse=True)
-    assert canonical_walk(net, "d", "o", frozenset(), to_o) is None
+    assert canonical_route(grid3(), "d", "o") is None
 
 
 def test_canonical_path_zero_time_arcs():
@@ -124,10 +121,9 @@ def test_canonical_path_zero_time_arcs():
     arcs = [RoadArc("f1", "s", "x", 0.0), RoadArc("f2", "x", "s", 0.0),
             RoadArc("f3", "x", "t", 0.0)]
     net = Network(nodes, arcs)
-    to_t = dijkstra(net, ("t",), reverse=True)
-    assert to_t["s"] == 0.0
-    assert canonical_walk(net, "s", "t", frozenset(), to_t) == \
-        (("f1", "f3"), False)
+    g = net.index()
+    assert g.dijkstra(g.nodes_of("t"), reverse=True)[0][g.node_no["s"]] == 0.0
+    assert canonical_route(net, "s", "t") == (("f1", "f3"), False)
 
 
 def test_facility_times_equal_forward_searches():
@@ -135,26 +131,33 @@ def test_facility_times_equal_forward_searches():
     # every origin, on the flooded and on the fully repaired network
     for seed in range(100):
         net = synth.random_instance(seed).network
+        g = net.index()
         for closed in (net.vulnerable_ids, frozenset()):
-            tables = facility_times(net, closed)
-            assert list(tables) == [d.id for d in net.destinations()]
+            tables = g.facility_times(g.arcs_of(closed))
+            assert [g.node_ids[d] for d in tables] == \
+                [d.id for d in net.destinations()]
             for o in net.origins():
+                k = g.node_no[o.id]
                 fwd = shortest_paths(net, o.id, closed)
                 for d in net.destinations():
-                    assert (o.id in tables[d.id]) == (d.id in fwd), seed
+                    table = tables[g.node_no[d.id]]
+                    assert (table[k] < math.inf) == (d.id in fwd), seed
                     if d.id in fwd:
-                        assert tables[d.id][o.id] == \
+                        assert table[k] == \
                             pytest.approx(fwd[d.id], abs=1e-9), seed
 
 
 def test_facility_ranking_is_nearest_first():
-    # ties go to the smaller facility id; a facility the origin cannot
-    # reach is left out, and an origin that reaches none gets []
-    tables = {"d2": {"o": 3.0, "p": 1.0}, "d1": {"o": 3.0}, "d0": {"o": 5.0}}
-    assert facility_ranking(tables, "o") == [(3.0, "d1"), (3.0, "d2"),
-                                             (5.0, "d0")]
-    assert facility_ranking(tables, "p") == [(1.0, "d2")]
-    assert facility_ranking(tables, "q") == []
+    # ties go to the smaller facility number (id); a facility the origin
+    # cannot reach is left out, and an origin that reaches none gets [].
+    # Origins o, p, q are nodes 0-2, facilities d0, d1, d2 nodes 3-5
+    o, p, q, d0, d1, d2 = range(6)
+    inf = math.inf
+    tables = {d2: [3.0, 1.0, inf], d1: [3.0, inf, inf], d0: [5.0, inf, inf]}
+    assert GraphIndex.facility_ranking(tables, o) == [(3.0, d1), (3.0, d2),
+                                                      (5.0, d0)]
+    assert GraphIndex.facility_ranking(tables, p) == [(1.0, d2)]
+    assert GraphIndex.facility_ranking(tables, q) == []
 
 
 def test_articulation_and_components():
@@ -196,6 +199,14 @@ def _snapped_network(seed: int, **sizes) -> Network:
     return Network(net.nodes.values(), arcs)
 
 
+def _applied(table, moved):
+    """``table`` with the labels ``close_arcs`` moved."""
+    after = list(table)
+    for v, t in moved.items():
+        after[v] = t
+    return after
+
+
 def test_closing_arcs_equals_a_fresh_search_bit_for_bit():
     # along zero-time arcs a source can reach a closed arc's tail; were it
     # relabelled like any other node, the multi-source table would come out
@@ -204,22 +215,21 @@ def test_closing_arcs_equals_a_fresh_search_bit_for_bit():
     closures = reclosures = 0
     for seed in range(300):
         net = _snapped_network(seed)
+        g = net.index()
         rng = random.Random(seed)
         ids = sorted(net.arcs)
-        arc_sets = [frozenset((aid,)) for aid in ids] + [
-            frozenset(rng.sample(ids, min(3, len(ids)))) for _ in range(30)]
-        already = frozenset(rng.sample(ids, min(4, len(ids))))
-        dest_ids = [d.id for d in net.destinations()]
-        for sources in [(d,) for d in dest_ids] + [tuple(dest_ids)]:
+        arc_sets = [g.arcs_of((aid,)) for aid in ids] + [
+            g.arcs_of(rng.sample(ids, min(3, len(ids)))) for _ in range(30)]
+        already = g.arcs_of(rng.sample(ids, min(4, len(ids))))
+        for sources in [(d,) for d in g.dests] + [g.dests]:
             for closed in (frozenset(), already):
-                table = dijkstra(net, sources, closed, reverse=True)
+                table = g.dijkstra(sources, closed, reverse=True)[0]
                 for arcs in arc_sets:
-                    moved = close_arcs(net, table, sources, arcs, closed)
-                    assert all(table.get(v) != t for v, t in moved.items())
-                    after = {**table, **moved}
-                    assert {v: t for v, t in after.items() if t is not None} \
-                        == dijkstra(net, sources, closed | arcs,
-                                    reverse=True), (seed, closed, arcs)
+                    moved = g.close_arcs(table, sources, arcs, closed)
+                    assert all(table[v] != t for v, t in moved.items())
+                    assert _applied(table, moved) == g.dijkstra(
+                        sources, closed | arcs, reverse=True)[0], \
+                        (seed, closed, arcs)
                     if closed:
                         reclosures += 1
                     else:
@@ -237,53 +247,36 @@ def test_closing_arcs_follows_the_kernels_tolerance():
     arcs = [RoadArc(aid, "o", "d", tt)
             for aid, tt in (("a", 1 + 1.5e-9), ("b", 1 + 1e-9), ("c", 1.0))]
     net = Network(nodes, arcs)
-    table = dijkstra(net, ["d"], reverse=True)
+    g = net.index()
+    d, o = g.nodes_of("do")
+    table = g.dijkstra((d,), reverse=True)[0]
     for r in range(1, 4):
         for arcs in itertools.combinations("abc", r):
-            after = {**table, **close_arcs(net, table, ["d"], arcs)}
-            assert {v: t for v, t in after.items() if t is not None} == \
-                dijkstra(net, ["d"], frozenset(arcs), reverse=True), arcs
-    assert close_arcs(net, table, ["d"], ["a"]) == {"o": 1 + 1e-9}
-    assert close_arcs(net, table, ["d"], ["a", "b", "c"]) == {"o": None}
+            shut = g.arcs_of(arcs)
+            assert _applied(table, g.close_arcs(table, (d,), shut)) == \
+                g.dijkstra((d,), shut, reverse=True)[0], arcs
+    assert g.close_arcs(table, (d,), g.arcs_of("a")) == {o: 1 + 1e-9}
+    assert g.close_arcs(table, (d,), g.arcs_of("abc")) == {o: math.inf}
 
 
 def test_closing_arcs_returns_only_what_moves():
     # o reaches d in 2 over a; "ob" is slack, "bd" is b's only way out
     net = grid3()
-    table = dijkstra(net, ["d"], reverse=True)
-    assert close_arcs(net, table, ["d"], []) == {}
-    assert close_arcs(net, table, ["d"], ["ob"]) == {}
-    assert close_arcs(net, table, ["d"], ["bd"]) == {"b": None}
-    assert close_arcs(net, table, ["d"], ["oa"]) == {"o": 4.0}
-    assert close_arcs(net, table, ["d"], ["ad"]) == {"a": None, "o": 4.0}
+    g = net.index()
+    a, b, d, o = g.nodes_of("abdo")
+    table = g.dijkstra((d,), reverse=True)[0]
+
+    def close(*arc_ids):
+        return g.close_arcs(table, (d,), g.arcs_of(arc_ids))
+
+    assert close() == {}
+    assert close("ob") == {}
+    assert close("bd") == {b: math.inf}
+    assert close("oa") == {o: 4.0}
+    assert close("ad") == {a: math.inf, o: 4.0}
 
 
 # -- the indexed kernel against a plain reference ---------------------------
-
-def _plain_dijkstra(net, sources, closed=frozenset(), reverse=False,
-                    labels=None):
-    """A plain Dijkstra on ids, for reference: a ``(time, id)`` heap over
-    ``net.arcs``, the kernel's ``< best - DIST_TOL`` rule, and the seeded
-    form's ``labels``.  Returns the settled times in settling order."""
-    best = dict(labels) if labels is not None else dict.fromkeys(sources, 0.0)
-    heap = [(best[s], s) for s in set(sources)]
-    heapq.heapify(heap)
-    settled = {}
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled[u] = d
-        for aid in net.in_arcs(u) if reverse else net.out_arcs(u):
-            if aid in closed:
-                continue
-            arc = net.arcs[aid]
-            v = arc.tail if reverse else arc.head
-            if d + arc.travel_time < best.get(v, math.inf) - DIST_TOL:
-                best[v] = d + arc.travel_time
-                heapq.heappush(heap, (best[v], v))
-    return settled
-
 
 def test_index_numbers_nodes_and_arcs_in_id_order():
     for seed in range(50):
@@ -330,7 +323,7 @@ def test_indexed_kernel_settles_as_the_plain_reference():
                         (rng.sample(nodes, min(3, len(nodes))), True),
                         ([rng.choice(dest_ids)], True)]
             for sources, reverse in searches:
-                want = _plain_dijkstra(net, sources, closed, reverse)
+                want = plain_dijkstra(net, sources, closed, reverse)
                 best, order = g.dijkstra(g.nodes_of(sources),
                                          g.arcs_of(closed), reverse)
                 assert [(g.node_ids[u], best[u]) for u in order] == \
@@ -344,8 +337,8 @@ def test_indexed_kernel_settles_as_the_plain_reference():
                 if not table:
                     continue
                 seeds = rng.sample(sorted(table), rng.randint(1, len(table)))
-                want = _plain_dijkstra(net, seeds, closed, reverse, table)
-                labels = g.table_of(table)
+                want = plain_dijkstra(net, seeds, closed, reverse, table)
+                labels = [table.get(nid, math.inf) for nid in g.node_ids]
                 start = list(labels)
                 best, order = g.dijkstra(g.nodes_of(seeds), g.arcs_of(closed),
                                          reverse, labels)
@@ -383,17 +376,19 @@ def test_canonical_path_cost_matches_dijkstra():
         net = random_net(rng)
         dist = shortest_paths(net, "n0")
         target = sorted(net.nodes)[-1]
-        to_target = dijkstra(net, (target,), reverse=True)
-        found = canonical_walk(net, "n0", target, frozenset(), to_target)
+        g = net.index()
+        s, t = g.nodes_of(("n0", target))
+        to_target = g.dijkstra((t,), reverse=True)[0]
+        found = g.canonical_walk(s, t, frozenset(), to_target)
         if target not in dist:
             assert found is None
             continue
-        cost, path = to_target["n0"], found[0]
+        cost, path = to_target[s], found[0]
         assert abs(cost - dist[target]) <= 1e-9
         # the arc sequence really is a connected n0 -> target walk of that cost
         at, total = "n0", 0.0
-        for aid in path:
-            arc = net.arcs[aid]
+        for a in path:
+            arc = net.arcs[g.arc_ids[a]]
             assert arc.tail == at
             at = arc.head
             total += arc.travel_time
@@ -404,16 +399,18 @@ def test_multi_target_equals_min_of_reverse():
     rng = random.Random(977)
     for _ in range(80):
         net = random_net(rng)
+        g = net.index()
         targets = [nid for nid in net.nodes if rng.random() < 0.4] or ["n0"]
-        combined = dijkstra(net, targets, reverse=True)
-        singles = [dijkstra(net, [t], reverse=True) for t in targets]
+        combined = g.dijkstra(g.nodes_of(targets), reverse=True)[0]
+        singles = [g.dijkstra((t,), reverse=True)[0]
+                   for t in g.nodes_of(targets)]
         for nid in net.nodes:
-            best = min((s[nid] for s in singles if nid in s), default=None)
-            assert combined.get(nid) == best or (
-                best is not None and abs(combined[nid] - best) <= 1e-9)
+            u = g.node_no[nid]
+            best = min(s[u] for s in singles)
+            assert combined[u] == best or abs(combined[u] - best) <= 1e-9
             # a reverse label from one target is the forward distance to it
             fwd = shortest_paths(net, nid)
             for t, s in zip(targets, singles):
-                assert (t in fwd) == (nid in s)
+                assert (t in fwd) == (s[u] < math.inf)
                 if t in fwd:
-                    assert abs(fwd[t] - s[nid]) <= 1e-9
+                    assert abs(fwd[t] - s[u]) <= 1e-9

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -31,16 +32,20 @@ def D(nid, cap):
 
 
 def test_sp_tables_on_known_instance():
-    tables = compute_sp_tables(f1_instance(9.0))
-    assert tables.upgraded["d1"]["o1"] == pytest.approx(5.0)
-    assert tables.upgraded["d2"]["o1"] == pytest.approx(7.0)
-    assert tables.upgraded["d1"]["o2"] == pytest.approx(1.0)
-    assert tables.upgraded["d2"]["o2"] == pytest.approx(6.0)
+    inst = f1_instance(9.0)
+    tables = compute_sp_tables(inst)
+    # numbered tables on the network's index, one per facility in id order
+    d1, d2, o1, o2 = inst.network.index().nodes_of(("d1", "d2", "o1", "o2"))
+    assert list(tables.upgraded) == list(tables.flooded) == [d1, d2]
+    assert tables.upgraded[d1][o1] == pytest.approx(5.0)
+    assert tables.upgraded[d2][o1] == pytest.approx(7.0)
+    assert tables.upgraded[d1][o2] == pytest.approx(1.0)
+    assert tables.upgraded[d2][o2] == pytest.approx(6.0)
     # without upgrades d1 is unreachable from both origins
-    assert "o1" not in tables.flooded["d1"]
-    assert "o2" not in tables.flooded["d1"]
-    assert tables.flooded["d2"]["o1"] == pytest.approx(7.0)
-    assert tables.flooded["d2"]["o2"] == pytest.approx(6.0)
+    assert tables.flooded[d1][o1] == math.inf
+    assert tables.flooded[d1][o2] == math.inf
+    assert tables.flooded[d2][o1] == pytest.approx(7.0)
+    assert tables.flooded[d2][o2] == pytest.approx(6.0)
 
 
 def test_forced_exits_single_exit_fixed():

@@ -16,7 +16,7 @@ import pytest
 from floodmit.ingest import (InstanceSpec, capacity_fits, instance_from_file,
                             purchase_units)
 from floodmit.net import (DIST_TOL, GraphIndex, Network, NodeKind, RoadArc,
-                          RoadNode, canonical_walk, dijkstra)
+                          RoadNode)
 from floodmit.pipeline import solve_pipeline
 from floodmit.prune import harvest_triangle_vis
 from floodmit.reductions import Cuts, forced_exits, standard_reductions
@@ -28,8 +28,8 @@ from floodmit.solver import (ModelError, OracleLimits, OracleScaleError,
                              validate_solution)
 from floodmit import pipeline, solver, synth
 
-from conftest import (bridge_instance, build_instance, f1_instance,
-                      forced_exit_instance, overfull_instance,
+from conftest import (bridge_instance, build_instance, canonical_route,
+                      f1_instance, forced_exit_instance, overfull_instance,
                       stranded_instance)
 
 
@@ -178,9 +178,7 @@ def test_paths_are_canonical_over_the_bought_arcs():
             checked += 1
             closed = inst.network.vulnerable_ids - set(sol.upgrades)
             for k, dest in sol.assignment.items():
-                found = canonical_walk(
-                    inst.network, k, dest, closed,
-                    dijkstra(inst.network, (dest,), closed, reverse=True))
+                found = canonical_route(inst.network, k, dest, closed)
                 assert sol.paths[k] == found[0], (coupled, seed, k)
     assert checked >= 100
 
@@ -193,10 +191,9 @@ def test_zero_time_cycle_routes():
         [RoadArc("e1", "s", "a", 1.0), RoadArc("e2", "a", "b", 0.0),
          RoadArc("e3", "b", "a", 0.0), RoadArc("e4", "a", "t", 1.0)],
         0.0, 0.0)
-    to_t = dijkstra(inst.network, ("t",), reverse=True)
-    assert to_t["s"] == 2.0
-    assert canonical_walk(inst.network, "s", "t", frozenset(), to_t) == \
-        (("e1", "e4"), True)
+    g = inst.network.index()
+    assert g.dijkstra(g.nodes_of("t"), reverse=True)[0][g.node_no["s"]] == 2.0
+    assert canonical_route(inst.network, "s", "t") == (("e1", "e4"), True)
     oracle = brute_force_oracle(inst)
     sol = solve_exact(inst)
     assert oracle.status is sol.status is SolveStatus.OPTIMAL
@@ -699,7 +696,7 @@ def test_infeasibility_on_a_thin_budget_needs_few_nodes():
 
 def _cheapest_connecting_spend(net, units, free, closed):
     """Brute force: the least price of open units that connects everyone."""
-    dest_ids = [d.id for d in net.destinations()]
+    g = net.index()
     open_units = [u for u in units
                   if not set(u.arc_ids) & (free | closed)]
     best = math.inf
@@ -710,8 +707,8 @@ def _cheapest_connecting_spend(net, units, free, closed):
                 continue
             shut = net.vulnerable_ids - free - {
                 a for u in combo for a in u.arc_ids}
-            reach = dijkstra(net, dest_ids, shut, reverse=True)
-            if all(o.id in reach for o in net.origins()):
+            reach = g.dijkstra(g.dests, g.arcs_of(shut), reverse=True)[0]
+            if all(reach[k] < math.inf for k in g.origins):
                 best = price
     return best
 

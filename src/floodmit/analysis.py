@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .ingest import (InstanceSpec, ProblemInstance, SchemaError, _derive,
-                     _parse, upgrade_cost_cents)
+                     _parse, purchase_units, units_bought)
 from .net import Network
 from .net import shortest_paths  # noqa: F401 - bench/tracer.py hooks it here
 from .pipeline import PipelineResult, solve_pipeline
@@ -90,12 +90,15 @@ def budget_sweep(instance: ProblemInstance, fractions: Sequence[float],
     one the spec rejects (not finite, or above 1), is a ``SchemaError``
     (a ``ValueError``), which the CLI reports as an ``error:`` line.  The
     network is pruned once, by the full-budget floor's solve and inside its
-    time limit; every fraction's solve reuses that pruning.  ``spent``
-    prices each plan as the solver does: one price per purchase unit, so a
+    time limit; every fraction's solve reuses that pruning and its memo
+    (``PrunedNetwork.memo``), so an assignment search, a connection bound
+    or a solve's set-up that one fraction (or the floor) derived is not
+    derived again by another.  The memo goes with the pruning when the
+    sweep returns.  ``spent`` prices each plan as the solver does, from
+    one list of the network's purchase units: one price per unit, so a
     coupled segment is paid once.
     """
-    net = instance.network
-    coupled = instance.spec.segment_coupling
+    units = purchase_units(instance.network, instance.spec.segment_coupling)
     todo = sorted({float(f) for f in fractions})
     if any(f < 0 for f in todo):
         raise SchemaError("budget fractions must be nonnegative")
@@ -105,12 +108,12 @@ def budget_sweep(instance: ProblemInstance, fractions: Sequence[float],
     for f, at_f in zip(todo, budgeted):
         result = solve_pipeline(at_f, options=options, pruned=full.pruned)
         sol = result.solution
-        spent = upgrade_cost_cents(net, sol.upgrades, coupled) / 100
+        cost = sum(u.cost_cents for u in units_bought(units, sol.upgrades))
         rows.append(SweepRow(
             fraction=f, budget=f * instance.b_hat, status=sol.status,
             objective=sol.objective,
             excess=excess_travel_time(sol.objective, floor),
-            spent=spent, upgrades=sol.upgrades))
+            spent=cost / 100, upgrades=sol.upgrades))
     return rows
 
 

@@ -21,13 +21,14 @@ import dataclasses
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import analysis
 from .ingest import (CAPACITY_POLICIES, WEIGHT_POLICIES, InstanceSpec,
                      ProblemInstance, SchemaError, instance_from_file,
-                     instance_json, units_bought)
+                     instance_json, purchase_units, units_bought)
 from .net import NetworkError
 from .pipeline import solve_pipeline
 from .prune import harvest_triangle_vis, prune_all
@@ -118,14 +119,27 @@ def _money(amount: float) -> str:
     return f"${amount:,.2f}"
 
 
+@contextmanager
+def _writing(path: Path, *, file: bool = False) -> Iterator[None]:
+    """Make the output directory ``path``, or with ``file`` the parent of
+    the output file ``path``, for the writes inside the block; an
+    ``OSError`` from either names ``path``."""
+    what = "output file" if file else "output directory"
+    try:
+        (path.parent if file else path).mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise OSError(f"cannot write {what} {str(path)!r}: {exc}") from exc
+
+
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     instance = _load(args)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "instance.json"
-    out.write_text(instance_json(instance))
+    with _writing(args.out_dir):
+        out.write_text(instance_json(instance))
     net = instance.network
     total_h = sum(o.residents for o in net.origins())
     facts = [
@@ -146,9 +160,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_prune(args: argparse.Namespace) -> int:
     instance = _load(args)
     pruned = prune_all(instance.network)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "prunelog.json"
-    out.write_text(pruned.log.to_json())
+    with _writing(args.out_dir):
+        out.write_text(pruned.log.to_json())
     print(f"{'technique':<34}{'nodes':>8}{'arcs':>8}{'variables':>11}")
     for row in pruned.stats.rows():
         print(f"{row['label']:<34}{row['nodes']:>8}{row['arcs']:>8}"
@@ -172,8 +186,9 @@ def _print_plan(instance: ProblemInstance, sol) -> None:
     net = instance.network
     print(f"{'budget':<12} {_money(instance.budget)}")
     if sol.upgrades:
-        units = units_bought(net, sol.upgrades,
-                             instance.spec.segment_coupling)
+        units = units_bought(
+            purchase_units(net, instance.spec.segment_coupling),
+            sol.upgrades)
         spent = sum(u.cost_cents for u in units) / 100
         print(f"{'spent':<12} {_money(spent)}")
         for unit in units:  # one line per purchase, at the price charged
@@ -195,9 +210,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     result = solve_pipeline(instance, options=_options(args))
     elapsed = time.perf_counter() - t0
     sol = result.solution
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    (args.out_dir / "solution.json").write_text(sol.to_json())
-    (args.out_dir / "prunelog.json").write_text(result.pruned.log.to_json())
+    with _writing(args.out_dir):
+        (args.out_dir / "solution.json").write_text(sol.to_json())
+        (args.out_dir / "prunelog.json").write_text(
+            result.pruned.log.to_json())
     _print_plan(instance, sol)
     print(f"{'written':<12} {args.out_dir / 'solution.json'}")
     counts = ", ".join(f"{sol.stats.get(key, 0)} {label}" for key, label in (
@@ -214,8 +230,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load(args)
     sol = brute_force_oracle(instance)
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(sol.to_json())
+        with _writing(args.out, file=True):
+            args.out.write_text(sol.to_json())
     _print_plan(instance, sol)
     return sol.exit_code()
 
@@ -224,9 +240,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     instance = _load(args)
     rows = analysis.budget_sweep(instance, _fractions(args.fractions),
                                  options=_options(args))
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "sweep.csv"
-    analysis.sweep_csv(rows, out)
+    with _writing(args.out_dir):
+        analysis.sweep_csv(rows, out)
     print(f"{'fraction':>9} {'budget':>12} {'status':<20} {'objective':>12} "
           f"{'excess':>10}")
     for r in rows:
@@ -241,14 +257,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_ewtt(args: argparse.Namespace) -> int:
     instance = _load(args)
     rows = analysis.ewtt_ranking(instance)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "ewtt.csv"
-    analysis.ewtt_csv(rows, out)
     written = [str(out)]
-    if args.segments:
-        seg_out = args.out_dir / "segments.csv"
-        analysis.segment_csv(analysis.segment_rollup(rows), seg_out)
-        written.append(str(seg_out))
+    with _writing(args.out_dir):
+        analysis.ewtt_csv(rows, out)
+        if args.segments:
+            seg_out = args.out_dir / "segments.csv"
+            analysis.segment_csv(analysis.segment_rollup(rows), seg_out)
+            written.append(str(seg_out))
     critical = analysis.connectivity_critical(
         instance, [r.arc for r in rows])
     print(f"{'arc':<12} {'segment':<12} {'ewtt':>12} {'cut pairs':>10}")
@@ -267,9 +283,9 @@ def cmd_frequency(args: argparse.Namespace) -> int:
                                  options=_options(args))
     plans = [r for r in rows if r.objective is not None]
     freq = analysis.upgrade_frequency(plans)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "frequency.csv"
-    analysis.frequency_csv(freq, out)
+    with _writing(args.out_dir):
+        analysis.frequency_csv(freq, out)
     for r in freq:
         print(f"{r.arc:<12} bought in {r.count}/{len(plans)} plans")
     print(f"written: {out}")
@@ -285,9 +301,9 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
         cuts = Cuts(triangle=tuple(harvest_triangle_vis(instance.network)),
                     exit_origins=fixings.exit_vi_origins if fixings else ())
     model = build_model(instance, mask=mask, fixings=fixings, cuts=cuts)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / "model.lp"
-    export_lp(model, out)
+    with _writing(args.out_dir):
+        export_lp(model, out)
     counts = model.counts()
     print(f"route variables    {counts['x']}")
     print(f"buy variables      {counts['y']}")

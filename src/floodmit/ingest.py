@@ -182,20 +182,20 @@ def purchase_units(net: Network, segment_coupling: bool) -> list[PurchaseUnit]:
             for seg in sorted(groups)]
 
 
-def units_bought(net: Network, arc_ids: Iterable[str],
-                 segment_coupling: bool) -> list[PurchaseUnit]:
-    """The purchase units an upgrade set pays for, in id order: every unit
-    that holds one of ``arc_ids``."""
+def units_bought(units: Iterable[PurchaseUnit], arc_ids: Iterable[str],
+                 ) -> list[PurchaseUnit]:
+    """The purchase units an upgrade set pays for, in the order of
+    ``units`` (a network's `purchase_units`): every unit that holds one of
+    ``arc_ids``."""
     wanted = set(arc_ids)
-    return [u for u in purchase_units(net, segment_coupling)
-            if not wanted.isdisjoint(u.arc_ids)]
+    return [u for u in units if not wanted.isdisjoint(u.arc_ids)]
 
 
 def upgrade_cost_cents(net: Network, arc_ids: Iterable[str],
                        segment_coupling: bool) -> int:
     """Price of an upgrade set under the instance's purchase rule."""
-    return sum(u.cost_cents
-               for u in units_bought(net, arc_ids, segment_coupling))
+    return sum(u.cost_cents for u in units_bought(
+        purchase_units(net, segment_coupling), arc_ids))
 
 
 # -- file loading -----------------------------------------------------------

@@ -12,7 +12,9 @@ gets only the time the earlier stages left, and with none left the result
 is `TimeLimit` without a search.  Pruning depends on the network alone, not
 on the budget, so a caller that solves one network at several budgets
 prunes it once and passes that pruning (``pruned=``) to every later call;
-its time was then paid inside the first call's limit.  The returned
+its time was then paid inside the first call's limit, and its memo
+(`SolveMemo`) hands each later call what earlier ones derived from the
+network alone.  The returned
 solution always speaks in terms of the original network: folded origins
 reappear, contracted arcs re-expand.
 """
@@ -43,19 +45,31 @@ def solve_pipeline(instance: ProblemInstance,
                    pruned: PrunedNetwork | None = None) -> PipelineResult:
     """Solve ``instance`` end to end.  ``pruned``, if given, must be the
     pruning of ``instance.network`` itself (``ValueError`` otherwise), and
-    the prune stage is skipped."""
+    the prune stage is skipped.
+
+    The pruning's memo (`SolveMemo`) goes to `solve_exact`, and lives as
+    long as the pruning.  It keeps the pruned network's forced exits, which
+    hold at every budget; per segment coupling, the solve's set-up (with
+    the full repair bill that ``b_hat`` of the pruned instance takes) and
+    the connection bounds, keyed by committed and closed units; and the
+    exact assignment searches, keyed by origin-to-facility times."""
     options = options or SolveOptions()
     deadline = time.perf_counter() + options.time_limit_s
     if pruned is None:
         pruned = prune_all(instance.network)
     elif pruned.source is not instance.network:
         raise ValueError("pruned= is the pruning of a different network")
-    work = with_network(instance, pruned.network)
-    fixings = forced_exits(work)
+    memo = pruned.memo
+    if memo.forced is None:
+        memo.forced = forced_exits(with_network(instance, pruned.network))
+    setup = memo.setup(instance.spec.segment_coupling, memo.forced)
+    work = dataclasses.replace(instance, network=pruned.network,
+                               b_hat=setup.b_hat)
     left = deadline - time.perf_counter()
     if left > 0:
         options = dataclasses.replace(options, time_limit_s=left)
-        raw = solve_exact(work, fixings=fixings, options=options)
+        raw = solve_exact(work, fixings=memo.forced, options=options,
+                          memo=memo)
     else:
         raw = Solution(status=SolveStatus.TIME_LIMIT)
     return PipelineResult(solution=expand_solution(raw, pruned.log),

@@ -43,6 +43,7 @@ from typing import Any, Iterable, Iterator, KeysView
 
 from .net import (DIST_TOL, Network, NetworkError, NodeKind, RoadArc, RoadNode,
                   bare_components, bare_sides, cut_nodes)
+from .solver import SolveMemo
 
 TECHNIQUE_ORDER = (6, 5, 2, 1, 3, 4, 7, 8)
 
@@ -137,10 +138,23 @@ class PruneStats:
 
 @dataclass
 class PrunedNetwork:
+    """A pruned network, its log and counts, and the network it came from.
+
+    ``memo`` (`SolveMemo`) keeps what solves on ``network`` derive from it
+    alone, whatever their budget: exact assignment searches, connection
+    bounds and each solve's set-up.  `solve_pipeline` fills it, so every
+    later solve on this pruning, at any budget, reuses it; it lives as long
+    as the pruning.
+    """
+
     network: Network
     log: PruneLog
     stats: PruneStats
     source: Network            # the network that was pruned
+    memo: SolveMemo = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.memo = SolveMemo(self.network)
 
 
 # -- mutable working graph ----------------------------------------------------

@@ -851,9 +851,82 @@ class _Node:
         self.score: dict[str, float] = {}
 
 
+class _Setup:
+    """What a solve derives from its network, segment coupling and fixings
+    alone, whatever its budget: the network's full repair bill in dollars
+    (``b_hat``, as `with_network` gives it), the forced units' cost in
+    cents, the arc numbers shut before any undecided unit is bought, the
+    undecided units by id, their ids in order, each one's arc numbers and
+    bit (``1 << position in unit_ids``), and the unit of each of those arcs.
+
+    The connection bound's arc prices (by arc number) and its `_rooted`
+    flood are built by the first bound taken.  ``bounds`` keeps every
+    bound taken, keyed by two bit sets of units: the committed ones, and
+    the ones neither committed nor affordable.  Those two fix the bound's
+    free and closed arcs, and ints keep the entries small on long solves,
+    where a bound seldom repeats."""
+
+    __slots__ = ("b_hat", "base_cost", "shut", "undecided", "unit_ids",
+                 "unit_arcs", "arc_unit", "bit", "prices", "rooted",
+                 "bounds")
+
+    def __init__(self, net: Network, coupled: bool,
+                 fixings: FixedUpgrades | None) -> None:
+        g = net.index()
+        units = purchase_units(net, coupled)
+        _, rest, self.base_cost, shut_ids = _forced(net, units, fixings)
+        # every unit holds a vulnerable arc: `total_vulnerable_cost`'s sum
+        self.b_hat = sum(u.cost_cents for u in units) / 100
+        self.shut = g.arcs_of(shut_ids)
+        self.undecided = {u.id: u for u in rest}
+        self.unit_ids = sorted(self.undecided)
+        self.unit_arcs = {u.id: g.arcs_of(u.arc_ids) for u in rest}
+        self.arc_unit = {a: uid for uid, arcs in self.unit_arcs.items()
+                         for a in arcs}
+        self.bit = {uid: 1 << i for i, uid in enumerate(self.unit_ids)}
+        self.prices: dict[int, float] | None = None
+        self.rooted: frozenset[int] = frozenset()
+        self.bounds: dict[tuple[int, int], float] = {}
+
+
+class SolveMemo:
+    """What solves on one network derive from that network alone, whatever
+    their budget.  A `PrunedNetwork` carries one (``memo``), and
+    `solve_pipeline` hands it to every `solve_exact` on that pruning, so
+    it lives as long as the pruning.
+
+    * ``assignments``: every finished exact assignment search, keyed by
+      each origin's time to each facility (``inf`` where it cannot reach
+      it), packed in item order.  The network fixes the capacities and the
+      items, so the key fixes the answer.  A search the deadline stops
+      stores nothing.
+    * ``setups``: each solve's `_Setup`, with the connection bounds its
+      solves took, keyed by (segment coupling, fixings).
+    * ``forced``: the network's forced exits (`forced_exits`), which
+      `solve_pipeline` fixes at every budget, once it has found them.
+    """
+
+    __slots__ = ("network", "assignments", "setups", "forced")
+
+    def __init__(self, network: Network) -> None:
+        self.network = network
+        self.assignments: dict[bytes, tuple[float, dict[int, int]] | None] = {}
+        self.setups: dict[tuple[bool, FixedUpgrades | None], _Setup] = {}
+        self.forced: FixedUpgrades | None = None
+
+    def setup(self, coupled: bool, fixings: FixedUpgrades | None) -> _Setup:
+        """The set-up of a solve under ``fixings``, built on first use."""
+        key = (coupled, fixings)
+        found = self.setups.get(key)
+        if found is None:
+            found = self.setups[key] = _Setup(self.network, coupled, fixings)
+        return found
+
+
 def solve_exact(instance: ProblemInstance,
                 fixings: FixedUpgrades | None = None,
-                options: SolveOptions | None = None) -> Solution:
+                options: SolveOptions | None = None,
+                memo: SolveMemo | None = None) -> Solution:
     """Exact best-first branch-and-bound over purchase units.
 
     A node fixes some units in (committed) and some out (banned).  Opening
@@ -915,15 +988,26 @@ def solve_exact(instance: ProblemInstance,
     handed to both its children.  Those tables give every origin's
     candidate list, and the routes that score a node, and that a rounding
     closure offers, are read off them; a child keeps each parent route that
-    stays canonical (`_node_routes`, ``routes_reused``).  The exact assignment searches of
-    one solve are kept, keyed by each origin's time to each facility, and a
-    repeated one is not run again (``assignments_reused``); a search the
-    deadline stops keeps nothing.  A child's search starts from the better
-    of the priced-regret assignment and its parent's, re-priced on its own
-    lists.
-    The connection bound's arc prices, and its flood over the arcs no node
-    closes (`_rooted`), are built by its first call; every call walks the
-    origins in id order.
+    stays canonical (`_node_routes`, ``routes_reused``).  A child's
+    assignment search starts from the better of the priced-regret
+    assignment and its parent's, re-priced on its own lists.  Every
+    connection bound walks the origins in id order.
+
+    What the solve derives from its network alone, whatever the budget,
+    sits in ``memo`` (`SolveMemo`), which `solve_pipeline` hands over from
+    the pruning (``PrunedNetwork.memo``), so later solves on that pruning
+    reuse it; without one the solve starts a fresh memo, which goes when
+    it returns.  The memo keeps every finished exact assignment search,
+    keyed by each origin's time to each facility, and one held there is
+    not run again (``assignments_reused``); a search the deadline stops
+    keeps nothing.  It keeps the solve's set-up (`_Setup`), keyed by
+    segment coupling and ``fixings``: the purchase units, the forced ones'
+    cost, the arcs shut at the root, and the connection bound's arc prices
+    and its flood over the arcs no node closes (`_rooted`), built by the
+    first bound taken.  With the set-up go the connection bounds taken,
+    keyed by the committed units and the units neither committed nor
+    affordable; the cut test against a node's remaining budget is made
+    afresh at every node.  A memo of another network is a ``ValueError``.
     Per-origin masks and valid inequalities only tighten the 0-1 model; a
     route-based search never needs them.  Determinism: each node is one
     `_Node` record, numbered in creation order, and the heap holds (bound,
@@ -957,11 +1041,14 @@ def solve_exact(instance: ProblemInstance,
     dests = g.dests
     caps = {d: net.nodes[g.node_ids[d]].capacity for d in dests}
     budget_cents = cents(instance.budget)
+    if memo is None:
+        memo = SolveMemo(net)
+    elif memo.network is not net:
+        raise ValueError("memo= belongs to a different network")
+    setup = memo.setup(instance.spec.segment_coupling, fixings)
     # the forced units are committed at every node; ``shut`` is closed
     # before any undecided unit is bought
-    _, undecided_units, base_cost, shut_ids = _forced(
-        net, purchase_units(net, instance.spec.segment_coupling), fixings)
-    shut = g.arcs_of(shut_ids)
+    base_cost, shut = setup.base_cost, setup.shut
     stats: dict[str, Any] = {"nodes_explored": 0, "incumbent_updates": 0,
                              "rounding_closures": 0, "connection_cuts": 0,
                              "relaxations_inherited": 0,
@@ -990,14 +1077,9 @@ def solve_exact(instance: ProblemInstance,
         # the forced exits alone blow the budget: no affordable set connects
         return finish(SolveStatus.BUDGET_DISCONNECTED)
 
-    undecided = {u.id: u for u in undecided_units}
-    unit_ids = sorted(undecided)
-    unit_arcs = {uid: g.arcs_of(u.arc_ids) for uid, u in undecided.items()}
-    arc_unit = {a: uid for uid, arcs in unit_arcs.items() for a in arcs}
-    # the connection bound's arc prices and once-per-solve flood, built by
-    # its first call
-    prices: dict[int, float] | None = None
-    rooted: frozenset[int] = frozenset()
+    undecided, unit_ids = setup.undecided, setup.unit_ids
+    unit_arcs, arc_unit, bit = setup.unit_arcs, setup.arc_unit, setup.bit
+    every = (1 << len(unit_ids)) - 1
     # origins (as numbers) in id order, and in the assignment's item order
     origin_nos = g.origins
     weights = [o.weight for o in origins]
@@ -1018,18 +1100,23 @@ def solve_exact(instance: ProblemInstance,
             a for uid in itertools.chain(committed, afford)
             for a in unit_arcs[uid]}
 
-    def connection(committed: frozenset[str], remaining: int,
-                   closed: frozenset[int]) -> float | None:
+    def connection(committed: frozenset[str], afford: list[str],
+                   remaining: int, closed: frozenset[int]) -> float | None:
         """The node's connection bound, or None (a counted cut) when it
-        proves the remaining budget short."""
-        nonlocal prices, rooted
-        if prices is None:
-            prices = {g.arc_no[aid]: p for aid, p in
-                      _arc_prices(net, undecided.values()).items()}
-            rooted = _rooted(g, dests, prices)
-        bought = frozenset(a for uid in committed for a in unit_arcs[uid])
-        bound = _connection_bound(g, origin_nos, prices, bought, closed,
-                                  rooted)
+        proves the remaining budget short.  A bound taken before on the
+        memo's set-up, with the same committed and closed units, is not
+        taken again."""
+        held = sum(map(bit.__getitem__, committed))
+        key = (held, every - held - sum(map(bit.__getitem__, afford)))
+        bound = setup.bounds.get(key)
+        if bound is None:
+            if setup.prices is None:
+                setup.prices = {g.arc_no[aid]: p for aid, p in
+                                _arc_prices(net, undecided.values()).items()}
+                setup.rooted = _rooted(g, dests, setup.prices)
+            bought = frozenset(a for uid in committed for a in unit_arcs[uid])
+            bound = setup.bounds[key] = _connection_bound(
+                g, origin_nos, setup.prices, bought, closed, setup.rooted)
         if bound - remaining > _BOUND_RTOL * max(1.0, remaining):
             stats["connection_cuts"] += 1
             return None
@@ -1051,16 +1138,14 @@ def solve_exact(instance: ProblemInstance,
                              paths=paths)
         stats["incumbent_updates"] += 1
 
-    # every finished assignment search of the solve, keyed by each origin's
-    # time to each facility (inf if it cannot reach it) packed in item order
-    solved: dict[bytes, tuple[float, dict[int, int]] | None] = {}
+    solved = memo.assignments
 
     def assign(tables: Mapping[int, Sequence[float]],
                hint: Mapping[int, int] | None = None,
                ) -> tuple[float, dict[int, int]] | None:
         """The exact capacitated assignment over facility tables; None if
         some origin is cut off or the capacities cannot host everyone.  A
-        search repeated within the solve is not run again."""
+        search the memo holds is not run again."""
         lists: dict[int, list[tuple[float, int]]] = {}
         for k in origin_nos:
             lists[k] = g.facility_ranking(tables, k)
@@ -1138,7 +1223,7 @@ def solve_exact(instance: ProblemInstance,
         """
         remaining, afford, closed = open_node(committed, banned, cost)
         if (sum(undecided[uid].cost_cents for uid in afford) > remaining
-                and connection(committed, remaining, closed) is None):
+                and connection(committed, afford, remaining, closed) is None):
             return None  # no affordable completion connects everyone
         if parent is None:
             tables = g.facility_times(closed)
@@ -1188,7 +1273,7 @@ def solve_exact(instance: ProblemInstance,
                 raise _DeadlinePassed
             committed, banned, cost = stack.pop()
             remaining, afford, closed = open_node(committed, banned, cost)
-            bound = connection(committed, remaining, closed)
+            bound = connection(committed, afford, remaining, closed)
             if bound == 0:
                 return True
             if bound is not None:

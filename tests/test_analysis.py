@@ -175,6 +175,14 @@ def test_budget_sweep_bytes_match_fresh_solves():
                     (town["nodes"][0]["id"], alpha, coupled)
     assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
                         SolveStatus.BUDGET_DISCONNECTED}
+    # consecutive tight fractions: each solve meets, in the pruning's memo,
+    # the assignment searches and connection bounds of the ones before it
+    tight = (0.15, 0.2, 0.25, 0.3)
+    for coupled in (False, True):
+        inst = instance_from_file(towns[0], InstanceSpec(
+            alpha=0.15, segment_coupling=coupled))
+        assert sweep_csv(budget_sweep(inst, tight)) == \
+            _fresh_sweep_csv(inst, tight), coupled
 
 
 def test_sweep_monotone_on_random_instances():

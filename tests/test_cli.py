@@ -176,6 +176,28 @@ def test_oracle_out_that_is_a_directory_exits_1(paradox, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_an_output_path_that_cannot_be_written_is_named(demo, paradox,
+                                                       tmp_path, capsys):
+    # the error line names the output path at fault and what it was for,
+    # not only the path the operating system reports
+    assert main(["sweep", str(demo), "--fractions", "1",
+                 "--out-dir", str(demo)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output directory "
+                          f"{str(demo)!r}: ")
+    assert main(["oracle", str(paradox), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output file "
+                          f"{str(tmp_path)!r}: ")
+    inside = tmp_path / "out" / "ewtt.csv"
+    inside.mkdir(parents=True)
+    assert main(["ewtt", str(demo), "--out-dir", str(inside.parent)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output directory "
+                          f"{str(inside.parent)!r}: ")
+    assert str(inside) in err
+
+
 def test_malformed_record_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad-record.json"
     bad.write_text(json.dumps({"schema_version": 1, "nodes": [5], "arcs": []}))

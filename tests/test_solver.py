@@ -14,7 +14,7 @@ import types
 import pytest
 
 from floodmit.ingest import (InstanceSpec, capacity_fits, instance_from_file,
-                            purchase_units)
+                            purchase_units, total_vulnerable_cost)
 from floodmit.net import (DIST_TOL, GraphIndex, Network, NodeKind, RoadArc,
                           RoadNode)
 from floodmit.pipeline import solve_pipeline
@@ -858,9 +858,23 @@ def test_pipeline_deadline_covers_every_stage(monkeypatch):
     assert sol.status is SolveStatus.TIME_LIMIT and sol.exit_code() == 3
 
 
+#: the B&B counters of `Solution.stats`; the other counters count work that
+#: a solve reusing a pruning's memo legitimately skips
+BNB_COUNTERS = ("nodes_explored", "incumbent_updates", "rounding_closures",
+                "connection_cuts", "relaxations_inherited", "tables_repaired",
+                "routes_reused")
+
+
+def _plan_and_search(sol):
+    """A solution's plan and B&B counters, without the work counters."""
+    plan = {k: v for k, v in sol.to_dict().items() if k != "stats"}
+    return plan, [sol.stats[k] for k in BNB_COUNTERS]
+
+
 def test_pipeline_reuses_a_pruning_of_the_same_network(monkeypatch):
     # a pruning of the instance's own network skips the prune stage and
-    # gives the same answer; a pruning of another network is refused
+    # gives the same plan by the same search, reusing the first solve's
+    # assignment searches; a pruning of another network is refused
     inst = f1_instance(9.0)
     first = solve_pipeline(inst)
 
@@ -870,9 +884,64 @@ def test_pipeline_reuses_a_pruning_of_the_same_network(monkeypatch):
     monkeypatch.setattr(pipeline, "prune_all", boom)
     again = solve_pipeline(inst, pruned=first.pruned)
     assert again.pruned is first.pruned
-    assert again.solution.to_json() == first.solution.to_json()
+    assert _plan_and_search(again.solution) == _plan_and_search(first.solution)
+    assert first.solution.stats["assignment_nodes"] > 0
+    assert again.solution.stats["assignment_nodes"] == 0
+    assert again.solution.stats["assignments_reused"] > \
+        first.solution.stats["assignments_reused"]
     with pytest.raises(ValueError, match="different network"):
         solve_pipeline(f1_instance(9.0), pruned=first.pruned)
+
+
+def _demo_at(fraction, coupled, town=None):
+    """The README town at alpha 0.15 (capacities bind) and ``fraction``;
+    with ``town``, the same instance over ``town``'s network object."""
+    if town is None:
+        town = instance_from_file(synth.demo_network_file(0),
+                                  InstanceSpec(alpha=0.15))
+    spec = dataclasses.replace(town.spec, budget_fraction=fraction,
+                               segment_coupling=coupled)
+    b_hat = total_vulnerable_cost(town.network, coupled)
+    return dataclasses.replace(town, spec=spec, b_hat=b_hat,
+                               budget=fraction * b_hat)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_a_solve_repeated_on_a_pruning_runs_no_assignment_search(coupled):
+    # the pruning's memo holds every assignment search of the first solve,
+    # so the second takes the same search to the same plan without one
+    inst = _demo_at(0.3, coupled)
+    first = solve_pipeline(inst)
+    again = solve_pipeline(inst, pruned=first.pruned)
+    assert first.solution.status is SolveStatus.OPTIMAL
+    assert _plan_and_search(again.solution) == _plan_and_search(first.solution)
+    assert first.solution.stats["assignment_nodes"] > 0
+    assert again.solution.stats["assignment_nodes"] == 0
+
+
+@pytest.mark.parametrize("first", [False, True])
+def test_a_pruning_reused_under_the_other_coupling_gives_fresh_answers(first):
+    # the memo keeps one set-up and one set of connection bounds per
+    # segment coupling; its assignment searches serve both
+    town = _demo_at(1.0, first)
+    pruned = solve_pipeline(town).pruned
+    for fraction in (0.15, 0.2, 0.3, 1.0):
+        for coupled in (first, not first):
+            inst = _demo_at(fraction, coupled, town)
+            reused = solve_pipeline(inst, pruned=pruned).solution
+            fresh = solve_pipeline(inst).solution
+            assert _plan_and_search(reused) == _plan_and_search(fresh), \
+                (fraction, coupled)
+    assert sorted(c for c, _ in pruned.memo.setups) == [False, True]
+    for coupled in (False, True):  # the set-up's bill is with_network's
+        assert pruned.memo.setup(coupled, pruned.memo.forced).b_hat == \
+            total_vulnerable_cost(pruned.network, coupled)
+
+
+def test_solve_exact_refuses_a_memo_of_another_network():
+    inst = f1_instance(9.0)
+    with pytest.raises(ValueError, match="different network"):
+        solve_exact(inst, memo=solver.SolveMemo(f1_instance(9.0).network))
 
 
 def test_pipeline_builds_no_warm_start(monkeypatch):

@@ -27,9 +27,10 @@ it, not searching it again, whether the table was built with nothing
 closed (closure ranking) or with a closed set of its own (a
 branch-and-bound child's tables from its parent's); the tight-arc rule it
 rests on also tells which closures need no repair
-(``closures_that_matter``).  ``cut_nodes`` of ``undirected_adjacency`` are
-the network's articulation points, and ``bare_sides`` and
-``bare_components`` are the one side-component finder, for prune's
+(``closures_that_matter``).  One depth-first search, ``cut_nodes``, gives
+an undirected adjacency's cut nodes (of ``undirected_adjacency``, the
+network's articulation points) and its components whose every node is
+bare; with ``bare_sides`` it is the one side-component finder, for prune's
 technique 1 and the component mask.
 """
 from __future__ import annotations
@@ -39,8 +40,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import (AbstractSet, Callable, Collection, Iterable, Iterator,
-                    Mapping, Sequence)
+from typing import (AbstractSet, Callable, Collection, Iterable, Mapping,
+                    Sequence)
 
 #: absolute tolerance for travel-time / distance comparisons
 DIST_TOL = 1e-9
@@ -498,70 +499,63 @@ def undirected_adjacency(net: Network) -> dict[str, set[str]]:
     return adj
 
 
-def cut_nodes(adj: Mapping[str, AbstractSet[str]]) -> set[str]:
-    """Cut nodes of an undirected adjacency (iterative Tarjan); of
-    ``undirected_adjacency(net)``, the network's articulation points."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    parent: dict[str, str | None] = {}
-    aps: set[str] = set()
-    counter = 0
+def cut_nodes(adj: Mapping[str, Iterable[str]], bare: Callable[[str], bool],
+              ) -> tuple[set[str], list[set[str]]]:
+    """The cut nodes of an undirected adjacency, and its components whose
+    every node is ``bare``, from one depth-first search.
+
+    Of ``undirected_adjacency(net)``, the cut nodes are the network's
+    articulation points.  The search is Tarjan's iterative one (Hopcroft &
+    Tarjan, CACM 16(6), 1973): a node other than a root is a cut node when
+    a child's subtree reaches no node found before the node itself, a root
+    when it has two children.  The components come back sorted by their
+    smallest node.
+    """
+    found: dict[str, int] = {}  # node -> the order the search found it in
+    order: list[str] = []  # the nodes in that order
+    low: list[int] = []  # by that order
+    cuts: set[str] = set()
+    comps: list[set[str]] = []
     for root in sorted(adj):
-        if root in index:
+        if root in found:
             continue
-        parent[root] = None
-        stack: list[tuple[str, Iterator[str]]] = []
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append((root, iter(adj[root])))
-        root_children = 0
+        start = found[root] = len(order)
+        order.append(root)
+        low.append(start)
+        stack = [(root, start, iter(adj[root]))]
+        children = 0
         while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v not in index:
-                    parent[v] = u
-                    if u == root:
-                        root_children += 1
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append((v, iter(adj[v])))
-                    advanced = True
+            u, at_u, exits = stack[-1]
+            low_u = low[at_u]
+            for v in exits:
+                at_v = found.get(v)
+                if at_v is None:
+                    at_v = found[v] = len(order)
+                    order.append(v)
+                    low.append(at_v)
+                    stack.append((v, at_v, iter(adj[v])))
                     break
-                elif v != parent[u]:
-                    low[u] = min(low[u], index[v])
-            if not advanced:
+                # the edge back to u's parent lowers low_u to no less than
+                # the parent's number, which passes the same tests
+                if at_v < low_u:
+                    low_u = at_v
+            else:
                 stack.pop()
                 if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if p != root and low[u] >= index[p]:
-                        aps.add(p)
-        if root_children >= 2:
-            aps.add(root)
-    return aps
-
-
-def bare_components(adj: Mapping[str, AbstractSet[str]],
-                    bare: Callable[[str], bool]) -> list[set[str]]:
-    """The components of ``adj`` whose every node is ``bare``.
-
-    They come back in the order of their first node in ``adj``.
-    """
-    seen: set[str] = set()
-
-    def flood(starts: list[str]) -> set[str]:
-        comp = set(starts)
-        seen.update(starts)
-        while starts:
-            for v in adj[starts.pop()] - seen:
-                seen.add(v)
-                comp.add(v)
-                starts.append(v)
-        return comp
-
-    flood([n for n in adj if not bare(n)])
-    return [flood([n]) for n in adj if n not in seen]
+                    p, at_p, _ = stack[-1]
+                    if low_u < low[at_p]:
+                        low[at_p] = low_u
+                    if at_p == start:
+                        children += 1
+                    elif low_u >= at_p:
+                        cuts.add(p)
+            low[at_u] = low_u
+        if children >= 2:
+            cuts.add(root)
+        comp = order[start:]
+        if all(map(bare, comp)):
+            comps.append(set(comp))
+    return cuts, comps
 
 
 def bare_sides(neighbors: Callable[[str], AbstractSet[str]], j: str,

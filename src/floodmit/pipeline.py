@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 
 from .heuristic import greedy_initial  # noqa: F401 - bench/tracer.py hooks it here
-from .ingest import ProblemInstance, with_network
+from .ingest import ProblemInstance
 from .prune import PrunedNetwork, expand_solution, prune_all
 from .reductions import forced_exits
 from .reductions import compute_sp_tables, standard_reductions  # noqa: F401 - bench/tracer.py hooks them here
@@ -61,7 +61,7 @@ def solve_pipeline(instance: ProblemInstance,
         raise ValueError("pruned= is the pruning of a different network")
     memo = pruned.memo
     if memo.forced is None:
-        memo.forced = forced_exits(with_network(instance, pruned.network))
+        memo.forced = forced_exits(pruned.network)
     setup = memo.setup(instance.spec.segment_coupling, memo.forced)
     work = dataclasses.replace(instance, network=pruned.network,
                                b_hat=setup.b_hat)

@@ -14,16 +14,19 @@ Eight techniques shrink an instance without changing its optimal objective:
 8. drop a clique arc dominated by a two-arc detour
 
 `prune_all` runs them round-robin (6, 5, 2, 1, 3, 4, 7, 8) to a fixpoint and
-returns the pruned network plus a replayable log; after the first round each
-technique re-examines only what changed since its last run, with the same
-result as a sweep over the whole network.  The working graph keeps two live
-indexes, the non-vulnerable arcs by tail and head and the undirected
-neighbour counts, so the first round answers each question with a lookup or
-a set operation: t8 intersects the heads of j with the heads of each i
-before it, and t4 and t7 reject a node on its number of neighbours.
+returns the pruned network plus a replayable log; each technique's first run
+starts where its first test passes, listed by the one pass that builds the
+working graph, and each later run re-examines only what changed since its
+last, with the same result as a sweep over the whole network.  The working
+graph keeps two live indexes, the non-vulnerable arcs by tail and head and
+the undirected neighbour counts, so each question is a lookup or a set
+operation: t8 intersects the heads of j with the heads of each i before it,
+and t4 and t7 reject a node on its number of neighbours.
 
 Technique 1 finds side components with `net.bare_sides`, a bare node being
-neither origin nor destination; its runs after the first rest on which
+neither origin nor destination; over the whole network, one depth-first
+search (`net.cut_nodes`) gives it the cut nodes and the components with
+no origin or destination.  Its runs after the first rest on which
 techniques can leave a bare side: 2 can do so anywhere, 8 only at the middle
 node of the detour that justified a removal, and the others never.
 `expand_solution` lifts a solution on the pruned network back to the
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, KeysView
 
 from .net import (DIST_TOL, Network, NetworkError, NodeKind, RoadArc, RoadNode,
-                  bare_components, bare_sides, cut_nodes)
+                  bare_sides, cut_nodes)
 from .solver import SolveMemo
 
 TECHNIQUE_ORDER = (6, 5, 2, 1, 3, 4, 7, 8)
@@ -171,27 +174,37 @@ class _Work:
     triangles there; t1 and t2 read neighbours from ``adj``, and t4 and t7
     reject a node on its number of neighbours there first.
 
-    ``added`` lists every arc id ever added and ``touched`` every node whose
-    arcs or record changed, in the order it happened; both start out holding
-    the whole network.  Each technique reads them from its own cursor, so its
-    first run looks at everything and every later run only at what changed
-    since its last one.  Technique 1 instead reads ``t1_full`` (a run over
-    the whole network is owed) and ``middles`` (where t8 removed an arc).
+    ``added`` lists every arc id added and ``touched`` every node whose arcs
+    or record changed, in the order it happened; both start out empty.  Each
+    technique reads them from its own cursor, plus what is owed to it and
+    dropped once read: ``owed_arcs`` and ``owed`` hold its first run's start
+    set, then the nodes its last sweep carried.  A start set, read off the
+    network while the indexes are built, is where the technique's first
+    test passes: the loops (t6), the first arc of each parallel pair (t5),
+    the nodes lacking in- or out-arcs (t2), the origins (t3), the nodes with
+    two neighbours (t4) or one or two (t7), and those with a non-vulnerable
+    arc out (t8's middles).  Only a touch can make a node pass its test
+    later.  Technique 1 instead reads ``t1_full`` (a run over the whole
+    network is owed) and ``middles`` (where t8 removed an arc).
     """
 
     def __init__(self, net: Network):
         self.nodes: dict[str, RoadNode] = dict(net.nodes)
         self.arcs: dict[str, RoadArc] = dict(net.arcs)
-        self.n_origins = sum(1 for n in self.nodes.values()
-                             if n.kind is NodeKind.ORIGIN)
+        origins = [nid for nid, n in self.nodes.items()
+                   if n.kind is NodeKind.ORIGIN]
+        self.n_origins = len(origins)
         self.n_vuln = len(net.vulnerable_ids)
         self.out = {nid: list(ids) for nid, ids in net._out.items()}
         self.inn = {nid: list(ids) for nid, ids in net._in.items()}
         pair: dict[str, dict[str, list[str]]] = {n: {} for n in self.nodes}
         adj: dict[str, dict[str, int]] = {n: {} for n in self.nodes}
+        loops: list[str] = []
+        parallel: list[str] = []  # the first arc of each parallel pair
         for a in self.arcs.values():  # adj[x][y] == adj[y][x] throughout
             tail, head = a.tail, a.head
             if tail == head:
+                loops.append(a.id)
                 continue
             row = adj[tail]
             if head in row:
@@ -200,16 +213,26 @@ class _Work:
             else:
                 row[head] = adj[head][tail] = 1
             if not a.vulnerable:
-                pair[tail].setdefault(head, []).append(a.id)
+                ids = pair[tail].setdefault(head, [])
+                if len(ids) == 1:
+                    parallel.append(ids[0])
+                ids.append(a.id)
         self.pair, self.adj = pair, adj
         # contracted arc id -> the pre-pruning chain it stands for (t7)
         self.chains: dict[str, tuple[str, ...]] = {}
-        self.added: list[str] = list(self.arcs)
-        self.touched: list[str] = list(self.nodes)
-        # t4's first sweep visits every node, so it needs no arcs to find them
-        self.arc_cursor: dict[int, int] = {4: len(self.added)}
+        self.added: list[str] = []
+        self.touched: list[str] = []
+        self.arc_cursor: dict[int, int] = {}
         self.node_cursor: dict[int, int] = {}
-        self.carried: dict[int, list[str]] = {}
+        self.owed_arcs: dict[int, list[str]] = {5: parallel, 6: loops}
+        self.owed: dict[int, list[str]] = {
+            2: [nid for nid in self.nodes
+                if not (net._in[nid] and net._out[nid])],
+            3: origins,
+            4: [nid for nid, row in adj.items() if len(row) == 2],
+            7: [nid for nid, row in adj.items() if 0 < len(row) <= 2],
+            8: [nid for nid, row in pair.items() if row],
+        }
         self.t1_full = True
         self.middles: set[str] = set()
 
@@ -306,14 +329,18 @@ class _Work:
                     yield i, h
 
     def new_arcs(self, tech: int) -> list[RoadArc]:
-        """Arcs added since ``tech`` last asked that still exist."""
+        """Arcs added since ``tech`` last asked (or owed to it) that still
+        exist."""
         start = self.arc_cursor.get(tech, 0)
         self.arc_cursor[tech] = len(self.added)
-        return [self.arcs[a] for a in self.added[start:] if a in self.arcs]
+        arcs = self.arcs
+        return [arcs[a] for ids in (self.owed_arcs.pop(tech, ()),
+                                    self.added[start:])
+                for a in ids if a in arcs]
 
     def new_nodes(self, tech: int) -> set[str]:
-        """Nodes touched since ``tech`` last asked (or carried by its sweep)."""
-        nodes = set(self.carried.pop(tech, ()))
+        """Nodes touched since ``tech`` last asked (or owed to it)."""
+        nodes = set(self.owed.pop(tech, ()))
         nodes.update(self.touched[self.node_cursor.get(tech, 0):])
         self.node_cursor[tech] = len(self.touched)
         return nodes
@@ -345,7 +372,7 @@ class _Work:
                         heapq.heappush(heap, t)
                 read = len(self.touched)
         self.node_cursor[tech] = read
-        self.carried[tech] = carried
+        self.owed[tech] = carried
 
     def counts(self) -> dict[str, int]:
         return {
@@ -441,10 +468,9 @@ def _t1_whole(work: _Work) -> list[PruneAction]:
     # other component.  The first cut node drops each bare one of either
     # kind; if it lay in a bare component, it is left alone as one, which
     # the next cut node drops.
-    adj = {nid: row.keys() for nid, row in work.adj.items()}
-    bare = bare_components(adj, work.bare)
+    cuts, bare = cut_nodes(work.adj, work.bare)
     actions: list[PruneAction] = []
-    for ap in sorted(cut_nodes(adj)):
+    for ap in sorted(cuts):
         if ap not in work.nodes:
             continue
         comps = (bare_sides(work.neighbors, ap, work.bare)
@@ -591,8 +617,9 @@ def _t8_clique_dominance(work: _Work) -> list[PruneAction]:
     new = [a for a in work.new_arcs(8)
            if not a.vulnerable and a.tail != a.head]
     centres = {a.head for a in new} | {a.tail for a in new}
-    # a middle of a new direct arc has an arc out, so when every arc is new,
-    # as in a first run, it is already the tail of a new arc
+    centres.update(j for j in work.owed.pop(8, ()) if j in work.nodes)
+    # a middle of a new direct arc has an arc out, so in a first run, which
+    # is owed every such node, it is already in centres
     if any(row and j not in centres for j, row in work.pair.items()):
         for a in new:  # a as the direct arc i->h
             for j in work.pair[a.tail]:

@@ -11,9 +11,10 @@ Three reductions, all derived from path structure:
   non-flooded trip can never appear on one of its optimal routes.
 * ``component_mask`` — arcs inside an articulation-point side pocket that
   contains no facility are unusable for any origin outside the pocket.  The
-  pockets come from ``net.bare_sides`` and ``net.bare_components``, the
-  side-component finder that pruning's technique 1 also uses, with "is not
-  a destination" as the bare-node test.
+  pockets come from ``net.cut_nodes``, whose one search also gives the
+  pockets joined to nothing, and ``net.bare_sides``: the side-component
+  finder that pruning's technique 1 also uses, with "is not a destination"
+  as the bare-node test.
 
 A mask maps an origin id to the frozenset of arc ids its routes may not
 use, and leaves out an origin when nothing is blocked for it: one more
@@ -21,7 +22,8 @@ closed set per origin, in ids because masks are outputs (a search takes
 it as arc numbers, ``GraphIndex.arcs_of``).
 
 Fixings feed the model builder, the brute-force oracle and the exact solver;
-the solve pipeline runs ``forced_exits`` alone.  Masks feed only the model
+the solve pipeline runs ``forced_exits`` alone, on the pruned network, as it
+reads nothing but the network.  Masks feed only the model
 builder and the oracle (``standard_reductions`` builds fixings and masks
 together, for ``export-lp``), and exit cuts only the model builder: the
 solver routes every origin on a shortest path, which never uses a masked
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .ingest import ProblemInstance
-from .net import (DIST_TOL, NodeKind, bare_components, bare_sides, cut_nodes,
+from .net import (DIST_TOL, Network, NodeKind, bare_sides, cut_nodes,
                   undirected_adjacency)
 
 
@@ -81,9 +83,8 @@ class Cuts:
     exit_origins: tuple[str, ...] = ()
 
 
-def forced_exits(instance: ProblemInstance) -> FixedUpgrades:
+def forced_exits(net: Network) -> FixedUpgrades:
     """Origins whose every exit is vulnerable: fix single exits, cut the rest."""
-    net = instance.network
     forced_y: set[str] = set()
     forced_x: set[tuple[str, str]] = set()
     exit_origins: list[str] = []
@@ -149,8 +150,8 @@ def component_mask(instance: ProblemInstance) -> dict[str, frozenset[str]]:
     origin_ids = [o.id for o in net.origins()]
     blocked: dict[str, set[str]] = {}
     adj = undirected_adjacency(net)
-    detached = bare_components(adj, bare)
-    for v in cut_nodes(adj):
+    cuts, detached = cut_nodes(adj, bare)
+    for v in cuts:
         for comp in (bare_sides(adj.__getitem__, v, bare)
                      + [c for c in detached if v not in c]):
             arcs = [a for n in comp for a in net.out_arcs(n)
@@ -168,4 +169,4 @@ def standard_reductions(instance: ProblemInstance,
     mask = distance_dominated(instance)
     for k, arcs in component_mask(instance).items():
         mask[k] = mask.get(k, frozenset()) | arcs
-    return forced_exits(instance), mask
+    return forced_exits(instance.network), mask

@@ -10,8 +10,8 @@ import pytest
 
 from floodmit import synth
 from floodmit.net import (GraphIndex, Network, NetworkError, NodeKind,
-                          RoadArc, RoadNode, bare_components, bare_sides,
-                          cut_nodes, shortest_paths, undirected_adjacency)
+                          RoadArc, RoadNode, bare_sides, cut_nodes,
+                          shortest_paths, undirected_adjacency)
 
 from conftest import canonical_route, plain_dijkstra
 
@@ -169,7 +169,6 @@ def test_articulation_and_components():
             RoadArc("e3", "c", "d", 1.0), RoadArc("e4", "d", "c", 1.0)]
     net = Network(nodes, arcs)
     adj = undirected_adjacency(net)
-    assert cut_nodes(adj) == {"c"}
 
     def not_origin(n):
         return net.nodes[n].kind is not NodeKind.ORIGIN
@@ -177,11 +176,78 @@ def test_articulation_and_components():
     def anything(n):
         return True
 
+    assert cut_nodes(adj, anything) == ({"c"}, [{"c", "d", "o"}])
+    assert cut_nodes(adj, not_origin) == ({"c"}, [])
     assert bare_sides(adj.__getitem__, "c", anything) == [{"d"}, {"o"}]
     assert bare_sides(adj.__getitem__, "c", not_origin) == [{"d"}]
     assert bare_sides(adj.__getitem__, "o", anything) == []  # o cuts nothing
-    assert bare_components(adj, anything) == [{"c", "d", "o"}]
-    assert bare_components(adj, not_origin) == []
+
+
+def _flood_components(adj, gone=frozenset()):
+    """The components of ``adj`` minus the nodes ``gone``, by flood, sorted
+    by their smallest node."""
+    seen, comps = set(gone), []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        seen.add(start)
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    comp.add(v)
+                    stack.append(v)
+        comps.append(comp)
+    return comps
+
+
+def _random_adjacency(seed):
+    """An undirected graph on 1-24 nodes in 1-5 pieces: single nodes,
+    rings, and trees with chords."""
+    rng = random.Random(seed)
+    ids = [f"v{i:02d}" for i in range(rng.randint(1, 24))]
+    rng.shuffle(ids)
+    adj = {n: set() for n in ids}
+
+    def join(u, v):
+        adj[u].add(v)
+        adj[v].add(u)
+
+    ends = sorted(rng.sample(range(1, len(ids)), min(len(ids) - 1,
+                                                       rng.randint(0, 4))))
+    for piece in (ids[i:j] for i, j in zip([0] + ends, ends + [len(ids)])):
+        if len(piece) > 2 and rng.random() < 0.3:  # a ring
+            for u, v in zip(piece, piece[1:] + piece[:1]):
+                join(u, v)
+            continue
+        for i in range(1, len(piece)):  # a tree, then chords
+            join(piece[rng.randrange(i)], piece[i])
+        for _ in range(rng.randint(0, len(piece) // 2)):
+            join(*rng.sample(piece, 2))
+    return adj
+
+
+def test_cut_nodes_and_bare_components_match_brute_force():
+    # a cut node is one whose deletion leaves more components; a bare
+    # component is a flooded component of bare nodes only
+    kinds = {"cut": 0, "bare": 0, "bare cycle": 0, "single": 0, "several": 0}
+    for seed in range(400):
+        rng = random.Random(~seed)
+        adj = _random_adjacency(seed)
+        terminals = set(rng.sample(sorted(adj),
+                                   rng.randint(0, min(3, len(adj)))))
+        whole = _flood_components(adj)
+        cuts = {v for v in adj if len(_flood_components(adj, {v})) > len(whole)}
+        bare = [c for c in whole if not c & terminals]
+        assert cut_nodes(adj, lambda n: n not in terminals) == (cuts, bare), seed
+        kinds["cut"] += bool(cuts)
+        kinds["bare"] += len(bare) > 1
+        kinds["bare cycle"] += any(
+            len(c) > 2 and all(len(adj[n]) > 1 for n in c) for c in bare)
+        kinds["single"] += any(len(c) == 1 for c in whole)
+        kinds["several"] += len(whole) > 1
+    assert min(kinds.values()) >= 50, kinds
 
 
 # -- closing arcs in a reverse table ------------------------------------------

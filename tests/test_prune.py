@@ -379,6 +379,22 @@ def test_t1_cut_node_inside_a_bare_component_is_dropped_by_the_next():
     assert pruned.stats.rounds == 2
 
 
+def test_t7_drops_a_cul_de_sac_that_t1_leaves():
+    # the town has no cut node, so t1 keeps the detached pair x-y and t7's
+    # first run, which starts from every node with one or two neighbours,
+    # finds x with one
+    arcs = [RoadArc(u + v, u, v, 1.0) for x, y in (("o", "d"), ("d", "t"),
+                                                   ("t", "o"), ("x", "y"))
+            for u, v in ((x, y), (y, x))]
+    pruned = prune_all(Network([O("o", 1), D("d", 5), T("t"), T("x"), T("y")],
+                               arcs))
+    assert [(a.technique, a.removed_nodes, a.removed_arcs)
+            for a in pruned.log.actions] == [
+        (4, ("t",), ("dt", "ot", "td", "to")), (7, ("x",), ("xy", "yx")),
+        (2, ("y",), ())]
+    assert sorted(pruned.network.nodes) == ["d", "o"]
+
+
 def _sparse_town(seed: int, cycles: bool) -> Network:
     """A random tree on 6-22 nodes with 2-3 origins/destinations, one-way and
     vulnerable arcs and extra chords; ``cycles`` adds 1-2 detached cycles of
@@ -420,18 +436,35 @@ def _sparse_town(seed: int, cycles: bool) -> Network:
     return Network(nodes, arcs)
 
 
+def _owe_everything(monkeypatch) -> None:
+    """Make every technique's first run in ``prune_all`` start from every
+    node and every arc, as a sweep over the whole network would."""
+    init = prune._Work.__init__
+
+    def whole(work, net):
+        init(work, net)
+        work.owed = {t: list(work.nodes) for t in TECHNIQUE_ORDER}
+        work.owed_arcs = {t: list(work.arcs) for t in TECHNIQUE_ORDER}
+
+    monkeypatch.setattr(prune._Work, "__init__", whole)
+
+
 def test_t1_at_middles_matches_whole_network_runs(monkeypatch):
+    # and first runs from their start sets match first runs over everything
     towns = [net for seed in range(300) for net in (
         synth.random_instance(seed, decorate=True).network,
         _sparse_town(seed, cycles=False), _sparse_town(seed, cycles=True))]
     runs = _record_t1(monkeypatch)
     got = [prune_all(net) for net in towns]
+    monkeypatch.undo()
+    _owe_everything(monkeypatch)
+    owed = [prune_all(net) for net in towns]
     _record_t1(monkeypatch, force_whole=True)
-    for net, a in zip(towns, got):
-        b = prune_all(net)
-        assert a.log.to_json() == b.log.to_json()
-        assert (a.stats.rounds, a.stats.final, a.stats.by_technique) == (
-            b.stats.rounds, b.stats.final, b.stats.by_technique)
+    for net, a, b in zip(towns, got, owed):
+        for c in (b, prune_all(net)):
+            assert a.log.to_json() == c.log.to_json()
+            assert (a.stats.rounds, a.stats.final, a.stats.by_technique) == (
+                c.stats.rounds, c.stats.final, c.stats.by_technique)
     # both kinds of later run removed something: the one at t8's middles,
     # and the one over the whole network after a t2 removal or while a bare
     # cycle is left

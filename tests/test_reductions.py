@@ -49,7 +49,7 @@ def test_sp_tables_on_known_instance():
 
 
 def test_forced_exits_single_exit_fixed():
-    fixed = forced_exits(forced_exit_instance())
+    fixed = forced_exits(forced_exit_instance().network)
     assert fixed.forced_y == frozenset({"kv"})
     assert fixed.forced_x == frozenset({("k", "kv")})
     assert fixed.exit_vi_origins == ()
@@ -60,7 +60,7 @@ def test_forced_exits_flags_unaffordable_fix():
         [O("k", 3), D("d", 5)],
         [RoadArc("kd", "k", "d", 1.0, vulnerable=True, mitigation_cost=4.0)],
         3.0, 4.0)
-    fixed = forced_exits(inst)
+    fixed = forced_exits(inst.network)
     assert fixed.forced_y == frozenset({"kd"})
     assert solve_exact(inst).status is SolveStatus.BUDGET_DISCONNECTED
     # the forced purchase alone is over budget
@@ -75,13 +75,13 @@ def test_forced_exits_multi_exit_becomes_cut():
          RoadArc("v2", "o", "t", 2.0, vulnerable=True, mitigation_cost=1.0),
          RoadArc("td", "t", "d", 1.0)],
         2.0, 2.0)
-    fixed = forced_exits(inst)
+    fixed = forced_exits(inst.network)
     assert fixed.forced_y == frozenset()
     assert fixed.exit_vi_origins == ("o",)
 
 
 def test_forced_exits_skips_mixed_exits():
-    fixed = forced_exits(f1_instance(9.0))
+    fixed = forced_exits(f1_instance(9.0).network)
     assert fixed.forced_y == frozenset() and fixed.exit_vi_origins == ()
 
 
@@ -131,7 +131,11 @@ def test_component_mask_splits_a_pocket_at_its_own_cut_node():
         _two_way("o", "c") + _two_way("c", "d") + _two_way("a", "b")
         + _two_way("a", "x") + _two_way("b", "x") + _two_way("x", "q"),
         0.0, 0.0, budget_fraction=0.0)
-    assert cut_nodes(undirected_adjacency(inst.network)) == {"c", "x"}
+    def bare(n):
+        return inst.network.nodes[n].kind is not NodeKind.DESTINATION
+
+    assert cut_nodes(undirected_adjacency(inst.network), bare) == (
+        {"c", "x"}, [{"a", "b", "q", "x"}])
     pocket = {"ab", "ba", "ax", "xa", "bx", "xb", "xq", "qx"}
     assert component_mask(inst) == {"o": frozenset(pocket),
                                     "q": frozenset({"ab", "ba"})}
@@ -154,7 +158,8 @@ def _split_mask(inst):
     adj = undirected_adjacency(net)
     origin_ids = [o.id for o in net.origins()]
     blocked = {}
-    for v in sorted(cut_nodes(adj)):
+    cuts, _ = cut_nodes(adj, lambda n: True)
+    for v in sorted(cuts):
         seen, comps = {v}, []
         for start in adj:
             if start in seen:

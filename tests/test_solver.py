@@ -293,7 +293,7 @@ def test_build_model_rejects_a_masked_forced_route():
     inst = forced_exit_instance()
     with pytest.raises(ModelError, match="forced route"):
         build_model(inst, mask={"k": frozenset({"kv"})},
-                    fixings=forced_exits(inst))
+                    fixings=forced_exits(inst.network))
 
 
 def test_the_model_accepts_the_oracle_plan():

@@ -27,11 +27,25 @@ it, not searching it again, whether the table was built with nothing
 closed (closure ranking) or with a closed set of its own (a
 branch-and-bound child's tables from its parent's); the tight-arc rule it
 rests on also tells which closures need no repair
-(``closures_that_matter``).  One depth-first search, ``cut_nodes``, gives
-an undirected adjacency's cut nodes (of ``undirected_adjacency``, the
-network's articulation points) and its components whose every node is
-bare; with ``bare_sides`` it is the one side-component finder, for prune's
-technique 1 and the component mask.
+(``closures_that_matter``).
+
+Where only the nearest facility matters, one table serves instead of one
+per facility.  ``nearest_times`` is a single reverse search from every
+facility at once: each node's minutes to its nearest facility, and its
+owner, the facility ``facility_ranking`` ranks first (least minutes, ties
+by number).  An owner is the least among the nodes settled before it that
+offer a node exactly its label.  The kernel's DIST_TOL rule settles a near
+tie between two facilities by which offer came first, so where two owners'
+offers come within 2*DIST_TOL of one node, the table is contested and
+given up (None); otherwise its minutes equal the least per-facility label
+bit for bit, as the tests check on random towns with snapped times.
+``close_nearest`` repairs it as ``close_arcs`` does, owners included, and
+``canonical_walk`` walks it to an origin's owner.
+
+One depth-first search, ``cut_nodes``, gives an undirected adjacency's cut
+nodes (of ``undirected_adjacency``, the network's articulation points) and
+its components whose every node is bare; with ``bare_sides`` it is the one
+side-component finder, for prune's technique 1 and the component mask.
 """
 from __future__ import annotations
 
@@ -382,6 +396,19 @@ class GraphIndex:
         A label can fall, by less than DIST_TOL: a closed arc may have
         carried the offer that kept a slightly smaller one out.
         """
+        found = self._relabel(table, sources, arcs, closed)
+        if found is None:
+            return {}
+        affected, labels, _, _ = found
+        return {v: labels[v] for v in affected if labels[v] != table[v]}
+
+    def _relabel(self, table: Sequence[float], sources: Iterable[int],
+                 arcs: Iterable[int], closed: AbstractSet[int],
+                 ) -> tuple[set[int], list[float], list[int],
+                            frozenset[int]] | None:
+        """``close_arcs``'s repair: (the affected nodes, the table with
+        them relabelled, the settling order of the seeded search, the arcs
+        closed after the closure), or None if no node is affected."""
         tail, head, minutes = self.tail, self.head, self.minutes
         shut = frozenset(arcs) - closed
         affected: set[int] = set()
@@ -405,7 +432,7 @@ class GraphIndex:
                     stack.append(u)
         affected.difference_update(sources)
         if not affected:
-            return {}
+            return None
         shut |= closed
         out = self.out
         seeds = {u for v in affected for a, u, _ in out[v]
@@ -413,8 +440,127 @@ class GraphIndex:
         labels = list(table)
         for v in affected:
             labels[v] = _INF
-        labels = self.dijkstra(seeds, shut, reverse=True, labels=labels)[0]
-        return {v: labels[v] for v in affected if labels[v] != table[v]}
+        labels, order = self.dijkstra(seeds, shut, reverse=True, labels=labels)
+        return affected, labels, order, shut
+
+    # -- the nearest-facility table ------------------------------------------
+
+    def nearest_times(self, closed: AbstractSet[int] = frozenset(),
+                      ) -> tuple[list[float], list[int]] | None:
+        """The nearest-facility table over the arcs not in ``closed``:
+        (minutes, owner), or None where two facilities contest a node.
+
+        One reverse search from every facility gives each node its minutes
+        to the nearest one, and `_claim` gives it its owner: the facility
+        ``facility_ranking`` would rank first (least minutes, then least
+        number), ``-1`` where no facility is reached.  The table is the
+        graph Voronoi partition of the nodes by nearest facility (Erwig,
+        *Networks* 36(3), 2000)."""
+        minutes, order = self.dijkstra(self.dests, closed, reverse=True)
+        owner = [-1] * len(minutes)
+        for d in self.dests:
+            owner[d] = d
+        if not self._claim(minutes, owner, order, closed):
+            return None
+        return minutes, owner
+
+    def close_nearest(self, minutes: Sequence[float], owner: Sequence[int],
+                      arcs: Iterable[int], closed: AbstractSet[int] = frozenset(),
+                      ) -> tuple[dict[int, float], dict[int, int]] | None:
+        """``close_arcs`` for a nearest-facility table, owners included:
+        (the minutes that move, the owners that change), or None where two
+        facilities contest a node after the closure.
+
+        ``(minutes, owner)`` is ``nearest_times(closed)``; applied to it the
+        result equals ``nearest_times(closed | arcs)``.  Only the nodes
+        ``close_arcs`` relabels can change owner: every other node keeps
+        its label and every exact offer it had.  So `_claim` names their
+        owners, and the arcs into them from the other nodes are checked for
+        a contest too."""
+        found = self._relabel(minutes, self.dests, arcs, closed)
+        if found is None:
+            return {}, {}
+        affected, labels, order, shut = found
+        owners = list(owner)
+        for v in affected:
+            owners[v] = -1
+        if not self._claim(labels, owners, [v for v in order if v in affected],
+                           shut):
+            return None
+        inc = self.inc
+        for v in affected:
+            at_v, mine = labels[v], owners[v]
+            for a, x, t in inc[v]:
+                if x in affected or a in shut:
+                    continue
+                offer, at_x = at_v + t, labels[x]
+                if offer <= at_x + 2 * DIST_TOL and owners[x] != mine and (
+                        offer != at_x or mine < owners[x]):
+                    return None
+        return ({v: labels[v] for v in affected if labels[v] != minutes[v]},
+                {v: owners[v] for v in affected if owners[v] != owner[v]})
+
+    def _claim(self, table: Sequence[float], owner: list[int],
+               nodes: Iterable[int], closed: AbstractSet[int]) -> bool:
+        """Name the owner of each of ``nodes`` whose owner is ``-1``, in
+        ``nodes`` order (the order they settled in ``table``'s reverse
+        search), and tell whether the owners are uncontested.
+
+        A node's owner is the least among the nodes settled before it that
+        offer it exactly its label; the node that labelled it is one.  An
+        open arc ``v -> u`` offers ``v`` the time ``table[u] + minutes``.
+        It contests ``v`` when ``u`` has another owner, and its offer lies
+        within 2*DIST_TOL of ``v``'s label without being an exact tie that
+        ``v``'s owner wins.  Such an offer, before or after the kernel's
+        ``< best - DIST_TOL`` test settled ``v``, could have gone the other
+        way in one facility's own search, so the table's minutes need not
+        equal the least of the per-facility labels.  Without a contest they
+        have, bit for bit, on every town the tests try, and the owner is the
+        facility of the least label, ties by number."""
+        out = self.out
+        tol = 2 * DIST_TOL
+        later: list[tuple[int, int, float]] = []  # offers from unnamed nodes
+        for v in nodes:
+            at_v = table[v]
+            edge = at_v + tol
+            # the first near offer, and the list of all of them once there
+            # are two: most nodes have one, from the node that labelled them
+            first, more = -1, None
+            for a, u, t in out[v]:
+                if table[u] + t <= edge and a not in closed:
+                    offer = table[u] + t
+                    if first < 0:
+                        first, first_offer = u, offer
+                    elif more is None:
+                        more = [(first, first_offer), (u, offer)]
+                    else:
+                        more.append((u, offer))
+            mine = owner[v]
+            if more is None:
+                if first < 0:
+                    continue  # a source no arc offers anything near
+                more = [(first, first_offer)]
+                if mine < 0:  # the one offer labelled v
+                    owner[v] = owner[first]
+                    continue
+            elif mine < 0:
+                for u, offer in more:
+                    theirs = owner[u]
+                    if offer == at_v and 0 <= theirs and (
+                            mine < 0 or theirs < mine):
+                        mine = theirs
+                owner[v] = mine
+            for u, offer in more:
+                theirs = owner[u]
+                if theirs == mine:
+                    continue
+                if theirs < 0:  # u settles later: judged once it is named
+                    later.append((v, u, offer))
+                elif offer != at_v or theirs < mine:
+                    return False
+        return all(owner[u] == owner[v]
+                   or (offer == table[v] and owner[u] > owner[v])
+                   for v, u, offer in later)
 
     def canonical_walk(self, source: int, target: int,
                        closed: AbstractSet[int],
@@ -434,6 +580,12 @@ class GraphIndex:
         them this is the greedy smallest-id walk and returns the
         lexicographically smallest arc-id sequence among equally short
         paths.
+
+        An uncontested nearest-facility table (``nearest_times``) serves
+        too, with the source's owner as the target.  An exit tight in it
+        only toward another facility, which an exact tie between the two
+        leaves, is then one more dead end to back out of, so the route is
+        the one the owner's own table gives.
         """
         if dist_to_target[source] == _INF:
             return None

@@ -617,10 +617,12 @@ def _t8_clique_dominance(work: _Work) -> list[PruneAction]:
     new = [a for a in work.new_arcs(8)
            if not a.vulnerable and a.tail != a.head]
     centres = {a.head for a in new} | {a.tail for a in new}
+    first = 8 in work.owed
     centres.update(j for j in work.owed.pop(8, ()) if j in work.nodes)
     # a middle of a new direct arc has an arc out, so in a first run, which
-    # is owed every such node, it is already in centres
-    if any(row and j not in centres for j, row in work.pair.items()):
+    # is owed every such node, it is already in centres: skip the scan
+    if not first and any(row and j not in centres
+                         for j, row in work.pair.items()):
         for a in new:  # a as the direct arc i->h
             for j in work.pair[a.tail]:
                 if j not in centres and a.head in work.pair[j]:

@@ -35,7 +35,11 @@ its parent does, so it starts from its parent's solve: it repairs the
 parent's tables over the arcs it newly shuts, keeps the routes that stay
 canonical, and starts its assignment search from the parent's
 assignment; an include child that shuts no more arcs reuses the parent's
-relaxation whole.  Like every search, these take the roads a plan leaves
+relaxation whole.  When every facility fits every resident, no capacity
+can bind and the assignment is each origin's nearest facility: one
+nearest-facility table (`GraphIndex.nearest_times`) then replaces the
+per-facility tables, and a child repairs that one
+(`GraphIndex.close_nearest`).  Like every search, these take the roads a plan leaves
 shut as one set of closed arc numbers on the network's index: the
 vulnerable arcs minus the arcs bought.  Masks and valid inequalities
 never reach the search: they only tighten the 0-1 model.
@@ -480,9 +484,10 @@ def _node_routes(g: GraphIndex, origins: Sequence[int], node: _Node,
                  stats: dict[str, Any] | None = None,
                  ) -> tuple[tuple[tuple[int, ...], ...], frozenset[int]]:
     """Each origin's canonical route to its facility in ``node.assignment``
-    over the arcs not in ``node.closed``, read off ``tables`` (the node's),
-    in ``origins`` order, and the origins whose walk backed out of a dead
-    end; all in numbers on ``g``.
+    over the arcs not in ``node.closed``, read off ``tables`` (the node's,
+    by facility; on a nearest-facility table every facility maps to that
+    one table), in ``origins`` order, and the origins whose walk backed out
+    of a dead end; all in numbers on ``g``.
 
     A child (``parent`` given, ``node.delta`` its tables' change from the
     parent's) keeps its parent's route for an origin that keeps its facility
@@ -491,8 +496,11 @@ def _node_routes(g: GraphIndex, origins: Sequence[int], node: _Node,
     (``fell`` names those facilities) and the parent's walk never backed
     out.  Closing arcs raises labels, or lowers them by less than DIST_TOL
     (``GraphIndex.close_arcs``), so at an unmoved node the same exit is
-    still the first tight one and every exit before it still is not.  Every
-    other origin is walked again.  Reused routes are added to
+    still the first tight one and every exit before it still is not.  On a
+    nearest-facility table the same holds for the one table: a walk that
+    never backed out visited only its route's nodes, whatever their
+    owners, and ``fell`` names every facility once a label fell anywhere.
+    Every other origin is walked again.  Reused routes are added to
     ``stats["routes_reused"]``.
     """
     new = node.closed - parent.closed if parent is not None else frozenset()
@@ -505,7 +513,7 @@ def _node_routes(g: GraphIndex, origins: Sequence[int], node: _Node,
         if (parent is not None and parent.assignment[k] == dest
                 and dest not in fell and k not in parent.backed):
             route = parent.paths[i]
-            moved = node.delta.moved.get(dest, {})
+            moved = node.delta.changed(dest)
             if k not in moved and all(a not in new and head[a] not in moved
                                       for a in route):
                 paths.append(route)
@@ -799,26 +807,49 @@ def _connection_bound(g: GraphIndex, origins: Sequence[int],
     return bound
 
 
+#: a nearest-facility table: (minutes, owner) by node number
+_Nearest = tuple[list[float], list[int]]
+
+
 class _Delta(NamedTuple):
     """A searched node's facility tables, as the labels that differ from
     its parent's: ``GraphIndex.close_arcs`` per facility, ``inf`` for a node
-    cut off, a facility where nothing moved left out.  A node with no
-    parent, the root or the probe, holds its full tables."""
+    cut off, a facility where nothing moved left out.  A node on the
+    nearest-facility table (``owners`` given) holds that one table instead:
+    ``moved`` and ``owners`` are the minutes and owners that
+    ``GraphIndex.close_nearest`` changed.  A node with no parent, the root,
+    the probe or a child whose nearest table was contested, holds its full
+    tables."""
 
     parent: _Delta | None
-    moved: dict[int, dict[int, float] | list[float]]
+    moved: dict[int, Any] | list[float]
+    owners: dict[int, int] | list[int] | None = None
 
-    def tables(self) -> dict[int, list[float]]:
+    def changed(self, dest: int) -> Mapping[int, float]:
+        """The labels moved in the table that routes to ``dest`` are walked
+        on: ``dest``'s own, or the nearest-facility table."""
+        return self.moved if self.owners is not None else \
+            self.moved.get(dest, {})
+
+    def tables(self) -> dict[int, list[float]] | _Nearest:
         """The full tables: the root's, with every delta on the way down
         applied."""
         chain = []
-        delta: _Delta | None = self
-        while delta is not None:
-            chain.append(delta.moved)
+        delta = self
+        while delta.parent is not None:
+            chain.append(delta)
             delta = delta.parent
-        tables = {d: list(t) for d, t in chain.pop().items()}
-        for moved in reversed(chain):
-            for d, labels in moved.items():
+        if delta.owners is not None:
+            minutes, owner = list(delta.moved), list(delta.owners)
+            for step in reversed(chain):
+                for v, t in step.moved.items():
+                    minutes[v] = t
+                for v, d in step.owners.items():
+                    owner[v] = d
+            return minutes, owner
+        tables = {d: list(t) for d, t in delta.moved.items()}
+        for step in reversed(chain):
+            for d, labels in step.moved.items():
                 table = tables[d]
                 for v, t in labels.items():
                     table[v] = t
@@ -838,12 +869,12 @@ class _Node:
                  "assignment", "paths", "backed", "score")
 
     def __init__(self, committed: frozenset[str], banned: frozenset[str],
-                 cost: int, delta: _Delta, closed: frozenset[int]) -> None:
+                 cost: int, closed: frozenset[int]) -> None:
         self.committed = committed
         self.banned = banned
         self.cost = cost
         self.bound = math.inf
-        self.delta = delta
+        self.delta: _Delta | None = None  # set when its tables are built
         self.closed = closed
         self.assignment: dict[int, int] = {}
         self.paths: tuple[tuple[int, ...], ...] = ()
@@ -993,6 +1024,24 @@ def solve_exact(instance: ProblemInstance,
     assignment and its parent's, re-priced on its own lists.  Every
     connection bound walks the origins in id order.
 
+    When every facility fits every resident (``capacity_fits`` of all the
+    residents holds at each one), no capacity can bind: the exact search
+    would return every origin's nearest facility at its first check.  Each
+    node solve then holds one nearest-facility table instead of one per
+    facility.  The root and the probe search it once
+    (``GraphIndex.nearest_times``), and a child repairs it
+    (``GraphIndex.close_nearest``).  The bound is the weighted minutes
+    summed in item order, as the exact search sums them, every origin goes
+    to the table's owner, and its route is walked on that table.  A table
+    that two facilities contest, a near tie the kernel's tolerance settles
+    by which offer came first, is given up: that node searches one table
+    per facility afresh, and its subtree keeps them.  The rule is decided
+    once per solve, from the capacities and the residents, not per node.
+    A node whose nearest assignment fits while some facility cannot take
+    everyone would need a check of that assignment before its tables are
+    chosen, and every capacitated root would pay a search for it.  So a
+    capacitated solve takes the per-facility path at every node.
+
     What the solve derives from its network alone, whatever the budget,
     sits in ``memo`` (`SolveMemo`), which `solve_pipeline` hands over from
     the pruning (``PrunedNetwork.memo``), so later solves on that pruning
@@ -1023,10 +1072,12 @@ def solve_exact(instance: ProblemInstance,
     included), ``rounding_closures`` (the probe included, when it finds a
     plan), ``connection_cuts`` (nodes of either search the connection bound
     refuted), ``relaxations_inherited`` (include children that took their
-    parent's relaxation), ``tables_repaired`` (children whose tables were
-    repaired from their parent's), ``routes_reused``,
+    parent's relaxation), ``tables_repaired`` (the other children that were
+    not cut: their tables were repaired from their parent's, or searched
+    afresh where a nearest table was contested), ``routes_reused``,
     ``assignments_reused`` and ``assignment_nodes`` (search nodes over
-    every bound solve, the probe's included); ``wall_time_assignment_s``
+    every exact bound solve, the probe's included; none runs on a nearest
+    table); ``wall_time_assignment_s``
     is the time spent in those searches (kept, like ``wall_time_s``, out of
     the deterministic JSON).  A warm start that validates is marked
     ``warm_start``; one that fails validation is dropped and its report
@@ -1086,6 +1137,10 @@ def solve_exact(instance: ProblemInstance,
     gap_items = [(g.node_no[o.id], o.residents, o.weight) for o in
                  sorted(origins, key=lambda o: (-o.residents, o.id))]
     node_ids, arc_ids = g.node_ids, g.arc_ids
+    # when every facility fits every resident, no capacity can bind, and
+    # each node solve reads one nearest-facility table
+    everyone = sum(o.residents for o in origins)
+    loose = all(capacity_fits(everyone, cap) for cap in caps.values())
 
     def open_node(committed: frozenset[str], banned: frozenset[str],
                   cost: int) -> tuple[int, list[str], frozenset[int]]:
@@ -1145,20 +1200,34 @@ def solve_exact(instance: ProblemInstance,
                ) -> tuple[float, dict[int, int]] | None:
         """The exact capacitated assignment over facility tables; None if
         some origin is cut off or the capacities cannot host everyone.  A
-        search the memo holds is not run again."""
-        lists: dict[int, list[tuple[float, int]]] = {}
-        for k in origin_nos:
-            lists[k] = g.facility_ranking(tables, k)
-            if not lists[k]:
-                return None
+        search the memo holds is not run again; the memo holds no origin
+        that is cut off, so its key is looked up before the origins are
+        ranked."""
         key = array("d", [tables[d][k] for k, _, _ in gap_items
                           for d in dests]).tobytes()
         if key in solved:
             stats["assignments_reused"] += 1
             return solved[key]
-        items = [(k, h, w, lists[k]) for k, h, w in gap_items]
+        items = []
+        for k, h, w in gap_items:
+            ranking = g.facility_ranking(tables, k)
+            if not ranking:
+                return None
+            items.append((k, h, w, ranking))
         solved[key] = _assignment_exact(items, caps, deadline, stats, hint)
         return solved[key]
+
+    def nearest(minutes: Sequence[float], owner: Sequence[int],
+                ) -> tuple[float, dict[int, int]] | None:
+        """The assignment while capacities cannot bind: every origin at its
+        owner, the weighted minutes summed in item order as
+        `_assignment_exact` sums them; None if some origin is cut off."""
+        bound = 0.0
+        for k, _, w in gap_items:
+            if minutes[k] == math.inf:
+                return None
+            bound += w * minutes[k]
+        return bound, {k: owner[k] for k, _, _ in gap_items}
 
     # warm start: accept anything Solution-shaped that validates cleanly
     if options.warm_start is not None:
@@ -1177,12 +1246,27 @@ def solve_exact(instance: ProblemInstance,
         gap_allow = options.gap_tol * max(abs(incumbent.objective), 1e-12)
         return bound < incumbent.objective - max(DIST_TOL, gap_allow)
 
+    def search(node: _Node, near: bool,
+               ) -> tuple[dict[int, list[float]] | _Nearest,
+                          tuple[float, dict[int, int]] | None]:
+        """A node's tables searched afresh, held whole in ``node.delta``,
+        and its assignment: with ``near``, the nearest-facility table
+        unless it is contested, else one table per facility."""
+        found = g.nearest_times(node.closed) if near else None
+        if found is not None:
+            node.delta = _Delta(None, *found)
+            return found, nearest(*found)
+        tables = g.facility_times(node.closed)
+        node.delta = _Delta(None, tables)
+        return tables, assign(tables)
+
     def repair(parent: _Node, parent_tables: dict[int, list[float]],
                node: _Node) -> tuple[dict[int, list[float]], set[int]]:
         """A child's facility tables, repaired from its parent's over the
         arcs it newly shuts (recorded in ``node.delta``), and the
         facilities where a label fell."""
         new = node.closed - parent.closed
+        node.delta = _Delta(parent.delta, {})
         tables: dict[int, list[float]] = {}
         fell: set[int] = set()
         for d in dests:
@@ -1197,12 +1281,31 @@ def solve_exact(instance: ProblemInstance,
                 if t < old[v]:
                     fell.add(d)
                 table[v] = t
-        stats["tables_repaired"] += 1
         return tables, fell
+
+    def repair_nearest(parent: _Node, parent_tables: _Nearest, node: _Node,
+                       ) -> tuple[_Nearest, set[int]] | None:
+        """`repair` on the nearest-facility table: the child's table, and
+        every facility if a label fell; None if the repair is contested."""
+        old, old_owner = parent_tables
+        found = g.close_nearest(old, old_owner, node.closed - parent.closed,
+                                parent.closed)
+        if found is None:
+            return None
+        moved, owners = found
+        node.delta = _Delta(parent.delta, moved, owners)
+        minutes = list(old) if moved else old
+        for v, t in moved.items():
+            minutes[v] = t
+        owner = list(old_owner) if owners else old_owner
+        for v, d in owners.items():
+            owner[v] = d
+        fell = any(t < old[v] for v, t in moved.items())
+        return (minutes, owner), set(dests) if fell else set()
 
     def evaluate(committed: frozenset[str], banned: frozenset[str],
                  cost: int, parent: _Node | None = None,
-                 parent_tables: dict[int, list[float]] | None = None,
+                 parent_tables: dict[int, list[float]] | _Nearest | None = None,
                  ) -> _Node | None:
         """Bound one node; None if it is dead or closed by rounding.
 
@@ -1219,32 +1322,44 @@ def solve_exact(instance: ProblemInstance,
         parent's remaining budget, and the branch unit lowers both sides by
         its own cost.  Any other child repairs the parent's tables, starts
         its assignment search from the parent's assignment as a cutoff and
-        keeps the parent's routes that stay canonical (`_node_routes`).
+        keeps the parent's routes that stay canonical (`_node_routes`).  On
+        a nearest-facility table it repairs that one table and reads its
+        assignment off it; if the repair is contested, it searches one
+        table per facility afresh and walks every route again.
         """
         remaining, afford, closed = open_node(committed, banned, cost)
         if (sum(undecided[uid].cost_cents for uid in afford) > remaining
                 and connection(committed, afford, remaining, closed) is None):
             return None  # no affordable completion connects everyone
-        if parent is None:
-            tables = g.facility_times(closed)
-            node = _Node(committed, banned, cost, _Delta(None, tables), closed)
-            found = assign(tables)
-            fell: set[int] = set()
-        elif parent.closed == closed:
+        if parent is not None and parent.closed == closed:
             stats["relaxations_inherited"] += 1
             node = copy.copy(parent)
             node.committed, node.cost = committed, cost
             node.score = {uid: w for uid, w in parent.score.items()
                           if uid not in committed}
             return node
+        node = _Node(committed, banned, cost, closed)
+        fell: set[int] = set()
+        if parent is None:
+            tables, found = search(node, loose)
         else:
-            node = _Node(committed, banned, cost, _Delta(parent.delta, {}),
-                         closed)
-            tables, fell = repair(parent, parent_tables, node)
-            found = assign(tables, parent.assignment)
+            stats["tables_repaired"] += 1
+            if parent.delta.owners is None:
+                tables, fell = repair(parent, parent_tables, node)
+                found = assign(tables, parent.assignment)
+            else:
+                repaired = repair_nearest(parent, parent_tables, node)
+                if repaired is None:  # contested: the subtree leaves it
+                    tables, found = search(node, False)
+                    parent = None  # no route of the parent's is kept
+                else:
+                    tables, fell = repaired
+                    found = nearest(*tables)
         if found is None:
             return None  # the relaxation strands an origin or overfills
         node.bound, node.assignment = found
+        if node.delta.owners is not None:  # every route walks one table
+            tables = dict.fromkeys(dests, tables[0])
         node.paths, node.backed = _node_routes(
             g, origin_nos, node, tables, parent, fell, stats)
         for w, path in zip(weights, node.paths):

@@ -342,6 +342,88 @@ def test_closing_arcs_returns_only_what_moves():
     assert close("ad") == {a: math.inf, o: 4.0}
 
 
+# -- the nearest-facility table -----------------------------------------------
+
+def _least_labels(g, closed):
+    """Per node, the least label over the per-facility tables and the
+    facility ``facility_ranking`` puts first (``inf`` and -1 where none is
+    reached): what a nearest-facility table must hold."""
+    tables = g.facility_times(closed)
+    ranked = [g.facility_ranking(tables, v) for v in range(len(g.node_ids))]
+    return ([r[0][0] if r else math.inf for r in ranked],
+            [r[0][1] if r else -1 for r in ranked])
+
+
+def test_nearest_table_is_the_least_facility_label_bit_for_bit():
+    # random towns on their own times and snapped ones (zero-time arcs,
+    # ties, near-ties), over random closed sets: an uncontested nearest
+    # table, searched afresh or repaired over more closed arcs, holds each
+    # node's least per-facility label to the bit and, as its owner, the
+    # facility that facility_ranking puts first
+    fresh = repaired = contested = 0
+    for seed in range(150):
+        sizes = {"max_nodes": 30, "max_vuln": 20, "max_origins": 8}
+        for net in (synth.random_instance(seed, decorate=seed % 2 == 1,
+                                          **sizes).network,
+                    _snapped_network(seed, **sizes)):
+            g = net.index()
+            rng = random.Random(seed)
+            ids = sorted(net.arcs)
+            for _ in range(6):
+                closed = g.arcs_of(rng.sample(ids, rng.randint(
+                    0, len(ids) // 3)))
+                found = g.nearest_times(closed)
+                if found is None:
+                    contested += 1
+                    continue
+                assert found == _least_labels(g, closed), (seed, closed)
+                fresh += 1
+                for _ in range(4):
+                    arcs = g.arcs_of(rng.sample(ids, min(len(ids), 3)))
+                    change = g.close_nearest(*found, arcs, closed)
+                    if change is None:
+                        contested += 1
+                        continue
+                    moved, owners = change
+                    assert all(found[0][v] != t for v, t in moved.items())
+                    assert all(found[1][v] != d for v, d in owners.items())
+                    after = (_applied(found[0], moved),
+                             _applied(found[1], owners))
+                    assert after == _least_labels(g, closed | arcs), \
+                        (seed, closed, arcs)
+                    repaired += 1
+    assert fresh > 1600 and repaired > 6500, (fresh, repaired)
+    assert 0 < contested < 200, contested
+
+
+def test_a_near_tie_between_facilities_is_contested():
+    # o reaches d0 in 10 by b and d1 in 10 - 0.5e-9 by c.  One search from
+    # both settles d0 first, and its offer of 10 keeps d1's out by the
+    # kernel's tolerance, though d1's own table holds the smaller time: a
+    # nearest table would be wrong there, so it is contested, whether it is
+    # searched afresh or repaired from the table where a holds o at 9
+    nodes = [RoadNode("o", NodeKind.ORIGIN, residents=1.0, weight=1.0),
+             RoadNode("d0", NodeKind.DESTINATION),
+             RoadNode("d1", NodeKind.DESTINATION)]
+    arcs = [RoadArc("a", "o", "d0", 9.0), RoadArc("b", "o", "d0", 10.0),
+            RoadArc("c", "o", "d1", 10.0 - 0.5e-9)]
+    g = Network(nodes, arcs).index()
+    d0, d1, o = g.nodes_of(("d0", "d1", "o"))
+    a = g.arcs_of("a")
+    assert g.dijkstra(g.dests, a, reverse=True)[0][o] == 10.0
+    assert _least_labels(g, a) == ([0.0, 0.0, 10.0 - 0.5e-9], [d0, d1, d1])
+    assert g.nearest_times(a) is None
+    found = g.nearest_times()
+    assert found == ([0.0, 0.0, 9.0], [d0, d1, d0]) == _least_labels(
+        g, frozenset())
+    assert g.close_nearest(*found, a) is None
+    # an exact tie is no contest: the smaller number owns o
+    c = g.arcs_of("c")
+    exact = Network(nodes, arcs[1:2] + [RoadArc("c", "o", "d1", 10.0)])
+    assert exact.index().nearest_times() == ([0.0, 0.0, 10.0], [d0, d1, d0])
+    assert g.close_nearest(*found, a | c) == ({o: 10.0}, {})
+
+
 # -- the indexed kernel against a plain reference ---------------------------
 
 def test_index_numbers_nodes_and_arcs_in_id_order():

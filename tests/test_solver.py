@@ -907,16 +907,31 @@ def _demo_at(fraction, coupled, town=None):
 
 
 @pytest.mark.parametrize("coupled", [False, True])
-def test_a_solve_repeated_on_a_pruning_runs_no_assignment_search(coupled):
+def test_a_solve_repeated_on_a_pruning_runs_no_assignment_search(
+        coupled, monkeypatch):
     # the pruning's memo holds every assignment search of the first solve,
-    # so the second takes the same search to the same plan without one
+    # so the second takes the same search to the same plan without one.
+    # It looks each search up before it ranks any origin's facilities, so
+    # it ranks origins only at nodes that strand one, which the memo never
+    # holds, and there only up to the stranded origin
+    ranked = []
+    real = GraphIndex.facility_ranking
+
+    def recorded(tables, origin):
+        ranked.append(real(tables, origin))
+        return ranked[-1]
+
+    monkeypatch.setattr(GraphIndex, "facility_ranking", staticmethod(recorded))
     inst = _demo_at(0.3, coupled)
     first = solve_pipeline(inst)
+    at_first = len(ranked)
     again = solve_pipeline(inst, pruned=first.pruned)
     assert first.solution.status is SolveStatus.OPTIMAL
     assert _plan_and_search(again.solution) == _plan_and_search(first.solution)
     assert first.solution.stats["assignment_nodes"] > 0
     assert again.solution.stats["assignment_nodes"] == 0
+    repeat = ranked[at_first:]
+    assert len(repeat) < at_first and (not repeat or not repeat[-1])
 
 
 @pytest.mark.parametrize("first", [False, True])
@@ -1182,7 +1197,14 @@ def test_a_label_that_rises_on_a_route_makes_it_walked_again(monkeypatch):
 def test_interrupted_branching_keeps_the_parent_bound(monkeypatch):
     # the root solves its bound, then runs the search's one probe; the
     # deadline passes in the first child's bound solve: the root (bound 55) is then the only
-    # proof left for the subtree it was splitting
+    # proof left for the subtree it was splitting.  A one-bed shelter that
+    # no road reaches lets the capacities bind, so every bound solve is an
+    # exact assignment search (with room for everyone everywhere, a bound
+    # is read off the nearest-facility table, which no deadline stops)
+    inst = branching_instance()
+    net = inst.network
+    inst = dataclasses.replace(inst, network=Network(
+        [*net.nodes.values(), D("d9", 1)], net.arcs.values()))
     calls = []
 
     def expire_on_third(items, caps, deadline, stats, hint):
@@ -1193,7 +1215,7 @@ def test_interrupted_branching_keeps_the_parent_bound(monkeypatch):
 
     real = solver._assignment_exact
     monkeypatch.setattr(solver, "_assignment_exact", expire_on_third)
-    sol = solve_exact(branching_instance())
+    sol = solve_exact(inst)
     assert sol.status is SolveStatus.TIME_LIMIT
     assert sol.objective == pytest.approx(100.0)   # the root's probe
     assert sol.best_bound == pytest.approx(55.0)
@@ -1253,3 +1275,116 @@ def test_rounding_closure_matches_the_oracle():
     assert sol.status is ref.status is SolveStatus.OPTIMAL
     assert abs(sol.objective - ref.objective) <= 1e-9
     assert validate_solution(inst, sol).ok
+
+
+# -- the nearest-facility table -------------------------------------------------
+
+def _with_capacities(inst, capacity):
+    """``inst`` with each facility's capacity ``capacity(facility id)``."""
+    net = inst.network
+    nodes = [dataclasses.replace(n, capacity=capacity(n.id))
+             if n.kind is NodeKind.DESTINATION else n
+             for n in net.nodes.values()]
+    return dataclasses.replace(inst, network=Network(nodes,
+                                                     net.arcs.values()))
+
+
+#: the B&B counters that count the search itself, not the routes it reuses
+SEARCH_COUNTERS = tuple(k for k in BNB_COUNTERS if k != "routes_reused")
+
+
+def test_the_nearest_table_solves_as_the_facility_tables_do(monkeypatch):
+    # random towns, on their own times and snapped ones, at their budget, a
+    # half and a quarter of it, without capacities: every facility fits
+    # everyone, so each node solve reads the nearest-facility table.  Give
+    # the last facility room for all but half a resident, and capacities
+    # could bind: each node solve reads one table per facility.  Where they
+    # do not bind in fact (every exact search returns the nearest
+    # assignment), both give the same plan by the same search, and on the
+    # towns small enough for it, the oracle's objective
+    nearest = []   # per exact search: did it return the nearest assignment
+
+    def recorded(items, caps, deadline, stats, hint):
+        found = real(items, caps, deadline, stats, hint)
+        nearest.append(found is not None and found[1] == {
+            k: cands[0][1] for k, _, _, cands in items})
+        return found
+
+    real = solver._assignment_exact
+    monkeypatch.setattr(solver, "_assignment_exact", recorded)
+    compared = branched = oracle = 0
+    for seed in range(150):
+        town = synth.random_instance(seed, max_nodes=30, max_vuln=20,
+                                     max_origins=8, coupled=seed % 3 == 0)
+        last = max(d.id for d in town.network.destinations())
+        everyone = sum(o.residents for o in town.network.origins())
+        small = len(purchase_units(town.network, seed % 3 == 0)) <= 12
+        for times in (town, _snapped(town, seed)):
+            for share in (1.0, 0.5, 0.25):
+                inst = dataclasses.replace(times, budget=times.budget * share)
+                free = _with_capacities(inst, lambda d: math.inf)
+                snug = _with_capacities(
+                    inst, lambda d: everyone - 0.5 if d == last else math.inf)
+                loose = solve_exact(free)
+                nearest.clear()
+                tight = solve_exact(snug)
+                if not all(nearest):
+                    continue   # the last facility overfills somewhere
+                # a walk on the one table backs out of an exit tight only
+                # toward another facility, where one facility's table has
+                # none, and a route that backed out is not reused: so
+                # routes_reused may differ
+                assert _plan_and_search(loose)[0] == \
+                    _plan_and_search(tight)[0], (seed, share)
+                assert [loose.stats[k] for k in SEARCH_COUNTERS] == \
+                    [tight.stats[k] for k in SEARCH_COUNTERS], (seed, share)
+                compared += 1
+                branched += loose.stats["nodes_explored"] > 0
+                if small:
+                    want = brute_force_oracle(free)
+                    assert loose.status is want.status, (seed, share)
+                    if want.status is SolveStatus.OPTIMAL:
+                        assert abs(loose.objective - want.objective) <= 1e-9
+                    oracle += 1
+    assert compared > 700 and branched > 50 and oracle > 400, \
+        (compared, branched, oracle)
+
+
+def test_a_contested_nearest_table_leaves_for_the_facility_tables(
+        monkeypatch):
+    # s reaches d0 in 9 over the washed-out a, or in 10 over b; d1 in
+    # 10 - 0.5e-9 over c.  The root rides a and v3 ($10 on a $5 budget)
+    # and branches on a.  Without a, one search from both facilities keeps
+    # d0's offer of 10 for s, though d1 is nearer: the probe's table and the
+    # table repaired for the child that bans a are contested, and those
+    # node solves read one table per facility instead.  The solve equals
+    # the one where capacities could bind, and the oracle's plan
+    searched = []
+    real_times = GraphIndex.facility_times
+
+    def counted(g, closed=frozenset()):
+        searched.append(closed)
+        return real_times(g, closed)
+
+    monkeypatch.setattr(GraphIndex, "facility_times", counted)
+    nodes = [O("s", 10), O("s3", 1), D("d0", 99), D("d1", 99)]
+    arcs = [RoadArc("a", "s", "d0", 9.0, vulnerable=True, mitigation_cost=5.0),
+            RoadArc("b", "s", "d0", 10.0), RoadArc("c", "s", "d1", 10 - 0.5e-9),
+            RoadArc("v3", "s3", "d0", 1.0, vulnerable=True,
+                    mitigation_cost=5.0),
+            RoadArc("w3", "s3", "d0", 3.0)]
+    inst = build_instance(nodes, arcs, 5.0, 10.0)
+    sol = solve_exact(inst)
+    g = inst.network.index()   # the probe and the child that bans a
+    assert searched == [g.arcs_of(("a", "v3")), g.arcs_of(("a",))]
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.upgrades == ("a",) and sol.objective == 93.0
+    assert sol.stats["tables_repaired"] == 2
+    ref = brute_force_oracle(inst)
+    assert ref.objective == sol.objective and ref.upgrades == sol.upgrades
+    # the child that left the nearest table walks every route afresh
+    snug = solve_exact(_with_capacities(
+        inst, lambda d: 10.5 if d == "d1" else 99.0))
+    assert _plan_and_search(snug)[0] == _plan_and_search(sol)[0]
+    assert [snug.stats[k] for k in SEARCH_COUNTERS] == \
+        [sol.stats[k] for k in SEARCH_COUNTERS]

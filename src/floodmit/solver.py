@@ -21,11 +21,13 @@ The solver enumerates upgrade decisions in a best-first branch-and-bound:
 
 The capacitated assignment is a generalized assignment problem.  When every
 origin's nearest facility has room, that is its answer; otherwise an
-iterative depth-first search solves it exactly.  It starts from the cost of
-a priced-regret assignment improved by shift and swap moves
-(`_regret_assignment`) as its cutoff, and is pruned by two lower bounds:
-everyone at their nearest facility, and a Lagrangian bound whose capacity
-prices come from coordinate ascent (`_capacity_prices`).
+iterative depth-first search solves it exactly.  It starts from one
+assignment's cost as its cutoff: a B&B child's parent's assignment,
+re-priced on the child's lists, or where there is no parent, a
+priced-regret assignment improved by shift and swap moves
+(`_regret_assignment`).  It is pruned by two lower bounds: everyone at
+their nearest facility, and a Lagrangian bound whose capacity prices come
+from coordinate ascent (`_capacity_prices`).
 
 Every origin rides a shortest path, so the root's distances come from one
 reverse search per facility, and each origin's facility ranking
@@ -150,8 +152,9 @@ class Solution:
 
 # -- exact capacitated assignment ------------------------------------------
 
-#: (origin, residents, weight, [(minutes, facility), ...] nearest first)
-_AssignmentItems = list[tuple[str, float, float, list[tuple[float, str]]]]
+#: (origin, residents, weight, [(minutes, facility), ...] nearest first),
+#: origins and facilities as node numbers
+_AssignmentItems = list[tuple[int, float, float, list[tuple[float, int]]]]
 
 #: search nodes between two reads of the clock in `_assignment_exact`
 _CLOCK_EVERY = 1024
@@ -165,8 +168,8 @@ class _DeadlinePassed(Exception):
     """The solve's deadline passed inside an assignment search."""
 
 
-def _capacity_prices(items: _AssignmentItems, capacities: Mapping[str, float],
-                     ) -> tuple[dict[str, float], float]:
+def _capacity_prices(items: _AssignmentItems, capacities: Mapping[int, float],
+                     ) -> tuple[dict[int, float], float]:
     """Prices on the capacity rows, and the Lagrangian value they prove.
 
     For prices λ_d ≥ 0, L(λ) = Σ_i min_d (w_i·t_id + λ_d·h_i) − Σ_d λ_d·c_d
@@ -224,9 +227,9 @@ def _capacity_prices(items: _AssignmentItems, capacities: Mapping[str, float],
 
 
 def _regret_assignment(items: _AssignmentItems,
-                       capacities: Mapping[str, float],
-                       prices: Mapping[str, float],
-                       ) -> tuple[float, dict[str, str]] | None:
+                       capacities: Mapping[int, float],
+                       prices: Mapping[int, float],
+                       ) -> tuple[float, dict[int, int]] | None:
     """A capacity-feasible assignment by priced regret, improved by moves.
 
     An item's priced cost at facility d is w·t_d + λ_d·h.  Items choose in
@@ -245,7 +248,7 @@ def _regret_assignment(items: _AssignmentItems,
     # per item: weighted minutes by facility, nearest first
     cost = [{dest: w * minutes for minutes, dest in cands}
             for _, _, w, cands in items]
-    ranked: list[list[str]] = []   # per item: facilities, cheapest priced first
+    ranked: list[list[int]] = []   # per item: facilities, cheapest priced first
     regret: list[float] = []
     for h, row in zip(sizes, cost):
         priced = sorted((c + prices[d] * h, k, d)
@@ -254,7 +257,7 @@ def _regret_assignment(items: _AssignmentItems,
         regret.append(priced[1][0] - priced[0][0] if len(priced) > 1
                       else math.inf)
     room = dict(capacities)
-    at = [""] * n
+    at = [-1] * n
     for i in sorted(range(n), key=lambda i: -regret[i]):
         dest = next((d for d in ranked[i] if capacity_fits(sizes[i], room[d])),
                     None)
@@ -294,9 +297,9 @@ def _regret_assignment(items: _AssignmentItems,
                      {items[i][0]: at[i] for i in range(n)})
 
 
-def _repriced(items: _AssignmentItems, capacities: Mapping[str, float],
-              assignment: Mapping[str, str],
-              ) -> tuple[float, dict[str, str]] | None:
+def _repriced(items: _AssignmentItems, capacities: Mapping[int, float],
+              assignment: Mapping[int, int],
+              ) -> tuple[float, dict[int, int]] | None:
     """``assignment`` priced on ``items``: (weighted minutes summed in item
     order, as the exact search sums them, the assignment), or None if it
     sends an item to a facility off its list or overfills one."""
@@ -312,32 +315,32 @@ def _repriced(items: _AssignmentItems, capacities: Mapping[str, float],
     return value, {origin: assignment[origin] for origin, _, _, _ in items}
 
 
-def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
+def _assignment_exact(items: _AssignmentItems, capacities: Mapping[int, float],
                       deadline: float = math.inf,
                       stats: dict[str, Any] | None = None,
-                      hint: Mapping[str, str] | None = None,
-                      ) -> tuple[float, dict[str, str]] | None:
+                      hint: Mapping[int, int] | None = None,
+                      ) -> tuple[float, dict[int, int]] | None:
     """Min-cost assignment of origins to destinations under capacities.
 
     Returns (weighted minutes, assignment) or None if capacities cannot host
     everyone.  If every origin's nearest facility fits, that is the answer;
     if the residents outnumber every bed together, there is none.
-    Otherwise `_capacity_prices` prices the capacity rows, and
-    `_regret_assignment` builds a feasible assignment whose cost, plus a
-    relative slack of 1e-7, starts the search as its cutoff; ``hint``, an
-    assignment such as a B&B parent's, re-priced on ``items``
-    (`_repriced`), gives a second one, and the lower of the two is taken
-    when it is feasible.  A depth-first search then assigns the items in
-    order, each to its facilities nearest first, and bounds every child
-    before entering it by the larger of two lower bounds on the rest:
-    everyone at their nearest facility, capacities ignored, and the
-    Lagrangian bound over the residual capacities.  A valid lower bound, or
-    a cutoff above the optimum, only cuts leaves the search would reject
-    anyway, so the answer is the first strictly best leaf in search order
-    whatever the prices, the heuristic and the hint (if no leaf beats the
-    cutoff, as float rounding could only cause at the edge of a capacity,
-    the cutoff's own assignment is the answer).  The search keeps its own
-    stack, so any number of origins fits; it reads the clock every
+    Otherwise `_capacity_prices` prices the capacity rows, and one
+    feasible assignment's cost, plus a relative slack of 1e-7, starts the
+    search as its cutoff: ``hint``, an assignment such as a B&B parent's,
+    re-priced on ``items`` (`_repriced`), or without a hint the one
+    `_regret_assignment` builds.  A hint that sends an item off its list or
+    overfills a facility gives no cutoff.  A depth-first search then
+    assigns the items in order, each to its facilities nearest first, and
+    bounds every child before entering it by the larger of two lower bounds
+    on the rest: everyone at their nearest facility, capacities ignored,
+    and the Lagrangian bound over the residual capacities.  A valid lower
+    bound, or a cutoff above the optimum, only cuts leaves the search would
+    reject anyway, so the answer is the first strictly best leaf in search
+    order whatever the prices, the heuristic and the hint (if no leaf beats
+    the cutoff, as float rounding could only cause at the edge of a
+    capacity, the cutoff's own assignment is the answer).  The search keeps
+    its own stack, so any number of origins fits; it reads the clock every
     ``_CLOCK_EVERY`` nodes and raises `_DeadlinePassed` once ``deadline``
     is past.  The nodes it enters are added to
     ``stats["assignment_nodes"]``, its seconds to
@@ -389,13 +392,10 @@ def _assignment_exact(items: _AssignmentItems, capacities: Mapping[str, float],
 
         residual = [capacities[d] for d in dests]
         best_obj = math.inf
-        best_assign: dict[str, str] | None = None
+        best_assign: dict[int, int] | None = None
         cutoff = math.inf
-        upper = _regret_assignment(items, capacities, prices)
-        if hint is not None:
-            hinted = _repriced(items, capacities, hint)
-            if hinted is not None and (upper is None or hinted[0] < upper[0]):
-                upper = hinted
+        upper = (_regret_assignment(items, capacities, prices)
+                 if hint is None else _repriced(items, capacities, hint))
         if upper is not None:
             best_obj, best_assign = upper
             cutoff = best_obj * (1.0 + 1e-7) + slack
@@ -485,41 +485,43 @@ def _node_routes(g: GraphIndex, origins: Sequence[int], node: _Node,
                  ) -> tuple[tuple[tuple[int, ...], ...], frozenset[int]]:
     """Each origin's canonical route to its facility in ``node.assignment``
     over the arcs not in ``node.closed``, read off ``tables`` (the node's,
-    by facility; on a nearest-facility table every facility maps to that
-    one table), in ``origins`` order, and the origins whose walk backed out
-    of a dead end; all in numbers on ``g``.
+    keyed as in `_Delta`: the facility's own table, or the one
+    nearest-facility table when the node holds it), in ``origins`` order,
+    and the origins whose walk backed out of a dead end; all in numbers on
+    ``g``.
 
     A child (``parent`` given, ``node.delta`` its tables' change from the
     parent's) keeps its parent's route for an origin that keeps its facility
     when no arc on the route newly closed, no node on it (the origin
-    included) moved in that facility's table, no label in that table fell
-    (``fell`` names those facilities) and the parent's walk never backed
+    included) moved in the table it is walked on, no label in that table
+    fell (``fell`` names those tables) and the parent's walk never backed
     out.  Closing arcs raises labels, or lowers them by less than DIST_TOL
     (``GraphIndex.close_arcs``), so at an unmoved node the same exit is
     still the first tight one and every exit before it still is not.  On a
     nearest-facility table the same holds for the one table: a walk that
     never backed out visited only its route's nodes, whatever their
-    owners, and ``fell`` names every facility once a label fell anywhere.
-    Every other origin is walked again.  Reused routes are added to
-    ``stats["routes_reused"]``.
+    owners.  Every other origin is walked again.  Reused routes are added
+    to ``stats["routes_reused"]``.
     """
     new = node.closed - parent.closed if parent is not None else frozenset()
+    near = _NEAREST in tables
     head = g.head
     paths: list[tuple[int, ...]] = []
     backed: set[int] = set()
     reused = 0
     for i, k in enumerate(origins):
         dest = node.assignment[k]
+        key = _NEAREST if near else dest
         if (parent is not None and parent.assignment[k] == dest
-                and dest not in fell and k not in parent.backed):
+                and key not in fell and k not in parent.backed):
             route = parent.paths[i]
-            moved = node.delta.changed(dest)
+            moved = node.delta.moved.get(key, {})
             if k not in moved and all(a not in new and head[a] not in moved
                                       for a in route):
                 paths.append(route)
                 reused += 1
                 continue
-        found = g.canonical_walk(k, dest, node.closed, tables[dest])
+        found = g.canonical_walk(k, dest, node.closed, tables[key])
         if found is None:  # pragma: no cover - assignment implies reachability
             raise ModelError(f"no route from {g.node_ids[k]!r} to "
                              f"{g.node_ids[dest]!r}")
@@ -807,53 +809,49 @@ def _connection_bound(g: GraphIndex, origins: Sequence[int],
     return bound
 
 
-#: a nearest-facility table: (minutes, owner) by node number
-_Nearest = tuple[list[float], list[int]]
+#: the key of the nearest-facility table among a node's tables (a
+#: facility's own table is keyed by its number, never negative)
+_NEAREST = -1
+
+#: a node's full tables by key, and the nearest-facility table's owners by
+#: node number (None on per-facility tables)
+_Tables = tuple[dict[int, list[float]], list[int] | None]
 
 
 class _Delta(NamedTuple):
-    """A searched node's facility tables, as the labels that differ from
-    its parent's: ``GraphIndex.close_arcs`` per facility, ``inf`` for a node
-    cut off, a facility where nothing moved left out.  A node on the
-    nearest-facility table (``owners`` given) holds that one table instead:
-    ``moved`` and ``owners`` are the minutes and owners that
-    ``GraphIndex.close_nearest`` changed.  A node with no parent, the root,
-    the probe or a child whose nearest table was contested, holds its full
-    tables."""
+    """A searched node's tables, as the labels that differ from its
+    parent's.  A table is keyed by its facility's number, or by `_NEAREST`
+    for the nearest-facility table, whose owners sit in ``owners`` (None on
+    per-facility tables).  ``moved`` maps a key to the labels
+    ``GraphIndex.close_arcs`` or ``close_nearest`` moved, ``inf`` for a
+    node cut off, a table where nothing moved left out, and ``owners``
+    holds the owners that changed.  A node with no parent, the root, the
+    probe or a child whose nearest table was contested, holds its full
+    tables and owners."""
 
     parent: _Delta | None
-    moved: dict[int, Any] | list[float]
+    moved: dict[int, Any]
     owners: dict[int, int] | list[int] | None = None
 
-    def changed(self, dest: int) -> Mapping[int, float]:
-        """The labels moved in the table that routes to ``dest`` are walked
-        on: ``dest``'s own, or the nearest-facility table."""
-        return self.moved if self.owners is not None else \
-            self.moved.get(dest, {})
-
-    def tables(self) -> dict[int, list[float]] | _Nearest:
-        """The full tables: the root's, with every delta on the way down
-        applied."""
+    def tables(self) -> _Tables:
+        """The full tables and owners: the root's, with every delta on the
+        way down applied."""
         chain = []
         delta = self
         while delta.parent is not None:
             chain.append(delta)
             delta = delta.parent
-        if delta.owners is not None:
-            minutes, owner = list(delta.moved), list(delta.owners)
-            for step in reversed(chain):
-                for v, t in step.moved.items():
-                    minutes[v] = t
-                for v, d in step.owners.items():
-                    owner[v] = d
-            return minutes, owner
-        tables = {d: list(t) for d, t in delta.moved.items()}
+        tables = {key: list(t) for key, t in delta.moved.items()}
+        owner = None if delta.owners is None else list(delta.owners)
         for step in reversed(chain):
-            for d, labels in step.moved.items():
-                table = tables[d]
+            for key, labels in step.moved.items():
+                table = tables[key]
                 for v, t in labels.items():
                     table[v] = t
-        return tables
+            if owner is not None:
+                for v, d in step.owners.items():
+                    owner[v] = d
+        return tables, owner
 
 
 class _Node:
@@ -1020,8 +1018,9 @@ def solve_exact(instance: ProblemInstance,
     candidate list, and the routes that score a node, and that a rounding
     closure offers, are read off them; a child keeps each parent route that
     stays canonical (`_node_routes`, ``routes_reused``).  A child's
-    assignment search starts from the better of the priced-regret
-    assignment and its parent's, re-priced on its own lists.  Every
+    assignment search starts from its parent's assignment, re-priced on its
+    own lists; only a search without a parent's (the root's, the probe's
+    and a contested child's) builds the priced-regret assignment.  Every
     connection bound walks the origins in id order.
 
     When every facility fits every resident (``capacity_fits`` of all the
@@ -1246,66 +1245,56 @@ def solve_exact(instance: ProblemInstance,
         gap_allow = options.gap_tol * max(abs(incumbent.objective), 1e-12)
         return bound < incumbent.objective - max(DIST_TOL, gap_allow)
 
-    def search(node: _Node, near: bool,
-               ) -> tuple[dict[int, list[float]] | _Nearest,
-                          tuple[float, dict[int, int]] | None]:
-        """A node's tables searched afresh, held whole in ``node.delta``,
-        and its assignment: with ``near``, the nearest-facility table
-        unless it is contested, else one table per facility."""
+    def search(node: _Node, near: bool) -> _Tables:
+        """A node's tables and owners searched afresh, held whole in
+        ``node.delta``: with ``near``, the nearest-facility table unless it
+        is contested, else one table per facility and no owners."""
         found = g.nearest_times(node.closed) if near else None
-        if found is not None:
-            node.delta = _Delta(None, *found)
-            return found, nearest(*found)
-        tables = g.facility_times(node.closed)
-        node.delta = _Delta(None, tables)
-        return tables, assign(tables)
+        if found is None:
+            tables, owner = g.facility_times(node.closed), None
+        else:
+            tables, owner = {_NEAREST: found[0]}, found[1]
+        node.delta = _Delta(None, tables, owner)
+        return tables, owner
 
-    def repair(parent: _Node, parent_tables: dict[int, list[float]],
-               node: _Node) -> tuple[dict[int, list[float]], set[int]]:
-        """A child's facility tables, repaired from its parent's over the
-        arcs it newly shuts (recorded in ``node.delta``), and the
-        facilities where a label fell."""
+    def repair(parent: _Node, parent_tables: _Tables, node: _Node,
+               ) -> tuple[_Tables, set[int]] | None:
+        """A child's tables and owners, repaired from its parent's over the
+        arcs it newly shuts (recorded in ``node.delta``), and the keys of
+        the tables where a label fell; None if the nearest-facility table's
+        repair is contested."""
+        tables, owner = parent_tables
         new = node.closed - parent.closed
-        node.delta = _Delta(parent.delta, {})
-        tables: dict[int, list[float]] = {}
+        if owner is None:
+            changes = {d: g.close_arcs(tables[d], (d,), new, parent.closed)
+                       for d in dests}
+            owners = None
+        else:
+            found = g.close_nearest(tables[_NEAREST], owner, new,
+                                    parent.closed)
+            if found is None:
+                return None
+            changes, owners = {_NEAREST: found[0]}, found[1]
+            if owners:
+                owner = list(owner)
+                for v, d in owners.items():
+                    owner[v] = d
+        node.delta = _Delta(parent.delta, {
+            key: moved for key, moved in changes.items() if moved}, owners)
+        repaired = dict(tables)
         fell: set[int] = set()
-        for d in dests:
-            old = parent_tables[d]
-            moved = g.close_arcs(old, (d,), new, parent.closed)
-            if not moved:
-                tables[d] = old
-                continue
-            node.delta.moved[d] = moved
-            table = tables[d] = list(old)
+        for key, moved in node.delta.moved.items():
+            old = tables[key]
+            table = repaired[key] = list(old)
             for v, t in moved.items():
                 if t < old[v]:
-                    fell.add(d)
+                    fell.add(key)
                 table[v] = t
-        return tables, fell
-
-    def repair_nearest(parent: _Node, parent_tables: _Nearest, node: _Node,
-                       ) -> tuple[_Nearest, set[int]] | None:
-        """`repair` on the nearest-facility table: the child's table, and
-        every facility if a label fell; None if the repair is contested."""
-        old, old_owner = parent_tables
-        found = g.close_nearest(old, old_owner, node.closed - parent.closed,
-                                parent.closed)
-        if found is None:
-            return None
-        moved, owners = found
-        node.delta = _Delta(parent.delta, moved, owners)
-        minutes = list(old) if moved else old
-        for v, t in moved.items():
-            minutes[v] = t
-        owner = list(old_owner) if owners else old_owner
-        for v, d in owners.items():
-            owner[v] = d
-        fell = any(t < old[v] for v, t in moved.items())
-        return (minutes, owner), set(dests) if fell else set()
+        return (repaired, owner), fell
 
     def evaluate(committed: frozenset[str], banned: frozenset[str],
                  cost: int, parent: _Node | None = None,
-                 parent_tables: dict[int, list[float]] | _Nearest | None = None,
+                 parent_tables: _Tables | None = None,
                  ) -> _Node | None:
         """Bound one node; None if it is dead or closed by rounding.
 
@@ -1313,19 +1302,20 @@ def solve_exact(instance: ProblemInstance,
         cost no more than the remaining budget together, so buying them
         attains the bound, and that plan is offered as incumbent.
 
-        A child (``parent`` given, with its full tables) shuts every arc its
-        parent does.  One that shuts no more, which only an include child
-        can (a ban shuts the branch unit, which the parent's routes ride),
-        has the same tables, assignment and routes, so it shares the
-        parent's solve and bound, its score less the units it commits.  It
-        cannot close by rounding: the parent's score cost more than the
-        parent's remaining budget, and the branch unit lowers both sides by
-        its own cost.  Any other child repairs the parent's tables, starts
-        its assignment search from the parent's assignment as a cutoff and
-        keeps the parent's routes that stay canonical (`_node_routes`).  On
-        a nearest-facility table it repairs that one table and reads its
-        assignment off it; if the repair is contested, it searches one
-        table per facility afresh and walks every route again.
+        A child (``parent`` given, with its full tables and owners) shuts
+        every arc its parent does.  One that shuts no more, which only an
+        include child can (a ban shuts the branch unit, which the parent's
+        routes ride), has the same tables, assignment and routes, so it
+        shares the parent's solve and bound, its score less the units it
+        commits.  It cannot close by rounding: the parent's score cost more
+        than the parent's remaining budget, and the branch unit lowers both
+        sides by its own cost.  Any other child repairs the parent's
+        tables, starts its assignment search from the parent's assignment
+        (on a nearest-facility table it reads the assignment off the
+        owners instead) and keeps the parent's routes that stay canonical
+        (`_node_routes`).  If the repair of a nearest-facility table is
+        contested, the child searches one table per facility afresh and
+        walks every route again.
         """
         remaining, afford, closed = open_node(committed, banned, cost)
         if (sum(undecided[uid].cost_cents for uid in afford) > remaining
@@ -1339,27 +1329,22 @@ def solve_exact(instance: ProblemInstance,
                           if uid not in committed}
             return node
         node = _Node(committed, banned, cost, closed)
-        fell: set[int] = set()
-        if parent is None:
-            tables, found = search(node, loose)
-        else:
+        repaired = None
+        if parent is not None:
             stats["tables_repaired"] += 1
-            if parent.delta.owners is None:
-                tables, fell = repair(parent, parent_tables, node)
-                found = assign(tables, parent.assignment)
-            else:
-                repaired = repair_nearest(parent, parent_tables, node)
-                if repaired is None:  # contested: the subtree leaves it
-                    tables, found = search(node, False)
-                    parent = None  # no route of the parent's is kept
-                else:
-                    tables, fell = repaired
-                    found = nearest(*tables)
+            repaired = repair(parent, parent_tables, node)
+        if repaired is None:  # the root, the probe or a contested child
+            repaired = search(node, loose and parent is None), set()
+            parent = None  # no assignment or route of a parent's is kept
+        (tables, owner), fell = repaired
+        if owner is None:
+            found = assign(tables, None if parent is None
+                           else parent.assignment)
+        else:
+            found = nearest(tables[_NEAREST], owner)
         if found is None:
             return None  # the relaxation strands an origin or overfills
         node.bound, node.assignment = found
-        if node.delta.owners is not None:  # every route walks one table
-            tables = dict.fromkeys(dests, tables[0])
         node.paths, node.backed = _node_routes(
             g, origin_nos, node, tables, parent, fell, stats)
         for w, path in zip(weights, node.paths):

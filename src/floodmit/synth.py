@@ -26,16 +26,21 @@ from .net import Network, NodeKind, RoadArc, RoadNode
 
 # -- grid towns --------------------------------------------------------------
 
+#: miles between neighbouring grid intersections (a street is 0.8-1.2 times it)
+SPACING_MILES = 0.25
+#: chance that a grid cell gets a one-way diagonal street
+DIAGONAL_FRACTION = 0.05
+
 
 def grid_network_file(rows: int, cols: int, seed: int, *,
                       n_facilities: int = 3,
-                      river_rows: tuple[int, int] | None = None,
-                      spacing_miles: float = 0.25,
                       resident_density: float = 0.12,
                       oneway_fraction: float = 0.08,
-                      diagonal_fraction: float = 0.05,
                       decorate: bool = False) -> dict[str, Any]:
     """A rows x cols street grid with a vulnerable river band, as a file dict.
+
+    The river band is the two middle rows: most streets along them or into
+    them are vulnerable.
 
     ``decorate`` grafts on dead-end chains, pendant hamlets, duplicate and
     loop arcs, and subdivided edges — the redundancy the pruning pass exists
@@ -46,9 +51,6 @@ def grid_network_file(rows: int, cols: int, seed: int, *,
     if n_facilities < 1 or n_facilities > rows * cols:
         raise ValueError("bad facility count")
     rng = random.Random(seed)
-    if river_rows is None:
-        mid = rows // 2
-        river_rows = (mid - 1, mid)
 
     def nid(r: int, c: int) -> str:
         return f"n{r:02d}x{c:02d}"
@@ -83,10 +85,10 @@ def grid_network_file(rows: int, cols: int, seed: int, *,
         })
         counter += 1
 
-    lo, hi = river_rows
+    lo, hi = rows // 2 - 1, rows // 2
     for r in range(rows):
         for c in range(cols):
-            length = spacing_miles * (0.8 + 0.4 * rng.random())
+            length = SPACING_MILES * (0.8 + 0.4 * rng.random())
             if c + 1 < cols:
                 vuln = lo <= r <= hi and rng.random() < 0.85
                 add_arc(nid(r, c), nid(r, c + 1), vulnerable=vuln,
@@ -95,19 +97,19 @@ def grid_network_file(rows: int, cols: int, seed: int, *,
                 vuln = (lo <= r <= hi or lo <= r + 1 <= hi) and rng.random() < 0.85
                 add_arc(nid(r, c), nid(r + 1, c), vulnerable=vuln,
                         oneway=rng.random() < oneway_fraction, length=length)
-            if r + 1 < rows and c + 1 < cols and rng.random() < diagonal_fraction:
+            if r + 1 < rows and c + 1 < cols and rng.random() < DIAGONAL_FRACTION:
                 add_arc(nid(r, c), nid(r + 1, c + 1), vulnerable=False,
                         oneway=True, length=length * 1.3)
 
     if decorate:
-        _decorate(rng, nodes, arcs, ids, spacing_miles)
+        _decorate(rng, nodes, arcs, ids)
 
     return {"schema_version": 1, "nodes": nodes, "arcs": arcs,
             "facilities": facilities}
 
 
 def _decorate(rng: random.Random, nodes: list[dict], arcs: list[dict],
-              grid_ids: list[str], spacing: float) -> None:
+              grid_ids: list[str]) -> None:
     """Graft prunable structure onto a grid file dict (in place)."""
     counter = 0
 
@@ -120,7 +122,8 @@ def _decorate(rng: random.Random, nodes: list[dict], arcs: list[dict],
             vulnerable: bool = False) -> None:
         arcs.append({
             "id": fresh("a"), "from": u, "to": v,
-            "length_miles": round(length if length is not None else spacing, 4),
+            "length_miles": round(length if length is not None
+                                  else SPACING_MILES, 4),
             "speed_mph": rng.choice([25, 30]), "lanes": 1,
             "oneway": oneway, "vulnerable": vulnerable,
         })
@@ -158,7 +161,7 @@ def _decorate(rng: random.Random, nodes: list[dict], arcs: list[dict],
         for _ in range(hops):
             node = fresh("m")
             nodes.append({"id": node, "residents": 0})
-            add(prev, node, length=spacing / hops)
+            add(prev, node, length=SPACING_MILES / hops)
             prev = node
 
 

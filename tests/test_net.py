@@ -424,6 +424,39 @@ def test_a_near_tie_between_facilities_is_contested():
     assert g.close_nearest(*found, a | c) == ({o: 10.0}, {})
 
 
+def test_a_label_that_falls_can_contest_a_node_it_does_not_move():
+    # v reaches d0 in 10 by a and in 10 - 0.5e-9 by m, and the kernel
+    # keeps a's offer, which came first; x reaches d1 in 11 - gap and d0
+    # in 11 by v.  Shut a, and v falls by 0.5e-9, which moves no other
+    # label: x's offer over v comes within 2*DIST_TOL of x's own label
+    # when the gap is below 2.5e-9, and that unmoved node is then
+    # contested.  The repair gives the table up exactly when a fresh
+    # search does, and equals it otherwise
+    nodes = [RoadNode("d0", NodeKind.DESTINATION),
+             RoadNode("d1", NodeKind.DESTINATION), RoadNode("m"),
+             RoadNode("v"), RoadNode("x", NodeKind.ORIGIN, residents=1.0,
+                                     weight=1.0)]
+    outcomes = []
+    for gap in (2.1e-9, 2.3e-9, 2.4e-9, 2.6e-9, 3e-9, 5e-9):
+        arcs = [RoadArc("a", "v", "d0", 10.0), RoadArc("b", "v", "m", 5.0),
+                RoadArc("e", "m", "d0", 5.0 - 0.5e-9),
+                RoadArc("f", "x", "v", 1.0), RoadArc("h", "x", "d1", 11 - gap)]
+        g = Network(nodes, arcs).index()
+        d0, d1, v, x = g.nodes_of(("d0", "d1", "v", "x"))
+        a = g.arcs_of("a")
+        found = g.nearest_times()
+        assert found is not None and found[1][v] == d0 and found[1][x] == d1
+        assert g.close_arcs(found[0], g.dests, a) == {v: 10.0 - 0.5e-9}
+        change = g.close_nearest(*found, a)
+        fresh = g.nearest_times(a)
+        assert (change is None) == (fresh is None), gap
+        if change is not None:
+            assert (_applied(found[0], change[0]),
+                    _applied(found[1], change[1])) == fresh, gap
+        outcomes.append(change is None)
+    assert outcomes == [True, True, True, False, False, False]
+
+
 # -- the indexed kernel against a plain reference ---------------------------
 
 def test_index_numbers_nodes_and_arcs_in_id_order():

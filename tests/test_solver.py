@@ -512,6 +512,42 @@ def test_regret_assignment_is_a_feasible_upper_bound():
     assert found > 1000, found
 
 
+def test_only_a_search_without_a_hint_builds_a_regret_plan(monkeypatch):
+    # a B&B child's exact search starts from its parent's assignment,
+    # re-priced on its own lists, and builds no priced-regret plan; only a
+    # search without that hint (the root's, the probe's) builds one, once
+    # it gets past the nearest check and prices the capacities.  The
+    # README town at alpha 0.15 and 20% branches, capacities bind, and the
+    # root's is the one search without a hint
+    searches = []   # per exact search: [hinted, priced, regret plans]
+    real_exact = solver._assignment_exact
+    real_prices = solver._capacity_prices
+    real_regret = solver._regret_assignment
+
+    def exact(items, caps, deadline, stats, hint):
+        searches.append([hint is not None, False, 0])
+        return real_exact(items, caps, deadline, stats, hint)
+
+    def prices(items, caps):
+        searches[-1][1] = True
+        return real_prices(items, caps)
+
+    def regret(items, caps, prices):
+        searches[-1][2] += 1
+        return real_regret(items, caps, prices)
+
+    monkeypatch.setattr(solver, "_assignment_exact", exact)
+    monkeypatch.setattr(solver, "_capacity_prices", prices)
+    monkeypatch.setattr(solver, "_regret_assignment", regret)
+    sol = solve_exact(_demo_at(0.2, False))
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.stats["nodes_explored"] > 0
+    assert [n for hinted, priced, n in searches if priced] == \
+        [0 if hinted else 1 for hinted, priced, _ in searches if priced]
+    assert [n for hinted, _, n in searches if not hinted] == [1]
+    assert sum(hinted and priced for hinted, priced, _ in searches) > 20
+
+
 def test_a_parent_cutoff_leaves_the_answer_unchanged():
     # a B&B child starts its search from its parent's assignment, re-priced
     # on the child's lists: the optimum, a perturbed one, or one that
@@ -1043,7 +1079,8 @@ def test_include_children_never_probe(monkeypatch):
 def _checked_routes(monkeypatch):
     """Wraps `_node_routes` to compare every route it gives, reused or
     walked, with a fresh canonical walk over the node's shut arcs; returns
-    the per-call log of (fell, backed, is a child), in ids."""
+    the per-call log of (fell, backed, is a child), in ids; a fell
+    nearest-facility table is named "nearest"."""
     log = []
     real = solver._node_routes
 
@@ -1056,7 +1093,8 @@ def _checked_routes(monkeypatch):
                 k, dest, node.closed,
                 g.dijkstra((dest,), node.closed, reverse=True)[0])
             assert path == fresh[0], (ids[k], ids[dest])
-        log.append(({ids[d] for d in fell}, {ids[k] for k in backed},
+        log.append(({"nearest" if d == solver._NEAREST else ids[d]
+                     for d in fell}, {ids[k] for k in backed},
                     parent is not None))
         return paths, backed
 
@@ -1141,7 +1179,7 @@ def test_a_label_that_falls_makes_a_new_exit_tight(monkeypatch):
     # keeps va's offer, which came first.  u -> v is then 1.2e-9 off tight,
     # so s rides u -> w -> d.  Banning va lowers v by 0.5e-9, and u -> v,
     # the smaller id, turns tight: s's route changes though no node on it
-    # moved
+    # moved.  Everyone fits d, so the node solves read the nearest table
     log = _checked_routes(monkeypatch)
     inst = _branching_town(
         [O("s", 1), RoadNode("u"), RoadNode("v"), RoadNode("w")],
@@ -1153,7 +1191,8 @@ def test_a_label_that_falls_makes_a_new_exit_tight(monkeypatch):
          RoadArc("vb", "v", "d", 1.0 + 0.7e-9)])
     sol = solve_exact(inst)
     assert sol.status is SolveStatus.OPTIMAL
-    assert [fell for fell, _, _ in log] == [set(), set(), set(), {"d"}]
+    assert [fell for fell, _, _ in log] == [set(), set(), set(),
+                                            {"nearest"}]
     assert sol.paths["s"] == ("su", "x1", "vb")
 
 

@@ -3,8 +3,8 @@
 The solver enumerates upgrade decisions in a best-first branch-and-bound:
 
 * branch on purchase units (one vulnerable arc, or one two-way segment when
-  segment costs are coupled), picking at each node the unit that carries the
-  most resident weight on the relaxed shortest paths;
+  segment costs are coupled), picking at each node the unit with the largest
+  rider weight × unit cost on the relaxed shortest paths, ties by id;
 * bound a node by solving the capacitated assignment exactly under relaxed
   distances — every undecided unit that still fits the remaining budget is
   treated as purchased — so the bound stays tight when capacities bind;
@@ -977,8 +977,9 @@ def solve_exact(instance: ProblemInstance,
     offered as incumbent.  Every plan, a validated warm start's included,
     passes one test (``record``): it is kept if its objective is lower, or
     ties with a lexicographically smaller used-upgrade set.  Every other
-    node branches on the undecided unit carrying the most resident weight
-    on the relaxed shortest paths (its ``score``).  An include child that
+    node branches on the undecided unit with the largest rider weight on
+    the relaxed shortest paths (its ``score``) × unit cost, ties by id: the
+    unit that moves the bound most on both children.  An include child that
     shuts the same arcs as its parent has the parent's relaxation, bit for
     bit, so after its own connection test it shares the parent's solve and
     bound, its score less the branch unit, without a search
@@ -1416,7 +1417,10 @@ def solve_exact(instance: ProblemInstance,
                 cut_floor = min(cut_floor, bound)  # every open node is >= this
                 break
             expanding = bound
-            branch = min(node.score, key=lambda uid: (-node.score[uid], uid))
+            # rider weight x unit cost: the unit moving the bound most on
+            # both children, ties to the smaller id
+            branch = min(node.score, key=lambda uid: (
+                -node.score[uid] * undecided[uid].cost_cents, uid))
             tables = node.delta.tables()
             push(evaluate(node.committed | {branch}, node.banned,
                           node.cost + undecided[branch].cost_cents, node,

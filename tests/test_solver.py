@@ -154,15 +154,24 @@ def test_oracle_refuses_large_instances():
 
 
 def test_solver_agrees_with_oracle_on_random_instances():
-    for seed in range(80):
-        inst = synth.random_instance(seed, coupled=(seed % 4 == 0))
-        a = brute_force_oracle(inst)
-        b = solve_exact(inst)
-        assert a.status == b.status, (seed, a.status, b.status)
-        if a.status is SolveStatus.OPTIMAL:
-            assert abs(a.objective - b.objective) <= 1e-9, seed
-            report = validate_solution(inst, b)
-            assert report.ok, (seed, str(report))
+    # at a half and a quarter of each budget more roots stay open, so some
+    # solves branch, on the units the branching rule picks
+    branched = 0
+    for coupled in (False, True):
+        for seed in range(80):
+            town = synth.random_instance(seed, coupled=coupled)
+            for share in (1.0, 0.5, 0.25):
+                inst = dataclasses.replace(town, budget=town.budget * share)
+                a = brute_force_oracle(inst)
+                b = solve_exact(inst)
+                case = (coupled, seed, share)
+                assert a.status == b.status, (case, a.status, b.status)
+                if a.status is SolveStatus.OPTIMAL:
+                    assert abs(a.objective - b.objective) <= 1e-9, case
+                    report = validate_solution(inst, b)
+                    assert report.ok, (case, str(report))
+                branched += b.stats["nodes_explored"] >= 2
+    assert branched > 0
 
 
 def test_paths_are_canonical_over_the_bought_arcs():
@@ -1063,7 +1072,7 @@ def test_include_children_never_probe(monkeypatch):
     # the search a fresh relaxation at every node takes, node for node
     assert (stats["nodes_explored"], stats["incumbent_updates"],
             stats["rounding_closures"], stats["connection_cuts"]) \
-        == (34, 3, 10, 0)
+        == (30, 3, 8, 0)
     assert stats["relaxations_inherited"] > 0
     assert len(popped) == stats["nodes_explored"]
     # the last node popped ends the search when the incumbent cuts it
@@ -1136,14 +1145,40 @@ def test_reused_routes_equal_fresh_walks(monkeypatch):
 
 def _branching_town(nodes, arcs):
     """``nodes`` and ``arcs`` plus the facility d and origins s2 and s3,
-    each with a slow dry road to d and a $5 washed-out one (s2's, ``va``,
-    is in ``arcs``).  On a $5 budget the root branches on ``va``, the
-    heavier, and its include child shuts every other washed-out road."""
+    each with a slow dry road to d and a washed-out one: s3's is the $5
+    ``v3``, s2's is in ``arcs``.  When that is a $5 ``va``, on a $5 budget
+    the root branches on ``va``, as dear and heavier, and its include
+    child shuts every other washed-out road."""
     nodes = [O("s2", 10), O("s3", 1), D("d", 99)] + nodes
     arcs = arcs + [
         RoadArc("v3", "s3", "d", 1.0, vulnerable=True, mitigation_cost=5.0),
         RoadArc("w2", "s2", "d", 3.0), RoadArc("w3", "s3", "d", 3.0)]
     return build_instance(nodes, arcs, 5.0, 10.0)
+
+
+@pytest.mark.parametrize("cost, heavy, branch", [
+    (0.4, "va", "v3"),    # 10 riders x $0.40 < 1 rider x $5: the dear one
+    (0.5, "va", "v3"),    # equal products: the smaller id
+    (0.5, "a2", "a2")])   # the same tie, the heavy unit now first by id
+def test_the_root_branches_on_rider_weight_times_cost(monkeypatch, cost,
+                                                      heavy, branch):
+    # s2's washed-out road carries ten riders and s3's one, and the two
+    # do not fit the $5 budget together, so the root stays open.  The
+    # nodes built after the root and its probe are the root's include
+    # child, then its ban child
+    built = []
+
+    class Recorded(solver._Node):
+        __slots__ = ()
+
+        def __init__(self, committed, banned, cost, closed):
+            super().__init__(committed, banned, cost, closed)
+            built.append((committed, banned))
+
+    monkeypatch.setattr(solver, "_Node", Recorded)
+    solve_exact(_branching_town([], [RoadArc(
+        heavy, "s2", "d", 1.0, vulnerable=True, mitigation_cost=cost)]))
+    assert built[2:4] == [({branch}, frozenset()), (frozenset(), {branch})]
 
 
 def test_a_route_that_backed_out_is_walked_again(monkeypatch):

@@ -33,12 +33,12 @@ Where only the nearest facility matters, one table serves instead of one
 per facility.  ``nearest_times`` is a single reverse search from every
 facility at once: each node's minutes to its nearest facility, and its
 owner, the facility ``facility_ranking`` ranks first (least minutes, ties
-by number).  An owner is the least among the nodes settled before it that
-offer a node exactly its label.  The kernel's DIST_TOL rule settles a near
-tie between two facilities by which offer came first, so where two owners'
-offers come within 2*DIST_TOL of one node, the table is contested and
-given up (None); otherwise its minutes equal the least per-facility label
-bit for bit, as the tests check on random towns with snapped times.
+by number), which it reaches by exact offers.  The kernel's DIST_TOL rule
+settles a near tie between two facilities by which offer came first, so
+where two owners' offers come within 2*DIST_TOL of one node without an
+exact tie, the table is contested and given up (None); otherwise its
+minutes equal the least per-facility label bit for bit, as the tests check
+on random towns with snapped times.
 ``close_nearest`` repairs it as ``close_arcs`` does, owners included, and
 ``canonical_walk`` walks it to an origin's owner.
 
@@ -506,20 +506,21 @@ class GraphIndex:
         ``nodes`` order (the order they settled in ``table``'s reverse
         search), and tell whether the owners are uncontested.
 
-        A node's owner is the least among the nodes settled before it that
-        offer it exactly its label; the node that labelled it is one.  An
-        open arc ``v -> u`` offers ``v`` the time ``table[u] + minutes``.
-        It contests ``v`` when ``u`` has another owner, and its offer lies
-        within 2*DIST_TOL of ``v``'s label without being an exact tie that
-        ``v``'s owner wins.  Such an offer, before or after the kernel's
-        ``< best - DIST_TOL`` test settled ``v``, could have gone the other
-        way in one facility's own search, so the table's minutes need not
-        equal the least of the per-facility labels.  Without a contest they
-        have, bit for bit, on every town the tests try, and the owner is the
-        facility of the least label, ties by number."""
+        An open arc ``v -> u`` offers ``v`` the time ``table[u] + minutes``.
+        A node's owner is the least owner among the nodes that offer it
+        exactly its label (the node that labelled it is one), and a
+        facility owns itself.  So an exact offer over a zero-time arc from
+        a node named later lowers ``v``'s owner, and every owner named
+        through ``v``.  An offer within 2*DIST_TOL of ``v``'s label from
+        another owner contests ``v``, unless it is an exact tie that ``v``'s
+        owner wins: it could have gone the other way in one facility's own
+        search.  Without a contest the table's minutes equal the least
+        per-facility label, bit for bit on every town the tests try, and the
+        owner is the facility of the least label, ties by number."""
         out = self.out
         tol = 2 * DIST_TOL
-        later: list[tuple[int, int, float]] = []  # offers from unnamed nodes
+        near: list[tuple[int, int, float]] = []  # offers judged at the end
+        later: list[tuple[int, int]] = []  # exact offers from unnamed nodes
         for v in nodes:
             at_v = table[v]
             edge = at_v + tol
@@ -539,32 +540,33 @@ class GraphIndex:
             if more is None:
                 if first < 0:
                     continue  # a source no arc offers anything near
-                more = [(first, first_offer)]
                 if mine < 0:  # the one offer labelled v
                     owner[v] = owner[first]
                     continue
-            elif mine < 0:
-                for u, offer in more:
-                    theirs = owner[u]
-                    if offer == at_v and 0 <= theirs and (
-                            mine < 0 or theirs < mine):
-                        mine = theirs
-                owner[v] = mine
+                more = [(first, first_offer)]
             for u, offer in more:
-                theirs = owner[u]
-                if theirs == mine:
-                    continue
-                if theirs < 0:  # u settles later: judged once it is named
-                    later.append((v, u, offer))
-                elif offer != at_v or theirs < mine:
-                    return False
+                if offer != at_v or owner[v] >= 0:  # or v is a facility
+                    near.append((v, u, offer))
+                elif owner[u] < 0:  # u settles later
+                    later.append((v, u))
+                elif mine < 0 or owner[u] < mine:
+                    mine = owner[u]
+            owner[v] = mine
+        stack = [(v, owner[u]) for v, u in later]
+        while stack:
+            v, d = stack.pop()
+            if d < owner[v] and v not in self.dests:
+                owner[v] = d
+                stack.extend((x, d) for a, x, t in self.inc[v]
+                             if table[v] + t == table[x] and a not in closed)
         return all(owner[u] == owner[v]
                    or (offer == table[v] and owner[u] > owner[v])
-                   for v, u, offer in later)
+                   for v, u, offer in near)
 
     def canonical_walk(self, source: int, target: int,
                        closed: AbstractSet[int],
                        dist_to_target: Sequence[float],
+                       owner: Sequence[int] | None = None,
                        ) -> tuple[tuple[int, ...], bool] | None:
         """The deterministic shortest route from ``source`` to ``target``
         over the arcs not in ``closed``: (arc numbers, whether it backed out
@@ -582,10 +584,11 @@ class GraphIndex:
         paths.
 
         An uncontested nearest-facility table (``nearest_times``) serves
-        too, with the source's owner as the target.  An exit tight in it
-        only toward another facility, which an exact tie between the two
-        leaves, is then one more dead end to back out of, so the route is
-        the one the owner's own table gives.
+        too, with the source's owner as the target and the table's owners
+        as ``owner``.  The walk then skips an exit into a node another
+        facility owns: every node it reaches has an owner no smaller than
+        the target, so that node does not reach the target at its label.
+        The route, and whether it backed out, are the owner's own table's.
         """
         if dist_to_target[source] == _INF:
             return None
@@ -600,7 +603,8 @@ class GraphIndex:
             for a, v, t in exits:
                 if a in closed or v in visited:
                     continue
-                if abs(t + dist_to_target[v] - remaining) <= DIST_TOL:
+                if abs(t + dist_to_target[v] - remaining) <= DIST_TOL and (
+                        owner is None or owner[v] == target):
                     path.append(a)
                     stack.append((v, iter(out[v])))
                     visited.add(v)

@@ -37,14 +37,14 @@ its parent does, so it starts from its parent's solve: it repairs the
 parent's tables over the arcs it newly shuts, keeps the routes that stay
 canonical, and starts its assignment search from the parent's
 assignment; an include child that shuts no more arcs reuses the parent's
-relaxation whole.  When every facility fits every resident, no capacity
-can bind and the assignment is each origin's nearest facility: one
-nearest-facility table (`GraphIndex.nearest_times`) then replaces the
-per-facility tables, and a child repairs that one
-(`GraphIndex.close_nearest`).  Like every search, these take the roads a plan leaves
-shut as one set of closed arc numbers on the network's index: the
-vulnerable arcs minus the arcs bought.  Masks and valid inequalities
-never reach the search: they only tighten the 0-1 model.
+relaxation whole.  Every node follows one table rule: it holds one
+nearest-facility table (`GraphIndex.nearest_times`, which a child repairs
+with `GraphIndex.close_nearest`) while that table is uncontested and its
+owners' assignment fits, and otherwise one table per facility, as its
+subtree does.  Like every search, these take the roads a plan leaves shut
+as one set of closed arc numbers on the network's index: the vulnerable
+arcs minus the arcs bought.  Masks and valid inequalities never reach the
+search: they only tighten the 0-1 model.
 `brute_force_oracle` independently enumerates every affordable upgrade set
 and every capacity-feasible assignment (a mask optional: origin id ->
 arc ids, added to that origin's closed set), walking each route of its
@@ -297,22 +297,35 @@ def _regret_assignment(items: _AssignmentItems,
                      {items[i][0]: at[i] for i in range(n)})
 
 
-def _repriced(items: _AssignmentItems, capacities: Mapping[int, float],
-              assignment: Mapping[int, int],
-              ) -> tuple[float, dict[int, int]] | None:
-    """``assignment`` priced on ``items``: (weighted minutes summed in item
-    order, as the exact search sums them, the assignment), or None if it
-    sends an item to a facility off its list or overfills one."""
+def _fits_in_order(picks: Iterable[tuple[float, float, float, int]],
+                   capacities: Mapping[int, float]) -> float | None:
+    """The cost of an assignment given as (residents, weight, minutes,
+    facility) per item, in item order: the weighted minutes summed front to
+    back, as the exact search sums them; None if an item, taken in order,
+    overfills its facility (`capacity_fits`)."""
     left = dict(capacities)
     value = 0.0
-    for origin, h, w, cands in items:
-        dest = assignment.get(origin)
-        minutes = next((m for m, d in cands if d == dest), None)
-        if minutes is None or not capacity_fits(h, left[dest]):
+    for h, w, minutes, dest in picks:
+        if not capacity_fits(h, left[dest]):
             return None
         left[dest] -= h
         value += w * minutes
-    return value, {origin: assignment[origin] for origin, _, _, _ in items}
+    return value
+
+
+def _repriced(items: _AssignmentItems, capacities: Mapping[int, float],
+              assignment: Mapping[int, int],
+              ) -> tuple[float, dict[int, int]] | None:
+    """``assignment`` priced on ``items`` (`_fits_in_order`): (its cost, the
+    assignment), or None if it sends an item to a facility off its list or
+    overfills one."""
+    at = [next((m for m, d in cands if d == assignment.get(origin)), None)
+          for origin, _, _, cands in items]
+    value = None if None in at else _fits_in_order(
+        [(h, w, m, assignment[k]) for (k, h, w, _), m in zip(items, at)],
+        capacities)
+    return None if value is None else (
+        value, {origin: assignment[origin] for origin, _, _, _ in items})
 
 
 def _assignment_exact(items: _AssignmentItems, capacities: Mapping[int, float],
@@ -356,15 +369,9 @@ def _assignment_exact(items: _AssignmentItems, capacities: Mapping[int, float],
     nodes = 1
     started = time.perf_counter()
     try:
-        residual = dict(capacities)
-        nearest = 0.0
-        for _, h, w, cands in items:
-            minutes, dest = cands[0]
-            if not capacity_fits(h, residual[dest]):
-                break
-            residual[dest] -= h
-            nearest += w * minutes  # front to back, as the search sums it
-        else:
+        nearest = _fits_in_order(
+            [(h, w, *cands[0]) for _, h, w, cands in items], capacities)
+        if nearest is not None:
             return nearest, {origin: cands[0][1]
                              for origin, _, _, cands in items}
         if sum(h for _, h, _, _ in items) > sum(
@@ -478,17 +485,16 @@ def _candidate_lists(g: GraphIndex, closed: AbstractSet[int],
 
 
 def _node_routes(g: GraphIndex, origins: Sequence[int], node: _Node,
-                 tables: Mapping[int, Sequence[float]],
-                 parent: _Node | None = None,
+                 tables: _Tables, parent: _Node | None = None,
                  fell: AbstractSet[int] = frozenset(),
                  stats: dict[str, Any] | None = None,
                  ) -> tuple[tuple[tuple[int, ...], ...], frozenset[int]]:
     """Each origin's canonical route to its facility in ``node.assignment``
-    over the arcs not in ``node.closed``, read off ``tables`` (the node's,
-    keyed as in `_Delta`: the facility's own table, or the one
-    nearest-facility table when the node holds it), in ``origins`` order,
-    and the origins whose walk backed out of a dead end; all in numbers on
-    ``g``.
+    over the arcs not in ``node.closed``, read off ``tables`` (the node's
+    tables and owners, keyed as in `_Delta`: the facility's own table, or
+    the one nearest-facility table and its owners when the node holds
+    them), in ``origins`` order, and the origins whose walk backed out of a
+    dead end; all in numbers on ``g``.
 
     A child (``parent`` given, ``node.delta`` its tables' change from the
     parent's) keeps its parent's route for an origin that keeps its facility
@@ -498,20 +504,20 @@ def _node_routes(g: GraphIndex, origins: Sequence[int], node: _Node,
     out.  Closing arcs raises labels, or lowers them by less than DIST_TOL
     (``GraphIndex.close_arcs``), so at an unmoved node the same exit is
     still the first tight one and every exit before it still is not.  On a
-    nearest-facility table the same holds for the one table: a walk that
-    never backed out visited only its route's nodes, whatever their
-    owners.  Every other origin is walked again.  Reused routes are added
-    to ``stats["routes_reused"]``.
+    nearest-facility table the same holds for the one table, and an exit
+    skipped there, into a node another facility owns, stays skipped: a
+    per-facility label falls by less than DIST_TOL.  Every other origin is
+    walked again.  Reused routes are added to ``stats["routes_reused"]``.
     """
     new = node.closed - parent.closed if parent is not None else frozenset()
-    near = _NEAREST in tables
+    tables, owner = tables
     head = g.head
     paths: list[tuple[int, ...]] = []
     backed: set[int] = set()
     reused = 0
     for i, k in enumerate(origins):
         dest = node.assignment[k]
-        key = _NEAREST if near else dest
+        key = dest if owner is None else _NEAREST
         if (parent is not None and parent.assignment[k] == dest
                 and key not in fell and k not in parent.backed):
             route = parent.paths[i]
@@ -521,7 +527,7 @@ def _node_routes(g: GraphIndex, origins: Sequence[int], node: _Node,
                 paths.append(route)
                 reused += 1
                 continue
-        found = g.canonical_walk(k, dest, node.closed, tables[key])
+        found = g.canonical_walk(k, dest, node.closed, tables[key], owner)
         if found is None:  # pragma: no cover - assignment implies reachability
             raise ModelError(f"no route from {g.node_ids[k]!r} to "
                              f"{g.node_ids[dest]!r}")
@@ -813,9 +819,9 @@ def _connection_bound(g: GraphIndex, origins: Sequence[int],
 #: facility's own table is keyed by its number, never negative)
 _NEAREST = -1
 
-#: a node's full tables by key, and the nearest-facility table's owners by
-#: node number (None on per-facility tables)
-_Tables = tuple[dict[int, list[float]], list[int] | None]
+#: a node's full tables by key and the nearest-facility table's owners (None
+#: on per-facility tables), or (None, None) where that table is contested
+_Tables = tuple[dict[int, list[float]] | None, list[int] | None]
 
 
 class _Delta(NamedTuple):
@@ -825,9 +831,8 @@ class _Delta(NamedTuple):
     per-facility tables).  ``moved`` maps a key to the labels
     ``GraphIndex.close_arcs`` or ``close_nearest`` moved, ``inf`` for a
     node cut off, a table where nothing moved left out, and ``owners``
-    holds the owners that changed.  A node with no parent, the root, the
-    probe or a child whose nearest table was contested, holds its full
-    tables and owners."""
+    holds the owners that changed.  A node whose tables were searched
+    afresh holds them whole, owners included."""
 
     parent: _Delta | None
     moved: dict[int, Any]
@@ -1003,15 +1008,13 @@ def solve_exact(instance: ProblemInstance,
     without the walk, whose first test would refute it again.
 
     Every origin rides a shortest path over the open arcs, so a node's
-    distances are one table per facility over the arcs not shut: every
-    vulnerable arc the relaxation does not treat as bought.  The node solve
-    runs on the network's index (``net.index()``): tables, shut sets,
-    assignments and routes hold node and arc numbers, and a plan is put
-    back into ids only when it is offered as incumbent.  The root and the
-    probe, which have no parent, build their tables by reverse search
-    (``GraphIndex.facility_times``).  A child shuts every arc its parent
-    does, so it repairs its parent's tables over the arcs it newly shuts
-    (``GraphIndex.close_arcs``, ``tables_repaired``), and a node that
+    distances are reverse tables over the arcs not shut: every vulnerable
+    arc the relaxation does not treat as bought.  The node solve runs on
+    the network's index (``net.index()``): tables, shut sets, assignments
+    and routes hold node and arc numbers, and a plan is put back into ids
+    only when it is offered as incumbent.  A child shuts every arc its
+    parent does, so it repairs its parent's tables over the arcs it newly
+    shuts (``GraphIndex.close_arcs``, ``tables_repaired``), and a node that
     inherits its parent's relaxation needs none.  An open node keeps only
     what its repair moved, linked to its parent's record (`_Delta`); full
     tables are rebuilt from that chain for the node being expanded and
@@ -1020,27 +1023,20 @@ def solve_exact(instance: ProblemInstance,
     closure offers, are read off them; a child keeps each parent route that
     stays canonical (`_node_routes`, ``routes_reused``).  A child's
     assignment search starts from its parent's assignment, re-priced on its
-    own lists; only a search without a parent's (the root's, the probe's
-    and a contested child's) builds the priced-regret assignment.  Every
-    connection bound walks the origins in id order.
+    own lists; a search at a node searched afresh builds the priced-regret
+    assignment.  Every connection bound walks the origins in id order.
 
-    When every facility fits every resident (``capacity_fits`` of all the
-    residents holds at each one), no capacity can bind: the exact search
-    would return every origin's nearest facility at its first check.  Each
-    node solve then holds one nearest-facility table instead of one per
-    facility.  The root and the probe search it once
-    (``GraphIndex.nearest_times``), and a child repairs it
-    (``GraphIndex.close_nearest``).  The bound is the weighted minutes
-    summed in item order, as the exact search sums them, every origin goes
-    to the table's owner, and its route is walked on that table.  A table
-    that two facilities contest, a near tie the kernel's tolerance settles
-    by which offer came first, is given up: that node searches one table
-    per facility afresh, and its subtree keeps them.  The rule is decided
-    once per solve, from the capacities and the residents, not per node.
-    A node whose nearest assignment fits while some facility cannot take
-    everyone would need a check of that assignment before its tables are
-    chosen, and every capacitated root would pay a search for it.  So a
-    capacitated solve takes the per-facility path at every node.
+    One table rule holds at every node.  A node first holds one
+    nearest-facility table: the root and the probe search it
+    (``GraphIndex.nearest_times``), and a child of a node that holds one
+    repairs it (``GraphIndex.close_nearest``).  It answers when no two
+    facilities contest it (a near tie the kernel's tolerance settles by
+    which offer came first) and every origin fits at its owner in item
+    order, the exact search's first test (`_fits_in_order`): the bound is
+    then that assignment's cost, and each route is walked on that table.
+    Where it cannot answer, the node searches one table per facility
+    afresh (``GraphIndex.facility_times``), keeps no assignment or route of
+    its parent's, and its subtree keeps per-facility tables.
 
     What the solve derives from its network alone, whatever the budget,
     sits in ``memo`` (`SolveMemo`), which `solve_pipeline` hands over from
@@ -1074,10 +1070,11 @@ def solve_exact(instance: ProblemInstance,
     refuted), ``relaxations_inherited`` (include children that took their
     parent's relaxation), ``tables_repaired`` (the other children that were
     not cut: their tables were repaired from their parent's, or searched
-    afresh where a nearest table was contested), ``routes_reused``,
+    afresh where a nearest table could not answer), ``routes_reused``,
     ``assignments_reused`` and ``assignment_nodes`` (search nodes over
-    every exact bound solve, the probe's included; none runs on a nearest
-    table); ``wall_time_assignment_s``
+    every exact bound solve, the probe's included; none runs where a
+    nearest table answers, so 0 when every node's does);
+    ``wall_time_assignment_s``
     is the time spent in those searches (kept, like ``wall_time_s``, out of
     the deterministic JSON).  A warm start that validates is marked
     ``warm_start``; one that fails validation is dropped and its report
@@ -1137,10 +1134,6 @@ def solve_exact(instance: ProblemInstance,
     gap_items = [(g.node_no[o.id], o.residents, o.weight) for o in
                  sorted(origins, key=lambda o: (-o.residents, o.id))]
     node_ids, arc_ids = g.node_ids, g.arc_ids
-    # when every facility fits every resident, no capacity can bind, and
-    # each node solve reads one nearest-facility table
-    everyone = sum(o.residents for o in origins)
-    loose = all(capacity_fits(everyone, cap) for cap in caps.values())
 
     def open_node(committed: frozenset[str], banned: frozenset[str],
                   cost: int) -> tuple[int, list[str], frozenset[int]]:
@@ -1219,15 +1212,14 @@ def solve_exact(instance: ProblemInstance,
 
     def nearest(minutes: Sequence[float], owner: Sequence[int],
                 ) -> tuple[float, dict[int, int]] | None:
-        """The assignment while capacities cannot bind: every origin at its
-        owner, the weighted minutes summed in item order as
-        `_assignment_exact` sums them; None if some origin is cut off."""
-        bound = 0.0
-        for k, _, w in gap_items:
-            if minutes[k] == math.inf:
-                return None
-            bound += w * minutes[k]
-        return bound, {k: owner[k] for k, _, _ in gap_items}
+        """The assignment on a nearest-facility table that reaches every
+        origin: every origin at its owner, if that fits the capacities in
+        item order, as `_assignment_exact` first tries (`_fits_in_order`);
+        None if it overfills a facility."""
+        bound = _fits_in_order([(h, w, minutes[k], owner[k])
+                                for k, h, w in gap_items], caps)
+        return None if bound is None else (
+            bound, {k: owner[k] for k, _, _ in gap_items})
 
     # warm start: accept anything Solution-shaped that validates cleanly
     if options.warm_start is not None:
@@ -1247,23 +1239,25 @@ def solve_exact(instance: ProblemInstance,
         return bound < incumbent.objective - max(DIST_TOL, gap_allow)
 
     def search(node: _Node, near: bool) -> _Tables:
-        """A node's tables and owners searched afresh, held whole in
-        ``node.delta``: with ``near``, the nearest-facility table unless it
-        is contested, else one table per facility and no owners."""
-        found = g.nearest_times(node.closed) if near else None
-        if found is None:
-            tables, owner = g.facility_times(node.closed), None
-        else:
+        """A node's tables searched afresh and held whole in ``node.delta``:
+        with ``near`` the nearest-facility table and its owners, else one
+        table per facility; (None, None) if the nearest one is contested."""
+        if near:
+            found = g.nearest_times(node.closed)
+            if found is None:
+                return None, None
             tables, owner = {_NEAREST: found[0]}, found[1]
+        else:
+            tables, owner = g.facility_times(node.closed), None
         node.delta = _Delta(None, tables, owner)
         return tables, owner
 
     def repair(parent: _Node, parent_tables: _Tables, node: _Node,
-               ) -> tuple[_Tables, set[int]] | None:
+               ) -> tuple[_Tables, set[int]]:
         """A child's tables and owners, repaired from its parent's over the
         arcs it newly shuts (recorded in ``node.delta``), and the keys of
-        the tables where a label fell; None if the nearest-facility table's
-        repair is contested."""
+        the tables where a label fell; (None, None) for the tables if the
+        nearest-facility table's repair is contested."""
         tables, owner = parent_tables
         new = node.closed - parent.closed
         if owner is None:
@@ -1274,7 +1268,7 @@ def solve_exact(instance: ProblemInstance,
             found = g.close_nearest(tables[_NEAREST], owner, new,
                                     parent.closed)
             if found is None:
-                return None
+                return (None, None), set()
             changes, owners = {_NEAREST: found[0]}, found[1]
             if owners:
                 owner = list(owner)
@@ -1311,12 +1305,11 @@ def solve_exact(instance: ProblemInstance,
         commits.  It cannot close by rounding: the parent's score cost more
         than the parent's remaining budget, and the branch unit lowers both
         sides by its own cost.  Any other child repairs the parent's
-        tables, starts its assignment search from the parent's assignment
-        (on a nearest-facility table it reads the assignment off the
-        owners instead) and keeps the parent's routes that stay canonical
-        (`_node_routes`).  If the repair of a nearest-facility table is
-        contested, the child searches one table per facility afresh and
-        walks every route again.
+        tables and keeps the parent's routes that stay canonical
+        (`_node_routes`); on per-facility tables its assignment search
+        starts from the parent's assignment.  A node without a parent
+        searches the nearest-facility table, and one that cannot answer
+        searches one table per facility, by the solve's one table rule.
         """
         remaining, afford, closed = open_node(committed, banned, cost)
         if (sum(undecided[uid].cost_cents for uid in afford) > remaining
@@ -1330,24 +1323,27 @@ def solve_exact(instance: ProblemInstance,
                           if uid not in committed}
             return node
         node = _Node(committed, banned, cost, closed)
-        repaired = None
-        if parent is not None:
+        if parent is None:
+            repaired = search(node, True), set()
+        else:
             stats["tables_repaired"] += 1
             repaired = repair(parent, parent_tables, node)
-        if repaired is None:  # the root, the probe or a contested child
-            repaired = search(node, loose and parent is None), set()
-            parent = None  # no assignment or route of a parent's is kept
         (tables, owner), fell = repaired
-        if owner is None:
-            found = assign(tables, None if parent is None
-                           else parent.assignment)
-        else:
+        if owner is not None:
+            if -1 in map(owner.__getitem__, origin_nos):
+                return None  # the relaxation strands an origin
             found = nearest(tables[_NEAREST], owner)
+        if tables is None or (owner is not None and found is None):
+            # the nearest table is contested or overfills: it cannot answer
+            (tables, owner), fell = search(node, False), set()
+            parent = None
+        if owner is None:
+            found = assign(tables, parent and parent.assignment)
         if found is None:
             return None  # the relaxation strands an origin or overfills
         node.bound, node.assignment = found
         node.paths, node.backed = _node_routes(
-            g, origin_nos, node, tables, parent, fell, stats)
+            g, origin_nos, node, (tables, owner), parent, fell, stats)
         for w, path in zip(weights, node.paths):
             for a in path:
                 uid = arc_unit.get(a)

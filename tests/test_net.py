@@ -359,7 +359,8 @@ def test_nearest_table_is_the_least_facility_label_bit_for_bit():
     # ties, near-ties), over random closed sets: an uncontested nearest
     # table, searched afresh or repaired over more closed arcs, holds each
     # node's least per-facility label to the bit and, as its owner, the
-    # facility that facility_ranking puts first
+    # facility that facility_ranking puts first; a repair gives the table
+    # up exactly where a fresh search over the same arcs does
     fresh = repaired = contested = 0
     for seed in range(150):
         sizes = {"max_nodes": 30, "max_vuln": 20, "max_origins": 8}
@@ -381,6 +382,8 @@ def test_nearest_table_is_the_least_facility_label_bit_for_bit():
                 for _ in range(4):
                     arcs = g.arcs_of(rng.sample(ids, min(len(ids), 3)))
                     change = g.close_nearest(*found, arcs, closed)
+                    assert (change is None) == (
+                        g.nearest_times(closed | arcs) is None), (seed, arcs)
                     if change is None:
                         contested += 1
                         continue
@@ -422,6 +425,33 @@ def test_a_near_tie_between_facilities_is_contested():
     exact = Network(nodes, arcs[1:2] + [RoadArc("c", "o", "d1", 10.0)])
     assert exact.index().nearest_times() == ([0.0, 0.0, 10.0], [d0, d1, d0])
     assert g.close_nearest(*found, a | c) == ({o: 10.0}, {})
+
+
+def test_an_exact_tie_over_a_zero_time_arc_is_no_contest():
+    # a reaches d2 in 5 by its own road, and d1 in 5 over the zero-time
+    # a -> b; c reaches both over c -> a.  The kernel settles a before b
+    # (the smaller number at the same label), so a is first named after d2
+    # alone; once b is named, the exact tie lowers a to d1, the smaller
+    # number, and c with it.  The repair from the table where the washed-out
+    # f holds a at 1 names a after b and agrees with a fresh search
+    nodes = [RoadNode("a", NodeKind.ORIGIN, residents=1.0, weight=1.0),
+             RoadNode("b"), RoadNode("c", NodeKind.ORIGIN, residents=1.0,
+                                     weight=1.0),
+             RoadNode("d1", NodeKind.DESTINATION),
+             RoadNode("d2", NodeKind.DESTINATION)]
+    arcs = [RoadArc("ab", "a", "b", 0.0), RoadArc("bd", "b", "d1", 5.0),
+            RoadArc("ad", "a", "d2", 5.0), RoadArc("ca", "c", "a", 0.0),
+            RoadArc("f", "a", "d2", 1.0)]
+    g = Network(nodes, arcs).index()
+    a, b, c, d1, d2 = g.nodes_of(("a", "b", "c", "d1", "d2"))
+    f = g.arcs_of("f")
+    fresh = g.nearest_times(f)
+    assert fresh == ([5.0, 5.0, 5.0, 0.0, 0.0], [d1, d1, d1, d1, d2]) \
+        == _least_labels(g, f)
+    found = g.nearest_times()
+    assert found[1][a] == found[1][c] == d2
+    moved, owners = g.close_nearest(*found, f)
+    assert (_applied(found[0], moved), _applied(found[1], owners)) == fresh
 
 
 def test_a_label_that_falls_can_contest_a_node_it_does_not_move():

@@ -153,9 +153,40 @@ def test_oracle_refuses_large_instances():
         brute_force_oracle(inst, limits=OracleLimits(max_destinations=1))
 
 
-def test_solver_agrees_with_oracle_on_random_instances():
+def _count_overfills(monkeypatch):
+    """Counts the node solves whose uncontested nearest-facility table
+    overfills a facility, so that they search one table per facility: the
+    count is the one item of the list returned."""
+    count, answered = [0], [None]   # the shut arcs of the last such table
+    real_near, real_close, real_times = (GraphIndex.nearest_times,
+                                         GraphIndex.close_nearest,
+                                         GraphIndex.facility_times)
+
+    def near(g, closed=frozenset()):
+        found = real_near(g, closed)
+        answered[0] = None if found is None else closed
+        return found
+
+    def close(g, minutes, owner, arcs, closed=frozenset()):
+        found = real_close(g, minutes, owner, arcs, closed)
+        answered[0] = None if found is None else closed | arcs
+        return found
+
+    def times(g, closed=frozenset()):
+        count[0] += closed == answered[0]
+        return real_times(g, closed)
+
+    monkeypatch.setattr(GraphIndex, "nearest_times", near)
+    monkeypatch.setattr(GraphIndex, "close_nearest", close)
+    monkeypatch.setattr(GraphIndex, "facility_times", times)
+    return count
+
+
+def test_solver_agrees_with_oracle_on_random_instances(monkeypatch):
     # at a half and a quarter of each budget more roots stay open, so some
-    # solves branch, on the units the branching rule picks
+    # solves branch, on the units the branching rule picks; some node
+    # solves leave a nearest-facility table that overfills
+    overfills = _count_overfills(monkeypatch)
     branched = 0
     for coupled in (False, True):
         for seed in range(80):
@@ -171,7 +202,7 @@ def test_solver_agrees_with_oracle_on_random_instances():
                     report = validate_solution(inst, b)
                     assert report.ok, (case, str(report))
                 branched += b.stats["nodes_explored"] >= 2
-    assert branched > 0
+    assert branched > 0 and overfills[0] > 0, (branched, overfills)
 
 
 def test_paths_are_canonical_over_the_bought_arcs():
@@ -1040,14 +1071,21 @@ def test_include_children_never_probe(monkeypatch):
     # parent's arcs and takes its relaxation, builds no tables, and every
     # other one builds them once: the root from scratch, a child by
     # repairing its parent's, one close_arcs call per facility; only the
-    # root probes, from scratch.  The node solve calls both on the index
+    # root probes, from scratch.  The root's nearest-facility table
+    # overfills a facility, so it searches one table per facility too; the
+    # probe's fits.  The node solve calls all three on the index
     calls, repairs, popped = [], [], []
-    real_times, real_close, real_pop = (GraphIndex.facility_times,
-                                        GraphIndex.close_arcs, heapq.heappop)
+    real_times, real_near, real_close, real_pop = (
+        GraphIndex.facility_times, GraphIndex.nearest_times,
+        GraphIndex.close_arcs, heapq.heappop)
 
     def counted(g, closed=frozenset()):
-        calls.append(closed)
+        calls.append(("facility", closed))
         return real_times(g, closed)
+
+    def counted_near(g, closed=frozenset()):
+        calls.append(("nearest", closed))
+        return real_near(g, closed)
 
     def counted_repair(g, table, sources, arcs, closed=frozenset()):
         repairs.append(closed)
@@ -1060,6 +1098,7 @@ def test_include_children_never_probe(monkeypatch):
         return entry
 
     monkeypatch.setattr(GraphIndex, "facility_times", counted)
+    monkeypatch.setattr(GraphIndex, "nearest_times", counted_near)
     monkeypatch.setattr(GraphIndex, "close_arcs", counted_repair)
     monkeypatch.setattr(solver, "heapq", types.SimpleNamespace(
         heappush=heapq.heappush, heappop=recorded_pop))
@@ -1079,10 +1118,14 @@ def test_include_children_never_probe(monkeypatch):
     branched = len(popped) - (popped[-1] >= sol.objective - DIST_TOL)
     searched = (1 + 2 * branched - stats["connection_cuts"]
                 - stats["relaxations_inherited"])
-    assert len(calls) == 2    # the root and the probe
+    # the root and the probe, and only they, search afresh
+    (_, root), (_, probe) = calls[0], calls[-1]
+    assert calls == [("nearest", root), ("facility", root),
+                     ("nearest", probe)] and root != probe
     assert stats["tables_repaired"] == searched - 1
     assert len(repairs) == 3 * (searched - 1)   # three facilities
-    assert len(calls) + stats["tables_repaired"] == searched + 1
+    assert len({closed for _, closed in calls}) + stats["tables_repaired"] \
+        == searched + 1
 
 
 def _checked_routes(monkeypatch):
@@ -1268,28 +1311,35 @@ def test_a_label_that_rises_on_a_route_makes_it_walked_again(monkeypatch):
     assert sol.paths["sb"] == ("sb0", "v0", "yvd")
 
 
+def _with_shelter(inst):
+    """``inst`` plus a one-bed shelter that no road reaches: not every
+    facility can take every resident, though none needs to."""
+    net = inst.network
+    return dataclasses.replace(inst, network=Network(
+        [*net.nodes.values(), D("d9", 1)], net.arcs.values()))
+
+
 def test_interrupted_branching_keeps_the_parent_bound(monkeypatch):
     # the root solves its bound, then runs the search's one probe; the
-    # deadline passes in the first child's bound solve: the root (bound 55) is then the only
-    # proof left for the subtree it was splitting.  A one-bed shelter that
-    # no road reaches lets the capacities bind, so every bound solve is an
-    # exact assignment search (with room for everyone everywhere, a bound
-    # is read off the nearest-facility table, which no deadline stops)
-    inst = branching_instance()
-    net = inst.network
-    inst = dataclasses.replace(inst, network=Network(
-        [*net.nodes.values(), D("d9", 1)], net.arcs.values()))
+    # deadline passes in the first child's bound solve: the root (bound 55)
+    # is then the only proof left for the subtree it was splitting.  A
+    # one-bed shelter that no road reaches keeps the town capacitated, yet
+    # every node's nearest-facility assignment fits, so each bound solve is
+    # one fit test (`_fits_in_order`) and none is an assignment search,
+    # where the clock is read: the deadline is made to pass in the third
+    # fit test
     calls = []
 
-    def expire_on_third(items, caps, deadline, stats, hint):
-        calls.append(len(items))
+    def expire_on_third(picks, caps):
+        calls.append(caps)
         if len(calls) == 3:
             raise solver._DeadlinePassed
-        return real(items, caps, deadline, stats, hint)
+        return real(picks, caps)
 
-    real = solver._assignment_exact
-    monkeypatch.setattr(solver, "_assignment_exact", expire_on_third)
-    sol = solve_exact(inst)
+    real = solver._fits_in_order
+    monkeypatch.setattr(solver, "_fits_in_order", expire_on_third)
+    sol = solve_exact(_with_shelter(branching_instance()))
+    assert sol.stats["assignment_nodes"] == 0
     assert sol.status is SolveStatus.TIME_LIMIT
     assert sol.objective == pytest.approx(100.0)   # the root's probe
     assert sol.best_bound == pytest.approx(55.0)
@@ -1462,3 +1512,69 @@ def test_a_contested_nearest_table_leaves_for_the_facility_tables(
     assert _plan_and_search(snug)[0] == _plan_and_search(sol)[0]
     assert [snug.stats[k] for k in SEARCH_COUNTERS] == \
         [sol.stats[k] for k in SEARCH_COUNTERS]
+
+
+def test_a_capacitated_town_whose_nearest_assignments_fit_runs_no_search():
+    # the shelter that no road reaches cannot take everyone, so capacities
+    # could bind; but every node's nearest-facility assignment fits, so no
+    # node runs an exact assignment search, and the plan is the oracle's
+    inst = _with_shelter(branching_instance())
+    sol = solve_exact(inst)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.stats["nodes_explored"] > 0
+    assert sol.stats["assignment_nodes"] == 0
+    ref = brute_force_oracle(inst)
+    assert ref.objective == sol.objective and ref.upgrades == sol.upgrades
+
+
+def test_an_overfilled_nearest_table_leaves_for_the_facility_tables(
+        monkeypatch):
+    # d1 holds 10 beds, s's 10 residents.  The root rides a and v3 ($10 on
+    # a $5 budget): s at d1, s3 at d0, which fits, and it branches on a.
+    # The include child buys a and cannot afford v3, so s3's nearest
+    # facility turns to d1 by w3, which overfills it: that child searches
+    # one table per facility afresh and sends s3 to d0 by x3
+    searched = []
+    real_times = GraphIndex.facility_times
+
+    def counted(g, closed=frozenset()):
+        searched.append(closed)
+        return real_times(g, closed)
+
+    monkeypatch.setattr(GraphIndex, "facility_times", counted)
+    nodes = [O("s", 10), O("s3", 1), D("d0", 99), D("d1", 10)]
+    arcs = [RoadArc("a", "s", "d1", 1.0, vulnerable=True, mitigation_cost=5.0),
+            RoadArc("b", "s", "d0", 5.0),
+            RoadArc("v3", "s3", "d0", 1.0, vulnerable=True,
+                    mitigation_cost=5.0),
+            RoadArc("w3", "s3", "d1", 3.0), RoadArc("x3", "s3", "d0", 6.0)]
+    inst = build_instance(nodes, arcs, 5.0, 10.0)
+    sol = solve_exact(inst)
+    assert searched == [inst.network.index().arcs_of(("v3",))]
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.upgrades == ("a",) and sol.objective == 16.0
+    assert sol.assignment == {"s": "d1", "s3": "d0"}
+    assert sol.stats["assignment_nodes"] > 0
+    ref = brute_force_oracle(inst)
+    assert ref.objective == sol.objective and ref.upgrades == sol.upgrades
+
+
+def test_a_nearest_table_reuses_the_routes_facility_tables_do(monkeypatch):
+    # on the nearest-facility table, a walk skips an exit tight only toward
+    # another facility instead of backing out of it, so it reuses in a
+    # child every route the per-facility tables reuse.  The same solve with
+    # every nearest table given up, as if contested, gives the same plan
+    # by the same search
+    town = synth.random_instance(5, max_nodes=14, max_vuln=10, max_origins=5)
+    everyone = sum(o.residents for o in town.network.origins())
+    inst = dataclasses.replace(
+        _with_capacities(town, lambda d: everyone + 1000.0),
+        budget=total_vulnerable_cost(town.network, False) / 4)
+    near = solve_exact(inst)
+    monkeypatch.setattr(GraphIndex, "nearest_times",
+                        lambda g, closed=frozenset(): None)
+    apart = solve_exact(inst)
+    assert near.objective == 469.5 and near.stats["nodes_explored"] == 1
+    assert near.stats["assignment_nodes"] == 0 < apart.stats["assignment_nodes"]
+    assert _plan_and_search(near) == _plan_and_search(apart)
+    assert near.stats["routes_reused"] == apart.stats["routes_reused"] == 3

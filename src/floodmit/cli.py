@@ -221,7 +221,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         ("relaxations_inherited", "relaxations inherited"),
         ("tables_repaired", "tables repaired"),
         ("routes_reused", "routes reused"),
-        ("assignments_reused", "assignments reused")))
+        ("assignments_reused", "assignments reused"),
+        ("nearest_fallbacks", "nearest-table fallbacks")))
     print(f"solved in {elapsed:.3f}s, {counts}", file=sys.stderr)
     return sol.exit_code()
 

@@ -44,6 +44,9 @@ WEIGHT_POLICIES = ("w_equals_h", "uniform")
 #: slack when packing residents into facility capacity
 CAPACITY_TOL = 1e-9
 
+_REAL = (int, float)         # a record's common numbers, bool not among them
+_MAX = sys.float_info.max
+
 
 def cents(amount: float) -> int:
     """Money as integer cents; every budget comparison happens in cents."""
@@ -212,7 +215,9 @@ class _Records(NamedTuple):
 
 def _require(cond: bool, msg: str) -> None:
     """For checks made once per file.  Record checks are written out, so that
-    each formats its message only when it fails and costs no call."""
+    each formats its message only when it fails and costs no call: a plain
+    number or flag is taken inline, and anything else goes to `_num` or
+    `_flag`, the one full check, which converts it or raises."""
     if not cond:
         raise SchemaError(msg)
 
@@ -275,15 +280,17 @@ def _parse(source: str | Path | Mapping[str, Any]) -> _Records:
 
     nodes: dict[str, dict[str, Any]] = {}
     for rec in raw_nodes:
-        if not isinstance(rec, Mapping):
+        if type(rec) is not dict and not isinstance(rec, Mapping):
             raise SchemaError(f"node record {rec!r}: not an object")
         nid = rec.get("id")
         if not isinstance(nid, str) or not nid:
             raise SchemaError(f"node record {rec!r}: bad id")
         if nid in nodes:
             raise SchemaError(f"node {nid!r}: duplicate id")
-        meta: dict[str, Any] = {
-            "residents": _num(rec, "residents", "node", nid, default=0.0, minimum=0.0)}
+        raw = rec.get("residents", 0.0)
+        meta: dict[str, Any] = {"residents": (
+            float(raw) if type(raw) in _REAL and 0 <= raw <= _MAX else
+            _num(rec, "residents", "node", nid, default=0.0, minimum=0.0))}
         if "facility_beds" in rec:
             meta["facility_beds"] = _num(rec, "facility_beds", "node", nid, minimum=0.0)
         for key in ("lon", "lat", "name"):
@@ -301,7 +308,7 @@ def _parse(source: str | Path | Mapping[str, Any]) -> _Records:
     arcs = []
     arc_ids: set[str] = set()
     for rec in raw_arcs:
-        if not isinstance(rec, Mapping):
+        if type(rec) is not dict and not isinstance(rec, Mapping):
             raise SchemaError(f"arc record {rec!r}: not an object")
         aid = rec.get("id")
         if not isinstance(aid, str) or not aid:
@@ -314,13 +321,25 @@ def _parse(source: str | Path | Mapping[str, Any]) -> _Records:
             raise SchemaError(f"arc {aid!r}: unknown tail {tail!r}")
         if not isinstance(head, str) or head not in nodes:
             raise SchemaError(f"arc {aid!r}: unknown head {head!r}")
-        length = _num(rec, "length_miles", "arc", aid, minimum=0.0, strict=True)
-        speed = _num(rec, "speed_mph", "arc", aid, minimum=0.0, strict=True)
-        lanes = _num(rec, "lanes", "arc", aid, default=1.0, minimum=1.0)
-        oneway = _flag(rec, "oneway", aid)
-        vulnerable = _flag(rec, "vulnerable", aid)
+        raw = rec.get("length_miles")
+        length = (float(raw) if type(raw) in _REAL and 0 < raw <= _MAX else
+                  _num(rec, "length_miles", "arc", aid, minimum=0.0, strict=True))
+        raw = rec.get("speed_mph")
+        speed = (float(raw) if type(raw) in _REAL and 0 < raw <= _MAX else
+                 _num(rec, "speed_mph", "arc", aid, minimum=0.0, strict=True))
+        raw = rec.get("lanes", 1.0)
+        lanes = (float(raw) if type(raw) in _REAL and 1 <= raw <= _MAX else
+                 _num(rec, "lanes", "arc", aid, default=1.0, minimum=1.0))
+        oneway = rec.get("oneway", False)
+        vulnerable = rec.get("vulnerable", False)
+        bridge = rec.get("has_bridge", False)
+        if (oneway is not True and oneway is not False
+                or vulnerable is not True and vulnerable is not False
+                or bridge is not True and bridge is not False):
+            for key in ("oneway", "vulnerable", "has_bridge"):
+                _flag(rec, key, aid)  # raises on the first that is no flag
         meta = {"length_miles": length, "speed_mph": speed, "lanes": lanes,
-                "oneway": oneway, "has_bridge": _flag(rec, "has_bridge", aid)}
+                "oneway": oneway, "has_bridge": bridge}
         segment = rec.get("segment_id")
         if segment is not None and not isinstance(segment, str):
             raise SchemaError(f"arc {aid!r}: bad 'segment_id' value {segment!r}")
@@ -386,14 +405,15 @@ def build_instance(net: Network, spec: InstanceSpec,
                    source: str = "<memory>",
                    log: Iterable[str] = ()) -> ProblemInstance:
     """Finish derivation: fix the budget and wrap everything up."""
-    if not net.origins():
+    origins, destinations = net.origins(), net.destinations()
+    if not origins:
         raise SchemaError("degenerate instance: no origins")
-    if not net.destinations():
+    if not destinations:
         raise SchemaError("degenerate instance: no destinations")
     b_hat = total_vulnerable_cost(net, spec.segment_coupling)
     budget = spec.budget_fraction * b_hat
-    cap_total = sum(d.capacity for d in net.destinations())
-    demand = (1.0 + spec.alpha) * sum(o.residents for o in net.origins())
+    cap_total = sum(d.capacity for d in destinations)
+    demand = (1.0 + spec.alpha) * sum(o.residents for o in origins)
     # a float sum of shares may round below demand: allow for it relatively
     if math.isfinite(cap_total) and cap_total < demand * (1.0 - 1e-9):
         raise SchemaError("capacities sum below (1+alpha) * residents")

@@ -76,7 +76,7 @@ class NodeKind(str, Enum):
     DESTINATION = "destination"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoadNode:
     """A network node.
 
@@ -109,7 +109,7 @@ class RoadNode:
             raise NetworkError(f"node {self.id!r}: finite capacity on non-destination")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoadArc:
     """A directed arc.  ``travel_time`` is in minutes.
 
@@ -127,15 +127,29 @@ class RoadArc:
     segment_id: str | None = None
     meta: Mapping[str, object] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(self, id: str, tail: str, head: str, travel_time: float,
+                 vulnerable: bool = False, mitigation_cost: float = 0.0,
+                 segment_id: str | None = None,
+                 meta: Mapping[str, object] | None = None) -> None:
+        # written out: the generated one looks up object.__setattr__ per
+        # field, then calls __post_init__; ingest builds one per road
+        if not id:
             raise NetworkError("arc with empty id")
-        if self.travel_time < 0 or not math.isfinite(self.travel_time):
-            raise NetworkError(f"arc {self.id!r}: bad travel time {self.travel_time!r}")
-        if self.mitigation_cost < 0:
-            raise NetworkError(f"arc {self.id!r}: negative mitigation cost")
-        if not self.vulnerable and self.mitigation_cost != 0:
-            raise NetworkError(f"arc {self.id!r}: cost on non-vulnerable arc")
+        if travel_time < 0 or not math.isfinite(travel_time):
+            raise NetworkError(f"arc {id!r}: bad travel time {travel_time!r}")
+        if mitigation_cost < 0:
+            raise NetworkError(f"arc {id!r}: negative mitigation cost")
+        if not vulnerable and mitigation_cost != 0:
+            raise NetworkError(f"arc {id!r}: cost on non-vulnerable arc")
+        put = object.__setattr__
+        put(self, "id", id)
+        put(self, "tail", tail)
+        put(self, "head", head)
+        put(self, "travel_time", travel_time)
+        put(self, "vulnerable", vulnerable)
+        put(self, "mitigation_cost", mitigation_cost)
+        put(self, "segment_id", segment_id)
+        put(self, "meta", {} if meta is None else meta)
 
     @property
     def segment(self) -> str:

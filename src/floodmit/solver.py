@@ -1036,7 +1036,8 @@ def solve_exact(instance: ProblemInstance,
     then that assignment's cost, and each route is walked on that table.
     Where it cannot answer, the node searches one table per facility
     afresh (``GraphIndex.facility_times``), keeps no assignment or route of
-    its parent's, and its subtree keeps per-facility tables.
+    its parent's, and its subtree keeps per-facility tables
+    (``nearest_fallbacks``).
 
     What the solve derives from its network alone, whatever the budget,
     sits in ``memo`` (`SolveMemo`), which `solve_pipeline` hands over from
@@ -1101,7 +1102,7 @@ def solve_exact(instance: ProblemInstance,
                              "rounding_closures": 0, "connection_cuts": 0,
                              "relaxations_inherited": 0,
                              "tables_repaired": 0, "routes_reused": 0,
-                             "assignments_reused": 0,
+                             "assignments_reused": 0, "nearest_fallbacks": 0,
                              "assignment_nodes": 0,
                              "wall_time_assignment_s": 0.0}
     incumbent: Solution | None = None
@@ -1335,6 +1336,7 @@ def solve_exact(instance: ProblemInstance,
             found = nearest(tables[_NEAREST], owner)
         if tables is None or (owner is not None and found is None):
             # the nearest table is contested or overfills: it cannot answer
+            stats["nearest_fallbacks"] += 1
             (tables, owner), fell = search(node, False), set()
             parent = None
         if owner is None:

@@ -138,7 +138,8 @@ def test_solve_counts_connection_cuts(demo, tmp_path, capsys):
                 f"{stats['relaxations_inherited']} relaxations inherited, "
                 f"{stats['tables_repaired']} tables repaired, "
                 f"{stats['routes_reused']} routes reused, "
-                f"{stats['assignments_reused']} assignments reused"
+                f"{stats['assignments_reused']} assignments reused, "
+                f"{stats['nearest_fallbacks']} nearest-table fallbacks\n"
                 in err)
         runs.append(stats)
     assert runs[0] == runs[1]

@@ -4,12 +4,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import re
+import types
 
 import pytest
 
-from floodmit.ingest import (CAPACITY_TOL, InstanceSpec, SchemaError,
-                             capacity_fits, cents, instance_from_file,
+from floodmit.ingest import (CAPACITY_TOL, InstanceSpec, SchemaError, _flag,
+                             _num, capacity_fits, cents, instance_from_file,
                              instance_json, purchase_units,
                              total_vulnerable_cost, upgrade_cost_cents,
                              with_network)
@@ -97,6 +99,75 @@ def test_load_rejects_malformed_records(mangle, message):
     spec = InstanceSpec(segment_coupling=True)
     with pytest.raises(SchemaError, match=re.escape(message)):
         instance_from_file(tiny_file(**mangle), spec)
+
+
+_MISSING = object()
+
+
+def _checked(check):
+    """What ``check()`` returns, or the message of its SchemaError."""
+    try:
+        return check()
+    except SchemaError as exc:
+        return str(exc)
+
+
+def _load_field(records, index, key, raw, read, full):
+    """(what a load of ``tiny_file`` with ``raw`` as record ``index``'s
+    ``key`` reads there, what the full check ``full(rec)`` gives for that
+    record): each a value or a SchemaError message."""
+    data = tiny_file()
+    rec = data[records][index]
+    if raw is _MISSING:
+        rec.pop(key, None)
+    else:
+        rec[key] = raw
+    loaded = _checked(lambda: read(
+        instance_from_file(data, InstanceSpec()).network, rec["id"]))
+    return loaded, _checked(lambda: full(rec))
+
+
+@pytest.mark.parametrize("records, key, limits", [
+    ("nodes", "residents", dict(default=0.0, minimum=0.0)),
+    ("arcs", "length_miles", dict(minimum=0.0, strict=True)),
+    ("arcs", "speed_mph", dict(minimum=0.0, strict=True)),
+    ("arcs", "lanes", dict(default=1.0, minimum=1.0)),
+])
+def test_inline_number_checks_match_the_full_check(records, key, limits):
+    # a load takes a plain number inline and hands the rest to _num: each
+    # raw value gives _num's float, bit for bit (repr tells -0.0 and int
+    # apart), or _num's message; a JSON true is never a number
+    kind = records[:-1]
+    for raw in (True, False, math.nan, math.inf, 1e400, 10 ** 400, -0.0, 0,
+                -1, 0.5, 1, "3", None, _MISSING):
+        loaded, full = _load_field(
+            records, 1, key, raw,
+            lambda net, rid: getattr(net, records)[rid].meta[key],
+            lambda rec: _num(rec, key, kind, rec["id"], **limits))
+        assert repr(loaded) == repr(full), (key, raw)
+
+
+@pytest.mark.parametrize("key", ["oneway", "vulnerable", "has_bridge"])
+def test_inline_flag_checks_match_the_full_check(key):
+    def read(net, aid):
+        arc = net.arcs[aid]
+        return arc.vulnerable if key == "vulnerable" else arc.meta[key]
+
+    for raw in (True, False, 0, 1, "false", None, _MISSING):
+        loaded, full = _load_field("arcs", 1, key, raw, read,
+                                   lambda rec: _flag(rec, key, rec["id"]))
+        assert repr(loaded) == repr(full), (key, raw)
+
+
+def test_records_may_be_any_mapping():
+    # a record that is a mapping but no dict takes the full check's path
+    data = tiny_file()
+    proxied = tiny_file(**{key: [types.MappingProxyType(rec)
+                                 for rec in data[key]]
+                           for key in ("nodes", "arcs")})
+    spec = InstanceSpec(alpha=0.15)
+    assert (instance_json(instance_from_file(proxied, spec))
+            == instance_json(instance_from_file(data, spec)))
 
 
 def test_load_keeps_boolean_flags_and_string_segments():

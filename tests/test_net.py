@@ -32,25 +32,65 @@ def grid3() -> Network:
 # -- validation ---------------------------------------------------------------
 
 def test_node_rejects_bad_fields():
-    with pytest.raises(NetworkError):
-        RoadNode("", NodeKind.TRANSSHIPMENT)
-    with pytest.raises(NetworkError):
-        RoadNode("x", NodeKind.ORIGIN, residents=-1.0)
-    with pytest.raises(NetworkError):
-        RoadNode("x", NodeKind.TRANSSHIPMENT, residents=5.0)
-    with pytest.raises(NetworkError):
-        RoadNode("x", NodeKind.ORIGIN, residents=1.0, weight=1.0, capacity=3.0)
+    for fields, message in [
+        (dict(id=""), "node with empty id"),
+        (dict(id="x", kind=NodeKind.ORIGIN, residents=-1.0),
+         "node 'x': negative residents"),
+        (dict(id="x", kind=NodeKind.ORIGIN, weight=-1.0),
+         "node 'x': negative weight"),
+        (dict(id="x", kind=NodeKind.DESTINATION, capacity=-1.0),
+         "node 'x': negative capacity"),
+        (dict(id="x", residents=5.0), "node 'x': residents on non-origin"),
+        (dict(id="x", weight=1.0), "node 'x': weight on non-origin"),
+        (dict(id="x", kind=NodeKind.ORIGIN, residents=1.0, weight=1.0,
+              capacity=3.0), "node 'x': finite capacity on non-destination"),
+    ]:
+        with pytest.raises(NetworkError) as exc:
+            RoadNode(**fields)
+        assert str(exc.value) == message
 
 
 def test_arc_rejects_bad_fields():
-    with pytest.raises(NetworkError):
-        RoadArc("", "a", "b", 1.0)
-    with pytest.raises(NetworkError):
-        RoadArc("e", "a", "b", float("nan"))
-    with pytest.raises(NetworkError):
-        RoadArc("e", "a", "b", 1.0, mitigation_cost=3.0)  # cost but not vulnerable
-    with pytest.raises(NetworkError):
-        RoadArc("e", "a", "b", 1.0, vulnerable=True, mitigation_cost=-2.0)
+    for fields, message in [
+        (dict(id=""), "arc with empty id"),
+        (dict(travel_time=math.nan), "arc 'e': bad travel time nan"),
+        (dict(travel_time=-1.0), "arc 'e': bad travel time -1.0"),
+        (dict(travel_time=math.inf), "arc 'e': bad travel time inf"),
+        (dict(vulnerable=True, mitigation_cost=-2.0),
+         "arc 'e': negative mitigation cost"),
+        (dict(mitigation_cost=3.0), "arc 'e': cost on non-vulnerable arc"),
+    ]:
+        with pytest.raises(NetworkError) as exc:
+            RoadArc(**{"id": "e", "tail": "a", "head": "b",
+                       "travel_time": 1.0, **fields})
+        assert str(exc.value) == message
+
+
+def test_road_records_are_slotted_and_frozen():
+    # slotted: no per-record __dict__, so no attribute beyond the fields;
+    # replace (prune's t3, synth) builds and checks a new record
+    node = RoadNode("o", NodeKind.ORIGIN, residents=4.0, weight=4.0)
+    arc = RoadArc("e", "a", "b", 1.0, vulnerable=True, mitigation_cost=2.0,
+                  segment_id="s", meta={"lanes": 2.0})
+    for rec in (node, arc):
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.id = "z"
+        with pytest.raises(AttributeError):
+            object.__setattr__(rec, "extra", 1)
+    assert repr(arc) == ("RoadArc(id='e', tail='a', head='b', travel_time=1.0, "
+                         "vulnerable=True, mitigation_cost=2.0, segment_id='s', "
+                         "meta={'lanes': 2.0})")
+    slower = dataclasses.replace(arc, travel_time=3.0)
+    assert slower == RoadArc("e", "a", "b", 3.0, True, 2.0, "s", {"lanes": 2.0})
+    assert slower != arc and arc.travel_time == 1.0
+    assert dataclasses.replace(node) == node
+    for make in (lambda: RoadNode("t"), lambda: RoadArc("t", "a", "b", 1.0)):
+        assert make().meta == {} and make().meta is not make().meta
+    with pytest.raises(NetworkError, match="negative mitigation cost"):
+        dataclasses.replace(arc, mitigation_cost=-1.0)
+    with pytest.raises(NetworkError, match="residents on non-origin"):
+        dataclasses.replace(node, kind=NodeKind.TRANSSHIPMENT)
 
 
 def test_network_rejects_duplicates_and_dangling():

@@ -153,11 +153,11 @@ def test_oracle_refuses_large_instances():
         brute_force_oracle(inst, limits=OracleLimits(max_destinations=1))
 
 
-def _count_overfills(monkeypatch):
-    """Counts the node solves whose uncontested nearest-facility table
-    overfills a facility, so that they search one table per facility: the
-    count is the one item of the list returned."""
-    count, answered = [0], [None]   # the shut arcs of the last such table
+def _count_fallbacks(monkeypatch):
+    """Counts the node solves that leave a nearest-facility table for one
+    table per facility: the returned list holds the tables that overfill a
+    facility, uncontested, and the searches or repairs that are contested."""
+    count, answered = [0, 0], [None]   # the shut arcs of the last answer
     real_near, real_close, real_times = (GraphIndex.nearest_times,
                                          GraphIndex.close_nearest,
                                          GraphIndex.facility_times)
@@ -165,11 +165,13 @@ def _count_overfills(monkeypatch):
     def near(g, closed=frozenset()):
         found = real_near(g, closed)
         answered[0] = None if found is None else closed
+        count[1] += found is None
         return found
 
     def close(g, minutes, owner, arcs, closed=frozenset()):
         found = real_close(g, minutes, owner, arcs, closed)
         answered[0] = None if found is None else closed | arcs
+        count[1] += found is None
         return found
 
     def times(g, closed=frozenset()):
@@ -185,9 +187,10 @@ def _count_overfills(monkeypatch):
 def test_solver_agrees_with_oracle_on_random_instances(monkeypatch):
     # at a half and a quarter of each budget more roots stay open, so some
     # solves branch, on the units the branching rule picks; some node
-    # solves leave a nearest-facility table that overfills
-    overfills = _count_overfills(monkeypatch)
-    branched = 0
+    # solves leave a nearest-facility table that overfills, and the solves'
+    # nearest_fallbacks count every node solve that leaves one
+    fallbacks = _count_fallbacks(monkeypatch)
+    branched = counted = 0
     for coupled in (False, True):
         for seed in range(80):
             town = synth.random_instance(seed, coupled=coupled)
@@ -202,7 +205,10 @@ def test_solver_agrees_with_oracle_on_random_instances(monkeypatch):
                     report = validate_solution(inst, b)
                     assert report.ok, (case, str(report))
                 branched += b.stats["nodes_explored"] >= 2
-    assert branched > 0 and overfills[0] > 0, (branched, overfills)
+                counted += b.stats["nearest_fallbacks"]
+    overfilled, contested = fallbacks
+    assert branched > 0 and overfilled > 0, (branched, fallbacks)
+    assert counted == overfilled + contested, (counted, fallbacks)
 
 
 def test_paths_are_canonical_over_the_bought_arcs():
@@ -1501,6 +1507,7 @@ def test_a_contested_nearest_table_leaves_for_the_facility_tables(
     sol = solve_exact(inst)
     g = inst.network.index()   # the probe and the child that bans a
     assert searched == [g.arcs_of(("a", "v3")), g.arcs_of(("a",))]
+    assert sol.stats["nearest_fallbacks"] == 2
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.upgrades == ("a",) and sol.objective == 93.0
     assert sol.stats["tables_repaired"] == 2
@@ -1551,6 +1558,7 @@ def test_an_overfilled_nearest_table_leaves_for_the_facility_tables(
     inst = build_instance(nodes, arcs, 5.0, 10.0)
     sol = solve_exact(inst)
     assert searched == [inst.network.index().arcs_of(("v3",))]
+    assert sol.stats["nearest_fallbacks"] == 1
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.upgrades == ("a",) and sol.objective == 16.0
     assert sol.assignment == {"s": "d1", "s3": "d0"}

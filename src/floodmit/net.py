@@ -12,8 +12,10 @@ lists its out- and in-arcs as ``(arc number, other end, minutes)``
 records in arc-id order, so the kernel's ``(time, node number)`` heap
 breaks every tie as a ``(time, node id)`` heap would.  A table is a list
 indexed by node number, ``inf`` where a node is unreached.  Every caller
-works in numbers and turns them back into ids only in what it returns;
-``shortest_paths`` is the one id-keyed search.
+works in numbers and turns them back into ids only in what it returns (the
+solver's branch-and-bound numbers its purchase units in id order too, so
+ids appear only in its `Solution`); ``shortest_paths`` is the one id-keyed
+search.
 
 Every search takes the roads it may not use as one set of closed arc
 numbers: the vulnerable arcs for the flooded network, the empty default

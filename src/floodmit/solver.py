@@ -59,7 +59,6 @@ problem as a zero-budget instance.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import heapq
 import itertools
 import json
@@ -859,20 +858,26 @@ class _Delta(NamedTuple):
         return tables, owner
 
 
+def _units(bits: int) -> list[int]:
+    """The unit numbers in a bit set (bit u is unit u), lowest first."""
+    return [u for u, b in enumerate(reversed(bin(bits))) if b == "1"]
+
+
 class _Node:
-    """A B&B node: the units it fixes in (committed) and out (banned),
-    their cost, its bound, and its bound solve: its tables as a `_Delta`,
-    its shut arcs, its relaxed assignment and routes (in origin order), the
-    origins whose route walk backed out of a dead end, and its score, which
-    maps each undecided unit on those routes to the resident weight riding
-    it.  Only the delta outlives the node's expansion.  Its solve is kept
-    in node and arc numbers of the network's `GraphIndex`."""
+    """A B&B node: the units it fixes in (committed) and out (banned), as
+    bit sets of unit numbers (`_Setup`), their cost, its bound, and its
+    bound solve: its tables as a `_Delta`, its shut arcs, its relaxed
+    assignment and routes (in origin order), the origins whose route walk
+    backed out of a dead end, and its score, which maps the number of each
+    undecided unit on those routes to the resident weight riding it.  Only
+    the delta outlives the node's expansion.  Its solve is kept in node and
+    arc numbers of the network's `GraphIndex`."""
 
     __slots__ = ("committed", "banned", "cost", "bound", "delta", "closed",
                  "assignment", "paths", "backed", "score")
 
-    def __init__(self, committed: frozenset[str], banned: frozenset[str],
-                 cost: int, closed: frozenset[int]) -> None:
+    def __init__(self, committed: int, banned: int, cost: int,
+                 closed: frozenset[int]) -> None:
         self.committed = committed
         self.banned = banned
         self.cost = cost
@@ -882,16 +887,27 @@ class _Node:
         self.assignment: dict[int, int] = {}
         self.paths: tuple[tuple[int, ...], ...] = ()
         self.backed: frozenset[int] = frozenset()
-        self.score: dict[str, float] = {}
+        self.score: dict[int, float] = {}
+
+
+class _Plan(NamedTuple):
+    """A B&B incumbent in numbers; its routes are in origin order."""
+
+    objective: float
+    upgrades: tuple[int, ...]      # the vulnerable arcs ridden, sorted
+    assignment: dict[int, int]
+    paths: tuple[tuple[int, ...], ...]
 
 
 class _Setup:
     """What a solve derives from its network, segment coupling and fixings
     alone, whatever its budget: the network's full repair bill in dollars
     (``b_hat``, as `with_network` gives it), the forced units' cost in
-    cents, the arc numbers shut before any undecided unit is bought, the
-    undecided units by id, their ids in order, each one's arc numbers and
-    bit (``1 << position in unit_ids``), and the unit of each of those arcs.
+    cents, and the undecided units, numbered 0..U-1 in id order:
+    ``units[u]`` is unit u, ``cost[u]`` its cents and ``unit_arcs[u]`` its
+    arc numbers, and ``arc_unit`` maps each of those arcs to its unit's
+    number.  Every vulnerable arc lies in one unit, so the undecided units'
+    arcs are the arcs shut before any of them is bought.
 
     The connection bound's arc prices (by arc number) and its `_rooted`
     flood are built by the first bound taken.  ``bounds`` keeps every
@@ -900,24 +916,20 @@ class _Setup:
     free and closed arcs, and ints keep the entries small on long solves,
     where a bound seldom repeats."""
 
-    __slots__ = ("b_hat", "base_cost", "shut", "undecided", "unit_ids",
-                 "unit_arcs", "arc_unit", "bit", "prices", "rooted",
-                 "bounds")
+    __slots__ = ("b_hat", "base_cost", "units", "cost", "unit_arcs",
+                 "arc_unit", "prices", "rooted", "bounds")
 
     def __init__(self, net: Network, coupled: bool,
                  fixings: FixedUpgrades | None) -> None:
         g = net.index()
-        units = purchase_units(net, coupled)
-        _, rest, self.base_cost, shut_ids = _forced(net, units, fixings)
+        units = purchase_units(net, coupled)   # in id order
+        _, self.units, self.base_cost, _ = _forced(net, units, fixings)
         # every unit holds a vulnerable arc: `total_vulnerable_cost`'s sum
         self.b_hat = sum(u.cost_cents for u in units) / 100
-        self.shut = g.arcs_of(shut_ids)
-        self.undecided = {u.id: u for u in rest}
-        self.unit_ids = sorted(self.undecided)
-        self.unit_arcs = {u.id: g.arcs_of(u.arc_ids) for u in rest}
-        self.arc_unit = {a: uid for uid, arcs in self.unit_arcs.items()
+        self.cost = [u.cost_cents for u in self.units]
+        self.unit_arcs = [g.arcs_of(u.arc_ids) for u in self.units]
+        self.arc_unit = {a: u for u, arcs in enumerate(self.unit_arcs)
                          for a in arcs}
-        self.bit = {uid: 1 << i for i, uid in enumerate(self.unit_ids)}
         self.prices: dict[int, float] | None = None
         self.rooted: frozenset[int] = frozenset()
         self.bounds: dict[tuple[int, int], float] = {}
@@ -963,9 +975,11 @@ def solve_exact(instance: ProblemInstance,
                 memo: SolveMemo | None = None) -> Solution:
     """Exact best-first branch-and-bound over purchase units.
 
-    A node fixes some units in (committed) and some out (banned).  Opening
-    it (``open_node``) gives its remaining budget, the undecided units that
-    each fit that budget (in id order) and the arcs left shut when those and
+    The undecided units are numbered in id order once (`_Setup`), as arcs
+    are, so a tie by number is a tie by id.  A node fixes some units in
+    (committed) and some out (banned), each a bit set (bit u is unit u).
+    Opening it (``open_node``) gives its remaining budget, the undecided
+    units that each fit that budget and the arcs left shut when those and
     the committed units are bought.  When the affordable units together cost
     more than the remaining budget, `_connection_bound` prices what every
     origin still needs to reach a facility (committed units free, banned and
@@ -1011,8 +1025,9 @@ def solve_exact(instance: ProblemInstance,
     distances are reverse tables over the arcs not shut: every vulnerable
     arc the relaxation does not treat as bought.  The node solve runs on
     the network's index (``net.index()``): tables, shut sets, assignments
-    and routes hold node and arc numbers, and a plan is put back into ids
-    only when it is offered as incumbent.  A child shuts every arc its
+    and routes hold node and arc numbers, and so does the incumbent: ids
+    are made only in the returned `Solution` (``finish``), and read only
+    from a warm start, once it validates.  A child shuts every arc its
     parent does, so it repairs its parent's tables over the arcs it newly
     shuts (``GraphIndex.close_arcs``, ``tables_repaired``), and a node that
     inherits its parent's relaxation needs none.  An open node keeps only
@@ -1047,8 +1062,8 @@ def solve_exact(instance: ProblemInstance,
     keyed by each origin's time to each facility, and one held there is
     not run again (``assignments_reused``); a search the deadline stops
     keeps nothing.  It keeps the solve's set-up (`_Setup`), keyed by
-    segment coupling and ``fixings``: the purchase units, the forced ones'
-    cost, the arcs shut at the root, and the connection bound's arc prices
+    segment coupling and ``fixings``: the purchase units, numbered, the
+    forced ones' cost, and the connection bound's arc prices
     and its flood over the arcs no node closes (`_rooted`), built by the
     first bound taken.  With the set-up go the connection bounds taken,
     keyed by the committed units and the units neither committed nor
@@ -1062,7 +1077,8 @@ def solve_exact(instance: ProblemInstance,
     The clock is read against ``options.time_limit_s`` between nodes of
     both searches and inside every assignment search; on expiry the result
     is `TimeLimit` with the incumbent (if any) and the least bound of the
-    subtrees left open, the interrupted node's parent included.  Every
+    subtrees left open, the interrupted node's parent included (the
+    root's, while its probe runs).  Every
     result is built by ``finish``, whose bound is capped by the incumbent's
     objective and sets the gap.  Stats count B&B nodes
     (``nodes_explored``), ``incumbent_updates`` (an accepted warm start
@@ -1095,9 +1111,8 @@ def solve_exact(instance: ProblemInstance,
     elif memo.network is not net:
         raise ValueError("memo= belongs to a different network")
     setup = memo.setup(instance.spec.segment_coupling, fixings)
-    # the forced units are committed at every node; ``shut`` is closed
-    # before any undecided unit is bought
-    base_cost, shut = setup.base_cost, setup.shut
+    # the forced units are committed at every node
+    base_cost = setup.base_cost
     stats: dict[str, Any] = {"nodes_explored": 0, "incumbent_updates": 0,
                              "rounding_closures": 0, "connection_cuts": 0,
                              "relaxations_inherited": 0,
@@ -1105,20 +1120,29 @@ def solve_exact(instance: ProblemInstance,
                              "assignments_reused": 0, "nearest_fallbacks": 0,
                              "assignment_nodes": 0,
                              "wall_time_assignment_s": 0.0}
-    incumbent: Solution | None = None
+    incumbent: _Plan | None = None
+    # origins (as numbers) in id order, and in the assignment's item order
+    origin_nos = g.origins
+    weights = [o.weight for o in origins]
+    gap_items = [(g.node_no[o.id], o.residents, o.weight) for o in
+                 sorted(origins, key=lambda o: (-o.residents, o.id))]
+    node_ids, arc_ids = g.node_ids, g.arc_ids
+    vulnerable = g.arcs_of(net.vulnerable_ids)
 
     def finish(status: SolveStatus, bound: float | None = None) -> Solution:
-        """The result: the incumbent (if any) under ``status``, its bound
-        capped by the objective, and the gap between the two."""
-        if incumbent is None:
-            sol = Solution(status=status, best_bound=bound)
-        else:
-            sol = dataclasses.replace(incumbent, status=status)
+        """The result: the incumbent (if any), in ids, under ``status``, its
+        bound capped by the objective, and the gap between the two."""
+        sol = Solution(status=status, best_bound=bound, stats=dict(stats))
+        if incumbent is not None:
+            sol.objective = obj = incumbent.objective
+            sol.upgrades = tuple(arc_ids[a] for a in incumbent.upgrades)
+            sol.assignment = {node_ids[k]: node_ids[d]
+                              for k, d in incumbent.assignment.items()}
+            sol.paths = {node_ids[k]: tuple(arc_ids[a] for a in path)
+                         for k, path in zip(origin_nos, incumbent.paths)}
             if bound is not None:
-                sol.best_bound = min(bound, sol.objective)
-                sol.gap = ((sol.objective - sol.best_bound)
-                           / max(abs(sol.objective), 1e-12))
-        sol.stats = dict(stats)
+                sol.best_bound = min(bound, obj)
+                sol.gap = (obj - sol.best_bound) / max(abs(obj), 1e-12)
         sol.stats["wall_time_s"] = time.perf_counter() - start
         return sol
 
@@ -1126,44 +1150,40 @@ def solve_exact(instance: ProblemInstance,
         # the forced exits alone blow the budget: no affordable set connects
         return finish(SolveStatus.BUDGET_DISCONNECTED)
 
-    undecided, unit_ids = setup.undecided, setup.unit_ids
-    unit_arcs, arc_unit, bit = setup.unit_arcs, setup.arc_unit, setup.bit
-    every = (1 << len(unit_ids)) - 1
-    # origins (as numbers) in id order, and in the assignment's item order
-    origin_nos = g.origins
-    weights = [o.weight for o in origins]
-    gap_items = [(g.node_no[o.id], o.residents, o.weight) for o in
-                 sorted(origins, key=lambda o: (-o.residents, o.id))]
-    node_ids, arc_ids = g.node_ids, g.arc_ids
+    unit_cost, unit_arcs = setup.cost, setup.unit_arcs
+    arc_unit = setup.arc_unit
+    every = (1 << len(unit_cost)) - 1
 
-    def open_node(committed: frozenset[str], banned: frozenset[str],
-                  cost: int) -> tuple[int, list[str], frozenset[int]]:
-        """(remaining budget, the undecided units that each fit it in id
-        order, the arcs shut when those and the committed units are
-        bought)."""
+    def open_node(committed: int, banned: int, cost: int,
+                  ) -> tuple[int, int, int, frozenset[int]]:
+        """(remaining budget, the undecided units that each fit it, their
+        total cost, the arcs shut when those and the committed units are
+        bought: the arcs of every other undecided unit)."""
         remaining = budget_cents - cost
-        afford = [uid for uid in unit_ids
-                  if uid not in committed and uid not in banned
-                  and undecided[uid].cost_cents <= remaining]
-        return remaining, afford, shut - {
-            a for uid in itertools.chain(committed, afford)
-            for a in unit_arcs[uid]}
+        afford = spend = 0
+        for u in _units(every & ~(committed | banned)):
+            if unit_cost[u] <= remaining:
+                afford |= 1 << u
+                spend += unit_cost[u]
+        return remaining, afford, spend, frozenset([
+            a for u in _units(every & ~(committed | afford))
+            for a in unit_arcs[u]])
 
-    def connection(committed: frozenset[str], afford: list[str],
-                   remaining: int, closed: frozenset[int]) -> float | None:
+    def connection(committed: int, afford: int, remaining: int,
+                   closed: frozenset[int]) -> float | None:
         """The node's connection bound, or None (a counted cut) when it
         proves the remaining budget short.  A bound taken before on the
         memo's set-up, with the same committed and closed units, is not
         taken again."""
-        held = sum(map(bit.__getitem__, committed))
-        key = (held, every - held - sum(map(bit.__getitem__, afford)))
+        key = (committed, every & ~(committed | afford))
         bound = setup.bounds.get(key)
         if bound is None:
             if setup.prices is None:
                 setup.prices = {g.arc_no[aid]: p for aid, p in
-                                _arc_prices(net, undecided.values()).items()}
+                                _arc_prices(net, setup.units).items()}
                 setup.rooted = _rooted(g, dests, setup.prices)
-            bought = frozenset(a for uid in committed for a in unit_arcs[uid])
+            bought = frozenset(a for u in _units(committed)
+                               for a in unit_arcs[u])
             bound = setup.bounds[key] = _connection_bound(
                 g, origin_nos, setup.prices, bought, closed, setup.rooted)
         if bound - remaining > _BOUND_RTOL * max(1.0, remaining):
@@ -1171,20 +1191,19 @@ def solve_exact(instance: ProblemInstance,
             return None
         return bound
 
-    def record(obj: float, assignment: dict[str, str],
-               paths: dict[str, tuple[str, ...]]) -> None:
+    def record(obj: float, assignment: dict[int, int],
+               paths: tuple[tuple[int, ...], ...]) -> None:
         """Keep a plan if it beats the incumbent, or ties it with a
-        lexicographically smaller upgrade set."""
+        lexicographically smaller upgrade set (arc numbers follow id order)."""
         nonlocal incumbent
-        upgrades = _used_vulnerable(net, paths)
+        upgrades = tuple(sorted({a for path in paths for a in path
+                                 if a in vulnerable}))
         if incumbent is not None and (
                 obj > incumbent.objective + DIST_TOL
                 or (abs(obj - incumbent.objective) <= DIST_TOL
                     and upgrades >= incumbent.upgrades)):
             return
-        incumbent = Solution(status=SolveStatus.FEASIBLE, objective=obj,
-                             upgrades=upgrades, assignment=assignment,
-                             paths=paths)
+        incumbent = _Plan(obj, upgrades, assignment, paths)
         stats["incumbent_updates"] += 1
 
     solved = memo.assignments
@@ -1227,8 +1246,11 @@ def solve_exact(instance: ProblemInstance,
         ws = options.warm_start
         report = validate_solution(instance, ws)
         if report.ok:
-            record(report.objective, dict(ws.assignment),
-                   {k: tuple(v) for k, v in ws.paths.items()})
+            record(report.objective,
+                   {k: g.node_no[ws.assignment[node_ids[k]]]
+                    for k in origin_nos},
+                   tuple(tuple(g.arc_no[aid] for aid in ws.paths[node_ids[k]])
+                         for k in origin_nos))
             stats["warm_start"] = True
         else:
             stats["warm_start_rejected"] = str(report)
@@ -1288,8 +1310,8 @@ def solve_exact(instance: ProblemInstance,
                 table[v] = t
         return (repaired, owner), fell
 
-    def evaluate(committed: frozenset[str], banned: frozenset[str],
-                 cost: int, parent: _Node | None = None,
+    def evaluate(committed: int, banned: int, cost: int,
+                 parent: _Node | None = None,
                  parent_tables: _Tables | None = None,
                  ) -> _Node | None:
         """Bound one node; None if it is dead or closed by rounding.
@@ -1312,16 +1334,16 @@ def solve_exact(instance: ProblemInstance,
         searches the nearest-facility table, and one that cannot answer
         searches one table per facility, by the solve's one table rule.
         """
-        remaining, afford, closed = open_node(committed, banned, cost)
-        if (sum(undecided[uid].cost_cents for uid in afford) > remaining
+        remaining, afford, spend, closed = open_node(committed, banned, cost)
+        if (spend > remaining
                 and connection(committed, afford, remaining, closed) is None):
             return None  # no affordable completion connects everyone
         if parent is not None and parent.closed == closed:
             stats["relaxations_inherited"] += 1
             node = copy.copy(parent)
             node.committed, node.cost = committed, cost
-            node.score = {uid: w for uid, w in parent.score.items()
-                          if uid not in committed}
+            node.score = {u: w for u, w in parent.score.items()
+                          if not committed >> u & 1}
             return node
         node = _Node(committed, banned, cost, closed)
         if parent is None:
@@ -1348,16 +1370,12 @@ def solve_exact(instance: ProblemInstance,
             g, origin_nos, node, (tables, owner), parent, fell, stats)
         for w, path in zip(weights, node.paths):
             for a in path:
-                uid = arc_unit.get(a)
-                if uid is not None and uid not in committed:
-                    node.score[uid] = node.score.get(uid, 0.0) + w
-        if sum(undecided[uid].cost_cents for uid in node.score) <= remaining:
+                u = arc_unit.get(a)
+                if u is not None and not committed >> u & 1:
+                    node.score[u] = node.score.get(u, 0.0) + w
+        if sum(map(unit_cost.__getitem__, node.score)) <= remaining:
             stats["rounding_closures"] += 1
-            record(node.bound,
-                   {node_ids[k]: node_ids[d]
-                    for k, d in node.assignment.items()},
-                   {node_ids[k]: tuple(map(arc_ids.__getitem__, path))
-                    for k, path in zip(origin_nos, node.paths)})
+            record(node.bound, node.assignment, node.paths)
             return None
         return node
 
@@ -1365,21 +1383,19 @@ def solve_exact(instance: ProblemInstance,
         """Does any affordable purchase set reconnect every origin?"""
         # (committed, banned, cost); an include child is pushed after its
         # exclude sibling, so it is searched first
-        stack: list[tuple[frozenset[str], frozenset[str], int]] = [
-            (frozenset(), frozenset(), base_cost)]
+        stack = [(0, 0, base_cost)]
         while stack:
             if time.perf_counter() > deadline:
                 raise _DeadlinePassed
             committed, banned, cost = stack.pop()
-            remaining, afford, closed = open_node(committed, banned, cost)
+            remaining, afford, _, closed = open_node(committed, banned, cost)
             bound = connection(committed, afford, remaining, closed)
             if bound == 0:
                 return True
             if bound is not None:
-                uid = afford[0]
-                stack.append((committed, banned | {uid}, cost))
-                stack.append((committed | {uid}, banned,
-                              cost + undecided[uid].cost_cents))
+                u = _units(afford)[0]   # the first by id
+                stack.append((committed, banned | 1 << u, cost))
+                stack.append((committed | 1 << u, banned, cost + unit_cost[u]))
         return False
 
     counter = itertools.count()
@@ -1396,15 +1412,16 @@ def solve_exact(instance: ProblemInstance,
         else:
             cut_floor = min(cut_floor, node.bound)
 
-    expanding: float | None = None   # bound of the node being branched on
+    expanding: float | None = None   # bound of the subtree being split
     try:
-        root = evaluate(frozenset(), frozenset(), base_cost)
+        root = evaluate(0, 0, base_cost)
         # the only node cut so far is the root: refuted, it needs no walk
         root_refuted = stats["connection_cuts"] > 0
         if root is not None:
             # the probe: the node that bans every undecided unit rides none,
             # so it closes by rounding whenever its assignment exists
-            evaluate(frozenset(), frozenset(unit_ids), base_cost)
+            expanding = root.bound   # the open tree's, until it is queued
+            evaluate(0, every, base_cost)
         push(root)
         while heap:
             if time.perf_counter() > deadline:
@@ -1416,15 +1433,14 @@ def solve_exact(instance: ProblemInstance,
                 break
             expanding = bound
             # rider weight x unit cost: the unit moving the bound most on
-            # both children, ties to the smaller id
-            branch = min(node.score, key=lambda uid: (
-                -node.score[uid] * undecided[uid].cost_cents, uid))
+            # both children, ties to the smaller number, so the smaller id
+            branch = min(node.score, key=lambda u: (
+                -node.score[u] * unit_cost[u], u))
             tables = node.delta.tables()
-            push(evaluate(node.committed | {branch}, node.banned,
-                          node.cost + undecided[branch].cost_cents, node,
-                          tables))
-            push(evaluate(node.committed, node.banned | {branch}, node.cost,
-                          node, tables))
+            push(evaluate(node.committed | 1 << branch, node.banned,
+                          node.cost + unit_cost[branch], node, tables))
+            push(evaluate(node.committed, node.banned | 1 << branch,
+                          node.cost, node, tables))
             expanding = None
         if incumbent is None:
             # pruned subtrees might hide an affordable connecting set; decide

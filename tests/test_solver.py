@@ -108,6 +108,41 @@ def test_segment_pricing_in_solver():
         is SolveStatus.INFEASIBLE
 
 
+def _tied_routes_town():
+    """s (2 riders) reaches d in 1 minute by any of three washed-out
+    routes, each $4 on the $4 budget: ``vb`` or ``vy`` alone, or ``vz``
+    then ``va`` through m.  The root's relaxed route takes s's first tight
+    exit by arc id, ``vb``, and closes by rounding at objective 2."""
+    nodes = [O("s", 2), D("d", 9), RoadNode("m")]
+    arcs = [RoadArc("vb", "s", "d", 1.0, vulnerable=True, mitigation_cost=4.0),
+            RoadArc("vy", "s", "d", 1.0, vulnerable=True, mitigation_cost=4.0),
+            RoadArc("vz", "s", "m", 0.5, vulnerable=True, mitigation_cost=2.0),
+            RoadArc("va", "m", "d", 0.5, vulnerable=True, mitigation_cost=2.0),
+            RoadArc("w", "s", "d", 3.0)]
+    return build_instance(nodes, arcs, 4.0, 12.0)
+
+
+@pytest.mark.parametrize("warm, route, updates", [
+    (None, ("vb",), 1),                 # the search's plan alone
+    (("vy",), ("vb",), 2),              # a tied warm start, a larger set
+    (("vz", "va"), ("vz", "va"), 1)])   # a smaller set, though two arcs
+def test_equal_objectives_keep_the_smaller_upgrade_set(warm, route, updates):
+    # among plans of equal objective the lexicographically smaller sorted
+    # upgrade-id set wins, whichever was offered first
+    inst = _tied_routes_town()
+    ws = None if warm is None else Solution(
+        status=SolveStatus.FEASIBLE, objective=2.0,
+        upgrades=tuple(sorted(warm)), assignment={"s": "d"}, paths={"s": warm})
+    sol = solve_exact(inst, options=SolveOptions(warm_start=ws))
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(2.0)
+    assert sol.paths == {"s": route}
+    assert sol.upgrades == tuple(sorted(route))
+    assert sol.stats["incumbent_updates"] == updates
+    assert sol.stats.get("warm_start", False) is (warm is not None)
+    assert validate_solution(inst, sol).ok
+
+
 def test_warm_start_equivalence():
     inst = f1_instance(9.0)
     warm = solve_exact(inst, options=SolveOptions(warm_start=solve_exact(inst)))
@@ -1214,7 +1249,8 @@ def test_the_root_branches_on_rider_weight_times_cost(monkeypatch, cost,
     # s2's washed-out road carries ten riders and s3's one, and the two
     # do not fit the $5 budget together, so the root stays open.  The
     # nodes built after the root and its probe are the root's include
-    # child, then its ban child
+    # child, then its ban child.  A node holds its units as bit sets of
+    # unit numbers, which the solve's set-up maps back to ids
     built = []
 
     class Recorded(solver._Node):
@@ -1225,9 +1261,17 @@ def test_the_root_branches_on_rider_weight_times_cost(monkeypatch, cost,
             built.append((committed, banned))
 
     monkeypatch.setattr(solver, "_Node", Recorded)
-    solve_exact(_branching_town([], [RoadArc(
-        heavy, "s2", "d", 1.0, vulnerable=True, mitigation_cost=cost)]))
-    assert built[2:4] == [({branch}, frozenset()), (frozenset(), {branch})]
+    inst = _branching_town([], [RoadArc(
+        heavy, "s2", "d", 1.0, vulnerable=True, mitigation_cost=cost)])
+    memo = solver.SolveMemo(inst.network)
+    solve_exact(inst, memo=memo)
+    (setup,) = memo.setups.values()
+
+    def ids(bits):
+        return {setup.units[u].id for u in solver._units(bits)}
+
+    assert [(ids(c), ids(b)) for c, b in built[2:4]] == [
+        ({branch}, set()), (set(), {branch})]
 
 
 def test_a_route_that_backed_out_is_walked_again(monkeypatch):
@@ -1325,31 +1369,48 @@ def _with_shelter(inst):
         [*net.nodes.values(), D("d9", 1)], net.arcs.values()))
 
 
-def test_interrupted_branching_keeps_the_parent_bound(monkeypatch):
-    # the root solves its bound, then runs the search's one probe; the
-    # deadline passes in the first child's bound solve: the root (bound 55)
-    # is then the only proof left for the subtree it was splitting.  A
-    # one-bed shelter that no road reaches keeps the town capacitated, yet
-    # every node's nearest-facility assignment fits, so each bound solve is
-    # one fit test (`_fits_in_order`) and none is an assignment search,
-    # where the clock is read: the deadline is made to pass in the third
-    # fit test
+def _interrupted(monkeypatch, expire_at):
+    """`branching_instance` with a one-bed shelter that no road reaches,
+    solved with the deadline passing in the ``expire_at``-th fit test.
+
+    The shelter keeps the town capacitated, yet every node's
+    nearest-facility assignment fits, so each bound solve is one fit test
+    (`_fits_in_order`) and none is an assignment search, where the clock
+    is read.  The root's is the first, its probe's the second and its
+    first child's the third."""
     calls = []
 
-    def expire_on_third(picks, caps):
+    def expire(picks, caps):
         calls.append(caps)
-        if len(calls) == 3:
+        if len(calls) == expire_at:
             raise solver._DeadlinePassed
         return real(picks, caps)
 
     real = solver._fits_in_order
-    monkeypatch.setattr(solver, "_fits_in_order", expire_on_third)
+    monkeypatch.setattr(solver, "_fits_in_order", expire)
     sol = solve_exact(_with_shelter(branching_instance()))
     assert sol.stats["assignment_nodes"] == 0
     assert sol.status is SolveStatus.TIME_LIMIT
+    return sol
+
+
+def test_interrupted_branching_keeps_the_parent_bound(monkeypatch):
+    # the root solves its bound, then runs the search's one probe; the
+    # deadline passes in the first child's bound solve: the root (bound 55)
+    # is then the only proof left for the subtree it was splitting
+    sol = _interrupted(monkeypatch, 3)
     assert sol.objective == pytest.approx(100.0)   # the root's probe
     assert sol.best_bound == pytest.approx(55.0)
     assert sol.gap == pytest.approx(0.45)
+
+
+def test_an_interrupted_probe_keeps_the_root_bound(monkeypatch):
+    # the deadline passes in the probe, before the root is queued: the
+    # root's bound stands for the open tree, and there is no plan yet
+    sol = _interrupted(monkeypatch, 2)
+    assert sol.best_bound == pytest.approx(55.0)
+    assert sol.objective is None and sol.gap is None
+    assert sol.upgrades == () and sol.assignment == {}
 
 
 def test_assignment_nodes_repeat_exactly():

@@ -5,17 +5,17 @@ or plain intersections (transshipment nodes).  Arcs carry travel times in
 minutes; flood-vulnerable arcs additionally carry a mitigation cost and are
 unusable unless upgraded.
 
-Every search runs on numbers, not ids: ``net.index()`` is a `GraphIndex`,
-built by the first search of a network and kept with it (the network is
-immutable), that numbers nodes and arcs in sorted-id order.  Each node
-lists its out- and in-arcs as ``(arc number, other end, minutes)``
-records in arc-id order, so the kernel's ``(time, node number)`` heap
-breaks every tie as a ``(time, node id)`` heap would.  A table is a list
-indexed by node number, ``inf`` where a node is unreached.  Every caller
-works in numbers and turns them back into ids only in what it returns (the
-solver's branch-and-bound numbers its purchase units in id order too, so
-ids appear only in its `Solution`); ``shortest_paths`` is the one id-keyed
-search.
+A `Network` is checked records; its graph is its index.  Every search runs
+on numbers, not ids: ``net.index()`` is a `GraphIndex`, built on first use
+and kept with the network (which is immutable), that numbers nodes and arcs
+in sorted-id order.  Each node lists its out- and in-arcs as
+``(arc number, other end, minutes)`` records in arc-id order, so the
+kernel's ``(time, node number)`` heap breaks every tie as a
+``(time, node id)`` heap would.  A table is a list indexed by node number,
+``inf`` where a node is unreached.  Every caller works in numbers and
+turns them back into ids only in what it returns (the solver's
+branch-and-bound numbers its purchase units in id order too, so ids appear
+only in its `Solution`); ``shortest_paths`` is the one id-keyed search.
 
 Every search takes the roads it may not use as one set of closed arc
 numbers: the vulnerable arcs for the flooded network, the empty default
@@ -159,9 +159,11 @@ class RoadArc:
 
 
 class Network:
-    """Immutable directed multigraph with deterministic (sorted-id) iteration."""
+    """A directed multigraph as checked records, ``nodes`` and ``arcs`` by
+    id in id order; its graph is its index, which ``out_arcs`` and
+    ``in_arcs`` read."""
 
-    __slots__ = ("nodes", "arcs", "vulnerable_ids", "_out", "_in", "_index")
+    __slots__ = ("nodes", "arcs", "vulnerable_ids", "_index")
 
     def __init__(self, nodes: Iterable[RoadNode], arcs: Iterable[RoadArc]):
         node_list = sorted(nodes, key=_BY_ID)
@@ -172,40 +174,29 @@ class Network:
             raise NetworkError(f"duplicate node id {repeat!r}")
         arc_list = sorted(arcs, key=_BY_ID)
         self.arcs: dict[str, RoadArc] = {a.id: a for a in arc_list}
-        if len(self.arcs) != len(arc_list):
-            # report a repeat unless an arc before it has a bad endpoint,
-            # which the loop below reports
-            prev = None
-            for a in arc_list:
-                if a.id == prev:
-                    raise NetworkError(f"duplicate arc id {a.id!r}")
-                if a.tail not in self.nodes or a.head not in self.nodes:
-                    break
-                prev = a.id
-        out: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        inc: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        for a in arc_list:
-            tails, heads = out.get(a.tail), inc.get(a.head)
-            if tails is None or heads is None:
+        known, prev = self.nodes, None
+        for a in arc_list:  # the first fault in id order is reported
+            if a.id == prev:
+                raise NetworkError(f"duplicate arc id {a.id!r}")
+            if a.tail not in known or a.head not in known:
                 raise NetworkError(f"arc {a.id!r}: unknown endpoint")
-            tails.append(a.id)
-            heads.append(a.id)
+            prev = a.id
         self.vulnerable_ids = frozenset(a.id for a in arc_list if a.vulnerable)
-        self._out = {nid: tuple(ids) for nid, ids in out.items()}
-        self._in = {nid: tuple(ids) for nid, ids in inc.items()}
         self._index: GraphIndex | None = None
 
     # -- deterministic accessors -------------------------------------------
 
     def out_arcs(self, node_id: str) -> tuple[str, ...]:
-        if node_id not in self._out:
-            raise NetworkError(f"unknown node {node_id!r}")
-        return self._out[node_id]
+        """The ids of the arcs out of ``node_id``, in id order."""
+        g = self.index()
+        (u,) = g.nodes_of((node_id,))
+        return tuple([g.arc_ids[a] for a, _, _ in g.out[u]])
 
     def in_arcs(self, node_id: str) -> tuple[str, ...]:
-        if node_id not in self._in:
-            raise NetworkError(f"unknown node {node_id!r}")
-        return self._in[node_id]
+        """The ids of the arcs into ``node_id``, in id order."""
+        g = self.index()
+        (u,) = g.nodes_of((node_id,))
+        return tuple([g.arc_ids[a] for a, _, _ in g.inc[u]])
 
     def origins(self) -> list[RoadNode]:
         return [n for n in self.nodes.values() if n.kind is NodeKind.ORIGIN]
@@ -219,9 +210,6 @@ class Network:
         if self._index is None:
             self._index = GraphIndex(self)
         return self._index
-
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self.nodes
 
     def __repr__(self) -> str:
         return (f"Network({len(self.nodes)} nodes, {len(self.arcs)} arcs, "

@@ -195,14 +195,16 @@ class _Work:
                    if n.kind is NodeKind.ORIGIN]
         self.n_origins = len(origins)
         self.n_vuln = len(net.vulnerable_ids)
-        self.out = {nid: list(ids) for nid, ids in net._out.items()}
-        self.inn = {nid: list(ids) for nid, ids in net._in.items()}
+        out: dict[str, list[str]] = {n: [] for n in self.nodes}
+        inn: dict[str, list[str]] = {n: [] for n in self.nodes}
         pair: dict[str, dict[str, list[str]]] = {n: {} for n in self.nodes}
         adj: dict[str, dict[str, int]] = {n: {} for n in self.nodes}
         loops: list[str] = []
         parallel: list[str] = []  # the first arc of each parallel pair
         for a in self.arcs.values():  # adj[x][y] == adj[y][x] throughout
             tail, head = a.tail, a.head
+            out[tail].append(a.id)
+            inn[head].append(a.id)
             if tail == head:
                 loops.append(a.id)
                 continue
@@ -217,7 +219,7 @@ class _Work:
                 if len(ids) == 1:
                     parallel.append(ids[0])
                 ids.append(a.id)
-        self.pair, self.adj = pair, adj
+        self.out, self.inn, self.pair, self.adj = out, inn, pair, adj
         # contracted arc id -> the pre-pruning chain it stands for (t7)
         self.chains: dict[str, tuple[str, ...]] = {}
         self.added: list[str] = []
@@ -226,8 +228,7 @@ class _Work:
         self.node_cursor: dict[int, int] = {}
         self.owed_arcs: dict[int, list[str]] = {5: parallel, 6: loops}
         self.owed: dict[int, list[str]] = {
-            2: [nid for nid in self.nodes
-                if not (net._in[nid] and net._out[nid])],
+            2: [nid for nid in self.nodes if not (inn[nid] and out[nid])],
             3: origins,
             4: [nid for nid, row in adj.items() if len(row) == 2],
             7: [nid for nid, row in adj.items() if 0 < len(row) <= 2],

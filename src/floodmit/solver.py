@@ -577,7 +577,8 @@ def brute_force_oracle(instance: ProblemInstance,
     capacity-feasible assignment.  Exact and deterministic, exponential.
     ``mask`` (origin id -> arc ids) adds to each origin's closed set.  It
     enumerates in node and arc numbers, which follow sorted-id order, so
-    ties break by id; ids appear only in the returned `Solution`."""
+    ties break by id; ids appear only in the returned `Solution`.  Where
+    plans tie exactly, it may report another one than `solve_exact`."""
     limits = limits or OracleLimits()
     mask = mask or {}
     net = instance.network
@@ -995,7 +996,9 @@ def solve_exact(instance: ProblemInstance,
     closed by rounding: buying them attains the bound, so that plan is
     offered as incumbent.  Every plan, a validated warm start's included,
     passes one test (``record``): it is kept if its objective is lower, or
-    ties with a lexicographically smaller used-upgrade set.  Every other
+    ties with a lexicographically smaller used-upgrade set.  It sees only
+    the plans the search offers, so `brute_force_oracle` agrees on status
+    and objective, not always on which tied plan is reported.  Every other
     node branches on the undecided unit with the largest rider weight on
     the relaxed shortest paths (its ``score``) × unit cost, ties by id: the
     unit that moves the bound most on both children.  An include child that
@@ -1669,11 +1672,14 @@ def build_model(instance: ProblemInstance,
                 terms.append((coef, x_var[(k, aid)]))
         return tuple(terms), fixed
 
+    ends = {nid: (net.in_arcs(nid), net.out_arcs(nid)) for nid in net.nodes}
+
     def flow(k: str, node: str, scale: float = 1.0,
              ) -> list[tuple[float, str, str]]:
         """(in - out) entries for commodity k at node, times ``scale``."""
-        return ([(scale, k, aid) for aid in net.in_arcs(node)]
-                + [(-scale, k, aid) for aid in net.out_arcs(node)])
+        ins, outs = ends[node]
+        return ([(scale, k, aid) for aid in ins]
+                + [(-scale, k, aid) for aid in outs])
 
     objective, constant = split((o.weight * net.arcs[aid].travel_time, o.id,
                                  aid) for o in origins for aid in arc_ids)

@@ -15,6 +15,9 @@ def plain_dijkstra(net, sources, closed=frozenset(), reverse=False,
     ``net.arcs``, the kernel's ``< best - DIST_TOL`` rule, and the seeded
     form's ``labels``.  Returns the settled times in settling order,
     unreached nodes absent.  It shares no code with ``GraphIndex``."""
+    ends = {nid: [] for nid in net.nodes}  # the arcs to follow, in id order
+    for aid, arc in net.arcs.items():
+        ends[arc.head if reverse else arc.tail].append(aid)
     best = dict(labels) if labels is not None else dict.fromkeys(sources, 0.0)
     heap = [(best[s], s) for s in set(sources)]
     heapq.heapify(heap)
@@ -24,7 +27,7 @@ def plain_dijkstra(net, sources, closed=frozenset(), reverse=False,
         if u in settled:
             continue
         settled[u] = d
-        for aid in net.in_arcs(u) if reverse else net.out_arcs(u):
+        for aid in ends[u]:
             if aid in closed:
                 continue
             arc = net.arcs[aid]

@@ -94,19 +94,34 @@ def test_road_records_are_slotted_and_frozen():
 
 
 def test_network_rejects_duplicates_and_dangling():
+    # each fault by its message; of several, the first in id order is
+    # reported (a repeated id at its second record)
     n = [RoadNode("a", NodeKind.TRANSSHIPMENT), RoadNode("b", NodeKind.TRANSSHIPMENT)]
-    with pytest.raises(NetworkError):
-        Network(n + [RoadNode("a", NodeKind.TRANSSHIPMENT)], [])
-    with pytest.raises(NetworkError):
-        Network(n, [RoadArc("e", "a", "b", 1.0), RoadArc("e", "b", "a", 1.0)])
-    with pytest.raises(NetworkError):
-        Network(n, [RoadArc("e", "a", "zz", 1.0)])
+    ab, ba = RoadArc("e", "a", "b", 1.0), RoadArc("e", "b", "a", 1.0)
+    for nodes, arcs, message in [
+        (n + [RoadNode("a", NodeKind.TRANSSHIPMENT)], [], "duplicate node id 'a'"),
+        (n, [ab, ba], "duplicate arc id 'e'"),
+        (n, [RoadArc("e", "a", "zz", 1.0)], "arc 'e': unknown endpoint"),
+        (n, [RoadArc("e", "zz", "a", 1.0)], "arc 'e': unknown endpoint"),
+        # an unknown endpoint before a repeated arc id, and one after it
+        (n, [RoadArc("d", "a", "zz", 1.0), ab, ba], "arc 'd': unknown endpoint"),
+        (n, [RoadArc("f", "a", "zz", 1.0), ab, ba], "duplicate arc id 'e'"),
+        # within the repeat: on its first record, and on its second
+        (n, [RoadArc("e", "a", "zz", 1.0), ba], "arc 'e': unknown endpoint"),
+        (n, [ab, RoadArc("e", "b", "zz", 1.0)], "duplicate arc id 'e'"),
+    ]:
+        with pytest.raises(NetworkError) as exc:
+            Network(nodes, arcs)
+        assert str(exc.value) == message
 
 
 def test_filter_validation():
     net = grid3()
     with pytest.raises(NetworkError):
         shortest_paths(net, "zz")
+    for arcs_of in (net.out_arcs, net.in_arcs):
+        with pytest.raises(NetworkError, match="unknown node 'zz'"):
+            arcs_of("zz")
 
 
 # -- shortest paths -----------------------------------------------------------
@@ -543,9 +558,17 @@ def test_index_numbers_nodes_and_arcs_in_id_order():
             [o.id for o in net.origins()]
         assert [g.node_ids[d] for d in g.dests] == \
             [d.id for d in net.destinations()]
+        # the reference adjacency is read off the records alone
+        outs = {nid: [] for nid in net.nodes}
+        ins = {nid: [] for nid in net.nodes}
+        for aid, arc in net.arcs.items():
+            outs[arc.tail].append(aid)
+            ins[arc.head].append(aid)
         for u, nid in enumerate(g.node_ids):
-            for records, arc_ids, end in ((g.out[u], net.out_arcs(nid), "head"),
-                                          (g.inc[u], net.in_arcs(nid), "tail")):
+            assert net.out_arcs(nid) == tuple(sorted(outs[nid]))
+            assert net.in_arcs(nid) == tuple(sorted(ins[nid]))
+            for records, arc_ids, end in ((g.out[u], outs[nid], "head"),
+                                          (g.inc[u], ins[nid], "tail")):
                 # every arc of the node once, in id order, with its other end
                 assert [g.arc_ids[a] for a, _, _ in records] == \
                     sorted(arc_ids)

@@ -143,6 +143,19 @@ def test_equal_objectives_keep_the_smaller_upgrade_set(warm, route, updates):
     assert validate_solution(inst, sol).ok
 
 
+def test_search_and_oracle_report_different_tied_plans():
+    # the search keeps the smaller set among the plans it offers: its root
+    # closes by rounding on vb.  The oracle sees every plan and keeps
+    # (va, vz), so the two agree on status and objective, not on the plan
+    inst = _tied_routes_town()
+    sol, ref = solve_exact(inst), brute_force_oracle(inst)
+    assert sol.status is ref.status is SolveStatus.OPTIMAL
+    assert sol.objective == ref.objective == pytest.approx(2.0)
+    assert sol.upgrades == ("vb",) and sol.paths == {"s": ("vb",)}
+    assert ref.upgrades == ("va", "vz") and ref.paths == {"s": ("vz", "va")}
+    assert validate_solution(inst, sol).ok and validate_solution(inst, ref).ok
+
+
 def test_warm_start_equivalence():
     inst = f1_instance(9.0)
     warm = solve_exact(inst, options=SolveOptions(warm_start=solve_exact(inst)))
